@@ -1,9 +1,8 @@
-//! Fleet-scale serving: N warm pools behind a router, with a
-//! warm-up-priced autoscaler.
-//!
-//! The single-pool loop ([`crate::serve`]) amortizes the paper's §4.4
-//! warm-up inside one box. This module scales the same discrete-event
-//! discipline to a fleet:
+//! The serving event loop: N warm pools behind a router, with a
+//! warm-up-priced autoscaler. It is the crate's only discrete-event
+//! loop — [`crate::serve`] and [`crate::serve_streaming`] run it as a
+//! one-pool static fleet under Poisson arrivals, and [`serve_fleet`]
+//! runs it in full:
 //!
 //! ```text
 //! workload ──▶ router ──▶ pool 0 ─▶ replica sessions
@@ -14,32 +13,69 @@
 //!                              drain = replica-seconds stop accruing)
 //! ```
 //!
-//! * Every arrival is placed by the [`Router`] using only queue depths
-//!   and model residency ([`PoolLoad`]); backpressure sheds at the
-//!   *destination* pool's queue bound.
-//! * The [`Autoscaler`] reads fleet-wide queue depth at each arrival —
-//!   the deterministic latency signal, by Little's law — and can spawn
-//!   a pool (whose replicas pay the full context + model-init
-//!   provisioning warm-up before their first service, so scale-out is
-//!   priced exactly like the paper's cold process start) or drain one
-//!   (it finishes its queue, then stops accruing replica-seconds).
-//! * Event ordering keeps the single-pool total order — `(time,
-//!   priority, seq)` in one `BTreeMap`, `ReplicaFree < Arrival <
-//!   BatchClose` at equal instants — so a fleet run replays bit for bit
-//!   from its seed.
+//! Within a pool, requests flow through four stations, every timestamp
+//! an integer virtual nanosecond:
+//!
+//! ```text
+//! arrival ──▶ per-model admission queue ──▶ ready FIFO ──▶ replica
+//!              (WindowBatcher close rule)   (dispatch)     (service)
+//! ```
+//!
+//! * **Placement**: every arrival is placed by the [`Router`] using only
+//!   queue depths and model residency ([`PoolLoad`]).
+//! * **Admission**: an arriving request is shed if its *destination*
+//!   pool's admitted-but-unstarted requests have reached the queue
+//!   bound; otherwise it joins that pool's queue for its model. A batch
+//!   closes when the window since its head's arrival expires or the
+//!   batch fills ([`WindowBatcher`]'s rule).
+//! * **Dispatch**: closed batches wait in the pool's FIFO; whenever a
+//!   replica frees up, the earliest batch that *can* start is assigned
+//!   with model affinity ([`crate::WarmPool::pick`]): a free slot
+//!   holding its model (warm hit), waiting out a busy resident slot
+//!   instead of evicting a peer, or the least-recently-used free slot
+//!   when the model is resident nowhere (cold start).
+//! * **Service**: the batch runs on the slot's session executor
+//!   ([`crate::WarmPool::service`]); the slot is busy until the
+//!   simulated service duration elapses.
+//! * **Scaling**: the [`Autoscaler`] reads fleet-wide queue depth at
+//!   each arrival — the deterministic latency signal, by Little's law —
+//!   and can spawn a pool (whose replicas pay the full context +
+//!   model-init provisioning warm-up before their first service, so
+//!   scale-out is priced exactly like the paper's cold process start)
+//!   or drain one (it finishes its queue, then stops accruing
+//!   replica-seconds).
+//! * **Ingestion** (streaming runs only): [`Ev::Ingest`] feeds live edge
+//!   events through the shared [`StreamingState`] — appends, memory
+//!   updates and compactions are priced on the ingest clock, and every
+//!   dispatched batch first pays a host-side sampling stage on that same
+//!   clock before its replica service starts, the freshness-vs-latency
+//!   contention the streaming benchmarks measure.
+//!
+//! Event ordering is total: keys are `(time, kind-priority, sequence)`
+//! in one `BTreeMap`, with replica releases before arrivals before
+//! graph ingests before batch closes at equal times (`ReplicaFree <
+//! Arrival < Ingest < BatchClose`), so a freed slot is reusable by a
+//! same-instant arrival, a same-instant ingest is visible to the batch
+//! that closes then, and a zero-window batch closes after its own
+//! arrival. No hash map participates in any decision — identical inputs
+//! replay identical schedules bit for bit.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use dgnn_device::{DurationNs, ExecMode, Executor, PlatformSpec};
+use dgnn_device::{
+    accumulate_class_stats, CacheStats, ClassCacheStats, DurationNs, ExecMode, Executor,
+    PlatformSpec,
+};
 use dgnn_graph::WindowBatcher;
 use dgnn_profile::ServicePhases;
 
 use crate::autoscaler::{Autoscaler, AutoscalerConfig, ScaleEvent, ScaleKind};
 use crate::pool::WarmPool;
-use crate::report::{FleetReport, ServedBatch, ServedRequest};
+use crate::report::{FleetReport, ServeReport, ServedBatch, ServedRequest};
 use crate::router::{PoolLoad, Router, RouterPolicy};
+use crate::streaming::StreamingState;
 use crate::workload::{generate_shaped, RateError, Request, WorkloadShape};
-use crate::{ServedModel, UNBOUNDED};
+use crate::{ServeConfig, ServedModel, UNBOUNDED};
 
 /// Full configuration of one fleet serving run.
 #[derive(Debug, Clone)]
@@ -144,20 +180,70 @@ pub struct FleetOutcome {
     pub sessions: Vec<Executor>,
 }
 
-/// Event kinds, in tie-break priority order (the single-pool
-/// discipline, extended with a pool coordinate).
+/// Everything a single-pool serving run produced: the report plus the
+/// raw records and the replica sessions for post-hoc auditing.
+#[derive(Debug)]
+pub struct ServeOutcome {
+    /// Aggregated statistics.
+    pub report: ServeReport,
+    /// Per-request records of served requests, in arrival order.
+    pub requests: Vec<ServedRequest>,
+    /// Requests rejected by backpressure, in arrival order.
+    pub shed: Vec<Request>,
+    /// Per-batch service records, in dispatch order.
+    pub batches: Vec<ServedBatch>,
+    /// One session executor per replica slot, in slot order. Audit
+    /// them with `dgnn_analysis::audit` when tracing was enabled.
+    pub sessions: Vec<Executor>,
+}
+
+/// The raw records of one event-loop run, from which both
+/// [`ServeReport`] and [`FleetReport`] are built.
+#[derive(Default)]
+pub(crate) struct Records {
+    /// Every generated request (offered load), in arrival order.
+    pub offered: Vec<Request>,
+    /// Served requests, in arrival order.
+    pub served: Vec<ServedRequest>,
+    /// Requests rejected by backpressure, in arrival order.
+    pub shed: Vec<Request>,
+    /// Per-batch service records, in dispatch order.
+    pub batches: Vec<FleetBatch>,
+    /// Scale decisions, in virtual-time order.
+    pub scale_events: Vec<ScaleEvent>,
+    /// Provisioning phases, summed over every slot of every pool.
+    pub provision: ServicePhases,
+    /// Services that paid a model swap, fleet-wide.
+    pub cold_services: usize,
+    /// Feature-cache counters summed over every replica session.
+    pub cache: CacheStats,
+    /// The same counters split by tensor class.
+    pub cache_by_class: ClassCacheStats,
+    /// Each pool's `(spawned_at, retired_at)` lifetime, in spawn order.
+    pub pool_spans: Vec<(DurationNs, Option<DurationNs>)>,
+    /// Most pools routable at once.
+    pub peak_pools: usize,
+    /// Pools still routable when the run ended.
+    pub final_pools: usize,
+    /// Last service or provisioning completion.
+    pub makespan: DurationNs,
+    /// Every replica session, pools in spawn order, slots in slot order.
+    pub sessions: Vec<Executor>,
+}
+
+/// Event kinds, in tie-break priority order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// A replica finished its service (or its provisioning).
     ReplicaFree { pool: usize, slot: usize },
     /// A request arrives at the router.
     Arrival(usize),
-    /// A batch window expires for one pool's model queue.
-    BatchClose {
-        pool: usize,
-        model: usize,
-        token: u64,
-    },
+    /// A live graph event arrives for ingestion (streaming runs only).
+    Ingest(usize),
+    /// A batch window expires. The token names the open window it was
+    /// scheduled for, so it fires on nothing once that batch has
+    /// already closed by capacity.
+    BatchClose(u64),
 }
 
 impl Ev {
@@ -165,7 +251,8 @@ impl Ev {
         match self {
             Ev::ReplicaFree { .. } => 0,
             Ev::Arrival(_) => 1,
-            Ev::BatchClose { .. } => 3,
+            Ev::Ingest(_) => 2,
+            Ev::BatchClose(_) => 3,
         }
     }
 }
@@ -240,6 +327,70 @@ impl PoolState {
 /// assert!(outcome.report.replica_seconds > 0.0);
 /// ```
 pub fn serve_fleet(cfg: &FleetConfig, zoo: &[ServedModel]) -> FleetOutcome {
+    let records = run(cfg, zoo, None);
+    FleetOutcome {
+        report: FleetReport::build(cfg, &records),
+        requests: records.served,
+        shed: records.shed,
+        batches: records.batches,
+        scale_events: records.scale_events,
+        sessions: records.sessions,
+    }
+}
+
+/// Runs the serving simulation to completion on one static pool of
+/// `cfg.pool_size` replicas.
+///
+/// # Panics
+///
+/// Panics on an invalid configuration (empty mix, zero pool/rate) or
+/// when a model service fails.
+pub fn serve(cfg: &ServeConfig, zoo: &[ServedModel]) -> ServeOutcome {
+    serve_one_pool(cfg, zoo, None)
+}
+
+/// Runs `cfg` as a one-pool static fleet under Poisson arrivals,
+/// optionally threading live-ingestion state (entry point:
+/// [`crate::serve_streaming`]).
+pub(crate) fn serve_one_pool(
+    cfg: &ServeConfig,
+    zoo: &[ServedModel],
+    streaming: Option<&mut StreamingState>,
+) -> ServeOutcome {
+    // With a single pool every policy places every request on it, and
+    // the SLO only feeds the fleet report; both keep their defaults.
+    let fleet = FleetConfig {
+        seed: cfg.seed,
+        n_requests: cfg.n_requests,
+        arrival_rate_rps: cfg.arrival_rate_rps,
+        shape: WorkloadShape::Poisson,
+        batch_window: cfg.batch_window,
+        max_batch: cfg.max_batch,
+        initial_pools: 1,
+        replicas_per_pool: cfg.pool_size,
+        queue_bound: cfg.queue_bound,
+        autoscaler: None,
+        mode: cfg.mode,
+        trace: cfg.trace,
+        spec: cfg.spec.clone(),
+        ..FleetConfig::default()
+    };
+    let records = run(&fleet, zoo, streaming);
+    ServeOutcome {
+        report: ServeReport::build(cfg, &records),
+        requests: records.served,
+        shed: records.shed,
+        batches: records.batches.into_iter().map(|b| b.batch).collect(),
+        sessions: records.sessions,
+    }
+}
+
+/// The event loop behind every entry point.
+fn run(
+    cfg: &FleetConfig,
+    zoo: &[ServedModel],
+    mut streaming: Option<&mut StreamingState>,
+) -> Records {
     assert!(!zoo.is_empty(), "model mix must not be empty");
     assert!(cfg.initial_pools >= 1, "fleet needs at least one pool");
     assert!(
@@ -296,6 +447,11 @@ pub fn serve_fleet(cfg: &FleetConfig, zoo: &[ServedModel]) -> FleetOutcome {
     for r in &requests {
         push(&mut events, &mut seq, r.arrival, Ev::Arrival(r.id));
     }
+    if let Some(state) = streaming.as_deref() {
+        for (i, &at) in state.ingest_arrivals().iter().enumerate() {
+            push(&mut events, &mut seq, at, Ev::Ingest(i));
+        }
+    }
 
     let mut served: Vec<ServedRequest> = Vec::new();
     let mut shed: Vec<Request> = Vec::new();
@@ -304,9 +460,8 @@ pub fn serve_fleet(cfg: &FleetConfig, zoo: &[ServedModel]) -> FleetOutcome {
     let mut peak_pools = cfg.initial_pools;
     let mut makespan = DurationNs::ZERO;
 
-    while let Some((&key, &ev)) = events.iter().next() {
-        events.remove(&key);
-        let now = DurationNs::from_nanos(key.0);
+    while let Some(((t, _, _), ev)) = events.pop_first() {
+        let now = DurationNs::from_nanos(t);
         match ev {
             Ev::Arrival(id) => {
                 let req = requests[id];
@@ -359,6 +514,7 @@ pub fn serve_fleet(cfg: &FleetConfig, zoo: &[ServedModel]) -> FleetOutcome {
                 p.queued += 1;
                 p.queues[req.model].push_back(id);
                 if batcher.is_full(p.queues[req.model].len()) {
+                    // Capacity close: dispatchable immediately.
                     p.open_token[req.model] = None;
                     close_batch(p, req.model, now, &batcher);
                     try_dispatch(
@@ -371,24 +527,29 @@ pub fn serve_fleet(cfg: &FleetConfig, zoo: &[ServedModel]) -> FleetOutcome {
                         &mut dispatch_seq,
                         &mut events,
                         &mut seq,
+                        streaming.as_deref_mut(),
                     );
                 } else if p.queues[req.model].len() == 1 {
+                    // New anchor: schedule the window close.
                     seq += 1;
                     let token = seq;
                     p.open_token[req.model] = Some(token);
                     let deadline = DurationNs::from_nanos(batcher.deadline(now.as_nanos()));
-                    let ev = Ev::BatchClose {
-                        pool: dest,
-                        model: req.model,
-                        token,
-                    };
+                    let ev = Ev::BatchClose(token);
                     events.insert((deadline.as_nanos(), ev.priority(), token), ev);
                 }
             }
-            Ev::BatchClose { pool, model, token } => {
-                if pools[pool].open_token[model] != Some(token) {
+            Ev::Ingest(i) => streaming
+                .as_deref_mut()
+                .expect("ingest events are only scheduled in streaming runs")
+                .ingest(i, now),
+            Ev::BatchClose(token) => {
+                let Some((pool, model)) = pools.iter().find_map(|p| {
+                    let model = p.open_token.iter().position(|&t| t == Some(token))?;
+                    Some((p.id, model))
+                }) else {
                     continue; // stale: already closed by capacity
-                }
+                };
                 pools[pool].open_token[model] = None;
                 close_batch(&mut pools[pool], model, now, &batcher);
                 try_dispatch(
@@ -401,6 +562,7 @@ pub fn serve_fleet(cfg: &FleetConfig, zoo: &[ServedModel]) -> FleetOutcome {
                     &mut dispatch_seq,
                     &mut events,
                     &mut seq,
+                    streaming.as_deref_mut(),
                 );
             }
             Ev::ReplicaFree { pool, slot } => {
@@ -421,6 +583,7 @@ pub fn serve_fleet(cfg: &FleetConfig, zoo: &[ServedModel]) -> FleetOutcome {
                     &mut dispatch_seq,
                     &mut events,
                     &mut seq,
+                    streaming.as_deref_mut(),
                 );
                 pools[pool].maybe_retire(now);
             }
@@ -431,49 +594,33 @@ pub fn serve_fleet(cfg: &FleetConfig, zoo: &[ServedModel]) -> FleetOutcome {
         pools.iter().all(|p| p.queued == 0
             && p.ready.is_empty()
             && p.queues.iter().all(VecDeque::is_empty)),
-        "fleet loop terminated with work still queued"
+        "serving loop terminated with work still queued"
     );
 
     served.sort_by_key(|r| r.id);
-    let mut provision = ServicePhases::default();
-    let mut cold_services = 0usize;
-    for p in &pools {
-        provision.accumulate(&p.pool.provision_phases());
-        cold_services += p.pool.cold_starts();
-    }
-    let pool_spans: Vec<(DurationNs, Option<DurationNs>)> =
-        pools.iter().map(|p| (p.spawned_at, p.retired_at)).collect();
-    let final_pools = pools.iter().filter(|p| p.routable()).count();
-    let scale_events: Vec<ScaleEvent> = autoscaler
-        .as_ref()
-        .map(|s| s.events().to_vec())
-        .unwrap_or_default();
-
-    let report = FleetReport::build(
-        cfg,
-        &requests,
-        &served,
-        &shed,
-        &batches,
-        &scale_events,
-        &provision,
-        cold_services,
-        &pool_spans,
-        peak_pools,
-        final_pools,
-        makespan,
-    );
-    FleetOutcome {
-        report,
-        requests: served,
+    let mut records = Records {
+        offered: requests,
+        served,
         shed,
         batches,
-        scale_events,
-        sessions: pools
-            .into_iter()
-            .flat_map(|p| p.pool.into_sessions())
-            .collect(),
+        scale_events: autoscaler
+            .as_ref()
+            .map(|s| s.events().to_vec())
+            .unwrap_or_default(),
+        pool_spans: pools.iter().map(|p| (p.spawned_at, p.retired_at)).collect(),
+        peak_pools,
+        final_pools: pools.iter().filter(|p| p.routable()).count(),
+        makespan,
+        ..Records::default()
+    };
+    for p in pools {
+        records.provision.accumulate(&p.pool.provision_phases());
+        records.cold_services += p.pool.cold_starts();
+        records.cache.accumulate(&p.pool.cache_stats());
+        accumulate_class_stats(&mut records.cache_by_class, &p.pool.cache_class_stats());
+        records.sessions.extend(p.pool.into_sessions());
     }
+    records
 }
 
 /// Drains up to one batch from a pool's model queue into its ready
@@ -490,8 +637,7 @@ fn close_batch(p: &mut PoolState, model: usize, now: DurationNs, batcher: &Windo
     });
 }
 
-/// Starts ready batches on the pool's free replicas (FIFO with
-/// affinity skip — the single-pool dispatch rule, scoped to one pool).
+/// Starts ready batches on the pool's free replicas.
 #[allow(clippy::too_many_arguments)] // event-loop state is deliberately flat
 fn try_dispatch(
     now: DurationNs,
@@ -503,7 +649,12 @@ fn try_dispatch(
     dispatch_seq: &mut u64,
     events: &mut BTreeMap<(u64, u8, u64), Ev>,
     seq: &mut u64,
+    mut streaming: Option<&mut StreamingState>,
 ) {
+    // Earliest-ready batch that can start now. Affinity can block the
+    // head (its model's slot is busy) without blocking later batches
+    // whose slots are free; within one model, ready order is FIFO so
+    // requests never overtake each other.
     while let Some((pos, slot)) = p
         .ready
         .iter()
@@ -512,15 +663,22 @@ fn try_dispatch(
     {
         let batch = p.ready.remove(pos).expect("index from enumerate");
         *dispatch_seq += 1;
+        // Streaming: the batch first pays host-side sampling on the
+        // shared ingest clock (contending with live appends), reading a
+        // snapshot capped at the events visible right now.
+        let (sampling, staleness) = match streaming.as_deref_mut() {
+            Some(state) => state.sample_batch(now, &batch.members, requests),
+            None => (DurationNs::ZERO, Vec::new()),
+        };
         let record = p
             .pool
             .service(slot, batch.model, zoo, batch.members.len(), *dispatch_seq);
-        let completed = now + record.duration;
+        let completed = now + sampling + record.duration;
         p.queued -= batch.members.len();
         p.busy += 1;
 
         let batch_id = batches.len();
-        for &id in &batch.members {
+        for (pos_in_batch, &id) in batch.members.iter().enumerate() {
             served.push(ServedRequest {
                 id,
                 model: batch.model,
@@ -530,7 +688,10 @@ fn try_dispatch(
                 started: now,
                 completed,
                 cold: record.cold,
-                staleness: DurationNs::ZERO,
+                staleness: staleness
+                    .get(pos_in_batch)
+                    .copied()
+                    .unwrap_or(DurationNs::ZERO),
             });
         }
         batches.push(FleetBatch {

@@ -10,13 +10,13 @@
 //!
 //! * [`workload::generate`] — a seeded Poisson request stream over a
 //!   weighted model mix (integer-nanosecond arrivals);
-//! * [`WindowBatcher`]-driven dynamic micro-batching — a batch closes
-//!   when its window expires or it reaches capacity;
+//! * [`dgnn_graph::WindowBatcher`]-driven dynamic micro-batching — a
+//!   batch closes when its window expires or it reaches capacity;
 //! * [`WarmPool`] — pre-initialized replica sessions; warm hits pay
 //!   only per-run allocation, cold starts pay a model swap;
-//! * [`serve`] — the discrete-event loop tying it together, with
+//! * [`serve`] — one warm pool behind the serving event loop, with
 //!   backpressure shedding at a queue bound;
-//! * [`serve_streaming`] — the same loop with queries racing live graph
+//! * [`serve_streaming`] — the same pool with queries racing live graph
 //!   ingestion: appends into a [`dgnn_graph::StreamingAdjacency`] delta
 //!   log, TGN/JODIE node-memory updates at ingest time, and per-request
 //!   **staleness** measurement against the visible snapshot;
@@ -35,9 +35,14 @@
 //!   spawned pool pays the full provisioning warm-up (the §4.4 cost as
 //!   a *scaling* penalty) and every drained pool stops accruing
 //!   replica-seconds;
-//! * [`serve_fleet`] — the fleet event loop, reported by
-//!   [`FleetReport`] with SLO attainment, shed rate, replica-seconds
+//! * [`serve_fleet`] — N pools behind the serving event loop, reported
+//!   by [`FleetReport`] with SLO attainment, shed rate, replica-seconds
 //!   and scale-event counts.
+//!
+//! All three entry points run one discrete-event loop: [`serve`] and
+//! [`serve_streaming`] are its one-pool, static, Poisson case, so a
+//! single-pool run is exactly a [`serve_fleet`] run with one pool and
+//! no autoscaler, record for record.
 //!
 //! Everything runs on the virtual clock: no wall-clock time, no thread
 //! scheduling, no hash-map iteration order anywhere in a decision path.
@@ -82,24 +87,18 @@ mod fleet;
 mod pool;
 mod report;
 mod router;
-mod sim;
 mod streaming;
 pub mod workload;
 
 use dgnn_device::{DurationNs, ExecMode, PlatformSpec};
-use dgnn_graph::WindowBatcher;
 use dgnn_models::{InferenceConfig, ReplicaHandle};
 
 pub use autoscaler::{Autoscaler, AutoscalerConfig, ScaleEvent, ScaleKind};
-pub use fleet::{serve_fleet, FleetBatch, FleetConfig, FleetOutcome};
+pub use fleet::{serve, serve_fleet, FleetBatch, FleetConfig, FleetOutcome, ServeOutcome};
 pub use pool::{Replica, ServiceRecord, WarmPool};
 pub use report::{FleetReport, ServeReport, ServedBatch, ServedRequest};
 pub use router::{PoolLoad, Router, RouterPolicy};
-pub use sim::{serve, ServeOutcome};
-pub use streaming::{
-    generate_ingest, mean_staleness_ms, serve_streaming, StreamingConfig, StreamingOutcome,
-    StreamingState,
-};
+pub use streaming::{generate_ingest, serve_streaming, StreamingConfig, StreamingOutcome};
 pub use workload::{generate_shaped, validate_rate, RateError, Request, WorkloadShape, MIN_RATE};
 
 /// Queue-bound value that disables backpressure shedding entirely.
@@ -175,15 +174,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The batcher implied by this configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `max_batch` is zero.
-    pub fn batcher(&self) -> WindowBatcher {
-        WindowBatcher::new(self.batch_window.as_nanos(), self.max_batch)
-    }
-
     /// Validates the arrival rate before the generator turns it into a
     /// schedule. A NaN, infinite, non-positive or sub-[`MIN_RATE`] rate
     /// would previously saturate the `gap_s * 1e9 → u64` conversion and

@@ -57,11 +57,6 @@ impl Replica {
     pub fn resident(&self) -> Option<usize> {
         self.resident
     }
-
-    /// Borrow of the slot's session executor.
-    pub fn session(&self) -> &Executor {
-        &self.session
-    }
 }
 
 /// Result of one service executed on a replica.
@@ -83,8 +78,6 @@ pub struct ServiceRecord {
 #[derive(Debug)]
 pub struct WarmPool {
     replicas: Vec<Replica>,
-    spec: PlatformSpec,
-    mode: ExecMode,
 }
 
 impl WarmPool {
@@ -114,11 +107,7 @@ impl WarmPool {
                 }
             })
             .collect();
-        WarmPool {
-            replicas,
-            spec,
-            mode,
-        }
+        WarmPool { replicas }
     }
 
     /// Number of slots.
@@ -312,15 +301,5 @@ impl WarmPool {
     /// slot order — ready for sanitizer audit or profile capture.
     pub fn into_sessions(self) -> Vec<Executor> {
         self.replicas.into_iter().map(|r| r.session).collect()
-    }
-
-    /// The execution mode replicas run in.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
-    /// The platform specification replicas run on.
-    pub fn spec(&self) -> &PlatformSpec {
-        &self.spec
     }
 }

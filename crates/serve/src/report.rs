@@ -19,10 +19,9 @@ use dgnn_device::{CacheStats, ClassCacheStats, DurationNs, TensorClass};
 use dgnn_models::RunSummary;
 use dgnn_profile::{LatencyStats, ServicePhases, TextTable};
 
-use crate::autoscaler::{ScaleEvent, ScaleKind};
-use crate::fleet::{FleetBatch, FleetConfig};
+use crate::autoscaler::ScaleKind;
+use crate::fleet::{FleetConfig, Records};
 use crate::router::RouterPolicy;
-use crate::workload::Request;
 use crate::{ServeConfig, UNBOUNDED};
 
 /// Renders the shed side of a "requests:" line so a zero is never
@@ -34,6 +33,63 @@ fn shed_summary(shed: usize, queue_bound: usize) -> String {
     } else {
         format!("{shed} shed (bound {queue_bound})")
     }
+}
+
+/// The latency decomposition both reports share: per-station order
+/// statistics over served requests, busy-time phases summed over
+/// services, and the throughput and batching ratios.
+struct Decomposition {
+    latency: LatencyStats,
+    assembly: LatencyStats,
+    queue_wait: LatencyStats,
+    service: LatencyStats,
+    service_phases: ServicePhases,
+    throughput_rps: f64,
+    mean_batch_size: f64,
+}
+
+impl Decomposition {
+    fn of(records: &Records) -> Self {
+        let stats = |phase: fn(&ServedRequest) -> DurationNs| {
+            let samples: Vec<DurationNs> = records.served.iter().map(phase).collect();
+            LatencyStats::from_durations(&samples)
+        };
+        let mut service_phases = ServicePhases::default();
+        for b in &records.batches {
+            service_phases.accumulate(&b.batch.phases);
+        }
+        let served = records.served.len() as f64;
+        let throughput_rps = if records.makespan.as_nanos() == 0 {
+            0.0
+        } else {
+            served / records.makespan.as_secs_f64()
+        };
+        let mean_batch_size = if records.batches.is_empty() {
+            0.0
+        } else {
+            served / records.batches.len() as f64
+        };
+        Decomposition {
+            latency: stats(ServedRequest::latency),
+            assembly: stats(ServedRequest::assembly_wait),
+            queue_wait: stats(ServedRequest::queue_wait),
+            service: stats(ServedRequest::service_time),
+            service_phases,
+            throughput_rps,
+            mean_batch_size,
+        }
+    }
+}
+
+/// Warm-up share of all busy time, provisioning included — the
+/// amortized counterpart of the paper's Table 2 ratio.
+fn warmup_share(provision: &ServicePhases, service: &ServicePhases) -> f64 {
+    let warm = provision.warmup + service.warmup;
+    let total = provision.total() + service.total();
+    if total.as_nanos() == 0 {
+        return 0.0;
+    }
+    warm.as_nanos() as f64 / total.as_nanos() as f64
 }
 
 /// Per-request serving record.
@@ -154,7 +210,7 @@ pub struct ServeReport {
     /// [`TensorClass::index`]) — shows whether hits come from static
     /// node/edge features or recurrent memory rows.
     pub cache_by_class: ClassCacheStats,
-    /// Last completion time (provisioning included).
+    /// Last service or provisioning completion.
     pub makespan: DurationNs,
     /// Served requests per simulated second of makespan.
     pub throughput_rps: f64,
@@ -163,79 +219,38 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Builds the report from the raw serving records.
-    #[allow(clippy::too_many_arguments)] // one arg per raw record stream
-    pub fn build(
-        cfg: &ServeConfig,
-        offered: &[Request],
-        served: &[ServedRequest],
-        shed: &[Request],
-        batches: &[ServedBatch],
-        provision: &ServicePhases,
-        cold_services: usize,
-        cache: CacheStats,
-        cache_by_class: ClassCacheStats,
-    ) -> Self {
-        let latencies: Vec<DurationNs> = served.iter().map(ServedRequest::latency).collect();
-        let assembly: Vec<DurationNs> = served.iter().map(ServedRequest::assembly_wait).collect();
-        let queueing: Vec<DurationNs> = served.iter().map(ServedRequest::queue_wait).collect();
-        let service: Vec<DurationNs> = served.iter().map(ServedRequest::service_time).collect();
-        let staleness: Vec<DurationNs> = served.iter().map(|r| r.staleness).collect();
-
-        let mut service_phases = ServicePhases::default();
-        for b in batches {
-            service_phases.accumulate(&b.phases);
-        }
-
-        let makespan = batches
-            .iter()
-            .map(|b| b.completed)
-            .max()
-            .unwrap_or(DurationNs::ZERO);
-        let throughput_rps = if makespan.as_nanos() == 0 {
-            0.0
-        } else {
-            served.len() as f64 / makespan.as_secs_f64()
-        };
-        let mean_batch_size = if batches.is_empty() {
-            0.0
-        } else {
-            served.len() as f64 / batches.len() as f64
-        };
-
+    /// Builds the report from the raw loop records of a one-pool run.
+    pub(crate) fn build(cfg: &ServeConfig, records: &Records) -> Self {
+        let d = Decomposition::of(records);
+        let staleness: Vec<DurationNs> = records.served.iter().map(|r| r.staleness).collect();
         ServeReport {
-            offered: offered.len(),
-            served: served.len(),
-            shed: shed.len(),
+            offered: records.offered.len(),
+            served: records.served.len(),
+            shed: records.shed.len(),
             queue_bound: cfg.queue_bound,
-            batches: batches.len(),
-            cold_services,
-            warm_services: batches.len() - cold_services,
+            batches: records.batches.len(),
+            cold_services: records.cold_services,
+            warm_services: records.batches.len() - records.cold_services,
             pool_size: cfg.pool_size,
-            provision: *provision,
-            service_phases,
-            latency: LatencyStats::from_durations(&latencies),
-            assembly: LatencyStats::from_durations(&assembly),
-            queue_wait: LatencyStats::from_durations(&queueing),
-            service: LatencyStats::from_durations(&service),
+            provision: records.provision,
+            service_phases: d.service_phases,
+            latency: d.latency,
+            assembly: d.assembly,
+            queue_wait: d.queue_wait,
+            service: d.service,
             staleness: LatencyStats::from_durations(&staleness),
-            cache,
-            cache_by_class,
-            makespan,
-            throughput_rps,
-            mean_batch_size,
+            cache: records.cache,
+            cache_by_class: records.cache_by_class,
+            makespan: records.makespan,
+            throughput_rps: d.throughput_rps,
+            mean_batch_size: d.mean_batch_size,
         }
     }
 
     /// Warm-up share of all busy time, provisioning included — the
     /// amortized counterpart of the paper's Table 2 ratio.
     pub fn warmup_share(&self) -> f64 {
-        let warm = self.provision.warmup + self.service_phases.warmup;
-        let total = self.provision.total() + self.service_phases.total();
-        if total.as_nanos() == 0 {
-            return 0.0;
-        }
-        warm.as_nanos() as f64 / total.as_nanos() as f64
+        warmup_share(&self.provision, &self.service_phases)
     }
 
     /// Renders the report as an aligned text table.
@@ -372,85 +387,56 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Builds the report from the raw fleet records. `pool_spans`
-    /// holds each pool's `(spawned_at, retired_at)` lifetime.
-    #[allow(clippy::too_many_arguments)] // one arg per raw record stream
-    pub fn build(
-        cfg: &FleetConfig,
-        offered: &[Request],
-        served: &[ServedRequest],
-        shed: &[Request],
-        batches: &[FleetBatch],
-        scale_events: &[ScaleEvent],
-        provision: &ServicePhases,
-        cold_services: usize,
-        pool_spans: &[(DurationNs, Option<DurationNs>)],
-        peak_pools: usize,
-        final_pools: usize,
-        makespan: DurationNs,
-    ) -> Self {
-        let latencies: Vec<DurationNs> = served.iter().map(ServedRequest::latency).collect();
-        let assembly: Vec<DurationNs> = served.iter().map(ServedRequest::assembly_wait).collect();
-        let queueing: Vec<DurationNs> = served.iter().map(ServedRequest::queue_wait).collect();
-        let service: Vec<DurationNs> = served.iter().map(ServedRequest::service_time).collect();
-
-        let mut service_phases = ServicePhases::default();
-        for b in batches {
-            service_phases.accumulate(&b.batch.phases);
-        }
-        let replica_seconds: f64 = pool_spans
+    /// Builds the report from the raw loop records of a fleet run.
+    pub(crate) fn build(cfg: &FleetConfig, records: &Records) -> Self {
+        let d = Decomposition::of(records);
+        let replica_seconds: f64 = records
+            .pool_spans
             .iter()
             .map(|&(spawned, retired)| {
-                (retired.unwrap_or(makespan).saturating_sub(spawned)).as_secs_f64()
+                (retired.unwrap_or(records.makespan).saturating_sub(spawned)).as_secs_f64()
                     * cfg.replicas_per_pool as f64
             })
             .sum();
-        let slo_attained = served.iter().filter(|r| r.latency() <= cfg.slo).count();
-        let throughput_rps = if makespan.as_nanos() == 0 {
-            0.0
-        } else {
-            served.len() as f64 / makespan.as_secs_f64()
+        let scale_count = |kind: ScaleKind| {
+            records
+                .scale_events
+                .iter()
+                .filter(|e| e.kind == kind)
+                .count()
         };
-        let mean_batch_size = if batches.is_empty() {
-            0.0
-        } else {
-            served.len() as f64 / batches.len() as f64
-        };
-
         FleetReport {
             policy: cfg.policy,
             shape: cfg.shape.label(),
-            offered: offered.len(),
-            served: served.len(),
-            shed: shed.len(),
+            offered: records.offered.len(),
+            served: records.served.len(),
+            shed: records.shed.len(),
             queue_bound: cfg.queue_bound,
-            batches: batches.len(),
-            cold_services,
-            warm_services: batches.len() - cold_services,
-            pools_spawned: pool_spans.len(),
-            peak_pools,
-            final_pools,
+            batches: records.batches.len(),
+            cold_services: records.cold_services,
+            warm_services: records.batches.len() - records.cold_services,
+            pools_spawned: records.pool_spans.len(),
+            peak_pools: records.peak_pools,
+            final_pools: records.final_pools,
             replicas_per_pool: cfg.replicas_per_pool,
-            scale_outs: scale_events
-                .iter()
-                .filter(|e| e.kind == ScaleKind::Out)
-                .count(),
-            scale_ins: scale_events
-                .iter()
-                .filter(|e| e.kind == ScaleKind::In)
-                .count(),
+            scale_outs: scale_count(ScaleKind::Out),
+            scale_ins: scale_count(ScaleKind::In),
             replica_seconds,
             slo: cfg.slo,
-            slo_attained,
-            provision: *provision,
-            service_phases,
-            latency: LatencyStats::from_durations(&latencies),
-            assembly: LatencyStats::from_durations(&assembly),
-            queue_wait: LatencyStats::from_durations(&queueing),
-            service: LatencyStats::from_durations(&service),
-            makespan,
-            throughput_rps,
-            mean_batch_size,
+            slo_attained: records
+                .served
+                .iter()
+                .filter(|r| r.latency() <= cfg.slo)
+                .count(),
+            provision: records.provision,
+            service_phases: d.service_phases,
+            latency: d.latency,
+            assembly: d.assembly,
+            queue_wait: d.queue_wait,
+            service: d.service,
+            makespan: records.makespan,
+            throughput_rps: d.throughput_rps,
+            mean_batch_size: d.mean_batch_size,
         }
     }
 
@@ -475,12 +461,7 @@ impl FleetReport {
     /// Warm-up share of all busy time, provisioning (including
     /// autoscaler spawns) included.
     pub fn warmup_share(&self) -> f64 {
-        let warm = self.provision.warmup + self.service_phases.warmup;
-        let total = self.provision.total() + self.service_phases.total();
-        if total.as_nanos() == 0 {
-            return 0.0;
-        }
-        warm.as_nanos() as f64 / total.as_nanos() as f64
+        warmup_share(&self.provision, &self.service_phases)
     }
 
     /// Renders the report as an aligned text table plus fleet lines.
@@ -557,24 +538,16 @@ mod tests {
             queue_bound,
             ..ServeConfig::default()
         };
-        ServeReport::build(
-            &cfg,
-            &[],
-            &[],
-            &vec![
-                Request {
-                    id: 0,
-                    model: 0,
-                    arrival: DurationNs::from_nanos(1),
-                };
-                shed
-            ],
-            &[],
-            &ServicePhases::default(),
-            0,
-            CacheStats::default(),
-            ClassCacheStats::default(),
-        )
+        let request = crate::Request {
+            id: 0,
+            model: 0,
+            arrival: DurationNs::from_nanos(1),
+        };
+        let records = Records {
+            shed: vec![request; shed],
+            ..Records::default()
+        };
+        ServeReport::build(&cfg, &records)
     }
 
     #[test]

@@ -37,8 +37,7 @@ use dgnn_graph::{
 use dgnn_models::{IngestMemory, MemoryRule};
 use dgnn_tensor::TensorRng;
 
-use crate::report::ServedRequest;
-use crate::sim::{serve_with_streaming, ServeOutcome};
+use crate::fleet::{serve_one_pool, ServeOutcome};
 use crate::workload::{validate_rate, RateError, Request};
 use crate::{ServeConfig, ServedModel};
 
@@ -139,7 +138,7 @@ pub fn generate_ingest(seed: u64, n: usize, rate_eps: f64) -> Vec<DurationNs> {
 /// ingest executor whose Host lane both ingestion and query sampling
 /// are priced on.
 #[derive(Debug)]
-pub struct StreamingState {
+pub(crate) struct StreamingState {
     store: StreamingAdjacency,
     memory: IngestMemory,
     ingest: Executor,
@@ -365,7 +364,7 @@ pub fn serve_streaming(
     zoo: &[ServedModel],
 ) -> StreamingOutcome {
     let mut state = StreamingState::new(scfg, cfg);
-    let serve = serve_with_streaming(cfg, zoo, Some(&mut state));
+    let serve = serve_one_pool(cfg, zoo, Some(&mut state));
     StreamingOutcome {
         serve,
         ingested: state.ingested(),
@@ -373,17 +372,4 @@ pub fn serve_streaming(
         memory_checksum: state.memory_checksum(),
         ingest_session: state.into_session(),
     }
-}
-
-/// Mean staleness in milliseconds over served requests — convenience
-/// for benchmark tables.
-pub fn mean_staleness_ms(requests: &[ServedRequest]) -> f64 {
-    if requests.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = requests
-        .iter()
-        .map(|r| r.staleness.as_secs_f64() * 1e3)
-        .sum();
-    sum / requests.len() as f64
 }

@@ -114,6 +114,27 @@ fn tiny_queue_bound_sheds_load() {
     assert!(outcome.report.served > 0, "but some requests are served");
 }
 
+/// A run that sheds every request still provisions its pool, so its
+/// makespan is the last provisioning completion, not zero.
+#[test]
+fn all_shed_run_reports_the_provisioning_makespan() {
+    let mut cfg = base_cfg();
+    cfg.n_requests = 8;
+    cfg.queue_bound = 0;
+    let outcome = serve(&cfg, &[jodie_entry(1.0), tgat_entry(1.0)]);
+    assert_eq!(outcome.report.shed, 8, "a zero bound sheds everything");
+    assert_eq!(outcome.report.batches, 0);
+    let provisioned = outcome
+        .sessions
+        .iter()
+        .map(dgnn_device::Executor::now)
+        .max()
+        .expect("the pool has replicas");
+    assert!(provisioned > DurationNs::ZERO);
+    assert_eq!(outcome.report.makespan, provisioned);
+    assert_eq!(outcome.report.throughput_rps, 0.0);
+}
+
 #[test]
 fn zero_window_yields_singleton_batches() {
     let mut cfg = base_cfg();
