@@ -201,8 +201,8 @@ pub struct ServeOutcome {
 /// [`ServeReport`] and [`FleetReport`] are built.
 #[derive(Default)]
 pub(crate) struct Records {
-    /// Every generated request (offered load), in arrival order.
-    pub offered: Vec<Request>,
+    /// Requests generated (offered load).
+    pub offered: usize,
     /// Served requests, in arrival order.
     pub served: Vec<ServedRequest>,
     /// Requests rejected by backpressure, in arrival order.
@@ -599,7 +599,7 @@ fn run(
 
     served.sort_by_key(|r| r.id);
     let mut records = Records {
-        offered: requests,
+        offered: requests.len(),
         served,
         shed,
         batches,

@@ -224,7 +224,7 @@ impl ServeReport {
         let d = Decomposition::of(records);
         let staleness: Vec<DurationNs> = records.served.iter().map(|r| r.staleness).collect();
         ServeReport {
-            offered: records.offered.len(),
+            offered: records.offered,
             served: records.served.len(),
             shed: records.shed.len(),
             queue_bound: cfg.queue_bound,
@@ -408,7 +408,7 @@ impl FleetReport {
         FleetReport {
             policy: cfg.policy,
             shape: cfg.shape.label(),
-            offered: records.offered.len(),
+            offered: records.offered,
             served: records.served.len(),
             shed: records.shed.len(),
             queue_bound: cfg.queue_bound,
