@@ -15,7 +15,7 @@
 //! utilization stays below 1%.
 
 use dgnn_datasets::SnapshotDataset;
-use dgnn_device::{DeviceTensor, Dispatcher, ExecMode, Executor, HostWork, StreamId, TransferDir};
+use dgnn_device::{DeviceTensor, Dispatcher, Executor, HostWork, StreamId, TransferDir};
 use dgnn_nn::{GcnLayer, GruCell, Linear, Module};
 use dgnn_tensor::{OpDescriptor, Tensor, TensorRng};
 
@@ -107,199 +107,6 @@ impl EvolveGcn {
     fn modules(&self) -> Vec<&dyn Module> {
         vec![&self.weight_rnn, &self.gcn1, &self.gcn2, &self.topk_scorer]
     }
-
-    /// Sharded multi-GPU driver: every snapshot's node set is split by
-    /// the deterministic greedy edge-cut partitioner
-    /// ([`dgnn_graph::greedy_edge_cut`]); each shard reloads and runs the
-    /// GCN over its own part, cut edges pull the remote endpoint's
-    /// feature rows as peer transfers, and the tiny `h×h` weight
-    /// evolution is *replicated* on every device (cheaper than
-    /// broadcasting the evolved matrix each step, and functionally
-    /// identical since every shard evolves from the same input).
-    fn infer_sharded(
-        &mut self,
-        ex: &mut Executor,
-        cfg: &InferenceConfig,
-        shards: usize,
-    ) -> Result<RunSummary> {
-        let h = self.cfg.hidden;
-        let n = self.data.n_nodes();
-        let d_in = self.data.node_dim();
-        let feat_bytes = (n * d_in * 4) as u64;
-        let mut checksum = 0.0f32;
-        let mut iterations = 0usize;
-
-        let n_steps = self.data.snapshots.len().min(cfg.max_units.max(1));
-        let rep_n = n.min(REP_CAP);
-        let rep_feats = self
-            .data
-            .node_features
-            .gather_rows(&(0..rep_n).collect::<Vec<_>>())?;
-
-        cfg.apply_device_options(ex);
-
-        let run: Result<()> = ex.scope("inference", |ex| {
-            let mut dx = Dispatcher::with_coalescing(ex, cfg.coalesced());
-            dx.fork_streams_multi(shards);
-            for step in 0..n_steps {
-                let snap = &self.data.snapshots.snapshots()[step];
-                let edges: Vec<(usize, usize)> =
-                    snap.graph.iter_edges().map(|(u, v, _)| (u, v)).collect();
-                let part = dgnn_graph::greedy_edge_cut(n, &edges, shards);
-                // Per-shard tallies: owned nodes, owned edges (an edge
-                // belongs to its source's part) and the cut matrix —
-                // cut[s][o] edges need part o's endpoint rows on s.
-                let mut n_s = vec![0usize; shards];
-                for &p in &part.part {
-                    n_s[p] += 1;
-                }
-                let mut e_s = vec![0u64; shards];
-                let mut cut = vec![vec![0u64; shards]; shards];
-                for &(u, v) in &edges {
-                    let pu = part.part[u];
-                    e_s[pu] += 1;
-                    let pv = part.part[v];
-                    if pv != pu {
-                        cut[pu][pv] += 1;
-                    }
-                }
-                let nnz = edges.len().max(1) as u64;
-
-                // Representative dense adjacency over the leading nodes
-                // (shared across shards; each adopts it at its own scale).
-                let rep_edges: Vec<(usize, usize, f32)> = snap
-                    .graph
-                    .iter_edges()
-                    .filter(|&(s, d, _)| s < rep_n && d < rep_n)
-                    .collect();
-                let rep_graph = dgnn_graph::Graph::from_weighted_edges(rep_n, &rep_edges)?;
-                let rep_adj_data =
-                    Tensor::from_vec(rep_graph.normalized_adjacency(), &[rep_n, rep_n])?;
-
-                let mut next_weight: Option<Tensor> = None;
-                for s in 0..shards {
-                    let shard: Result<()> = dx.on_device(s, |dx| {
-                        if n_s[s] == 0 {
-                            return Ok(());
-                        }
-                        let shard_scale = n_s[s] as f64 / rep_n as f64;
-                        let node_share = n_s[s] as f64 / n as f64;
-                        let edge_share = e_s[s] as f64 / nnz as f64;
-
-                        // 1. Shard-local snapshot prep + reload of the
-                        // part's topology and feature rows.
-                        dx.on_stream(StreamId::Host, |dx| {
-                            dx.scope("snapshot_prep", |dx| {
-                                dx.host(HostWork {
-                                    label: "prepare_snapshot",
-                                    ops: n_s[s] as u64 * PREP_NODE_OPS + e_s[s] * PREP_EDGE_OPS,
-                                    seq_bytes: share_bytes(feat_bytes, node_share),
-                                    irregular_bytes: share_bytes(snap.graph.byte_len(), edge_share),
-                                    parallelism: 1,
-                                });
-                            })
-                        });
-                        lane_handoff(dx, true, StreamId::Host, StreamId::Copy);
-                        dx.on_stream(StreamId::Copy, |dx| {
-                            dx.scope("memcpy_h2d", |dx| {
-                                let edge_feat_bytes = e_s[s] * (d_in * 4) as u64;
-                                for bytes in [
-                                    share_bytes(snap.graph.byte_len(), edge_share),
-                                    share_bytes(feat_bytes, node_share),
-                                    edge_feat_bytes,
-                                ] {
-                                    dx.transfer(TransferDir::H2D, bytes);
-                                }
-                                // Cut edges pull the remote endpoint's
-                                // input-feature and hidden rows from their
-                                // owning device (both GCN layers read them).
-                                for (o, &cut_rows) in cut[s].iter().enumerate() {
-                                    if o != s && cut_rows > 0 {
-                                        dx.peer_transfer(o, cut_rows * ((d_in + h) * 4) as u64);
-                                    }
-                                }
-                                dx.flush_transfers();
-                            })
-                        });
-                        lane_handoff(dx, true, StreamId::Copy, StreamId::Compute);
-
-                        // 2. Replicated weight evolution (+ shard-local
-                        // top-k scoring for -H).
-                        if self.cfg.version == EvolveGcnVersion::H {
-                            checksum += dx.on_stream(StreamId::Compute, |dx| {
-                                dx.scope("topk", |dx| -> Result<f32> {
-                                    let feats = dx.adopt(rep_feats.clone(), shard_scale);
-                                    let scores = self.topk_scorer.forward(dx, &feats)?;
-                                    dx.charge(OpDescriptor::sort("topk_sort", n_s[s]), 1.0);
-                                    dx.charge(OpDescriptor::gather("topk_gather", h, h), 1.0);
-                                    let logn = 64 - (n_s[s].max(2) as u64).leading_zeros() as u64;
-                                    dx.host(HostWork::irregular(
-                                        "topk_select",
-                                        2 * n_s[s] as u64 * logn,
-                                        (n_s[s] * 4) as u64,
-                                    ));
-                                    Ok(scores.data().sum() * 1e-3)
-                                })
-                            })?;
-                        }
-                        let evolved = dx.on_stream(StreamId::Compute, |dx| {
-                            dx.scope("rnn", |dx| -> Result<Tensor> {
-                                let w = dx.adopt(self.evolved_weight.clone(), 1.0);
-                                let evolved = self.weight_rnn.forward(dx, &w, &w)?;
-                                Ok(evolved.data().clone())
-                            })
-                        })?;
-
-                        // 3. Two GCN layers over the shard's part with the
-                        // freshly evolved weights.
-                        let emb = dx.on_stream(StreamId::Compute, |dx| {
-                            dx.scope("gnn", |dx| -> Result<DeviceTensor> {
-                                let rep_adj = dx.adopt(rep_adj_data.clone(), shard_scale);
-                                let x = dx.adopt(rep_feats.clone(), shard_scale);
-                                let h1 = self.gcn1.forward(dx, &rep_adj, &x)?;
-                                self.gcn2
-                                    .forward_with_weight(dx, &rep_adj, &h1, &evolved)
-                                    .map_err(Into::into)
-                            })
-                        })?;
-                        checksum += emb.data().sum() * 1e-3;
-                        next_weight = Some(evolved);
-
-                        // 4. The part's embeddings back to the CPU.
-                        let out = dx.adopt(Tensor::zeros(&[rep_n, h]), shard_scale);
-                        lane_handoff(dx, true, StreamId::Compute, StreamId::Copy);
-                        dx.on_stream(StreamId::Copy, |dx| {
-                            dx.scope("memcpy_d2h", |dx| {
-                                dx.download(&out);
-                                dx.flush_transfers();
-                            })
-                        });
-                        Ok(())
-                    });
-                    shard?;
-                }
-                // Every shard evolved the same matrix from the same
-                // input; commit it once after the fan-out.
-                if let Some(w) = next_weight {
-                    self.evolved_weight = w;
-                }
-                shard_barrier(&mut dx, shards);
-                iterations += 1;
-            }
-            dx.join_streams();
-            Ok(())
-        });
-        run?;
-
-        let inference_time = ex
-            .scopes()
-            .iter()
-            .rev()
-            .find(|s| s.path == "inference")
-            .map(|s| s.duration())
-            .unwrap_or_default();
-        Ok(RunSummary::new(iterations, inference_time, checksum))
-    }
 }
 
 impl DgnnModel for EvolveGcn {
@@ -333,11 +140,23 @@ impl DgnnModel for EvolveGcn {
         (self.data.n_nodes() * self.cfg.hidden * 4 * 2) as u64
     }
 
+    /// One driver for every shard count. Every snapshot's node set is
+    /// split by the deterministic greedy edge-cut partitioner
+    /// ([`dgnn_graph::greedy_edge_cut`]); each shard reloads and runs
+    /// the GCN over its own part, cut edges pull the remote endpoint's
+    /// feature rows as peer transfers, and the tiny `h×h` weight
+    /// evolution is *replicated* on every device (cheaper than
+    /// broadcasting the evolved matrix each step, and functionally
+    /// identical since every shard evolves from the same input). One
+    /// shard is the single-device engine: one part, no cut, no barrier.
     fn infer(&mut self, ex: &mut Executor, cfg: &InferenceConfig) -> Result<RunSummary> {
-        let shards = cfg.effective_shards(ex);
-        if shards > 1 {
-            return self.infer_sharded(ex, cfg, shards);
-        }
+        let plan = cfg.plan(ex);
+        // Multi-shard rule 2: a sharded run prices the reload per tensor,
+        // even under `Staged`. On one forked shard this moves
+        // EvolveGCN-O (Small, seed 1, eight snapshots) from 18.71 to
+        // 18.74 ms.
+        let per_tensor = plan.granular || plan.shards > 1;
+
         let h = self.cfg.hidden;
         let n = self.data.n_nodes();
         let d_in = self.data.node_dim();
@@ -347,145 +166,201 @@ impl DgnnModel for EvolveGcn {
 
         let n_steps = self.data.snapshots.len().min(cfg.max_units.max(1));
         // Representative functional sub-graph: the first REP_CAP nodes
-        // stand in for the full snapshot; the node-count scale prices
-        // the rest.
+        // stand in for the full snapshot; each shard's node count scales
+        // the pricing to its part.
         let rep_n = n.min(REP_CAP);
-        let node_scale = n as f64 / rep_n as f64;
         let rep_feats = self
             .data
             .node_features
             .gather_rows(&(0..rep_n).collect::<Vec<_>>())?;
 
-        let gpu = ex.mode() == ExecMode::Gpu;
-        let overlap = cfg.pipeline_overlap && gpu;
-        let granular = cfg.granular_transfers() && gpu;
-
         let run: Result<()> = ex.scope("inference", |ex| {
-            let mut dx = Dispatcher::with_coalescing(ex, cfg.coalesced() && gpu);
-            if overlap {
-                dx.fork_streams();
+            let mut dx = Dispatcher::with_coalescing(ex, plan.coalesced);
+            if plan.lanes {
+                dx.fork_streams_multi(plan.shards);
             }
-            let mut staging = DoubleBuffer::new();
+            let mut staging: Vec<DoubleBuffer> =
+                (0..plan.shards).map(|_| DoubleBuffer::new()).collect();
             for step in 0..n_steps {
                 let snap = &self.data.snapshots.snapshots()[step];
-                let nnz = snap.graph.n_edges();
+                let edges: Vec<(usize, usize)> =
+                    snap.graph.iter_edges().map(|(u, v, _)| (u, v)).collect();
+                let part = dgnn_graph::greedy_edge_cut(n, &edges, plan.shards);
+                // Per-shard tallies: owned nodes, owned edges (an edge
+                // belongs to its source's part) and the cut matrix —
+                // cut[s][o] edges need part o's endpoint rows on s.
+                let mut n_s = vec![0usize; plan.shards];
+                for &p in &part.part {
+                    n_s[p] += 1;
+                }
+                let mut e_s = vec![0u64; plan.shards];
+                let mut cut = vec![vec![0u64; plan.shards]; plan.shards];
+                for &(u, v) in &edges {
+                    let pu = part.part[u];
+                    e_s[pu] += 1;
+                    let pv = part.part[v];
+                    if pv != pu {
+                        cut[pu][pv] += 1;
+                    }
+                }
 
-                // 1. Snapshot preparation (CPU) and full reload to GPU.
-                // Pipelined runs prefetch snapshot i+1 on the host lane
-                // while snapshot i's (strictly sequential) kernels run.
-                staging.acquire(&mut dx, overlap, step, StreamId::Host);
-                on_lane(&mut dx, overlap, StreamId::Host, |dx| {
-                    dx.scope("snapshot_prep", |dx| {
-                        dx.host(HostWork {
-                            label: "prepare_snapshot",
-                            ops: n as u64 * PREP_NODE_OPS + nnz as u64 * PREP_EDGE_OPS,
-                            seq_bytes: feat_bytes,
-                            irregular_bytes: snap.graph.byte_len(),
-                            parallelism: 1,
-                        });
-                    })
-                });
-                // CSR topology + node features + per-edge features are
-                // re-shipped every snapshot; Reddit's denser snapshots
-                // move proportionally more (Fig 7i/j). Granular modes
-                // price the three constituents individually.
-                let edge_feat_bytes = (nnz * d_in * 4) as u64;
-                let reload_bytes = snap.graph.byte_len() + feat_bytes + edge_feat_bytes;
-                lane_handoff(&mut dx, overlap, StreamId::Host, StreamId::Copy);
-                on_lane(&mut dx, overlap, StreamId::Copy, |dx| {
-                    dx.scope("memcpy_h2d", |dx| {
-                        if granular {
-                            for bytes in [snap.graph.byte_len(), feat_bytes, edge_feat_bytes] {
-                                dx.transfer(TransferDir::H2D, bytes);
-                            }
-                            dx.flush_transfers();
-                        } else {
-                            let reload = DeviceTensor::host_scaled(
-                                Tensor::zeros(&[1, 1]),
-                                reload_bytes as f64 / 4.0,
-                            );
-                            dx.ensure_resident(&reload);
-                        }
-                    })
-                });
-                staging.uploaded(&mut dx, overlap);
-                lane_handoff(&mut dx, overlap, StreamId::Copy, StreamId::Compute);
-
-                // Representative dense adjacency over the leading nodes.
+                // Representative dense adjacency over the leading nodes
+                // (shared across shards; each adopts it at its own scale).
                 let rep_edges: Vec<(usize, usize, f32)> = snap
                     .graph
                     .iter_edges()
                     .filter(|&(s, d, _)| s < rep_n && d < rep_n)
                     .collect();
                 let rep_graph = dgnn_graph::Graph::from_weighted_edges(rep_n, &rep_edges)?;
-                let rep_adj = dx.adopt(
-                    Tensor::from_vec(rep_graph.normalized_adjacency(), &[rep_n, rep_n])?,
-                    node_scale,
-                );
+                let rep_adj_data =
+                    Tensor::from_vec(rep_graph.normalized_adjacency(), &[rep_n, rep_n])?;
 
-                // 2. Weight evolution (RNN), plus top-k for -H.
-                if self.cfg.version == EvolveGcnVersion::H {
-                    checksum += on_lane(&mut dx, overlap, StreamId::Compute, |dx| {
-                        dx.scope("topk", |dx| -> Result<f32> {
-                            // Score all nodes with a fully-connected layer:
-                            // the rep rows run functionally, the node-count
-                            // scale prices the full snapshot.
-                            let feats = dx.adopt(rep_feats.clone(), node_scale);
-                            let scores = self.topk_scorer.forward(dx, &feats)?;
-                            // Sort and gather have no functional counterpart
-                            // at rep size — charge them directly.
-                            dx.charge(OpDescriptor::sort("topk_sort", n), 1.0);
-                            dx.charge(OpDescriptor::gather("topk_gather", h, h), 1.0);
-                            // Scores come back to the host for the index
-                            // selection, an interpreted partial sort.
-                            let logn = 64 - (n.max(2) as u64).leading_zeros() as u64;
-                            dx.host(HostWork::irregular(
-                                "topk_select",
-                                2 * n as u64 * logn,
-                                (n * 4) as u64,
-                            ));
-                            Ok(scores.data().sum() * 1e-3)
-                        })
+                let mut next_weight: Option<Tensor> = None;
+                for s in 0..plan.shards {
+                    if n_s[s] == 0 {
+                        continue;
+                    }
+                    dx.on_device(s, |dx| -> Result<()> {
+                        let shard_scale = n_s[s] as f64 / rep_n as f64;
+                        let node_share = n_s[s] as f64 / n as f64;
+                        // An edgeless snapshot's topology is its offsets
+                        // array, split like the nodes.
+                        let edge_share = if edges.is_empty() {
+                            node_share
+                        } else {
+                            e_s[s] as f64 / edges.len() as f64
+                        };
+                        let topo_bytes = share_bytes(snap.graph.byte_len(), edge_share);
+                        let part_feat_bytes = share_bytes(feat_bytes, node_share);
+
+                        // 1. Snapshot preparation (CPU) and reload of the
+                        // part's topology and feature rows. Pipelined runs
+                        // prefetch snapshot i+1 on the host lane while
+                        // snapshot i's (strictly sequential) kernels run.
+                        staging[s].acquire(dx, plan.lanes, StreamId::Host);
+                        on_lane(dx, plan.lanes, StreamId::Host, |dx| {
+                            dx.scope("snapshot_prep", |dx| {
+                                dx.host(HostWork {
+                                    label: "prepare_snapshot",
+                                    ops: n_s[s] as u64 * PREP_NODE_OPS + e_s[s] * PREP_EDGE_OPS,
+                                    seq_bytes: part_feat_bytes,
+                                    irregular_bytes: topo_bytes,
+                                    parallelism: 1,
+                                });
+                            })
+                        });
+                        // CSR topology + node features + per-edge features
+                        // are re-shipped every snapshot; Reddit's denser
+                        // snapshots move proportionally more (Fig 7i/j).
+                        // Per-tensor pricing ships the three constituents
+                        // individually. Cut edges pull the remote
+                        // endpoint's input-feature and hidden rows from
+                        // their owning device (both GCN layers read them).
+                        let edge_feat_bytes = e_s[s] * (d_in * 4) as u64;
+                        lane_handoff(dx, plan.lanes, StreamId::Host, StreamId::Copy);
+                        on_lane(dx, plan.lanes, StreamId::Copy, |dx| {
+                            dx.scope("memcpy_h2d", |dx| {
+                                if per_tensor {
+                                    for bytes in [topo_bytes, part_feat_bytes, edge_feat_bytes] {
+                                        dx.transfer(TransferDir::H2D, bytes);
+                                    }
+                                } else {
+                                    let reload = DeviceTensor::host_scaled(
+                                        Tensor::zeros(&[1, 1]),
+                                        (topo_bytes + part_feat_bytes + edge_feat_bytes) as f64
+                                            / 4.0,
+                                    );
+                                    dx.ensure_resident(&reload);
+                                }
+                                for (o, &cut_rows) in cut[s].iter().enumerate() {
+                                    if o != s && cut_rows > 0 {
+                                        dx.peer_transfer(o, cut_rows * ((d_in + h) * 4) as u64);
+                                    }
+                                }
+                                dx.flush_transfers();
+                            })
+                        });
+                        staging[s].uploaded(dx, plan.lanes);
+                        lane_handoff(dx, plan.lanes, StreamId::Copy, StreamId::Compute);
+
+                        // 2. Weight evolution (RNN), plus top-k for -H.
+                        if self.cfg.version == EvolveGcnVersion::H {
+                            checksum += on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                                dx.scope("topk", |dx| -> Result<f32> {
+                                    // Score the part's nodes with a
+                                    // fully-connected layer: the rep rows run
+                                    // functionally, the node-count scale
+                                    // prices the part.
+                                    let feats = dx.adopt(rep_feats.clone(), shard_scale);
+                                    let scores = self.topk_scorer.forward(dx, &feats)?;
+                                    // Sort and gather have no functional
+                                    // counterpart at rep size — charge them
+                                    // directly.
+                                    dx.charge(OpDescriptor::sort("topk_sort", n_s[s]), 1.0);
+                                    dx.charge(OpDescriptor::gather("topk_gather", h, h), 1.0);
+                                    // Scores come back to the host for the
+                                    // index selection, an interpreted
+                                    // partial sort.
+                                    let logn = 64 - (n_s[s].max(2) as u64).leading_zeros() as u64;
+                                    dx.host(HostWork::irregular(
+                                        "topk_select",
+                                        2 * n_s[s] as u64 * logn,
+                                        (n_s[s] * 4) as u64,
+                                    ));
+                                    Ok(scores.data().sum() * 1e-3)
+                                })
+                            })?;
+                        }
+                        let evolved = on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                            dx.scope("rnn", |dx| -> Result<Tensor> {
+                                // The GRU treats the h×h weight matrix as h
+                                // rows of dimension h — one functional step
+                                // through the dispatcher both prices and
+                                // computes the evolution.
+                                let w = dx.adopt(self.evolved_weight.clone(), 1.0);
+                                let evolved = self.weight_rnn.forward(dx, &w, &w)?;
+                                Ok(evolved.data().clone())
+                            })
+                        })?;
+
+                        // 3. Two GCN layers over the part with the evolved
+                        // weights: propagate (A·X), transform (·W), ReLU —
+                        // priced at the part's node count through the
+                        // adjacency's scale.
+                        let emb = on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                            dx.scope("gnn", |dx| -> Result<DeviceTensor> {
+                                let rep_adj = dx.adopt(rep_adj_data.clone(), shard_scale);
+                                let x = dx.adopt(rep_feats.clone(), shard_scale);
+                                let h1 = self.gcn1.forward(dx, &rep_adj, &x)?;
+                                self.gcn2
+                                    .forward_with_weight(dx, &rep_adj, &h1, &evolved)
+                                    .map_err(Into::into)
+                            })
+                        })?;
+                        checksum += emb.data().sum() * 1e-3;
+                        next_weight = Some(evolved);
+
+                        // 4. The part's embeddings back to the CPU.
+                        let out = dx.adopt(Tensor::zeros(&[rep_n, h]), shard_scale);
+                        lane_handoff(dx, plan.lanes, StreamId::Compute, StreamId::Copy);
+                        on_lane(dx, plan.lanes, StreamId::Copy, |dx| {
+                            dx.scope("memcpy_d2h", |dx| {
+                                dx.download(&out);
+                                dx.flush_transfers();
+                            })
+                        });
+                        Ok(())
                     })?;
                 }
-                let new_weight = on_lane(&mut dx, overlap, StreamId::Compute, |dx| {
-                    dx.scope("rnn", |dx| -> Result<Tensor> {
-                        // The GRU treats the h×h weight matrix as h rows of
-                        // dimension h — one functional step through the
-                        // dispatcher both prices and computes the evolution.
-                        let w = dx.adopt(self.evolved_weight.clone(), 1.0);
-                        let evolved = self.weight_rnn.forward(dx, &w, &w)?;
-                        Ok(evolved.data().clone())
-                    })
-                })?;
-                self.evolved_weight = new_weight;
-
-                // 3. Two GCN layers with the evolved weights: propagate
-                // (A·X), transform (·W), ReLU — priced at the full node
-                // count through the adjacency's scale.
-                let emb = on_lane(&mut dx, overlap, StreamId::Compute, |dx| {
-                    dx.scope("gnn", |dx| -> Result<DeviceTensor> {
-                        let x = dx.adopt(rep_feats.clone(), node_scale);
-                        let h1 = self.gcn1.forward(dx, &rep_adj, &x)?;
-                        self.gcn2
-                            .forward_with_weight(dx, &rep_adj, &h1, &self.evolved_weight)
-                            .map_err(Into::into)
-                    })
-                })?;
-                checksum += emb.data().sum() * 1e-3;
-
-                // 4. Results back to the CPU.
-                let out = dx.adopt(Tensor::zeros(&[rep_n, h]), node_scale);
-                lane_handoff(&mut dx, overlap, StreamId::Compute, StreamId::Copy);
-                on_lane(&mut dx, overlap, StreamId::Copy, |dx| {
-                    dx.scope("memcpy_d2h", |dx| {
-                        dx.download(&out);
-                        dx.flush_transfers();
-                    })
-                });
+                // Every shard evolved the same matrix from the same input;
+                // commit it once after the fan-out.
+                if let Some(w) = next_weight {
+                    self.evolved_weight = w;
+                }
+                shard_barrier(&mut dx, plan.shards);
                 iterations += 1;
             }
-            if overlap {
+            if plan.lanes {
                 dx.join_streams();
             }
             Ok(())

@@ -40,8 +40,8 @@ mod tgn;
 
 pub use astgnn::{Astgnn, AstgnnConfig};
 pub use common::{
-    lane_handoff, on_lane, shard_barrier, shard_owners, split_bytes, DgnnModel, DoubleBuffer,
-    InferenceConfig, RunSummary, TransferGranularity, REP_CAP,
+    lane_handoff, on_lane, shard_barrier, DgnnModel, DoubleBuffer, InferenceConfig, RunSummary,
+    TransferGranularity, REP_CAP,
 };
 pub use dyrep::{DyRep, DyRepConfig};
 pub use error::ModelError;

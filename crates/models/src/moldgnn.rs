@@ -13,7 +13,7 @@
 
 use dgnn_datasets::TrajectoryDataset;
 use dgnn_device::{
-    DeviceTensor, Dispatcher, ExecMode, Executor, HostWork, StreamId, TensorClass, TransferDir,
+    DeviceTensor, Dispatcher, Executor, HostWork, StreamId, TensorClass, TransferDir,
 };
 use dgnn_nn::{GcnLayer, Linear, LstmCell, Module};
 use dgnn_tensor::{Tensor, TensorRng};
@@ -105,149 +105,6 @@ impl MolDgnn {
             .reshape(&[atoms, 3])?;
         Ok((adj, coords))
     }
-
-    /// Sharded multi-GPU driver: the batch's molecules split into
-    /// contiguous ranges — molecules are independent graphs, so the
-    /// partition has zero edge cut and *no* peer traffic. Each device
-    /// rolls its molecule range through its own GCN-LSTM (frames stay
-    /// strictly sequential per shard); shards synchronize once per
-    /// trajectory unit.
-    fn infer_sharded(
-        &mut self,
-        ex: &mut Executor,
-        cfg: &InferenceConfig,
-        shards: usize,
-    ) -> Result<RunSummary> {
-        let b = cfg.batch_size.max(1);
-        let ranges = dgnn_graph::contiguous_ranges(b, shards);
-        let frames = self.cfg.frames.min(self.data.frames_per_molecule()).max(1);
-        let flat = self.data.n_atoms * self.cfg.gcn_dim;
-        let mut checksum = 0.0f32;
-        let mut iterations = 0usize;
-
-        let cached = cfg.feature_cache.is_some();
-        cfg.apply_device_options(ex);
-
-        let run: Result<()> = ex.scope("inference", |ex| {
-            let mut dx = Dispatcher::with_coalescing(ex, cfg.coalesced());
-            dx.fork_streams_multi(shards);
-            // One representative LSTM state per shard, resident on its
-            // device, carrying that shard's molecule range.
-            let mut states: Vec<Option<dgnn_nn::LstmState>> = vec![None; shards];
-            for _ in 0..cfg.max_units.max(1) {
-                for (s, range) in ranges.iter().enumerate() {
-                    let b_s = range.len();
-                    if b_s == 0 {
-                        continue;
-                    }
-                    let rep = representative(b_s.min(self.data.n_molecules()));
-                    let mol_scale = b_s as f64 / rep as f64;
-                    let shard: Result<()> = dx.on_device(s, |dx| {
-                        if states[s].is_none() {
-                            states[s] = Some(self.lstm.zero_state_scaled(dx, rep, mol_scale));
-                        }
-                        for frame in 0..frames {
-                            // 1. Adjacency assembly for the shard's
-                            // molecules + H2D over its own PCIe link.
-                            dx.on_stream(StreamId::Host, |dx| {
-                                dx.scope("frame_prep", |dx| {
-                                    dx.host(HostWork::sequential(
-                                        "assemble_adjacency",
-                                        FRAME_LOOP_OPS + b_s as u64 * FRAME_MOLECULE_OPS,
-                                        self.adjacency_bytes(b_s),
-                                    ));
-                                })
-                            });
-                            lane_handoff(dx, true, StreamId::Host, StreamId::Copy);
-                            dx.on_stream(StreamId::Copy, |dx| {
-                                dx.scope("memcpy_h2d", |dx| {
-                                    if cached {
-                                        let keys: Vec<u64> = range
-                                            .clone()
-                                            .map(|mol| mol as u64 * frames as u64 + frame as u64)
-                                            .collect();
-                                        let row_bytes =
-                                            3 * (self.data.n_atoms * self.data.n_atoms * 4) as u64;
-                                        dx.fetch_rows(
-                                            TensorClass::EdgeFeature,
-                                            &keys,
-                                            row_bytes,
-                                            1.0,
-                                        );
-                                    } else {
-                                        for _ in 0..b_s {
-                                            dx.transfer(TransferDir::H2D, self.adjacency_bytes(1));
-                                        }
-                                        dx.transfer(TransferDir::H2D, self.adjacency_bytes(b_s));
-                                        dx.transfer(TransferDir::H2D, self.adjacency_bytes(b_s));
-                                    }
-                                    dx.flush_transfers();
-                                })
-                            });
-                            lane_handoff(dx, true, StreamId::Copy, StreamId::Compute);
-
-                            // 2–4. GCN, LSTM and decode for the shard's
-                            // molecules on its compute lane.
-                            let rep_emb = dx.on_stream(StreamId::Compute, |dx| {
-                                dx.scope("gnn", |dx| -> Result<DeviceTensor> {
-                                    let (adj0, coords0) = self.molecule_inputs(0, frame)?;
-                                    let adj = dx.adopt(adj0, b_s as f64);
-                                    let x = dx.adopt(coords0, b_s as f64);
-                                    let emb0 = self.gcn.forward(dx, &adj, &x)?;
-                                    let mut rows = vec![emb0.data().reshape(&[flat])?];
-                                    for mol in 1..rep {
-                                        let (adj, coords) = self.molecule_inputs(mol, frame)?;
-                                        let emb =
-                                            adj.matmul(&coords)?.matmul(self.gcn.weight())?.relu();
-                                        rows.push(emb.reshape(&[flat])?);
-                                    }
-                                    Ok(dx.adopt(Tensor::stack_rows(&rows)?, mol_scale))
-                                })
-                            })?;
-                            let prev = states[s].take().expect("state initialized above");
-                            let next = dx.on_stream(StreamId::Compute, |dx| {
-                                dx.scope("rnn", |dx| -> Result<dgnn_nn::LstmState> {
-                                    self.lstm.forward(dx, &rep_emb, &prev).map_err(Into::into)
-                                })
-                            })?;
-                            dx.on_stream(StreamId::Compute, |dx| {
-                                dx.scope("prediction", |dx| -> Result<()> {
-                                    let pred = self.decoder.forward(dx, &next.0)?;
-                                    checksum += pred.data().sum() * 1e-3;
-                                    Ok(())
-                                })
-                            })?;
-                            states[s] = Some(next);
-                            lane_handoff(dx, true, StreamId::Compute, StreamId::Copy);
-                            dx.on_stream(StreamId::Copy, |dx| {
-                                dx.scope("memcpy_d2h", |dx| {
-                                    dx.transfer(TransferDir::D2H, self.adjacency_bytes(b_s));
-                                    dx.transfer(TransferDir::D2H, self.adjacency_bytes(b_s));
-                                    dx.flush_transfers();
-                                })
-                            });
-                        }
-                        Ok(())
-                    });
-                    shard?;
-                }
-                shard_barrier(&mut dx, shards);
-                iterations += 1;
-            }
-            dx.join_streams();
-            Ok(())
-        });
-        run?;
-
-        let inference_time = ex
-            .scopes()
-            .iter()
-            .rev()
-            .find(|s| s.path == "inference")
-            .map(|s| s.duration())
-            .unwrap_or_default();
-        Ok(RunSummary::new(iterations, inference_time, checksum))
-    }
 }
 
 impl DgnnModel for MolDgnn {
@@ -274,155 +131,189 @@ impl DgnnModel for MolDgnn {
         self.adjacency_bytes(cfg.batch_size) * 2 + (cfg.batch_size * self.cfg.lstm_dim * 4) as u64
     }
 
+    /// One driver for every shard count. The batch's molecules split
+    /// into contiguous ranges — molecules are independent graphs, so the
+    /// partition has zero edge cut and *no* peer traffic. Each device
+    /// rolls its molecule range through its own GCN-LSTM (frames stay
+    /// strictly sequential per shard); shards synchronize once per
+    /// trajectory unit. One shard is the single-device engine.
     fn infer(&mut self, ex: &mut Executor, cfg: &InferenceConfig) -> Result<RunSummary> {
-        let shards = cfg.effective_shards(ex);
-        if shards > 1 {
-            return self.infer_sharded(ex, cfg, shards);
-        }
+        let plan = cfg.plan(ex);
+        // Multi-shard rule 2: a sharded run prices every copy per tensor,
+        // even under `Staged`. On one forked shard this moves MolDGNN
+        // (Small, seed 1, `multi_gpu`'s config) from 52.94 to 54.50 ms.
+        let per_tensor = plan.granular || plan.shards > 1;
+
         let b = cfg.batch_size.max(1);
-        let rep = representative(b.min(self.data.n_molecules()));
-        let mol_scale = b as f64 / rep as f64;
+        let ranges = dgnn_graph::contiguous_ranges(b, plan.shards);
         let frames = self.cfg.frames.min(self.data.frames_per_molecule()).max(1);
         let flat = self.data.n_atoms * self.cfg.gcn_dim;
         let mut checksum = 0.0f32;
         let mut iterations = 0usize;
 
-        let gpu = ex.mode() == ExecMode::Gpu;
-        let overlap = cfg.pipeline_overlap && gpu;
-        let granular = cfg.granular_transfers() && gpu;
-        let cached = cfg.feature_cache.is_some() && gpu;
-        cfg.apply_device_options(ex);
-
         let run: Result<()> = ex.scope("inference", |ex| {
-            let mut dx = Dispatcher::with_coalescing(ex, cfg.coalesced() && gpu);
-            if overlap {
-                dx.fork_streams();
+            let mut dx = Dispatcher::with_coalescing(ex, plan.coalesced);
+            if plan.lanes {
+                dx.fork_streams_multi(plan.shards);
             }
-            let mut staging = DoubleBuffer::new();
-            let mut step = 0usize;
-            // Representative per-molecule LSTM state, resident on device.
-            let mut state = self.lstm.zero_state_scaled(&mut dx, rep, mol_scale);
+            let mut staging: Vec<DoubleBuffer> =
+                (0..plan.shards).map(|_| DoubleBuffer::new()).collect();
+            // One representative per-molecule LSTM state per shard,
+            // resident on its device, carrying that shard's molecule range.
+            let mut states: Vec<Option<dgnn_nn::LstmState>> = vec![None; plan.shards];
             for _ in 0..cfg.max_units.max(1) {
-                for frame in 0..frames {
-                    // 1. Adjacency assembly on CPU + H2D of the batch.
-                    // Pipelined runs prepare frame i+1 on the host lane
-                    // while frame i's kernels run, double-buffered against
-                    // the copy engine.
-                    staging.acquire(&mut dx, overlap, step, StreamId::Host);
-                    on_lane(&mut dx, overlap, StreamId::Host, |dx| {
-                        dx.scope("frame_prep", |dx| {
-                            dx.host(HostWork::sequential(
-                                "assemble_adjacency",
-                                FRAME_LOOP_OPS + b as u64 * FRAME_MOLECULE_OPS,
-                                self.adjacency_bytes(b),
-                            ));
-                        })
-                    });
-                    // Adjacency matrices plus pairwise distances and
-                    // atom coordinates for the frame. Granular modes price
-                    // each molecule's adjacency as its own copy (the
-                    // per-tensor traffic behind Fig 7b's memcpy wall),
-                    // plus one coordinate and one distance block.
-                    lane_handoff(&mut dx, overlap, StreamId::Host, StreamId::Copy);
-                    on_lane(&mut dx, overlap, StreamId::Copy, |dx| {
-                        dx.scope("memcpy_h2d", |dx| {
-                            if cached {
-                                // One cache row per molecule-frame pair
-                                // (its adjacency + coordinate + distance
-                                // blocks). Trajectory frames repeat across
-                                // units, so a cache sized to the working
-                                // set turns every re-visited frame's
-                                // memcpy wall into hits — the paper's
-                                // dominant MolDGNN cost (Fig 7b).
-                                let keys: Vec<u64> = (0..b as u64)
-                                    .map(|mol| mol * frames as u64 + frame as u64)
-                                    .collect();
-                                let row_bytes =
-                                    3 * (self.data.n_atoms * self.data.n_atoms * 4) as u64;
-                                dx.fetch_rows(TensorClass::EdgeFeature, &keys, row_bytes, 1.0);
-                                dx.flush_transfers();
-                            } else if granular {
-                                // b adjacency matrices + coordinate block
-                                // + distance block = 3 × adjacency_bytes.
-                                for _ in 0..b {
-                                    dx.transfer(TransferDir::H2D, self.adjacency_bytes(1));
-                                }
-                                dx.transfer(TransferDir::H2D, self.adjacency_bytes(b));
-                                dx.transfer(TransferDir::H2D, self.adjacency_bytes(b));
-                                dx.flush_transfers();
-                            } else {
-                                let upload = DeviceTensor::host_scaled(
-                                    Tensor::zeros(&[1, 1]),
-                                    3.0 * self.adjacency_bytes(b) as f64 / 4.0,
-                                );
-                                dx.ensure_resident(&upload);
-                            }
-                        })
-                    });
-                    staging.uploaded(&mut dx, overlap);
-                    lane_handoff(&mut dx, overlap, StreamId::Copy, StreamId::Compute);
+                for (s, range) in ranges.iter().enumerate() {
+                    let b_s = range.len();
+                    if b_s == 0 {
+                        continue;
+                    }
+                    let rep = representative(b_s.min(self.data.n_molecules()));
+                    let mol_scale = b_s as f64 / rep as f64;
+                    dx.on_device(s, |dx| -> Result<()> {
+                        let mut state = match states[s].take() {
+                            Some(state) => state,
+                            None => self.lstm.zero_state_scaled(dx, rep, mol_scale),
+                        };
+                        for frame in 0..frames {
+                            // 1. Adjacency assembly on CPU + H2D of the
+                            // shard's molecules over its own PCIe link.
+                            // Pipelined runs prepare frame i+1 on the host
+                            // lane while frame i's kernels run,
+                            // double-buffered against the copy engine.
+                            staging[s].acquire(dx, plan.lanes, StreamId::Host);
+                            on_lane(dx, plan.lanes, StreamId::Host, |dx| {
+                                dx.scope("frame_prep", |dx| {
+                                    dx.host(HostWork::sequential(
+                                        "assemble_adjacency",
+                                        FRAME_LOOP_OPS + b_s as u64 * FRAME_MOLECULE_OPS,
+                                        self.adjacency_bytes(b_s),
+                                    ));
+                                })
+                            });
+                            // Adjacency matrices plus pairwise distances
+                            // and atom coordinates for the frame. Per-tensor
+                            // pricing ships each molecule's adjacency as its
+                            // own copy (the per-tensor traffic behind Fig
+                            // 7b's memcpy wall), plus one coordinate and one
+                            // distance block.
+                            lane_handoff(dx, plan.lanes, StreamId::Host, StreamId::Copy);
+                            on_lane(dx, plan.lanes, StreamId::Copy, |dx| {
+                                dx.scope("memcpy_h2d", |dx| {
+                                    if plan.cached {
+                                        // One cache row per molecule-frame
+                                        // pair (its adjacency + coordinate +
+                                        // distance blocks). Trajectory frames
+                                        // repeat across units, so a cache
+                                        // sized to the working set turns
+                                        // every re-visited frame's memcpy
+                                        // wall into hits — the paper's
+                                        // dominant MolDGNN cost (Fig 7b).
+                                        let keys: Vec<u64> = range
+                                            .clone()
+                                            .map(|mol| mol as u64 * frames as u64 + frame as u64)
+                                            .collect();
+                                        let row_bytes =
+                                            3 * (self.data.n_atoms * self.data.n_atoms * 4) as u64;
+                                        dx.fetch_rows(
+                                            TensorClass::EdgeFeature,
+                                            &keys,
+                                            row_bytes,
+                                            1.0,
+                                        );
+                                    } else if per_tensor {
+                                        // b_s adjacency matrices + coordinate
+                                        // block + distance block = 3 ×
+                                        // adjacency_bytes.
+                                        for _ in 0..b_s {
+                                            dx.transfer(TransferDir::H2D, self.adjacency_bytes(1));
+                                        }
+                                        dx.transfer(TransferDir::H2D, self.adjacency_bytes(b_s));
+                                        dx.transfer(TransferDir::H2D, self.adjacency_bytes(b_s));
+                                    } else {
+                                        let upload = DeviceTensor::host_scaled(
+                                            Tensor::zeros(&[1, 1]),
+                                            3.0 * self.adjacency_bytes(b_s) as f64 / 4.0,
+                                        );
+                                        dx.ensure_resident(&upload);
+                                    }
+                                    dx.flush_transfers();
+                                })
+                            });
+                            staging[s].uploaded(dx, plan.lanes);
+                            lane_handoff(dx, plan.lanes, StreamId::Copy, StreamId::Compute);
 
-                    // 2. GCN over each molecule (batched small GEMMs).
-                    // The first molecule runs through the dispatcher with
-                    // the adjacency carrying the batch scale — one
-                    // functional pass prices the whole batch; the other
-                    // rep molecules run as plain tensor math to fill the
-                    // representative embedding rows without re-charging.
-                    let rep_emb = on_lane(&mut dx, overlap, StreamId::Compute, |dx| {
-                        dx.scope("gnn", |dx| -> Result<DeviceTensor> {
-                            let (adj0, coords0) = self.molecule_inputs(0, frame)?;
-                            let adj = dx.adopt(adj0, b as f64);
-                            let x = dx.adopt(coords0, b as f64);
-                            let emb0 = self.gcn.forward(dx, &adj, &x)?;
-                            let mut rows = vec![emb0.data().reshape(&[flat])?];
-                            for mol in 1..rep {
-                                let (adj, coords) = self.molecule_inputs(mol, frame)?;
-                                let emb = adj.matmul(&coords)?.matmul(self.gcn.weight())?.relu();
-                                rows.push(emb.reshape(&[flat])?);
-                            }
-                            Ok(dx.adopt(Tensor::stack_rows(&rows)?, mol_scale))
-                        })
-                    })?;
+                            // 2. GCN over each molecule (batched small
+                            // GEMMs). The first molecule runs through the
+                            // dispatcher with the adjacency carrying the
+                            // shard's molecule count — one functional pass
+                            // prices the whole slice; the other rep
+                            // molecules run as plain tensor math to fill the
+                            // representative embedding rows without
+                            // re-charging. Multi-shard rule 4: every shard
+                            // computes molecules `0..rep`, not its own
+                            // range; at one shard the two coincide.
+                            let rep_emb = on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                                dx.scope("gnn", |dx| -> Result<DeviceTensor> {
+                                    let (adj0, coords0) = self.molecule_inputs(0, frame)?;
+                                    let adj = dx.adopt(adj0, b_s as f64);
+                                    let x = dx.adopt(coords0, b_s as f64);
+                                    let emb0 = self.gcn.forward(dx, &adj, &x)?;
+                                    let mut rows = vec![emb0.data().reshape(&[flat])?];
+                                    for mol in 1..rep {
+                                        let (adj, coords) = self.molecule_inputs(mol, frame)?;
+                                        let emb =
+                                            adj.matmul(&coords)?.matmul(self.gcn.weight())?.relu();
+                                        rows.push(emb.reshape(&[flat])?);
+                                    }
+                                    Ok(dx.adopt(Tensor::stack_rows(&rows)?, mol_scale))
+                                })
+                            })?;
 
-                    // 3. LSTM over the temporal sequence.
-                    state = on_lane(&mut dx, overlap, StreamId::Compute, |dx| {
-                        dx.scope("rnn", |dx| -> Result<dgnn_nn::LstmState> {
-                            self.lstm.forward(dx, &rep_emb, &state).map_err(Into::into)
-                        })
-                    })?;
+                            // 3. LSTM over the temporal sequence.
+                            state = on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                                dx.scope("rnn", |dx| -> Result<dgnn_nn::LstmState> {
+                                    self.lstm.forward(dx, &rep_emb, &state).map_err(Into::into)
+                                })
+                            })?;
 
-                    // 4. Decode next-frame adjacency + D2H + CPU distances.
-                    on_lane(&mut dx, overlap, StreamId::Compute, |dx| {
-                        dx.scope("prediction", |dx| -> Result<()> {
-                            let pred = self.decoder.forward(dx, &state.0)?;
-                            checksum += pred.data().sum() * 1e-3;
-                            Ok(())
-                        })
+                            // 4. Decode next-frame adjacency + D2H + CPU
+                            // distances.
+                            on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                                dx.scope("prediction", |dx| -> Result<()> {
+                                    let pred = self.decoder.forward(dx, &state.0)?;
+                                    checksum += pred.data().sum() * 1e-3;
+                                    Ok(())
+                                })
+                            })?;
+                            // Predicted adjacency sequence returns to the
+                            // CPU for atom-to-atom distance calculation:
+                            // predicted adjacencies plus the derived
+                            // distance block.
+                            let readback = dx.adopt(
+                                Tensor::zeros(&[1, 1]),
+                                2.0 * self.adjacency_bytes(b_s) as f64 / 4.0,
+                            );
+                            lane_handoff(dx, plan.lanes, StreamId::Compute, StreamId::Copy);
+                            on_lane(dx, plan.lanes, StreamId::Copy, |dx| {
+                                dx.scope("memcpy_d2h", |dx| {
+                                    if per_tensor {
+                                        dx.transfer(TransferDir::D2H, self.adjacency_bytes(b_s));
+                                        dx.transfer(TransferDir::D2H, self.adjacency_bytes(b_s));
+                                    } else {
+                                        dx.download(&readback);
+                                    }
+                                    dx.flush_transfers();
+                                })
+                            });
+                        }
+                        states[s] = Some(state);
+                        Ok(())
                     })?;
-                    // Predicted adjacency sequence returns to the CPU
-                    // for atom-to-atom distance calculation: predicted
-                    // adjacencies plus the derived distance block.
-                    let readback = dx.adopt(
-                        Tensor::zeros(&[1, 1]),
-                        2.0 * self.adjacency_bytes(b) as f64 / 4.0,
-                    );
-                    lane_handoff(&mut dx, overlap, StreamId::Compute, StreamId::Copy);
-                    on_lane(&mut dx, overlap, StreamId::Copy, |dx| {
-                        dx.scope("memcpy_d2h", |dx| {
-                            if granular {
-                                dx.transfer(TransferDir::D2H, self.adjacency_bytes(b));
-                                dx.transfer(TransferDir::D2H, self.adjacency_bytes(b));
-                            } else {
-                                dx.download(&readback);
-                            }
-                            dx.flush_transfers();
-                        })
-                    });
-                    step += 1;
                 }
+                shard_barrier(&mut dx, plan.shards);
                 iterations += 1;
             }
-            if overlap {
+            if plan.lanes {
                 dx.join_streams();
             }
             Ok(())

@@ -18,14 +18,14 @@
 
 use dgnn_datasets::TemporalDataset;
 use dgnn_device::{
-    DeviceTensor, Dispatcher, ExecMode, Executor, HostWork, StreamId, TensorClass, TransferDir,
+    DeviceTensor, Dispatcher, Executor, HostWork, StreamId, TensorClass, TransferDir,
 };
 use dgnn_graph::{NeighborSampler, SampleStrategy, TemporalAdjacency};
 use dgnn_nn::{BochnerTimeEncoder, Linear, Module, MultiHeadAttention};
 use dgnn_tensor::{Tensor, TensorRng};
 
 use crate::common::{
-    lane_handoff, on_lane, representative, shard_barrier, shard_owners, DgnnModel, DoubleBuffer,
+    lane_handoff, on_lane, range_owner, representative, shard_barrier, DgnnModel, DoubleBuffer,
     InferenceConfig, RunSummary,
 };
 use crate::registry::{all_model_infos, ModelInfo};
@@ -133,243 +133,6 @@ impl Tgat {
         }
         m
     }
-
-    /// Sharded multi-GPU driver: events belong to the shard owning their
-    /// source node (contiguous ranges); each shard samples and runs
-    /// attention for its slice on its own device. Gathered neighbor
-    /// feature rows the shard owns ship over its PCIe link; rows owned
-    /// by other shards arrive as peer transfers from their device.
-    fn infer_sharded(
-        &mut self,
-        ex: &mut Executor,
-        cfg: &InferenceConfig,
-        shards: usize,
-    ) -> Result<RunSummary> {
-        let k = cfg.n_neighbors.max(1);
-        let n_layers = self.cfg.n_layers;
-        let sampler = NeighborSampler::new(SampleStrategy::Uniform, cfg.seed);
-        let row_bytes = ((self.data.edge_dim() + 2) * 4) as u64;
-        let mut checksum = 0.0f32;
-        let mut iterations = 0usize;
-
-        let n_nodes = self.data.stream.n_nodes();
-        let owners = shard_owners(&dgnn_graph::contiguous_ranges(n_nodes, shards), n_nodes);
-
-        let batches: Vec<Vec<dgnn_graph::TemporalEvent>> = self
-            .data
-            .stream
-            .batches(cfg.batch_size)
-            .take(cfg.max_units.max(1))
-            .map(|b| b.to_vec())
-            .collect();
-
-        let cached = cfg.feature_cache.is_some();
-        cfg.apply_device_options(ex);
-
-        let run: Result<()> = ex.scope("inference", |ex| {
-            let mut dx = Dispatcher::with_coalescing(ex, cfg.coalesced());
-            dx.fork_streams_multi(shards);
-            for batch in &batches {
-                let mut slices: Vec<Vec<&dgnn_graph::TemporalEvent>> = vec![Vec::new(); shards];
-                for e in batch {
-                    slices[owners[e.src]].push(e);
-                }
-                for (s, slice) in slices.iter().enumerate() {
-                    let shard: Result<()> = dx.on_device(s, |dx| {
-                        let bsz = slice.len();
-                        if bsz == 0 {
-                            return Ok(());
-                        }
-                        let rep = representative(bsz);
-                        let rows = bsz * self.rows_per_event(k);
-                        let edge_rows = (bsz * self.edge_rows_per_event(k)) as u64;
-
-                        // 1. Two-hop temporal sampling over the shard's
-                        // roots, on this device's host lane.
-                        let rep_layers = dx.on_stream(StreamId::Host, |dx| {
-                            dx.scope("sampling", |dx| {
-                                let roots: Vec<(usize, f64)> =
-                                    slice.iter().take(rep).map(|e| (e.src, e.time)).collect();
-                                let ks = vec![k; n_layers.max(1)];
-                                let (layers, cost) =
-                                    sampler.sample_khop_batch(&self.adj, &roots, &ks);
-                                let scale = (bsz as u64).div_ceil(rep as u64);
-                                let calls = (bsz * (1 + k)) as u64;
-                                let sorted = (bsz * (1 + k)) as u64;
-                                let sort_ops = sorted * (64 - sorted.max(2).leading_zeros() as u64);
-                                let parallelism =
-                                    if cfg.parallel_sampling { bsz as u64 } else { 1 };
-                                dx.host(HostWork {
-                                    label: "temporal_sampling",
-                                    ops: cost.ops * scale + calls * SAMPLING_CALL_OPS + sort_ops,
-                                    seq_bytes: 0,
-                                    irregular_bytes: cost.irregular_bytes * scale,
-                                    parallelism,
-                                });
-                                layers
-                            })
-                        });
-                        lane_handoff(dx, true, StreamId::Host, StreamId::Copy);
-
-                        // Split the gathered rows by owner: locally-owned
-                        // rows cross this device's PCIe link, remote rows
-                        // are peer traffic from their owner (counted on
-                        // the representative sample, scaled to the
-                        // shard's logical gather volume).
-                        let mut nbr_counts = vec![0u64; shards];
-                        let mut rep_total = 0u64;
-                        for l in &rep_layers {
-                            for nb in l {
-                                nbr_counts[owners[nb.node]] += 1;
-                                rep_total += 1;
-                            }
-                        }
-                        let scaled_rows = |o: usize| {
-                            match (nbr_counts[o] * edge_rows).checked_div(rep_total) {
-                                Some(rows) => rows,
-                                // No representative neighbors at all:
-                                // charge the full gather locally.
-                                None if o == s => edge_rows,
-                                None => 0,
-                            }
-                        };
-
-                        // 2. H2D of local rows + peer fetch of remote rows.
-                        dx.on_stream(StreamId::Copy, |dx| {
-                            dx.scope("memcpy_h2d", |dx| {
-                                if cached {
-                                    let local_keys: Vec<u64> = rep_layers
-                                        .iter()
-                                        .flat_map(|l| l.iter())
-                                        .filter(|nb| owners[nb.node] == s)
-                                        .map(|nb| nb.node as u64)
-                                        .collect();
-                                    if !local_keys.is_empty() {
-                                        let nscale =
-                                            scaled_rows(s) as f64 / local_keys.len() as f64;
-                                        dx.fetch_rows(
-                                            TensorClass::NodeFeature,
-                                            &local_keys,
-                                            row_bytes,
-                                            nscale,
-                                        );
-                                    } else {
-                                        dx.transfer(TransferDir::H2D, scaled_rows(s) * row_bytes);
-                                    }
-                                } else {
-                                    dx.transfer(TransferDir::H2D, scaled_rows(s) * row_bytes);
-                                }
-                                for o in 0..shards {
-                                    if o != s && scaled_rows(o) > 0 {
-                                        dx.peer_transfer(o, scaled_rows(o) * row_bytes);
-                                    }
-                                }
-                                dx.flush_transfers();
-                            })
-                        });
-                        lane_handoff(dx, true, StreamId::Copy, StreamId::Compute);
-                        lane_handoff(dx, true, StreamId::Host, StreamId::Compute);
-
-                        // Representative functional inputs, as in the
-                        // single-device driver.
-                        let rep_src: Vec<usize> = slice.iter().take(rep).map(|e| e.src).collect();
-                        let src_feats = self.data.node_features.gather_rows(&rep_src)?;
-                        let neigh: Vec<&dgnn_graph::sampler::SampledNeighbor> = rep_layers
-                            .get(1)
-                            .map(|l| l.iter().take(k).collect())
-                            .unwrap_or_default();
-                        let (neigh_feats, deltas) = if neigh.is_empty() {
-                            (Tensor::zeros(&[1, self.data.node_dim()]), vec![0.0f32])
-                        } else {
-                            let ids: Vec<usize> = neigh.iter().map(|s| s.node).collect();
-                            #[expect(clippy::cast_possible_truncation, reason = "f32 timestamps")]
-                            let times: Vec<f32> = neigh.iter().map(|s| s.time as f32).collect();
-                            (self.data.node_features.gather_rows(&ids)?, times)
-                        };
-                        let kn = neigh_feats.dims()[0];
-
-                        // 3. Time encoding + attention + prediction on the
-                        // shard's compute lane.
-                        let rep_time = dx.on_stream(StreamId::Compute, |dx| {
-                            dx.scope("time_encoding", |dx| {
-                                let n_phys = deltas.len();
-                                let t = Tensor::from_vec(deltas.clone(), &[n_phys])?;
-                                let t = dx.adopt(t, rows as f64 / n_phys as f64);
-                                self.time_enc.forward(dx, &t)
-                            })
-                        })?;
-                        let out = dx.on_stream(StreamId::Compute, |dx| {
-                            dx.scope("attention", |dx| -> Result<DeviceTensor> {
-                                let src = dx.adopt(src_feats.clone(), bsz as f64 / rep as f64);
-                                let q0 = self.feat_proj.forward(dx, &src)?;
-                                let nbr =
-                                    dx.adopt(neigh_feats.clone(), (bsz * k) as f64 / kn as f64);
-                                let nf = self.feat_proj.forward(dx, &nbr)?;
-                                let nt = if nf.data().dims()[0] == rep_time.data().dims()[0] {
-                                    let merged = nf.data().concat_cols(rep_time.data())?;
-                                    let merged = dx.adopt(merged, nf.scale());
-                                    self.merge[0].forward(dx, &merged)?
-                                } else {
-                                    nf
-                                };
-                                let mut hid = q0;
-                                for layer in 0..n_layers {
-                                    let targets = if layer + 1 == n_layers { bsz } else { bsz * k };
-                                    let q_rows = hid.data().dims()[0];
-                                    let q = dx
-                                        .adopt(hid.data().clone(), targets as f64 / q_rows as f64);
-                                    let kv_rows = nt.data().dims()[0];
-                                    let kv = dx.adopt(
-                                        nt.data().clone(),
-                                        (targets * k) as f64 / kv_rows as f64,
-                                    );
-                                    hid = self.attn[layer].forward(dx, &q, &kv, &kv)?;
-                                }
-                                Ok(hid)
-                            })
-                        })?;
-                        let result = dx.on_stream(StreamId::Compute, |dx| {
-                            dx.scope("prediction", |dx| -> Result<DeviceTensor> {
-                                let out_rows = out.data().dims()[0];
-                                let pair = dx.adopt(
-                                    out.data().concat_cols(out.data())?,
-                                    bsz as f64 / out_rows as f64,
-                                );
-                                let score = self.predictor.forward(dx, &pair)?;
-                                checksum += score.data().sum();
-                                Ok(dx.adopt(out.data().clone(), bsz as f64 / out_rows as f64))
-                            })
-                        })?;
-
-                        // 4. Target embeddings back over this shard's link.
-                        lane_handoff(dx, true, StreamId::Compute, StreamId::Copy);
-                        dx.on_stream(StreamId::Copy, |dx| {
-                            dx.scope("memcpy_d2h", |dx| {
-                                dx.download(&result);
-                                dx.flush_transfers();
-                            })
-                        });
-                        Ok(())
-                    });
-                    shard?;
-                }
-                shard_barrier(&mut dx, shards);
-                iterations += 1;
-            }
-            dx.join_streams();
-            Ok(())
-        });
-        run?;
-
-        let inference_time = ex
-            .scopes()
-            .iter()
-            .rev()
-            .find(|s| s.path == "inference")
-            .map(|s| s.duration())
-            .unwrap_or_default();
-        Ok(RunSummary::new(iterations, inference_time, checksum))
-    }
 }
 
 impl DgnnModel for Tgat {
@@ -403,15 +166,28 @@ impl DgnnModel for Tgat {
         (rows * (self.cfg.dim + self.cfg.time_dim) * 4) as u64
     }
 
+    /// One driver for every shard count. Events belong to the shard
+    /// owning their source node (contiguous ranges); each shard samples
+    /// and runs attention for its slice on its own device. Gathered
+    /// neighbor rows the shard owns ship over its PCIe link; rows owned
+    /// by other shards arrive as peer transfers from their device. One
+    /// shard is the single-device engine: one slice, no peer traffic,
+    /// no barrier.
     fn infer(&mut self, ex: &mut Executor, cfg: &InferenceConfig) -> Result<RunSummary> {
-        let shards = cfg.effective_shards(ex);
-        if shards > 1 {
-            return self.infer_sharded(ex, cfg, shards);
-        }
+        let plan = cfg.plan(ex);
+        // Multi-shard rule 2: a sharded run prices one staged H2D per
+        // slice, even under `PerTensor`. On one forked `PerTensor` shard
+        // this moves TGAT (Small, seed 1, `multi_gpu`'s config) from
+        // 151.78 to 151.76 ms.
+        let staged_slices = plan.shards > 1;
+
         let k = cfg.n_neighbors.max(1);
         let d = self.cfg.dim;
         let n_layers = self.cfg.n_layers;
         let sampler = NeighborSampler::new(SampleStrategy::Uniform, cfg.seed);
+        // One gathered row: edge features + time delta + neighbor index.
+        let row_bytes = ((self.data.edge_dim() + 2) * 4) as u64;
+        let n_nodes = self.data.stream.n_nodes();
         let mut checksum = 0.0f32;
         let mut iterations = 0usize;
 
@@ -423,193 +199,259 @@ impl DgnnModel for Tgat {
             .map(|b| b.to_vec())
             .collect();
 
-        let gpu = ex.mode() == ExecMode::Gpu;
-        let overlap = cfg.pipeline_overlap && gpu;
-        let granular = cfg.granular_transfers() && gpu;
-        let cached = cfg.feature_cache.is_some() && gpu;
-        cfg.apply_device_options(ex);
-
+        let owner = |v: usize| range_owner(v, n_nodes, plan.shards);
         let time = ex.scope("inference", |ex| -> Result<()> {
-            let mut dx = Dispatcher::with_coalescing(ex, cfg.coalesced() && gpu);
-            if overlap {
-                dx.fork_streams();
+            let mut dx = Dispatcher::with_coalescing(ex, plan.coalesced);
+            if plan.lanes {
+                dx.fork_streams_multi(plan.shards);
             }
-            let mut staging = DoubleBuffer::new();
-            for (i, batch) in batches.iter().enumerate() {
-                let bsz = batch.len();
-                let rep = representative(bsz);
-                let rows = bsz * self.rows_per_event(k);
-                let edge_rows = bsz * self.edge_rows_per_event(k);
+            let mut staging: Vec<DoubleBuffer> =
+                (0..plan.shards).map(|_| DoubleBuffer::new()).collect();
+            for batch in &batches {
+                let mut slices: Vec<Vec<&dgnn_graph::TemporalEvent>> =
+                    vec![Vec::new(); plan.shards];
+                for e in batch {
+                    slices[owner(e.src)].push(e);
+                }
+                for (s, slice) in slices.iter().enumerate() {
+                    if slice.is_empty() {
+                        continue;
+                    }
+                    dx.on_device(s, |dx| -> Result<()> {
+                        let bsz = slice.len();
+                        let rep = representative(bsz);
+                        let rows = bsz * self.rows_per_event(k);
+                        let edge_rows = (bsz * self.edge_rows_per_event(k)) as u64;
 
-                // 1. Temporal neighborhood sampling on the CPU, fanned
-                // out over the batch's roots (the parallel CSR engine);
-                // serial and parallel runs are byte-identical, only the
-                // *charged* critical path differs. In pipelined mode it
-                // runs on the host lane, overlapping the previous batch's
-                // kernels, but may not reuse a staging buffer before the
-                // copy engine has drained it (depth-2 double buffering).
-                staging.acquire(&mut dx, overlap, i, StreamId::Host);
-                let rep_layers = on_lane(&mut dx, overlap, StreamId::Host, |dx| {
-                    dx.scope("sampling", |dx| {
-                        let roots: Vec<(usize, f64)> =
-                            batch.iter().take(rep).map(|e| (e.src, e.time)).collect();
-                        let ks = vec![k; n_layers.max(1)];
-                        let (layers, cost) = sampler.sample_khop_batch(&self.adj, &roots, &ks);
-                        let scale = (bsz as u64).div_ceil(rep as u64);
-                        let calls = (bsz * (1 + k)) as u64;
-                        // The reference also sorts the sampled node indices
-                        // per batch so the feature gather walks forward.
-                        let sorted = (bsz * (1 + k)) as u64;
-                        let sort_ops = sorted * (64 - sorted.max(2).leading_zeros() as u64);
-                        let parallelism = if cfg.parallel_sampling { bsz as u64 } else { 1 };
-                        dx.host(HostWork {
-                            label: "temporal_sampling",
-                            ops: cost.ops * scale + calls * SAMPLING_CALL_OPS + sort_ops,
-                            seq_bytes: 0,
-                            irregular_bytes: cost.irregular_bytes * scale,
-                            parallelism,
+                        // 1. Temporal neighborhood sampling on the CPU,
+                        // fanned out over the slice's roots (the parallel
+                        // CSR engine); serial and parallel runs are
+                        // byte-identical, only the *charged* critical path
+                        // differs. In pipelined mode it runs on the host
+                        // lane, overlapping the previous batch's kernels,
+                        // but may not reuse a staging buffer before the
+                        // copy engine has drained it (depth-2 double
+                        // buffering).
+                        staging[s].acquire(dx, plan.lanes, StreamId::Host);
+                        let rep_layers = on_lane(dx, plan.lanes, StreamId::Host, |dx| {
+                            dx.scope("sampling", |dx| {
+                                let roots: Vec<(usize, f64)> =
+                                    slice.iter().take(rep).map(|e| (e.src, e.time)).collect();
+                                let ks = vec![k; n_layers.max(1)];
+                                let (layers, cost) =
+                                    sampler.sample_khop_batch(&self.adj, &roots, &ks);
+                                let scale = (bsz as u64).div_ceil(rep as u64);
+                                let calls = (bsz * (1 + k)) as u64;
+                                // The reference also sorts the sampled node
+                                // indices per batch so the feature gather
+                                // walks forward.
+                                let sorted = (bsz * (1 + k)) as u64;
+                                let sort_ops = sorted * (64 - sorted.max(2).leading_zeros() as u64);
+                                let parallelism =
+                                    if cfg.parallel_sampling { bsz as u64 } else { 1 };
+                                dx.host(HostWork {
+                                    label: "temporal_sampling",
+                                    ops: cost.ops * scale + calls * SAMPLING_CALL_OPS + sort_ops,
+                                    seq_bytes: 0,
+                                    irregular_bytes: cost.irregular_bytes * scale,
+                                    parallelism,
+                                });
+                                layers
+                            })
                         });
-                        layers
-                    })
-                });
-                lane_handoff(&mut dx, overlap, StreamId::Host, StreamId::Copy);
+                        lane_handoff(dx, plan.lanes, StreamId::Host, StreamId::Copy);
 
-                // 2. The gathered edge features + time deltas cross PCIe
-                // once per batch. Staged granularity prices one aggregate
-                // payload whose logical bytes are the full `edge_rows`
-                // feature block; granular modes price its constituent
-                // tensors (edge features, time deltas, neighbor indices)
-                // individually, summing to exactly the same bytes.
-                on_lane(&mut dx, overlap, StreamId::Copy, |dx| {
-                    dx.scope("memcpy_h2d", |dx| {
-                        if cached {
-                            // Cache-routed fetch: one row per sampled
-                            // neighbor (features + delta + index), keyed by
-                            // node id. Hot nodes of the power-law graph stay
-                            // device-resident; only cold rows are priced, as
-                            // one merged H2D copy. The sampled ids are the
-                            // representative subset, so each key's row
-                            // carries the logical batch scale.
-                            let mut keys: Vec<u64> = rep_layers
-                                .iter()
-                                .flat_map(|l| l.iter().map(|s| s.node as u64))
-                                .collect();
-                            if keys.is_empty() {
-                                keys = batch.iter().take(rep).map(|e| e.src as u64).collect();
-                            }
-                            let row_bytes = ((self.data.edge_dim() + 2) * 4) as u64;
-                            let scale = edge_rows as f64 / keys.len() as f64;
-                            dx.fetch_rows(TensorClass::NodeFeature, &keys, row_bytes, scale);
-                            dx.flush_transfers();
-                        } else if granular {
-                            let feat_bytes = (edge_rows * self.data.edge_dim() * 4) as u64;
-                            let delta_bytes = (edge_rows * 4) as u64;
-                            let index_bytes = (edge_rows * 4) as u64;
-                            for bytes in [feat_bytes, delta_bytes, index_bytes] {
-                                dx.transfer(TransferDir::H2D, bytes);
-                            }
-                            dx.flush_transfers();
-                        } else {
-                            let payload = DeviceTensor::host_scaled(
-                                Tensor::zeros(&[1, self.data.edge_dim() + 2]),
-                                edge_rows as f64,
-                            );
-                            dx.ensure_resident(&payload);
+                        // Split the gathered rows by owner: locally-owned
+                        // rows cross this device's PCIe link, remote rows
+                        // are peer traffic from their owner (counted on the
+                        // representative sample, scaled to the slice's
+                        // logical gather volume; with no sampled neighbor
+                        // at all the whole gather stays local).
+                        let mut nbr_counts = vec![0u64; plan.shards];
+                        let mut rep_total = 0u64;
+                        for nb in rep_layers.iter().flatten() {
+                            nbr_counts[owner(nb.node)] += 1;
+                            rep_total += 1;
                         }
-                    })
-                });
-                staging.uploaded(&mut dx, overlap);
-                lane_handoff(&mut dx, overlap, StreamId::Copy, StreamId::Compute);
+                        let scaled_rows =
+                            |o: usize| match (nbr_counts[o] * edge_rows).checked_div(rep_total) {
+                                Some(rows) => rows,
+                                None if o == s => edge_rows,
+                                None => 0,
+                            };
 
-                // Representative functional inputs: the first `rep`
-                // targets and one event's worth of sampled neighbors.
-                let rep_src: Vec<usize> = batch.iter().take(rep).map(|e| e.src).collect();
-                let src_feats = self.data.node_features.gather_rows(&rep_src)?;
-                let neigh: Vec<&dgnn_graph::sampler::SampledNeighbor> = rep_layers
-                    .get(1)
-                    .map(|l| l.iter().take(k).collect())
-                    .unwrap_or_default();
-                let (neigh_feats, deltas) = if neigh.is_empty() {
-                    (Tensor::zeros(&[1, self.data.node_dim()]), vec![0.0f32])
-                } else {
-                    let ids: Vec<usize> = neigh.iter().map(|s| s.node).collect();
-                    #[expect(clippy::cast_possible_truncation, reason = "f32 timestamps suffice")]
-                    let times: Vec<f32> = neigh.iter().map(|s| s.time as f32).collect();
-                    (self.data.node_features.gather_rows(&ids)?, times)
-                };
-                let kn = neigh_feats.dims()[0];
+                        // 2. The gathered edge features + time deltas cross
+                        // PCIe once per slice. Staged granularity prices one
+                        // aggregate payload whose logical bytes are the full
+                        // `edge_rows` feature block; granular modes price its
+                        // constituent tensors (edge features, time deltas,
+                        // neighbor indices) individually, summing to exactly
+                        // the same bytes.
+                        on_lane(dx, plan.lanes, StreamId::Copy, |dx| {
+                            dx.scope("memcpy_h2d", |dx| {
+                                // Cache-routed fetch: one row per locally
+                                // owned sampled neighbor, keyed by node id
+                                // (the slice's roots when nothing was
+                                // sampled). Hot nodes of the power-law graph
+                                // stay device-resident; only cold rows are
+                                // priced, as one merged H2D copy. The keys
+                                // are the representative subset, so each
+                                // key's row carries the logical slice scale.
+                                // A shard that owns none of the sampled
+                                // neighbors prices its (empty) local share
+                                // as a plain copy.
+                                let keys: Vec<u64> = if !plan.cached {
+                                    Vec::new()
+                                } else if rep_total == 0 {
+                                    slice.iter().take(rep).map(|e| e.src as u64).collect()
+                                } else {
+                                    rep_layers
+                                        .iter()
+                                        .flatten()
+                                        .filter(|nb| owner(nb.node) == s)
+                                        .map(|nb| nb.node as u64)
+                                        .collect()
+                                };
+                                if !keys.is_empty() {
+                                    let scale = scaled_rows(s) as f64 / keys.len() as f64;
+                                    dx.fetch_rows(
+                                        TensorClass::NodeFeature,
+                                        &keys,
+                                        row_bytes,
+                                        scale,
+                                    );
+                                } else if plan.cached || staged_slices {
+                                    dx.transfer(TransferDir::H2D, scaled_rows(s) * row_bytes);
+                                } else if plan.granular {
+                                    let feat_bytes = edge_rows * (self.data.edge_dim() * 4) as u64;
+                                    let delta_bytes = edge_rows * 4;
+                                    let index_bytes = edge_rows * 4;
+                                    for bytes in [feat_bytes, delta_bytes, index_bytes] {
+                                        dx.transfer(TransferDir::H2D, bytes);
+                                    }
+                                } else {
+                                    let payload = DeviceTensor::host_scaled(
+                                        Tensor::zeros(&[1, self.data.edge_dim() + 2]),
+                                        edge_rows as f64,
+                                    );
+                                    dx.ensure_resident(&payload);
+                                }
+                                for o in 0..plan.shards {
+                                    if o != s && scaled_rows(o) > 0 {
+                                        dx.peer_transfer(o, scaled_rows(o) * row_bytes);
+                                    }
+                                }
+                                dx.flush_transfers();
+                            })
+                        });
+                        staging[s].uploaded(dx, plan.lanes);
+                        lane_handoff(dx, plan.lanes, StreamId::Copy, StreamId::Compute);
 
-                // 3. Time encoding, priced for all gathered rows.
-                let rep_time = on_lane(&mut dx, overlap, StreamId::Compute, |dx| {
-                    dx.scope("time_encoding", |dx| {
-                        let n_phys = deltas.len();
-                        let t = Tensor::from_vec(deltas.clone(), &[n_phys])?;
-                        // The deltas arrived inside the staged payload, so
-                        // they are already device-resident.
-                        let t = dx.adopt(t, rows as f64 / n_phys as f64);
-                        self.time_enc.forward(dx, &t)
-                    })
-                })?;
-
-                // 4. Attention layers. The queries are `rep` physical
-                // target rows standing in for the layer's logical target
-                // count; the keys/values are ONE event's `kn` neighbor
-                // rows standing in for `targets × k` logical rows — both
-                // quadratic attention dims (`k`, `d`) stay physical, so
-                // scaled pricing equals full-batch pricing.
-                let out = on_lane(&mut dx, overlap, StreamId::Compute, |dx| {
-                    dx.scope("attention", |dx| -> Result<DeviceTensor> {
-                        let src = dx.adopt(src_feats.clone(), bsz as f64 / rep as f64);
-                        let q0 = self.feat_proj.forward(dx, &src)?;
-                        let nbr = dx.adopt(neigh_feats.clone(), (bsz * k) as f64 / kn as f64);
-                        let nf = self.feat_proj.forward(dx, &nbr)?;
-                        let nt = if nf.data().dims()[0] == rep_time.data().dims()[0] {
-                            let merged = nf.data().concat_cols(rep_time.data())?;
-                            let merged = dx.adopt(merged, nf.scale());
-                            self.merge[0].forward(dx, &merged)?
+                        // Representative functional inputs: the first `rep`
+                        // targets and one event's worth of sampled
+                        // neighbors.
+                        let rep_src: Vec<usize> = slice.iter().take(rep).map(|e| e.src).collect();
+                        let src_feats = self.data.node_features.gather_rows(&rep_src)?;
+                        let neigh: Vec<&dgnn_graph::sampler::SampledNeighbor> = rep_layers
+                            .get(1)
+                            .map(|l| l.iter().take(k).collect())
+                            .unwrap_or_default();
+                        let (neigh_feats, deltas) = if neigh.is_empty() {
+                            (Tensor::zeros(&[1, self.data.node_dim()]), vec![0.0f32])
                         } else {
-                            nf
+                            let ids: Vec<usize> = neigh.iter().map(|s| s.node).collect();
+                            #[expect(
+                                clippy::cast_possible_truncation,
+                                reason = "f32 timestamps suffice"
+                            )]
+                            let times: Vec<f32> = neigh.iter().map(|s| s.time as f32).collect();
+                            (self.data.node_features.gather_rows(&ids)?, times)
                         };
-                        let mut h = q0;
-                        for layer in 0..n_layers {
-                            let targets = if layer + 1 == n_layers { bsz } else { bsz * k };
-                            let q_rows = h.data().dims()[0];
-                            let q = dx.adopt(h.data().clone(), targets as f64 / q_rows as f64);
-                            let kv_rows = nt.data().dims()[0];
-                            let kv =
-                                dx.adopt(nt.data().clone(), (targets * k) as f64 / kv_rows as f64);
-                            h = self.attn[layer].forward(dx, &q, &kv, &kv)?;
-                        }
-                        Ok(h)
-                    })
-                })?;
+                        let kn = neigh_feats.dims()[0];
 
-                // 5. Prediction head + copy-back of the target embeddings.
-                let result = on_lane(&mut dx, overlap, StreamId::Compute, |dx| {
-                    dx.scope("prediction", |dx| -> Result<DeviceTensor> {
-                        let out_rows = out.data().dims()[0];
-                        let pair = dx.adopt(
-                            out.data().concat_cols(out.data())?,
-                            bsz as f64 / out_rows as f64,
-                        );
-                        let score = self.predictor.forward(dx, &pair)?;
-                        checksum += score.data().sum();
-                        Ok(dx.adopt(out.data().clone(), bsz as f64 / out_rows as f64))
-                    })
-                })?;
-                debug_assert_eq!(result.data().dims()[1], d);
-                lane_handoff(&mut dx, overlap, StreamId::Compute, StreamId::Copy);
-                on_lane(&mut dx, overlap, StreamId::Copy, |dx| {
-                    dx.scope("memcpy_d2h", |dx| {
-                        dx.download(&result);
-                        // No-op unless coalescing staged this batch's
-                        // crossings; then it prices the merged copy here.
-                        dx.flush_transfers();
-                    })
-                });
+                        // 3. Time encoding, priced for all gathered rows.
+                        let rep_time = on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                            dx.scope("time_encoding", |dx| {
+                                let n_phys = deltas.len();
+                                let t = Tensor::from_vec(deltas.clone(), &[n_phys])?;
+                                // The deltas arrived inside the staged
+                                // payload, so they are already
+                                // device-resident.
+                                let t = dx.adopt(t, rows as f64 / n_phys as f64);
+                                self.time_enc.forward(dx, &t)
+                            })
+                        })?;
+
+                        // 4. Attention layers. The queries are `rep`
+                        // physical target rows standing in for the layer's
+                        // logical target count; the keys/values are ONE
+                        // event's `kn` neighbor rows standing in for
+                        // `targets × k` logical rows — both quadratic
+                        // attention dims (`k`, `d`) stay physical, so scaled
+                        // pricing equals full-batch pricing.
+                        let out = on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                            dx.scope("attention", |dx| -> Result<DeviceTensor> {
+                                let src = dx.adopt(src_feats.clone(), bsz as f64 / rep as f64);
+                                let q0 = self.feat_proj.forward(dx, &src)?;
+                                let nbr =
+                                    dx.adopt(neigh_feats.clone(), (bsz * k) as f64 / kn as f64);
+                                let nf = self.feat_proj.forward(dx, &nbr)?;
+                                let nt = if nf.data().dims()[0] == rep_time.data().dims()[0] {
+                                    let merged = nf.data().concat_cols(rep_time.data())?;
+                                    let merged = dx.adopt(merged, nf.scale());
+                                    self.merge[0].forward(dx, &merged)?
+                                } else {
+                                    nf
+                                };
+                                let mut h = q0;
+                                for layer in 0..n_layers {
+                                    let targets = if layer + 1 == n_layers { bsz } else { bsz * k };
+                                    let q_rows = h.data().dims()[0];
+                                    let q =
+                                        dx.adopt(h.data().clone(), targets as f64 / q_rows as f64);
+                                    let kv_rows = nt.data().dims()[0];
+                                    let kv = dx.adopt(
+                                        nt.data().clone(),
+                                        (targets * k) as f64 / kv_rows as f64,
+                                    );
+                                    h = self.attn[layer].forward(dx, &q, &kv, &kv)?;
+                                }
+                                Ok(h)
+                            })
+                        })?;
+
+                        // 5. Prediction head + copy-back of the target
+                        // embeddings over this device's own link.
+                        let result = on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                            dx.scope("prediction", |dx| -> Result<DeviceTensor> {
+                                let out_rows = out.data().dims()[0];
+                                let pair = dx.adopt(
+                                    out.data().concat_cols(out.data())?,
+                                    bsz as f64 / out_rows as f64,
+                                );
+                                let score = self.predictor.forward(dx, &pair)?;
+                                checksum += score.data().sum();
+                                Ok(dx.adopt(out.data().clone(), bsz as f64 / out_rows as f64))
+                            })
+                        })?;
+                        debug_assert_eq!(result.data().dims()[1], d);
+                        lane_handoff(dx, plan.lanes, StreamId::Compute, StreamId::Copy);
+                        on_lane(dx, plan.lanes, StreamId::Copy, |dx| {
+                            dx.scope("memcpy_d2h", |dx| {
+                                dx.download(&result);
+                                // No-op unless coalescing staged this
+                                // slice's crossings; then it prices the
+                                // merged copy here.
+                                dx.flush_transfers();
+                            })
+                        });
+                        Ok(())
+                    })?;
+                }
+                shard_barrier(&mut dx, plan.shards);
                 iterations += 1;
             }
-            if overlap {
+            if plan.lanes {
                 dx.join_streams();
             }
             Ok(())

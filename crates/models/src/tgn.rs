@@ -24,14 +24,14 @@
 
 use dgnn_datasets::TemporalDataset;
 use dgnn_device::{
-    DeviceTensor, Dispatcher, ExecMode, Executor, HostWork, StreamId, TensorClass, TransferDir,
+    DeviceTensor, Dispatcher, Executor, HostWork, StreamId, TensorClass, TransferDir,
 };
 use dgnn_graph::{NeighborSampler, SampleStrategy, TemporalAdjacency};
 use dgnn_nn::{EmbeddingTable, GruCell, Linear, Module, MultiHeadAttention, Time2Vec};
 use dgnn_tensor::{OpDescriptor, Tensor, TensorRng};
 
 use crate::common::{
-    lane_handoff, on_lane, representative, shard_barrier, shard_owners, DgnnModel, DoubleBuffer,
+    lane_handoff, on_lane, range_owner, representative, shard_barrier, DgnnModel, DoubleBuffer,
     InferenceConfig, RunSummary,
 };
 use crate::registry::{all_model_infos, ModelInfo};
@@ -115,284 +115,6 @@ impl Tgn {
     fn touched_rows(&self, batch: usize, k: usize) -> u64 {
         (batch * (2 + k)) as u64
     }
-
-    /// Sharded multi-GPU driver: events belong to the shard that owns
-    /// their source node (contiguous node ranges, so per-shard memory
-    /// stays a dense slice), each shard's slice runs on its own device's
-    /// lane triple, and the memory rows of remote destination endpoints
-    /// and sampled neighbors arrive as peer transfers priced on the
-    /// interconnect edge to their owner (NVLink hop, or a host-staged
-    /// PCIe bounce when the topology has no direct link).
-    fn infer_sharded(
-        &mut self,
-        ex: &mut Executor,
-        cfg: &InferenceConfig,
-        shards: usize,
-    ) -> Result<RunSummary> {
-        let k = cfg.n_neighbors.clamp(1, 10);
-        let d = self.cfg.dim;
-        let row_bytes = (2 * d * 4) as u64;
-        let sampler = NeighborSampler::new(SampleStrategy::MostRecent, cfg.seed);
-        let mut checksum = 0.0f32;
-        let mut iterations = 0usize;
-
-        let n_nodes = self.data.stream.n_nodes();
-        let owners = shard_owners(&dgnn_graph::contiguous_ranges(n_nodes, shards), n_nodes);
-
-        let batches: Vec<Vec<dgnn_graph::TemporalEvent>> = self
-            .data
-            .stream
-            .batches(cfg.batch_size)
-            .take(cfg.max_units.max(1))
-            .map(|b| b.to_vec())
-            .collect();
-
-        let cached = cfg.feature_cache.is_some();
-        cfg.apply_device_options(ex);
-
-        let run: Result<()> = ex.scope("inference", |ex| {
-            let mut dx = Dispatcher::with_coalescing(ex, cfg.coalesced());
-            dx.fork_streams_multi(shards);
-            for batch in &batches {
-                let mut slices: Vec<Vec<&dgnn_graph::TemporalEvent>> = vec![Vec::new(); shards];
-                for e in batch {
-                    slices[owners[e.src]].push(e);
-                }
-                // Fixed shard order: the checksum and the shared memory
-                // table update deterministically.
-                for (s, slice) in slices.iter().enumerate() {
-                    let shard: Result<()> = dx.on_device(s, |dx| {
-                        let bsz = slice.len();
-                        if bsz == 0 {
-                            return Ok(());
-                        }
-                        let rep = representative(bsz);
-                        let scale = bsz as f64 / rep as f64;
-
-                        // 1. Shard-local batch packing on this device's
-                        // host lane.
-                        dx.on_stream(StreamId::Host, |dx| {
-                            dx.scope("batch_prep", |dx| {
-                                dx.host(HostWork::sequential(
-                                    "pack_batch",
-                                    bsz as u64 * PREP_CALL_OPS,
-                                    bsz as u64 * dgnn_graph::EventStream::EVENT_BYTES,
-                                ));
-                            })
-                        });
-
-                        // 2. Temporal sampling over the shard's roots.
-                        let rep_neighbors = dx.on_stream(StreamId::Host, |dx| {
-                            dx.scope("sampling", |dx| {
-                                let roots: Vec<(usize, f64)> =
-                                    slice.iter().take(rep).map(|e| (e.src, e.time)).collect();
-                                let (rep_samples, cost) =
-                                    sampler.sample_batch(&self.adj, &roots, k);
-                                let sc = (bsz as u64).div_ceil(rep as u64);
-                                let parallelism =
-                                    if cfg.parallel_sampling { bsz as u64 } else { 1 };
-                                dx.host(HostWork {
-                                    label: "temporal_sampling",
-                                    ops: cost.ops * sc / 4 + (bsz * 2) as u64 * SAMPLE_CALL_OPS,
-                                    seq_bytes: 0,
-                                    irregular_bytes: cost.irregular_bytes * sc / 4,
-                                    parallelism,
-                                });
-                                rep_samples
-                            })
-                        });
-
-                        // Remote memory rows by owning device: destination
-                        // endpoints outside this shard's range, plus the
-                        // cross-shard fraction of sampled neighbors
-                        // (counted on the representative sample, scaled to
-                        // the shard's logical neighbor volume).
-                        let mut remote_dst = vec![0u64; shards];
-                        for e in slice {
-                            if owners[e.dst] != s {
-                                remote_dst[owners[e.dst]] += 1;
-                            }
-                        }
-                        let mut nbr_counts = vec![0u64; shards];
-                        let mut rep_nbr_total = 0u64;
-                        for l in &rep_neighbors {
-                            for nb in l {
-                                nbr_counts[owners[nb.node]] += 1;
-                                rep_nbr_total += 1;
-                            }
-                        }
-                        let logical_nbrs = (bsz * k) as u64;
-                        let scaled_nbr = |o: usize| {
-                            (nbr_counts[o] * logical_nbrs)
-                                .checked_div(rep_nbr_total)
-                                .unwrap_or(0)
-                        };
-                        let local_dst = bsz as u64 - remote_dst.iter().sum::<u64>();
-
-                        // 3. Shard-local H2D over this device's PCIe link;
-                        // remote rows as interconnect peer traffic.
-                        lane_handoff(dx, true, StreamId::Host, StreamId::Copy);
-                        dx.on_stream(StreamId::Copy, |dx| {
-                            dx.scope("memcpy_h2d", |dx| {
-                                let edge_bytes = (bsz * self.data.edge_dim() * 4) as u64;
-                                let ts_bytes = (bsz * 2 * 4) as u64;
-                                if cached {
-                                    dx.transfer(TransferDir::H2D, edge_bytes);
-                                    dx.transfer(TransferDir::H2D, ts_bytes);
-                                    // Shard-local rows route through this
-                                    // device's cache shard.
-                                    let mut keys: Vec<u64> =
-                                        slice.iter().map(|e| e.src as u64).collect();
-                                    keys.extend(
-                                        slice
-                                            .iter()
-                                            .filter(|e| owners[e.dst] == s)
-                                            .map(|e| e.dst as u64),
-                                    );
-                                    dx.fetch_rows(TensorClass::NodeMemory, &keys, row_bytes, 1.0);
-                                    let local_keys: Vec<u64> = rep_neighbors
-                                        .iter()
-                                        .flat_map(|l| l.iter())
-                                        .filter(|nb| owners[nb.node] == s)
-                                        .map(|nb| nb.node as u64)
-                                        .collect();
-                                    if !local_keys.is_empty() {
-                                        let nscale = scaled_nbr(s) as f64 / local_keys.len() as f64;
-                                        dx.fetch_rows(
-                                            TensorClass::NodeMemory,
-                                            &local_keys,
-                                            row_bytes,
-                                            nscale,
-                                        );
-                                    }
-                                } else {
-                                    for bytes in [
-                                        edge_bytes,
-                                        ts_bytes,
-                                        bsz as u64 * row_bytes,
-                                        local_dst * row_bytes,
-                                        scaled_nbr(s) * row_bytes,
-                                    ] {
-                                        dx.transfer(TransferDir::H2D, bytes);
-                                    }
-                                }
-                                for (o, &dst_rows) in remote_dst.iter().enumerate() {
-                                    if o == s {
-                                        continue;
-                                    }
-                                    let rows = dst_rows + scaled_nbr(o);
-                                    if rows > 0 {
-                                        dx.peer_transfer(o, rows * row_bytes);
-                                    }
-                                }
-                                dx.flush_transfers();
-                            })
-                        });
-                        lane_handoff(dx, true, StreamId::Host, StreamId::Compute);
-                        lane_handoff(dx, true, StreamId::Copy, StreamId::Compute);
-
-                        let rep_src: Vec<usize> = slice.iter().take(rep).map(|e| e.src).collect();
-
-                        // 4. Message passing, memory update, embedding and
-                        // prediction on this device's compute lane — the
-                        // same representative math as the single-device
-                        // driver at shard scale.
-                        let rep_msgs = dx.on_stream(StreamId::Compute, |dx| {
-                            dx.scope("message_passing", |dx| -> Result<DeviceTensor> {
-                                let src_mem = self.memory.lookup_scaled(dx, &rep_src, scale)?;
-                                let dst: Vec<usize> =
-                                    slice.iter().take(rep).map(|e| e.dst).collect();
-                                let dst_mem = self.memory.lookup_scaled(dx, &dst, scale)?;
-                                let feats: Vec<usize> =
-                                    slice.iter().take(rep).map(|e| e.feature_idx).collect();
-                                let edge = self.data.edge_features.gather_rows(&feats)?;
-                                #[expect(
-                                    clippy::cast_possible_truncation,
-                                    reason = "f32 timestamps"
-                                )]
-                                let deltas = Tensor::from_vec(
-                                    slice.iter().take(rep).map(|e| e.time as f32).collect(),
-                                    &[rep],
-                                )?;
-                                let deltas = dx.adopt(deltas, scale);
-                                let time = self.time_enc.forward(dx, &deltas)?;
-                                let raw = src_mem
-                                    .data()
-                                    .concat_cols(dst_mem.data())?
-                                    .concat_cols(&edge)?
-                                    .concat_cols(time.data())?;
-                                let raw = dx.adopt(raw, scale);
-                                let msgs = self.message_fn.forward(dx, &raw)?;
-                                dx.charge(OpDescriptor::reduce("message_agg", bsz, k.max(1)), 1.0);
-                                Ok(msgs)
-                            })
-                        })?;
-                        let new_mem = dx.on_stream(StreamId::Compute, |dx| {
-                            dx.scope("memory_update", |dx| -> Result<DeviceTensor> {
-                                let prev = self.memory.lookup_scaled(dx, &rep_src, scale)?;
-                                self.memory_updater
-                                    .forward(dx, &rep_msgs, &prev)
-                                    .map_err(Into::into)
-                            })
-                        })?;
-                        dx.on_stream(StreamId::Compute, |dx| {
-                            self.memory.update(dx, &rep_src, &new_mem)
-                        })?;
-                        let emb = dx.on_stream(StreamId::Compute, |dx| {
-                            dx.scope("embedding", |dx| -> Result<DeviceTensor> {
-                                let kv_ids: Vec<usize> = rep_neighbors
-                                    .first()
-                                    .map(|l| l.iter().map(|n| n.node).collect::<Vec<_>>())
-                                    .unwrap_or_default()
-                                    .into_iter()
-                                    .chain(rep_src.first().copied())
-                                    .collect();
-                                let kv = self.memory.lookup_scaled(dx, &kv_ids, bsz as f64)?;
-                                self.embed_attn
-                                    .forward(dx, &new_mem, &kv, &kv)
-                                    .map_err(Into::into)
-                            })
-                        })?;
-                        dx.on_stream(StreamId::Compute, |dx| {
-                            dx.scope("prediction", |dx| -> Result<()> {
-                                let pair = dx.adopt(emb.data().concat_cols(emb.data())?, scale);
-                                checksum += self.predictor.forward(dx, &pair)?.data().sum();
-                                Ok(())
-                            })
-                        })?;
-
-                        // 5. Memory write-back: the shard's updated
-                        // endpoint and neighbor message blocks return to
-                        // the host over its own PCIe link.
-                        lane_handoff(dx, true, StreamId::Compute, StreamId::Copy);
-                        dx.on_stream(StreamId::Copy, |dx| {
-                            dx.scope("memcpy_d2h", |dx| {
-                                dx.transfer(TransferDir::D2H, (bsz * 2 * d * 4) as u64);
-                                dx.transfer(TransferDir::D2H, (bsz * k * d * 4) as u64);
-                                dx.flush_transfers();
-                            })
-                        });
-                        Ok(())
-                    });
-                    shard?;
-                }
-                shard_barrier(&mut dx, shards);
-                iterations += 1;
-            }
-            dx.join_streams();
-            Ok(())
-        });
-        run?;
-
-        let inference_time = ex
-            .scopes()
-            .iter()
-            .rev()
-            .find(|s| s.path == "inference")
-            .map(|s| s.duration())
-            .unwrap_or_default();
-        Ok(RunSummary::new(iterations, inference_time, checksum))
-    }
 }
 
 impl DgnnModel for Tgn {
@@ -422,14 +144,36 @@ impl DgnnModel for Tgn {
         (cfg.batch_size * self.cfg.dim * 4 * 2) as u64
     }
 
+    /// One driver for every shard count. Events belong to the shard that
+    /// owns their source node (contiguous node ranges, so per-shard
+    /// memory stays a dense slice), and each shard's slice runs on its
+    /// own device's lanes. Memory rows of remote destination endpoints
+    /// and sampled neighbors arrive as peer transfers priced on the
+    /// interconnect edge to their owner (NVLink hop, or a host-staged
+    /// PCIe bounce when the topology has no direct link). One shard is
+    /// the single-device engine: one slice, no peer traffic, no barrier.
     fn infer(&mut self, ex: &mut Executor, cfg: &InferenceConfig) -> Result<RunSummary> {
-        let shards = cfg.effective_shards(ex);
-        if shards > 1 {
-            return self.infer_sharded(ex, cfg, shards);
-        }
+        let plan = cfg.plan(ex);
+        // Multi-shard rule 2: a sharded run prices every copy per tensor,
+        // even under `Staged`. On one forked shard this moves TGN (Small,
+        // seed 1, `multi_gpu`'s config) from 8.27 to 8.50 ms.
+        let per_tensor = plan.granular || plan.shards > 1;
+        // Multi-shard rule 3: the staged messages' D2H inside message
+        // passing is priced only at one shard. Dropping it on one forked
+        // per-tensor shard moves the same TGN run from 8.50 to 7.04 ms.
+        let staged_messages = plan.shards == 1;
+        // Multi-shard rule 2a: a sharded slice whose representative
+        // sample found no neighbor at all prices no neighbor rows, while
+        // one shard prices the whole neighbor block regardless. No gap
+        // on the same TGN run: only a sample in which no representative
+        // event has history tells the two apart.
+        let whole_neighbor_block = plan.shards == 1;
+
         let k = cfg.n_neighbors.clamp(1, 10);
         let d = self.cfg.dim;
+        let row_bytes = (2 * d * 4) as u64;
         let sampler = NeighborSampler::new(SampleStrategy::MostRecent, cfg.seed);
+        let n_nodes = self.data.stream.n_nodes();
         let mut checksum = 0.0f32;
         let mut iterations = 0usize;
 
@@ -441,251 +185,327 @@ impl DgnnModel for Tgn {
             .map(|b| b.to_vec())
             .collect();
 
-        let gpu = ex.mode() == ExecMode::Gpu;
-        let overlap = cfg.pipeline_overlap && gpu;
-        let granular = cfg.granular_transfers() && gpu;
-        let cached = cfg.feature_cache.is_some() && gpu;
-        cfg.apply_device_options(ex);
-
+        let owner = |v: usize| range_owner(v, n_nodes, plan.shards);
         let run: Result<()> = ex.scope("inference", |ex| {
-            let mut dx = Dispatcher::with_coalescing(ex, cfg.coalesced() && gpu);
-            if overlap {
-                dx.fork_streams();
+            let mut dx = Dispatcher::with_coalescing(ex, plan.coalesced);
+            if plan.lanes {
+                dx.fork_streams_multi(plan.shards);
             }
-            let mut staging = DoubleBuffer::new();
-            for (i, batch) in batches.iter().enumerate() {
-                let bsz = batch.len();
-                let rep = representative(bsz);
-                let scale = bsz as f64 / rep as f64;
-                let touched = self.touched_rows(bsz, k);
-                // Per-tensor decomposition of the batch's PCIe traffic
-                // (sums exactly to the staged aggregates): edge features,
-                // timestamps, then src/dst/neighbor memory-row blocks up;
-                // endpoint and neighbor message/memory blocks down.
-                let h2d_pieces = [
-                    (bsz * self.data.edge_dim() * 4) as u64,
-                    (bsz * 2 * 4) as u64,
-                    (bsz * 2 * d * 4) as u64,
-                    (bsz * 2 * d * 4) as u64,
-                    (bsz * k * 2 * d * 4) as u64,
-                ];
-                let d2h_pieces = [(bsz * 2 * d * 4) as u64, (bsz * k * d * 4) as u64];
-
-                // 1. Batch preparation (host lane) + edge features to GPU.
-                staging.acquire(&mut dx, overlap, i, StreamId::Host);
-                on_lane(&mut dx, overlap, StreamId::Host, |dx| {
-                    dx.scope("batch_prep", |dx| {
-                        dx.host(HostWork::sequential(
-                            "pack_batch",
-                            bsz as u64 * PREP_CALL_OPS,
-                            bsz as u64 * dgnn_graph::EventStream::EVENT_BYTES,
-                        ));
-                    })
-                });
-                if !granular {
-                    // Staged aggregate: the edge payload ships as soon as
-                    // packing finishes.
-                    let edge_payload = DeviceTensor::host_scaled(
-                        Tensor::zeros(&[1, self.data.edge_dim() + 2]),
-                        bsz as f64,
-                    );
-                    lane_handoff(&mut dx, overlap, StreamId::Host, StreamId::Copy);
-                    on_lane(&mut dx, overlap, StreamId::Copy, |dx| {
-                        dx.scope("memcpy_h2d", |dx| dx.ensure_resident(&edge_payload))
-                    });
-                    staging.uploaded(&mut dx, overlap);
+            let mut staging: Vec<DoubleBuffer> =
+                (0..plan.shards).map(|_| DoubleBuffer::new()).collect();
+            for batch in &batches {
+                let mut slices: Vec<Vec<&dgnn_graph::TemporalEvent>> =
+                    vec![Vec::new(); plan.shards];
+                for e in batch {
+                    slices[owner(e.src)].push(e);
                 }
-
-                // 2. Temporal neighbor sampling on the CPU — the CSR
-                // batch engine, one root per batch event.
-                let rep_neighbors = on_lane(&mut dx, overlap, StreamId::Host, |dx| {
-                    dx.scope("sampling", |dx| {
-                        let roots: Vec<(usize, f64)> =
-                            batch.iter().take(rep).map(|e| (e.src, e.time)).collect();
-                        let (rep_samples, cost) = sampler.sample_batch(&self.adj, &roots, k);
-                        let s = (bsz as u64).div_ceil(rep as u64);
-                        let parallelism = if cfg.parallel_sampling { bsz as u64 } else { 1 };
-                        dx.host(HostWork {
-                            label: "temporal_sampling",
-                            ops: cost.ops * s / 4 + (bsz * 2) as u64 * SAMPLE_CALL_OPS,
-                            seq_bytes: 0,
-                            irregular_bytes: cost.irregular_bytes * s / 4,
-                            parallelism,
-                        });
-                        rep_samples
-                    })
-                });
-
-                if granular || cached {
-                    // Per-tensor granularity: once sampling has named the
-                    // touched memory rows, every upload of the batch is
-                    // issued back-to-back — individually priced copies, or
-                    // one merged transaction when coalescing. With the
-                    // feature cache the memory-row blocks instead route
-                    // through the device-resident cache: endpoint rows are
-                    // keyed exactly (every batch event's src and dst) and
-                    // the neighbor block by the sampled ids at batch scale,
-                    // so recurrent nodes skip the Fig 5(b) exchange.
-                    lane_handoff(&mut dx, overlap, StreamId::Host, StreamId::Copy);
-                    on_lane(&mut dx, overlap, StreamId::Copy, |dx| {
-                        dx.scope("memcpy_h2d", |dx| {
-                            if cached {
-                                if granular {
-                                    // Edge features + timestamps were not
-                                    // shipped by the staged early upload.
-                                    dx.transfer(TransferDir::H2D, h2d_pieces[0]);
-                                    dx.transfer(TransferDir::H2D, h2d_pieces[1]);
-                                }
-                                let row = (2 * d * 4) as u64;
-                                let mut keys: Vec<u64> = Vec::with_capacity(2 * bsz);
-                                keys.extend(batch.iter().map(|e| e.src as u64));
-                                keys.extend(batch.iter().map(|e| e.dst as u64));
-                                dx.fetch_rows(TensorClass::NodeMemory, &keys, row, 1.0);
-                                let nbr: Vec<u64> = rep_neighbors
-                                    .iter()
-                                    .flat_map(|l| l.iter().map(|n| n.node as u64))
-                                    .collect();
-                                if !nbr.is_empty() {
-                                    let nscale = (bsz * k) as f64 / nbr.len() as f64;
-                                    dx.fetch_rows(TensorClass::NodeMemory, &nbr, row, nscale);
-                                }
-                                dx.flush_transfers();
-                            } else {
-                                for bytes in h2d_pieces {
-                                    dx.transfer(TransferDir::H2D, bytes);
-                                }
-                                dx.flush_transfers();
-                            }
-                        })
-                    });
-                    if granular {
-                        staging.uploaded(&mut dx, overlap);
+                // Fixed shard order: the checksum and the shared memory
+                // table update deterministically.
+                for (s, slice) in slices.iter().enumerate() {
+                    if slice.is_empty() {
+                        continue;
                     }
-                }
-                lane_handoff(&mut dx, overlap, StreamId::Host, StreamId::Compute);
-                lane_handoff(&mut dx, overlap, StreamId::Copy, StreamId::Compute);
+                    dx.on_device(s, |dx| -> Result<()> {
+                        let bsz = slice.len();
+                        let rep = representative(bsz);
+                        let scale = bsz as f64 / rep as f64;
+                        let touched = self.touched_rows(bsz, k);
+                        let edge_bytes = (bsz * self.data.edge_dim() * 4) as u64;
+                        let ts_bytes = (bsz * 2 * 4) as u64;
+                        // Endpoint and neighbor message/memory blocks
+                        // down (sums exactly to the staged write-back).
+                        let d2h_pieces = [(bsz * 2 * d * 4) as u64, (bsz * k * d * 4) as u64];
 
-                let rep_src: Vec<usize> = batch.iter().take(rep).map(|e| e.src).collect();
-
-                // 3. Message passing: memory exchange + message kernels.
-                let rep_msgs = on_lane(&mut dx, overlap, StreamId::Compute, |dx| {
-                    dx.scope("message_passing", |dx| -> Result<DeviceTensor> {
-                        // The memory rows of every touched node cross PCIe
-                        // both ways — the Fig 5(b) exchange, derived from the
-                        // residence of the staged row blocks. In granular
-                        // modes the inbound rows were priced with the batch
-                        // upload; the outbound staged messages are priced as
-                        // their endpoint and neighbor blocks.
-                        if granular {
-                            for bytes in d2h_pieces {
-                                dx.transfer(TransferDir::D2H, bytes);
-                            }
-                        } else {
-                            if !cached {
-                                // With the cache on, the inbound rows were
-                                // already fetched (hits) or priced (misses)
-                                // in memcpy_h2d; only the outbound staged
-                                // messages still cross.
-                                let mem_in = DeviceTensor::host_scaled(
-                                    Tensor::zeros(&[rep, 2 * d]),
-                                    touched as f64 / rep as f64,
-                                );
-                                dx.ensure_resident(&mem_in);
-                            }
-                            let staged_out =
-                                dx.adopt(Tensor::zeros(&[rep, d]), touched as f64 / rep as f64);
-                            dx.download(&staged_out);
+                        // 1. Batch preparation (host lane) + edge features
+                        // to GPU.
+                        staging[s].acquire(dx, plan.lanes, StreamId::Host);
+                        on_lane(dx, plan.lanes, StreamId::Host, |dx| {
+                            dx.scope("batch_prep", |dx| {
+                                dx.host(HostWork::sequential(
+                                    "pack_batch",
+                                    bsz as u64 * PREP_CALL_OPS,
+                                    bsz as u64 * dgnn_graph::EventStream::EVENT_BYTES,
+                                ));
+                            })
+                        });
+                        if !per_tensor {
+                            // Staged aggregate: the edge payload ships as
+                            // soon as packing finishes.
+                            let edge_payload = DeviceTensor::host_scaled(
+                                Tensor::zeros(&[1, self.data.edge_dim() + 2]),
+                                bsz as f64,
+                            );
+                            lane_handoff(dx, plan.lanes, StreamId::Host, StreamId::Copy);
+                            on_lane(dx, plan.lanes, StreamId::Copy, |dx| {
+                                dx.scope("memcpy_h2d", |dx| dx.ensure_resident(&edge_payload))
+                            });
+                            staging[s].uploaded(dx, plan.lanes);
                         }
 
-                        let src_mem = self.memory.lookup_scaled(dx, &rep_src, scale)?;
-                        let dst: Vec<usize> = batch.iter().take(rep).map(|e| e.dst).collect();
-                        let dst_mem = self.memory.lookup_scaled(dx, &dst, scale)?;
-                        let feats: Vec<usize> =
-                            batch.iter().take(rep).map(|e| e.feature_idx).collect();
-                        let edge = self.data.edge_features.gather_rows(&feats)?;
-                        #[expect(
-                            clippy::cast_possible_truncation,
-                            reason = "f32 timestamps suffice"
-                        )]
-                        let deltas = Tensor::from_vec(
-                            batch.iter().take(rep).map(|e| e.time as f32).collect(),
-                            &[rep],
-                        )?;
-                        let deltas = dx.adopt(deltas, scale);
-                        let time = self.time_enc.forward(dx, &deltas)?;
-                        let raw = src_mem
-                            .data()
-                            .concat_cols(dst_mem.data())?
-                            .concat_cols(&edge)?
-                            .concat_cols(time.data())?;
-                        let raw = dx.adopt(raw, scale);
-                        let msgs = self.message_fn.forward(dx, &raw)?;
-                        // Per-node aggregation of messages has no dense
-                        // functional counterpart; charge the reduce directly.
-                        dx.charge(OpDescriptor::reduce("message_agg", bsz, k.max(1)), 1.0);
-                        Ok(msgs)
-                    })
-                })?;
+                        // 2. Temporal neighbor sampling on the CPU — the
+                        // CSR batch engine, one root per slice event.
+                        let rep_neighbors = on_lane(dx, plan.lanes, StreamId::Host, |dx| {
+                            dx.scope("sampling", |dx| {
+                                let roots: Vec<(usize, f64)> =
+                                    slice.iter().take(rep).map(|e| (e.src, e.time)).collect();
+                                let (rep_samples, cost) =
+                                    sampler.sample_batch(&self.adj, &roots, k);
+                                let sc = (bsz as u64).div_ceil(rep as u64);
+                                let parallelism =
+                                    if cfg.parallel_sampling { bsz as u64 } else { 1 };
+                                dx.host(HostWork {
+                                    label: "temporal_sampling",
+                                    ops: cost.ops * sc / 4 + (bsz * 2) as u64 * SAMPLE_CALL_OPS,
+                                    seq_bytes: 0,
+                                    irregular_bytes: cost.irregular_bytes * sc / 4,
+                                    parallelism,
+                                });
+                                rep_samples
+                            })
+                        });
 
-                // 4. Memory update (GRU) + embedding (attention).
-                let new_mem = on_lane(&mut dx, overlap, StreamId::Compute, |dx| {
-                    dx.scope("memory_update", |dx| -> Result<DeviceTensor> {
-                        let prev = self.memory.lookup_scaled(dx, &rep_src, scale)?;
-                        self.memory_updater
-                            .forward(dx, &rep_msgs, &prev)
-                            .map_err(Into::into)
-                    })
-                })?;
-                on_lane(&mut dx, overlap, StreamId::Compute, |dx| {
-                    self.memory.update(dx, &rep_src, &new_mem)
-                })?;
+                        // Memory rows by owning device: destination
+                        // endpoints outside this shard's range, plus each
+                        // owner's share of the sampled neighbors (counted
+                        // on the representative sample, scaled to the
+                        // slice's logical neighbor volume).
+                        let mut remote_dst = vec![0u64; plan.shards];
+                        for e in slice {
+                            if owner(e.dst) != s {
+                                remote_dst[owner(e.dst)] += 1;
+                            }
+                        }
+                        let mut nbr_counts = vec![0u64; plan.shards];
+                        let mut rep_nbr_total = 0u64;
+                        for nb in rep_neighbors.iter().flatten() {
+                            nbr_counts[owner(nb.node)] += 1;
+                            rep_nbr_total += 1;
+                        }
+                        let logical_nbrs = (bsz * k) as u64;
+                        let scaled_nbr = |o: usize| match (nbr_counts[o] * logical_nbrs)
+                            .checked_div(rep_nbr_total)
+                        {
+                            Some(rows) => rows,
+                            None if o == s && whole_neighbor_block => logical_nbrs,
+                            None => 0,
+                        };
+                        let local_dst = bsz as u64 - remote_dst.iter().sum::<u64>();
 
-                let emb = on_lane(&mut dx, overlap, StreamId::Compute, |dx| {
-                    dx.scope("embedding", |dx| -> Result<DeviceTensor> {
-                        // Keys/values: one event's sampled neighbors plus its
-                        // source, standing in for the full batch (scale bsz);
-                        // the queries are the rep updated-memory rows.
-                        let kv_ids: Vec<usize> = rep_neighbors
-                            .first()
-                            .map(|s| s.iter().map(|n| n.node).collect::<Vec<_>>())
-                            .unwrap_or_default()
-                            .into_iter()
-                            .chain(rep_src.first().copied())
-                            .collect();
-                        let kv = self.memory.lookup_scaled(dx, &kv_ids, bsz as f64)?;
-                        self.embed_attn
-                            .forward(dx, &new_mem, &kv, &kv)
-                            .map_err(Into::into)
-                    })
-                })?;
+                        if per_tensor || plan.cached {
+                            // Once sampling has named the touched memory
+                            // rows, every upload of the slice is issued
+                            // back-to-back — individually priced copies, or
+                            // one merged transaction when coalescing; rows
+                            // owned by other shards cross the interconnect.
+                            // With the feature cache the local memory-row
+                            // blocks instead route through this device's
+                            // cache: endpoint rows keyed exactly, the
+                            // neighbor block by the sampled ids at slice
+                            // scale, so recurrent nodes skip the Fig 5(b)
+                            // exchange.
+                            lane_handoff(dx, plan.lanes, StreamId::Host, StreamId::Copy);
+                            on_lane(dx, plan.lanes, StreamId::Copy, |dx| {
+                                dx.scope("memcpy_h2d", |dx| {
+                                    if plan.cached {
+                                        if per_tensor {
+                                            // Edge features + timestamps
+                                            // were not shipped by the staged
+                                            // early upload.
+                                            dx.transfer(TransferDir::H2D, edge_bytes);
+                                            dx.transfer(TransferDir::H2D, ts_bytes);
+                                        }
+                                        let mut keys: Vec<u64> =
+                                            slice.iter().map(|e| e.src as u64).collect();
+                                        keys.extend(
+                                            slice
+                                                .iter()
+                                                .filter(|e| owner(e.dst) == s)
+                                                .map(|e| e.dst as u64),
+                                        );
+                                        dx.fetch_rows(
+                                            TensorClass::NodeMemory,
+                                            &keys,
+                                            row_bytes,
+                                            1.0,
+                                        );
+                                        let nbr: Vec<u64> = rep_neighbors
+                                            .iter()
+                                            .flatten()
+                                            .filter(|nb| owner(nb.node) == s)
+                                            .map(|nb| nb.node as u64)
+                                            .collect();
+                                        if !nbr.is_empty() {
+                                            let nscale = scaled_nbr(s) as f64 / nbr.len() as f64;
+                                            dx.fetch_rows(
+                                                TensorClass::NodeMemory,
+                                                &nbr,
+                                                row_bytes,
+                                                nscale,
+                                            );
+                                        }
+                                    } else {
+                                        for bytes in [
+                                            edge_bytes,
+                                            ts_bytes,
+                                            bsz as u64 * row_bytes,
+                                            local_dst * row_bytes,
+                                            scaled_nbr(s) * row_bytes,
+                                        ] {
+                                            dx.transfer(TransferDir::H2D, bytes);
+                                        }
+                                    }
+                                    for (o, &dst_rows) in remote_dst.iter().enumerate() {
+                                        if o == s {
+                                            continue;
+                                        }
+                                        let rows = dst_rows + scaled_nbr(o);
+                                        if rows > 0 {
+                                            dx.peer_transfer(o, rows * row_bytes);
+                                        }
+                                    }
+                                    dx.flush_transfers();
+                                })
+                            });
+                            if per_tensor {
+                                staging[s].uploaded(dx, plan.lanes);
+                            }
+                        }
+                        lane_handoff(dx, plan.lanes, StreamId::Host, StreamId::Compute);
+                        lane_handoff(dx, plan.lanes, StreamId::Copy, StreamId::Compute);
 
-                // 5. Prediction + memory write-back.
-                on_lane(&mut dx, overlap, StreamId::Compute, |dx| {
-                    dx.scope("prediction", |dx| -> Result<()> {
-                        let pair = dx.adopt(emb.data().concat_cols(emb.data())?, scale);
-                        checksum += self.predictor.forward(dx, &pair)?.data().sum();
+                        let rep_src: Vec<usize> = slice.iter().take(rep).map(|e| e.src).collect();
+
+                        // 3. Message passing: memory exchange + message
+                        // kernels.
+                        let rep_msgs = on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                            dx.scope("message_passing", |dx| -> Result<DeviceTensor> {
+                                // Staged pricing derives the Fig 5(b)
+                                // exchange from the residence of the staged
+                                // row blocks: the inbound rows (unless the
+                                // cache already fetched them in memcpy_h2d)
+                                // and the outbound staged messages. Granular
+                                // modes priced the inbound rows with the
+                                // upload; the outbound messages are priced
+                                // as their endpoint and neighbor blocks.
+                                if !per_tensor && !plan.cached {
+                                    let mem_in = DeviceTensor::host_scaled(
+                                        Tensor::zeros(&[rep, 2 * d]),
+                                        touched as f64 / rep as f64,
+                                    );
+                                    dx.ensure_resident(&mem_in);
+                                }
+                                if staged_messages {
+                                    if plan.granular {
+                                        for bytes in d2h_pieces {
+                                            dx.transfer(TransferDir::D2H, bytes);
+                                        }
+                                    } else {
+                                        let staged_out = dx.adopt(
+                                            Tensor::zeros(&[rep, d]),
+                                            touched as f64 / rep as f64,
+                                        );
+                                        dx.download(&staged_out);
+                                    }
+                                }
+
+                                let src_mem = self.memory.lookup_scaled(dx, &rep_src, scale)?;
+                                let dst: Vec<usize> =
+                                    slice.iter().take(rep).map(|e| e.dst).collect();
+                                let dst_mem = self.memory.lookup_scaled(dx, &dst, scale)?;
+                                let feats: Vec<usize> =
+                                    slice.iter().take(rep).map(|e| e.feature_idx).collect();
+                                let edge = self.data.edge_features.gather_rows(&feats)?;
+                                #[expect(
+                                    clippy::cast_possible_truncation,
+                                    reason = "f32 timestamps suffice"
+                                )]
+                                let deltas = Tensor::from_vec(
+                                    slice.iter().take(rep).map(|e| e.time as f32).collect(),
+                                    &[rep],
+                                )?;
+                                let deltas = dx.adopt(deltas, scale);
+                                let time = self.time_enc.forward(dx, &deltas)?;
+                                let raw = src_mem
+                                    .data()
+                                    .concat_cols(dst_mem.data())?
+                                    .concat_cols(&edge)?
+                                    .concat_cols(time.data())?;
+                                let raw = dx.adopt(raw, scale);
+                                let msgs = self.message_fn.forward(dx, &raw)?;
+                                // Per-node aggregation of messages has no
+                                // dense functional counterpart; charge the
+                                // reduce directly.
+                                dx.charge(OpDescriptor::reduce("message_agg", bsz, k.max(1)), 1.0);
+                                Ok(msgs)
+                            })
+                        })?;
+
+                        // 4. Memory update (GRU) + embedding (attention).
+                        let new_mem = on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                            dx.scope("memory_update", |dx| -> Result<DeviceTensor> {
+                                let prev = self.memory.lookup_scaled(dx, &rep_src, scale)?;
+                                self.memory_updater
+                                    .forward(dx, &rep_msgs, &prev)
+                                    .map_err(Into::into)
+                            })
+                        })?;
+                        on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                            self.memory.update(dx, &rep_src, &new_mem)
+                        })?;
+
+                        let emb = on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                            dx.scope("embedding", |dx| -> Result<DeviceTensor> {
+                                // Keys/values: one event's sampled
+                                // neighbors plus its source, standing in for
+                                // the full slice (scale bsz); the queries
+                                // are the rep updated-memory rows.
+                                let kv_ids: Vec<usize> = rep_neighbors
+                                    .first()
+                                    .map(|l| l.iter().map(|n| n.node).collect::<Vec<_>>())
+                                    .unwrap_or_default()
+                                    .into_iter()
+                                    .chain(rep_src.first().copied())
+                                    .collect();
+                                let kv = self.memory.lookup_scaled(dx, &kv_ids, bsz as f64)?;
+                                self.embed_attn
+                                    .forward(dx, &new_mem, &kv, &kv)
+                                    .map_err(Into::into)
+                            })
+                        })?;
+
+                        // 5. Prediction + memory write-back over this
+                        // device's own PCIe link.
+                        on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                            dx.scope("prediction", |dx| -> Result<()> {
+                                let pair = dx.adopt(emb.data().concat_cols(emb.data())?, scale);
+                                checksum += self.predictor.forward(dx, &pair)?.data().sum();
+                                Ok(())
+                            })
+                        })?;
+                        let writeback =
+                            dx.adopt(Tensor::zeros(&[rep, d]), touched as f64 / rep as f64);
+                        lane_handoff(dx, plan.lanes, StreamId::Compute, StreamId::Copy);
+                        on_lane(dx, plan.lanes, StreamId::Copy, |dx| {
+                            dx.scope("memcpy_d2h", |dx| {
+                                if per_tensor {
+                                    for bytes in d2h_pieces {
+                                        dx.transfer(TransferDir::D2H, bytes);
+                                    }
+                                } else {
+                                    dx.download(&writeback);
+                                }
+                                // Prices the slice's merged copy under
+                                // coalescing; no-op otherwise.
+                                dx.flush_transfers();
+                            })
+                        });
                         Ok(())
-                    })
-                })?;
-                let writeback = dx.adopt(Tensor::zeros(&[rep, d]), touched as f64 / rep as f64);
-                lane_handoff(&mut dx, overlap, StreamId::Compute, StreamId::Copy);
-                on_lane(&mut dx, overlap, StreamId::Copy, |dx| {
-                    dx.scope("memcpy_d2h", |dx| {
-                        if granular {
-                            for bytes in d2h_pieces {
-                                dx.transfer(TransferDir::D2H, bytes);
-                            }
-                        } else {
-                            dx.download(&writeback);
-                        }
-                        // Prices the batch's merged copy under coalescing;
-                        // no-op otherwise.
-                        dx.flush_transfers();
-                    })
-                });
+                    })?;
+                }
+                shard_barrier(&mut dx, plan.shards);
                 iterations += 1;
             }
-            if overlap {
+            if plan.lanes {
                 dx.join_streams();
             }
             Ok(())
