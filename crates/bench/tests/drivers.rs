@@ -10,15 +10,14 @@
 //! driver change that moves any priced number fails here and prints
 //! the new digest of every cell in the row.
 
-use dgnn_bench::build_model;
+use dgnn_bench::{build_model, default_config, MODEL_NAMES};
 use dgnn_datasets::Scale;
 use dgnn_device::{EventCategory, ExecMode, Executor, PlatformSpec, TransferDir, TransferMode};
 use dgnn_models::{InferenceConfig, TransferGranularity};
 
 const SEED: u64 = 5;
 
-/// Feature-cache capacity (rows per device) of the cached cells: small
-/// enough that the Tiny working sets both hit and evict.
+/// Feature-cache capacity (rows per device) of the cached cells.
 const CACHE_ROWS: usize = 512;
 
 /// FNV-1a over little-endian 64-bit words.
@@ -291,4 +290,29 @@ fn evolvegcn_h_driver_prices_are_pinned() {
             0xa1ef_5623_acee_f6b9,
         ],
     );
+}
+
+#[test]
+fn pageable_host_memory_is_slower_for_every_model() {
+    // Every model applies the config's transfer mode: unpinned host
+    // buffers pay the staging copy and host metadata on each transfer.
+    for &name in MODEL_NAMES {
+        let inference = |mode: TransferMode| {
+            let cfg = default_config(name)
+                .with_max_units(2)
+                .with_transfer_mode(mode);
+            let mut model = build_model(name, Scale::Tiny, SEED);
+            let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
+            model
+                .run(&mut ex, &cfg)
+                .unwrap_or_else(|e| panic!("{name} inference failed: {e}"))
+                .inference_time
+        };
+        let pinned = inference(TransferMode::Pinned);
+        let pageable = inference(TransferMode::Pageable);
+        assert!(
+            pageable > pinned,
+            "{name}: pageable {pageable:?} must cost more than pinned {pinned:?}"
+        );
+    }
 }

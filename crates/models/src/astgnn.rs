@@ -195,6 +195,7 @@ impl DgnnModel for Astgnn {
     }
 
     fn infer(&mut self, ex: &mut Executor, cfg: &InferenceConfig) -> Result<RunSummary> {
+        cfg.apply_device_options(ex);
         let b = cfg.batch_size.max(1);
         let n = self.data.n_sensors();
         let (t_in, t_out) = (self.cfg.t_in, self.cfg.t_out);

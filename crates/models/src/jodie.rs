@@ -117,6 +117,7 @@ impl DgnnModel for Jodie {
     }
 
     fn infer(&mut self, ex: &mut Executor, cfg: &InferenceConfig) -> Result<RunSummary> {
+        cfg.apply_device_options(ex);
         let d = self.cfg.dim;
         let mut checksum = 0.0f32;
         let mut iterations = 0usize;
