@@ -229,19 +229,20 @@ pub fn measure(model: &mut dyn DgnnModel, mode: ExecMode, cfg: &InferenceConfig)
     }
 }
 
-/// Runs `model` under `cfg` on a fresh executor with provenance tracing
-/// enabled, then audits the recorded execution with the timeline
-/// sanitizer (`dgnn-analysis`).
+/// Runs `model` under `cfg` on a fresh executor for `spec` with
+/// provenance tracing enabled, then audits the recorded execution with
+/// the timeline sanitizer (`dgnn-analysis`).
 ///
 /// # Panics
 ///
 /// Panics when inference fails (experiment configurations are known-good).
 pub fn measure_sanitized(
     model: &mut dyn DgnnModel,
+    spec: PlatformSpec,
     mode: ExecMode,
     cfg: &InferenceConfig,
 ) -> (dgnn_analysis::SanitizerReport, MeasuredRun) {
-    let mut ex = Executor::new(PlatformSpec::default(), mode);
+    let mut ex = Executor::new(spec, mode);
     ex.enable_tracing();
     let summary = model
         .run(&mut ex, cfg)

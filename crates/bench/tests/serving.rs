@@ -53,7 +53,12 @@ fn window_zero_pool_one_matches_sequential_runs() {
     let run_cfg = default_config("jodie").with_max_units(1);
     for (i, batch) in outcome.batches.iter().enumerate() {
         let mut model = build_model("jodie", Scale::Tiny, SEED);
-        let (report, run) = measure_sanitized(model.as_mut(), ExecMode::Gpu, &run_cfg);
+        let (report, run) = measure_sanitized(
+            model.as_mut(),
+            PlatformSpec::default(),
+            ExecMode::Gpu,
+            &run_cfg,
+        );
         assert!(report.is_clean(), "sequential run {i} has hazards");
         assert_eq!(
             batch.summary.checksum.to_bits(),
