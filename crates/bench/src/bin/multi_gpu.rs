@@ -13,9 +13,14 @@
 //!   host memory, paying PCIe twice.
 //!
 //! Shard counts 1/2/4/8 are swept per model × topology. The `shards=1`
-//! cell runs the untouched single-device driver and is asserted
+//! cell is the one-slice case of each model's driver and is asserted
 //! bit-identical to a plain single-GPU run — idle extra devices and
-//! peer links must change nothing.
+//! peer links must change nothing. Above one shard the drivers also
+//! price some copies and lanes differently (see
+//! `InferenceConfig::shards`), so a cell's speedup over the `shards=1`
+//! base mixes sharding with that pricing difference: TGN's 4-shard
+//! NVLink cell gains 1.52× over one shard priced the sharded way, not
+//! the 2.25× the table reports.
 //!
 //! Every measurement is emitted as a machine-readable `BENCH {json}`
 //! line; the committed `BENCH_multigpu.json` baseline at the repo root
