@@ -8,7 +8,8 @@
 //! (label, scope, interval, bytes, device, lane). Cells group into four
 //! rows per model, and each row's digest is a recorded constant: a
 //! driver change that moves any priced number fails here and prints
-//! the new digest of every cell in the row.
+//! the new digest of every cell in the row. A last test checks that
+//! every model in the zoo honors the configured transfer mode.
 
 use dgnn_bench::{build_model, default_config, MODEL_NAMES};
 use dgnn_datasets::Scale;

@@ -179,8 +179,7 @@ impl DgnnModel for EvolveGcn {
             if plan.lanes {
                 dx.fork_streams_multi(plan.shards);
             }
-            let mut staging: Vec<DoubleBuffer> =
-                (0..plan.shards).map(|_| DoubleBuffer::new()).collect();
+            let mut staging = vec![DoubleBuffer::new(); plan.shards];
             for step in 0..n_steps {
                 let snap = &self.data.snapshots.snapshots()[step];
                 let edges: Vec<(usize, usize)> =

@@ -156,8 +156,7 @@ impl DgnnModel for MolDgnn {
             if plan.lanes {
                 dx.fork_streams_multi(plan.shards);
             }
-            let mut staging: Vec<DoubleBuffer> =
-                (0..plan.shards).map(|_| DoubleBuffer::new()).collect();
+            let mut staging = vec![DoubleBuffer::new(); plan.shards];
             // One representative per-molecule LSTM state per shard,
             // resident on its device, carrying that shard's molecule range.
             let mut states: Vec<Option<dgnn_nn::LstmState>> = vec![None; plan.shards];

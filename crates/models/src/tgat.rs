@@ -205,8 +205,7 @@ impl DgnnModel for Tgat {
             if plan.lanes {
                 dx.fork_streams_multi(plan.shards);
             }
-            let mut staging: Vec<DoubleBuffer> =
-                (0..plan.shards).map(|_| DoubleBuffer::new()).collect();
+            let mut staging = vec![DoubleBuffer::new(); plan.shards];
             for batch in &batches {
                 let mut slices: Vec<Vec<&dgnn_graph::TemporalEvent>> =
                     vec![Vec::new(); plan.shards];
