@@ -8,8 +8,9 @@
 //! (label, scope, interval, bytes, device, lane). Cells group into four
 //! rows per model, and each row's digest is a recorded constant: a
 //! driver change that moves any priced number fails here and prints
-//! the new digest of every cell in the row. A last test checks that
-//! every model in the zoo honors the configured transfer mode.
+//! the new digest of every cell in the row. Two tests cover the whole
+//! zoo: one pins every kernel event's fields on the GPU and the CPU,
+//! and one checks that every model honors the configured transfer mode.
 
 use dgnn_bench::{build_model, default_config, MODEL_NAMES};
 use dgnn_datasets::Scale;
@@ -290,6 +291,38 @@ fn evolvegcn_h_driver_prices_are_pinned() {
             0x93a1_8b64_3fa9_b546,
             0xa1ef_5623_acee_f6b9,
         ],
+    );
+}
+
+#[test]
+fn kernel_fields_of_every_model() {
+    // Every kernel event of every model, on the GPU and on the CPU: its
+    // label, family, flops, bytes and occupancy. A change to how a
+    // descriptor is built or launched moves this digest.
+    let mut d = Digest::new();
+    for &name in MODEL_NAMES {
+        for mode in [ExecMode::Gpu, ExecMode::CpuOnly] {
+            let cfg = default_config(name).with_max_units(1);
+            let mut model = build_model(name, Scale::Tiny, SEED);
+            let mut ex = Executor::new(PlatformSpec::default(), mode);
+            model
+                .run(&mut ex, &cfg)
+                .unwrap_or_else(|e| panic!("{name} inference failed: {e}"));
+            for e in ex.timeline().events() {
+                if let EventCategory::Kernel(kind) = e.category {
+                    d.text(e.label);
+                    d.text(kind.name());
+                    d.word(e.flops);
+                    d.word(e.bytes);
+                    d.word(e.occupancy.to_bits());
+                }
+            }
+        }
+    }
+    assert_eq!(
+        d.0, 0x6c5c_500d_a607_9d67,
+        "kernel fields moved; digest {:#018x}",
+        d.0
     );
 }
 
