@@ -9,7 +9,7 @@
 use dgnn_analysis::{audit, sanitize, BusyClaim, HazardRule, SanitizeOptions};
 use dgnn_device::{
     AccessKind, DeviceTensor, Dispatcher, DurationNs, EventCategory, ExecMode, ExecTrace, Executor,
-    KernelKind, Place, PlatformSpec, StreamId, Timeline, TimelineEvent, TraceRecord, TransferDir,
+    OpKind, Place, PlatformSpec, StreamId, Timeline, TimelineEvent, TraceRecord, TransferDir,
 };
 use dgnn_tensor::Tensor;
 
@@ -21,7 +21,7 @@ fn kernel_event(start: u64, end: u64, stream: Option<StreamId>) -> TimelineEvent
     TimelineEvent {
         label: "kernel",
         scope: String::new(),
-        category: EventCategory::Kernel(KernelKind::Gemm),
+        category: EventCategory::Kernel(OpKind::Gemm),
         place: Place::Gpu,
         start: ns(start),
         end: ns(end),

@@ -7,7 +7,7 @@ use std::hint::black_box;
 
 use dgnn_bench::harness::bench;
 use dgnn_datasets::{wikipedia, Scale};
-use dgnn_device::{ExecMode, Executor, HostWork, KernelDesc, PlatformSpec, TransferDir};
+use dgnn_device::{ExecMode, Executor, HostWork, OpDescriptor, PlatformSpec, TransferDir};
 use dgnn_graph::{NeighborSampler, SampleStrategy, TBatcher, TemporalAdjacency};
 use dgnn_tensor::{Initializer, TensorRng};
 
@@ -68,7 +68,7 @@ fn bench_executor() {
         let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
         ex.ensure_context();
         for _ in 0..1_000 {
-            ex.launch(KernelDesc::gemm("k", 64, 64, 64));
+            ex.launch(OpDescriptor::gemm("k", 64, 64, 64));
         }
         black_box(ex.now())
     });
@@ -78,7 +78,7 @@ fn bench_executor() {
             ex.scope("iter", |ex| {
                 ex.host(HostWork::irregular("sample", 10_000, 4_096));
                 ex.transfer(TransferDir::H2D, 1 << 16);
-                ex.launch(KernelDesc::gemm("mm", 128, 64, 128));
+                ex.launch(OpDescriptor::gemm("mm", 128, 64, 128));
                 ex.transfer(TransferDir::D2H, 1 << 12);
             });
         }

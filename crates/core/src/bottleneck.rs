@@ -190,7 +190,7 @@ impl BottleneckClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgnn_device::{ExecMode, Executor, HostWork, KernelDesc, PlatformSpec, TransferDir};
+    use dgnn_device::{ExecMode, Executor, HostWork, OpDescriptor, PlatformSpec, TransferDir};
 
     #[test]
     fn serialized_tiny_kernels_flag_temporal_dependency() {
@@ -198,7 +198,7 @@ mod tests {
         ex.ensure_context();
         let start = ex.now();
         for _ in 0..100 {
-            ex.launch(KernelDesc::gemm("tiny", 16, 16, 16));
+            ex.launch(OpDescriptor::gemm("tiny", 16, 16, 16));
         }
         let findings =
             BottleneckClassifier::new().classify(ex.timeline(), start, ex.now(), ex.now());
@@ -214,7 +214,7 @@ mod tests {
         let start = ex.now();
         for _ in 0..10 {
             ex.host(HostWork::irregular("sampling", 2_000_000, 10 << 20));
-            ex.launch(KernelDesc::gemm("k", 64, 64, 64));
+            ex.launch(OpDescriptor::gemm("k", 64, 64, 64));
         }
         let findings =
             BottleneckClassifier::new().classify(ex.timeline(), start, ex.now(), ex.now());
@@ -230,7 +230,7 @@ mod tests {
         let start = ex.now();
         for _ in 0..10 {
             ex.transfer(TransferDir::H2D, 100 << 20);
-            ex.launch(KernelDesc::gemm("k", 64, 64, 64));
+            ex.launch(OpDescriptor::gemm("k", 64, 64, 64));
             ex.transfer(TransferDir::D2H, 100 << 20);
         }
         let findings =
@@ -250,7 +250,7 @@ mod tests {
         let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
         ex.model_init(1 << 20, 10);
         let start = ex.now();
-        ex.launch(KernelDesc::gemm("k", 64, 64, 64));
+        ex.launch(OpDescriptor::gemm("k", 64, 64, 64));
         let findings =
             BottleneckClassifier::new().classify(ex.timeline(), start, ex.now(), ex.now());
         assert!(findings.iter().any(|f| f.kind == BottleneckKind::GpuWarmup));
@@ -262,7 +262,7 @@ mod tests {
         ex.ensure_context();
         let start = ex.now();
         for _ in 0..10 {
-            ex.launch(KernelDesc::gemm("big", 4096, 4096, 4096));
+            ex.launch(OpDescriptor::gemm("big", 4096, 4096, 4096));
         }
         let end = ex.now();
         // Measure only the kernel window and pretend total span is huge so
@@ -284,7 +284,7 @@ mod tests {
         for _ in 0..5 {
             ex.host(HostWork::irregular("sampling", 5_000_000, 50 << 20));
             ex.transfer(TransferDir::H2D, 200 << 20);
-            ex.launch(KernelDesc::gemm("tiny", 8, 8, 8));
+            ex.launch(OpDescriptor::gemm("tiny", 8, 8, 8));
         }
         let findings =
             BottleneckClassifier::new().classify(ex.timeline(), start, ex.now(), ex.now());

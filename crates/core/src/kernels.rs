@@ -89,16 +89,16 @@ pub fn render_kernel_summary(timeline: &Timeline, title: &str, limit: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgnn_device::{ExecMode, Executor, KernelDesc, PlatformSpec};
+    use dgnn_device::{ExecMode, Executor, OpDescriptor, PlatformSpec};
 
     fn run() -> Executor {
         let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
         ex.ensure_context();
         for _ in 0..3 {
-            ex.launch(KernelDesc::gemm("big", 512, 512, 512));
+            ex.launch(OpDescriptor::gemm("big", 512, 512, 512));
         }
         for _ in 0..10 {
-            ex.launch(KernelDesc::elementwise("relu", 1024, 1, 1));
+            ex.launch(OpDescriptor::elementwise("relu", 1024, 1, 1));
         }
         ex
     }

@@ -140,7 +140,7 @@ impl ServicePhases {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgnn_device::{ExecMode, Executor, HostWork, KernelDesc, PlatformSpec, TransferDir};
+    use dgnn_device::{ExecMode, Executor, HostWork, OpDescriptor, PlatformSpec, TransferDir};
 
     #[test]
     fn stats_of_empty_input_are_zero() {
@@ -216,7 +216,7 @@ mod tests {
         let i0 = ex.timeline().len();
         ex.host(HostWork::irregular("sample", 10_000, 1 << 16));
         ex.transfer(TransferDir::H2D, 1 << 16);
-        ex.launch(KernelDesc::gemm("k", 64, 64, 64));
+        ex.launch(OpDescriptor::gemm("k", 64, 64, 64));
         ex.alloc_warmup(1 << 20);
         let phases = ServicePhases::from_events(&ex.timeline().events()[i0..]);
         assert!(phases.host.as_nanos() > 0);

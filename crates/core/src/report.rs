@@ -113,7 +113,7 @@ impl InferenceProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgnn_device::{HostWork, KernelDesc, PlatformSpec, TransferDir};
+    use dgnn_device::{HostWork, OpDescriptor, PlatformSpec, TransferDir};
 
     fn profiled_run() -> Executor {
         let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
@@ -127,7 +127,7 @@ mod tests {
                     ex.transfer(TransferDir::H2D, 1 << 20);
                 });
                 ex.scope("attention", |ex| {
-                    ex.launch(KernelDesc::gemm("qk", 64, 64, 64));
+                    ex.launch(OpDescriptor::gemm("qk", 64, 64, 64));
                 });
             }
         });
@@ -169,7 +169,7 @@ mod tests {
         let mut ex = Executor::new(PlatformSpec::default(), ExecMode::CpuOnly);
         ex.scope("inference", |ex| {
             ex.scope("gnn", |ex| {
-                ex.launch(KernelDesc::gemm("k", 32, 32, 32));
+                ex.launch(OpDescriptor::gemm("k", 32, 32, 32));
             });
         });
         let p = InferenceProfile::capture(&ex, "inference");

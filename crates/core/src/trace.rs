@@ -25,11 +25,11 @@ fn track(place: Place, category: EventCategory) -> (u32, &'static str) {
 /// string. Durations are microseconds of *simulated* time.
 ///
 /// ```
-/// use dgnn_device::{ExecMode, Executor, KernelDesc, PlatformSpec};
+/// use dgnn_device::{ExecMode, Executor, OpDescriptor, PlatformSpec};
 /// use dgnn_profile::chrome_trace;
 ///
 /// let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
-/// ex.scope("inference", |ex| { ex.launch(KernelDesc::gemm("mm", 8, 8, 8)); });
+/// ex.scope("inference", |ex| { ex.launch(OpDescriptor::gemm("mm", 8, 8, 8)); });
 /// let json = chrome_trace(&ex);
 /// assert!(json.contains("\"traceEvents\""));
 /// assert!(json.contains("\"mm\""));
@@ -85,7 +85,7 @@ pub fn chrome_trace(ex: &Executor) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgnn_device::{ExecMode, HostWork, KernelDesc, PlatformSpec, TransferDir};
+    use dgnn_device::{ExecMode, HostWork, OpDescriptor, PlatformSpec, TransferDir};
 
     fn sample_executor() -> Executor {
         let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
@@ -94,7 +94,7 @@ mod tests {
                 ex.host(HostWork::irregular("sample", 1_000, 2_048));
             });
             ex.transfer(TransferDir::H2D, 4_096);
-            ex.launch(KernelDesc::gemm("mm", 16, 16, 16));
+            ex.launch(OpDescriptor::gemm("mm", 16, 16, 16));
         });
         ex
     }

@@ -87,13 +87,13 @@ impl UtilizationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgnn_device::{ExecMode, Executor, KernelDesc, PlatformSpec};
+    use dgnn_device::{ExecMode, Executor, OpDescriptor, PlatformSpec};
 
     fn run_kernels(n: usize, size: usize) -> Executor {
         let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
         ex.ensure_context();
         for _ in 0..n {
-            ex.launch(KernelDesc::gemm("k", size, size, size));
+            ex.launch(OpDescriptor::gemm("k", size, size, size));
         }
         ex
     }
@@ -160,14 +160,14 @@ mod tests {
         ex.on_device(0, |ex| {
             ex.on_stream(StreamId::Compute, |ex| {
                 for _ in 0..8 {
-                    ex.launch(KernelDesc::gemm("k0", 256, 256, 256));
+                    ex.launch(OpDescriptor::gemm("k0", 256, 256, 256));
                 }
             });
         });
         ex.on_device(1, |ex| {
             ex.on_stream(StreamId::Compute, |ex| {
                 for _ in 0..4 {
-                    ex.launch(KernelDesc::gemm("k1", 256, 256, 256));
+                    ex.launch(OpDescriptor::gemm("k1", 256, 256, 256));
                 }
             });
         });

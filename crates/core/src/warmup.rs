@@ -101,14 +101,14 @@ impl WarmupReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgnn_device::{ExecMode, Executor, KernelDesc, PlatformSpec};
+    use dgnn_device::{ExecMode, Executor, OpDescriptor, PlatformSpec};
 
     fn run(alloc_bytes: u64, kernels: usize) -> WarmupReport {
         let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
         ex.model_init(1 << 20, 10);
         ex.alloc_warmup(alloc_bytes);
         for _ in 0..kernels {
-            ex.launch(KernelDesc::gemm("k", 128, 128, 128));
+            ex.launch(OpDescriptor::gemm("k", 128, 128, 128));
         }
         WarmupReport::from_timeline(ex.timeline())
     }
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn cpu_runs_have_no_gpu_warmup() {
         let mut ex = Executor::new(PlatformSpec::default(), ExecMode::CpuOnly);
-        ex.launch(KernelDesc::gemm("k", 64, 64, 64));
+        ex.launch(OpDescriptor::gemm("k", 64, 64, 64));
         let r = WarmupReport::from_timeline(ex.timeline());
         assert_eq!(r.context, DurationNs::ZERO);
         assert_eq!(r.alloc, DurationNs::ZERO);

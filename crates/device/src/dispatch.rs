@@ -1,8 +1,8 @@
 //! The unified device-dispatch layer: one call executes the functional
 //! math, charges the kernel, and keeps tensor residence honest.
 //!
-//! Before this layer existed, every model hand-paired a `KernelDesc`
-//! launch with the matching `dgnn-tensor` call and hand-inserted
+//! Before this layer existed, every model hand-paired a kernel launch
+//! with the matching `dgnn-tensor` call and hand-inserted
 //! `transfer()` calls where data crossed PCIe — three things that could
 //! silently drift apart. [`Dispatcher`] fuses them:
 //!
@@ -43,14 +43,12 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dgnn_tensor::cost::OpDescriptor;
-use dgnn_tensor::ops::{activation, elementwise, manip, matmul, reduce};
-use dgnn_tensor::{cost, Result, Tensor};
+use dgnn_tensor::{cost, OpDescriptor, Result, Tensor};
 
 use crate::cache::TensorClass;
 use crate::event::{Place, TransferDir};
 use crate::executor::{ExecMode, Executor};
-use crate::kernel::{HostWork, KernelDesc};
+use crate::kernel::HostWork;
 use crate::spec::DeviceId;
 use crate::stream::{EventId, StreamId};
 use crate::time::DurationNs;
@@ -486,7 +484,7 @@ impl<'a> Dispatcher<'a> {
     /// loop, which charges scores/softmax/context separately but computes
     /// them in one pass). Prefer the typed ops or [`Dispatcher::fused`].
     pub fn charge(&mut self, desc: OpDescriptor, scale: f64) -> DurationNs {
-        self.ex.launch(KernelDesc::from_op(&desc.scaled(scale)))
+        self.ex.launch(desc.scaled(scale))
     }
 
     /// Runs `f` inside a named profiler scope on the owning executor.
@@ -604,7 +602,7 @@ impl<'a> Dispatcher<'a> {
         let out = a.data.matmul(b.tensor())?;
         let (m, k) = (a.data.dims()[0], a.data.dims()[1]);
         let n = b.tensor().dims()[1];
-        self.charge(matmul::matmul_desc(m, k, n).labeled(label), a.scale);
+        self.charge(OpDescriptor::gemm(label, m, k, n), a.scale);
         Ok(self.adopt(out, a.scale))
     }
 
@@ -624,7 +622,7 @@ impl<'a> Dispatcher<'a> {
         let out = a.data.matmul(&w.tensor().transpose()?)?;
         let (m, k) = (a.data.dims()[0], a.data.dims()[1]);
         let n = w.tensor().dims()[0];
-        self.charge(matmul::matmul_desc(m, k, n).labeled(label), a.scale);
+        self.charge(OpDescriptor::gemm(label, m, k, n), a.scale);
         Ok(self.adopt(out, a.scale))
     }
 
@@ -643,10 +641,7 @@ impl<'a> Dispatcher<'a> {
         self.ensure_resident(bias);
         let out = x.data.add_row_broadcast(bias.tensor())?;
         let (m, n) = (x.data.dims()[0], x.data.dims()[1]);
-        self.charge(
-            elementwise::add_row_broadcast_desc(m, n).labeled(label),
-            x.scale,
-        );
+        self.charge(OpDescriptor::elementwise(label, m * n, 1, 2), x.scale);
         Ok(self.adopt(out, x.scale))
     }
 
@@ -666,7 +661,7 @@ impl<'a> Dispatcher<'a> {
         self.ensure_resident(b);
         let out = f(&a.data, b.tensor())?;
         self.charge(
-            elementwise::binary_desc(a.data.len()).labeled(label),
+            OpDescriptor::elementwise(label, a.data.len(), 1, 2),
             a.scale,
         );
         Ok(self.adopt(out, a.scale))
@@ -676,7 +671,10 @@ impl<'a> Dispatcher<'a> {
     pub fn relu(&mut self, label: &'static str, x: &DeviceTensor) -> DeviceTensor {
         self.ensure_resident(x);
         let out = x.data.relu();
-        self.charge(activation::relu_desc(x.data.len()).labeled(label), x.scale);
+        self.charge(
+            OpDescriptor::elementwise(label, x.data.len(), 1, 1),
+            x.scale,
+        );
         self.adopt(out, x.scale)
     }
 
@@ -691,7 +689,7 @@ impl<'a> Dispatcher<'a> {
         self.ensure_resident(x);
         let out = f(&x.data);
         self.charge(
-            activation::transcendental_desc(x.data.len()).labeled(label),
+            OpDescriptor::elementwise(label, x.data.len(), 4, 1),
             x.scale,
         );
         self.adopt(out, x.scale)
@@ -706,7 +704,7 @@ impl<'a> Dispatcher<'a> {
         self.ensure_resident(x);
         let out = x.data.softmax_rows()?;
         let (m, n) = (x.data.dims()[0], x.data.dims()[1]);
-        self.charge(reduce::softmax_rows_desc(m, n).labeled(label), x.scale);
+        self.charge(OpDescriptor::reduce(label, m, n), x.scale);
         Ok(self.adopt(out, x.scale))
     }
 
@@ -724,7 +722,7 @@ impl<'a> Dispatcher<'a> {
         self.ensure_resident(x);
         let out = f(&x.data)?;
         let (m, n) = (x.data.dims()[0], x.data.dims()[1]);
-        self.charge(reduce::reduce_desc(m, n).labeled(label), x.scale);
+        self.charge(OpDescriptor::reduce(label, m, n), x.scale);
         Ok(self.adopt(out, x.scale))
     }
 
@@ -745,10 +743,7 @@ impl<'a> Dispatcher<'a> {
         self.ensure_resident(table);
         let out = table.tensor().gather_rows(indices)?;
         let width = table.tensor().dims()[1];
-        self.charge(
-            manip::gather_rows_desc(indices.len(), width).labeled(label),
-            scale,
-        );
+        self.charge(OpDescriptor::gather(label, indices.len(), width), scale);
         Ok(self.adopt(out, scale))
     }
 
@@ -770,7 +765,7 @@ impl<'a> Dispatcher<'a> {
         let out = base.tensor().scatter_rows(indices, rows.tensor())?;
         let width = base.tensor().dims()[1];
         self.charge(
-            manip::scatter_rows_desc(indices.len(), width).labeled(label),
+            OpDescriptor::gather(label, indices.len(), width),
             rows.scale,
         );
         Ok(out)
@@ -781,8 +776,8 @@ impl<'a> Dispatcher<'a> {
 mod tests {
     use super::*;
     use crate::event::EventCategory;
-    use crate::kernel::KernelKind;
     use crate::spec::PlatformSpec;
+    use dgnn_tensor::OpKind;
 
     fn gpu() -> Executor {
         Executor::new(PlatformSpec::default(), ExecMode::Gpu)
@@ -803,7 +798,7 @@ mod tests {
         let events = ex.timeline().events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].label, "mm");
-        assert_eq!(events[0].category, EventCategory::Kernel(KernelKind::Gemm));
+        assert_eq!(events[0].category, EventCategory::Kernel(OpKind::Gemm));
         assert_eq!(events[0].flops, cost::matmul_flops(2, 2, 2));
     }
 
@@ -812,8 +807,8 @@ mod tests {
         // The same schedule dispatched vs hand-launched lands on the same
         // clock: the dispatcher cannot drift from the legacy pricing.
         let mut manual = gpu();
-        manual.launch(KernelDesc::gemm("mm", 8, 16, 4));
-        manual.launch(KernelDesc::elementwise("bias", 8 * 4, 1, 2));
+        manual.launch(OpDescriptor::gemm("mm", 8, 16, 4));
+        manual.launch(OpDescriptor::elementwise("bias", 8 * 4, 1, 2));
 
         let mut ex = gpu();
         {
@@ -950,8 +945,8 @@ mod tests {
         assert_eq!(
             kinds,
             vec![
-                EventCategory::Kernel(KernelKind::Gather),
-                EventCategory::Kernel(KernelKind::Gather),
+                EventCategory::Kernel(OpKind::Gather),
+                EventCategory::Kernel(OpKind::Gather),
             ]
         );
     }
@@ -1002,7 +997,7 @@ mod tests {
             .timeline()
             .events()
             .iter()
-            .all(|e| e.category == EventCategory::Kernel(KernelKind::Reduce)));
+            .all(|e| e.category == EventCategory::Kernel(OpKind::Reduce)));
     }
 
     #[test]
@@ -1433,6 +1428,6 @@ mod tests {
             .timeline()
             .events()
             .iter()
-            .all(|e| e.category == EventCategory::Kernel(KernelKind::Elementwise)));
+            .all(|e| e.category == EventCategory::Kernel(OpKind::Elementwise)));
     }
 }

@@ -1,6 +1,7 @@
 //! Timeline events: the simulated Nsight Systems trace records.
 
-use crate::kernel::KernelKind;
+use dgnn_tensor::OpKind;
+
 use crate::stream::StreamId;
 use crate::time::DurationNs;
 
@@ -38,7 +39,7 @@ impl TransferDir {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventCategory {
     /// A device kernel of the given family.
-    Kernel(KernelKind),
+    Kernel(OpKind),
     /// A PCIe copy.
     Transfer(TransferDir),
     /// Host-side computation (sampling, preprocessing).
@@ -125,7 +126,7 @@ mod tests {
         TimelineEvent {
             label: "k",
             scope: String::new(),
-            category: EventCategory::Kernel(KernelKind::Gemm),
+            category: EventCategory::Kernel(OpKind::Gemm),
             place: Place::Gpu,
             start: DurationNs::from_nanos(start),
             end: DurationNs::from_nanos(end),
@@ -158,7 +159,7 @@ mod tests {
         assert!(EventCategory::WarmupContext.is_warmup());
         assert!(EventCategory::WarmupAlloc.is_warmup());
         assert!(!EventCategory::Host.is_warmup());
-        assert!(EventCategory::Kernel(KernelKind::Gemm).is_gpu_compute());
+        assert!(EventCategory::Kernel(OpKind::Gemm).is_gpu_compute());
         assert!(!EventCategory::Transfer(TransferDir::H2D).is_gpu_compute());
     }
 }

@@ -16,11 +16,13 @@
 //! is active the engine is bit-identical to the historical sequential
 //! implementation — every existing timeline invariant holds unchanged.
 
+use dgnn_tensor::{OpDescriptor, OpKind};
+
 use crate::cache::{
     accumulate_class_stats, CacheStats, ClassCacheStats, FeatureCache, TensorClass,
 };
 use crate::event::{EventCategory, Place, TimelineEvent, TransferDir};
-use crate::kernel::{HostWork, KernelDesc, KernelKind};
+use crate::kernel::HostWork;
 use crate::memory::MemoryTracker;
 use crate::spec::{DeviceId, PeerPath, PlatformSpec, TransferMode};
 use crate::stream::{EventId, StreamId, StreamSet};
@@ -78,13 +80,13 @@ impl ScopeRecord {
 /// timeline plus profiler scopes.
 ///
 /// ```
-/// use dgnn_device::{ExecMode, Executor, HostWork, KernelDesc, PlatformSpec, TransferDir};
+/// use dgnn_device::{ExecMode, Executor, HostWork, OpDescriptor, PlatformSpec, TransferDir};
 ///
 /// let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
 /// ex.scope("inference", |ex| {
 ///     ex.host(HostWork::irregular("sampling", 10_000, 1 << 16));
 ///     ex.transfer(TransferDir::H2D, 1 << 16);
-///     ex.launch(KernelDesc::gemm("attn", 128, 64, 128)); // pays context init first
+///     ex.launch(OpDescriptor::gemm("attn", 128, 64, 128)); // pays context init first
 /// });
 /// // Everything was priced on one serial clock and recorded in order.
 /// assert_eq!(ex.timeline().len(), 4);
@@ -435,7 +437,7 @@ impl Executor {
     /// the forked region's makespan:
     ///
     /// ```
-    /// use dgnn_device::{ExecMode, Executor, HostWork, KernelDesc, PlatformSpec, StreamId};
+    /// use dgnn_device::{ExecMode, Executor, HostWork, OpDescriptor, PlatformSpec, StreamId};
     ///
     /// let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
     /// ex.ensure_context(); // pay warm-up outside the forked region
@@ -448,7 +450,7 @@ impl Executor {
     /// ex.wait_event(StreamId::Compute, sampled);
     /// let host_done = ex.stream_now(StreamId::Host);
     /// ex.on_stream(StreamId::Compute, |ex| {
-    ///     ex.launch(KernelDesc::gemm("attn", 128, 64, 128));
+    ///     ex.launch(OpDescriptor::gemm("attn", 128, 64, 128));
     /// });
     /// let end = ex.join_streams();
     /// // …so the makespan covers sampling plus the kernel.
@@ -801,11 +803,11 @@ impl Executor {
     /// first priced action:
     ///
     /// ```
-    /// use dgnn_device::{ExecMode, Executor, KernelDesc, PlatformSpec};
+    /// use dgnn_device::{ExecMode, Executor, OpDescriptor, PlatformSpec};
     ///
     /// let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
     /// assert!(!ex.context_ready()); // cold: first launch pays init
-    /// ex.launch(KernelDesc::gemm("k", 8, 8, 8));
+    /// ex.launch(OpDescriptor::gemm("k", 8, 8, 8));
     /// assert!(ex.context_ready()); // warm: reuse amortizes the cost
     /// ```
     pub fn context_ready(&self) -> bool {
@@ -885,7 +887,7 @@ impl Executor {
         }
     }
 
-    fn gpu_kernel_duration(&self, desc: &KernelDesc) -> (DurationNs, f64) {
+    fn gpu_kernel_duration(&self, desc: &OpDescriptor) -> (DurationNs, f64) {
         let g = self.spec.gpu_spec(self.current_device);
         let occupancy = (desc.parallelism as f64 / g.saturation_width as f64)
             .clamp(1.0 / g.sm_count as f64, 1.0);
@@ -903,7 +905,7 @@ impl Executor {
         )
     }
 
-    fn cpu_kernel_duration(&self, desc: &KernelDesc) -> (DurationNs, f64) {
+    fn cpu_kernel_duration(&self, desc: &OpDescriptor) -> (DurationNs, f64) {
         let c = &self.spec.cpu;
         let occupancy =
             (desc.parallelism as f64 / c.saturation_width as f64).clamp(1.0 / c.cores as f64, 1.0);
@@ -924,7 +926,7 @@ impl Executor {
     /// Launches one kernel on the compute device of the current mode,
     /// advancing the clock. Returns the simulated duration (including
     /// launch/dispatch overhead).
-    pub fn launch(&mut self, desc: KernelDesc) -> DurationNs {
+    pub fn launch(&mut self, desc: OpDescriptor) -> DurationNs {
         match self.mode {
             ExecMode::Gpu => {
                 self.ensure_context();
@@ -1127,9 +1129,9 @@ impl Executor {
     /// Launches a "synchronization" marker: zero-work kernel representing
     /// `cudaStreamSynchronize`, charged one launch overhead.
     pub fn synchronize(&mut self) -> DurationNs {
-        self.launch(KernelDesc {
+        self.launch(OpDescriptor {
             label: "cuda_synchronize",
-            kind: KernelKind::Elementwise,
+            kind: OpKind::Elementwise,
             flops: 0,
             bytes: 0,
             parallelism: 1,
@@ -1149,7 +1151,7 @@ mod tests {
     fn clock_is_monotone_across_actions() {
         let mut ex = gpu_executor();
         let t0 = ex.now();
-        ex.launch(KernelDesc::gemm("k", 32, 32, 32));
+        ex.launch(OpDescriptor::gemm("k", 32, 32, 32));
         let t1 = ex.now();
         ex.transfer(TransferDir::H2D, 1024);
         let t2 = ex.now();
@@ -1196,7 +1198,7 @@ mod tests {
     #[test]
     fn first_gpu_action_pays_context_init() {
         let mut ex = gpu_executor();
-        ex.launch(KernelDesc::gemm("k", 8, 8, 8));
+        ex.launch(OpDescriptor::gemm("k", 8, 8, 8));
         let warmup = ex
             .timeline()
             .category_time(|c| c == EventCategory::WarmupContext);
@@ -1206,7 +1208,7 @@ mod tests {
         );
         // Second launch pays nothing extra.
         let before = ex.now();
-        ex.launch(KernelDesc::gemm("k", 8, 8, 8));
+        ex.launch(OpDescriptor::gemm("k", 8, 8, 8));
         let kernel_time = ex.now() - before;
         assert!(kernel_time.as_nanos() < 100_000);
     }
@@ -1214,7 +1216,7 @@ mod tests {
     #[test]
     fn cpu_mode_has_no_warmup_or_transfers() {
         let mut ex = Executor::new(PlatformSpec::default(), ExecMode::CpuOnly);
-        ex.launch(KernelDesc::gemm("k", 8, 8, 8));
+        ex.launch(OpDescriptor::gemm("k", 8, 8, 8));
         assert_eq!(ex.transfer(TransferDir::H2D, 1 << 20), DurationNs::ZERO);
         assert_eq!(ex.timeline().busy_time(Place::Pcie), DurationNs::ZERO);
         assert_eq!(
@@ -1228,7 +1230,7 @@ mod tests {
     fn tiny_gpu_kernels_are_launch_bound() {
         let mut ex = gpu_executor();
         ex.ensure_context();
-        let d = ex.launch(KernelDesc::gemm("tiny", 16, 16, 16));
+        let d = ex.launch(OpDescriptor::gemm("tiny", 16, 16, 16));
         let launch = PlatformSpec::default().gpu.launch_overhead_ns;
         // Launch overhead must dominate: busy time < 20% of total.
         assert!(d.as_nanos() < launch * 12 / 10, "duration {d}");
@@ -1239,7 +1241,7 @@ mod tests {
         let mut gpu = gpu_executor();
         gpu.ensure_context();
         let mut cpu = Executor::new(PlatformSpec::default(), ExecMode::CpuOnly);
-        let desc = KernelDesc::gemm("big", 2048, 2048, 2048);
+        let desc = OpDescriptor::gemm("big", 2048, 2048, 2048);
         let dg = gpu.launch(desc.clone());
         let dc = cpu.launch(desc);
         assert!(
@@ -1252,8 +1254,8 @@ mod tests {
     fn irregular_kernels_pay_bandwidth_penalty() {
         let mut ex = gpu_executor();
         ex.ensure_context();
-        let regular = ex.launch(KernelDesc::elementwise("r", 1 << 20, 1, 1));
-        let irregular = ex.launch(KernelDesc::gather("g", 1 << 18, 4));
+        let regular = ex.launch(OpDescriptor::elementwise("r", 1 << 20, 1, 1));
+        let irregular = ex.launch(OpDescriptor::gather("g", 1 << 18, 4));
         // gather moves 8 MiB at ~12% efficiency vs 8 MiB sequential.
         assert!(irregular > regular);
     }
@@ -1266,7 +1268,7 @@ mod tests {
                 ex.host(HostWork::irregular("sample", 1000, 4096));
             });
             ex.scope("attention", |ex| {
-                ex.launch(KernelDesc::gemm("qk", 64, 64, 64));
+                ex.launch(OpDescriptor::gemm("qk", 64, 64, 64));
             });
         });
         let paths: Vec<&str> = ex.scopes().iter().map(|s| s.path.as_str()).collect();
@@ -1289,7 +1291,7 @@ mod tests {
         ex.ensure_context();
         ex.scope("run", |ex| {
             ex.scope("gnn", |ex| {
-                ex.launch(KernelDesc::gemm("agg", 32, 32, 32));
+                ex.launch(OpDescriptor::gemm("agg", 32, 32, 32));
             });
         });
         let e = ex.timeline().events().last().unwrap();
@@ -1322,7 +1324,7 @@ mod tests {
         let mut ex = gpu_executor();
         ex.ensure_context();
         let ((), d) = ex.timed(|ex| {
-            ex.launch(KernelDesc::gemm("k", 64, 64, 64));
+            ex.launch(OpDescriptor::gemm("k", 64, 64, 64));
         });
         assert!(d.as_nanos() > 0);
         assert_eq!(
@@ -1357,7 +1359,7 @@ mod tests {
             ex.host(HostWork::sequential("sample", 1_000_000, 1 << 20));
         });
         ex.on_stream(StreamId::Compute, |ex| {
-            ex.launch(KernelDesc::gemm("attn", 256, 256, 256));
+            ex.launch(OpDescriptor::gemm("attn", 256, 256, 256));
         });
         let host_end = ex.stream_now(StreamId::Host);
         let compute_end = ex.stream_now(StreamId::Compute);
@@ -1387,7 +1389,7 @@ mod tests {
         });
         ex.wait_event(StreamId::Compute, uploaded);
         ex.on_stream(StreamId::Compute, |ex| {
-            ex.launch(KernelDesc::gemm("dep", 64, 64, 64));
+            ex.launch(OpDescriptor::gemm("dep", 64, 64, 64));
         });
         ex.join_streams();
         let events = ex.timeline().events();
@@ -1469,7 +1471,7 @@ mod tests {
     #[test]
     fn tracing_off_records_nothing() {
         let mut ex = gpu_executor();
-        ex.launch(KernelDesc::gemm("k", 32, 32, 32));
+        ex.launch(OpDescriptor::gemm("k", 32, 32, 32));
         ex.transfer(TransferDir::H2D, 1024);
         assert!(!ex.tracing_enabled());
         assert!(ex.trace().is_none());
@@ -1478,7 +1480,7 @@ mod tests {
     #[test]
     fn serial_actions_never_carry_a_stream_tag() {
         let mut ex = gpu_executor();
-        ex.launch(KernelDesc::gemm("k", 32, 32, 32));
+        ex.launch(OpDescriptor::gemm("k", 32, 32, 32));
         ex.transfer(TransferDir::D2H, 4096);
         assert!(ex.timeline().events().iter().all(|e| e.stream.is_none()));
         assert!(!ex.streams_active());
@@ -1566,7 +1568,7 @@ mod tests {
         let mut ex = gpu_executor();
         assert_eq!(ex.n_devices(), 1);
         assert_eq!(ex.current_device(), 0);
-        ex.launch(KernelDesc::gemm("k", 16, 16, 16));
+        ex.launch(OpDescriptor::gemm("k", 16, 16, 16));
         ex.transfer(TransferDir::H2D, 1024);
         assert!(ex.timeline().events().iter().all(|e| e.device == 0));
     }
@@ -1577,7 +1579,7 @@ mod tests {
         ex.ensure_context();
         let origin = ex.now();
         ex.fork_streams_multi(2);
-        let desc = KernelDesc::gemm("shard", 512, 512, 512);
+        let desc = OpDescriptor::gemm("shard", 512, 512, 512);
         ex.on_stream(StreamId::Compute, |ex| {
             ex.launch(desc.clone());
         });
@@ -1617,7 +1619,7 @@ mod tests {
         // Device 0's compute waits on device 1's upload.
         ex.wait_event(StreamId::Compute, up);
         ex.on_stream(StreamId::Compute, |ex| {
-            ex.launch(KernelDesc::gemm("dep", 64, 64, 64));
+            ex.launch(OpDescriptor::gemm("dep", 64, 64, 64));
         });
         ex.join_streams();
         let events = ex.timeline().events();

@@ -1,156 +1,7 @@
-//! Kernel and host-work descriptors: the unit of pricing in the simulator.
-
-use dgnn_tensor::cost::{self, OpDescriptor, OpKind};
-
-/// The kernel families the profiled DGNNs exercise.
-///
-/// These mirror the categories an Nsight Systems trace groups CUDA kernels
-/// into for these models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelKind {
-    /// Dense matrix multiplication (cuBLAS GEMM).
-    Gemm,
-    /// Element-wise arithmetic / activation.
-    Elementwise,
-    /// Reduction (sum/max) or softmax.
-    Reduce,
-    /// Gather / scatter / embedding lookup — irregular access.
-    Gather,
-    /// Sort or bisection-heavy index manipulation — irregular access.
-    Sort,
-}
-
-impl From<OpKind> for KernelKind {
-    fn from(kind: OpKind) -> Self {
-        match kind {
-            OpKind::Gemm => KernelKind::Gemm,
-            OpKind::Elementwise => KernelKind::Elementwise,
-            OpKind::Reduce => KernelKind::Reduce,
-            OpKind::Gather => KernelKind::Gather,
-            OpKind::Sort => KernelKind::Sort,
-        }
-    }
-}
-
-impl KernelKind {
-    /// Whether this family pays the irregular-access bandwidth penalty.
-    pub fn is_irregular(self) -> bool {
-        matches!(self, KernelKind::Gather | KernelKind::Sort)
-    }
-
-    /// Short display name used in breakdown tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelKind::Gemm => "gemm",
-            KernelKind::Elementwise => "elementwise",
-            KernelKind::Reduce => "reduce",
-            KernelKind::Gather => "gather",
-            KernelKind::Sort => "sort",
-        }
-    }
-}
-
-/// Work description of one device kernel.
-///
-/// Constructed via the family helpers ([`KernelDesc::gemm`] etc.) so FLOP
-/// and byte estimates stay consistent across the model zoo.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelDesc {
-    /// Human-readable label (appears on the timeline).
-    pub label: &'static str,
-    /// Kernel family.
-    pub kind: KernelKind,
-    /// Floating-point operations performed.
-    pub flops: u64,
-    /// Bytes moved to/from device memory.
-    pub bytes: u64,
-    /// Data-parallel lanes of work (drives occupancy).
-    pub parallelism: u64,
-}
-
-impl KernelDesc {
-    /// Builds a kernel from a device-neutral [`OpDescriptor`], preserving
-    /// label, family and all work fields. This is the dispatcher's bridge:
-    /// the same descriptor that names the functional op prices the kernel.
-    pub fn from_op(op: &OpDescriptor) -> Self {
-        KernelDesc {
-            label: op.label,
-            kind: op.kind.into(),
-            flops: op.flops,
-            bytes: op.bytes,
-            parallelism: op.parallelism,
-        }
-    }
-
-    /// A dense `[m, k] × [k, n]` GEMM.
-    pub fn gemm(label: &'static str, m: usize, k: usize, n: usize) -> Self {
-        KernelDesc {
-            label,
-            kind: KernelKind::Gemm,
-            flops: cost::matmul_flops(m, k, n),
-            bytes: cost::matmul_bytes(m, k, n),
-            parallelism: cost::matmul_parallelism(m, n),
-        }
-    }
-
-    /// A batched GEMM of `b` independent `[m, k] × [k, n]` products.
-    pub fn batched_gemm(label: &'static str, b: usize, m: usize, k: usize, n: usize) -> Self {
-        KernelDesc {
-            label,
-            kind: KernelKind::Gemm,
-            flops: b as u64 * cost::matmul_flops(m, k, n),
-            bytes: b as u64 * cost::matmul_bytes(m, k, n),
-            parallelism: b as u64 * cost::matmul_parallelism(m, n),
-        }
-    }
-
-    /// An element-wise kernel over `len` elements with `ops_per_elem`
-    /// arithmetic ops and `n_inputs` input operands.
-    pub fn elementwise(label: &'static str, len: usize, ops_per_elem: u64, n_inputs: u64) -> Self {
-        KernelDesc {
-            label,
-            kind: KernelKind::Elementwise,
-            flops: cost::elementwise_flops(len, ops_per_elem),
-            bytes: cost::elementwise_bytes(len, n_inputs),
-            parallelism: len as u64,
-        }
-    }
-
-    /// A reduction/softmax kernel over an `[m, n]` matrix.
-    pub fn reduce(label: &'static str, m: usize, n: usize) -> Self {
-        KernelDesc {
-            label,
-            kind: KernelKind::Reduce,
-            flops: cost::softmax_flops(m, n),
-            bytes: 2 * cost::f32_bytes(m * n),
-            parallelism: m as u64,
-        }
-    }
-
-    /// A gather/scatter of `rows` rows of `width` f32 each.
-    pub fn gather(label: &'static str, rows: usize, width: usize) -> Self {
-        KernelDesc {
-            label,
-            kind: KernelKind::Gather,
-            flops: 0,
-            bytes: 2 * cost::f32_bytes(rows * width),
-            parallelism: rows as u64,
-        }
-    }
-
-    /// A sort over `len` keys (comparison count `len·log2(len)`).
-    pub fn sort(label: &'static str, len: usize) -> Self {
-        let l = len.max(2) as u64;
-        let log = 64 - l.leading_zeros() as u64;
-        KernelDesc {
-            label,
-            kind: KernelKind::Sort,
-            flops: l * log,
-            bytes: 2 * cost::f32_bytes(len) * log,
-            parallelism: len as u64 / 2,
-        }
-    }
-}
+//! Host-work descriptors: the unit of pricing for CPU-side stages.
+//!
+//! Device kernels are priced from `dgnn_tensor::OpDescriptor`, re-exported
+//! at the crate root.
 
 /// Host-side (CPU) work description: graph preprocessing, sampling,
 /// snapshot assembly. Always executes on the simulated CPU regardless of
@@ -208,55 +59,6 @@ impl HostWork {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gemm_descriptor_matches_cost_helpers() {
-        let d = KernelDesc::gemm("t", 4, 5, 6);
-        assert_eq!(d.flops, 240);
-        assert_eq!(d.parallelism, 24);
-        assert_eq!(d.kind, KernelKind::Gemm);
-        assert!(!d.kind.is_irregular());
-    }
-
-    #[test]
-    fn batched_gemm_scales_by_batch() {
-        let single = KernelDesc::gemm("t", 4, 5, 6);
-        let batched = KernelDesc::batched_gemm("t", 3, 4, 5, 6);
-        assert_eq!(batched.flops, 3 * single.flops);
-        assert_eq!(batched.parallelism, 3 * single.parallelism);
-    }
-
-    #[test]
-    fn gather_and_sort_are_irregular() {
-        assert!(KernelDesc::gather("g", 10, 8).kind.is_irregular());
-        assert!(KernelDesc::sort("s", 100).kind.is_irregular());
-    }
-
-    #[test]
-    fn sort_cost_grows_superlinearly() {
-        let small = KernelDesc::sort("s", 1_000);
-        let large = KernelDesc::sort("s", 100_000);
-        assert!(large.flops > 100 * small.flops);
-    }
-
-    #[test]
-    fn from_op_preserves_every_field() {
-        let op = OpDescriptor::gemm("proj", 16, 32, 8);
-        let k = KernelDesc::from_op(&op);
-        assert_eq!(k.label, "proj");
-        assert_eq!(k.kind, KernelKind::Gemm);
-        assert_eq!(k.flops, op.flops);
-        assert_eq!(k.bytes, op.bytes);
-        assert_eq!(k.parallelism, op.parallelism);
-        // Every family maps to its namesake.
-        assert_eq!(KernelKind::from(OpKind::Gather), KernelKind::Gather);
-        assert_eq!(KernelKind::from(OpKind::Sort), KernelKind::Sort);
-        assert_eq!(KernelKind::from(OpKind::Reduce), KernelKind::Reduce);
-        assert_eq!(
-            KernelKind::from(OpKind::Elementwise),
-            KernelKind::Elementwise
-        );
-    }
 
     #[test]
     fn host_work_constructors() {

@@ -7,7 +7,9 @@
 //! with an *analytical performance model* driven by a virtual nanosecond
 //! clock:
 //!
-//! * every kernel costs `launch_overhead + max(flops / effective_throughput,
+//! * every kernel is one [`OpDescriptor`] (the tensor op's own work
+//!   record, re-exported from `dgnn-tensor`) and costs
+//!   `launch_overhead + max(flops / effective_throughput,
 //!   bytes / bandwidth)`, where effective throughput scales with the
 //!   kernel's data parallelism (occupancy) — tiny DGNN kernels are
 //!   launch-bound exactly as the paper observes;
@@ -25,11 +27,11 @@
 //! tables and figures.
 //!
 //! ```
-//! use dgnn_device::{Executor, ExecMode, KernelDesc, PlatformSpec};
+//! use dgnn_device::{Executor, ExecMode, OpDescriptor, PlatformSpec};
 //!
 //! let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
 //! ex.scope("attention", |ex| {
-//!     ex.launch(KernelDesc::gemm("qk", 64, 32, 64));
+//!     ex.launch(OpDescriptor::gemm("qk", 64, 32, 64));
 //! });
 //! assert!(ex.now().as_nanos() > 0);
 //! ```
@@ -50,10 +52,11 @@ pub mod trace;
 mod warmup;
 
 pub use cache::{accumulate_class_stats, CacheStats, ClassCacheStats, FeatureCache, TensorClass};
+pub use dgnn_tensor::{OpDescriptor, OpKind};
 pub use dispatch::{CacheFetch, DeviceTensor, Dispatcher, Operand};
 pub use event::{EventCategory, Place, TimelineEvent, TransferDir};
 pub use executor::{ExecMode, Executor, ScopeRecord};
-pub use kernel::{HostWork, KernelDesc, KernelKind};
+pub use kernel::HostWork;
 pub use memory::MemoryTracker;
 pub use spec::{
     CpuSpec, DeviceId, GpuSpec, LinkSpec, PcieSpec, PeerPath, PlatformSpec, TransferMode,

@@ -1,8 +1,9 @@
 //! The simulated Nsight trace: an ordered list of timeline events with
 //! query helpers.
 
+use dgnn_tensor::OpKind;
+
 use crate::event::{EventCategory, Place, TimelineEvent};
-use crate::kernel::KernelKind;
 use crate::time::DurationNs;
 
 /// An append-only record of everything the [`crate::Executor`] did.
@@ -228,13 +229,13 @@ impl Timeline {
     }
 
     /// Per-kernel-family histogram: (kind, count, total time).
-    pub fn kernel_histogram(&self) -> Vec<(KernelKind, usize, DurationNs)> {
+    pub fn kernel_histogram(&self) -> Vec<(OpKind, usize, DurationNs)> {
         let kinds = [
-            KernelKind::Gemm,
-            KernelKind::Elementwise,
-            KernelKind::Reduce,
-            KernelKind::Gather,
-            KernelKind::Sort,
+            OpKind::Gemm,
+            OpKind::Elementwise,
+            OpKind::Reduce,
+            OpKind::Gather,
+            OpKind::Sort,
         ];
         kinds
             .iter()
@@ -276,7 +277,7 @@ mod tests {
         TimelineEvent {
             label: "k",
             scope: "run/attn".to_string(),
-            category: EventCategory::Kernel(KernelKind::Gemm),
+            category: EventCategory::Kernel(OpKind::Gemm),
             place: Place::Gpu,
             start: DurationNs::from_nanos(start),
             end: DurationNs::from_nanos(end),
@@ -455,7 +456,7 @@ mod tests {
         tl.push(kernel(10, 30, 1.0));
         let h = tl.kernel_histogram();
         assert_eq!(h.len(), 1);
-        assert_eq!(h[0].0, KernelKind::Gemm);
+        assert_eq!(h[0].0, OpKind::Gemm);
         assert_eq!(h[0].1, 2);
         assert_eq!(h[0].2.as_nanos(), 30);
     }

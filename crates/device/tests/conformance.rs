@@ -1,12 +1,12 @@
-//! Priced = computed: for every kernel family, the flops/bytes the
-//! dispatcher charges onto the timeline must equal the `dgnn-tensor`
-//! cost estimators evaluated at the operands' actual shapes. This is
+//! Priced = computed: for every kernel family and every typed op, the
+//! flops/bytes the dispatcher charges onto the timeline must equal the
+//! `dgnn-tensor` cost estimators evaluated at the operands' actual
+//! shapes, under the caller's label and the op's family. This is
 //! the invariant the unified dispatch layer exists to enforce — if it
 //! drifts, every bottleneck share in the paper-claims suite is suspect.
 
 use dgnn_device::{
-    DeviceTensor, Dispatcher, EventCategory, ExecMode, Executor, KernelKind, PlatformSpec,
-    TransferDir,
+    DeviceTensor, Dispatcher, EventCategory, ExecMode, Executor, OpKind, PlatformSpec, TransferDir,
 };
 use dgnn_tensor::cost::{
     self, elementwise_bytes, elementwise_flops, matmul_bytes, matmul_flops, softmax_flops,
@@ -23,7 +23,7 @@ fn rand(dims: &[usize], seed: u64) -> Tensor {
 }
 
 /// The single kernel event of kind `kind` on the timeline.
-fn only_kernel(ex: &Executor, kind: KernelKind) -> (u64, u64) {
+fn only_kernel(ex: &Executor, kind: OpKind) -> (u64, u64) {
     let events: Vec<_> = ex
         .timeline()
         .events()
@@ -34,6 +34,21 @@ fn only_kernel(ex: &Executor, kind: KernelKind) -> (u64, u64) {
     (events[0].flops, events[0].bytes)
 }
 
+/// The one kernel on the timeline: its label, family, flops and bytes.
+fn sole_kernel(ex: &Executor) -> (&'static str, OpKind, u64, u64) {
+    let kernels: Vec<_> = ex
+        .timeline()
+        .events()
+        .iter()
+        .filter_map(|e| match e.category {
+            EventCategory::Kernel(kind) => Some((e.label, kind, e.flops, e.bytes)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(kernels.len(), 1, "expected exactly one kernel: {kernels:?}");
+    kernels[0]
+}
+
 #[test]
 fn gemm_charge_matches_cost_estimator() {
     let (m, k, n) = (7, 13, 5);
@@ -42,7 +57,7 @@ fn gemm_charge_matches_cost_estimator() {
     let a = dx.adopt(rand(&[m, k], 1), 1.0);
     let b = dx.adopt(rand(&[k, n], 2), 1.0);
     dx.matmul("conf_gemm", &a, &b).unwrap();
-    let (flops, bytes) = only_kernel(&ex, KernelKind::Gemm);
+    let (flops, bytes) = only_kernel(&ex, OpKind::Gemm);
     assert_eq!(flops, matmul_flops(m, k, n));
     assert_eq!(bytes, matmul_bytes(m, k, n));
 }
@@ -54,7 +69,7 @@ fn elementwise_charge_matches_cost_estimator() {
     let mut dx = Dispatcher::new(&mut ex);
     let x = dx.adopt(rand(&[m, n], 3), 1.0);
     dx.relu("conf_relu", &x);
-    let (flops, bytes) = only_kernel(&ex, KernelKind::Elementwise);
+    let (flops, bytes) = only_kernel(&ex, OpKind::Elementwise);
     assert_eq!(flops, elementwise_flops(m * n, 1));
     assert_eq!(bytes, elementwise_bytes(m * n, 1));
 }
@@ -66,7 +81,7 @@ fn reduce_charge_matches_cost_estimator() {
     let mut dx = Dispatcher::new(&mut ex);
     let x = dx.adopt(rand(&[m, n], 4), 1.0);
     dx.softmax_rows("conf_softmax", &x).unwrap();
-    let (flops, bytes) = only_kernel(&ex, KernelKind::Reduce);
+    let (flops, bytes) = only_kernel(&ex, OpKind::Reduce);
     assert_eq!(flops, softmax_flops(m, n));
     assert_eq!(bytes, 2 * cost::f32_bytes(m * n));
 }
@@ -79,7 +94,7 @@ fn gather_charge_matches_cost_estimator() {
     let table = dx.adopt(rand(&[64, width], 5), 1.0);
     dx.gather_rows("conf_gather", &table, &[0, 7, 9, 13], 1.0)
         .unwrap();
-    let (flops, bytes) = only_kernel(&ex, KernelKind::Gather);
+    let (flops, bytes) = only_kernel(&ex, OpKind::Gather);
     assert_eq!(flops, 0);
     assert_eq!(bytes, 2 * cost::f32_bytes(rows * width));
 }
@@ -90,10 +105,124 @@ fn sort_charge_matches_cost_estimator() {
     let mut ex = gpu();
     let mut dx = Dispatcher::new(&mut ex);
     dx.charge(OpDescriptor::sort("conf_sort", len), 1.0);
-    let (flops, bytes) = only_kernel(&ex, KernelKind::Sort);
+    let (flops, bytes) = only_kernel(&ex, OpKind::Sort);
     let log = 64 - (len as u64).leading_zeros() as u64;
     assert_eq!(flops, len as u64 * log);
     assert_eq!(bytes, 2 * cost::f32_bytes(len) * log);
+}
+
+#[test]
+fn matmul_nt_charge_matches_cost_estimator() {
+    let (m, k, n) = (7, 13, 5);
+    let mut ex = gpu();
+    let mut dx = Dispatcher::new(&mut ex);
+    let a = dx.adopt(rand(&[m, k], 12), 1.0);
+    let w = dx.adopt(rand(&[n, k], 13), 1.0);
+    dx.matmul_nt("conf_gemm_nt", &a, &w).unwrap();
+    assert_eq!(
+        sole_kernel(&ex),
+        (
+            "conf_gemm_nt",
+            OpKind::Gemm,
+            matmul_flops(m, k, n),
+            matmul_bytes(m, k, n)
+        )
+    );
+}
+
+#[test]
+fn add_bias_charge_matches_cost_estimator() {
+    let (m, n) = (9, 11);
+    let mut ex = gpu();
+    let mut dx = Dispatcher::new(&mut ex);
+    let x = dx.adopt(rand(&[m, n], 14), 1.0);
+    let bias = dx.adopt(rand(&[n], 15), 1.0);
+    dx.add_bias("conf_bias", &x, &bias).unwrap();
+    assert_eq!(
+        sole_kernel(&ex),
+        (
+            "conf_bias",
+            OpKind::Elementwise,
+            elementwise_flops(m * n, 1),
+            elementwise_bytes(m * n, 2)
+        )
+    );
+}
+
+#[test]
+fn binary_charge_matches_cost_estimator() {
+    let len = 9 * 11;
+    let mut ex = gpu();
+    let mut dx = Dispatcher::new(&mut ex);
+    let a = dx.adopt(rand(&[9, 11], 16), 1.0);
+    let b = dx.adopt(rand(&[9, 11], 17), 1.0);
+    dx.binary("conf_binary", &a, &b, Tensor::add).unwrap();
+    assert_eq!(
+        sole_kernel(&ex),
+        (
+            "conf_binary",
+            OpKind::Elementwise,
+            elementwise_flops(len, 1),
+            elementwise_bytes(len, 2)
+        )
+    );
+}
+
+#[test]
+fn activation_charge_matches_cost_estimator() {
+    let len = 9 * 11;
+    let mut ex = gpu();
+    let mut dx = Dispatcher::new(&mut ex);
+    let x = dx.adopt(rand(&[9, 11], 18), 1.0);
+    dx.activation("conf_sigmoid", &x, Tensor::sigmoid);
+    assert_eq!(
+        sole_kernel(&ex),
+        (
+            "conf_sigmoid",
+            OpKind::Elementwise,
+            elementwise_flops(len, 4),
+            elementwise_bytes(len, 1)
+        )
+    );
+}
+
+#[test]
+fn reduce_rows_charge_matches_cost_estimator() {
+    let (m, n) = (6, 17);
+    let mut ex = gpu();
+    let mut dx = Dispatcher::new(&mut ex);
+    let x = dx.adopt(rand(&[m, n], 19), 1.0);
+    dx.reduce_rows("conf_sum_rows", &x, Tensor::sum_rows)
+        .unwrap();
+    assert_eq!(
+        sole_kernel(&ex),
+        (
+            "conf_sum_rows",
+            OpKind::Reduce,
+            softmax_flops(m, n),
+            2 * cost::f32_bytes(m * n)
+        )
+    );
+}
+
+#[test]
+fn scatter_charge_matches_cost_estimator() {
+    let (rows, width) = (3, 19);
+    let mut ex = gpu();
+    let mut dx = Dispatcher::new(&mut ex);
+    let base = dx.adopt(rand(&[64, width], 20), 1.0);
+    let update = dx.adopt(rand(&[rows, width], 21), 1.0);
+    dx.scatter_rows("conf_scatter", &base, &[1, 5, 9], &update)
+        .unwrap();
+    assert_eq!(
+        sole_kernel(&ex),
+        (
+            "conf_scatter",
+            OpKind::Gather,
+            0,
+            2 * cost::f32_bytes(rows * width)
+        )
+    );
 }
 
 #[test]
@@ -109,7 +238,7 @@ fn representative_scale_multiplies_the_charge_exactly() {
     let a = dx.adopt(rand(&[m, k], 6), scale);
     let b = dx.adopt(rand(&[k, n], 7), scale);
     dx.matmul("conf_scaled_gemm", &a, &b).unwrap();
-    let (flops, bytes) = only_kernel(&ex, KernelKind::Gemm);
+    let (flops, bytes) = only_kernel(&ex, OpKind::Gemm);
     assert_eq!(flops, (matmul_flops(m, k, n) as f64 * scale).round() as u64);
     assert_eq!(bytes, (matmul_bytes(m, k, n) as f64 * scale).round() as u64);
 }
@@ -153,14 +282,11 @@ fn every_kernel_kind_is_covered_by_a_dispatcher_path() {
     dx.charge(OpDescriptor::sort("cover_sort", 64), 1.0);
 
     let expect = [
-        (KernelKind::Gemm, OpDescriptor::gemm("", 4, 8, 4)),
-        (
-            KernelKind::Elementwise,
-            OpDescriptor::elementwise("", 16, 1, 1),
-        ),
-        (KernelKind::Reduce, OpDescriptor::reduce("", 4, 4)),
-        (KernelKind::Gather, OpDescriptor::gather("", 2, 4)),
-        (KernelKind::Sort, OpDescriptor::sort("", 64)),
+        (OpKind::Gemm, OpDescriptor::gemm("", 4, 8, 4)),
+        (OpKind::Elementwise, OpDescriptor::elementwise("", 16, 1, 1)),
+        (OpKind::Reduce, OpDescriptor::reduce("", 4, 4)),
+        (OpKind::Gather, OpDescriptor::gather("", 2, 4)),
+        (OpKind::Sort, OpDescriptor::sort("", 64)),
     ];
     for (kind, desc) in expect {
         let (flops, bytes) = only_kernel(&ex, kind);

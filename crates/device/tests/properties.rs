@@ -2,7 +2,7 @@
 //! driven by a seeded sweep so the suite builds offline.
 
 use dgnn_device::{
-    DurationNs, ExecMode, Executor, HostWork, KernelDesc, PlatformSpec, TransferDir,
+    DurationNs, ExecMode, Executor, HostWork, OpDescriptor, PlatformSpec, TransferDir,
 };
 use dgnn_tensor::TensorRng;
 
@@ -19,8 +19,8 @@ fn kernel_time_is_positive_and_monotone_in_work() {
     for (m, k, n) in dim_cases(&mut rng, 255, 32) {
         let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
         ex.ensure_context();
-        let small = ex.launch(KernelDesc::gemm("s", m, k, n));
-        let large = ex.launch(KernelDesc::gemm("l", m * 2, k * 2, n * 2));
+        let small = ex.launch(OpDescriptor::gemm("s", m, k, n));
+        let large = ex.launch(OpDescriptor::gemm("l", m * 2, k * 2, n * 2));
         assert!(small > DurationNs::ZERO);
         assert!(large >= small);
     }
@@ -33,7 +33,7 @@ fn clock_equals_span_end_for_sequential_execution() {
         let count = rng.index(19) + 1;
         let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
         for (m, k, n) in dim_cases(&mut rng, 63, count) {
-            ex.launch(KernelDesc::gemm("k", m, k, n));
+            ex.launch(OpDescriptor::gemm("k", m, k, n));
         }
         assert_eq!(ex.now(), ex.timeline().span_end());
     }
@@ -62,7 +62,7 @@ fn same_seed_same_schedule() {
             ex.scope("run", |ex| {
                 ex.host(HostWork::irregular("sample", 1000, 8192));
                 ex.transfer(TransferDir::H2D, (m * k * 4) as u64);
-                ex.launch(KernelDesc::gemm("mm", m, k, n));
+                ex.launch(OpDescriptor::gemm("mm", m, k, n));
                 ex.transfer(TransferDir::D2H, (m * n * 4) as u64);
             });
             ex.now()
@@ -79,7 +79,7 @@ fn utilization_is_a_fraction() {
         ex.ensure_context();
         let count = rng.index(14) + 1;
         for (m, k, n) in dim_cases(&mut rng, 255, count) {
-            ex.launch(KernelDesc::gemm("k", m, k, n));
+            ex.launch(OpDescriptor::gemm("k", m, k, n));
         }
         let u = ex.timeline().gpu_utilization(DurationNs::ZERO, ex.now());
         assert!((0.0..=1.0).contains(&u), "utilization {u}");
@@ -97,7 +97,7 @@ fn scope_intervals_contain_their_events() {
         ex.scope("outer", |ex| {
             for (m, k, n) in &ops {
                 ex.scope("inner", |ex| {
-                    ex.launch(KernelDesc::gemm("k", *m, *k, *n));
+                    ex.launch(OpDescriptor::gemm("k", *m, *k, *n));
                 });
             }
         });
@@ -120,7 +120,7 @@ fn cpu_only_mode_never_touches_gpu() {
         let mut ex = Executor::new(PlatformSpec::default(), ExecMode::CpuOnly);
         let count = rng.index(9) + 1;
         for (m, k, n) in dim_cases(&mut rng, 255, count) {
-            ex.launch(KernelDesc::gemm("k", m, k, n));
+            ex.launch(OpDescriptor::gemm("k", m, k, n));
             ex.transfer(TransferDir::H2D, 4096);
         }
         assert_eq!(

@@ -13,7 +13,7 @@
 //! 4. transfer coalescing merges priced transactions but conserves bytes.
 
 use dgnn_device::{
-    Dispatcher, EventCategory, ExecMode, Executor, HostWork, KernelDesc, KernelKind, PlatformSpec,
+    Dispatcher, EventCategory, ExecMode, Executor, HostWork, OpDescriptor, OpKind, PlatformSpec,
     StreamId, TimelineEvent, TransferDir,
 };
 
@@ -21,10 +21,10 @@ fn gpu() -> Executor {
     Executor::new(PlatformSpec::default(), ExecMode::Gpu)
 }
 
-fn kernel(flops: u64) -> KernelDesc {
-    KernelDesc {
+fn kernel(flops: u64) -> OpDescriptor {
+    OpDescriptor {
         label: "k",
-        kind: KernelKind::Gemm,
+        kind: OpKind::Gemm,
         flops,
         bytes: flops / 2,
         parallelism: 1024,

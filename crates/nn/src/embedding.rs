@@ -110,7 +110,7 @@ impl Module for EmbeddingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgnn_device::{ExecMode, Executor, KernelKind, PlatformSpec};
+    use dgnn_device::{ExecMode, Executor, OpKind, PlatformSpec};
 
     fn ex() -> Executor {
         Executor::new(PlatformSpec::default(), ExecMode::CpuOnly)
@@ -148,7 +148,7 @@ mod tests {
         let mut dx = Dispatcher::new(&mut ex);
         table.lookup(&mut dx, &[0]).unwrap();
         let hist = dx.executor().timeline().kernel_histogram();
-        assert!(hist.iter().any(|(k, _, _)| *k == KernelKind::Gather));
+        assert!(hist.iter().any(|(k, _, _)| *k == OpKind::Gather));
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! consistent work estimates.
 //!
 //! The [`OpDescriptor`] type is the unit of exchange between this crate
-//! and the device layer: every tensor op family emits a descriptor
-//! (kind, flops, bytes, parallelism) from its own module, and the
-//! dispatcher in `dgnn-device` charges exactly that descriptor while
-//! executing the functional math — so priced work can never drift from
-//! computed work.
+//! and the device layer: each typed op of the dispatcher in
+//! `dgnn-device` builds one descriptor (kind, flops, bytes, parallelism)
+//! from its operand shapes with the family constructors here, and the
+//! executor prices and records exactly that descriptor while the
+//! functional math runs — so priced work can never drift from computed
+//! work.
 
 /// Bytes per `f32` element.
 pub const F32_BYTES: u64 = 4;
@@ -18,8 +19,8 @@ pub const F32_BYTES: u64 = 4;
 /// The op families the profiled DGNNs exercise.
 ///
 /// These mirror the categories an Nsight Systems trace groups CUDA
-/// kernels into for these models; the device layer maps each onto its
-/// `KernelKind` one-to-one.
+/// kernels into for these models; the device layer tags every kernel
+/// event on its timeline with one of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Dense matrix multiplication (cuBLAS GEMM).
@@ -54,10 +55,9 @@ impl OpKind {
 
 /// Work description of one tensor operation, in device-neutral terms.
 ///
-/// Constructed by the family helpers here and by the per-op emitters in
-/// [`crate::ops`] so FLOP and byte estimates stay consistent across the
-/// model zoo. The device dispatcher converts this 1:1 into its kernel
-/// descriptor when charging the simulated timeline.
+/// Constructed by the family helpers here so FLOP and byte estimates
+/// stay consistent across the model zoo. The device layer launches it
+/// as-is: one descriptor is one kernel on the simulated timeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpDescriptor {
     /// Human-readable label (appears on the timeline).
@@ -140,13 +140,6 @@ impl OpDescriptor {
             bytes: 2 * f32_bytes(len) * log,
             parallelism: len as u64 / 2,
         }
-    }
-
-    /// Replaces the timeline label (descriptors from op emitters carry a
-    /// generic family label; call sites override it for attribution).
-    pub fn labeled(mut self, label: &'static str) -> Self {
-        self.label = label;
-        self
     }
 
     /// Scales the work by a logical batch multiplier: a representative
@@ -254,18 +247,18 @@ mod tests {
     }
 
     #[test]
+    fn sort_cost_grows_superlinearly() {
+        let small = OpDescriptor::sort("s", 1_000);
+        let large = OpDescriptor::sort("s", 100_000);
+        assert!(large.flops > 100 * small.flops);
+    }
+
+    #[test]
     fn scaled_multiplies_all_work_fields() {
         let d = OpDescriptor::gemm("t", 4, 5, 6).scaled(2.5);
         assert_eq!(d.flops, 600);
         assert_eq!(d.parallelism, 60);
         let unit = OpDescriptor::gemm("t", 4, 5, 6).scaled(1.0);
         assert_eq!(unit, OpDescriptor::gemm("t", 4, 5, 6));
-    }
-
-    #[test]
-    fn labeled_overrides_only_the_label() {
-        let d = OpDescriptor::reduce("generic", 4, 8).labeled("softmax");
-        assert_eq!(d.label, "softmax");
-        assert_eq!(d.kind, OpKind::Reduce);
     }
 }

@@ -11,8 +11,10 @@
 //! timing lives one layer up in `dgnn-device`, which charges a cost model
 //! for each operation while this crate supplies the functional result.
 //!
-//! FLOP/byte estimators (see [`cost`]) are exposed so the device layer can
-//! price each kernel without recomputing shapes.
+//! FLOP/byte estimators and the [`OpDescriptor`] work record (see
+//! [`cost`]) are exposed so the device layer can price each kernel: one
+//! descriptor per op, built from the operand shapes, is what the
+//! simulated timeline records.
 //!
 //! ```
 //! use dgnn_tensor::Tensor;

@@ -1,26 +1,6 @@
 //! Non-linear activations (element-wise kernel family).
 
-use crate::cost::OpDescriptor;
 use crate::Tensor;
-
-/// Descriptor of a cheap piecewise-linear activation over `len`
-/// elements ([`Tensor::relu`], [`Tensor::leaky_relu`]).
-pub fn relu_desc(len: usize) -> OpDescriptor {
-    OpDescriptor::elementwise("relu", len, 1, 1)
-}
-
-/// Descriptor of a transcendental activation over `len` elements
-/// ([`Tensor::sigmoid`], [`Tensor::tanh`], [`Tensor::softplus`] — exp
-/// plus a few arithmetic ops ≈ 4 each).
-pub fn transcendental_desc(len: usize) -> OpDescriptor {
-    OpDescriptor::elementwise("transcendental", len, 4, 1)
-}
-
-/// Descriptor of a single-call math-function activation over `len`
-/// elements ([`Tensor::exp`], [`Tensor::cos`], [`Tensor::sin`]).
-pub fn math_fn_desc(len: usize) -> OpDescriptor {
-    OpDescriptor::elementwise("math_fn", len, 2, 1)
-}
 
 /// Numerically stable logistic sigmoid.
 pub fn sigmoid_scalar(x: f32) -> f32 {

@@ -1,31 +1,6 @@
 //! Element-wise binary/unary arithmetic (the element-wise kernel family).
 
-use crate::cost::OpDescriptor;
 use crate::{Result, Tensor, TensorError};
-
-/// Descriptor of a two-input element-wise op over `len` elements
-/// ([`Tensor::add`], [`Tensor::sub`], [`Tensor::mul`]).
-pub fn binary_desc(len: usize) -> OpDescriptor {
-    OpDescriptor::elementwise("binary", len, 1, 2)
-}
-
-/// Descriptor of a one-input element-wise op with `ops_per_elem`
-/// arithmetic ops each ([`Tensor::add_scalar`], [`Tensor::scale`],
-/// [`Tensor::map`] with a known cost).
-pub fn unary_desc(len: usize, ops_per_elem: u64) -> OpDescriptor {
-    OpDescriptor::elementwise("unary", len, ops_per_elem, 1)
-}
-
-/// Descriptor of [`Tensor::add_row_broadcast`] over an `[m, n]` tensor.
-pub fn add_row_broadcast_desc(m: usize, n: usize) -> OpDescriptor {
-    OpDescriptor::elementwise("add_row_broadcast", m * n, 1, 2)
-}
-
-/// Descriptor of [`Tensor::lerp_gate`] over `len` elements
-/// (three inputs, `a·(1−t) + b·t` ≈ 3 ops each).
-pub fn lerp_gate_desc(len: usize) -> OpDescriptor {
-    OpDescriptor::elementwise("lerp_gate", len, 3, 3)
-}
 
 impl Tensor {
     fn zip_with(

@@ -5,31 +5,7 @@
 //! device layer prices them against *memory bandwidth with an
 //! irregular-access penalty* rather than FLOPs.
 
-use crate::cost::OpDescriptor;
 use crate::{Result, Tensor, TensorError};
-
-/// Descriptor of [`Tensor::gather_rows`]: `rows` rows of `width` f32.
-pub fn gather_rows_desc(rows: usize, width: usize) -> OpDescriptor {
-    OpDescriptor::gather("gather_rows", rows, width)
-}
-
-/// Descriptor of [`Tensor::scatter_rows`]: `rows` rows of `width` f32.
-pub fn scatter_rows_desc(rows: usize, width: usize) -> OpDescriptor {
-    OpDescriptor::gather("scatter_rows", rows, width)
-}
-
-/// Descriptor of [`Tensor::transpose`] of an `[m, n]` matrix — a
-/// strided permutation priced as an irregular copy.
-pub fn transpose_desc(m: usize, n: usize) -> OpDescriptor {
-    OpDescriptor::gather("transpose", m * n, 1)
-}
-
-/// Descriptor of a contiguous copy/concatenation producing `len`
-/// elements ([`Tensor::concat_cols`], [`Tensor::concat_rows`],
-/// [`Tensor::stack_rows`]).
-pub fn concat_desc(len: usize) -> OpDescriptor {
-    OpDescriptor::elementwise("concat", len, 0, 1)
-}
 
 impl Tensor {
     /// Transpose of a rank-2 tensor.

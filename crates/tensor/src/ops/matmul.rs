@@ -7,7 +7,6 @@
 //! with the same zero-skip, and row blocks are disjoint, so neither
 //! tiling nor threading can reorder a single f32 addition.
 
-use crate::cost::OpDescriptor;
 use crate::par;
 use crate::{Result, Tensor, TensorError};
 
@@ -66,26 +65,6 @@ fn matmul_blocked_parallel(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -
         matmul_rows_blocked(&a[start * k..(start + rows) * k], b, rows, k, n)
     })
     .concat()
-}
-
-/// Descriptor of [`Tensor::matmul`] on `[m, k] × [k, n]`.
-pub fn matmul_desc(m: usize, k: usize, n: usize) -> OpDescriptor {
-    OpDescriptor::gemm("matmul", m, k, n)
-}
-
-/// Descriptor of [`Tensor::matvec`] on `[m, k] × [k]`.
-pub fn matvec_desc(m: usize, k: usize) -> OpDescriptor {
-    OpDescriptor::gemm("matvec", m, k, 1)
-}
-
-/// Descriptor of [`Tensor::bmm`] on `[b, m, k] × [b, k, n]`.
-pub fn bmm_desc(b: usize, m: usize, k: usize, n: usize) -> OpDescriptor {
-    OpDescriptor::batched_gemm("bmm", b, m, k, n)
-}
-
-/// Descriptor of [`Tensor::outer`] on `[m] × [n]`.
-pub fn outer_desc(m: usize, n: usize) -> OpDescriptor {
-    OpDescriptor::gemm("outer", m, 1, n)
 }
 
 impl Tensor {

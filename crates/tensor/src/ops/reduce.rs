@@ -1,19 +1,6 @@
 //! Reductions and softmax (the reduction kernel family).
 
-use crate::cost::OpDescriptor;
 use crate::{Result, Tensor, TensorError};
-
-/// Descriptor of [`Tensor::softmax_rows`] over an `[m, n]` matrix.
-pub fn softmax_rows_desc(m: usize, n: usize) -> OpDescriptor {
-    OpDescriptor::reduce("softmax_rows", m, n)
-}
-
-/// Descriptor of a plain reduction ([`Tensor::sum_rows`],
-/// [`Tensor::mean_rows`], [`Tensor::sum`], [`Tensor::max`]) over an
-/// `[m, n]` extent.
-pub fn reduce_desc(m: usize, n: usize) -> OpDescriptor {
-    OpDescriptor::reduce("reduce", m, n)
-}
 
 impl Tensor {
     /// Sum of all elements.
