@@ -231,7 +231,9 @@ pub(crate) struct RunPlan {
     /// the platform's device count in GPU mode, `1` otherwise.
     pub(crate) shards: usize,
     /// Whether the driver forks Host/Copy/Compute lanes (one triple per
-    /// shard) and places its work on them.
+    /// shard). The lane helpers ([`on_lane`], [`lane_handoff`],
+    /// [`DoubleBuffer`]) place work on them exactly while the fork is
+    /// active.
     pub(crate) lanes: bool,
     /// Whether transfers are priced per constituent tensor (GPU mode,
     /// any granularity but [`TransferGranularity::Staged`]).
@@ -245,16 +247,12 @@ pub(crate) struct RunPlan {
     pub(crate) coalesced: bool,
 }
 
-/// Runs `f` with the dispatcher's priced actions placed on `lane` when
-/// `active`; calls `f` directly (the serial path, bit-identical to the
-/// historical engine) otherwise.
-pub fn on_lane<R>(
-    dx: &mut Dispatcher,
-    active: bool,
-    lane: StreamId,
-    f: impl FnOnce(&mut Dispatcher) -> R,
-) -> R {
-    if active {
+/// Runs `f` with the dispatcher's priced actions placed on `lane` while
+/// a stream fork is active (the driver forked its lanes); calls `f`
+/// directly (the serial path, bit-identical to the historical engine)
+/// otherwise.
+pub fn on_lane<R>(dx: &mut Dispatcher, lane: StreamId, f: impl FnOnce(&mut Dispatcher) -> R) -> R {
+    if dx.executor().streams_active() {
         dx.on_stream(lane, f)
     } else {
         f(dx)
@@ -262,9 +260,9 @@ pub fn on_lane<R>(
 }
 
 /// Orders `to` after everything issued so far on `from` (record + wait).
-/// No-op on the serial path.
-pub fn lane_handoff(dx: &mut Dispatcher, active: bool, from: StreamId, to: StreamId) {
-    if active {
+/// No-op outside a stream fork (the serial path).
+pub fn lane_handoff(dx: &mut Dispatcher, from: StreamId, to: StreamId) {
+    if dx.executor().streams_active() {
         let done = dx.record_event(from);
         dx.wait_event(to, done);
     }
@@ -275,7 +273,7 @@ pub fn lane_handoff(dx: &mut Dispatcher, active: bool, from: StreamId, to: Strea
 /// drained the same buffer two batches earlier has finished. With two
 /// buffers in flight this is exactly the reuse constraint of a classic
 /// double-buffered prefetcher. Sharded drivers keep one per shard. All
-/// methods are no-ops on the serial path.
+/// methods are no-ops outside a stream fork (the serial path).
 #[derive(Debug, Default, Clone)]
 pub struct DoubleBuffer {
     uploads: Vec<EventId>,
@@ -289,8 +287,8 @@ impl DoubleBuffer {
 
     /// Blocks `lane` (normally the host lane) until the staging buffer
     /// for the next batch is free for reuse.
-    pub fn acquire(&self, dx: &mut Dispatcher, active: bool, lane: StreamId) {
-        if active && self.uploads.len() >= 2 {
+    pub fn acquire(&self, dx: &mut Dispatcher, lane: StreamId) {
+        if dx.executor().streams_active() && self.uploads.len() >= 2 {
             dx.wait_event(lane, self.uploads[self.uploads.len() - 2]);
         }
     }
@@ -298,8 +296,8 @@ impl DoubleBuffer {
     /// Marks the current batch's staging buffer as drained once the copy
     /// lane reaches this point. Call right after issuing the batch's H2D
     /// upload on [`StreamId::Copy`].
-    pub fn uploaded(&mut self, dx: &mut Dispatcher, active: bool) {
-        if active {
+    pub fn uploaded(&mut self, dx: &mut Dispatcher) {
+        if dx.executor().streams_active() {
             let done = dx.record_event(StreamId::Copy);
             self.uploads.push(done);
         }

@@ -236,8 +236,8 @@ impl DgnnModel for EvolveGcn {
                         // part's topology and feature rows. Pipelined runs
                         // prefetch snapshot i+1 on the host lane while
                         // snapshot i's (strictly sequential) kernels run.
-                        staging[s].acquire(dx, plan.lanes, StreamId::Host);
-                        on_lane(dx, plan.lanes, StreamId::Host, |dx| {
+                        staging[s].acquire(dx, StreamId::Host);
+                        on_lane(dx, StreamId::Host, |dx| {
                             dx.scope("snapshot_prep", |dx| {
                                 dx.host(HostWork {
                                     label: "prepare_snapshot",
@@ -256,8 +256,8 @@ impl DgnnModel for EvolveGcn {
                         // endpoint's input-feature and hidden rows from
                         // their owning device (both GCN layers read them).
                         let edge_feat_bytes = e_s[s] * (d_in * 4) as u64;
-                        lane_handoff(dx, plan.lanes, StreamId::Host, StreamId::Copy);
-                        on_lane(dx, plan.lanes, StreamId::Copy, |dx| {
+                        lane_handoff(dx, StreamId::Host, StreamId::Copy);
+                        on_lane(dx, StreamId::Copy, |dx| {
                             dx.scope("memcpy_h2d", |dx| {
                                 if per_tensor {
                                     for bytes in [topo_bytes, part_feat_bytes, edge_feat_bytes] {
@@ -279,12 +279,12 @@ impl DgnnModel for EvolveGcn {
                                 dx.flush_transfers();
                             })
                         });
-                        staging[s].uploaded(dx, plan.lanes);
-                        lane_handoff(dx, plan.lanes, StreamId::Copy, StreamId::Compute);
+                        staging[s].uploaded(dx);
+                        lane_handoff(dx, StreamId::Copy, StreamId::Compute);
 
                         // 2. Weight evolution (RNN), plus top-k for -H.
                         if self.cfg.version == EvolveGcnVersion::H {
-                            checksum += on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                            checksum += on_lane(dx, StreamId::Compute, |dx| {
                                 dx.scope("topk", |dx| -> Result<f32> {
                                     // Score the part's nodes with a
                                     // fully-connected layer: the rep rows run
@@ -310,7 +310,7 @@ impl DgnnModel for EvolveGcn {
                                 })
                             })?;
                         }
-                        let evolved = on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                        let evolved = on_lane(dx, StreamId::Compute, |dx| {
                             dx.scope("rnn", |dx| -> Result<Tensor> {
                                 // The GRU treats the h×h weight matrix as h
                                 // rows of dimension h — one functional step
@@ -326,7 +326,7 @@ impl DgnnModel for EvolveGcn {
                         // weights: propagate (A·X), transform (·W), ReLU —
                         // priced at the part's node count through the
                         // adjacency's scale.
-                        let emb = on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                        let emb = on_lane(dx, StreamId::Compute, |dx| {
                             dx.scope("gnn", |dx| -> Result<DeviceTensor> {
                                 let rep_adj = dx.adopt(rep_adj_data.clone(), shard_scale);
                                 let x = dx.adopt(rep_feats.clone(), shard_scale);
@@ -341,8 +341,8 @@ impl DgnnModel for EvolveGcn {
 
                         // 4. The part's embeddings back to the CPU.
                         let out = dx.adopt(Tensor::zeros(&[rep_n, h]), shard_scale);
-                        lane_handoff(dx, plan.lanes, StreamId::Compute, StreamId::Copy);
-                        on_lane(dx, plan.lanes, StreamId::Copy, |dx| {
+                        lane_handoff(dx, StreamId::Compute, StreamId::Copy);
+                        on_lane(dx, StreamId::Copy, |dx| {
                             dx.scope("memcpy_d2h", |dx| {
                                 dx.download(&out);
                                 dx.flush_transfers();

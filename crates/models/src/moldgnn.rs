@@ -179,8 +179,8 @@ impl DgnnModel for MolDgnn {
                             // Pipelined runs prepare frame i+1 on the host
                             // lane while frame i's kernels run,
                             // double-buffered against the copy engine.
-                            staging[s].acquire(dx, plan.lanes, StreamId::Host);
-                            on_lane(dx, plan.lanes, StreamId::Host, |dx| {
+                            staging[s].acquire(dx, StreamId::Host);
+                            on_lane(dx, StreamId::Host, |dx| {
                                 dx.scope("frame_prep", |dx| {
                                     dx.host(HostWork::sequential(
                                         "assemble_adjacency",
@@ -195,8 +195,8 @@ impl DgnnModel for MolDgnn {
                             // own copy (the per-tensor traffic behind Fig
                             // 7b's memcpy wall), plus one coordinate and one
                             // distance block.
-                            lane_handoff(dx, plan.lanes, StreamId::Host, StreamId::Copy);
-                            on_lane(dx, plan.lanes, StreamId::Copy, |dx| {
+                            lane_handoff(dx, StreamId::Host, StreamId::Copy);
+                            on_lane(dx, StreamId::Copy, |dx| {
                                 dx.scope("memcpy_h2d", |dx| {
                                     if plan.cached {
                                         // One cache row per molecule-frame
@@ -238,8 +238,8 @@ impl DgnnModel for MolDgnn {
                                     dx.flush_transfers();
                                 })
                             });
-                            staging[s].uploaded(dx, plan.lanes);
-                            lane_handoff(dx, plan.lanes, StreamId::Copy, StreamId::Compute);
+                            staging[s].uploaded(dx);
+                            lane_handoff(dx, StreamId::Copy, StreamId::Compute);
 
                             // 2. GCN over each molecule (batched small
                             // GEMMs). The first molecule runs through the
@@ -251,7 +251,7 @@ impl DgnnModel for MolDgnn {
                             // re-charging. Multi-shard rule 4: every shard
                             // computes molecules `0..rep`, not its own
                             // range; at one shard the two coincide.
-                            let rep_emb = on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                            let rep_emb = on_lane(dx, StreamId::Compute, |dx| {
                                 dx.scope("gnn", |dx| -> Result<DeviceTensor> {
                                     let (adj0, coords0) = self.molecule_inputs(0, frame)?;
                                     let adj = dx.adopt(adj0, b_s as f64);
@@ -269,7 +269,7 @@ impl DgnnModel for MolDgnn {
                             })?;
 
                             // 3. LSTM over the temporal sequence.
-                            state = on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                            state = on_lane(dx, StreamId::Compute, |dx| {
                                 dx.scope("rnn", |dx| -> Result<dgnn_nn::LstmState> {
                                     self.lstm.forward(dx, &rep_emb, &state).map_err(Into::into)
                                 })
@@ -277,7 +277,7 @@ impl DgnnModel for MolDgnn {
 
                             // 4. Decode next-frame adjacency + D2H + CPU
                             // distances.
-                            on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                            on_lane(dx, StreamId::Compute, |dx| {
                                 dx.scope("prediction", |dx| -> Result<()> {
                                     let pred = self.decoder.forward(dx, &state.0)?;
                                     checksum += pred.data().sum() * 1e-3;
@@ -292,8 +292,8 @@ impl DgnnModel for MolDgnn {
                                 Tensor::zeros(&[1, 1]),
                                 2.0 * self.adjacency_bytes(b_s) as f64 / 4.0,
                             );
-                            lane_handoff(dx, plan.lanes, StreamId::Compute, StreamId::Copy);
-                            on_lane(dx, plan.lanes, StreamId::Copy, |dx| {
+                            lane_handoff(dx, StreamId::Compute, StreamId::Copy);
+                            on_lane(dx, StreamId::Copy, |dx| {
                                 dx.scope("memcpy_d2h", |dx| {
                                     if per_tensor {
                                         dx.transfer(TransferDir::D2H, self.adjacency_bytes(b_s));

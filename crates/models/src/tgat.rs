@@ -231,8 +231,8 @@ impl DgnnModel for Tgat {
                         // but may not reuse a staging buffer before the
                         // copy engine has drained it (depth-2 double
                         // buffering).
-                        staging[s].acquire(dx, plan.lanes, StreamId::Host);
-                        let rep_layers = on_lane(dx, plan.lanes, StreamId::Host, |dx| {
+                        staging[s].acquire(dx, StreamId::Host);
+                        let rep_layers = on_lane(dx, StreamId::Host, |dx| {
                             dx.scope("sampling", |dx| {
                                 let roots: Vec<(usize, f64)> =
                                     slice.iter().take(rep).map(|e| (e.src, e.time)).collect();
@@ -258,7 +258,7 @@ impl DgnnModel for Tgat {
                                 layers
                             })
                         });
-                        lane_handoff(dx, plan.lanes, StreamId::Host, StreamId::Copy);
+                        lane_handoff(dx, StreamId::Host, StreamId::Copy);
 
                         // Split the gathered rows by owner: locally-owned
                         // rows cross this device's PCIe link, remote rows
@@ -286,7 +286,7 @@ impl DgnnModel for Tgat {
                         // constituent tensors (edge features, time deltas,
                         // neighbor indices) individually, summing to exactly
                         // the same bytes.
-                        on_lane(dx, plan.lanes, StreamId::Copy, |dx| {
+                        on_lane(dx, StreamId::Copy, |dx| {
                             dx.scope("memcpy_h2d", |dx| {
                                 // Cache-routed fetch: one row per locally
                                 // owned sampled neighbor, keyed by node id
@@ -343,8 +343,8 @@ impl DgnnModel for Tgat {
                                 dx.flush_transfers();
                             })
                         });
-                        staging[s].uploaded(dx, plan.lanes);
-                        lane_handoff(dx, plan.lanes, StreamId::Copy, StreamId::Compute);
+                        staging[s].uploaded(dx);
+                        lane_handoff(dx, StreamId::Copy, StreamId::Compute);
 
                         // Representative functional inputs: the first `rep`
                         // targets and one event's worth of sampled
@@ -369,7 +369,7 @@ impl DgnnModel for Tgat {
                         let kn = neigh_feats.dims()[0];
 
                         // 3. Time encoding, priced for all gathered rows.
-                        let rep_time = on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                        let rep_time = on_lane(dx, StreamId::Compute, |dx| {
                             dx.scope("time_encoding", |dx| {
                                 let n_phys = deltas.len();
                                 let t = Tensor::from_vec(deltas.clone(), &[n_phys])?;
@@ -388,7 +388,7 @@ impl DgnnModel for Tgat {
                         // `targets × k` logical rows — both quadratic
                         // attention dims (`k`, `d`) stay physical, so scaled
                         // pricing equals full-batch pricing.
-                        let out = on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                        let out = on_lane(dx, StreamId::Compute, |dx| {
                             dx.scope("attention", |dx| -> Result<DeviceTensor> {
                                 let src = dx.adopt(src_feats.clone(), bsz as f64 / rep as f64);
                                 let q0 = self.feat_proj.forward(dx, &src)?;
@@ -421,7 +421,7 @@ impl DgnnModel for Tgat {
 
                         // 5. Prediction head + copy-back of the target
                         // embeddings over this device's own link.
-                        let result = on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                        let result = on_lane(dx, StreamId::Compute, |dx| {
                             dx.scope("prediction", |dx| -> Result<DeviceTensor> {
                                 let out_rows = out.data().dims()[0];
                                 let pair = dx.adopt(
@@ -434,8 +434,8 @@ impl DgnnModel for Tgat {
                             })
                         })?;
                         debug_assert_eq!(result.data().dims()[1], d);
-                        lane_handoff(dx, plan.lanes, StreamId::Compute, StreamId::Copy);
-                        on_lane(dx, plan.lanes, StreamId::Copy, |dx| {
+                        lane_handoff(dx, StreamId::Compute, StreamId::Copy);
+                        on_lane(dx, StreamId::Copy, |dx| {
                             dx.scope("memcpy_d2h", |dx| {
                                 dx.download(&result);
                                 // No-op unless coalescing staged this

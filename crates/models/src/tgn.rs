@@ -217,8 +217,8 @@ impl DgnnModel for Tgn {
 
                         // 1. Batch preparation (host lane) + edge features
                         // to GPU.
-                        staging[s].acquire(dx, plan.lanes, StreamId::Host);
-                        on_lane(dx, plan.lanes, StreamId::Host, |dx| {
+                        staging[s].acquire(dx, StreamId::Host);
+                        on_lane(dx, StreamId::Host, |dx| {
                             dx.scope("batch_prep", |dx| {
                                 dx.host(HostWork::sequential(
                                     "pack_batch",
@@ -234,16 +234,16 @@ impl DgnnModel for Tgn {
                                 Tensor::zeros(&[1, self.data.edge_dim() + 2]),
                                 bsz as f64,
                             );
-                            lane_handoff(dx, plan.lanes, StreamId::Host, StreamId::Copy);
-                            on_lane(dx, plan.lanes, StreamId::Copy, |dx| {
+                            lane_handoff(dx, StreamId::Host, StreamId::Copy);
+                            on_lane(dx, StreamId::Copy, |dx| {
                                 dx.scope("memcpy_h2d", |dx| dx.ensure_resident(&edge_payload))
                             });
-                            staging[s].uploaded(dx, plan.lanes);
+                            staging[s].uploaded(dx);
                         }
 
                         // 2. Temporal neighbor sampling on the CPU — the
                         // CSR batch engine, one root per slice event.
-                        let rep_neighbors = on_lane(dx, plan.lanes, StreamId::Host, |dx| {
+                        let rep_neighbors = on_lane(dx, StreamId::Host, |dx| {
                             dx.scope("sampling", |dx| {
                                 let roots: Vec<(usize, f64)> =
                                     slice.iter().take(rep).map(|e| (e.src, e.time)).collect();
@@ -302,8 +302,8 @@ impl DgnnModel for Tgn {
                             // neighbor block by the sampled ids at slice
                             // scale, so recurrent nodes skip the Fig 5(b)
                             // exchange.
-                            lane_handoff(dx, plan.lanes, StreamId::Host, StreamId::Copy);
-                            on_lane(dx, plan.lanes, StreamId::Copy, |dx| {
+                            lane_handoff(dx, StreamId::Host, StreamId::Copy);
+                            on_lane(dx, StreamId::Copy, |dx| {
                                 dx.scope("memcpy_h2d", |dx| {
                                     if plan.cached {
                                         if per_tensor {
@@ -366,17 +366,17 @@ impl DgnnModel for Tgn {
                                 })
                             });
                             if per_tensor {
-                                staging[s].uploaded(dx, plan.lanes);
+                                staging[s].uploaded(dx);
                             }
                         }
-                        lane_handoff(dx, plan.lanes, StreamId::Host, StreamId::Compute);
-                        lane_handoff(dx, plan.lanes, StreamId::Copy, StreamId::Compute);
+                        lane_handoff(dx, StreamId::Host, StreamId::Compute);
+                        lane_handoff(dx, StreamId::Copy, StreamId::Compute);
 
                         let rep_src: Vec<usize> = slice.iter().take(rep).map(|e| e.src).collect();
 
                         // 3. Message passing: memory exchange + message
                         // kernels.
-                        let rep_msgs = on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                        let rep_msgs = on_lane(dx, StreamId::Compute, |dx| {
                             dx.scope("message_passing", |dx| -> Result<DeviceTensor> {
                                 // Staged pricing derives the Fig 5(b)
                                 // exchange from the residence of the staged
@@ -440,7 +440,7 @@ impl DgnnModel for Tgn {
                         })?;
 
                         // 4. Memory update (GRU) + embedding (attention).
-                        let new_mem = on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                        let new_mem = on_lane(dx, StreamId::Compute, |dx| {
                             dx.scope("memory_update", |dx| -> Result<DeviceTensor> {
                                 let prev = self.memory.lookup_scaled(dx, &rep_src, scale)?;
                                 self.memory_updater
@@ -448,11 +448,11 @@ impl DgnnModel for Tgn {
                                     .map_err(Into::into)
                             })
                         })?;
-                        on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                        on_lane(dx, StreamId::Compute, |dx| {
                             self.memory.update(dx, &rep_src, &new_mem)
                         })?;
 
-                        let emb = on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                        let emb = on_lane(dx, StreamId::Compute, |dx| {
                             dx.scope("embedding", |dx| -> Result<DeviceTensor> {
                                 // Keys/values: one event's sampled
                                 // neighbors plus its source, standing in for
@@ -474,7 +474,7 @@ impl DgnnModel for Tgn {
 
                         // 5. Prediction + memory write-back over this
                         // device's own PCIe link.
-                        on_lane(dx, plan.lanes, StreamId::Compute, |dx| {
+                        on_lane(dx, StreamId::Compute, |dx| {
                             dx.scope("prediction", |dx| -> Result<()> {
                                 let pair = dx.adopt(emb.data().concat_cols(emb.data())?, scale);
                                 checksum += self.predictor.forward(dx, &pair)?.data().sum();
@@ -483,8 +483,8 @@ impl DgnnModel for Tgn {
                         })?;
                         let writeback =
                             dx.adopt(Tensor::zeros(&[rep, d]), touched as f64 / rep as f64);
-                        lane_handoff(dx, plan.lanes, StreamId::Compute, StreamId::Copy);
-                        on_lane(dx, plan.lanes, StreamId::Copy, |dx| {
+                        lane_handoff(dx, StreamId::Compute, StreamId::Copy);
+                        on_lane(dx, StreamId::Copy, |dx| {
                             dx.scope("memcpy_d2h", |dx| {
                                 if per_tensor {
                                     for bytes in d2h_pieces {
