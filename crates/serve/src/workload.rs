@@ -125,26 +125,10 @@ pub fn generate(seed: u64, n: usize, rate_rps: f64, weights: &[f64]) -> Vec<Requ
     let mut t_ns = 0u64;
     (0..n)
         .map(|id| {
-            // Exponential gap: -ln(1 - u) / rate, u ∈ [0, 1).
-            let u = gap_rng.unit_f64();
-            let gap_s = -(1.0 - u).ln() / rate_rps;
-            #[expect(clippy::cast_possible_truncation, reason = "gaps are ≪ u64::MAX ns")]
-            #[expect(clippy::cast_sign_loss, reason = "gap_s ≥ 0 by construction")]
-            let gap_ns = ((gap_s * 1e9).round() as u64).max(1);
-            t_ns += gap_ns;
-
-            let mut pick = mix_rng.unit_f64() * total_weight;
-            let mut model = weights.len() - 1;
-            for (i, w) in weights.iter().enumerate() {
-                if pick < *w {
-                    model = i;
-                    break;
-                }
-                pick -= w;
-            }
+            t_ns += exp_gap_ns(&mut gap_rng, rate_rps);
             Request {
                 id,
-                model,
+                model: draw_model(&mut mix_rng, weights, total_weight),
                 arrival: DurationNs::from_nanos(t_ns),
             }
         })
@@ -284,7 +268,8 @@ impl WorkloadShape {
 }
 
 /// Exponential gap in integer nanoseconds (≥ 1) at `rate` events per
-/// second, via inverse-transform sampling.
+/// second, via inverse-transform sampling: `-ln(1 - u) / rate` for
+/// `u ∈ [0, 1)`.
 fn exp_gap_ns(rng: &mut TensorRng, rate: f64) -> u64 {
     let u = rng.unit_f64();
     let gap_s = -(1.0 - u).ln() / rate;
@@ -294,7 +279,8 @@ fn exp_gap_ns(rng: &mut TensorRng, rate: f64) -> u64 {
     gap_ns
 }
 
-/// Weighted model draw, identical discipline to [`generate`].
+/// Weighted model draw: walks the cumulative `weights` (which need not
+/// be normalized) to the first one above `u · total_weight`.
 fn draw_model(rng: &mut TensorRng, weights: &[f64], total_weight: f64) -> usize {
     let mut pick = rng.unit_f64() * total_weight;
     let mut model = weights.len() - 1;
