@@ -34,7 +34,7 @@ fn only_kernel(ex: &Executor, kind: OpKind) -> (u64, u64) {
     (events[0].flops, events[0].bytes)
 }
 
-/// Every kernel on the timeline in issue order: label, family, flops
+/// Every kernel on the timeline in launch order: label, family, flops
 /// and bytes.
 fn kernels(ex: &Executor) -> Vec<(&'static str, OpKind, u64, u64)> {
     ex.timeline()
