@@ -1185,7 +1185,7 @@ mod tests {
         let mut tl = Timeline::new();
         tl.push(dgnn_device::TimelineEvent {
             label: "memcpy_h2d",
-            scope: String::new(),
+            scope: "".into(),
             category: EventCategory::Transfer(TransferDir::H2D),
             place: Place::Pcie,
             start: DurationNs::ZERO,
@@ -1233,7 +1233,7 @@ mod tests {
         let mut tl = Timeline::new();
         tl.push(dgnn_device::TimelineEvent {
             label: "memcpy_h2d",
-            scope: String::new(),
+            scope: "".into(),
             category: EventCategory::Transfer(TransferDir::H2D),
             place: Place::Pcie,
             start: DurationNs::ZERO,
@@ -1328,7 +1328,7 @@ mod tests {
     fn peer_event(label: &'static str, device: usize, bytes: u64) -> dgnn_device::TimelineEvent {
         dgnn_device::TimelineEvent {
             label,
-            scope: String::new(),
+            scope: "".into(),
             category: EventCategory::PeerTransfer,
             place: Place::Pcie,
             start: DurationNs::ZERO,

@@ -20,7 +20,7 @@ fn ns(n: u64) -> DurationNs {
 fn kernel_event(start: u64, end: u64, stream: Option<StreamId>) -> TimelineEvent {
     TimelineEvent {
         label: "kernel",
-        scope: String::new(),
+        scope: "".into(),
         category: EventCategory::Kernel(OpKind::Gemm),
         place: Place::Gpu,
         start: ns(start),
@@ -36,7 +36,7 @@ fn kernel_event(start: u64, end: u64, stream: Option<StreamId>) -> TimelineEvent
 fn transfer_event(dir: TransferDir, bytes: u64, stream: Option<StreamId>) -> TimelineEvent {
     TimelineEvent {
         label: "memcpy",
-        scope: String::new(),
+        scope: "".into(),
         category: EventCategory::Transfer(dir),
         place: Place::Pcie,
         start: ns(0),
@@ -785,7 +785,7 @@ fn rule8_phantom_peer_pricing_is_flagged() {
     let mut tl = Timeline::new();
     tl.push(TimelineEvent {
         label: "peer_copy",
-        scope: String::new(),
+        scope: "".into(),
         category: EventCategory::PeerTransfer,
         place: Place::Pcie,
         start: ns(0),

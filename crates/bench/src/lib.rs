@@ -38,15 +38,18 @@
 
 pub mod harness;
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use dgnn_datasets::{
-    as_snapshots, bitcoin_alpha, github, iso17, lastfm, pems, sbm, social_evolution, wikipedia,
-    Scale,
+    as_snapshots, bitcoin_alpha, github, iso17, lastfm, pems, reddit, sbm, social_evolution,
+    wikipedia, Scale, TemporalDataset,
 };
 use dgnn_device::{ExecMode, Executor, PlatformSpec};
 use dgnn_models::{
     Astgnn, AstgnnConfig, DgnnModel, DyRep, DyRepConfig, EvolveGcn, EvolveGcnConfig,
     EvolveGcnVersion, InferenceConfig, Jodie, JodieConfig, Ldg, LdgConfig, LdgEncoder, MolDgnn,
-    MolDgnnConfig, RunSummary, Tgat, TgatConfig, Tgn, TgnConfig,
+    MolDgnnConfig, ReplicaHandle, RunSummary, Tgat, TgatConfig, Tgn, TgnConfig,
 };
 use dgnn_profile::InferenceProfile;
 
@@ -75,16 +78,77 @@ pub const MODEL_NAMES: &[&str] = &[
 ///
 /// Panics on an unknown name — binaries validate names up front.
 pub fn build_model(name: &str, scale: Scale, seed: u64) -> Box<dyn DgnnModel> {
+    prototype(name, &mut Datasets::new(scale, seed)).into_model()
+}
+
+/// A built model that hands out clones of itself. A prototype is never
+/// run, so every clone equals a fresh build bit for bit.
+trait Prototype: Send + Sync {
+    /// A fresh model: a clone of the prototype.
+    fn fresh(&self) -> Box<dyn DgnnModel>;
+    /// The prototype itself, as a model.
+    fn into_model(self: Box<Self>) -> Box<dyn DgnnModel>;
+}
+
+impl<M: DgnnModel + Clone + Send + Sync + 'static> Prototype for M {
+    fn fresh(&self) -> Box<dyn DgnnModel> {
+        Box::new(self.clone())
+    }
+
+    fn into_model(self: Box<Self>) -> Box<dyn DgnnModel> {
+        self
+    }
+}
+
+/// The interaction datasets one set of models is built over: each is
+/// generated on first use and shared by every model that reads it.
+struct Datasets {
+    scale: Scale,
+    seed: u64,
+    temporal: BTreeMap<&'static str, Arc<TemporalDataset>>,
+}
+
+impl Datasets {
+    fn new(scale: Scale, seed: u64) -> Self {
+        Datasets {
+            scale,
+            seed,
+            temporal: BTreeMap::new(),
+        }
+    }
+
+    fn temporal(
+        &mut self,
+        name: &'static str,
+        generate: fn(Scale, u64) -> TemporalDataset,
+    ) -> Arc<TemporalDataset> {
+        let (scale, seed) = (self.scale, self.seed);
+        Arc::clone(
+            self.temporal
+                .entry(name)
+                .or_insert_with(|| Arc::new(generate(scale, seed))),
+        )
+    }
+}
+
+/// The name → model table behind [`build_model`], [`replica_handle`]
+/// and [`served_zoo`].
+///
+/// # Panics
+///
+/// Panics on an unknown name.
+fn prototype(name: &str, data: &mut Datasets) -> Box<dyn Prototype> {
     let (base, dataset) = match name.split_once('@') {
         Some((b, d)) => (b, Some(d)),
         None => (name, None),
     };
+    let (scale, seed) = (data.scale, data.seed);
     match base {
         "jodie" | "tgn" | "tgat" => {
             let data = match dataset {
-                Some("lastfm") => lastfm(scale, seed),
-                Some("reddit") => dgnn_datasets::reddit(scale, seed),
-                _ => wikipedia(scale, seed),
+                Some("lastfm") => data.temporal("lastfm", lastfm),
+                Some("reddit") => data.temporal("reddit", reddit),
+                _ => data.temporal("wikipedia", wikipedia),
             };
             match base {
                 "jodie" => Box::new(Jodie::new(data, JodieConfig::default(), seed)),
@@ -103,26 +167,22 @@ pub fn build_model(name: &str, scale: Scale, seed: u64) -> Box<dyn DgnnModel> {
             seed,
         )),
         "dyrep" => Box::new(DyRep::new(
-            social_evolution(scale, seed),
+            data.temporal("social_evolution", social_evolution),
             DyRepConfig::default(),
             seed,
         )),
-        "ldg_mlp" => Box::new(Ldg::new(
-            github(scale, seed),
-            LdgConfig {
-                dim: 32,
-                encoder: LdgEncoder::Mlp,
-            },
-            seed,
-        )),
-        "ldg_bilinear" => Box::new(Ldg::new(
-            github(scale, seed),
-            LdgConfig {
-                dim: 32,
-                encoder: LdgEncoder::Bilinear,
-            },
-            seed,
-        )),
+        "ldg_mlp" | "ldg_bilinear" => {
+            let encoder = if base == "ldg_mlp" {
+                LdgEncoder::Mlp
+            } else {
+                LdgEncoder::Bilinear
+            };
+            Box::new(Ldg::new(
+                data.temporal("github", github),
+                LdgConfig { dim: 32, encoder },
+                seed,
+            ))
+        }
         "evolvegcn_o" | "evolvegcn_h" => {
             let version = if base.ends_with("_h") {
                 EvolveGcnVersion::H
@@ -130,8 +190,8 @@ pub fn build_model(name: &str, scale: Scale, seed: u64) -> Box<dyn DgnnModel> {
                 EvolveGcnVersion::O
             };
             let data = match dataset {
-                Some("wikipedia") => as_snapshots(&wikipedia(scale, seed), 24),
-                Some("reddit") => as_snapshots(&dgnn_datasets::reddit(scale, seed), 24),
+                Some("wikipedia") => as_snapshots(&data.temporal("wikipedia", wikipedia), 24),
+                Some("reddit") => as_snapshots(&data.temporal("reddit", reddit), 24),
                 Some("sbm") => sbm(scale, seed),
                 _ => bitcoin_alpha(scale, seed),
             };
@@ -146,6 +206,12 @@ pub fn build_model(name: &str, scale: Scale, seed: u64) -> Box<dyn DgnnModel> {
         }
         other => panic!("unknown model `{other}`; known: {MODEL_NAMES:?}"),
     }
+}
+
+/// A handle over the prototype of `name`: each build is a clone.
+fn handle(name: &str, data: &mut Datasets) -> ReplicaHandle {
+    let prototype = prototype(name, data);
+    ReplicaHandle::new(name, move || prototype.fresh())
 }
 
 /// The default inference configuration each model was profiled with in
@@ -169,31 +235,35 @@ pub fn default_config(name: &str) -> InferenceConfig {
     }
 }
 
-/// A serving-ready replica handle for `name`: rebuilds the model (with
-/// its paper dataset at `scale`) identically on every call, which is
-/// exactly the contract `dgnn-serve` replicas need.
+/// A serving-ready replica handle for `name`: builds the model (with
+/// its paper dataset at `scale`) once, as a prototype that is never
+/// run, and hands out a clone of it on every
+/// [`ReplicaHandle::build`]. Every clone is bit-identical to a fresh
+/// [`build_model`]; clones share only immutable data (datasets, event
+/// streams, adjacency), never state a run mutates.
 ///
 /// # Panics
 ///
 /// Panics on an unknown name (same contract as [`build_model`]).
-pub fn replica_handle(name: &str, scale: Scale, seed: u64) -> dgnn_models::ReplicaHandle {
-    let _ = build_model(name, scale, seed); // validate the name eagerly
-    let owned = name.to_string();
-    dgnn_models::ReplicaHandle::new(name, move || build_model(&owned, scale, seed))
+pub fn replica_handle(name: &str, scale: Scale, seed: u64) -> ReplicaHandle {
+    handle(name, &mut Datasets::new(scale, seed))
 }
 
 /// A uniformly-weighted serving mix over `names`, each model bound to
 /// its paper dataset at `scale` and its paper inference configuration
-/// capped at one unit per request.
+/// capped at one unit per request. Each handle hands out clones of a
+/// never-run prototype, like [`replica_handle`]; each distinct dataset
+/// is generated once and shared by every model that reads it.
 ///
 /// # Panics
 ///
 /// Panics on an unknown name (same contract as [`build_model`]).
 pub fn served_zoo(names: &[&str], scale: Scale, seed: u64) -> Vec<dgnn_serve::ServedModel> {
+    let mut data = Datasets::new(scale, seed);
     names
         .iter()
         .map(|name| dgnn_serve::ServedModel {
-            handle: replica_handle(name, scale, seed),
+            handle: handle(name, &mut data),
             cfg: default_config(name).with_max_units(1),
             weight: 1.0,
         })

@@ -10,15 +10,23 @@
 //! configurations of `serve_sweep`, `streaming_ingest` and
 //! `fleet_sweep` each reduce to one outcome fingerprint, and `serve`
 //! must equal a one-pool static `serve_fleet` record for record.
+//!
+//! The last two tests hold the replica handles to their contract: a
+//! handle's prototype is never run, so every model it builds runs like
+//! a fresh `build_model`, and a zoo whose models share datasets serves
+//! exactly like one built from separate handles.
 
-use dgnn_bench::{build_model, default_config, measure_sanitized, served_zoo};
+use dgnn_bench::{
+    build_model, default_config, measure_sanitized, replica_handle, served_zoo, MODEL_NAMES,
+};
 use dgnn_datasets::{wikipedia, Scale};
-use dgnn_device::{DurationNs, ExecMode, PlatformSpec};
+use dgnn_device::{DurationNs, ExecMode, Executor, PlatformSpec};
+use dgnn_models::DgnnModel;
 use dgnn_profile::LatencyStats;
 use dgnn_serve::{
     serve, serve_fleet, serve_streaming, AutoscalerConfig, FleetConfig, FleetOutcome, Request,
-    RouterPolicy, ServeConfig, ServeOutcome, ServedBatch, ServedRequest, StreamingConfig,
-    StreamingOutcome, WorkloadShape,
+    RouterPolicy, ServeConfig, ServeOutcome, ServedBatch, ServedModel, ServedRequest,
+    StreamingConfig, StreamingOutcome, WorkloadShape,
 };
 
 #[test]
@@ -138,6 +146,24 @@ impl Digest {
         self.ns(b.started);
         self.ns(b.completed);
         self.word(u64::from(b.summary.checksum.to_bits()));
+    }
+
+    /// Every field of every timeline event of `ex`.
+    fn timeline(&mut self, ex: &Executor) {
+        let events = ex.timeline().events();
+        self.n(events.len());
+        for e in events {
+            self.text(e.label);
+            self.text(&e.scope);
+            self.text(&format!("{:?} {:?}", e.category, e.place));
+            self.ns(e.start);
+            self.ns(e.end);
+            self.f(e.occupancy);
+            self.word(e.flops);
+            self.word(e.bytes);
+            self.n(e.stream.map_or(0, |lane| lane.index() + 1));
+            self.n(e.device);
+        }
     }
 }
 
@@ -412,4 +438,63 @@ fn serve_equals_a_one_pool_static_poisson_fleet() {
             );
         }
     }
+}
+
+/// Checksum bits, inference time and every timeline event of one run of
+/// `model` on a fresh GPU executor.
+fn run_digest(model: &mut dyn DgnnModel) -> u64 {
+    let name = model.name();
+    let cfg = default_config(name).with_max_units(1);
+    let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
+    let summary = model
+        .run(&mut ex, &cfg)
+        .unwrap_or_else(|e| panic!("{name} inference failed: {e}"));
+    let mut d = Digest::new();
+    d.word(u64::from(summary.checksum.to_bits()));
+    d.ns(summary.inference_time);
+    d.timeline(&ex);
+    d.0
+}
+
+/// A handle hands out fresh models: two models built from one handle,
+/// each run in turn, both run exactly like a `build_model` model. JODIE,
+/// TGN, DyRep, LDG and EvolveGCN change state when they run, so this
+/// fails if a handle's prototype ever runs or its builds share state.
+#[test]
+fn replica_handles_hand_out_fresh_models() {
+    for &name in MODEL_NAMES {
+        let want = run_digest(build_model(name, Scale::Tiny, SMOKE_SEED).as_mut());
+        let handle = replica_handle(name, Scale::Tiny, SMOKE_SEED);
+        for build in 0..2 {
+            let got = run_digest(handle.build().as_mut());
+            assert_eq!(got, want, "{name}: build {build} ran unlike a fresh model");
+        }
+    }
+}
+
+/// Models that share a dataset in one `served_zoo` (JODIE, TGN and TGAT
+/// all read Wikipedia) serve exactly like the same mix built from three
+/// separate handles, each over its own dataset.
+#[test]
+fn served_zoo_with_shared_datasets_matches_separate_handles() {
+    let names = ["jodie", "tgn", "tgat"];
+    let separate: Vec<ServedModel> = names
+        .iter()
+        .map(|&name| ServedModel {
+            handle: replica_handle(name, Scale::Tiny, SMOKE_SEED),
+            cfg: default_config(name).with_max_units(1),
+            weight: 1.0,
+        })
+        .collect();
+    let shared = served_zoo(&names, Scale::Tiny, SMOKE_SEED);
+    let digest = |zoo: &[ServedModel]| {
+        let out = serve_fleet(&flash_cfg(), zoo);
+        let mut d = Digest::new();
+        d.word(fleet_digest(&out));
+        out.sessions.iter().for_each(|ex| d.timeline(ex));
+        (out.batches.len(), d.0)
+    };
+    let want = digest(&separate);
+    assert!(want.0 > 0, "the fleet must serve batches");
+    assert_eq!(digest(&shared), want);
 }

@@ -980,7 +980,7 @@ mod tests {
             .unwrap();
         }
         let e = ex.timeline().events().last().unwrap();
-        assert_eq!(e.scope, "gnn/layer0");
+        assert_eq!(&*e.scope, "gnn/layer0");
         let paths: Vec<&str> = ex.scopes().iter().map(|s| s.path.as_str()).collect();
         assert!(paths.contains(&"gnn") && paths.contains(&"gnn/layer0"));
     }

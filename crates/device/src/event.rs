@@ -1,5 +1,7 @@
 //! Timeline events: the simulated Nsight Systems trace records.
 
+use std::sync::Arc;
+
 use dgnn_tensor::OpKind;
 
 use crate::stream::StreamId;
@@ -78,8 +80,9 @@ pub struct TimelineEvent {
     /// Human-readable label.
     pub label: &'static str,
     /// Profiler scope path active when the event was emitted
-    /// (e.g. `"inference/attention"`).
-    pub scope: String,
+    /// (e.g. `"inference/attention"`), shared by every event the scope
+    /// emits.
+    pub scope: Arc<str>,
     /// Event category.
     pub category: EventCategory,
     /// Execution place.
@@ -125,7 +128,7 @@ mod tests {
     fn ev(start: u64, end: u64) -> TimelineEvent {
         TimelineEvent {
             label: "k",
-            scope: String::new(),
+            scope: "".into(),
             category: EventCategory::Kernel(OpKind::Gemm),
             place: Place::Gpu,
             start: DurationNs::from_nanos(start),

@@ -16,6 +16,8 @@
 //! is active the engine is bit-identical to the historical sequential
 //! implementation — every existing timeline invariant holds unchanged.
 
+use std::sync::Arc;
+
 use dgnn_tensor::{OpDescriptor, OpKind};
 
 use crate::cache::{
@@ -58,7 +60,6 @@ pub struct ScopeRecord {
 /// back to [`Executor::exit_scope`] to close the span.
 #[derive(Debug)]
 pub(crate) struct ScopeToken {
-    path: String,
     depth: usize,
     start: DurationNs,
 }
@@ -100,7 +101,11 @@ pub struct Executor {
     clock: DurationNs,
     timeline: Timeline,
     scopes: Vec<ScopeRecord>,
-    scope_stack: Vec<String>,
+    /// Slash-joined path of the innermost open scope (empty outside
+    /// every scope). Events share it rather than each joining the stack.
+    scope_path: Arc<str>,
+    /// Paths of the enclosing open scopes, outermost first.
+    scope_stack: Vec<Arc<str>>,
     cpu_mem: MemoryTracker,
     gpu_mem: MemoryTracker,
     context_ready: bool,
@@ -136,6 +141,7 @@ impl Executor {
             clock: DurationNs::ZERO,
             timeline: Timeline::new(),
             scopes: Vec::new(),
+            scope_path: Arc::from(""),
             scope_stack: Vec::new(),
             cpu_mem: MemoryTracker::new(),
             gpu_mem: MemoryTracker::new(),
@@ -694,17 +700,18 @@ impl Executor {
         }
     }
 
-    fn current_path(&self) -> String {
-        self.scope_stack.join("/")
-    }
-
     /// Opens a named profiler scope and returns a token for
     /// [`Executor::exit_scope`]. Used by wrappers (the dispatcher) that
     /// cannot express the scope as a closure over `&mut Executor`.
     pub(crate) fn enter_scope(&mut self, name: &str) -> ScopeToken {
-        self.scope_stack.push(name.to_string());
+        let path: Arc<str> = if self.scope_stack.is_empty() {
+            Arc::from(name)
+        } else {
+            Arc::from(format!("{}/{name}", self.scope_path))
+        };
+        self.scope_stack
+            .push(std::mem::replace(&mut self.scope_path, path));
         ScopeToken {
-            path: self.current_path(),
             depth: self.scope_stack.len() - 1,
             start: self.cursor(),
         }
@@ -713,9 +720,13 @@ impl Executor {
     /// Closes the scope opened with the given token, recording its span.
     pub(crate) fn exit_scope(&mut self, token: ScopeToken) {
         let end = self.cursor();
-        self.scope_stack.pop();
+        let parent = self
+            .scope_stack
+            .pop()
+            .expect("exit_scope without enter_scope");
+        let path = std::mem::replace(&mut self.scope_path, parent);
         self.scopes.push(ScopeRecord {
-            path: token.path,
+            path: path.to_string(),
             depth: token.depth,
             start: token.start,
             end,
@@ -753,7 +764,7 @@ impl Executor {
         let end = start + duration;
         self.timeline.push(TimelineEvent {
             label,
-            scope: self.current_path(),
+            scope: Arc::clone(&self.scope_path),
             category,
             place,
             start,
@@ -1295,7 +1306,7 @@ mod tests {
             });
         });
         let e = ex.timeline().events().last().unwrap();
-        assert_eq!(e.scope, "run/gnn");
+        assert_eq!(&*e.scope, "run/gnn");
     }
 
     #[test]

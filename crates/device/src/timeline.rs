@@ -276,7 +276,7 @@ mod tests {
     fn kernel_on(device: usize, start: u64, end: u64, occ: f64) -> TimelineEvent {
         TimelineEvent {
             label: "k",
-            scope: "run/attn".to_string(),
+            scope: "run/attn".into(),
             category: EventCategory::Kernel(OpKind::Gemm),
             place: Place::Gpu,
             start: DurationNs::from_nanos(start),
@@ -292,7 +292,7 @@ mod tests {
     fn transfer(start: u64, end: u64, bytes: u64, dir: TransferDir) -> TimelineEvent {
         TimelineEvent {
             label: dir.name(),
-            scope: "run".to_string(),
+            scope: "run".into(),
             category: EventCategory::Transfer(dir),
             place: Place::Pcie,
             start: DurationNs::from_nanos(start),

@@ -48,7 +48,7 @@ impl Default for AstgnnConfig {
 }
 
 /// The ASTGNN model bound to a sensor dataset.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Astgnn {
     data: TimeSeriesDataset,
     cfg: AstgnnConfig,

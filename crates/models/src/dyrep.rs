@@ -8,8 +8,11 @@
 //! serialized kernels; inference on the GPU never beats the CPU at any
 //! batch size (Fig 8) and utilization stays under 2%.
 
+use std::sync::Arc;
+
 use dgnn_datasets::TemporalDataset;
 use dgnn_device::{DeviceTensor, Dispatcher, Executor, HostWork};
+use dgnn_graph::EventStream;
 use dgnn_nn::{EmbeddingTable, Linear, Module, RnnCell};
 use dgnn_tensor::{Tensor, TensorRng};
 
@@ -35,10 +38,11 @@ impl Default for DyRepConfig {
     }
 }
 
-/// The DyRep model bound to a dataset.
-#[derive(Debug)]
+/// The DyRep model bound to a dataset's event stream.
+#[derive(Debug, Clone)]
 pub struct DyRep {
-    data: TemporalDataset,
+    stream: Arc<EventStream>,
+    edge_dim: usize,
     cfg: DyRepConfig,
     embeddings: EmbeddingTable,
     update_rnn: RnnCell,
@@ -47,8 +51,11 @@ pub struct DyRep {
 }
 
 impl DyRep {
-    /// Builds DyRep over an event dataset.
-    pub fn new(data: TemporalDataset, cfg: DyRepConfig, seed: u64) -> Self {
+    /// Builds DyRep over an event dataset, owned or shared. It keeps the
+    /// stream, which clones share, and the edge-feature width, not the
+    /// features.
+    pub fn new(data: impl Into<Arc<TemporalDataset>>, cfg: DyRepConfig, seed: u64) -> Self {
+        let data = data.into();
         let mut rng = TensorRng::seed(seed);
         let d = cfg.dim;
         // RNN input: local propagation + self propagation + exogenous drive.
@@ -57,7 +64,8 @@ impl DyRep {
             update_rnn: RnnCell::new(3 * d, d, &mut rng),
             intensity: Linear::new(2 * d, 1, &mut rng),
             attention_w: Linear::new(2 * d, 1, &mut rng),
-            data,
+            stream: Arc::new(data.stream.clone()),
+            edge_dim: data.edge_dim(),
             cfg,
         }
     }
@@ -103,7 +111,6 @@ impl DgnnModel for DyRep {
         let mut iterations = 0usize;
 
         let batches: Vec<Vec<dgnn_graph::TemporalEvent>> = self
-            .data
             .stream
             .batches(cfg.batch_size)
             .take(cfg.max_units.max(1))
@@ -115,7 +122,7 @@ impl DgnnModel for DyRep {
             for batch in &batches {
                 // Batch features to device once per batch.
                 let payload = DeviceTensor::host_scaled(
-                    Tensor::zeros(&[1, self.data.edge_dim() + 4]),
+                    Tensor::zeros(&[1, self.edge_dim + 4]),
                     batch.len() as f64,
                 );
                 dx.scope("memcpy_h2d", |dx| dx.ensure_resident(&payload));

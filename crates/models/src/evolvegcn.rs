@@ -71,7 +71,7 @@ impl Default for EvolveGcnConfig {
 }
 
 /// The EvolveGCN model bound to a snapshot dataset.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EvolveGcn {
     data: SnapshotDataset,
     cfg: EvolveGcnConfig,

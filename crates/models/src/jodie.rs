@@ -14,6 +14,8 @@
 //! [`crate::MemoryRule::JodieRnn`], the serving-side twin of the RNN
 //! update applied per live event on the Host lane.
 
+use std::sync::Arc;
+
 use dgnn_datasets::TemporalDataset;
 use dgnn_device::{DeviceTensor, Dispatcher, Executor, HostWork};
 use dgnn_graph::{TBatcher, TemporalEvent};
@@ -53,9 +55,9 @@ impl Default for JodieConfig {
 }
 
 /// The JODIE model bound to a dataset.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Jodie {
-    data: TemporalDataset,
+    data: Arc<TemporalDataset>,
     cfg: JodieConfig,
     embeddings: EmbeddingTable,
     user_rnn: RnnCell,
@@ -65,8 +67,10 @@ pub struct Jodie {
 }
 
 impl Jodie {
-    /// Builds JODIE over an interaction dataset.
-    pub fn new(data: TemporalDataset, cfg: JodieConfig, seed: u64) -> Self {
+    /// Builds JODIE over an interaction dataset, owned or shared; clones
+    /// share it.
+    pub fn new(data: impl Into<Arc<TemporalDataset>>, cfg: JodieConfig, seed: u64) -> Self {
+        let data = data.into();
         let mut rng = TensorRng::seed(seed);
         let d = cfg.dim;
         let in_dim = d + data.edge_dim() + 1; // partner embedding + features + Δt

@@ -7,8 +7,11 @@
 //! outperform the CPU and utilization stays under 2% for both the MLP
 //! and the bilinear encoder variants.
 
+use std::sync::Arc;
+
 use dgnn_datasets::TemporalDataset;
 use dgnn_device::{DeviceTensor, Dispatcher, Executor, HostWork};
+use dgnn_graph::EventStream;
 use dgnn_nn::{EmbeddingTable, Linear, Mlp, Module, RnnCell};
 use dgnn_tensor::{Tensor, TensorRng};
 
@@ -47,10 +50,11 @@ impl Default for LdgConfig {
     }
 }
 
-/// The LDG model bound to a dataset.
-#[derive(Debug)]
+/// The LDG model bound to a dataset's event stream.
+#[derive(Debug, Clone)]
 pub struct Ldg {
-    data: TemporalDataset,
+    stream: Arc<EventStream>,
+    edge_dim: usize,
     cfg: LdgConfig,
     embeddings: EmbeddingTable,
     update_rnn: RnnCell,
@@ -60,8 +64,11 @@ pub struct Ldg {
 }
 
 impl Ldg {
-    /// Builds LDG over an event dataset.
-    pub fn new(data: TemporalDataset, cfg: LdgConfig, seed: u64) -> Self {
+    /// Builds LDG over an event dataset, owned or shared. It keeps the
+    /// stream, which clones share, and the edge-feature width, not the
+    /// features.
+    pub fn new(data: impl Into<Arc<TemporalDataset>>, cfg: LdgConfig, seed: u64) -> Self {
+        let data = data.into();
         let mut rng = TensorRng::seed(seed);
         let d = cfg.dim;
         Ldg {
@@ -70,7 +77,8 @@ impl Ldg {
             encoder_mlp: Mlp::new(&[2 * d, 2 * d, d], &mut rng),
             encoder_bilinear: Linear::new(2 * d, d, &mut rng),
             decoder: Linear::new(2 * d, 1, &mut rng),
-            data,
+            stream: Arc::new(data.stream.clone()),
+            edge_dim: data.edge_dim(),
             cfg,
         }
     }
@@ -125,7 +133,6 @@ impl DgnnModel for Ldg {
         let mut iterations = 0usize;
 
         let batches: Vec<Vec<dgnn_graph::TemporalEvent>> = self
-            .data
             .stream
             .batches(cfg.batch_size)
             .take(cfg.max_units.max(1))
@@ -136,7 +143,7 @@ impl DgnnModel for Ldg {
             let mut dx = Dispatcher::new(ex);
             for batch in &batches {
                 let payload = DeviceTensor::host_scaled(
-                    Tensor::zeros(&[1, self.data.edge_dim() + 4]),
+                    Tensor::zeros(&[1, self.edge_dim + 4]),
                     batch.len() as f64,
                 );
                 dx.scope("memcpy_h2d", |dx| dx.ensure_resident(&payload));

@@ -55,7 +55,7 @@ impl Default for MolDgnnConfig {
 }
 
 /// The MolDGNN model bound to a trajectory dataset.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MolDgnn {
     data: TrajectoryDataset,
     cfg: MolDgnnConfig,

@@ -1,15 +1,19 @@
-//! Replica handles: recipes for materializing fresh model instances.
+//! Replica handles: factories for fresh model instances.
 //!
 //! A serving layer keeps *sessions* (warm executors with resident
-//! weights) alive across requests, but rebuilds the *model struct* per
-//! service so that every request's numerics depend only on the handle's
-//! seed-deterministic recipe — never on mutable state a previous
-//! request left behind. The struct rebuild is host-side Rust work the
-//! simulator does not price; the priced warm-up (context init, weight
-//! upload) is exactly what the warm session amortizes.
+//! weights) alive across requests, but takes a fresh *model struct*
+//! from the handle per service, so that every request's numerics depend
+//! only on the handle's seed-deterministic model — never on mutable
+//! state a previous request left behind. Taking the struct is host-side
+//! Rust work the simulator does not price; the priced warm-up (context
+//! init, weight upload) is exactly what the warm session amortizes.
 //!
-//! `dgnn-bench` provides handles for the full 8-model zoo
-//! (`zoo_handles`), binding each model to its paper dataset.
+//! `dgnn-bench`'s `replica_handle` and `served_zoo` build each model
+//! once, bound to its paper dataset, as a prototype that is never run;
+//! every [`ReplicaHandle::build`] returns a clone of it. Clones share
+//! only immutable data (datasets, event streams, adjacency), so each is
+//! bit-identical to a fresh build. The zoo has ten model names
+//! (`MODEL_NAMES`).
 
 use crate::common::DgnnModel;
 
@@ -17,12 +21,12 @@ use crate::common::DgnnModel;
 /// on every call.
 pub type ModelFactory = Box<dyn Fn() -> Box<dyn DgnnModel> + Send + Sync>;
 
-/// A named recipe for building replicas of one model.
+/// A named factory for replicas of one model.
 ///
 /// Two instances built from the same handle are bit-identical: the
-/// factory must close over its dataset and seed, not over mutable
-/// state. [`ReplicaHandle::build`] is therefore safe to call once per
-/// served batch.
+/// factory must close over its dataset and seed, or over a prototype
+/// that is never run, not over mutable state. [`ReplicaHandle::build`]
+/// is therefore safe to call once per served batch.
 pub struct ReplicaHandle {
     name: String,
     factory: ModelFactory,

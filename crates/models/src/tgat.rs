@@ -16,11 +16,13 @@
 //! out of the first device-side use rather than a hand-inserted
 //! `transfer()` call.
 
+use std::sync::Arc;
+
 use dgnn_datasets::TemporalDataset;
 use dgnn_device::{
     DeviceTensor, Dispatcher, Executor, HostWork, StreamId, TensorClass, TransferDir,
 };
-use dgnn_graph::{NeighborSampler, SampleStrategy, TemporalAdjacency};
+use dgnn_graph::{EventStream, NeighborSampler, SampleStrategy, TemporalAdjacency};
 use dgnn_nn::{BochnerTimeEncoder, Linear, Module, MultiHeadAttention};
 use dgnn_tensor::{Tensor, TensorRng};
 
@@ -63,10 +65,12 @@ impl Default for TgatConfig {
     }
 }
 
-/// The TGAT model bound to a dataset.
-#[derive(Debug)]
+/// The TGAT model bound to a dataset's stream and node features.
+#[derive(Debug, Clone)]
 pub struct Tgat {
-    data: TemporalDataset,
+    stream: EventStream,
+    node_features: Tensor,
+    edge_dim: usize,
     adj: TemporalAdjacency,
     cfg: TgatConfig,
     feat_proj: Linear,
@@ -77,8 +81,11 @@ pub struct Tgat {
 }
 
 impl Tgat {
-    /// Builds TGAT over an interaction dataset.
-    pub fn new(data: TemporalDataset, cfg: TgatConfig, seed: u64) -> Self {
+    /// Builds TGAT over an interaction dataset, owned or shared. It keeps
+    /// copies of the stream and node features and the edge-feature
+    /// width, not the edge features.
+    pub fn new(data: impl Into<Arc<TemporalDataset>>, cfg: TgatConfig, seed: u64) -> Self {
+        let data = data.into();
         let mut rng = TensorRng::seed(seed);
         let adj = TemporalAdjacency::from_stream(&data.stream);
         let d = cfg.dim;
@@ -92,7 +99,9 @@ impl Tgat {
             .collect();
         let predictor = Linear::new(2 * d, 1, &mut rng);
         Tgat {
-            data,
+            stream: data.stream.clone(),
+            node_features: data.node_features.clone(),
+            edge_dim: data.edge_dim(),
             adj,
             cfg,
             feat_proj,
@@ -149,8 +158,7 @@ impl DgnnModel for Tgat {
 
     fn param_bytes(&self) -> u64 {
         // Learned node embeddings live on the GPU alongside the weights.
-        self.modules().iter().map(|m| m.param_bytes()).sum::<u64>()
-            + self.data.node_features.byte_len()
+        self.modules().iter().map(|m| m.param_bytes()).sum::<u64>() + self.node_features.byte_len()
     }
 
     fn param_tensors(&self) -> u64 {
@@ -186,13 +194,12 @@ impl DgnnModel for Tgat {
         let n_layers = self.cfg.n_layers;
         let sampler = NeighborSampler::new(SampleStrategy::Uniform, cfg.seed);
         // One gathered row: edge features + time delta + neighbor index.
-        let row_bytes = ((self.data.edge_dim() + 2) * 4) as u64;
-        let n_nodes = self.data.stream.n_nodes();
+        let row_bytes = ((self.edge_dim + 2) * 4) as u64;
+        let n_nodes = self.stream.n_nodes();
         let mut checksum = 0.0f32;
         let mut iterations = 0usize;
 
         let batches: Vec<Vec<dgnn_graph::TemporalEvent>> = self
-            .data
             .stream
             .batches(cfg.batch_size)
             .take(cfg.max_units.max(1))
@@ -322,7 +329,7 @@ impl DgnnModel for Tgat {
                                 } else if plan.cached || staged_slices {
                                     dx.transfer(TransferDir::H2D, scaled_rows(s) * row_bytes);
                                 } else if plan.granular {
-                                    let feat_bytes = edge_rows * (self.data.edge_dim() * 4) as u64;
+                                    let feat_bytes = edge_rows * (self.edge_dim * 4) as u64;
                                     let delta_bytes = edge_rows * 4;
                                     let index_bytes = edge_rows * 4;
                                     for bytes in [feat_bytes, delta_bytes, index_bytes] {
@@ -330,7 +337,7 @@ impl DgnnModel for Tgat {
                                     }
                                 } else {
                                     let payload = DeviceTensor::host_scaled(
-                                        Tensor::zeros(&[1, self.data.edge_dim() + 2]),
+                                        Tensor::zeros(&[1, self.edge_dim + 2]),
                                         edge_rows as f64,
                                     );
                                     dx.ensure_resident(&payload);
@@ -350,13 +357,16 @@ impl DgnnModel for Tgat {
                         // targets and one event's worth of sampled
                         // neighbors.
                         let rep_src: Vec<usize> = slice.iter().take(rep).map(|e| e.src).collect();
-                        let src_feats = self.data.node_features.gather_rows(&rep_src)?;
+                        let src_feats = self.node_features.gather_rows(&rep_src)?;
                         let neigh: Vec<&dgnn_graph::sampler::SampledNeighbor> = rep_layers
                             .get(1)
                             .map(|l| l.iter().take(k).collect())
                             .unwrap_or_default();
                         let (neigh_feats, deltas) = if neigh.is_empty() {
-                            (Tensor::zeros(&[1, self.data.node_dim()]), vec![0.0f32])
+                            (
+                                Tensor::zeros(&[1, self.node_features.dims()[1]]),
+                                vec![0.0f32],
+                            )
                         } else {
                             let ids: Vec<usize> = neigh.iter().map(|s| s.node).collect();
                             #[expect(
@@ -364,7 +374,7 @@ impl DgnnModel for Tgat {
                                 reason = "f32 timestamps suffice"
                             )]
                             let times: Vec<f32> = neigh.iter().map(|s| s.time as f32).collect();
-                            (self.data.node_features.gather_rows(&ids)?, times)
+                            (self.node_features.gather_rows(&ids)?, times)
                         };
                         let kn = neigh_feats.dims()[0];
 

@@ -22,6 +22,8 @@
 //! GRU update, priced as Host-lane work so ingestion contends with
 //! query sampling.
 
+use std::sync::Arc;
+
 use dgnn_datasets::TemporalDataset;
 use dgnn_device::{
     DeviceTensor, Dispatcher, Executor, HostWork, StreamId, TensorClass, TransferDir,
@@ -66,10 +68,10 @@ impl Default for TgnConfig {
 }
 
 /// The TGN model bound to a dataset.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Tgn {
-    data: TemporalDataset,
-    adj: TemporalAdjacency,
+    data: Arc<TemporalDataset>,
+    adj: Arc<TemporalAdjacency>,
     cfg: TgnConfig,
     memory: EmbeddingTable,
     message_fn: Linear,
@@ -80,10 +82,12 @@ pub struct Tgn {
 }
 
 impl Tgn {
-    /// Builds TGN over an interaction dataset.
-    pub fn new(data: TemporalDataset, cfg: TgnConfig, seed: u64) -> Self {
+    /// Builds TGN over an interaction dataset, owned or shared; clones
+    /// share it and its adjacency.
+    pub fn new(data: impl Into<Arc<TemporalDataset>>, cfg: TgnConfig, seed: u64) -> Self {
+        let data = data.into();
         let mut rng = TensorRng::seed(seed);
-        let adj = TemporalAdjacency::from_stream(&data.stream);
+        let adj = Arc::new(TemporalAdjacency::from_stream(&data.stream));
         let d = cfg.dim;
         let msg_in = 2 * d + data.edge_dim() + cfg.time_dim;
         Tgn {
@@ -248,7 +252,7 @@ impl DgnnModel for Tgn {
                                 let roots: Vec<(usize, f64)> =
                                     slice.iter().take(rep).map(|e| (e.src, e.time)).collect();
                                 let (rep_samples, cost) =
-                                    sampler.sample_batch(&self.adj, &roots, k);
+                                    sampler.sample_batch(&*self.adj, &roots, k);
                                 let sc = (bsz as u64).div_ceil(rep as u64);
                                 let parallelism =
                                     if cfg.parallel_sampling { bsz as u64 } else { 1 };

@@ -313,11 +313,10 @@ impl PoolState {
 /// use dgnn_models::{InferenceConfig, Jodie, JodieConfig, ReplicaHandle};
 /// use dgnn_serve::{serve_fleet, FleetConfig, ServedModel};
 ///
-/// let data = wikipedia(Scale::Tiny, 11);
+/// // A prototype that is never run: every service gets a clone of it.
+/// let prototype = Jodie::new(wikipedia(Scale::Tiny, 11), JodieConfig::default(), 11);
 /// let zoo = vec![ServedModel {
-///     handle: ReplicaHandle::new("jodie", move || {
-///         Box::new(Jodie::new(data.clone(), JodieConfig::default(), 11))
-///     }),
+///     handle: ReplicaHandle::new("jodie", move || Box::new(prototype.clone())),
 ///     cfg: InferenceConfig::default().with_max_units(1),
 ///     weight: 1.0,
 /// }];

@@ -55,11 +55,10 @@
 //! use dgnn_models::{InferenceConfig, Jodie, JodieConfig, ReplicaHandle};
 //! use dgnn_serve::{serve, ServeConfig, ServedModel};
 //!
-//! let data = wikipedia(Scale::Tiny, 11);
+//! // A prototype that is never run: every service gets a clone of it.
+//! let prototype = Jodie::new(wikipedia(Scale::Tiny, 11), JodieConfig::default(), 11);
 //! let zoo = vec![ServedModel {
-//!     handle: ReplicaHandle::new("jodie", move || {
-//!         Box::new(Jodie::new(data.clone(), JodieConfig::default(), 11))
-//!     }),
+//!     handle: ReplicaHandle::new("jodie", move || Box::new(prototype.clone())),
 //!     cfg: InferenceConfig::default().with_max_units(1),
 //!     weight: 1.0,
 //! }];
@@ -109,8 +108,8 @@ pub const UNBOUNDED: usize = usize::MAX;
 /// One entry in the served model mix: how to build the model, how to
 /// run one request unit of it, and its share of the request stream.
 pub struct ServedModel {
-    /// Recipe for building fresh model instances (numerics depend only
-    /// on this, never on which replica served the request).
+    /// Factory for fresh model instances (numerics depend only on this,
+    /// never on which replica served the request).
     pub handle: ReplicaHandle,
     /// Per-unit inference configuration; a batch of `k` requests runs
     /// with `max_units` scaled by `k`.

@@ -20,10 +20,11 @@
 //!   weights are released and the new model's `model_init` is paid
 //!   inside the request's service time.
 //!
-//! The model *struct* is rebuilt from its [`ReplicaHandle`] on every
-//! service, so request numerics depend only on the handle's recipe —
-//! session reuse amortizes priced warm-up without carrying mutable
-//! model state between requests.
+//! Every service takes a fresh model *struct* from its
+//! [`ReplicaHandle`]: a clone of a prototype that is never run, sharing
+//! only immutable data with it. Request numerics therefore depend only
+//! on the handle's model — session reuse amortizes priced warm-up
+//! without carrying mutable model state between requests.
 
 use dgnn_device::{
     accumulate_class_stats, CacheStats, ClassCacheStats, DurationNs, ExecMode, Executor,
