@@ -104,7 +104,8 @@ pub struct Executor {
     /// Slash-joined path of the innermost open scope (empty outside
     /// every scope). Events share it rather than each joining the stack.
     scope_path: Arc<str>,
-    /// Paths of the enclosing open scopes, outermost first.
+    /// The path each open scope restores when it exits, outermost
+    /// first (the empty path at the bottom).
     scope_stack: Vec<Arc<str>>,
     cpu_mem: MemoryTracker,
     gpu_mem: MemoryTracker,
