@@ -1,0 +1,90 @@
+//! Smoke-scale golden outputs of the paper-figure binaries.
+//!
+//! Each test runs one bin at `--scale tiny --seed 1` and compares its
+//! stdout byte for byte with the file under `tests/golden/`. Every
+//! number those bins print comes from the simulated clock, so a change
+//! that moves any priced time, share, checksum or table row fails here.
+//! Debug and release builds print the same bytes.
+//!
+//! To re-record after an intended change, run each bin at the parent
+//! commit and redirect its stdout to the golden file, e.g.
+//! `target/release/fig7_breakdown --scale tiny --seed 1 >
+//! crates/bench/tests/golden/fig7_breakdown.txt`.
+
+use std::process::Command;
+
+fn check(bin: &str, golden: &str) {
+    let out = Command::new(bin)
+        .args(["--scale", "tiny", "--seed", "1"])
+        .output()
+        .unwrap_or_else(|e| panic!("cannot run {bin}: {e}"));
+    assert!(out.status.success(), "{bin} failed: {}", out.status);
+    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    if stdout != golden {
+        let line = stdout
+            .lines()
+            .zip(golden.lines())
+            .position(|(a, b)| a != b)
+            .unwrap_or(stdout.lines().count().min(golden.lines().count()));
+        panic!(
+            "{bin} stdout differs from its golden file from line {}:\n--- got ---\n{stdout}",
+            line + 1
+        );
+    }
+}
+
+#[test]
+fn table1_summary() {
+    check(
+        env!("CARGO_BIN_EXE_table1_summary"),
+        include_str!("golden/table1_summary.txt"),
+    );
+}
+
+#[test]
+fn fig6_mem_util() {
+    check(
+        env!("CARGO_BIN_EXE_fig6_mem_util"),
+        include_str!("golden/fig6_mem_util.txt"),
+    );
+}
+
+#[test]
+fn fig7_breakdown() {
+    check(
+        env!("CARGO_BIN_EXE_fig7_breakdown"),
+        include_str!("golden/fig7_breakdown.txt"),
+    );
+}
+
+#[test]
+fn fig9_astgnn_timeline() {
+    check(
+        env!("CARGO_BIN_EXE_fig9_astgnn_timeline"),
+        include_str!("golden/fig9_astgnn_timeline.txt"),
+    );
+}
+
+#[test]
+fn warmup_ratios() {
+    check(
+        env!("CARGO_BIN_EXE_warmup_ratios"),
+        include_str!("golden/warmup_ratios.txt"),
+    );
+}
+
+#[test]
+fn util_summary() {
+    check(
+        env!("CARGO_BIN_EXE_util_summary"),
+        include_str!("golden/util_summary.txt"),
+    );
+}
+
+#[test]
+fn ablation_optimizations() {
+    check(
+        env!("CARGO_BIN_EXE_ablation_optimizations"),
+        include_str!("golden/ablation_optimizations.txt"),
+    );
+}
