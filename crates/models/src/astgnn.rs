@@ -13,8 +13,7 @@ use dgnn_device::{DeviceTensor, Dispatcher, Executor, HostWork};
 use dgnn_nn::{GcnLayer, LayerNorm, Linear, Module, MultiHeadAttention};
 use dgnn_tensor::{OpDescriptor, Tensor, TensorRng};
 
-use crate::common::{representative, DgnnModel, InferenceConfig, RunSummary};
-use crate::registry::{all_model_infos, ModelInfo};
+use crate::common::{representative, run_units, DgnnModel, InferenceConfig, RunPlan, RunSummary};
 use crate::Result;
 
 /// Framework ops per subgraph window for slicing/normalizing the signal.
@@ -171,13 +170,6 @@ impl DgnnModel for Astgnn {
         "astgnn"
     }
 
-    fn info(&self) -> ModelInfo {
-        all_model_infos()
-            .into_iter()
-            .find(|i| i.name == "astgnn")
-            .expect("astgnn registered")
-    }
-
     fn param_bytes(&self) -> u64 {
         self.modules().iter().map(|m| m.param_bytes()).sum()
     }
@@ -195,14 +187,13 @@ impl DgnnModel for Astgnn {
     }
 
     fn infer(&mut self, ex: &mut Executor, cfg: &InferenceConfig) -> Result<RunSummary> {
-        cfg.apply_device_options(ex);
+        let plan = RunPlan::serial(cfg, ex);
         let b = cfg.batch_size.max(1);
         let n = self.data.n_sensors();
         let (t_in, t_out) = (self.cfg.t_in, self.cfg.t_out);
         let rep_n = representative(n);
         let window_scale = (b * n) as f64;
         let mut checksum = 0.0f32;
-        let mut iterations = 0usize;
 
         // Representative inputs: one window, leading sensors.
         let rep_adj = {
@@ -215,127 +206,93 @@ impl DgnnModel for Astgnn {
             Tensor::from_vec(sub, &[rep_n, rep_n])?
         };
 
-        let run: Result<()> = ex.scope("inference", |ex| {
-            let mut dx = Dispatcher::new(ex);
-            for iter in 0..cfg.max_units.max(1) {
-                dx.scope("iteration", |dx| -> Result<()> {
-                    // Window assembly on the CPU, then H2D.
-                    dx.scope("data_prep", |dx| {
-                        dx.host(HostWork::sequential(
-                            "slice_windows",
-                            b as u64 * WINDOW_PREP_OPS,
-                            (b * n * t_in * self.data.n_channels() * 4) as u64,
-                        ));
-                    });
-                    let upload = DeviceTensor::host_scaled(
-                        Tensor::zeros(&[1, self.data.n_channels()]),
-                        (b * n * t_in) as f64,
-                    );
-                    dx.scope("memcpy_h2d", |dx| dx.ensure_resident(&upload));
+        let (iterations, time) = run_units(ex, plan, 0..cfg.max_units.max(1), |dx, iter| {
+            dx.scope("iteration", |dx| -> Result<()> {
+                // Window assembly on the CPU, then H2D.
+                dx.scope("data_prep", |dx| {
+                    dx.host(HostWork::sequential(
+                        "slice_windows",
+                        b as u64 * WINDOW_PREP_OPS,
+                        (b * n * t_in * self.data.n_channels() * 4) as u64,
+                    ));
+                });
+                let upload = DeviceTensor::host_scaled(
+                    Tensor::zeros(&[1, self.data.n_channels()]),
+                    (b * n * t_in) as f64,
+                );
+                dx.scope("memcpy_h2d", |dx| dx.ensure_resident(&upload));
 
-                    // Representative signal: window `iter`, one sensor's
-                    // sequence stands in for every (window, sensor) pair.
-                    let t0 = (iter * t_in) % (self.data.n_steps() - t_in).max(1);
-                    let mut rep_sig = Vec::with_capacity(t_in * self.data.n_channels());
-                    for t in 0..t_in {
-                        for c in 0..self.data.n_channels() {
-                            rep_sig.push(self.data.signal.at(&[t0 + t, 0, c])?);
-                        }
+                // Representative signal: window `iter`, one sensor's
+                // sequence stands in for every (window, sensor) pair.
+                let t0 = (iter * t_in) % (self.data.n_steps() - t_in).max(1);
+                let mut rep_sig = Vec::with_capacity(t_in * self.data.n_channels());
+                for t in 0..t_in {
+                    for c in 0..self.data.n_channels() {
+                        rep_sig.push(self.data.signal.at(&[t0 + t, 0, c])?);
                     }
-                    let rep_window = dx.adopt(
-                        Tensor::from_vec(rep_sig, &[t_in, self.data.n_channels()])?,
-                        window_scale,
-                    );
-                    let mut h = self.input_proj.forward(dx, &rep_window)?;
+                }
+                let rep_window = dx.adopt(
+                    Tensor::from_vec(rep_sig, &[t_in, self.data.n_channels()])?,
+                    window_scale,
+                );
+                let mut h = self.input_proj.forward(dx, &rep_window)?;
 
-                    // Encoder.
-                    let mut rep_spatial = Tensor::ones(&[rep_n, self.cfg.dim]);
-                    let enc = dx.scope("encoder", |dx| -> Result<DeviceTensor> {
-                        for l in 0..self.cfg.layers {
-                            h = dx.scope("temporal_attention", |dx| {
-                                self.temporal_attention(dx, &self.enc_attn[l], b, t_in, &h)
-                            })?;
-                            rep_spatial = dx.scope("spatial_gcn", |dx| {
-                                self.spatial_gcn(
-                                    dx,
-                                    &self.enc_gcn[l],
-                                    b,
-                                    t_in,
-                                    &rep_spatial,
-                                    &rep_adj,
-                                )
-                            })?;
-                        }
-                        self.norm.forward(dx, &h).map_err(Into::into)
-                    })?;
+                // Encoder.
+                let mut rep_spatial = Tensor::ones(&[rep_n, self.cfg.dim]);
+                let enc = dx.scope("encoder", |dx| -> Result<DeviceTensor> {
+                    for l in 0..self.cfg.layers {
+                        h = dx.scope("temporal_attention", |dx| {
+                            self.temporal_attention(dx, &self.enc_attn[l], b, t_in, &h)
+                        })?;
+                        rep_spatial = dx.scope("spatial_gcn", |dx| {
+                            self.spatial_gcn(dx, &self.enc_gcn[l], b, t_in, &rep_spatial, &rep_adj)
+                        })?;
+                    }
+                    self.norm.forward(dx, &h).map_err(Into::into)
+                })?;
 
-                    // CPU-side preparation of the prediction step; at
-                    // small batch sizes this fixed cost leaves the GPU
-                    // idle between encoder and decoder (Fig 9a).
-                    dx.scope("prediction_prep", |dx| {
-                        dx.host(HostWork::sequential(
-                            "decoder_input_prep",
-                            300_000,
-                            (b * n * t_out * 4) as u64,
-                        ));
-                    });
+                // CPU-side preparation of the prediction step; at
+                // small batch sizes this fixed cost leaves the GPU
+                // idle between encoder and decoder (Fig 9a).
+                dx.scope("prediction_prep", |dx| {
+                    dx.host(HostWork::sequential(
+                        "decoder_input_prep",
+                        300_000,
+                        (b * n * t_out * 4) as u64,
+                    ));
+                });
 
-                    // Decoder: two temporal attention blocks + GCN per layer.
-                    let mut dec_h = enc.clone();
-                    dx.scope("decoder", |dx| -> Result<()> {
-                        for l in 0..self.cfg.layers {
-                            dec_h = dx.scope("temporal_attention", |dx| {
-                                self.temporal_attention(dx, &self.dec_attn[2 * l], b, t_out, &dec_h)
-                            })?;
-                            dec_h = dx.scope("temporal_attention", |dx| {
-                                self.temporal_attention(
-                                    dx,
-                                    &self.dec_attn[2 * l + 1],
-                                    b,
-                                    t_out,
-                                    &dec_h,
-                                )
-                            })?;
-                            rep_spatial = dx.scope("spatial_gcn", |dx| {
-                                self.spatial_gcn(
-                                    dx,
-                                    &self.dec_gcn[l],
-                                    b,
-                                    t_out,
-                                    &rep_spatial,
-                                    &rep_adj,
-                                )
-                            })?;
-                        }
-                        Ok(())
-                    })?;
-
-                    // Output + sync + D2H (the paper observes CUDA sync
-                    // delays at larger batch sizes).
-                    dx.scope("prediction", |dx| -> Result<()> {
-                        let out = self.output_proj.forward(dx, &dec_h)?;
-                        checksum += out.data().sum();
-                        Ok(())
-                    })?;
-                    dx.synchronize();
-                    let readback = dx.adopt(Tensor::zeros(&[1, 1]), (b * n * t_out) as f64);
-                    dx.scope("memcpy_d2h", |dx| dx.download(&readback));
-                    iterations += 1;
+                // Decoder: two temporal attention blocks + GCN per layer.
+                let mut dec_h = enc.clone();
+                dx.scope("decoder", |dx| -> Result<()> {
+                    for l in 0..self.cfg.layers {
+                        dec_h = dx.scope("temporal_attention", |dx| {
+                            self.temporal_attention(dx, &self.dec_attn[2 * l], b, t_out, &dec_h)
+                        })?;
+                        dec_h = dx.scope("temporal_attention", |dx| {
+                            self.temporal_attention(dx, &self.dec_attn[2 * l + 1], b, t_out, &dec_h)
+                        })?;
+                        rep_spatial = dx.scope("spatial_gcn", |dx| {
+                            self.spatial_gcn(dx, &self.dec_gcn[l], b, t_out, &rep_spatial, &rep_adj)
+                        })?;
+                    }
                     Ok(())
                 })?;
-            }
-            Ok(())
-        });
-        run?;
 
-        let inference_time = ex
-            .scopes()
-            .iter()
-            .rev()
-            .find(|s| s.path == "inference")
-            .map(|s| s.duration())
-            .unwrap_or_default();
-        Ok(RunSummary::new(iterations, inference_time, checksum))
+                // Output + sync + D2H (the paper observes CUDA sync
+                // delays at larger batch sizes).
+                dx.scope("prediction", |dx| -> Result<()> {
+                    let out = self.output_proj.forward(dx, &dec_h)?;
+                    checksum += out.data().sum();
+                    Ok(())
+                })?;
+                dx.synchronize();
+                let readback = dx.adopt(Tensor::zeros(&[1, 1]), (b * n * t_out) as f64);
+                dx.scope("memcpy_d2h", |dx| dx.download(&readback));
+                Ok(())
+            })
+        })?;
+        Ok(RunSummary::new(iterations, time, checksum))
     }
 }
 

@@ -1,8 +1,9 @@
 //! Shared model-execution machinery.
 
 use dgnn_device::{Dispatcher, DurationNs, EventId, ExecMode, Executor, StreamId, TransferMode};
+use dgnn_graph::{EventStream, TemporalEvent};
 
-use crate::registry::ModelInfo;
+use crate::registry::{all_model_infos, ModelInfo};
 use crate::Result;
 
 /// Cap on the number of rows the *functional* tensor math processes per
@@ -194,6 +195,15 @@ impl InferenceConfig {
         }
     }
 
+    /// The units of an event-stream model's run: the first `max_units`
+    /// (at least one) windows of `batch_size` events of `stream`.
+    pub(crate) fn batches<'s>(
+        &self,
+        stream: &'s EventStream,
+    ) -> impl Iterator<Item = &'s [TemporalEvent]> {
+        stream.batches(self.batch_size).take(self.max_units.max(1))
+    }
+
     /// Derives the knobs one `infer` call runs under on `ex`, after
     /// applying the config's executor-level options to it (see
     /// [`InferenceConfig::apply_device_options`]).
@@ -223,8 +233,9 @@ impl InferenceConfig {
 }
 
 /// The knobs one `infer` call runs under, derived once by
-/// [`InferenceConfig::plan`]. Drivers run their per-unit body once per
-/// shard; `shards == 1` is the single-device engine.
+/// [`InferenceConfig::plan`] (or [`RunPlan::serial`]). Drivers run their
+/// per-unit body once per shard; `shards == 1` is the single-device
+/// engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RunPlan {
     /// Shards each unit splits across: the configured count capped at
@@ -245,6 +256,56 @@ pub(crate) struct RunPlan {
     /// transaction per direction (GPU mode,
     /// [`TransferGranularity::Coalesced`]).
     pub(crate) coalesced: bool,
+}
+
+impl RunPlan {
+    /// The plan of JODIE, DyRep, LDG and ASTGNN, which price their units
+    /// in place: applies the config's executor-level options to `ex`,
+    /// then runs one shard with no lanes, no per-tensor pricing, no
+    /// cache routing and no coalescing, whatever the other knobs say.
+    pub(crate) fn serial(cfg: &InferenceConfig, ex: &mut Executor) -> RunPlan {
+        cfg.apply_device_options(ex);
+        RunPlan {
+            shards: 1,
+            lanes: false,
+            granular: false,
+            cached: false,
+            coalesced: false,
+        }
+    }
+}
+
+/// The inference frame of every model: opens the `"inference"` scope,
+/// builds the dispatcher with the plan's coalescing, forks one lane
+/// triple per shard when the plan has lanes, runs `body` on each unit
+/// followed by a [`shard_barrier`], then joins the lanes. Returns the
+/// unit count and the duration of the `"inference"` scope. A body error
+/// ends the run at once and is returned.
+pub(crate) fn run_units<U>(
+    ex: &mut Executor,
+    plan: RunPlan,
+    units: impl IntoIterator<Item = U>,
+    mut body: impl FnMut(&mut Dispatcher, U) -> Result<()>,
+) -> Result<(usize, DurationNs)> {
+    let (run, time) = ex.timed(|ex| {
+        ex.scope("inference", |ex| -> Result<usize> {
+            let mut dx = Dispatcher::with_coalescing(ex, plan.coalesced);
+            if plan.lanes {
+                dx.fork_streams_multi(plan.shards);
+            }
+            let mut iterations = 0;
+            for unit in units {
+                body(&mut dx, unit)?;
+                shard_barrier(&mut dx, plan.shards);
+                iterations += 1;
+            }
+            if plan.lanes {
+                dx.join_streams();
+            }
+            Ok(iterations)
+        })
+    });
+    Ok((run?, time))
 }
 
 /// Runs `f` with the dispatcher's priced actions placed on `lane` while
@@ -386,13 +447,28 @@ impl RunSummary {
 ///
 /// Implementations price kernels/transfers at full batch size, compute
 /// representative numerics, and annotate profiler scopes per the Figure 7
-/// module taxonomy.
+/// module taxonomy. Each model's `infer` names its units and a per-unit
+/// body and runs them in the crate's one inference frame, which owns the
+/// `"inference"` scope, the dispatcher, the lanes and the shard barrier.
 pub trait DgnnModel {
     /// Model name (lowercase, e.g. `"tgat"`).
     fn name(&self) -> &'static str;
 
-    /// Table 1 metadata.
-    fn info(&self) -> ModelInfo;
+    /// Table 1 metadata: the row of the model's family, which is its name
+    /// up to the first `_` (`ldg_mlp` → `ldg`, `evolvegcn_h` →
+    /// `evolvegcn`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the family has no Table 1 row.
+    fn info(&self) -> ModelInfo {
+        let name = self.name();
+        let family = name.split_once('_').map_or(name, |(family, _)| family);
+        all_model_infos()
+            .into_iter()
+            .find(|i| i.name == family)
+            .unwrap_or_else(|| panic!("{family} has no Table 1 row"))
+    }
 
     /// Total parameter bytes (drives model-init warm-up).
     fn param_bytes(&self) -> u64;

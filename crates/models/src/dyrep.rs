@@ -11,13 +11,12 @@
 use std::sync::Arc;
 
 use dgnn_datasets::TemporalDataset;
-use dgnn_device::{DeviceTensor, Dispatcher, Executor, HostWork};
+use dgnn_device::{DeviceTensor, Executor, HostWork};
 use dgnn_graph::EventStream;
 use dgnn_nn::{EmbeddingTable, Linear, Module, RnnCell};
 use dgnn_tensor::{Tensor, TensorRng};
 
-use crate::common::{DgnnModel, InferenceConfig, RunSummary};
-use crate::registry::{all_model_infos, ModelInfo};
+use crate::common::{run_units, DgnnModel, InferenceConfig, RunPlan, RunSummary};
 use crate::Result;
 
 /// Framework ops per event in the reference implementation's Python
@@ -85,13 +84,6 @@ impl DgnnModel for DyRep {
         "dyrep"
     }
 
-    fn info(&self) -> ModelInfo {
-        all_model_infos()
-            .into_iter()
-            .find(|i| i.name == "dyrep")
-            .expect("dyrep registered")
-    }
-
     fn param_bytes(&self) -> u64 {
         self.modules().iter().map(|m| m.param_bytes()).sum()
     }
@@ -105,79 +97,60 @@ impl DgnnModel for DyRep {
     }
 
     fn infer(&mut self, ex: &mut Executor, cfg: &InferenceConfig) -> Result<RunSummary> {
-        cfg.apply_device_options(ex);
+        let plan = RunPlan::serial(cfg, ex);
         let d = self.cfg.dim;
         let mut checksum = 0.0f32;
-        let mut iterations = 0usize;
 
-        let batches: Vec<Vec<dgnn_graph::TemporalEvent>> = self
-            .stream
-            .batches(cfg.batch_size)
-            .take(cfg.max_units.max(1))
-            .map(|b| b.to_vec())
-            .collect();
+        let stream = Arc::clone(&self.stream);
 
-        let run: Result<()> = ex.scope("inference", |ex| {
-            let mut dx = Dispatcher::new(ex);
-            for batch in &batches {
-                // Batch features to device once per batch.
-                let payload = DeviceTensor::host_scaled(
-                    Tensor::zeros(&[1, self.edge_dim + 4]),
-                    batch.len() as f64,
-                );
-                dx.scope("memcpy_h2d", |dx| dx.ensure_resident(&payload));
+        let (iterations, time) = run_units(ex, plan, cfg.batches(&stream), |dx, batch| {
+            // Batch features to device once per batch.
+            let payload = DeviceTensor::host_scaled(
+                Tensor::zeros(&[1, self.edge_dim + 4]),
+                batch.len() as f64,
+            );
+            dx.scope("memcpy_h2d", |dx| dx.ensure_resident(&payload));
 
-                // Serial per-event processing — the temporal dependency.
-                // Every event runs through the dispatcher: the tiny GEMMs
-                // it prices ARE the tiny GEMMs it computes.
-                for e in batch.iter() {
-                    dx.scope("event_loop", |dx| {
-                        dx.host(HostWork {
-                            label: "event_bookkeeping",
-                            ops: EVENT_LOOP_OPS,
-                            seq_bytes: 512,
-                            irregular_bytes: (4 * d * 4) as u64,
-                            parallelism: 1,
-                        });
+            // Serial per-event processing — the temporal dependency.
+            // Every event runs through the dispatcher: the tiny GEMMs
+            // it prices ARE the tiny GEMMs it computes.
+            for e in batch.iter() {
+                dx.scope("event_loop", |dx| {
+                    dx.host(HostWork {
+                        label: "event_bookkeeping",
+                        ops: EVENT_LOOP_OPS,
+                        seq_bytes: 512,
+                        irregular_bytes: (4 * d * 4) as u64,
+                        parallelism: 1,
                     });
-                    dx.scope("embedding_update", |dx| -> Result<()> {
-                        let pair = [e.src, e.dst];
-                        let emb = self.embeddings.lookup(dx, &pair)?;
-                        let x = dx.adopt(
-                            emb.data()
-                                .concat_cols(emb.data())?
-                                .concat_cols(emb.data())?,
-                            1.0,
-                        );
-                        let new = self.update_rnn.forward(dx, &x, &emb)?;
-                        self.embeddings.update(dx, &pair, &new)?;
-                        // Conditional intensity (bilinear + softplus).
-                        let both = dx.adopt(new.data().reshape(&[1, 2 * d])?, 1.0);
-                        let raw = self.intensity.forward(dx, &both)?;
-                        let lambda = dx.activation("softplus", &raw, Tensor::softplus);
-                        checksum += lambda.data().sum();
-                        // Temporal attention weight refresh.
-                        self.attention_w.forward(dx, &both)?;
-                        Ok(())
-                    })?;
-                }
-
-                let readback = dx.adopt(Tensor::zeros(&[1, d]), batch.len() as f64);
-                dx.scope("memcpy_d2h", |dx| dx.download(&readback));
-                iterations += 1;
+                });
+                dx.scope("embedding_update", |dx| -> Result<()> {
+                    let pair = [e.src, e.dst];
+                    let emb = self.embeddings.lookup(dx, &pair)?;
+                    let x = dx.adopt(
+                        emb.data()
+                            .concat_cols(emb.data())?
+                            .concat_cols(emb.data())?,
+                        1.0,
+                    );
+                    let new = self.update_rnn.forward(dx, &x, &emb)?;
+                    self.embeddings.update(dx, &pair, &new)?;
+                    // Conditional intensity (bilinear + softplus).
+                    let both = dx.adopt(new.data().reshape(&[1, 2 * d])?, 1.0);
+                    let raw = self.intensity.forward(dx, &both)?;
+                    let lambda = dx.activation("softplus", &raw, Tensor::softplus);
+                    checksum += lambda.data().sum();
+                    // Temporal attention weight refresh.
+                    self.attention_w.forward(dx, &both)?;
+                    Ok(())
+                })?;
             }
-            Ok(())
-        });
-        run?;
 
-        let inference_time = ex
-            .scopes()
-            .iter()
-            .rev()
-            .find(|s| s.path == "inference")
-            .map(|s| s.duration())
-            .unwrap_or_default();
-        Ok(RunSummary::new(iterations, inference_time, checksum))
+            let readback = dx.adopt(Tensor::zeros(&[1, d]), batch.len() as f64);
+            dx.scope("memcpy_d2h", |dx| dx.download(&readback));
+            Ok(())
+        })?;
+        Ok(RunSummary::new(iterations, time, checksum))
     }
 }
 

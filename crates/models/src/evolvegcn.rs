@@ -15,15 +15,13 @@
 //! utilization stays below 1%.
 
 use dgnn_datasets::SnapshotDataset;
-use dgnn_device::{DeviceTensor, Dispatcher, Executor, HostWork, StreamId, TransferDir};
+use dgnn_device::{DeviceTensor, Executor, HostWork, StreamId, TransferDir};
 use dgnn_nn::{GcnLayer, GruCell, Linear, Module};
 use dgnn_tensor::{OpDescriptor, Tensor, TensorRng};
 
 use crate::common::{
-    lane_handoff, on_lane, shard_barrier, DgnnModel, DoubleBuffer, InferenceConfig, RunSummary,
-    REP_CAP,
+    lane_handoff, on_lane, run_units, DgnnModel, DoubleBuffer, InferenceConfig, RunSummary, REP_CAP,
 };
-use crate::registry::{all_model_infos, ModelInfo};
 use crate::Result;
 
 /// Framework ops per node during snapshot preparation (adjacency
@@ -117,13 +115,6 @@ impl DgnnModel for EvolveGcn {
         }
     }
 
-    fn info(&self) -> ModelInfo {
-        all_model_infos()
-            .into_iter()
-            .find(|i| i.name == "evolvegcn")
-            .expect("evolvegcn registered")
-    }
-
     fn param_bytes(&self) -> u64 {
         self.modules().iter().map(|m| m.param_bytes()).sum::<u64>() + self.evolved_weight.byte_len()
     }
@@ -162,7 +153,6 @@ impl DgnnModel for EvolveGcn {
         let d_in = self.data.node_dim();
         let feat_bytes = (n * d_in * 4) as u64;
         let mut checksum = 0.0f32;
-        let mut iterations = 0usize;
 
         let n_steps = self.data.snapshots.len().min(cfg.max_units.max(1));
         // Representative functional sub-graph: the first REP_CAP nodes
@@ -174,206 +164,184 @@ impl DgnnModel for EvolveGcn {
             .node_features
             .gather_rows(&(0..rep_n).collect::<Vec<_>>())?;
 
-        let run: Result<()> = ex.scope("inference", |ex| {
-            let mut dx = Dispatcher::with_coalescing(ex, plan.coalesced);
-            if plan.lanes {
-                dx.fork_streams_multi(plan.shards);
+        let mut staging = vec![DoubleBuffer::new(); plan.shards];
+        let (iterations, time) = run_units(ex, plan, 0..n_steps, |dx, step| {
+            let snap = &self.data.snapshots.snapshots()[step];
+            let edges: Vec<(usize, usize)> =
+                snap.graph.iter_edges().map(|(u, v, _)| (u, v)).collect();
+            let part = dgnn_graph::greedy_edge_cut(n, &edges, plan.shards);
+            // Per-shard tallies: owned nodes, owned edges (an edge
+            // belongs to its source's part) and the cut matrix —
+            // cut[s][o] edges need part o's endpoint rows on s.
+            let mut n_s = vec![0usize; plan.shards];
+            for &p in &part.part {
+                n_s[p] += 1;
             }
-            let mut staging = vec![DoubleBuffer::new(); plan.shards];
-            for step in 0..n_steps {
-                let snap = &self.data.snapshots.snapshots()[step];
-                let edges: Vec<(usize, usize)> =
-                    snap.graph.iter_edges().map(|(u, v, _)| (u, v)).collect();
-                let part = dgnn_graph::greedy_edge_cut(n, &edges, plan.shards);
-                // Per-shard tallies: owned nodes, owned edges (an edge
-                // belongs to its source's part) and the cut matrix —
-                // cut[s][o] edges need part o's endpoint rows on s.
-                let mut n_s = vec![0usize; plan.shards];
-                for &p in &part.part {
-                    n_s[p] += 1;
+            let mut e_s = vec![0u64; plan.shards];
+            let mut cut = vec![vec![0u64; plan.shards]; plan.shards];
+            for &(u, v) in &edges {
+                let pu = part.part[u];
+                e_s[pu] += 1;
+                let pv = part.part[v];
+                if pv != pu {
+                    cut[pu][pv] += 1;
                 }
-                let mut e_s = vec![0u64; plan.shards];
-                let mut cut = vec![vec![0u64; plan.shards]; plan.shards];
-                for &(u, v) in &edges {
-                    let pu = part.part[u];
-                    e_s[pu] += 1;
-                    let pv = part.part[v];
-                    if pv != pu {
-                        cut[pu][pv] += 1;
-                    }
+            }
+
+            // Representative dense adjacency over the leading nodes
+            // (shared across shards; each adopts it at its own scale).
+            let rep_edges: Vec<(usize, usize, f32)> = snap
+                .graph
+                .iter_edges()
+                .filter(|&(s, d, _)| s < rep_n && d < rep_n)
+                .collect();
+            let rep_graph = dgnn_graph::Graph::from_weighted_edges(rep_n, &rep_edges)?;
+            let rep_adj_data = Tensor::from_vec(rep_graph.normalized_adjacency(), &[rep_n, rep_n])?;
+
+            let mut next_weight: Option<Tensor> = None;
+            for s in 0..plan.shards {
+                if n_s[s] == 0 {
+                    continue;
                 }
+                dx.on_device(s, |dx| -> Result<()> {
+                    let shard_scale = n_s[s] as f64 / rep_n as f64;
+                    let node_share = n_s[s] as f64 / n as f64;
+                    // An edgeless snapshot's topology is its offsets
+                    // array, split like the nodes.
+                    let edge_share = if edges.is_empty() {
+                        node_share
+                    } else {
+                        e_s[s] as f64 / edges.len() as f64
+                    };
+                    let topo_bytes = share_bytes(snap.graph.byte_len(), edge_share);
+                    let part_feat_bytes = share_bytes(feat_bytes, node_share);
 
-                // Representative dense adjacency over the leading nodes
-                // (shared across shards; each adopts it at its own scale).
-                let rep_edges: Vec<(usize, usize, f32)> = snap
-                    .graph
-                    .iter_edges()
-                    .filter(|&(s, d, _)| s < rep_n && d < rep_n)
-                    .collect();
-                let rep_graph = dgnn_graph::Graph::from_weighted_edges(rep_n, &rep_edges)?;
-                let rep_adj_data =
-                    Tensor::from_vec(rep_graph.normalized_adjacency(), &[rep_n, rep_n])?;
-
-                let mut next_weight: Option<Tensor> = None;
-                for s in 0..plan.shards {
-                    if n_s[s] == 0 {
-                        continue;
-                    }
-                    dx.on_device(s, |dx| -> Result<()> {
-                        let shard_scale = n_s[s] as f64 / rep_n as f64;
-                        let node_share = n_s[s] as f64 / n as f64;
-                        // An edgeless snapshot's topology is its offsets
-                        // array, split like the nodes.
-                        let edge_share = if edges.is_empty() {
-                            node_share
-                        } else {
-                            e_s[s] as f64 / edges.len() as f64
-                        };
-                        let topo_bytes = share_bytes(snap.graph.byte_len(), edge_share);
-                        let part_feat_bytes = share_bytes(feat_bytes, node_share);
-
-                        // 1. Snapshot preparation (CPU) and reload of the
-                        // part's topology and feature rows. Pipelined runs
-                        // prefetch snapshot i+1 on the host lane while
-                        // snapshot i's (strictly sequential) kernels run.
-                        staging[s].acquire(dx, StreamId::Host);
-                        on_lane(dx, StreamId::Host, |dx| {
-                            dx.scope("snapshot_prep", |dx| {
-                                dx.host(HostWork {
-                                    label: "prepare_snapshot",
-                                    ops: n_s[s] as u64 * PREP_NODE_OPS + e_s[s] * PREP_EDGE_OPS,
-                                    seq_bytes: part_feat_bytes,
-                                    irregular_bytes: topo_bytes,
-                                    parallelism: 1,
-                                });
-                            })
-                        });
-                        // CSR topology + node features + per-edge features
-                        // are re-shipped every snapshot; Reddit's denser
-                        // snapshots move proportionally more (Fig 7i/j).
-                        // Per-tensor pricing ships the three constituents
-                        // individually. Cut edges pull the remote
-                        // endpoint's input-feature and hidden rows from
-                        // their owning device (both GCN layers read them).
-                        let edge_feat_bytes = e_s[s] * (d_in * 4) as u64;
-                        lane_handoff(dx, StreamId::Host, StreamId::Copy);
-                        on_lane(dx, StreamId::Copy, |dx| {
-                            dx.scope("memcpy_h2d", |dx| {
-                                if per_tensor {
-                                    for bytes in [topo_bytes, part_feat_bytes, edge_feat_bytes] {
-                                        dx.transfer(TransferDir::H2D, bytes);
-                                    }
-                                } else {
-                                    let reload = DeviceTensor::host_scaled(
-                                        Tensor::zeros(&[1, 1]),
-                                        (topo_bytes + part_feat_bytes + edge_feat_bytes) as f64
-                                            / 4.0,
-                                    );
-                                    dx.ensure_resident(&reload);
+                    // 1. Snapshot preparation (CPU) and reload of the
+                    // part's topology and feature rows. Pipelined runs
+                    // prefetch snapshot i+1 on the host lane while
+                    // snapshot i's (strictly sequential) kernels run.
+                    staging[s].acquire(dx, StreamId::Host);
+                    on_lane(dx, StreamId::Host, |dx| {
+                        dx.scope("snapshot_prep", |dx| {
+                            dx.host(HostWork {
+                                label: "prepare_snapshot",
+                                ops: n_s[s] as u64 * PREP_NODE_OPS + e_s[s] * PREP_EDGE_OPS,
+                                seq_bytes: part_feat_bytes,
+                                irregular_bytes: topo_bytes,
+                                parallelism: 1,
+                            });
+                        })
+                    });
+                    // CSR topology + node features + per-edge features
+                    // are re-shipped every snapshot; Reddit's denser
+                    // snapshots move proportionally more (Fig 7i/j).
+                    // Per-tensor pricing ships the three constituents
+                    // individually. Cut edges pull the remote
+                    // endpoint's input-feature and hidden rows from
+                    // their owning device (both GCN layers read them).
+                    let edge_feat_bytes = e_s[s] * (d_in * 4) as u64;
+                    lane_handoff(dx, StreamId::Host, StreamId::Copy);
+                    on_lane(dx, StreamId::Copy, |dx| {
+                        dx.scope("memcpy_h2d", |dx| {
+                            if per_tensor {
+                                for bytes in [topo_bytes, part_feat_bytes, edge_feat_bytes] {
+                                    dx.transfer(TransferDir::H2D, bytes);
                                 }
-                                for (o, &cut_rows) in cut[s].iter().enumerate() {
-                                    if o != s && cut_rows > 0 {
-                                        dx.peer_transfer(o, cut_rows * ((d_in + h) * 4) as u64);
-                                    }
+                            } else {
+                                let reload = DeviceTensor::host_scaled(
+                                    Tensor::zeros(&[1, 1]),
+                                    (topo_bytes + part_feat_bytes + edge_feat_bytes) as f64 / 4.0,
+                                );
+                                dx.ensure_resident(&reload);
+                            }
+                            for (o, &cut_rows) in cut[s].iter().enumerate() {
+                                if o != s && cut_rows > 0 {
+                                    dx.peer_transfer(o, cut_rows * ((d_in + h) * 4) as u64);
                                 }
-                                dx.flush_transfers();
-                            })
-                        });
-                        staging[s].uploaded(dx);
-                        lane_handoff(dx, StreamId::Copy, StreamId::Compute);
+                            }
+                            dx.flush_transfers();
+                        })
+                    });
+                    staging[s].uploaded(dx);
+                    lane_handoff(dx, StreamId::Copy, StreamId::Compute);
 
-                        // 2. Weight evolution (RNN), plus top-k for -H.
-                        if self.cfg.version == EvolveGcnVersion::H {
-                            checksum += on_lane(dx, StreamId::Compute, |dx| {
-                                dx.scope("topk", |dx| -> Result<f32> {
-                                    // Score the part's nodes with a
-                                    // fully-connected layer: the rep rows run
-                                    // functionally, the node-count scale
-                                    // prices the part.
-                                    let feats = dx.adopt(rep_feats.clone(), shard_scale);
-                                    let scores = self.topk_scorer.forward(dx, &feats)?;
-                                    // Sort and gather have no functional
-                                    // counterpart at rep size — charge them
-                                    // directly.
-                                    dx.charge(OpDescriptor::sort("topk_sort", n_s[s]), 1.0);
-                                    dx.charge(OpDescriptor::gather("topk_gather", h, h), 1.0);
-                                    // Scores come back to the host for the
-                                    // index selection, an interpreted
-                                    // partial sort.
-                                    let logn = 64 - (n_s[s].max(2) as u64).leading_zeros() as u64;
-                                    dx.host(HostWork::irregular(
-                                        "topk_select",
-                                        2 * n_s[s] as u64 * logn,
-                                        (n_s[s] * 4) as u64,
-                                    ));
-                                    Ok(scores.data().sum() * 1e-3)
-                                })
-                            })?;
-                        }
-                        let evolved = on_lane(dx, StreamId::Compute, |dx| {
-                            dx.scope("rnn", |dx| -> Result<Tensor> {
-                                // The GRU treats the h×h weight matrix as h
-                                // rows of dimension h — one functional step
-                                // through the dispatcher both prices and
-                                // computes the evolution.
-                                let w = dx.adopt(self.evolved_weight.clone(), 1.0);
-                                let evolved = self.weight_rnn.forward(dx, &w, &w)?;
-                                Ok(evolved.data().clone())
+                    // 2. Weight evolution (RNN), plus top-k for -H.
+                    if self.cfg.version == EvolveGcnVersion::H {
+                        checksum += on_lane(dx, StreamId::Compute, |dx| {
+                            dx.scope("topk", |dx| -> Result<f32> {
+                                // Score the part's nodes with a
+                                // fully-connected layer: the rep rows run
+                                // functionally, the node-count scale
+                                // prices the part.
+                                let feats = dx.adopt(rep_feats.clone(), shard_scale);
+                                let scores = self.topk_scorer.forward(dx, &feats)?;
+                                // Sort and gather have no functional
+                                // counterpart at rep size — charge them
+                                // directly.
+                                dx.charge(OpDescriptor::sort("topk_sort", n_s[s]), 1.0);
+                                dx.charge(OpDescriptor::gather("topk_gather", h, h), 1.0);
+                                // Scores come back to the host for the
+                                // index selection, an interpreted
+                                // partial sort.
+                                let logn = 64 - (n_s[s].max(2) as u64).leading_zeros() as u64;
+                                dx.host(HostWork::irregular(
+                                    "topk_select",
+                                    2 * n_s[s] as u64 * logn,
+                                    (n_s[s] * 4) as u64,
+                                ));
+                                Ok(scores.data().sum() * 1e-3)
                             })
                         })?;
-
-                        // 3. Two GCN layers over the part with the evolved
-                        // weights: propagate (A·X), transform (·W), ReLU —
-                        // priced at the part's node count through the
-                        // adjacency's scale.
-                        let emb = on_lane(dx, StreamId::Compute, |dx| {
-                            dx.scope("gnn", |dx| -> Result<DeviceTensor> {
-                                let rep_adj = dx.adopt(rep_adj_data.clone(), shard_scale);
-                                let x = dx.adopt(rep_feats.clone(), shard_scale);
-                                let h1 = self.gcn1.forward(dx, &rep_adj, &x)?;
-                                self.gcn2
-                                    .forward_with_weight(dx, &rep_adj, &h1, &evolved)
-                                    .map_err(Into::into)
-                            })
-                        })?;
-                        checksum += emb.data().sum() * 1e-3;
-                        next_weight = Some(evolved);
-
-                        // 4. The part's embeddings back to the CPU.
-                        let out = dx.adopt(Tensor::zeros(&[rep_n, h]), shard_scale);
-                        lane_handoff(dx, StreamId::Compute, StreamId::Copy);
-                        on_lane(dx, StreamId::Copy, |dx| {
-                            dx.scope("memcpy_d2h", |dx| {
-                                dx.download(&out);
-                                dx.flush_transfers();
-                            })
-                        });
-                        Ok(())
+                    }
+                    let evolved = on_lane(dx, StreamId::Compute, |dx| {
+                        dx.scope("rnn", |dx| -> Result<Tensor> {
+                            // The GRU treats the h×h weight matrix as h
+                            // rows of dimension h — one functional step
+                            // through the dispatcher both prices and
+                            // computes the evolution.
+                            let w = dx.adopt(self.evolved_weight.clone(), 1.0);
+                            let evolved = self.weight_rnn.forward(dx, &w, &w)?;
+                            Ok(evolved.data().clone())
+                        })
                     })?;
-                }
-                // Every shard evolved the same matrix from the same input;
-                // commit it once after the fan-out.
-                if let Some(w) = next_weight {
-                    self.evolved_weight = w;
-                }
-                shard_barrier(&mut dx, plan.shards);
-                iterations += 1;
+
+                    // 3. Two GCN layers over the part with the evolved
+                    // weights: propagate (A·X), transform (·W), ReLU —
+                    // priced at the part's node count through the
+                    // adjacency's scale.
+                    let emb = on_lane(dx, StreamId::Compute, |dx| {
+                        dx.scope("gnn", |dx| -> Result<DeviceTensor> {
+                            let rep_adj = dx.adopt(rep_adj_data.clone(), shard_scale);
+                            let x = dx.adopt(rep_feats.clone(), shard_scale);
+                            let h1 = self.gcn1.forward(dx, &rep_adj, &x)?;
+                            self.gcn2
+                                .forward_with_weight(dx, &rep_adj, &h1, &evolved)
+                                .map_err(Into::into)
+                        })
+                    })?;
+                    checksum += emb.data().sum() * 1e-3;
+                    next_weight = Some(evolved);
+
+                    // 4. The part's embeddings back to the CPU.
+                    let out = dx.adopt(Tensor::zeros(&[rep_n, h]), shard_scale);
+                    lane_handoff(dx, StreamId::Compute, StreamId::Copy);
+                    on_lane(dx, StreamId::Copy, |dx| {
+                        dx.scope("memcpy_d2h", |dx| {
+                            dx.download(&out);
+                            dx.flush_transfers();
+                        })
+                    });
+                    Ok(())
+                })?;
             }
-            if plan.lanes {
-                dx.join_streams();
+            // Every shard evolved the same matrix from the same input;
+            // commit it once after the fan-out.
+            if let Some(w) = next_weight {
+                self.evolved_weight = w;
             }
             Ok(())
-        });
-        run?;
-
-        let inference_time = ex
-            .scopes()
-            .iter()
-            .rev()
-            .find(|s| s.path == "inference")
-            .map(|s| s.duration())
-            .unwrap_or_default();
-        Ok(RunSummary::new(iterations, inference_time, checksum))
+        })?;
+        Ok(RunSummary::new(iterations, time, checksum))
     }
 }
 

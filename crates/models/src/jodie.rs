@@ -9,21 +9,19 @@
 //! runs many *small* kernels back to back — utilization stays at
 //! 1.5–2.5% despite t-batching.
 //!
-//! Under streaming serving the embedding state also advances at ingest
-//! time — see [`crate::IngestMemory`] with
-//! [`crate::MemoryRule::JodieRnn`], the serving-side twin of the RNN
-//! update applied per live event on the Host lane.
+//! Streaming serving advances one TGN-style node memory at ingest time
+//! ([`crate::IngestMemory`]) whatever model it serves; JODIE's own
+//! embeddings advance only inside inference.
 
 use std::sync::Arc;
 
 use dgnn_datasets::TemporalDataset;
-use dgnn_device::{DeviceTensor, Dispatcher, Executor, HostWork};
-use dgnn_graph::{TBatcher, TemporalEvent};
+use dgnn_device::{DeviceTensor, Executor, HostWork};
+use dgnn_graph::TBatcher;
 use dgnn_nn::{EmbeddingTable, Linear, Module, RnnCell};
 use dgnn_tensor::{OpDescriptor, Tensor, TensorRng};
 
-use crate::common::{representative, DgnnModel, InferenceConfig, RunSummary};
-use crate::registry::{all_model_infos, ModelInfo};
+use crate::common::{representative, run_units, DgnnModel, InferenceConfig, RunPlan, RunSummary};
 use crate::Result;
 
 /// Framework ops per event during t-batch construction (hash map ops in
@@ -101,13 +99,6 @@ impl DgnnModel for Jodie {
         "jodie"
     }
 
-    fn info(&self) -> ModelInfo {
-        all_model_infos()
-            .into_iter()
-            .find(|i| i.name == "jodie")
-            .expect("jodie registered")
-    }
-
     fn param_bytes(&self) -> u64 {
         self.modules().iter().map(|m| m.param_bytes()).sum()
     }
@@ -121,126 +112,105 @@ impl DgnnModel for Jodie {
     }
 
     fn infer(&mut self, ex: &mut Executor, cfg: &InferenceConfig) -> Result<RunSummary> {
-        cfg.apply_device_options(ex);
+        let plan = RunPlan::serial(cfg, ex);
         let d = self.cfg.dim;
         let mut checksum = 0.0f32;
-        let mut iterations = 0usize;
 
-        let windows: Vec<Vec<TemporalEvent>> = self
-            .data
-            .stream
-            .batches(cfg.batch_size)
-            .take(cfg.max_units.max(1))
-            .map(|b| b.to_vec())
-            .collect();
-
-        let run: Result<()> = ex.scope("inference", |ex| {
-            let mut dx = Dispatcher::new(ex);
-            for window in &windows {
-                // 1. t-batch construction on the CPU.
-                let tbatches = dx.scope("tbatch", |dx| {
-                    if self.cfg.use_tbatch {
-                        let (tb, build_ops) = TBatcher::new().build(window);
-                        dx.host(HostWork {
-                            label: "t_batch",
-                            ops: build_ops + window.len() as u64 * TBATCH_EVENT_OPS,
-                            seq_bytes: window.len() as u64 * dgnn_graph::EventStream::EVENT_BYTES,
-                            irregular_bytes: window.len() as u64 * 64,
-                            parallelism: 1,
-                        });
-                        tb
-                    } else {
-                        // Naive schedule: one event per step.
-                        (0..window.len())
-                            .map(|i| dgnn_graph::TBatch {
-                                event_indices: vec![i],
-                            })
-                            .collect()
-                    }
-                });
-
-                // 2. Sequential t-batch execution (RNN dependency chain).
-                for tb in &tbatches {
-                    let width = tb.len();
-                    let rep = representative(width);
-                    let scale = width as f64 / rep as f64;
-                    dx.scope("step_prep", |dx| {
-                        dx.host(HostWork {
-                            label: "tbatch_step",
-                            ops: TBATCH_STEP_OPS,
-                            seq_bytes: (width * d * 4) as u64,
-                            irregular_bytes: (width * 128) as u64,
-                            parallelism: 1,
-                        });
+        let data = Arc::clone(&self.data);
+        let (iterations, time) = run_units(ex, plan, cfg.batches(&data.stream), |dx, window| {
+            // 1. t-batch construction on the CPU.
+            let tbatches = dx.scope("tbatch", |dx| {
+                if self.cfg.use_tbatch {
+                    let (tb, build_ops) = TBatcher::new().build(window);
+                    dx.host(HostWork {
+                        label: "t_batch",
+                        ops: build_ops + window.len() as u64 * TBATCH_EVENT_OPS,
+                        seq_bytes: window.len() as u64 * dgnn_graph::EventStream::EVENT_BYTES,
+                        irregular_bytes: window.len() as u64 * 64,
+                        parallelism: 1,
                     });
-                    let payload = DeviceTensor::host_scaled(
-                        Tensor::zeros(&[1, self.data.edge_dim() + 4]),
-                        width as f64,
-                    );
-                    dx.scope("memcpy_h2d", |dx| dx.ensure_resident(&payload));
-
-                    let rep_users: Vec<usize> = tb
-                        .event_indices
-                        .iter()
-                        .take(rep)
-                        .map(|&i| window[i].src)
-                        .collect();
-                    let rep_items: Vec<usize> = tb
-                        .event_indices
-                        .iter()
-                        .take(rep)
-                        .map(|&i| window[i].dst)
-                        .collect();
-
-                    let new_u = dx.scope("rnn_update", |dx| -> Result<DeviceTensor> {
-                        // User RNN and item RNN, each a small kernel group
-                        // over the t-batch width.
-                        let u = self.embeddings.lookup_scaled(dx, &rep_users, scale)?;
-                        let i = self.embeddings.lookup_scaled(dx, &rep_items, scale)?;
-                        let feats: Vec<usize> = tb
-                            .event_indices
-                            .iter()
-                            .take(rep)
-                            .map(|&ix| window[ix].feature_idx)
-                            .collect();
-                        let e = self.data.edge_features.gather_rows(&feats)?;
-                        let dt = Tensor::ones(&[rep, 1]);
-                        let xu = dx.adopt(i.data().concat_cols(&e)?.concat_cols(&dt)?, scale);
-                        let xi = dx.adopt(u.data().concat_cols(&e)?.concat_cols(&dt)?, scale);
-                        let nu = self.user_rnn.forward(dx, &xu, &u)?;
-                        let ni = self.item_rnn.forward(dx, &xi, &i)?;
-                        self.embeddings.update(dx, &rep_users, &nu)?;
-                        self.embeddings.update(dx, &rep_items, &ni)?;
-                        Ok(nu)
-                    })?;
-
-                    let pred = dx.scope("projection", |dx| -> Result<DeviceTensor> {
-                        // JODIE's time projection is an element-wise
-                        // (1 + Δt·w) scaling — no functional counterpart
-                        // beyond the projector itself.
-                        dx.charge(OpDescriptor::elementwise("project", width * d, 2, 2), 1.0);
-                        let proj = self.projector.forward(dx, &new_u)?;
-                        let pred = self.predictor.forward(dx, &proj)?;
-                        checksum += pred.data().sum();
-                        Ok(pred)
-                    })?;
-
-                    dx.scope("memcpy_d2h", |dx| dx.download(&pred));
+                    tb
+                } else {
+                    // Naive schedule: one event per step.
+                    (0..window.len())
+                        .map(|i| dgnn_graph::TBatch {
+                            event_indices: vec![i],
+                        })
+                        .collect()
                 }
-                iterations += 1;
+            });
+
+            // 2. Sequential t-batch execution (RNN dependency chain).
+            for tb in &tbatches {
+                let width = tb.len();
+                let rep = representative(width);
+                let scale = width as f64 / rep as f64;
+                dx.scope("step_prep", |dx| {
+                    dx.host(HostWork {
+                        label: "tbatch_step",
+                        ops: TBATCH_STEP_OPS,
+                        seq_bytes: (width * d * 4) as u64,
+                        irregular_bytes: (width * 128) as u64,
+                        parallelism: 1,
+                    });
+                });
+                let payload = DeviceTensor::host_scaled(
+                    Tensor::zeros(&[1, self.data.edge_dim() + 4]),
+                    width as f64,
+                );
+                dx.scope("memcpy_h2d", |dx| dx.ensure_resident(&payload));
+
+                let rep_users: Vec<usize> = tb
+                    .event_indices
+                    .iter()
+                    .take(rep)
+                    .map(|&i| window[i].src)
+                    .collect();
+                let rep_items: Vec<usize> = tb
+                    .event_indices
+                    .iter()
+                    .take(rep)
+                    .map(|&i| window[i].dst)
+                    .collect();
+
+                let new_u = dx.scope("rnn_update", |dx| -> Result<DeviceTensor> {
+                    // User RNN and item RNN, each a small kernel group
+                    // over the t-batch width.
+                    let u = self.embeddings.lookup_scaled(dx, &rep_users, scale)?;
+                    let i = self.embeddings.lookup_scaled(dx, &rep_items, scale)?;
+                    let feats: Vec<usize> = tb
+                        .event_indices
+                        .iter()
+                        .take(rep)
+                        .map(|&ix| window[ix].feature_idx)
+                        .collect();
+                    let e = self.data.edge_features.gather_rows(&feats)?;
+                    let dt = Tensor::ones(&[rep, 1]);
+                    let xu = dx.adopt(i.data().concat_cols(&e)?.concat_cols(&dt)?, scale);
+                    let xi = dx.adopt(u.data().concat_cols(&e)?.concat_cols(&dt)?, scale);
+                    let nu = self.user_rnn.forward(dx, &xu, &u)?;
+                    let ni = self.item_rnn.forward(dx, &xi, &i)?;
+                    self.embeddings.update(dx, &rep_users, &nu)?;
+                    self.embeddings.update(dx, &rep_items, &ni)?;
+                    Ok(nu)
+                })?;
+
+                let pred = dx.scope("projection", |dx| -> Result<DeviceTensor> {
+                    // JODIE's time projection is an element-wise
+                    // (1 + Δt·w) scaling — no functional counterpart
+                    // beyond the projector itself.
+                    dx.charge(OpDescriptor::elementwise("project", width * d, 2, 2), 1.0);
+                    let proj = self.projector.forward(dx, &new_u)?;
+                    let pred = self.predictor.forward(dx, &proj)?;
+                    checksum += pred.data().sum();
+                    Ok(pred)
+                })?;
+
+                dx.scope("memcpy_d2h", |dx| dx.download(&pred));
             }
             Ok(())
-        });
-        run?;
-
-        let inference_time = ex
-            .scopes()
-            .iter()
-            .rev()
-            .find(|s| s.path == "inference")
-            .map(|s| s.duration())
-            .unwrap_or_default();
-        Ok(RunSummary::new(iterations, inference_time, checksum))
+        })?;
+        Ok(RunSummary::new(iterations, time, checksum))
     }
 }
 

@@ -55,14 +55,6 @@ fn module_durations(ex: &Executor, name: &str) -> Vec<DurationNs> {
         .collect()
 }
 
-fn inference_total(ex: &Executor) -> DurationNs {
-    ex.scopes()
-        .iter()
-        .filter(|s| s.path == "inference")
-        .map(|s| s.duration())
-        .sum()
-}
-
 /// §5.1.1 on the real stream machine: run the model once sequentially
 /// and once with [`InferenceConfig::pipeline_overlap`], both on the
 /// simulated GPU. Unlike the analytic re-scheduling ablations below,
@@ -77,13 +69,12 @@ fn inference_total(ex: &Executor) -> DurationNs {
 /// Propagates inference errors from either run.
 pub fn stream_overlap(model: &mut dyn DgnnModel, cfg: &InferenceConfig) -> Result<AblationResult> {
     let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
-    model.run(&mut ex, cfg)?;
-    let baseline = inference_total(&ex);
+    let baseline = model.run(&mut ex, cfg)?.inference_time;
     let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
-    model.run(&mut ex, &cfg.clone().with_pipeline_overlap(true))?;
+    let overlapped = cfg.clone().with_pipeline_overlap(true);
     Ok(AblationResult {
         baseline,
-        optimized: inference_total(&ex),
+        optimized: model.run(&mut ex, &overlapped)?.inference_time,
     })
 }
 
@@ -131,9 +122,9 @@ pub fn coalesced_transfers(
                granularity: TransferGranularity|
      -> Result<(DurationNs, usize, u64)> {
         let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
-        model.run(&mut ex, &cfg.clone().with_transfer_granularity(granularity))?;
+        let summary = model.run(&mut ex, &cfg.clone().with_transfer_granularity(granularity))?;
         Ok((
-            inference_total(&ex),
+            summary.inference_time,
             ex.timeline().transfer_count(None),
             ex.timeline().transfer_bytes(None),
         ))
@@ -159,7 +150,7 @@ pub fn coalesced_transfers(
 /// Propagates inference errors from the baseline run.
 pub fn pipelined_evolvegcn(model: &mut EvolveGcn, cfg: &InferenceConfig) -> Result<AblationResult> {
     let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
-    model.run(&mut ex, cfg)?;
+    let baseline = model.run(&mut ex, cfg)?.inference_time;
     let rnn = module_durations(&ex, "rnn");
     let gnn = module_durations(&ex, "gnn");
     let steps: Vec<StagePair> = rnn
@@ -167,7 +158,6 @@ pub fn pipelined_evolvegcn(model: &mut EvolveGcn, cfg: &InferenceConfig) -> Resu
         .zip(&gnn)
         .map(|(&first, &second)| StagePair { first, second })
         .collect();
-    let baseline = inference_total(&ex);
     let saved = sequential_makespan(&steps) - pipelined_makespan(&steps);
     Ok(AblationResult {
         baseline,
@@ -183,9 +173,8 @@ pub fn pipelined_evolvegcn(model: &mut EvolveGcn, cfg: &InferenceConfig) -> Resu
 /// Propagates inference errors from the baseline run.
 pub fn overlapped_sampling_tgat(model: &mut Tgat, cfg: &InferenceConfig) -> Result<AblationResult> {
     let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
-    model.run(&mut ex, cfg)?;
+    let baseline = model.run(&mut ex, cfg)?.inference_time;
     let sampling = module_durations(&ex, "sampling");
-    let baseline = inference_total(&ex);
     let n = sampling.len().max(1);
     let total_sampling: DurationNs = sampling.iter().copied().sum();
     let device_total = baseline.saturating_sub(total_sampling);
@@ -214,16 +203,15 @@ pub fn parallel_sampling_tgat(
     cores: u32,
 ) -> Result<AblationResult> {
     let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
-    model.run(&mut ex, cfg)?;
-    let baseline = inference_total(&ex);
+    let baseline = model.run(&mut ex, cfg)?.inference_time;
     let mut spec = PlatformSpec::default();
     spec.cpu.cores = cores;
     spec.cpu.saturation_width = cores as u64 * 256;
     let mut ex = Executor::new(spec, ExecMode::Gpu);
-    model.run(&mut ex, &cfg.clone().with_parallel_sampling(true))?;
+    let parallel = cfg.clone().with_parallel_sampling(true);
     Ok(AblationResult {
         baseline,
-        optimized: inference_total(&ex),
+        optimized: model.run(&mut ex, &parallel)?.inference_time,
     })
 }
 
@@ -240,8 +228,7 @@ pub fn overlapped_prep_evolvegcn(
     cfg: &InferenceConfig,
 ) -> Result<AblationResult> {
     let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
-    model.run(&mut ex, cfg)?;
-    let baseline = inference_total(&ex);
+    let baseline = model.run(&mut ex, cfg)?.inference_time;
     let prep = module_durations(&ex, "snapshot_prep");
     let h2d = module_durations(&ex, "memcpy_h2d");
     let n = prep.len();
@@ -283,8 +270,7 @@ pub fn jodie_tbatch(
             seed,
         );
         let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
-        model.run(&mut ex, cfg)?;
-        Ok(inference_total(&ex))
+        Ok(model.run(&mut ex, cfg)?.inference_time)
     };
     Ok(AblationResult {
         baseline: run(false)?,
@@ -305,8 +291,7 @@ pub fn delta_snapshot_evolvegcn(
     similarity: f64,
 ) -> Result<AblationResult> {
     let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
-    model.run(&mut ex, cfg)?;
-    let baseline = inference_total(&ex);
+    let baseline = model.run(&mut ex, cfg)?.inference_time;
     let h2d_sizes: Vec<u64> = ex
         .timeline()
         .events()

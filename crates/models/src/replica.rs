@@ -67,7 +67,6 @@ impl ReplicaHandle {
 mod tests {
     use super::*;
     use crate::common::{InferenceConfig, RunSummary};
-    use crate::registry::{all_model_infos, ModelInfo};
     use dgnn_device::Executor;
 
     struct Stub;
@@ -75,9 +74,6 @@ mod tests {
     impl DgnnModel for Stub {
         fn name(&self) -> &'static str {
             "stub"
-        }
-        fn info(&self) -> ModelInfo {
-            all_model_infos()[0].clone()
         }
         fn param_bytes(&self) -> u64 {
             1024
