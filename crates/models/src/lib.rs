@@ -48,7 +48,7 @@ pub use error::ModelError;
 pub use evolvegcn::{EvolveGcn, EvolveGcnConfig, EvolveGcnVersion};
 pub use jodie::{Jodie, JodieConfig};
 pub use ldg::{Ldg, LdgConfig, LdgEncoder};
-pub use memory::{IngestMemory, MemoryRule};
+pub use memory::IngestMemory;
 pub use moldgnn::{MolDgnn, MolDgnnConfig};
 pub use registry::{all_model_infos, EvolvingParts, ModelInfo, ModelKind};
 pub use replica::{ModelFactory, ReplicaHandle};

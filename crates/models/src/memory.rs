@@ -1,56 +1,39 @@
-//! Serving-path node memory: the state TGN/JODIE mutate at ingest time.
+//! Serving-path node memory: the state TGN mutates at ingest time.
 //!
 //! In the offline benchmarks, per-node memory lives inside the model
-//! ([`crate::Tgn`] keeps an `EmbeddingTable` + GRU, [`crate::Jodie`]
-//! twin RNNs) and is touched once per inference batch. Under *streaming*
-//! serving the same state must also advance on the **ingest** path: when
-//! a live edge event lands, the two endpoint rows are updated before the
-//! event becomes visible to samplers — that host-side work races query
-//! sampling on the ingest clock, which is exactly the contention the
-//! paper's §6 streaming discussion predicts.
+//! ([`crate::Tgn`] keeps an `EmbeddingTable` + GRU) and is touched once
+//! per inference batch. Under *streaming* serving the same state must
+//! also advance on the **ingest** path: when a live edge event lands,
+//! the two endpoint rows are updated before the event becomes visible
+//! to samplers — that host-side work races query sampling on the ingest
+//! clock, which is exactly the contention the paper's §6 streaming
+//! discussion predicts.
 //!
 //! [`IngestMemory`] is that serving-path state, deliberately decoupled
 //! from the model structs: it owns a dense `f32` row table, applies a
-//! deterministic per-event update (a cheap fixed-point stand-in for the
-//! GRU / RNN cell, chosen per [`MemoryRule`]), and prices each update as
-//! an [`IngestCost`] so the serving loop can charge it to the Host lane.
-//! Determinism is load-bearing: replaying the same event sequence yields
+//! deterministic per-event update (a cheap fixed-point stand-in for
+//! TGN's GRU cell), and prices each update as an [`IngestCost`] so the
+//! serving loop can charge it to the Host lane. Determinism is load-bearing: replaying the same event sequence yields
 //! a bit-identical [`IngestMemory::checksum`], which the streaming
 //! determinism tests assert.
 
 use dgnn_graph::{IngestCost, TemporalEvent};
 
-/// Which model family's memory-update rule the table applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MemoryRule {
-    /// TGN-style gated update: a sigmoid gate blends the old row with a
-    /// tanh-squashed message (the shape of a GRU cell collapsed to one
-    /// gate).
-    TgnGru,
-    /// JODIE-style plain RNN update: the row is overwritten with a tanh
-    /// of a linear mix of old state and message.
-    JodieRnn,
-}
+/// Gate stages of the TGN-style update: gate, candidate, blend.
+const GATE_STAGES: u64 = 3;
 
-impl MemoryRule {
-    /// Stable lowercase name (used in scope labels and reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            MemoryRule::TgnGru => "tgn-gru",
-            MemoryRule::JodieRnn => "jodie-rnn",
-        }
-    }
-}
-
-/// Deterministic per-node memory table updated on the ingest path.
+/// Deterministic per-node memory table updated on the ingest path. Each
+/// update is TGN-style: a sigmoid gate blends the old row with a
+/// tanh-squashed message (the shape of a GRU cell collapsed to one
+/// gate).
 ///
 /// ```
-/// use dgnn_models::{IngestMemory, MemoryRule};
+/// use dgnn_models::IngestMemory;
 /// use dgnn_graph::TemporalEvent;
 ///
 /// let ev = TemporalEvent { src: 0, dst: 2, time: 1.5, feature_idx: 0 };
-/// let mut a = IngestMemory::new(MemoryRule::TgnGru, 4, 8, 42);
-/// let mut b = IngestMemory::new(MemoryRule::TgnGru, 4, 8, 42);
+/// let mut a = IngestMemory::new(4, 8, 42);
+/// let mut b = IngestMemory::new(4, 8, 42);
 /// let cost = a.apply(&ev);
 /// b.apply(&ev);
 /// // Same seed + same events => bit-identical state; updates are priced.
@@ -59,7 +42,6 @@ impl MemoryRule {
 /// ```
 #[derive(Debug, Clone)]
 pub struct IngestMemory {
-    rule: MemoryRule,
     dim: usize,
     /// Row-major `n_nodes x dim` state.
     rows: Vec<f32>,
@@ -74,7 +56,7 @@ impl IngestMemory {
     ///
     /// Panics if `dim` is zero — a zero-width memory row can absorb no
     /// update and always checksums to the seed, hiding ingest bugs.
-    pub fn new(rule: MemoryRule, n_nodes: usize, dim: usize, seed: u64) -> Self {
+    pub fn new(n_nodes: usize, dim: usize, seed: u64) -> Self {
         assert!(dim > 0, "IngestMemory: dim must be non-zero");
         let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
         let mut rows = Vec::with_capacity(n_nodes * dim);
@@ -84,16 +66,10 @@ impl IngestMemory {
             rows.push((state >> 40) as f32 / (1u64 << 24) as f32 - 0.5);
         }
         IngestMemory {
-            rule,
             dim,
             rows,
             updates: 0,
         }
-    }
-
-    /// The update rule in force.
-    pub fn rule(&self) -> MemoryRule {
-        self.rule
     }
 
     /// Row width.
@@ -150,12 +126,8 @@ impl IngestMemory {
         self.update_row(ev.dst, msg_dst);
         self.updates += 1;
         let dim = self.dim as u64;
-        let gate_stages = match self.rule {
-            MemoryRule::TgnGru => 3,   // gate, candidate, blend
-            MemoryRule::JodieRnn => 2, // mix, squash
-        };
         IngestCost {
-            ops: 2 * dim * gate_stages,
+            ops: 2 * dim * GATE_STAGES,
             // Read + write both touched rows, f32 each.
             seq_bytes: 2 * 2 * dim * 4,
             // Two random row lookups in a table too large to cache.
@@ -164,20 +136,10 @@ impl IngestMemory {
     }
 
     fn update_row(&mut self, node: usize, msg: f32) {
-        let row = &mut self.rows[node * self.dim..(node + 1) * self.dim];
-        match self.rule {
-            MemoryRule::TgnGru => {
-                for h in row.iter_mut() {
-                    let z = sigmoid(*h + msg);
-                    let cand = (msg - *h).tanh();
-                    *h = (1.0 - z) * *h + z * cand;
-                }
-            }
-            MemoryRule::JodieRnn => {
-                for h in row.iter_mut() {
-                    *h = (0.9 * *h + 0.4 * msg).tanh();
-                }
-            }
+        for h in &mut self.rows[node * self.dim..(node + 1) * self.dim] {
+            let z = sigmoid(*h + msg);
+            let cand = (msg - *h).tanh();
+            *h = (1.0 - z) * *h + z * cand;
         }
     }
 
@@ -218,21 +180,19 @@ mod tests {
 
     #[test]
     fn same_seed_same_events_same_checksum() {
-        for rule in [MemoryRule::TgnGru, MemoryRule::JodieRnn] {
-            let mut a = IngestMemory::new(rule, 16, 8, 7);
-            let mut b = IngestMemory::new(rule, 16, 8, 7);
-            for i in 0..32 {
-                let e = ev(i % 16, (i * 3 + 1) % 16, i as f64);
-                assert_eq!(a.apply(&e), b.apply(&e));
-            }
-            assert_eq!(a.checksum(), b.checksum(), "{}", rule.name());
-            assert_eq!(a.updates(), 32);
+        let mut a = IngestMemory::new(16, 8, 7);
+        let mut b = IngestMemory::new(16, 8, 7);
+        for i in 0..32 {
+            let e = ev(i % 16, (i * 3 + 1) % 16, i as f64);
+            assert_eq!(a.apply(&e), b.apply(&e));
         }
+        assert_eq!(a.checksum(), b.checksum());
+        assert_eq!(a.updates(), 32);
     }
 
     #[test]
     fn updates_change_state_and_order_matters() {
-        let mut a = IngestMemory::new(MemoryRule::TgnGru, 8, 4, 1);
+        let mut a = IngestMemory::new(8, 4, 1);
         let before = a.checksum();
         a.apply(&ev(0, 1, 1.0));
         let after_one = a.checksum();
@@ -241,21 +201,18 @@ mod tests {
         let ab = a.checksum();
 
         // Swapped order on a shared endpoint (node 1) must be visible.
-        let mut b = IngestMemory::new(MemoryRule::TgnGru, 8, 4, 1);
+        let mut b = IngestMemory::new(8, 4, 1);
         b.apply(&ev(1, 2, 2.0));
         b.apply(&ev(0, 1, 1.0));
         assert_ne!(ab, b.checksum(), "apply order must be observable");
     }
 
     #[test]
-    fn rules_differ_and_costs_are_positive() {
-        let mut g = IngestMemory::new(MemoryRule::TgnGru, 8, 4, 1);
-        let mut r = IngestMemory::new(MemoryRule::JodieRnn, 8, 4, 1);
-        let c1 = g.apply(&ev(0, 1, 1.0));
-        let c2 = r.apply(&ev(0, 1, 1.0));
-        assert_ne!(g.checksum(), r.checksum());
-        assert!(c1.ops > c2.ops, "GRU prices more gate stages than RNN");
-        assert!(c1.seq_bytes > 0 && c1.irregular_bytes > 0);
+    fn costs_are_positive_and_rows_stay_bounded() {
+        let mut g = IngestMemory::new(8, 4, 1);
+        let c = g.apply(&ev(0, 1, 1.0));
+        assert_eq!(c.ops, 2 * 4 * GATE_STAGES);
+        assert!(c.seq_bytes > 0 && c.irregular_bytes > 0);
         // State stays finite under the squashing nonlinearities.
         assert!(g.row(0).iter().all(|v| v.is_finite() && v.abs() <= 1.0));
     }
@@ -263,7 +220,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_event_panics() {
-        let mut m = IngestMemory::new(MemoryRule::TgnGru, 4, 4, 1);
+        let mut m = IngestMemory::new(4, 4, 1);
         m.apply(&ev(0, 9, 1.0));
     }
 }

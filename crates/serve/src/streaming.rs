@@ -34,15 +34,21 @@ use dgnn_device::{DurationNs, ExecMode, Executor, HostWork};
 use dgnn_graph::{
     EventStream, NeighborSampler, SampleCost, SampleStrategy, StreamingAdjacency, TemporalEvent,
 };
-use dgnn_models::{IngestMemory, MemoryRule};
+use dgnn_models::IngestMemory;
 use dgnn_tensor::TensorRng;
 
 use crate::fleet::{serve_one_pool, ServeOutcome};
-use crate::workload::{validate_rate, RateError, Request};
+use crate::workload::{exp_gap_ns, validate_rate, RateError, Request};
 use crate::{ServeConfig, ServedModel};
 
 /// Identity of the shared streaming store in provenance traces.
 const STORE_ID: u64 = 1;
+/// Row width of the TGN-style node memory updated at ingest time.
+const MEMORY_DIM: usize = 32;
+/// Neighbors sampled per hop for each query.
+const QUERY_NEIGHBORS: usize = 10;
+/// Sampling hops per query.
+const QUERY_HOPS: usize = 2;
 
 /// Configuration of the live-ingestion side of a streaming run.
 #[derive(Debug, Clone)]
@@ -54,31 +60,21 @@ pub struct StreamingConfig {
     /// Delta-log size at which the store compacts (see
     /// [`StreamingAdjacency`]).
     pub compaction_threshold: usize,
-    /// Node-memory update rule applied at ingest time.
-    pub memory_rule: MemoryRule,
-    /// Node-memory row width.
-    pub memory_dim: usize,
-    /// Neighbors sampled per hop for each query.
-    pub n_neighbors: usize,
-    /// Sampling hops per query.
-    pub hops: usize,
     /// Build the full graph before serving starts instead of ingesting
     /// live: the zero-staleness, zero-contention baseline.
     pub frozen: bool,
 }
 
 impl StreamingConfig {
-    /// A small default over the given stream: TGN-style memory, 2-hop
-    /// 10-neighbor sampling, compaction every 256 events.
+    /// A live run over the given stream at 2 000 arrivals per second,
+    /// compacting every 256 events. Every run samples 2 hops of 10
+    /// neighbors per query and updates a 32-wide TGN-style node memory
+    /// per ingested event.
     pub fn new(stream: EventStream) -> Self {
         StreamingConfig {
             stream,
             ingest_rate_eps: 2_000.0,
             compaction_threshold: 256,
-            memory_rule: MemoryRule::TgnGru,
-            memory_dim: 32,
-            n_neighbors: 10,
-            hops: 2,
             frozen: false,
         }
     }
@@ -121,12 +117,7 @@ pub fn generate_ingest(seed: u64, n: usize, rate_eps: f64) -> Vec<DurationNs> {
     let mut t_ns = 0u64;
     (0..n)
         .map(|_| {
-            let u = rng.unit_f64();
-            let gap_s = -(1.0 - u).ln() / rate_eps;
-            #[expect(clippy::cast_possible_truncation, reason = "gaps are ≪ u64::MAX ns")]
-            #[allow(clippy::cast_sign_loss)] // gap_s ≥ 0 by construction
-            let gap_ns = ((gap_s * 1e9).round() as u64).max(1);
-            t_ns += gap_ns;
+            t_ns += exp_gap_ns(&mut rng, rate_eps);
             DurationNs::from_nanos(t_ns)
         })
         .collect()
@@ -149,8 +140,6 @@ pub(crate) struct StreamingState {
     /// Instant each ingested event's append work completed (monotone).
     visible_at: Vec<DurationNs>,
     next: usize,
-    n_neighbors: usize,
-    hops: usize,
     frozen: bool,
 }
 
@@ -169,7 +158,7 @@ impl StreamingState {
         if cfg.trace {
             ingest.enable_tracing();
         }
-        let mut memory = IngestMemory::new(scfg.memory_rule, n_nodes, scfg.memory_dim, cfg.seed);
+        let mut memory = IngestMemory::new(n_nodes, MEMORY_DIM, cfg.seed);
         let (store, arrivals, visible_at, next) = if scfg.frozen {
             // Offline build: the store and memory reflect the full
             // stream before the clock starts; nothing arrives live.
@@ -194,8 +183,6 @@ impl StreamingState {
             arrivals,
             visible_at,
             next,
-            n_neighbors: scfg.n_neighbors,
-            hops: scfg.hops,
             frozen: scfg.frozen,
         }
     }
@@ -263,7 +250,7 @@ impl StreamingState {
         self.ingest.trace_graph_sample(STORE_ID, visible, start);
         let view = self.store.view_prefix(visible);
         let n_nodes = self.store.n_nodes();
-        let fanout = vec![self.n_neighbors; self.hops];
+        let fanout = [QUERY_NEIGHBORS; QUERY_HOPS];
         let mut cost = SampleCost::default();
         // An empty store (a query dispatched before the first ingest, or
         // a degenerate zero-node stream) has nothing to sample: the

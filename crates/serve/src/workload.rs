@@ -110,29 +110,7 @@ pub struct Request {
 /// [`crate::ServeConfig::validate`]) first to get the typed
 /// [`RateError`] instead of a panic.
 pub fn generate(seed: u64, n: usize, rate_rps: f64, weights: &[f64]) -> Vec<Request> {
-    if let Err(e) = validate_rate("arrival rate", rate_rps) {
-        panic!("{e}");
-    }
-    assert!(!weights.is_empty(), "model mix must not be empty");
-    let total_weight: f64 = weights.iter().sum();
-    assert!(total_weight > 0.0, "model mix weights must sum > 0");
-
-    // Distinct RNG streams for gaps and mix assignment keep the two
-    // decisions independent of each other's draw counts.
-    let mut gap_rng = TensorRng::seed(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5e2e);
-    let mut mix_rng = TensorRng::seed(seed.wrapping_mul(0xbf58_476d_1ce4_e5b9) ^ 0x313a);
-
-    let mut t_ns = 0u64;
-    (0..n)
-        .map(|id| {
-            t_ns += exp_gap_ns(&mut gap_rng, rate_rps);
-            Request {
-                id,
-                model: draw_model(&mut mix_rng, weights, total_weight),
-                arrival: DurationNs::from_nanos(t_ns),
-            }
-        })
-        .collect()
+    generate_shaped(seed, n, rate_rps, weights, &WorkloadShape::Poisson)
 }
 
 /// Traffic shape layered on the base Poisson process. All shapes keep
@@ -270,7 +248,7 @@ impl WorkloadShape {
 /// Exponential gap in integer nanoseconds (≥ 1) at `rate` events per
 /// second, via inverse-transform sampling: `-ln(1 - u) / rate` for
 /// `u ∈ [0, 1)`.
-fn exp_gap_ns(rng: &mut TensorRng, rate: f64) -> u64 {
+pub(crate) fn exp_gap_ns(rng: &mut TensorRng, rate: f64) -> u64 {
     let u = rng.unit_f64();
     let gap_s = -(1.0 - u).ln() / rate;
     #[expect(clippy::cast_possible_truncation, reason = "gaps are ≪ u64::MAX ns")]
@@ -320,7 +298,8 @@ pub fn generate_shaped(
     assert!(total_weight > 0.0, "model mix weights must sum > 0");
 
     match *shape {
-        WorkloadShape::Poisson => generate(seed, n, rate_rps, weights),
+        // Thinning at constant intensity accepts every candidate.
+        WorkloadShape::Poisson => thinned(seed, n, rate_rps, weights, total_weight, |_| rate_rps),
         WorkloadShape::Diurnal { period, amplitude } => {
             let peak = rate_rps * (1.0 + amplitude);
             thinned(seed, n, peak, weights, total_weight, |t_ns| {
@@ -576,10 +555,25 @@ mod tests {
     }
 
     #[test]
-    fn poisson_shape_matches_generate() {
-        let base = generate(21, 100, 250.0, &[1.0, 2.0]);
-        let shaped = generate_shaped(21, 100, 250.0, &[1.0, 2.0], &WorkloadShape::Poisson);
-        assert_eq!(base, shaped);
+    fn poisson_is_the_plain_exponential_gap_process() {
+        // Thinning at constant intensity accepts every candidate, so each
+        // Poisson request is one gap from the gap stream and one model
+        // draw from the mix stream.
+        let weights = [1.0, 2.0];
+        let mut gap_rng = TensorRng::seed(21u64.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5e2e);
+        let mut mix_rng = TensorRng::seed(21u64.wrapping_mul(0xbf58_476d_1ce4_e5b9) ^ 0x313a);
+        let mut t_ns = 0;
+        let direct: Vec<Request> = (0..100)
+            .map(|id| {
+                t_ns += exp_gap_ns(&mut gap_rng, 250.0);
+                Request {
+                    id,
+                    model: draw_model(&mut mix_rng, &weights, 3.0),
+                    arrival: DurationNs::from_nanos(t_ns),
+                }
+            })
+            .collect();
+        assert_eq!(generate(21, 100, 250.0, &weights), direct);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use dgnn_datasets::{wikipedia, Scale};
 use dgnn_device::{DurationNs, ExecMode, PlatformSpec};
 use dgnn_graph::EventStream;
-use dgnn_models::{InferenceConfig, MemoryRule, ReplicaHandle, Tgn, TgnConfig};
+use dgnn_models::{InferenceConfig, ReplicaHandle, Tgn, TgnConfig};
 use dgnn_serve::{
     generate_ingest, serve_streaming, ServeConfig, ServedModel, StreamingConfig, StreamingOutcome,
 };
@@ -48,7 +48,6 @@ fn stream_cfg(frozen: bool) -> StreamingConfig {
     // lags behind arrivals, so staleness is observable.
     scfg.ingest_rate_eps = 20.0;
     scfg.compaction_threshold = 64;
-    scfg.memory_rule = MemoryRule::TgnGru;
     scfg.frozen = frozen;
     scfg
 }

@@ -51,29 +51,15 @@ where
 
 /// [`par_map`] with an explicit thread cap — lets tests assert that any
 /// thread count reproduces the serial result without touching the
-/// process environment.
+/// process environment. Caps the workers so each gets at least
+/// `MIN_CHUNK` items, then fans out as [`par_map_coarse`].
 pub fn par_map_threads<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let threads = threads.max(1).min(items.len().div_ceil(MIN_CHUNK));
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| scope.spawn(move || c.iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("par_map worker panicked"))
-            .collect()
-    })
+    par_map_coarse(items, threads.min(items.len().div_ceil(MIN_CHUNK)), f)
 }
 
 /// [`par_map_threads`] for *coarse* items — each item is assumed to be a
