@@ -1,11 +1,16 @@
 //! Schedule re-simulation for the paper's §5 optimization proposals.
 //!
-//! Rather than complicating the sequential executor with streams, the
-//! proposed optimizations are evaluated by *re-scheduling recorded stage
-//! durations*: take the per-timestep durations a real (sequential) run
-//! measured, and compute the makespan a pipelined schedule would achieve.
-//! This mirrors how Figure 10 argues the optimization — RNN of step
-//! `t+1` overlaps GNN of step `t`.
+//! The analytic ablations evaluate a proposed optimization by
+//! *re-scheduling recorded stage durations*: take the per-timestep
+//! durations a sequential run measured, and compute the makespan a
+//! pipelined schedule would achieve. This mirrors how Figure 10 argues
+//! the optimization — RNN of step `t+1` overlaps GNN of step `t`.
+//!
+//! The executor can also run the overlap itself: with
+//! `InferenceConfig::pipeline_overlap` the pipelined models fork
+//! Host/Copy/Compute lanes, and `dgnn_models::optim::stream_overlap`
+//! reports the time of that run. The closed forms here stay as the
+//! analytic counterpart for the stage pairs a model records serially.
 
 use dgnn_device::DurationNs;
 
