@@ -75,30 +75,8 @@ pub struct ScaleEvent {
 /// Call [`Autoscaler::decide`] at every arrival with the current
 /// virtual time, total queued requests, and routable pool count; it
 /// returns the action to take, if any, and records it.
-///
-/// ```
-/// use dgnn_device::DurationNs;
-/// use dgnn_serve::{Autoscaler, AutoscalerConfig, ScaleKind};
-///
-/// let cfg = AutoscalerConfig {
-///     min_pools: 1,
-///     max_pools: 4,
-///     scale_out_queue: 4,
-///     scale_in_queue: 1,
-///     idle_window: DurationNs::from_millis(10),
-///     cooldown: DurationNs::ZERO,
-/// };
-/// let mut scaler = Autoscaler::new(cfg);
-/// // 9 queued on 2 pools = 4.5 per pool > 4: scale out.
-/// let d = scaler.decide(DurationNs::from_millis(1), 9, 2);
-/// assert_eq!(d, Some(ScaleKind::Out));
-/// // Low load must persist for idle_window before scaling in.
-/// assert_eq!(scaler.decide(DurationNs::from_millis(2), 0, 3), None);
-/// let d = scaler.decide(DurationNs::from_millis(13), 0, 3);
-/// assert_eq!(d, Some(ScaleKind::In));
-/// ```
 #[derive(Debug)]
-pub struct Autoscaler {
+pub(crate) struct Autoscaler {
     cfg: AutoscalerConfig,
     cooldown_until: DurationNs,
     low_since: Option<DurationNs>,
@@ -124,12 +102,6 @@ impl Autoscaler {
             low_since: None,
             events: Vec::new(),
         }
-    }
-
-    /// The configured thresholds.
-    #[must_use]
-    pub fn config(&self) -> &AutoscalerConfig {
-        &self.cfg
     }
 
     /// Scale decisions taken so far, in virtual-time order.

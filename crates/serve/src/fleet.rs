@@ -30,12 +30,12 @@
 //!   batch fills ([`WindowBatcher`]'s rule).
 //! * **Dispatch**: closed batches wait in the pool's FIFO; whenever a
 //!   replica frees up, the earliest batch that *can* start is assigned
-//!   with model affinity ([`crate::WarmPool::pick`]): a free slot
+//!   with model affinity ([`WarmPool::pick`]): a free slot
 //!   holding its model (warm hit), waiting out a busy resident slot
 //!   instead of evicting a peer, or the least-recently-used free slot
 //!   when the model is resident nowhere (cold start).
 //! * **Service**: the batch runs on the slot's session executor
-//!   ([`crate::WarmPool::service`]); the slot is busy until the
+//!   ([`WarmPool::service`]); the slot is busy until the
 //!   simulated service duration elapses.
 //! * **Scaling**: the [`Autoscaler`] reads fleet-wide queue depth at
 //!   each arrival — the deterministic latency signal, by Little's law —
@@ -71,7 +71,7 @@ use dgnn_profile::ServicePhases;
 
 use crate::autoscaler::{Autoscaler, AutoscalerConfig, ScaleEvent, ScaleKind};
 use crate::pool::WarmPool;
-use crate::report::{FleetReport, ServeReport, ServedBatch, ServedRequest};
+use crate::report::{FleetReport, ServedBatch, ServedRequest};
 use crate::router::{PoolLoad, Router, RouterPolicy};
 use crate::streaming::StreamingState;
 use crate::workload::{generate_shaped, RateError, Request, WorkloadShape};
@@ -184,8 +184,8 @@ pub struct FleetOutcome {
 /// raw records and the replica sessions for post-hoc auditing.
 #[derive(Debug)]
 pub struct ServeOutcome {
-    /// Aggregated statistics.
-    pub report: ServeReport,
+    /// Aggregated statistics of the run as a one-pool static fleet.
+    pub report: FleetReport,
     /// Per-request records of served requests, in arrival order.
     pub requests: Vec<ServedRequest>,
     /// Requests rejected by backpressure, in arrival order.
@@ -197,8 +197,8 @@ pub struct ServeOutcome {
     pub sessions: Vec<Executor>,
 }
 
-/// The raw records of one event-loop run, from which both
-/// [`ServeReport`] and [`FleetReport`] are built.
+/// The raw records of one event-loop run, from which its
+/// [`FleetReport`] is built.
 #[derive(Default)]
 pub(crate) struct Records {
     /// Requests generated (offered load).
@@ -340,6 +340,12 @@ pub fn serve_fleet(cfg: &FleetConfig, zoo: &[ServedModel]) -> FleetOutcome {
 /// Runs the serving simulation to completion on one static pool of
 /// `cfg.pool_size` replicas.
 ///
+/// The run is a one-pool static fleet under Poisson arrivals, and its
+/// [`FleetReport`] says so: policy `shortest_queue`, shape `poisson`,
+/// one pool spawned, no scale events, replica-seconds equal to
+/// `pool_size × makespan`, and SLO attainment measured against
+/// `FleetConfig`'s default target of 250 ms.
+///
 /// # Panics
 ///
 /// Panics on an invalid configuration (empty mix, zero pool/rate) or
@@ -357,7 +363,7 @@ pub(crate) fn serve_one_pool(
     streaming: Option<&mut StreamingState>,
 ) -> ServeOutcome {
     // With a single pool every policy places every request on it, and
-    // the SLO only feeds the fleet report; both keep their defaults.
+    // the SLO only feeds the report; both keep their defaults.
     let fleet = FleetConfig {
         seed: cfg.seed,
         n_requests: cfg.n_requests,
@@ -376,7 +382,7 @@ pub(crate) fn serve_one_pool(
     };
     let records = run(&fleet, zoo, streaming);
     ServeOutcome {
-        report: ServeReport::build(cfg, &records),
+        report: FleetReport::build(&fleet, &records),
         requests: records.served,
         shed: records.shed,
         batches: records.batches.into_iter().map(|b| b.batch).collect(),

@@ -8,41 +8,41 @@
 //! requests. This crate builds that missing serving layer on the
 //! simulated platform, end to end and bit-deterministic:
 //!
-//! * [`workload::generate`] — a seeded Poisson request stream over a
-//!   weighted model mix (integer-nanosecond arrivals);
+//! * [`generate_shaped`] — a seeded request stream over a weighted
+//!   model mix (integer-nanosecond arrivals), Poisson by default;
 //! * [`dgnn_graph::WindowBatcher`]-driven dynamic micro-batching — a
 //!   batch closes when its window expires or it reaches capacity;
-//! * [`WarmPool`] — pre-initialized replica sessions; warm hits pay
-//!   only per-run allocation, cold starts pay a model swap;
+//! * a warm pool of pre-initialized replica sessions per pool; warm
+//!   hits pay only per-run allocation, cold starts pay a model swap;
 //! * [`serve`] — one warm pool behind the serving event loop, with
 //!   backpressure shedding at a queue bound;
 //! * [`serve_streaming`] — the same pool with queries racing live graph
 //!   ingestion: appends into a [`dgnn_graph::StreamingAdjacency`] delta
-//!   log, TGN/JODIE node-memory updates at ingest time, and per-request
-//!   **staleness** measurement against the visible snapshot;
-//! * [`ServeReport`] — p50/p95/p99 decomposition of request latency
-//!   into assembly, queue wait, service (and staleness) phases.
+//!   log, TGN-style node-memory updates at ingest time, and per-request
+//!   **staleness** measurement against the visible snapshot.
 //!
 //! On top of the single pool sits the **fleet layer**:
 //!
 //! * [`WorkloadShape`] — traffic shapes beyond homogeneous Poisson:
 //!   diurnal sinusoid, flash-crowd burst, heavy-tailed per-user
 //!   sessions with per-session model affinity;
-//! * [`Router`] — placement across N pools under [`RouterPolicy`]
+//! * a router placing requests across N pools under [`RouterPolicy`]
 //!   (affinity-first, power-of-two-choices, join-shortest-queue), all
 //!   deterministically tie-broken;
-//! * [`Autoscaler`] — queue-depth-driven scale-out/in where every
-//!   spawned pool pays the full provisioning warm-up (the §4.4 cost as
-//!   a *scaling* penalty) and every drained pool stops accruing
-//!   replica-seconds;
-//! * [`serve_fleet`] — N pools behind the serving event loop, reported
-//!   by [`FleetReport`] with SLO attainment, shed rate, replica-seconds
-//!   and scale-event counts.
+//! * an autoscaler ([`AutoscalerConfig`]) scaling out and in on queue
+//!   depth, where every spawned pool pays the full provisioning warm-up
+//!   (the §4.4 cost as a *scaling* penalty) and every drained pool
+//!   stops accruing replica-seconds;
+//! * [`serve_fleet`] — N pools behind the serving event loop.
 //!
 //! All three entry points run one discrete-event loop: [`serve`] and
 //! [`serve_streaming`] are its one-pool, static, Poisson case, so a
 //! single-pool run is exactly a [`serve_fleet`] run with one pool and
-//! no autoscaler, record for record.
+//! no autoscaler, record for record. Every run reports through one
+//! [`FleetReport`]: p50/p95/p99 decomposition of request latency into
+//! assembly, queue wait, service and staleness, warm-up share,
+//! feature-cache counters, SLO attainment, shed rate, replica-seconds
+//! and scale-event counts.
 //!
 //! Everything runs on the virtual clock: no wall-clock time, no thread
 //! scheduling, no hash-map iteration order anywhere in a decision path.
@@ -92,11 +92,10 @@ pub mod workload;
 use dgnn_device::{DurationNs, ExecMode, PlatformSpec};
 use dgnn_models::{InferenceConfig, ReplicaHandle};
 
-pub use autoscaler::{Autoscaler, AutoscalerConfig, ScaleEvent, ScaleKind};
+pub use autoscaler::{AutoscalerConfig, ScaleEvent, ScaleKind};
 pub use fleet::{serve, serve_fleet, FleetBatch, FleetConfig, FleetOutcome, ServeOutcome};
-pub use pool::{Replica, ServiceRecord, WarmPool};
-pub use report::{FleetReport, ServeReport, ServedBatch, ServedRequest};
-pub use router::{PoolLoad, Router, RouterPolicy};
+pub use report::{FleetReport, ServedBatch, ServedRequest};
+pub use router::RouterPolicy;
 pub use streaming::{generate_ingest, serve_streaming, StreamingConfig, StreamingOutcome};
 pub use workload::{generate_shaped, validate_rate, RateError, Request, WorkloadShape, MIN_RATE};
 
@@ -177,7 +176,7 @@ impl ServeConfig {
     /// schedule. A NaN, infinite, non-positive or sub-[`MIN_RATE`] rate
     /// would previously saturate the `gap_s * 1e9 → u64` conversion and
     /// produce a silently nonsensical arrival schedule; now it is a
-    /// typed error here and a panic in [`workload::generate`].
+    /// typed error here and a panic in [`generate_shaped`].
     ///
     /// # Errors
     ///

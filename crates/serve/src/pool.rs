@@ -38,7 +38,7 @@ use crate::ServedModel;
 /// One replica slot: a long-lived executor session plus residence
 /// bookkeeping.
 #[derive(Debug)]
-pub struct Replica {
+pub(crate) struct Replica {
     /// Slot id (stable, 0-based).
     pub id: usize,
     session: Executor,
@@ -49,8 +49,6 @@ pub struct Replica {
     last_used: u64,
     /// Cold starts served by this slot (model swaps after provisioning).
     pub cold_starts: usize,
-    /// Total services (batches) executed by this slot.
-    pub services: usize,
 }
 
 impl Replica {
@@ -62,7 +60,7 @@ impl Replica {
 
 /// Result of one service executed on a replica.
 #[derive(Debug, Clone)]
-pub struct ServiceRecord {
+pub(crate) struct ServiceRecord {
     /// Slot that served the batch.
     pub replica: usize,
     /// Whether the service paid a model swap (cold start).
@@ -77,7 +75,7 @@ pub struct ServiceRecord {
 
 /// A fixed-size pool of warm replica sessions.
 #[derive(Debug)]
-pub struct WarmPool {
+pub(crate) struct WarmPool {
     replicas: Vec<Replica>,
 }
 
@@ -104,7 +102,6 @@ impl WarmPool {
                     busy: false,
                     last_used: 0,
                     cold_starts: 0,
-                    services: 0,
                 }
             })
             .collect();
@@ -114,12 +111,6 @@ impl WarmPool {
     /// Number of slots.
     pub fn len(&self) -> usize {
         self.replicas.len()
-    }
-
-    /// Whether the pool has no slots (never true — see
-    /// [`WarmPool::new`]).
-    pub fn is_empty(&self) -> bool {
-        self.replicas.is_empty()
     }
 
     /// Slot accessor.
@@ -253,7 +244,6 @@ impl WarmPool {
         r.resident_param_bytes = model.param_bytes();
         r.busy = true;
         r.last_used = seq;
-        r.services += 1;
 
         ServiceRecord {
             replica: slot,

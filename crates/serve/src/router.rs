@@ -11,7 +11,7 @@ use dgnn_tensor::TensorRng;
 
 /// Snapshot of one routable pool, as seen by the router at an arrival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolLoad {
+pub(crate) struct PoolLoad {
     /// Fleet-wide pool id (stable across the pool's lifetime).
     pub pool: usize,
     /// Requests queued at the pool (all models, excluding in-flight).
@@ -56,24 +56,8 @@ impl RouterPolicy {
 /// power-of-two probes consume randomness at a fixed two-draws-per-
 /// arrival cadence regardless of outcome — replaying a seed replays
 /// the exact probe sequence.
-///
-/// ```
-/// use dgnn_serve::{PoolLoad, Router, RouterPolicy};
-///
-/// let mut router = Router::new(RouterPolicy::AffinityFirst, 42);
-/// let loads = [
-///     PoolLoad { pool: 0, queued: 5, resident: false },
-///     PoolLoad { pool: 1, queued: 9, resident: true },
-///     PoolLoad { pool: 2, queued: 2, resident: false },
-/// ];
-/// // Affinity wins over raw queue depth: pool 1 holds the model.
-/// assert_eq!(router.place(&loads), 1);
-///
-/// let mut jsq = Router::new(RouterPolicy::JoinShortestQueue, 42);
-/// assert_eq!(jsq.place(&loads), 2);
-/// ```
 #[derive(Debug)]
-pub struct Router {
+pub(crate) struct Router {
     policy: RouterPolicy,
     rng: TensorRng,
 }
@@ -86,12 +70,6 @@ impl Router {
             policy,
             rng: TensorRng::seed(seed.wrapping_mul(0xc2b2_ae3d_27d4_eb4f) ^ 0x2f17),
         }
-    }
-
-    /// The configured policy.
-    #[must_use]
-    pub fn policy(&self) -> RouterPolicy {
-        self.policy
     }
 
     /// Picks the destination pool id for one arrival.

@@ -3,7 +3,7 @@
 //! The offline serving loop treats the graph as frozen. Real DGNN
 //! deployments do not get that luxury: edge events keep arriving while
 //! queries are in flight, and the host must split its time between
-//! *ingesting* (appending to the delta log, updating TGN/JODIE node
+//! *ingesting* (appending to the delta log, updating TGN-style node
 //! memory, periodically compacting) and *sampling* for queries. This
 //! module wires that contention into the discrete-event loop:
 //!
@@ -101,7 +101,7 @@ impl StreamingConfig {
 /// RNG and rounded to integer (≥ 1) nanoseconds.
 ///
 /// The RNG stream is decorrelated from the request-arrival stream of
-/// [`crate::workload::generate`] by a distinct seed mix, so ingest and
+/// [`crate::generate_shaped`] by a distinct seed mix, so ingest and
 /// query processes are independent Poisson processes.
 ///
 /// # Panics

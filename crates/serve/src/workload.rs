@@ -100,19 +100,6 @@ pub struct Request {
     pub arrival: DurationNs,
 }
 
-/// Generates `n` requests at `rate_rps` expected arrivals per simulated
-/// second, with models drawn from `weights` (need not be normalized).
-///
-/// # Panics
-///
-/// Panics when `rate_rps` fails [`validate_rate`], `weights` is empty,
-/// or the weights sum to zero. Call [`validate_rate`] (or
-/// [`crate::ServeConfig::validate`]) first to get the typed
-/// [`RateError`] instead of a panic.
-pub fn generate(seed: u64, n: usize, rate_rps: f64, weights: &[f64]) -> Vec<Request> {
-    generate_shaped(seed, n, rate_rps, weights, &WorkloadShape::Poisson)
-}
-
 /// Traffic shape layered on the base Poisson process. All shapes keep
 /// the long-run average rate at the configured `rate_rps`; they differ
 /// in how arrivals cluster in time and (for sessions) across models.
@@ -140,7 +127,7 @@ pub fn generate(seed: u64, n: usize, rate_rps: f64, weights: &[f64]) -> Vec<Requ
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WorkloadShape {
-    /// Homogeneous Poisson arrivals — identical to [`generate`].
+    /// Homogeneous Poisson arrivals at `rate`.
     Poisson,
     /// Sinusoidal day/night cycle:
     /// `λ(t) = rate · (1 + amplitude · sin(2π t / period))`.
@@ -273,9 +260,9 @@ fn draw_model(rng: &mut TensorRng, weights: &[f64], total_weight: f64) -> usize 
 }
 
 /// Generates `n` requests at a long-run average of `rate_rps` arrivals
-/// per simulated second, shaped by `shape`. With
-/// [`WorkloadShape::Poisson`] this is exactly [`generate`] (same seed →
-/// same stream).
+/// per simulated second, shaped by `shape`, with models drawn from
+/// `weights` (need not be normalized). The same seed and shape always
+/// give the same stream.
 ///
 /// # Panics
 ///
@@ -448,7 +435,7 @@ mod tests {
 
     #[test]
     fn arrivals_are_strictly_increasing() {
-        let reqs = generate(7, 500, 1_000.0, &[1.0, 1.0]);
+        let reqs = generate_shaped(7, 500, 1_000.0, &[1.0, 1.0], &WorkloadShape::Poisson);
         assert_eq!(reqs.len(), 500);
         for w in reqs.windows(2) {
             assert!(w[0].arrival < w[1].arrival);
@@ -457,17 +444,17 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = generate(42, 200, 50.0, &[3.0, 1.0]);
-        let b = generate(42, 200, 50.0, &[3.0, 1.0]);
+        let a = generate_shaped(42, 200, 50.0, &[3.0, 1.0], &WorkloadShape::Poisson);
+        let b = generate_shaped(42, 200, 50.0, &[3.0, 1.0], &WorkloadShape::Poisson);
         assert_eq!(a, b);
-        let c = generate(43, 200, 50.0, &[3.0, 1.0]);
+        let c = generate_shaped(43, 200, 50.0, &[3.0, 1.0], &WorkloadShape::Poisson);
         assert_ne!(a, c);
     }
 
     #[test]
     fn mean_gap_tracks_the_rate() {
         let rate = 100.0; // 10 ms expected gap
-        let reqs = generate(1, 2_000, rate, &[1.0]);
+        let reqs = generate_shaped(1, 2_000, rate, &[1.0], &WorkloadShape::Poisson);
         let mean_gap_s = reqs.last().unwrap().arrival.as_secs_f64() / reqs.len() as f64;
         let expected = 1.0 / rate;
         assert!(
@@ -478,7 +465,7 @@ mod tests {
 
     #[test]
     fn mix_respects_weights() {
-        let reqs = generate(9, 4_000, 1_000.0, &[3.0, 1.0]);
+        let reqs = generate_shaped(9, 4_000, 1_000.0, &[3.0, 1.0], &WorkloadShape::Poisson);
         let first = reqs.iter().filter(|r| r.model == 0).count();
         let share = first as f64 / reqs.len() as f64;
         assert!(
@@ -490,7 +477,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not positive")]
     fn zero_rate_is_rejected() {
-        generate(1, 10, 0.0, &[1.0]);
+        let _ = generate_shaped(1, 10, 0.0, &[1.0], &WorkloadShape::Poisson);
     }
 
     #[test]
@@ -573,7 +560,10 @@ mod tests {
                 }
             })
             .collect();
-        assert_eq!(generate(21, 100, 250.0, &weights), direct);
+        assert_eq!(
+            generate_shaped(21, 100, 250.0, &weights, &WorkloadShape::Poisson),
+            direct
+        );
     }
 
     #[test]

@@ -252,8 +252,7 @@ fn scale_in_retires_pools_and_stops_billing_replica_seconds() {
     assert!(report.final_pools < report.peak_pools);
     // Retired pools stop accruing: total replica-seconds must be less
     // than running the peak fleet for the whole makespan.
-    let peak_bill =
-        (report.peak_pools * report.replicas_per_pool) as f64 * report.makespan.as_secs_f64();
+    let peak_bill = (report.peak_pools * report.pool_size) as f64 * report.makespan.as_secs_f64();
     assert!(
         report.replica_seconds < peak_bill,
         "replica-seconds {} must undercut the peak bill {peak_bill}",
@@ -288,7 +287,7 @@ fn fleet_sessions_audit_clean() {
     let outcome = serve_fleet(&cfg, &[jodie_entry(1.0), tgat_entry(1.0)]);
     assert_eq!(
         outcome.sessions.len(),
-        outcome.report.pools_spawned * outcome.report.replicas_per_pool
+        outcome.report.pools_spawned * outcome.report.pool_size
     );
     for (i, session) in outcome.sessions.iter().enumerate() {
         let report = dgnn_analysis::audit(session);
