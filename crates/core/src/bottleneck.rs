@@ -40,47 +40,26 @@ pub struct BottleneckFinding {
     pub evidence: String,
 }
 
-/// Detection thresholds. Defaults follow the paper's qualitative bars
-/// (e.g. "GPU utilization below a few percent", "sampling takes most of
-/// the inference time").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Thresholds {
-    /// GPU utilization below this flags temporal dependency.
-    pub max_healthy_utilization: f64,
-    /// Host share of wall time above this flags workload imbalance.
-    pub max_healthy_host_share: f64,
-    /// Transfer share of wall time above this flags data movement.
-    pub max_healthy_transfer_share: f64,
-    /// Warm-up share of total time above this flags warm-up.
-    pub max_healthy_warmup_share: f64,
-}
-
-impl Default for Thresholds {
-    fn default() -> Self {
-        Thresholds {
-            max_healthy_utilization: 0.10,
-            max_healthy_host_share: 0.40,
-            max_healthy_transfer_share: 0.25,
-            max_healthy_warmup_share: 0.30,
-        }
-    }
-}
+// Detection thresholds, following the paper's qualitative bars (e.g.
+// "GPU utilization below a few percent", "sampling takes most of the
+// inference time").
+/// GPU utilization below this flags temporal dependency.
+const MAX_HEALTHY_UTILIZATION: f64 = 0.10;
+/// Host share of wall time above this flags workload imbalance.
+const MAX_HEALTHY_HOST_SHARE: f64 = 0.40;
+/// Transfer share of wall time above this flags data movement.
+const MAX_HEALTHY_TRANSFER_SHARE: f64 = 0.25;
+/// Warm-up share of total time above this flags warm-up.
+const MAX_HEALTHY_WARMUP_SHARE: f64 = 0.30;
 
 /// Classifies a profiled run against the four bottleneck classes.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BottleneckClassifier {
-    thresholds: Thresholds,
-}
+pub struct BottleneckClassifier;
 
 impl BottleneckClassifier {
-    /// Classifier with default thresholds.
+    /// A classifier against the paper's detection thresholds.
     pub fn new() -> Self {
-        BottleneckClassifier::default()
-    }
-
-    /// Classifier with custom thresholds.
-    pub fn with_thresholds(thresholds: Thresholds) -> Self {
-        BottleneckClassifier { thresholds }
+        BottleneckClassifier
     }
 
     /// Analyzes `timeline` over the measurement window `[start, end)`
@@ -96,7 +75,6 @@ impl BottleneckClassifier {
     ) -> Vec<BottleneckFinding> {
         let mut findings = Vec::new();
         let window = end.saturating_sub(start).as_nanos().max(1) as f64;
-        let th = &self.thresholds;
 
         // Temporal dependency shows up two ways: idle gaps between
         // serialized stages (low kernel-resident utilization, the
@@ -110,10 +88,10 @@ impl BottleneckClassifier {
             .iter()
             .filter(|e| e.category.is_gpu_compute() && e.start >= start && e.end <= end)
             .count();
-        if gpu_events > 0 && util < th.max_healthy_utilization {
+        if gpu_events > 0 && util < MAX_HEALTHY_UTILIZATION {
             findings.push(BottleneckFinding {
                 kind: BottleneckKind::TemporalDependency,
-                severity: (1.0 - util / th.max_healthy_utilization).clamp(0.0, 1.0),
+                severity: (1.0 - util / MAX_HEALTHY_UTILIZATION).clamp(0.0, 1.0),
                 evidence: format!(
                     "GPU utilization {:.2}% over the inference window ({} kernels, serialized)",
                     util * 100.0,
@@ -130,11 +108,10 @@ impl BottleneckClassifier {
             .map(|e| e.overlap(start, end).as_nanos())
             .sum();
         let host_share = host as f64 / window;
-        if host_share > th.max_healthy_host_share {
+        if host_share > MAX_HEALTHY_HOST_SHARE {
             findings.push(BottleneckFinding {
                 kind: BottleneckKind::WorkloadImbalance,
-                severity: ((host_share - th.max_healthy_host_share)
-                    / (1.0 - th.max_healthy_host_share))
+                severity: ((host_share - MAX_HEALTHY_HOST_SHARE) / (1.0 - MAX_HEALTHY_HOST_SHARE))
                     .clamp(0.0, 1.0),
                 evidence: format!(
                     "CPU preprocessing occupies {:.1}% of inference time; GPU waits",
@@ -151,11 +128,11 @@ impl BottleneckClassifier {
             .map(|e| e.overlap(start, end).as_nanos())
             .sum();
         let pcie_share = pcie as f64 / window;
-        if pcie_share > th.max_healthy_transfer_share {
+        if pcie_share > MAX_HEALTHY_TRANSFER_SHARE {
             findings.push(BottleneckFinding {
                 kind: BottleneckKind::DataMovement,
-                severity: ((pcie_share - th.max_healthy_transfer_share)
-                    / (1.0 - th.max_healthy_transfer_share))
+                severity: ((pcie_share - MAX_HEALTHY_TRANSFER_SHARE)
+                    / (1.0 - MAX_HEALTHY_TRANSFER_SHARE))
                     .clamp(0.0, 1.0),
                 evidence: format!(
                     "CPU<->GPU transfers occupy {:.1}% of inference time ({} bytes moved)",
@@ -168,11 +145,11 @@ impl BottleneckClassifier {
         // Warm-up: share of the *total* span including one-time costs.
         let warmup = timeline.category_time(EventCategory::is_warmup);
         let warmup_share = warmup.as_nanos() as f64 / total_span.as_nanos().max(1) as f64;
-        if warmup_share > th.max_healthy_warmup_share {
+        if warmup_share > MAX_HEALTHY_WARMUP_SHARE {
             findings.push(BottleneckFinding {
                 kind: BottleneckKind::GpuWarmup,
-                severity: ((warmup_share - th.max_healthy_warmup_share)
-                    / (1.0 - th.max_healthy_warmup_share))
+                severity: ((warmup_share - MAX_HEALTHY_WARMUP_SHARE)
+                    / (1.0 - MAX_HEALTHY_WARMUP_SHARE))
                     .clamp(0.0, 1.0),
                 evidence: format!(
                     "warm-up is {:.1}% of end-to-end time ({:.1} ms)",

@@ -48,7 +48,7 @@ mod trace;
 mod utilization;
 mod warmup;
 
-pub use bottleneck::{BottleneckClassifier, BottleneckFinding, BottleneckKind, Thresholds};
+pub use bottleneck::{BottleneckClassifier, BottleneckFinding, BottleneckKind};
 pub use breakdown::{Breakdown, BreakdownEntry};
 pub use kernels::{kernel_summary, render_kernel_summary, KernelStat};
 pub use latency::{LatencyStats, ServicePhases};

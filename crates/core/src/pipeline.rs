@@ -42,16 +42,6 @@ pub fn pipelined_makespan(steps: &[StagePair]) -> DurationNs {
     second_done
 }
 
-/// Speedup of pipelining over sequential execution (≥ 1).
-pub fn pipeline_speedup(steps: &[StagePair]) -> f64 {
-    let seq = sequential_makespan(steps).as_nanos();
-    let pipe = pipelined_makespan(steps).as_nanos();
-    if pipe == 0 {
-        return 1.0;
-    }
-    seq as f64 / pipe as f64
-}
-
 /// Overlap of host preprocessing with device compute (§5.1.1, the
 /// Zhang et al. style sampling/inference overlap): host work for batch
 /// `t+1` proceeds while the device processes batch `t`. `pairs` holds
@@ -108,9 +98,10 @@ mod tests {
                 second: ns(10),
             })
             .collect();
-        let s = pipeline_speedup(&steps);
-        assert!(s > 1.9, "speedup {s}");
-        assert!(s <= 2.0 + 1e-9);
+        // Only the first step's first stage is exposed: 1010 ns against
+        // 2000 ns sequential, a 1.98x speedup.
+        assert_eq!(sequential_makespan(&steps), ns(2_000));
+        assert_eq!(pipelined_makespan(&steps), ns(1_010));
     }
 
     #[test]
@@ -130,7 +121,6 @@ mod tests {
             },
         ];
         assert!(pipelined_makespan(&steps) <= sequential_makespan(&steps));
-        assert!(pipeline_speedup(&steps) >= 1.0);
     }
 
     #[test]

@@ -29,19 +29,10 @@ impl WarmupReport {
         }
     }
 
-    /// Total warm-up (context + model init + allocation).
-    pub fn total_warmup(&self) -> DurationNs {
-        self.context + self.model_init + self.alloc
-    }
-
-    /// Per-batch warm-up as Table 2 defines it: allocation warm-up only
-    /// (context and model init are one-time costs the table excludes).
-    pub fn batch_warmup(&self) -> DurationNs {
-        self.alloc
-    }
-
     /// Table 2's proportion: per-batch warm-up over GPU total working
-    /// time (warm-up + computation).
+    /// time (warm-up + computation). Per-batch warm-up is allocation
+    /// only: context and model init are one-time costs the table
+    /// excludes.
     pub fn batch_warmup_share(&self) -> f64 {
         let total = (self.alloc + self.computation).as_nanos();
         if total == 0 {
@@ -120,7 +111,6 @@ mod tests {
         assert!(r.model_init > DurationNs::ZERO);
         assert!(r.alloc > DurationNs::ZERO);
         assert!(r.computation > DurationNs::ZERO);
-        assert_eq!(r.total_warmup(), r.context + r.model_init + r.alloc);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! [`FeatureCache`] models exactly that mitigation: a
 //! configurable-capacity LRU over device-resident rows keyed by
-//! ([`TensorClass`], row id), with per-entry hotness counters and
-//! hit/miss/eviction statistics. A hit means the row is already in GPU
+//! ([`TensorClass`], row id), with hit/miss/eviction statistics
+//! overall and per class. A hit means the row is already in GPU
 //! memory and its H2D transfer is *skipped entirely*; a miss prices the
 //! fetch and inserts the row, evicting the least-recently-used entry
 //! when full. Only *pricing* changes — model numerics are bit-identical
@@ -126,8 +126,6 @@ pub fn accumulate_class_stats(into: &mut ClassCacheStats, other: &ClassCacheStat
 struct Entry {
     /// Recency tick of the most recent touch (key into the LRU order).
     tick: u64,
-    /// Times this row was probed while resident (hotness counter).
-    hotness: u64,
     /// Device bytes the row occupies (freed on eviction).
     bytes: u64,
 }
@@ -219,17 +217,6 @@ impl FeatureCache {
         self.map.contains_key(&(class, key))
     }
 
-    /// Times the row was probed while resident (0 when absent).
-    pub fn hotness(&self, class: TensorClass, key: u64) -> u64 {
-        self.map.get(&(class, key)).map_or(0, |e| e.hotness)
-    }
-
-    /// Device bytes currently pinned by resident rows.
-    pub fn resident_bytes(&self) -> u64 {
-        // Summed over the deterministic LRU order, not the hash map.
-        self.lru.values().map(|k| self.map[k].bytes).sum()
-    }
-
     /// Probes for `(class, key)` and, on a miss, inserts it as a
     /// `row_bytes`-byte resident row (evicting the LRU row if full).
     ///
@@ -244,7 +231,6 @@ impl FeatureCache {
             self.lru.remove(&e.tick);
             self.lru.insert(tick, (class, key));
             e.tick = tick;
-            e.hotness += 1;
             self.stats.hits += 1;
             self.stats.hit_bytes += e.bytes;
             self.class_stats[class.index()].hits += 1;
@@ -269,7 +255,6 @@ impl FeatureCache {
             (class, key),
             Entry {
                 tick,
-                hotness: 0,
                 bytes: row_bytes,
             },
         );
@@ -283,12 +268,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn miss_then_hit_then_hotness() {
+    fn miss_then_hits() {
         let mut c = FeatureCache::new(4);
         assert!(!c.probe_insert(TensorClass::NodeFeature, 1, 64).0);
         assert!(c.probe_insert(TensorClass::NodeFeature, 1, 64).0);
         assert!(c.probe_insert(TensorClass::NodeFeature, 1, 64).0);
-        assert_eq!(c.hotness(TensorClass::NodeFeature, 1), 2);
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (2, 1));
         assert_eq!((s.hit_bytes, s.miss_bytes), (128, 64));
@@ -316,7 +300,6 @@ mod tests {
         assert!(!c.contains(TensorClass::NodeFeature, 2));
         assert!(c.contains(TensorClass::NodeFeature, 1));
         assert_eq!(c.stats().evictions, 1);
-        assert_eq!(c.resident_bytes(), 40);
     }
 
     #[test]

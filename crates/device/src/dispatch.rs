@@ -138,11 +138,6 @@ impl DeviceTensor {
         self.scale
     }
 
-    /// Unwraps the functional values.
-    pub fn into_inner(self) -> Tensor {
-        self.data
-    }
-
     /// Bytes this tensor logically occupies (physical bytes × scale).
     #[expect(
         clippy::cast_possible_truncation,

@@ -693,14 +693,6 @@ impl Executor {
         &self.cpu_mem
     }
 
-    /// Memory tracker for the device kernels execute on.
-    pub fn compute_memory(&self) -> &MemoryTracker {
-        match self.mode {
-            ExecMode::CpuOnly => &self.cpu_mem,
-            ExecMode::Gpu => &self.gpu_mem,
-        }
-    }
-
     /// Opens a named profiler scope and returns a token for
     /// [`Executor::exit_scope`]. Used by wrappers (the dispatcher) that
     /// cannot express the scope as a closure over `&mut Executor`.

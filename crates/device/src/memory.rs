@@ -45,11 +45,6 @@ impl MemoryTracker {
     pub fn alloc_count(&self) -> u64 {
         self.alloc_count
     }
-
-    /// Peak memory in MiB (convenience for reports).
-    pub fn peak_mib(&self) -> f64 {
-        self.peak as f64 / (1024.0 * 1024.0)
-    }
 }
 
 #[cfg(test)]
@@ -74,12 +69,5 @@ mod tests {
         m.alloc(10);
         m.free(100);
         assert_eq!(m.live_bytes(), 0);
-    }
-
-    #[test]
-    fn peak_mib_converts() {
-        let mut m = MemoryTracker::new();
-        m.alloc(2 * 1024 * 1024);
-        assert!((m.peak_mib() - 2.0).abs() < 1e-9);
     }
 }

@@ -1,8 +1,6 @@
 //! The simulated Nsight trace: an ordered list of timeline events with
 //! query helpers.
 
-use dgnn_tensor::OpKind;
-
 use crate::event::{EventCategory, Place, TimelineEvent};
 use crate::time::DurationNs;
 
@@ -213,46 +211,6 @@ impl Timeline {
             .sum()
     }
 
-    /// GPU utilization sampled over fixed-width windows spanning the whole
-    /// timeline — the Figure 9 time-series.
-    pub fn gpu_utilization_series(&self, window: DurationNs) -> Vec<(DurationNs, f64)> {
-        assert!(window.as_nanos() > 0, "window must be positive");
-        let end = self.span_end();
-        let mut out = Vec::new();
-        let mut t = DurationNs::ZERO;
-        while t < end {
-            let next = (t + window).min(end);
-            out.push((t, self.gpu_utilization(t, next)));
-            t += window;
-        }
-        out
-    }
-
-    /// Per-kernel-family histogram: (kind, count, total time).
-    pub fn kernel_histogram(&self) -> Vec<(OpKind, usize, DurationNs)> {
-        let kinds = [
-            OpKind::Gemm,
-            OpKind::Elementwise,
-            OpKind::Reduce,
-            OpKind::Gather,
-            OpKind::Sort,
-        ];
-        kinds
-            .iter()
-            .filter_map(|&kind| {
-                let mut count = 0usize;
-                let mut total = DurationNs::ZERO;
-                for e in &self.events {
-                    if e.category == EventCategory::Kernel(kind) {
-                        count += 1;
-                        total += e.duration();
-                    }
-                }
-                (count > 0).then_some((kind, count, total))
-            })
-            .collect()
-    }
-
     /// Events whose scope path starts with `prefix`.
     pub fn events_in_scope<'a>(
         &'a self,
@@ -268,6 +226,7 @@ impl Timeline {
 mod tests {
     use super::*;
     use crate::event::TransferDir;
+    use dgnn_tensor::OpKind;
 
     fn kernel(start: u64, end: u64, occ: f64) -> TimelineEvent {
         kernel_on(0, start, end, occ)
@@ -333,17 +292,6 @@ mod tests {
             tl.gpu_utilization(DurationNs::ZERO, DurationNs::from_nanos(100)),
             0.0
         );
-    }
-
-    #[test]
-    fn utilization_series_covers_span() {
-        let mut tl = Timeline::new();
-        tl.push(kernel(0, 10, 1.0));
-        tl.push(kernel(90, 100, 1.0));
-        let series = tl.gpu_utilization_series(DurationNs::from_nanos(50));
-        assert_eq!(series.len(), 2);
-        assert!((series[0].1 - 0.2).abs() < 1e-9);
-        assert!((series[1].1 - 0.2).abs() < 1e-9);
     }
 
     #[test]
@@ -447,18 +395,6 @@ mod tests {
         assert_eq!(tl.transfer_count(None), 1);
         // …but its device index counts toward the device census.
         assert_eq!(tl.n_devices(), 2);
-    }
-
-    #[test]
-    fn kernel_histogram_groups() {
-        let mut tl = Timeline::new();
-        tl.push(kernel(0, 10, 1.0));
-        tl.push(kernel(10, 30, 1.0));
-        let h = tl.kernel_histogram();
-        assert_eq!(h.len(), 1);
-        assert_eq!(h[0].0, OpKind::Gemm);
-        assert_eq!(h[0].1, 2);
-        assert_eq!(h[0].2.as_nanos(), 30);
     }
 
     #[test]

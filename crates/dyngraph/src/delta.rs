@@ -402,11 +402,6 @@ pub struct StreamingView<'a> {
 }
 
 impl StreamingView<'_> {
-    /// Number of events this snapshot exposes.
-    pub fn visible_events(&self) -> usize {
-        self.visible
-    }
-
     /// Visible entry counts of `node` in (base, delta): entries whose
     /// producing event index precedes the visibility horizon. Both row
     /// segments store event indexes in increasing order, so each prefix

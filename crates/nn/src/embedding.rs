@@ -28,22 +28,6 @@ impl EmbeddingTable {
         }
     }
 
-    /// Creates a table from existing values.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `values` is not rank 2.
-    pub fn from_tensor(values: Tensor) -> Self {
-        assert_eq!(values.rank(), 2, "embedding table must be rank 2");
-        let rows = values.dims()[0];
-        let dim = values.dims()[1];
-        EmbeddingTable {
-            table: Param::new("table", values),
-            rows,
-            dim,
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -110,7 +94,7 @@ impl Module for EmbeddingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgnn_device::{ExecMode, Executor, OpKind, PlatformSpec};
+    use dgnn_device::{EventCategory, ExecMode, Executor, OpKind, PlatformSpec};
 
     fn ex() -> Executor {
         Executor::new(PlatformSpec::default(), ExecMode::CpuOnly)
@@ -147,8 +131,10 @@ mod tests {
         let mut ex = ex();
         let mut dx = Dispatcher::new(&mut ex);
         table.lookup(&mut dx, &[0]).unwrap();
-        let hist = dx.executor().timeline().kernel_histogram();
-        assert!(hist.iter().any(|(k, _, _)| *k == OpKind::Gather));
+        let events = dx.executor().timeline().events();
+        assert!(events
+            .iter()
+            .any(|e| e.category == EventCategory::Kernel(OpKind::Gather)));
     }
 
     #[test]
@@ -158,13 +144,5 @@ mod tests {
         let mut ex = ex();
         let mut dx = Dispatcher::new(&mut ex);
         assert!(table.lookup(&mut dx, &[5]).is_err());
-    }
-
-    #[test]
-    fn from_tensor_wraps_values() {
-        let t = Tensor::eye(3);
-        let table = EmbeddingTable::from_tensor(t.clone());
-        assert_eq!(table.rows(), 3);
-        assert_eq!(table.table(), &t);
     }
 }

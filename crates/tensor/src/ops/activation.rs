@@ -18,11 +18,6 @@ impl Tensor {
         self.map(|v| v.max(0.0))
     }
 
-    /// Leaky ReLU with negative slope `alpha` (TGAT's attention uses 0.2).
-    pub fn leaky_relu(&self, alpha: f32) -> Tensor {
-        self.map(move |v| if v >= 0.0 { v } else { alpha * v })
-    }
-
     /// Logistic sigmoid, numerically stable over the whole range.
     pub fn sigmoid(&self) -> Tensor {
         self.map(sigmoid_scalar)
@@ -71,12 +66,6 @@ mod tests {
     fn relu_clamps_negatives() {
         let t = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]).unwrap();
         assert_eq!(t.relu().as_slice(), &[0.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn leaky_relu_scales_negatives() {
-        let t = Tensor::from_vec(vec![-10.0, 5.0], &[2]).unwrap();
-        assert_eq!(t.leaky_relu(0.2).as_slice(), &[-2.0, 5.0]);
     }
 
     #[test]

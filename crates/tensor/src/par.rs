@@ -7,8 +7,9 @@
 //! output is always identical to `items.iter().map(f).collect()`
 //! regardless of thread count or scheduling.
 //!
-//! Thread count comes from `RAYON_NUM_THREADS` when set (the same knob
-//! rayon honors, which is what CI uses to pin the suite to one thread),
+//! Callers pass the thread count; [`max_threads`] gives the process
+//! default, read from `RAYON_NUM_THREADS` when set (the same knob rayon
+//! honors, which is what CI uses to pin the suite to one thread) and
 //! falling back to [`std::thread::available_parallelism`].
 
 use std::num::NonZeroUsize;
@@ -20,7 +21,7 @@ const MIN_CHUNK: usize = 8;
 /// Worker threads the process should use: `RAYON_NUM_THREADS` when set
 /// to a positive integer, otherwise the machine's available parallelism.
 pub fn max_threads() -> usize {
-    // lint: allow(nondeterminism-source) — thread count shapes pacing only; par_map output is chunk-ordered and identical at any width
+    // lint: allow(nondeterminism-source) — thread count shapes pacing only; par_map_* output is chunk-ordered and identical at any width
     match std::env::var("RAYON_NUM_THREADS") {
         Ok(v) => match v.trim().parse::<usize>() {
             Ok(n) if n > 0 => n,
@@ -36,23 +37,13 @@ fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Maps `f` over `items` using up to [`max_threads`] worker threads.
+/// Maps `f` over `items` using up to `threads` worker threads.
 ///
 /// Output order (and therefore content) is identical to the serial
-/// `items.iter().map(f).collect()`.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_threads(items, max_threads(), f)
-}
-
-/// [`par_map`] with an explicit thread cap — lets tests assert that any
-/// thread count reproduces the serial result without touching the
-/// process environment. Caps the workers so each gets at least
-/// `MIN_CHUNK` items, then fans out as [`par_map_coarse`].
+/// `items.iter().map(f).collect()`, so tests can assert that any thread
+/// count reproduces the serial result without touching the process
+/// environment. Caps the workers so each gets at least `MIN_CHUNK`
+/// items, then fans out as [`par_map_coarse`].
 pub fn par_map_threads<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
