@@ -3,8 +3,9 @@
 
 use dgnn_datasets::{wikipedia, Scale};
 use dgnn_device::{DurationNs, ExecMode, PlatformSpec};
+use dgnn_graph::WindowBatcher;
 use dgnn_models::{InferenceConfig, Jodie, JodieConfig, ReplicaHandle, Tgat, TgatConfig};
-use dgnn_serve::{serve, ServeConfig, ServedModel};
+use dgnn_serve::{serve, ServeConfig, ServedModel, UNBOUNDED};
 
 fn jodie_entry(weight: f64) -> ServedModel {
     let data = wikipedia(Scale::Tiny, 11);
@@ -159,6 +160,47 @@ fn wide_window_assembles_multi_request_batches() {
         .batches
         .iter()
         .all(|b| b.requests.len() <= cfg.max_batch));
+}
+
+/// `WindowBatcher::partition` is the closed form of the loop's
+/// admission rule: with one model and no queue bound, every served
+/// batch holds exactly the members, and closes at exactly the instant,
+/// that the partition of the arrival instants gives.
+#[test]
+fn batches_match_the_window_batcher_partition() {
+    let cfg = ServeConfig {
+        n_requests: 48,
+        arrival_rate_rps: 1_000.0,
+        batch_window: DurationNs::from_millis(3),
+        max_batch: 4,
+        queue_bound: UNBOUNDED,
+        ..base_cfg()
+    };
+    let outcome = serve(&cfg, &[jodie_entry(1.0)]);
+    assert_eq!(outcome.report.served, cfg.n_requests);
+    let arrivals: Vec<u64> = outcome
+        .requests
+        .iter()
+        .map(|r| r.arrival.as_nanos())
+        .collect();
+    let reference =
+        WindowBatcher::new(cfg.batch_window.as_nanos(), cfg.max_batch).partition(&arrivals);
+    assert_eq!(outcome.batches.len(), reference.len());
+    for (i, (served, want)) in outcome.batches.iter().zip(&reference).enumerate() {
+        assert_eq!(
+            served.requests,
+            want.indices().collect::<Vec<_>>(),
+            "batch {i}"
+        );
+        assert_eq!(served.ready.as_nanos(), want.ready_ns, "batch {i}");
+    }
+    // Both close rules fire: some batches fill, others time out.
+    let full = reference.iter().filter(|b| b.len == cfg.max_batch).count();
+    assert!(
+        full > 0 && full < reference.len(),
+        "{full} of {} batches closed on capacity",
+        reference.len()
+    );
 }
 
 #[test]
