@@ -1,21 +1,27 @@
-//! Smoke-scale golden outputs of the paper-figure binaries.
+//! Smoke-scale golden outputs of the paper-figure and transfer
+//! binaries.
 //!
-//! Each test runs one bin at `--scale tiny --seed 1` and compares its
-//! stdout byte for byte with the file under `tests/golden/`. Every
-//! number those bins print comes from the simulated clock, so a change
-//! that moves any priced time, share, checksum or table row fails here.
+//! Each test runs one bin at smoke scale — the paper-figure bins at
+//! `--scale tiny --seed 1`, the transfer bins (`pipeline_overlap`,
+//! `feature_cache`, `multi_gpu`) at `--smoke` — and compares its stdout
+//! byte for byte with the file under `tests/golden/`. Every number
+//! those bins print comes from the simulated clock, so a change that
+//! moves any priced time, share, checksum or table row fails here.
 //! Debug and release builds print the same bytes.
 //!
-//! To re-record after an intended change, run each bin at the parent
-//! commit and redirect its stdout to the golden file, e.g.
-//! `target/release/fig7_breakdown --scale tiny --seed 1 >
+//! To re-record after an intended change, run each bin with its
+//! arguments at the parent commit and redirect its stdout to the golden
+//! file, e.g. `target/release/fig7_breakdown --scale tiny --seed 1 >
 //! crates/bench/tests/golden/fig7_breakdown.txt`.
 
 use std::process::Command;
 
-fn check(bin: &str, golden: &str) {
+/// The paper-figure bins' smoke arguments.
+const TINY: [&str; 4] = ["--scale", "tiny", "--seed", "1"];
+
+fn check(bin: &str, args: &[&str], golden: &str) {
     let out = Command::new(bin)
-        .args(["--scale", "tiny", "--seed", "1"])
+        .args(args)
         .output()
         .unwrap_or_else(|e| panic!("cannot run {bin}: {e}"));
     assert!(out.status.success(), "{bin} failed: {}", out.status);
@@ -37,6 +43,7 @@ fn check(bin: &str, golden: &str) {
 fn table1_summary() {
     check(
         env!("CARGO_BIN_EXE_table1_summary"),
+        &TINY,
         include_str!("golden/table1_summary.txt"),
     );
 }
@@ -45,6 +52,7 @@ fn table1_summary() {
 fn fig6_mem_util() {
     check(
         env!("CARGO_BIN_EXE_fig6_mem_util"),
+        &TINY,
         include_str!("golden/fig6_mem_util.txt"),
     );
 }
@@ -53,6 +61,7 @@ fn fig6_mem_util() {
 fn fig7_breakdown() {
     check(
         env!("CARGO_BIN_EXE_fig7_breakdown"),
+        &TINY,
         include_str!("golden/fig7_breakdown.txt"),
     );
 }
@@ -61,6 +70,7 @@ fn fig7_breakdown() {
 fn fig9_astgnn_timeline() {
     check(
         env!("CARGO_BIN_EXE_fig9_astgnn_timeline"),
+        &TINY,
         include_str!("golden/fig9_astgnn_timeline.txt"),
     );
 }
@@ -69,6 +79,7 @@ fn fig9_astgnn_timeline() {
 fn warmup_ratios() {
     check(
         env!("CARGO_BIN_EXE_warmup_ratios"),
+        &TINY,
         include_str!("golden/warmup_ratios.txt"),
     );
 }
@@ -77,6 +88,7 @@ fn warmup_ratios() {
 fn util_summary() {
     check(
         env!("CARGO_BIN_EXE_util_summary"),
+        &TINY,
         include_str!("golden/util_summary.txt"),
     );
 }
@@ -85,6 +97,34 @@ fn util_summary() {
 fn ablation_optimizations() {
     check(
         env!("CARGO_BIN_EXE_ablation_optimizations"),
+        &TINY,
         include_str!("golden/ablation_optimizations.txt"),
+    );
+}
+
+#[test]
+fn pipeline_overlap() {
+    check(
+        env!("CARGO_BIN_EXE_pipeline_overlap"),
+        &["--smoke"],
+        include_str!("golden/pipeline_overlap.txt"),
+    );
+}
+
+#[test]
+fn feature_cache() {
+    check(
+        env!("CARGO_BIN_EXE_feature_cache"),
+        &["--smoke"],
+        include_str!("golden/feature_cache.txt"),
+    );
+}
+
+#[test]
+fn multi_gpu() {
+    check(
+        env!("CARGO_BIN_EXE_multi_gpu"),
+        &["--smoke"],
+        include_str!("golden/multi_gpu.txt"),
     );
 }
