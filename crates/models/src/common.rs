@@ -64,12 +64,20 @@ pub struct InferenceConfig {
     /// timeline is bit-identical to the sequential engine. A run with
     /// more than one shard forks its lanes whatever this says (see
     /// [`InferenceConfig::shards`]).
+    ///
+    /// TGN, TGAT, MolDGNN and EvolveGCN act on this knob. JODIE, DyRep,
+    /// LDG and ASTGNN run one serial plan and price the same whatever
+    /// it says.
     pub pipeline_overlap: bool,
     /// Transfer pricing granularity (see [`TransferGranularity`]). With
     /// more than one shard, TGN, MolDGNN and EvolveGCN price their copies
     /// per tensor even under `Staged`, and TGAT prices one staged upload
     /// per slice even under `PerTensor`; `Coalesced` is honored at every
     /// shard count.
+    ///
+    /// TGN, TGAT, MolDGNN and EvolveGCN act on this knob. JODIE, DyRep,
+    /// LDG and ASTGNN run one serial plan and price the same whatever
+    /// it says.
     pub transfer_granularity: TransferGranularity,
     /// Capacity (in rows) of the device-resident feature cache, or
     /// `None` (the default) for no cache. With a cache, drivers route
@@ -78,11 +86,16 @@ pub struct InferenceConfig {
     /// the device skip the H2D crossing entirely and only misses are
     /// priced. Model numerics are bit-identical either way — the cache
     /// changes *pricing*, never values.
+    ///
+    /// TGN, TGAT, MolDGNN and EvolveGCN act on this knob. JODIE, DyRep,
+    /// LDG and ASTGNN run one serial plan that routes nothing through
+    /// the cache, so they price the same whatever it says.
     pub feature_cache: Option<usize>,
     /// Host-memory regime for PCIe pricing (see
     /// [`dgnn_device::TransferMode`]). The default `Pinned` is
     /// bit-identical to the historical engine; `Pageable` adds the
     /// staging-buffer copy and per-transfer host metadata overhead.
+    /// All eight models act on this knob.
     pub transfer_mode: TransferMode,
     /// Number of GPU shards TGN, TGAT, MolDGNN and EvolveGCN split each
     /// batch across. Their one driver runs its per-unit body once per
@@ -90,8 +103,9 @@ pub struct InferenceConfig {
     /// case — bit-identical to every historical timeline. Values above
     /// one take effect only in GPU mode on a platform with that many
     /// devices (capped at the device count); cross-shard data lands as
-    /// peer transfers priced on the interconnect. Models without shard
-    /// support ignore the knob.
+    /// peer transfers priced on the interconnect. JODIE, DyRep, LDG and
+    /// ASTGNN run one serial plan on one device and price the same
+    /// whatever it says.
     ///
     /// Above one shard the drivers still price a few things differently
     /// from one shard under the same knobs: they always fork lanes
