@@ -1,16 +1,18 @@
-//! Pins what the TGN, TGAT, MolDGNN and EvolveGCN drivers price across
-//! shard counts, platforms and transfer knobs.
+//! Pins what every model driver prices across shard counts, platforms
+//! and transfer knobs.
 //!
 //! Every cell runs one freshly built model once and folds its outcome
 //! into a fingerprint: inference time and checksum bits, H2D, D2H and
 //! peer bytes, kernel, transfer and peer event counts, the executor
 //! clock, feature-cache hits and misses, and every timeline event
 //! (label, scope, interval, bytes, device, lane). Cells group into four
-//! rows per model, and each row's digest is a recorded constant: a
-//! driver change that moves any priced number fails here and prints
-//! the new digest of every cell in the row. Two tests cover the whole
-//! zoo: one pins every kernel event's fields on the GPU and the CPU,
-//! and one checks that every model honors the configured transfer mode.
+//! rows for each of TGN, TGAT, MolDGNN and EvolveGCN and one row for
+//! each of JODIE, DyRep, LDG and ASTGNN, and each row's digest is a
+//! recorded constant: a driver change that moves any priced number
+//! fails here and prints the new digest of every cell in the row. Two
+//! tests cover the whole zoo: one pins every kernel event's fields on
+//! the GPU and the CPU, and one checks that every model honors the
+//! configured transfer mode.
 
 use dgnn_bench::{build_model, default_config, MODEL_NAMES};
 use dgnn_datasets::Scale;
@@ -52,6 +54,9 @@ fn base(name: &str) -> InferenceConfig {
         "tgn" => cfg.with_batch_size(100).with_neighbors(10),
         "tgat" => cfg.with_batch_size(50).with_neighbors(10),
         "moldgnn" => cfg.with_batch_size(8),
+        "jodie" => cfg.with_batch_size(100),
+        "dyrep" | "ldg_mlp" | "ldg_bilinear" => cfg.with_batch_size(32),
+        "astgnn" => cfg.with_batch_size(4),
         _ => cfg, // EvolveGCN: two snapshots
     }
 }
@@ -199,16 +204,58 @@ fn pageable_row(name: &str) -> Vec<Cell> {
         .collect()
 }
 
+/// JODIE, DyRep, LDG and ASTGNN under the GPU defaults, on the CPU, and
+/// under each knob the other four models act on: overlap with
+/// coalescing, per-tensor pricing, the cache and four NVLink shards.
+fn serial_row(name: &str) -> Vec<Cell> {
+    let b = base(name);
+    let gpu = |label: &str, spec, cfg| (label.to_string(), spec, ExecMode::Gpu, cfg);
+    vec![
+        gpu("gpu", PlatformSpec::default(), b.clone()),
+        (
+            "cpu".to_string(),
+            PlatformSpec::default(),
+            ExecMode::CpuOnly,
+            b.clone(),
+        ),
+        gpu(
+            "overlap+coalesced",
+            PlatformSpec::default(),
+            overlap_coalesced(b.clone()),
+        ),
+        gpu("per-tensor", PlatformSpec::default(), per_tensor(b.clone())),
+        gpu(
+            "cache",
+            PlatformSpec::default(),
+            b.clone().with_feature_cache(CACHE_ROWS),
+        ),
+        gpu(
+            "nvlink4 shards=4",
+            PlatformSpec::multi_gpu_nvlink(4),
+            b.with_shards(4),
+        ),
+    ]
+}
+
 /// Runs every row of `name` and checks the row digests against `want`
 /// (single, idle, sharded, pageable), listing each cell of a moved row.
 fn check_model(name: &str, want: [u64; 4]) {
-    let rows = [
-        ("single", single_row(name)),
-        ("idle", idle_row(name)),
-        ("sharded", sharded_row(name)),
-        ("pageable", pageable_row(name)),
-    ];
-    let mut got = [0u64; 4];
+    check_rows(
+        name,
+        &[
+            ("single", single_row(name)),
+            ("idle", idle_row(name)),
+            ("sharded", sharded_row(name)),
+            ("pageable", pageable_row(name)),
+        ],
+        &want,
+    );
+}
+
+/// Checks the digest of each of `name`'s rows against `want`, listing
+/// each cell of a moved row.
+fn check_rows(name: &str, rows: &[(&str, Vec<Cell>)], want: &[u64]) {
+    let mut got = vec![0u64; rows.len()];
     let mut moved = String::new();
     for (i, (row, cells)) in rows.iter().enumerate() {
         let mut d = Digest::new();
@@ -292,6 +339,21 @@ fn evolvegcn_h_driver_prices_are_pinned() {
             0xa1ef_5623_acee_f6b9,
         ],
     );
+}
+
+#[test]
+fn serial_plan_prices_are_pinned() {
+    // These models price their GPU cells the same whatever the knobs
+    // say: equal cell digests across a row's GPU cells record that.
+    for (name, want) in [
+        ("jodie", 0x53b2_0a08_344e_c406),
+        ("dyrep", 0xac51_3109_8d4f_2c8f),
+        ("ldg_mlp", 0x2549_d53f_8156_f049),
+        ("ldg_bilinear", 0x0801_b018_4fe4_66b4),
+        ("astgnn", 0xf9bd_08fb_084c_b6f1),
+    ] {
+        check_rows(name, &[("serial", serial_row(name))], &[want]);
+    }
 }
 
 #[test]

@@ -1,12 +1,14 @@
-//! Smoke-scale golden outputs of the paper-figure and transfer
-//! binaries.
+//! Smoke-scale golden outputs of the paper-figure, transfer and
+//! sanitizer binaries.
 //!
 //! Each test runs one bin at smoke scale — the paper-figure bins at
 //! `--scale tiny --seed 1`, the transfer bins (`pipeline_overlap`,
-//! `feature_cache`, `multi_gpu`) at `--smoke` — and compares its stdout
+//! `feature_cache`, `multi_gpu`) at `--smoke`, `sanitize` at `--scale
+//! tiny --mode serial` — and compares its stdout
 //! byte for byte with the file under `tests/golden/`. Every number
 //! those bins print comes from the simulated clock, so a change that
-//! moves any priced time, share, checksum or table row fails here.
+//! moves any priced time, share, checksum or table row fails here; the
+//! sanitizer's serial rows also pin each model's trace-record count.
 //! Debug and release builds print the same bytes.
 //!
 //! To re-record after an intended change, run each bin with its
@@ -126,5 +128,14 @@ fn multi_gpu() {
         env!("CARGO_BIN_EXE_multi_gpu"),
         &["--smoke"],
         include_str!("golden/multi_gpu.txt"),
+    );
+}
+
+#[test]
+fn sanitize_serial() {
+    check(
+        env!("CARGO_BIN_EXE_sanitize"),
+        &["--scale", "tiny", "--mode", "serial"],
+        include_str!("golden/sanitize_serial.txt"),
     );
 }
