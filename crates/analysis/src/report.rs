@@ -91,8 +91,8 @@ impl HazardRule {
         match self {
             HazardRule::ReadBeforeTransfer => {
                 "record an event on the uploading lane after the copy and \
-                 wait on it from the consuming lane (lane_handoff) before \
-                 the kernel reads the tensor"
+                 wait on it from the consuming lane before the kernel \
+                 reads the tensor"
             }
             HazardRule::UseAfterRelease => {
                 "re-upload the tensor with ensure_resident before reusing \
@@ -100,8 +100,8 @@ impl HazardRule {
             }
             HazardRule::MissingWait => {
                 "order the two lanes with record_event/wait_event \
-                 (lane_handoff) between the conflicting accesses, and only \
-                 wait on events recorded by the active fork"
+                 between the conflicting accesses, and only wait on \
+                 events recorded by the active fork"
             }
             HazardRule::ClockMonotonicity => {
                 "check fork/join pairing: lane clocks must never rewind, \

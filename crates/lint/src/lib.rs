@@ -21,7 +21,6 @@
 //! // lint: allow(hash-iteration) — drained into a sort two lines down
 //! ```
 
-pub mod baseline;
 pub mod lex;
 pub mod model;
 pub mod report;
@@ -32,15 +31,14 @@ pub mod structural;
 use std::io;
 use std::path::Path;
 
-pub use crate::baseline::Baseline;
 pub use crate::lex::{lex, Allow, Lexed};
 pub use crate::model::{SourceFile, Workspace};
 pub use crate::report::{Finding, LintReport};
 pub use crate::rules::{LintRule, RuleSet, DECISION_PATH_CRATES, WALLCLOCK_ALLOWLIST};
 
 /// Analyzes a loaded workspace: per-file scans plus the cross-file
-/// structural checks, findings baselined and sorted by (file, line).
-pub fn analyze(ws: &Workspace, rules: &RuleSet, baseline: &Baseline) -> LintReport {
+/// structural checks, findings sorted by (file, line).
+pub fn analyze(ws: &Workspace, rules: &RuleSet) -> LintReport {
     let mut findings: Vec<Finding> = Vec::new();
     for file in &ws.files {
         findings.extend(scan::scan_file(file, rules));
@@ -49,19 +47,16 @@ pub fn analyze(ws: &Workspace, rules: &RuleSet, baseline: &Baseline) -> LintRepo
         findings.extend(structural::scan_workspace(ws));
     }
     findings.sort_by(|a, b| (&a.file, a.line, a.rule.id()).cmp(&(&b.file, b.line, b.rule.id())));
-    let (grandfathered, live): (Vec<Finding>, Vec<Finding>) =
-        findings.into_iter().partition(|f| baseline.covers(f));
     LintReport {
-        findings: live,
-        grandfathered: grandfathered.len(),
+        findings,
         files_scanned: ws.files.len(),
     }
 }
 
 /// Loads the workspace at `root` and analyzes it with every rule.
-pub fn analyze_root(root: &Path, rules: &RuleSet, baseline: &Baseline) -> io::Result<LintReport> {
+pub fn analyze_root(root: &Path, rules: &RuleSet) -> io::Result<LintReport> {
     let ws = Workspace::load(root)?;
-    Ok(analyze(&ws, rules, baseline))
+    Ok(analyze(&ws, rules))
 }
 
 #[cfg(test)]
@@ -69,7 +64,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn analyze_sorts_and_partitions_by_baseline() {
+    fn analyze_sorts_findings_by_file() {
         let ws = Workspace {
             root: std::path::PathBuf::from("/synthetic"),
             files: vec![
@@ -87,21 +82,9 @@ mod tests {
                 ),
             ],
         };
-        let report = analyze(&ws, &RuleSet::all(), &Baseline::empty());
+        let report = analyze(&ws, &RuleSet::all());
         assert_eq!(report.findings.len(), 2);
         assert_eq!(report.files_scanned, 2);
         assert!(report.findings[0].file < report.findings[1].file);
-
-        // Grandfather one finding: only the other stays live.
-        let body = Baseline::render(&report.findings[..1]);
-        let dir = std::env::temp_dir().join("dgnn-lint-lib-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.txt");
-        std::fs::write(&path, body).unwrap();
-        let b = Baseline::load(&path).unwrap();
-        let report = analyze(&ws, &RuleSet::all(), &b);
-        assert_eq!(report.findings.len(), 1);
-        assert_eq!(report.grandfathered, 1);
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -1,31 +1,25 @@
 //! `dgnn-lint` CLI: static determinism & pricing-discipline gate.
 //!
 //! ```text
-//! dgnn-lint [--root DIR] [--json] [--baseline FILE] [--write-baseline FILE]
+//! dgnn-lint [--root DIR] [--json]
 //! ```
 //!
-//! Exit status: `0` when no live finding remains (grandfathered
-//! findings don't fail the gate), `1` on any live finding, `2` on
-//! usage or I/O errors. CI runs `dgnn-lint --json` with no baseline:
-//! the checked-in tree must lint clean with an empty baseline.
+//! Exit status: `0` when the tree lints clean, `1` on any finding, `2`
+//! on usage or I/O errors. CI runs `dgnn-lint --json`: the checked-in
+//! tree must lint clean.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use dgnn_lint::{analyze_root, Baseline, RuleSet};
+use dgnn_lint::{analyze_root, RuleSet};
 
 struct Opts {
     root: Option<PathBuf>,
     json: bool,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: dgnn-lint [--root DIR] [--json] [--baseline FILE] \
-         [--write-baseline FILE]"
-    );
+    eprintln!("usage: dgnn-lint [--root DIR] [--json]");
     std::process::exit(2);
 }
 
@@ -33,20 +27,12 @@ fn parse_opts() -> Opts {
     let mut opts = Opts {
         root: None,
         json: false,
-        baseline: None,
-        write_baseline: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => opts.root = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
             "--json" => opts.json = true,
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())));
-            }
-            "--write-baseline" => {
-                opts.write_baseline = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())));
-            }
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -75,35 +61,13 @@ fn find_root() -> PathBuf {
 fn main() -> ExitCode {
     let opts = parse_opts();
     let root = opts.root.unwrap_or_else(find_root);
-    let baseline = match &opts.baseline {
-        Some(p) => match Baseline::load(p) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("dgnn-lint: cannot read baseline {}: {e}", p.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => Baseline::empty(),
-    };
-    let report = match analyze_root(Path::new(&root), &RuleSet::all(), &baseline) {
+    let report = match analyze_root(Path::new(&root), &RuleSet::all()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("dgnn-lint: cannot scan {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-    if let Some(path) = &opts.write_baseline {
-        let body = Baseline::render(&report.findings);
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("dgnn-lint: cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "dgnn-lint: wrote {} finding(s) to baseline {}",
-            report.findings.len(),
-            path.display()
-        );
-    }
     if opts.json {
         println!("{}", report.to_json());
     } else {

@@ -26,15 +26,6 @@ pub struct Finding {
     pub suggestion: &'static str,
 }
 
-impl Finding {
-    /// Stable baseline key: rule, file and excerpt — deliberately not
-    /// the line number, so unrelated edits above a grandfathered
-    /// finding don't churn the baseline.
-    pub fn baseline_key(&self) -> String {
-        format!("{}\t{}\t{}", self.rule.id(), self.file, self.excerpt)
-    }
-}
-
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}] {}:{}", self.rule, self.file, self.line)?;
@@ -52,21 +43,19 @@ impl fmt::Display for Finding {
 /// The analyzer's verdict over one workspace scan.
 #[derive(Debug, Clone, Default)]
 pub struct LintReport {
-    /// Live findings (not grandfathered), in (file, line) order.
+    /// Findings, in (file, line) order.
     pub findings: Vec<Finding>,
-    /// Findings suppressed by the baseline.
-    pub grandfathered: usize,
     /// Source files scanned.
     pub files_scanned: usize,
 }
 
 impl LintReport {
-    /// Whether no live finding was detected.
+    /// Whether no finding was detected.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
 
-    /// Number of live findings of one rule.
+    /// Number of findings of one rule.
     pub fn count(&self, rule: LintRule) -> usize {
         self.findings.iter().filter(|f| f.rule == rule).count()
     }
@@ -95,8 +84,7 @@ impl LintReport {
             ));
         }
         s.push_str(&format!(
-            "],\"grandfathered\":{},\"files_scanned\":{},\"clean\":{}}}",
-            self.grandfathered,
+            "],\"files_scanned\":{},\"clean\":{}}}",
             self.files_scanned,
             self.is_clean()
         ));
@@ -108,14 +96,9 @@ impl fmt::Display for LintReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "dgnn-lint: {} finding(s) over {} file(s){}",
+            "dgnn-lint: {} finding(s) over {} file(s)",
             self.findings.len(),
             self.files_scanned,
-            if self.grandfathered > 0 {
-                format!(" ({} grandfathered by baseline)", self.grandfathered)
-            } else {
-                String::new()
-            }
         )?;
         for rule in LintRule::ALL {
             let n = self.count(rule);
@@ -189,25 +172,15 @@ mod tests {
         f.message = "a \"quoted\"\nthing".into();
         let r = LintReport {
             findings: vec![f],
-            grandfathered: 2,
             files_scanned: 7,
         };
         let j = r.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"rule\":\"LINT1\""));
         assert!(j.contains("\\\"quoted\\\"\\n"));
-        assert!(j.contains("\"grandfathered\":2"));
+        assert!(j.contains("\"files_scanned\":7"));
         assert!(j.contains("\"clean\":false"));
         // Balanced braces outside strings is a cheap sanity proxy.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
-
-    #[test]
-    fn baseline_key_is_line_independent() {
-        let mut a = finding();
-        let mut b = finding();
-        a.line = 42;
-        b.line = 99;
-        assert_eq!(a.baseline_key(), b.baseline_key());
     }
 }

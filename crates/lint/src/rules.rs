@@ -110,7 +110,7 @@ impl LintRule {
             }
             LintRule::PricingDiscipline => {
                 "price the work through Dispatcher/Executor (launch, \
-                 transfer, peer_transfer, lane_handoff) so every timeline \
+                 transfer, peer_transfer, record_event) so every timeline \
                  event stays paired with its computed work; never push \
                  events or mutate lane clocks by hand outside dgnn-device"
             }

@@ -1,12 +1,11 @@
 //! End-to-end analyzer tests: every LINT1–5 rule is proven by a
 //! flagged adversarial fixture plus a passing clean twin (mini
-//! workspace trees under `tests/fixtures/`), the live workspace lints
-//! clean with an empty baseline, and baselines suppress exactly the
-//! grandfathered keys.
+//! workspace trees under `tests/fixtures/`), and the live workspace
+//! lints clean.
 
 use std::path::{Path, PathBuf};
 
-use dgnn_lint::{analyze_root, Baseline, LintRule, RuleSet};
+use dgnn_lint::{analyze_root, LintRule, RuleSet};
 
 fn fixture_root(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -14,9 +13,9 @@ fn fixture_root(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Analyzes a fixture tree with the given rules and an empty baseline.
+/// Analyzes a fixture tree with the given rules.
 fn run(name: &str, rules: &RuleSet) -> dgnn_lint::LintReport {
-    analyze_root(&fixture_root(name), rules, &Baseline::empty())
+    analyze_root(&fixture_root(name), rules)
         .unwrap_or_else(|e| panic!("cannot scan fixture {name}: {e}"))
 }
 
@@ -87,22 +86,6 @@ fn lint5_float_reduction_fixture_pair() {
 }
 
 #[test]
-fn baseline_grandfathers_known_findings() {
-    let live = run("lint1_bad", &RuleSet::all());
-    assert!(!live.is_clean());
-    let body = Baseline::render(&live.findings);
-    let dir = std::env::temp_dir().join("dgnn-lint-analyzer-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("baseline.txt");
-    std::fs::write(&path, body).unwrap();
-    let baseline = Baseline::load(&path).unwrap();
-    let gated = analyze_root(&fixture_root("lint1_bad"), &RuleSet::all(), &baseline).unwrap();
-    assert!(gated.is_clean(), "{:#?}", gated.findings);
-    assert_eq!(gated.grandfathered, live.findings.len());
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
 fn json_report_is_well_formed() {
     let report = run("lint2_bad", &RuleSet::all());
     let json = report.to_json();
@@ -112,11 +95,11 @@ fn json_report_is_well_formed() {
 }
 
 /// The acceptance bar for the whole workspace: `dgnn-lint` reports
-/// zero findings on the checked-in tree with an **empty** baseline.
+/// zero findings on the checked-in tree.
 #[test]
-fn live_workspace_lints_clean_with_empty_baseline() {
+fn live_workspace_lints_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = analyze_root(&root, &RuleSet::all(), &Baseline::empty()).unwrap();
+    let report = analyze_root(&root, &RuleSet::all()).unwrap();
     assert!(report.files_scanned > 100, "suspiciously small scan");
     assert!(
         report.is_clean(),

@@ -209,7 +209,7 @@ impl DgnnModel for Astgnn {
         let (iterations, time) = run_units(ex, plan, 0..cfg.max_units.max(1), |dx, iter| {
             dx.scope("iteration", |dx| -> Result<()> {
                 // Window assembly on the CPU, then H2D.
-                dx.scope("data_prep", |dx| {
+                dx.prep("data_prep", |dx| {
                     dx.host(HostWork::sequential(
                         "slice_windows",
                         b as u64 * WINDOW_PREP_OPS,
@@ -220,7 +220,7 @@ impl DgnnModel for Astgnn {
                     Tensor::zeros(&[1, self.data.n_channels()]),
                     (b * n * t_in) as f64,
                 );
-                dx.scope("memcpy_h2d", |dx| dx.ensure_resident(&upload));
+                dx.h2d(|dx| dx.ensure_resident(&upload));
 
                 // Representative signal: window `iter`, one sensor's
                 // sequence stands in for every (window, sensor) pair.
@@ -235,11 +235,11 @@ impl DgnnModel for Astgnn {
                     Tensor::from_vec(rep_sig, &[t_in, self.data.n_channels()])?,
                     window_scale,
                 );
-                let mut h = self.input_proj.forward(dx, &rep_window)?;
+                let mut h = dx.compute(None, |dx| self.input_proj.forward(dx, &rep_window))?;
 
                 // Encoder.
                 let mut rep_spatial = Tensor::ones(&[rep_n, self.cfg.dim]);
-                let enc = dx.scope("encoder", |dx| -> Result<DeviceTensor> {
+                let enc = dx.compute("encoder", |dx| -> Result<DeviceTensor> {
                     for l in 0..self.cfg.layers {
                         h = dx.scope("temporal_attention", |dx| {
                             self.temporal_attention(dx, &self.enc_attn[l], b, t_in, &h)
@@ -254,7 +254,7 @@ impl DgnnModel for Astgnn {
                 // CPU-side preparation of the prediction step; at
                 // small batch sizes this fixed cost leaves the GPU
                 // idle between encoder and decoder (Fig 9a).
-                dx.scope("prediction_prep", |dx| {
+                dx.prep("prediction_prep", |dx| {
                     dx.host(HostWork::sequential(
                         "decoder_input_prep",
                         300_000,
@@ -264,7 +264,7 @@ impl DgnnModel for Astgnn {
 
                 // Decoder: two temporal attention blocks + GCN per layer.
                 let mut dec_h = enc.clone();
-                dx.scope("decoder", |dx| -> Result<()> {
+                dx.compute("decoder", |dx| -> Result<()> {
                     for l in 0..self.cfg.layers {
                         dec_h = dx.scope("temporal_attention", |dx| {
                             self.temporal_attention(dx, &self.dec_attn[2 * l], b, t_out, &dec_h)
@@ -281,14 +281,14 @@ impl DgnnModel for Astgnn {
 
                 // Output + sync + D2H (the paper observes CUDA sync
                 // delays at larger batch sizes).
-                dx.scope("prediction", |dx| -> Result<()> {
+                dx.compute("prediction", |dx| -> Result<()> {
                     let out = self.output_proj.forward(dx, &dec_h)?;
                     checksum += out.data().sum();
                     Ok(())
                 })?;
-                dx.synchronize();
+                dx.compute(None, |dx| dx.synchronize());
                 let readback = dx.adopt(Tensor::zeros(&[1, 1]), (b * n * t_out) as f64);
-                dx.scope("memcpy_d2h", |dx| dx.download(&readback));
+                dx.d2h(|dx| dx.download(&readback));
                 Ok(())
             })
         })?;

@@ -1,5 +1,7 @@
 //! Shared model-execution machinery.
 
+use std::ops::{Deref, DerefMut};
+
 use dgnn_device::{Dispatcher, DurationNs, EventId, ExecMode, Executor, StreamId, TransferMode};
 use dgnn_graph::{EventStream, TemporalEvent};
 
@@ -16,6 +18,9 @@ pub const REP_CAP: usize = 32;
 pub fn representative(n: usize) -> usize {
     n.clamp(1, REP_CAP)
 }
+
+/// Seed of the TGN and TGAT temporal neighbor samplers.
+pub(crate) const SAMPLER_SEED: u64 = 42;
 
 /// How a model driver prices its per-batch PCIe traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -37,7 +42,11 @@ pub enum TransferGranularity {
 }
 
 /// Inference configuration shared by all models. Fields a model does not
-/// use (e.g. `n_neighbors` for MolDGNN) are ignored by that model.
+/// use (e.g. `n_neighbors` for MolDGNN) are ignored by that model. TGN,
+/// TGAT, MolDGNN and EvolveGCN act on `pipeline_overlap`,
+/// `transfer_granularity`, `feature_cache` and `shards`; JODIE, DyRep,
+/// LDG and ASTGNN run one serial plan and price the same whatever those
+/// four knobs say.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InferenceConfig {
     /// Mini-batch size: events per batch (continuous models), subgraphs
@@ -48,36 +57,27 @@ pub struct InferenceConfig {
     /// Number of units (mini-batches or snapshots) to process; the
     /// datasets usually contain more than needed for stable profiles.
     pub max_units: usize,
-    /// Seed for model weights and samplers.
-    pub seed: u64,
     /// When true, temporal neighbor sampling (TGAT, TGN) is charged as a
     /// parallel critical path fanned out over the batch's roots instead
     /// of a serial per-node loop — the "parallel sampling" ablation. The
     /// paper's profiled frameworks sample serially, so this defaults to
     /// `false`.
     pub parallel_sampling: bool,
-    /// When true (and the mode is GPU), the driver runs its batch loop on
-    /// the stream-forked executor: next-batch host preprocessing, H2D
-    /// prefetch and current-batch kernels overlap on the simulated
-    /// timeline with double-buffered staging. The profiled frameworks are
-    /// strictly sequential, so this defaults to `false`; with it off the
-    /// timeline is bit-identical to the sequential engine. A run with
-    /// more than one shard forks its lanes whatever this says (see
-    /// [`InferenceConfig::shards`]).
-    ///
-    /// TGN, TGAT, MolDGNN and EvolveGCN act on this knob. JODIE, DyRep,
-    /// LDG and ASTGNN run one serial plan and price the same whatever
-    /// it says.
+    /// When true (and the mode is GPU), the inference frame forks each
+    /// device's Host, Copy and Compute lanes and runs every stage a model
+    /// names (host work, upload, kernels, download) on its lane, so
+    /// next-batch host work and H2D prefetch overlap current-batch
+    /// kernels with double-buffered staging. The profiled frameworks are
+    /// strictly sequential, so this defaults to `false`; with it off each
+    /// stage is a plain scope and the timeline is bit-identical to the
+    /// sequential engine. A run with more than one shard forks its lanes
+    /// whatever this says (see [`InferenceConfig::shards`]).
     pub pipeline_overlap: bool,
     /// Transfer pricing granularity (see [`TransferGranularity`]). With
     /// more than one shard, TGN, MolDGNN and EvolveGCN price their copies
     /// per tensor even under `Staged`, and TGAT prices one staged upload
     /// per slice even under `PerTensor`; `Coalesced` is honored at every
     /// shard count.
-    ///
-    /// TGN, TGAT, MolDGNN and EvolveGCN act on this knob. JODIE, DyRep,
-    /// LDG and ASTGNN run one serial plan and price the same whatever
-    /// it says.
     pub transfer_granularity: TransferGranularity,
     /// Capacity (in rows) of the device-resident feature cache, or
     /// `None` (the default) for no cache. With a cache, drivers route
@@ -86,10 +86,6 @@ pub struct InferenceConfig {
     /// the device skip the H2D crossing entirely and only misses are
     /// priced. Model numerics are bit-identical either way — the cache
     /// changes *pricing*, never values.
-    ///
-    /// TGN, TGAT, MolDGNN and EvolveGCN act on this knob. JODIE, DyRep,
-    /// LDG and ASTGNN run one serial plan that routes nothing through
-    /// the cache, so they price the same whatever it says.
     pub feature_cache: Option<usize>,
     /// Host-memory regime for PCIe pricing (see
     /// [`dgnn_device::TransferMode`]). The default `Pinned` is
@@ -103,9 +99,7 @@ pub struct InferenceConfig {
     /// case — bit-identical to every historical timeline. Values above
     /// one take effect only in GPU mode on a platform with that many
     /// devices (capped at the device count); cross-shard data lands as
-    /// peer transfers priced on the interconnect. JODIE, DyRep, LDG and
-    /// ASTGNN run one serial plan on one device and price the same
-    /// whatever it says.
+    /// peer transfers priced on the interconnect.
     ///
     /// Above one shard the drivers still price a few things differently
     /// from one shard under the same knobs: they always fork lanes
@@ -125,7 +119,6 @@ impl Default for InferenceConfig {
             batch_size: 200,
             n_neighbors: 20,
             max_units: 8,
-            seed: 42,
             parallel_sampling: false,
             pipeline_overlap: false,
             transfer_granularity: TransferGranularity::Staged,
@@ -198,11 +191,10 @@ impl InferenceConfig {
     }
 
     /// Applies the config's executor-level knobs (transfer mode, feature
-    /// cache) to `ex`. Every model calls this at the top of `infer`, so
-    /// serving replicas that reuse one executor across requests keep a
-    /// warm cache (enabling an already-enabled cache at the same
-    /// capacity preserves its contents).
-    pub fn apply_device_options(&self, ex: &mut Executor) {
+    /// cache) to `ex`. Enabling an already-enabled cache at the same
+    /// capacity keeps its contents, so a serving replica that reuses one
+    /// executor across requests keeps a warm cache.
+    fn apply_device_options(&self, ex: &mut Executor) {
         ex.set_transfer_mode(self.transfer_mode);
         if let Some(cap) = self.feature_cache {
             ex.enable_feature_cache(cap);
@@ -255,10 +247,10 @@ pub(crate) struct RunPlan {
     /// Shards each unit splits across: the configured count capped at
     /// the platform's device count in GPU mode, `1` otherwise.
     pub(crate) shards: usize,
-    /// Whether the driver forks Host/Copy/Compute lanes (one triple per
-    /// shard). The lane helpers ([`on_lane`], [`lane_handoff`],
-    /// [`DoubleBuffer`]) place work on them exactly while the fork is
-    /// active.
+    /// Whether the frame forks Host/Copy/Compute lanes (one triple per
+    /// shard). While they are forked, [`run_units`] places each of a
+    /// unit's [`Stages`] on its lane; unforked, a stage is a plain scope.
+    /// This is the one place that decides whether stages overlap.
     pub(crate) lanes: bool,
     /// Whether transfers are priced per constituent tensor (GPU mode,
     /// any granularity but [`TransferGranularity::Staged`]).
@@ -292,29 +284,37 @@ impl RunPlan {
 /// The inference frame of every model: opens the `"inference"` scope,
 /// builds the dispatcher with the plan's coalescing, forks one lane
 /// triple per shard when the plan has lanes, runs `body` on each unit
-/// followed by a [`shard_barrier`], then joins the lanes. Returns the
-/// unit count and the duration of the `"inference"` scope. A body error
-/// ends the run at once and is returned.
+/// followed by a [`shard_barrier`], then joins the lanes. The body
+/// prices its unit in [`Stages`], which place each stage on its lane
+/// while the plan is forked. Returns the unit count and the duration
+/// of the `"inference"` scope. A body error ends the run at once and is
+/// returned.
 pub(crate) fn run_units<U>(
     ex: &mut Executor,
     plan: RunPlan,
     units: impl IntoIterator<Item = U>,
-    mut body: impl FnMut(&mut Dispatcher, U) -> Result<()>,
+    mut body: impl FnMut(&mut Stages<'_, '_>, U) -> Result<()>,
 ) -> Result<(usize, DurationNs)> {
     let (run, time) = ex.timed(|ex| {
         ex.scope("inference", |ex| -> Result<usize> {
             let mut dx = Dispatcher::with_coalescing(ex, plan.coalesced);
+            let mut lanes = Vec::new();
             if plan.lanes {
                 dx.fork_streams_multi(plan.shards);
+                lanes.resize_with(plan.shards, Lanes::default);
             }
+            let mut stages = Stages {
+                dx: &mut dx,
+                lanes: &mut lanes,
+            };
             let mut iterations = 0;
             for unit in units {
-                body(&mut dx, unit)?;
-                shard_barrier(&mut dx, plan.shards);
+                body(&mut stages, unit)?;
+                shard_barrier(&mut stages, plan.shards);
                 iterations += 1;
             }
             if plan.lanes {
-                dx.join_streams();
+                stages.join_streams();
             }
             Ok(iterations)
         })
@@ -322,60 +322,154 @@ pub(crate) fn run_units<U>(
     Ok((run?, time))
 }
 
-/// Runs `f` with the dispatcher's priced actions placed on `lane` while
-/// a stream fork is active (the driver forked its lanes); calls `f`
-/// directly (the serial path, bit-identical to the historical engine)
-/// otherwise.
-pub fn on_lane<R>(dx: &mut Dispatcher, lane: StreamId, f: impl FnOnce(&mut Dispatcher) -> R) -> R {
-    if dx.executor().streams_active() {
-        dx.on_stream(lane, f)
-    } else {
-        f(dx)
+/// The four kinds of stage a unit is priced in (see [`Stages`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    Prep,
+    Upload,
+    Compute,
+    Readback,
+}
+
+/// One device's lane state while the plan is forked (see [`Stages`]).
+#[derive(Debug, Default)]
+struct Lanes {
+    /// Per lane, by [`StreamId::index`]: whether it holds work no other
+    /// lane has waited on since.
+    unwaited: [bool; 3],
+    /// Copy-lane events marking the first upload of each of the last
+    /// two steps, oldest first.
+    uploads: [Option<EventId>; 2],
+    /// Whether the current step has run a host stage.
+    open: bool,
+    /// Whether the current step has marked its upload.
+    marked: bool,
+}
+
+/// The dispatcher a [`run_units`] body prices its unit with. Models
+/// name their work in four stages — host work ([`Stages::prep`]), an
+/// upload ([`Stages::h2d`]), kernels ([`Stages::compute`]) and a
+/// download ([`Stages::d2h`]) — and reach everything else through the
+/// [`Dispatcher`] it derefs to. Transfer stages price coalesced copies
+/// before their scope closes.
+///
+/// Unforked, a stage is a plain scope. While the plan is forked, a stage
+/// runs on its lane of the current device, after the lanes it reads
+/// from: an upload after host work no lane has waited on yet, compute
+/// after such host work and uploads, a download after such compute. A
+/// *step* runs from its first host stage to its download. That host
+/// stage first waits until the upload two steps back has drained the
+/// staging buffer it fills (depth-2 double buffering), and the step's
+/// first upload marks its own buffer drained.
+pub(crate) struct Stages<'s, 'a> {
+    dx: &'s mut Dispatcher<'a>,
+    /// One entry per forked device; empty while the plan is unforked.
+    lanes: &'s mut [Lanes],
+}
+
+impl<'a> Deref for Stages<'_, 'a> {
+    type Target = Dispatcher<'a>;
+
+    fn deref(&self) -> &Dispatcher<'a> {
+        self.dx
     }
 }
 
-/// Orders `to` after everything issued so far on `from` (record + wait).
-/// No-op outside a stream fork (the serial path).
-pub fn lane_handoff(dx: &mut Dispatcher, from: StreamId, to: StreamId) {
-    if dx.executor().streams_active() {
-        let done = dx.record_event(from);
-        dx.wait_event(to, done);
+impl<'a> DerefMut for Stages<'_, 'a> {
+    fn deref_mut(&mut self) -> &mut Dispatcher<'a> {
+        self.dx
     }
 }
 
-/// Depth-2 double buffering for pipelined batch loops: the host may
-/// prepare a batch into a staging buffer only after the upload that
-/// drained the same buffer two batches earlier has finished. With two
-/// buffers in flight this is exactly the reuse constraint of a classic
-/// double-buffered prefetcher. Sharded drivers keep one per shard. All
-/// methods are no-ops outside a stream fork (the serial path).
-#[derive(Debug, Default, Clone)]
-pub struct DoubleBuffer {
-    uploads: Vec<EventId>,
-}
-
-impl DoubleBuffer {
-    /// Creates an empty buffer tracker.
-    pub fn new() -> Self {
-        DoubleBuffer::default()
+impl<'a> Stages<'_, 'a> {
+    /// Runs `f` with every priced action targeting `device` (see
+    /// [`Dispatcher::on_device`]); its stages use that device's lanes.
+    pub(crate) fn on_device<R>(
+        &mut self,
+        device: usize,
+        f: impl FnOnce(&mut Stages<'_, 'a>) -> R,
+    ) -> R {
+        let lanes = &mut *self.lanes;
+        self.dx.on_device(device, |dx| f(&mut Stages { dx, lanes }))
     }
 
-    /// Blocks `lane` (normally the host lane) until the staging buffer
-    /// for the next batch is free for reuse.
-    pub fn acquire(&self, dx: &mut Dispatcher, lane: StreamId) {
-        if dx.executor().streams_active() && self.uploads.len() >= 2 {
-            dx.wait_event(lane, self.uploads[self.uploads.len() - 2]);
+    /// Runs `f`'s stages inside a named profiler scope.
+    pub(crate) fn scope<R>(&mut self, name: &str, f: impl FnOnce(&mut Stages<'_, 'a>) -> R) -> R {
+        let lanes = &mut *self.lanes;
+        self.dx.scope(name, |dx| f(&mut Stages { dx, lanes }))
+    }
+
+    /// Host work in scope `name`, on the host lane.
+    pub(crate) fn prep<R>(&mut self, name: &str, f: impl FnOnce(&mut Dispatcher<'a>) -> R) -> R {
+        self.stage(Stage::Prep, Some(name), f)
+    }
+
+    /// An upload in scope `memcpy_h2d`, on the copy lane.
+    pub(crate) fn h2d<R>(&mut self, f: impl FnOnce(&mut Dispatcher<'a>) -> R) -> R {
+        self.stage(Stage::Upload, Some("memcpy_h2d"), f)
+    }
+
+    /// Kernels in scope `name`, or in none, on the compute lane.
+    pub(crate) fn compute<'n, R>(
+        &mut self,
+        name: impl Into<Option<&'n str>>,
+        f: impl FnOnce(&mut Dispatcher<'a>) -> R,
+    ) -> R {
+        self.stage(Stage::Compute, name.into(), f)
+    }
+
+    /// A download in scope `memcpy_d2h`, on the copy lane.
+    pub(crate) fn d2h<R>(&mut self, f: impl FnOnce(&mut Dispatcher<'a>) -> R) -> R {
+        self.stage(Stage::Readback, Some("memcpy_d2h"), f)
+    }
+
+    fn stage<R>(
+        &mut self,
+        stage: Stage,
+        name: Option<&str>,
+        f: impl FnOnce(&mut Dispatcher<'a>) -> R,
+    ) -> R {
+        let (lane, reads): (StreamId, &[StreamId]) = match stage {
+            Stage::Prep => (StreamId::Host, &[]),
+            Stage::Upload => (StreamId::Copy, &[StreamId::Host]),
+            Stage::Compute => (StreamId::Compute, &[StreamId::Host, StreamId::Copy]),
+            Stage::Readback => (StreamId::Copy, &[StreamId::Compute]),
+        };
+        let run = |dx: &mut Dispatcher<'a>| match name {
+            Some(name) => dx.scope(name, |dx| {
+                let out = f(dx);
+                if lane == StreamId::Copy {
+                    dx.flush_transfers();
+                }
+                out
+            }),
+            None => f(dx),
+        };
+        let dx = &mut *self.dx;
+        let Some(state) = self.lanes.get_mut(dx.current_device()) else {
+            return run(dx);
+        };
+        if stage == Stage::Prep && !std::mem::replace(&mut state.open, true) {
+            if let Some(drained) = state.uploads[0] {
+                dx.wait_event(StreamId::Host, drained);
+            }
         }
-    }
-
-    /// Marks the current batch's staging buffer as drained once the copy
-    /// lane reaches this point. Call right after issuing the batch's H2D
-    /// upload on [`StreamId::Copy`].
-    pub fn uploaded(&mut self, dx: &mut Dispatcher) {
-        if dx.executor().streams_active() {
-            let done = dx.record_event(StreamId::Copy);
-            self.uploads.push(done);
+        for &from in reads {
+            if std::mem::take(&mut state.unwaited[from.index()]) {
+                let done = dx.record_event(from);
+                dx.wait_event(lane, done);
+            }
         }
+        let out = dx.on_stream(lane, run);
+        state.unwaited[lane.index()] = true;
+        match stage {
+            Stage::Upload if !std::mem::replace(&mut state.marked, true) => {
+                state.uploads = [state.uploads[1], Some(dx.record_event(StreamId::Copy))];
+            }
+            Stage::Readback => (state.open, state.marked) = (false, false),
+            _ => {}
+        }
+        out
     }
 }
 
@@ -402,7 +496,7 @@ pub(crate) fn range_owner(v: usize, n_nodes: usize, shards: usize) -> usize {
 /// batch `i + 1` before every shard has finished batch `i` (the
 /// framework-level `cudaDeviceSynchronize` between sharded steps). A
 /// single shard has no peer to wait for, so `shards < 2` is a no-op.
-pub fn shard_barrier(dx: &mut Dispatcher, shards: usize) {
+fn shard_barrier(dx: &mut Dispatcher, shards: usize) {
     if shards < 2 {
         return;
     }
@@ -462,8 +556,9 @@ impl RunSummary {
 /// Implementations price kernels/transfers at full batch size, compute
 /// representative numerics, and annotate profiler scopes per the Figure 7
 /// module taxonomy. Each model's `infer` names its units and a per-unit
-/// body and runs them in the crate's one inference frame, which owns the
-/// `"inference"` scope, the dispatcher, the lanes and the shard barrier.
+/// body that names its stages, and runs them in the crate's one inference
+/// frame, which owns the `"inference"` scope, the dispatcher, the lanes
+/// the stages run on and the shard barrier.
 pub trait DgnnModel {
     /// Model name (lowercase, e.g. `"tgat"`).
     fn name(&self) -> &'static str;
@@ -522,6 +617,87 @@ pub trait DgnnModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dgnn_device::{HostWork, PlatformSpec, TraceRecord, TransferDir};
+    use dgnn_tensor::OpDescriptor;
+
+    /// Traces one unit of a toy body on `devices` GPUs: on each device,
+    /// `steps` steps of host work, an upload of `upload` bytes, more
+    /// host work, two kernels (one unscoped) and a download.
+    fn toy_run(overlap: bool, devices: usize, steps: usize, upload: u64) -> Executor {
+        let mut ex = Executor::new(PlatformSpec::multi_gpu_nvlink(devices), ExecMode::Gpu);
+        ex.enable_tracing();
+        let cfg = InferenceConfig::default().with_pipeline_overlap(overlap);
+        let plan = cfg.with_shards(devices).plan(&mut ex);
+        let work = |label| HostWork::sequential(label, 1_000, 64);
+        let kernel = |dx: &mut Dispatcher| dx.charge(OpDescriptor::gemm("k", 64, 64, 64), 1.0);
+        run_units(&mut ex, plan, [()], |dx, ()| {
+            for device in 0..devices {
+                dx.on_device(device, |dx| {
+                    for _ in 0..steps {
+                        dx.prep("pack", |dx| dx.host(work("pack")));
+                        dx.h2d(|dx| dx.transfer(TransferDir::H2D, upload));
+                        dx.prep("sample", |dx| dx.host(work("sample")));
+                        dx.compute("kernel", kernel);
+                        dx.compute(None, kernel);
+                        dx.d2h(|dx| dx.transfer(TransferDir::D2H, 1 << 10));
+                    }
+                });
+            }
+            Ok(())
+        })
+        .unwrap();
+        ex
+    }
+
+    /// Each traced wait as `waiting<recording` lane names, and the
+    /// number of recorded events.
+    fn waits(ex: &Executor) -> (Vec<String>, usize) {
+        let (mut recorded, mut waits) = (Vec::new(), Vec::new());
+        for r in ex.trace().unwrap().records() {
+            match *r {
+                TraceRecord::EventRecord { lane, .. } => recorded.push(lane.name()),
+                TraceRecord::EventWait { event, lane } => {
+                    waits.push(format!("{}<{}", lane.name(), recorded[event]));
+                }
+                _ => {}
+            }
+        }
+        (waits, recorded.len())
+    }
+
+    #[test]
+    fn stages_wait_on_the_lanes_they_read_only_while_forked() {
+        assert_eq!(waits(&toy_run(false, 1, 3, 1 << 20)), (Vec::new(), 0));
+        // An upload waits on the host work before it, compute on the
+        // host work and upload since (the unscoped kernel on nothing
+        // new), a download on compute. The third step's first host
+        // stage also waits on the first step's upload mark.
+        let step = ["copy<host", "compute<host", "compute<copy", "copy<compute"];
+        let want = [&step[..], &step, &["host<copy"], &step].concat();
+        assert_eq!(waits(&toy_run(true, 1, 3, 1 << 20)).0, want);
+    }
+
+    #[test]
+    fn host_stages_wait_for_their_own_devices_upload_two_steps_back() {
+        // Uploads far slower than host work, so only the staging buffer
+        // holds a step's host work back.
+        let ex = toy_run(true, 2, 4, 64 << 20);
+        for device in 0..2 {
+            let scoped = |scope: &str| -> Vec<_> {
+                let events = ex.timeline().events().iter();
+                events
+                    .filter(|e| e.device == device && e.scope.ends_with(scope))
+                    .collect()
+            };
+            let (packs, uploads) = (scoped("/pack"), scoped("/memcpy_h2d"));
+            for i in 2..4 {
+                assert!(
+                    packs[i].start >= uploads[i - 2].end,
+                    "device {device} step {i}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn representative_is_capped_and_positive() {

@@ -109,13 +109,13 @@ impl DgnnModel for DyRep {
                 Tensor::zeros(&[1, self.edge_dim + 4]),
                 batch.len() as f64,
             );
-            dx.scope("memcpy_h2d", |dx| dx.ensure_resident(&payload));
+            dx.h2d(|dx| dx.ensure_resident(&payload));
 
             // Serial per-event processing — the temporal dependency.
             // Every event runs through the dispatcher: the tiny GEMMs
             // it prices ARE the tiny GEMMs it computes.
             for e in batch.iter() {
-                dx.scope("event_loop", |dx| {
+                dx.prep("event_loop", |dx| {
                     dx.host(HostWork {
                         label: "event_bookkeeping",
                         ops: EVENT_LOOP_OPS,
@@ -124,7 +124,7 @@ impl DgnnModel for DyRep {
                         parallelism: 1,
                     });
                 });
-                dx.scope("embedding_update", |dx| -> Result<()> {
+                dx.compute("embedding_update", |dx| -> Result<()> {
                     let pair = [e.src, e.dst];
                     let emb = self.embeddings.lookup(dx, &pair)?;
                     let x = dx.adopt(
@@ -147,7 +147,7 @@ impl DgnnModel for DyRep {
             }
 
             let readback = dx.adopt(Tensor::zeros(&[1, d]), batch.len() as f64);
-            dx.scope("memcpy_d2h", |dx| dx.download(&readback));
+            dx.d2h(|dx| dx.download(&readback));
             Ok(())
         })?;
         Ok(RunSummary::new(iterations, time, checksum))

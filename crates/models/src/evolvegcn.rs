@@ -15,13 +15,11 @@
 //! utilization stays below 1%.
 
 use dgnn_datasets::SnapshotDataset;
-use dgnn_device::{DeviceTensor, Executor, HostWork, StreamId, TransferDir};
+use dgnn_device::{DeviceTensor, Executor, HostWork, TransferDir};
 use dgnn_nn::{GcnLayer, GruCell, Linear, Module};
 use dgnn_tensor::{OpDescriptor, Tensor, TensorRng};
 
-use crate::common::{
-    lane_handoff, on_lane, run_units, DgnnModel, DoubleBuffer, InferenceConfig, RunSummary, REP_CAP,
-};
+use crate::common::{run_units, DgnnModel, InferenceConfig, RunSummary, REP_CAP};
 use crate::Result;
 
 /// Framework ops per node during snapshot preparation (adjacency
@@ -164,7 +162,6 @@ impl DgnnModel for EvolveGcn {
             .node_features
             .gather_rows(&(0..rep_n).collect::<Vec<_>>())?;
 
-        let mut staging = vec![DoubleBuffer::new(); plan.shards];
         let (iterations, time) = run_units(ex, plan, 0..n_steps, |dx, step| {
             let snap = &self.data.snapshots.snapshots()[step];
             let edges: Vec<(usize, usize)> =
@@ -218,19 +215,16 @@ impl DgnnModel for EvolveGcn {
 
                     // 1. Snapshot preparation (CPU) and reload of the
                     // part's topology and feature rows. Pipelined runs
-                    // prefetch snapshot i+1 on the host lane while
-                    // snapshot i's (strictly sequential) kernels run.
-                    staging[s].acquire(dx, StreamId::Host);
-                    on_lane(dx, StreamId::Host, |dx| {
-                        dx.scope("snapshot_prep", |dx| {
-                            dx.host(HostWork {
-                                label: "prepare_snapshot",
-                                ops: n_s[s] as u64 * PREP_NODE_OPS + e_s[s] * PREP_EDGE_OPS,
-                                seq_bytes: part_feat_bytes,
-                                irregular_bytes: topo_bytes,
-                                parallelism: 1,
-                            });
-                        })
+                    // prefetch snapshot i+1 while snapshot i's (strictly
+                    // sequential) kernels run.
+                    dx.prep("snapshot_prep", |dx| {
+                        dx.host(HostWork {
+                            label: "prepare_snapshot",
+                            ops: n_s[s] as u64 * PREP_NODE_OPS + e_s[s] * PREP_EDGE_OPS,
+                            seq_bytes: part_feat_bytes,
+                            irregular_bytes: topo_bytes,
+                            parallelism: 1,
+                        });
                     });
                     // CSR topology + node features + per-edge features
                     // are re-shipped every snapshot; Reddit's denser
@@ -240,97 +234,78 @@ impl DgnnModel for EvolveGcn {
                     // endpoint's input-feature and hidden rows from
                     // their owning device (both GCN layers read them).
                     let edge_feat_bytes = e_s[s] * (d_in * 4) as u64;
-                    lane_handoff(dx, StreamId::Host, StreamId::Copy);
-                    on_lane(dx, StreamId::Copy, |dx| {
-                        dx.scope("memcpy_h2d", |dx| {
-                            if per_tensor {
-                                for bytes in [topo_bytes, part_feat_bytes, edge_feat_bytes] {
-                                    dx.transfer(TransferDir::H2D, bytes);
-                                }
-                            } else {
-                                let reload = DeviceTensor::host_scaled(
-                                    Tensor::zeros(&[1, 1]),
-                                    (topo_bytes + part_feat_bytes + edge_feat_bytes) as f64 / 4.0,
-                                );
-                                dx.ensure_resident(&reload);
+                    dx.h2d(|dx| {
+                        if per_tensor {
+                            for bytes in [topo_bytes, part_feat_bytes, edge_feat_bytes] {
+                                dx.transfer(TransferDir::H2D, bytes);
                             }
-                            for (o, &cut_rows) in cut[s].iter().enumerate() {
-                                if o != s && cut_rows > 0 {
-                                    dx.peer_transfer(o, cut_rows * ((d_in + h) * 4) as u64);
-                                }
+                        } else {
+                            let reload = DeviceTensor::host_scaled(
+                                Tensor::zeros(&[1, 1]),
+                                (topo_bytes + part_feat_bytes + edge_feat_bytes) as f64 / 4.0,
+                            );
+                            dx.ensure_resident(&reload);
+                        }
+                        for (o, &cut_rows) in cut[s].iter().enumerate() {
+                            if o != s && cut_rows > 0 {
+                                dx.peer_transfer(o, cut_rows * ((d_in + h) * 4) as u64);
                             }
-                            dx.flush_transfers();
-                        })
+                        }
                     });
-                    staging[s].uploaded(dx);
-                    lane_handoff(dx, StreamId::Copy, StreamId::Compute);
 
                     // 2. Weight evolution (RNN), plus top-k for -H.
                     if self.cfg.version == EvolveGcnVersion::H {
-                        checksum += on_lane(dx, StreamId::Compute, |dx| {
-                            dx.scope("topk", |dx| -> Result<f32> {
-                                // Score the part's nodes with a
-                                // fully-connected layer: the rep rows run
-                                // functionally, the node-count scale
-                                // prices the part.
-                                let feats = dx.adopt(rep_feats.clone(), shard_scale);
-                                let scores = self.topk_scorer.forward(dx, &feats)?;
-                                // Sort and gather have no functional
-                                // counterpart at rep size — charge them
-                                // directly.
-                                dx.charge(OpDescriptor::sort("topk_sort", n_s[s]), 1.0);
-                                dx.charge(OpDescriptor::gather("topk_gather", h, h), 1.0);
-                                // Scores come back to the host for the
-                                // index selection, an interpreted
-                                // partial sort.
-                                let logn = 64 - (n_s[s].max(2) as u64).leading_zeros() as u64;
-                                dx.host(HostWork::irregular(
-                                    "topk_select",
-                                    2 * n_s[s] as u64 * logn,
-                                    (n_s[s] * 4) as u64,
-                                ));
-                                Ok(scores.data().sum() * 1e-3)
-                            })
+                        checksum += dx.compute("topk", |dx| -> Result<f32> {
+                            // Score the part's nodes with a
+                            // fully-connected layer: the rep rows run
+                            // functionally, the node-count scale prices
+                            // the part.
+                            let feats = dx.adopt(rep_feats.clone(), shard_scale);
+                            let scores = self.topk_scorer.forward(dx, &feats)?;
+                            // Sort and gather have no functional
+                            // counterpart at rep size — charge them
+                            // directly.
+                            dx.charge(OpDescriptor::sort("topk_sort", n_s[s]), 1.0);
+                            dx.charge(OpDescriptor::gather("topk_gather", h, h), 1.0);
+                            // Scores come back to the host for the index
+                            // selection, an interpreted partial sort.
+                            let logn = 64 - (n_s[s].max(2) as u64).leading_zeros() as u64;
+                            dx.host(HostWork::irregular(
+                                "topk_select",
+                                2 * n_s[s] as u64 * logn,
+                                (n_s[s] * 4) as u64,
+                            ));
+                            Ok(scores.data().sum() * 1e-3)
                         })?;
                     }
-                    let evolved = on_lane(dx, StreamId::Compute, |dx| {
-                        dx.scope("rnn", |dx| -> Result<Tensor> {
-                            // The GRU treats the h×h weight matrix as h
-                            // rows of dimension h — one functional step
-                            // through the dispatcher both prices and
-                            // computes the evolution.
-                            let w = dx.adopt(self.evolved_weight.clone(), 1.0);
-                            let evolved = self.weight_rnn.forward(dx, &w, &w)?;
-                            Ok(evolved.data().clone())
-                        })
+                    let evolved = dx.compute("rnn", |dx| -> Result<Tensor> {
+                        // The GRU treats the h×h weight matrix as h rows
+                        // of dimension h — one functional step through
+                        // the dispatcher both prices and computes the
+                        // evolution.
+                        let w = dx.adopt(self.evolved_weight.clone(), 1.0);
+                        let evolved = self.weight_rnn.forward(dx, &w, &w)?;
+                        Ok(evolved.data().clone())
                     })?;
 
                     // 3. Two GCN layers over the part with the evolved
                     // weights: propagate (A·X), transform (·W), ReLU —
                     // priced at the part's node count through the
                     // adjacency's scale.
-                    let emb = on_lane(dx, StreamId::Compute, |dx| {
-                        dx.scope("gnn", |dx| -> Result<DeviceTensor> {
-                            let rep_adj = dx.adopt(rep_adj_data.clone(), shard_scale);
-                            let x = dx.adopt(rep_feats.clone(), shard_scale);
-                            let h1 = self.gcn1.forward(dx, &rep_adj, &x)?;
-                            self.gcn2
-                                .forward_with_weight(dx, &rep_adj, &h1, &evolved)
-                                .map_err(Into::into)
-                        })
+                    let emb = dx.compute("gnn", |dx| -> Result<DeviceTensor> {
+                        let rep_adj = dx.adopt(rep_adj_data.clone(), shard_scale);
+                        let x = dx.adopt(rep_feats.clone(), shard_scale);
+                        let h1 = self.gcn1.forward(dx, &rep_adj, &x)?;
+                        self.gcn2
+                            .forward_with_weight(dx, &rep_adj, &h1, &evolved)
+                            .map_err(Into::into)
                     })?;
                     checksum += emb.data().sum() * 1e-3;
                     next_weight = Some(evolved);
 
                     // 4. The part's embeddings back to the CPU.
                     let out = dx.adopt(Tensor::zeros(&[rep_n, h]), shard_scale);
-                    lane_handoff(dx, StreamId::Compute, StreamId::Copy);
-                    on_lane(dx, StreamId::Copy, |dx| {
-                        dx.scope("memcpy_d2h", |dx| {
-                            dx.download(&out);
-                            dx.flush_transfers();
-                        })
-                    });
+                    dx.d2h(|dx| dx.download(&out));
                     Ok(())
                 })?;
             }

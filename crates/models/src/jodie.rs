@@ -119,7 +119,7 @@ impl DgnnModel for Jodie {
         let data = Arc::clone(&self.data);
         let (iterations, time) = run_units(ex, plan, cfg.batches(&data.stream), |dx, window| {
             // 1. t-batch construction on the CPU.
-            let tbatches = dx.scope("tbatch", |dx| {
+            let tbatches = dx.prep("tbatch", |dx| {
                 if self.cfg.use_tbatch {
                     let (tb, build_ops) = TBatcher::new().build(window);
                     dx.host(HostWork {
@@ -145,7 +145,7 @@ impl DgnnModel for Jodie {
                 let width = tb.len();
                 let rep = representative(width);
                 let scale = width as f64 / rep as f64;
-                dx.scope("step_prep", |dx| {
+                dx.prep("step_prep", |dx| {
                     dx.host(HostWork {
                         label: "tbatch_step",
                         ops: TBATCH_STEP_OPS,
@@ -158,7 +158,7 @@ impl DgnnModel for Jodie {
                     Tensor::zeros(&[1, self.data.edge_dim() + 4]),
                     width as f64,
                 );
-                dx.scope("memcpy_h2d", |dx| dx.ensure_resident(&payload));
+                dx.h2d(|dx| dx.ensure_resident(&payload));
 
                 let rep_users: Vec<usize> = tb
                     .event_indices
@@ -173,7 +173,7 @@ impl DgnnModel for Jodie {
                     .map(|&i| window[i].dst)
                     .collect();
 
-                let new_u = dx.scope("rnn_update", |dx| -> Result<DeviceTensor> {
+                let new_u = dx.compute("rnn_update", |dx| -> Result<DeviceTensor> {
                     // User RNN and item RNN, each a small kernel group
                     // over the t-batch width.
                     let u = self.embeddings.lookup_scaled(dx, &rep_users, scale)?;
@@ -195,7 +195,7 @@ impl DgnnModel for Jodie {
                     Ok(nu)
                 })?;
 
-                let pred = dx.scope("projection", |dx| -> Result<DeviceTensor> {
+                let pred = dx.compute("projection", |dx| -> Result<DeviceTensor> {
                     // JODIE's time projection is an element-wise
                     // (1 + Δt·w) scaling — no functional counterpart
                     // beyond the projector itself.
@@ -206,7 +206,7 @@ impl DgnnModel for Jodie {
                     Ok(pred)
                 })?;
 
-                dx.scope("memcpy_d2h", |dx| dx.download(&pred));
+                dx.d2h(|dx| dx.download(&pred));
             }
             Ok(())
         })?;

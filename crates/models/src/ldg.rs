@@ -130,10 +130,10 @@ impl DgnnModel for Ldg {
                 Tensor::zeros(&[1, self.edge_dim + 4]),
                 batch.len() as f64,
             );
-            dx.scope("memcpy_h2d", |dx| dx.ensure_resident(&payload));
+            dx.h2d(|dx| dx.ensure_resident(&payload));
 
             for e in batch.iter() {
-                dx.scope("event_loop", |dx| {
+                dx.prep("event_loop", |dx| {
                     dx.host(HostWork {
                         label: "event_bookkeeping",
                         ops: EVENT_LOOP_OPS,
@@ -144,7 +144,7 @@ impl DgnnModel for Ldg {
                 });
 
                 // NRI encoder over the event's node pair.
-                let pair_emb = dx.scope("encoder", |dx| -> Result<DeviceTensor> {
+                let pair_emb = dx.compute("encoder", |dx| -> Result<DeviceTensor> {
                     let emb = self.embeddings.lookup(dx, &[e.src, e.dst])?;
                     let x = dx.adopt(emb.data().reshape(&[1, 2 * d])?, 1.0);
                     match self.cfg.encoder {
@@ -157,7 +157,7 @@ impl DgnnModel for Ldg {
 
                 // DyRep-style embedding update driven by the latent
                 // edge representation.
-                dx.scope("embedding_update", |dx| -> Result<()> {
+                dx.compute("embedding_update", |dx| -> Result<()> {
                     let pair = [e.src, e.dst];
                     let emb = self.embeddings.lookup(dx, &pair)?;
                     let drive = pair_emb.data().concat_rows(pair_emb.data())?;
@@ -171,7 +171,7 @@ impl DgnnModel for Ldg {
                 })?;
 
                 // Bilinear decoder scores the interaction.
-                dx.scope("decoder", |dx| -> Result<()> {
+                dx.compute("decoder", |dx| -> Result<()> {
                     let emb = self.embeddings.lookup(dx, &[e.src, e.dst])?;
                     let x = dx.adopt(emb.data().reshape(&[1, 2 * d])?, 1.0);
                     let score = self.decoder.forward(dx, &x)?;
@@ -182,7 +182,7 @@ impl DgnnModel for Ldg {
             }
 
             let readback = dx.adopt(Tensor::zeros(&[1, d]), batch.len() as f64);
-            dx.scope("memcpy_d2h", |dx| dx.download(&readback));
+            dx.d2h(|dx| dx.download(&readback));
             Ok(())
         })?;
         Ok(RunSummary::new(iterations, time, checksum))

@@ -39,10 +39,7 @@ mod tgat;
 mod tgn;
 
 pub use astgnn::{Astgnn, AstgnnConfig};
-pub use common::{
-    lane_handoff, on_lane, shard_barrier, DgnnModel, DoubleBuffer, InferenceConfig, RunSummary,
-    TransferGranularity, REP_CAP,
-};
+pub use common::{DgnnModel, InferenceConfig, RunSummary, TransferGranularity, REP_CAP};
 pub use dyrep::{DyRep, DyRepConfig};
 pub use error::ModelError;
 pub use evolvegcn::{EvolveGcn, EvolveGcnConfig, EvolveGcnVersion};

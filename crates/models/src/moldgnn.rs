@@ -12,14 +12,11 @@
 //!    atom-distance calculation.
 
 use dgnn_datasets::TrajectoryDataset;
-use dgnn_device::{DeviceTensor, Executor, HostWork, StreamId, TensorClass, TransferDir};
+use dgnn_device::{DeviceTensor, Executor, HostWork, TensorClass, TransferDir};
 use dgnn_nn::{GcnLayer, Linear, LstmCell, Module};
 use dgnn_tensor::{Tensor, TensorRng};
 
-use crate::common::{
-    lane_handoff, on_lane, representative, run_units, DgnnModel, DoubleBuffer, InferenceConfig,
-    RunSummary,
-};
+use crate::common::{representative, run_units, DgnnModel, InferenceConfig, RunSummary};
 use crate::Result;
 
 /// Framework ops per molecule per frame for the vectorized (numpy)
@@ -140,7 +137,6 @@ impl DgnnModel for MolDgnn {
         let flat = self.data.n_atoms * self.cfg.gcn_dim;
         let mut checksum = 0.0f32;
 
-        let mut staging = vec![DoubleBuffer::new(); plan.shards];
         // One representative per-molecule LSTM state per shard,
         // resident on its device, carrying that shard's molecule range.
         let mut states: Vec<Option<dgnn_nn::LstmState>> = vec![None; plan.shards];
@@ -160,18 +156,14 @@ impl DgnnModel for MolDgnn {
                     for frame in 0..frames {
                         // 1. Adjacency assembly on CPU + H2D of the
                         // shard's molecules over its own PCIe link.
-                        // Pipelined runs prepare frame i+1 on the host
-                        // lane while frame i's kernels run,
-                        // double-buffered against the copy engine.
-                        staging[s].acquire(dx, StreamId::Host);
-                        on_lane(dx, StreamId::Host, |dx| {
-                            dx.scope("frame_prep", |dx| {
-                                dx.host(HostWork::sequential(
-                                    "assemble_adjacency",
-                                    FRAME_LOOP_OPS + b_s as u64 * FRAME_MOLECULE_OPS,
-                                    self.adjacency_bytes(b_s),
-                                ));
-                            })
+                        // Pipelined runs prepare frame i+1 while frame
+                        // i's kernels run.
+                        dx.prep("frame_prep", |dx| {
+                            dx.host(HostWork::sequential(
+                                "assemble_adjacency",
+                                FRAME_LOOP_OPS + b_s as u64 * FRAME_MOLECULE_OPS,
+                                self.adjacency_bytes(b_s),
+                            ));
                         });
                         // Adjacency matrices plus pairwise distances
                         // and atom coordinates for the frame. Per-tensor
@@ -179,46 +171,39 @@ impl DgnnModel for MolDgnn {
                         // own copy (the per-tensor traffic behind Fig
                         // 7b's memcpy wall), plus one coordinate and one
                         // distance block.
-                        lane_handoff(dx, StreamId::Host, StreamId::Copy);
-                        on_lane(dx, StreamId::Copy, |dx| {
-                            dx.scope("memcpy_h2d", |dx| {
-                                if plan.cached {
-                                    // One cache row per molecule-frame
-                                    // pair (its adjacency + coordinate +
-                                    // distance blocks). Trajectory frames
-                                    // repeat across units, so a cache
-                                    // sized to the working set turns
-                                    // every re-visited frame's memcpy
-                                    // wall into hits — the paper's
-                                    // dominant MolDGNN cost (Fig 7b).
-                                    let keys: Vec<u64> = range
-                                        .clone()
-                                        .map(|mol| mol as u64 * frames as u64 + frame as u64)
-                                        .collect();
-                                    let row_bytes =
-                                        3 * (self.data.n_atoms * self.data.n_atoms * 4) as u64;
-                                    dx.fetch_rows(TensorClass::EdgeFeature, &keys, row_bytes, 1.0);
-                                } else if per_tensor {
-                                    // b_s adjacency matrices + coordinate
-                                    // block + distance block = 3 ×
-                                    // adjacency_bytes.
-                                    for _ in 0..b_s {
-                                        dx.transfer(TransferDir::H2D, self.adjacency_bytes(1));
-                                    }
-                                    dx.transfer(TransferDir::H2D, self.adjacency_bytes(b_s));
-                                    dx.transfer(TransferDir::H2D, self.adjacency_bytes(b_s));
-                                } else {
-                                    let upload = DeviceTensor::host_scaled(
-                                        Tensor::zeros(&[1, 1]),
-                                        3.0 * self.adjacency_bytes(b_s) as f64 / 4.0,
-                                    );
-                                    dx.ensure_resident(&upload);
+                        dx.h2d(|dx| {
+                            if plan.cached {
+                                // One cache row per molecule-frame pair
+                                // (its adjacency + coordinate + distance
+                                // blocks). Trajectory frames repeat
+                                // across units, so a cache sized to the
+                                // working set turns every re-visited
+                                // frame's memcpy wall into hits — the
+                                // paper's dominant MolDGNN cost (Fig 7b).
+                                let keys: Vec<u64> = range
+                                    .clone()
+                                    .map(|mol| mol as u64 * frames as u64 + frame as u64)
+                                    .collect();
+                                let row_bytes =
+                                    3 * (self.data.n_atoms * self.data.n_atoms * 4) as u64;
+                                dx.fetch_rows(TensorClass::EdgeFeature, &keys, row_bytes, 1.0);
+                            } else if per_tensor {
+                                // b_s adjacency matrices + coordinate
+                                // block + distance block = 3 ×
+                                // adjacency_bytes.
+                                for _ in 0..b_s {
+                                    dx.transfer(TransferDir::H2D, self.adjacency_bytes(1));
                                 }
-                                dx.flush_transfers();
-                            })
+                                dx.transfer(TransferDir::H2D, self.adjacency_bytes(b_s));
+                                dx.transfer(TransferDir::H2D, self.adjacency_bytes(b_s));
+                            } else {
+                                let upload = DeviceTensor::host_scaled(
+                                    Tensor::zeros(&[1, 1]),
+                                    3.0 * self.adjacency_bytes(b_s) as f64 / 4.0,
+                                );
+                                dx.ensure_resident(&upload);
+                            }
                         });
-                        staging[s].uploaded(dx);
-                        lane_handoff(dx, StreamId::Copy, StreamId::Compute);
 
                         // 2. GCN over each molecule (batched small
                         // GEMMs). The first molecule runs through the
@@ -230,38 +215,31 @@ impl DgnnModel for MolDgnn {
                         // re-charging. Multi-shard rule 4: every shard
                         // computes molecules `0..rep`, not its own
                         // range; at one shard the two coincide.
-                        let rep_emb = on_lane(dx, StreamId::Compute, |dx| {
-                            dx.scope("gnn", |dx| -> Result<DeviceTensor> {
-                                let (adj0, coords0) = self.molecule_inputs(0, frame)?;
-                                let adj = dx.adopt(adj0, b_s as f64);
-                                let x = dx.adopt(coords0, b_s as f64);
-                                let emb0 = self.gcn.forward(dx, &adj, &x)?;
-                                let mut rows = vec![emb0.data().reshape(&[flat])?];
-                                for mol in 1..rep {
-                                    let (adj, coords) = self.molecule_inputs(mol, frame)?;
-                                    let emb =
-                                        adj.matmul(&coords)?.matmul(self.gcn.weight())?.relu();
-                                    rows.push(emb.reshape(&[flat])?);
-                                }
-                                Ok(dx.adopt(Tensor::stack_rows(&rows)?, mol_scale))
-                            })
+                        let rep_emb = dx.compute("gnn", |dx| -> Result<DeviceTensor> {
+                            let (adj0, coords0) = self.molecule_inputs(0, frame)?;
+                            let adj = dx.adopt(adj0, b_s as f64);
+                            let x = dx.adopt(coords0, b_s as f64);
+                            let emb0 = self.gcn.forward(dx, &adj, &x)?;
+                            let mut rows = vec![emb0.data().reshape(&[flat])?];
+                            for mol in 1..rep {
+                                let (adj, coords) = self.molecule_inputs(mol, frame)?;
+                                let emb = adj.matmul(&coords)?.matmul(self.gcn.weight())?.relu();
+                                rows.push(emb.reshape(&[flat])?);
+                            }
+                            Ok(dx.adopt(Tensor::stack_rows(&rows)?, mol_scale))
                         })?;
 
                         // 3. LSTM over the temporal sequence.
-                        state = on_lane(dx, StreamId::Compute, |dx| {
-                            dx.scope("rnn", |dx| -> Result<dgnn_nn::LstmState> {
-                                self.lstm.forward(dx, &rep_emb, &state).map_err(Into::into)
-                            })
+                        state = dx.compute("rnn", |dx| -> Result<dgnn_nn::LstmState> {
+                            self.lstm.forward(dx, &rep_emb, &state).map_err(Into::into)
                         })?;
 
                         // 4. Decode next-frame adjacency + D2H + CPU
                         // distances.
-                        on_lane(dx, StreamId::Compute, |dx| {
-                            dx.scope("prediction", |dx| -> Result<()> {
-                                let pred = self.decoder.forward(dx, &state.0)?;
-                                checksum += pred.data().sum() * 1e-3;
-                                Ok(())
-                            })
+                        dx.compute("prediction", |dx| -> Result<()> {
+                            let pred = self.decoder.forward(dx, &state.0)?;
+                            checksum += pred.data().sum() * 1e-3;
+                            Ok(())
                         })?;
                         // Predicted adjacency sequence returns to the
                         // CPU for atom-to-atom distance calculation:
@@ -271,17 +249,13 @@ impl DgnnModel for MolDgnn {
                             Tensor::zeros(&[1, 1]),
                             2.0 * self.adjacency_bytes(b_s) as f64 / 4.0,
                         );
-                        lane_handoff(dx, StreamId::Compute, StreamId::Copy);
-                        on_lane(dx, StreamId::Copy, |dx| {
-                            dx.scope("memcpy_d2h", |dx| {
-                                if per_tensor {
-                                    dx.transfer(TransferDir::D2H, self.adjacency_bytes(b_s));
-                                    dx.transfer(TransferDir::D2H, self.adjacency_bytes(b_s));
-                                } else {
-                                    dx.download(&readback);
-                                }
-                                dx.flush_transfers();
-                            })
+                        dx.d2h(|dx| {
+                            if per_tensor {
+                                dx.transfer(TransferDir::D2H, self.adjacency_bytes(b_s));
+                                dx.transfer(TransferDir::D2H, self.adjacency_bytes(b_s));
+                            } else {
+                                dx.download(&readback);
+                            }
                         });
                     }
                     states[s] = Some(state);

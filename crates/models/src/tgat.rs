@@ -19,14 +19,13 @@
 use std::sync::Arc;
 
 use dgnn_datasets::TemporalDataset;
-use dgnn_device::{DeviceTensor, Executor, HostWork, StreamId, TensorClass, TransferDir};
+use dgnn_device::{DeviceTensor, Executor, HostWork, TensorClass, TransferDir};
 use dgnn_graph::{EventStream, NeighborSampler, SampleStrategy, TemporalAdjacency};
 use dgnn_nn::{BochnerTimeEncoder, Linear, Module, MultiHeadAttention};
 use dgnn_tensor::{Tensor, TensorRng};
 
 use crate::common::{
-    lane_handoff, on_lane, range_owner, representative, run_units, DgnnModel, DoubleBuffer,
-    InferenceConfig, RunSummary,
+    range_owner, representative, run_units, DgnnModel, InferenceConfig, RunSummary, SAMPLER_SEED,
 };
 use crate::Result;
 
@@ -183,7 +182,7 @@ impl DgnnModel for Tgat {
         let k = cfg.n_neighbors.max(1);
         let d = self.cfg.dim;
         let n_layers = self.cfg.n_layers;
-        let sampler = NeighborSampler::new(SampleStrategy::Uniform, cfg.seed);
+        let sampler = NeighborSampler::new(SampleStrategy::Uniform, SAMPLER_SEED);
         // One gathered row: edge features + time delta + neighbor index.
         let row_bytes = ((self.edge_dim + 2) * 4) as u64;
         let n_nodes = self.stream.n_nodes();
@@ -192,7 +191,6 @@ impl DgnnModel for Tgat {
         let stream = Arc::clone(&self.stream);
 
         let owner = |v: usize| range_owner(v, n_nodes, plan.shards);
-        let mut staging = vec![DoubleBuffer::new(); plan.shards];
         let (iterations, time) = run_units(ex, plan, cfg.batches(&stream), |dx, batch| {
             let mut slices: Vec<Vec<&dgnn_graph::TemporalEvent>> = vec![Vec::new(); plan.shards];
             for e in batch {
@@ -212,37 +210,30 @@ impl DgnnModel for Tgat {
                     // fanned out over the slice's roots (the parallel
                     // CSR engine); serial and parallel runs are
                     // byte-identical, only the *charged* critical path
-                    // differs. In pipelined mode it runs on the host
-                    // lane, overlapping the previous batch's kernels,
-                    // but may not reuse a staging buffer before the
-                    // copy engine has drained it (depth-2 double
-                    // buffering).
-                    staging[s].acquire(dx, StreamId::Host);
-                    let rep_layers = on_lane(dx, StreamId::Host, |dx| {
-                        dx.scope("sampling", |dx| {
-                            let roots: Vec<(usize, f64)> =
-                                slice.iter().take(rep).map(|e| (e.src, e.time)).collect();
-                            let ks = vec![k; n_layers.max(1)];
-                            let (layers, cost) = sampler.sample_khop_batch(&*self.adj, &roots, &ks);
-                            let scale = (bsz as u64).div_ceil(rep as u64);
-                            let calls = (bsz * (1 + k)) as u64;
-                            // The reference also sorts the sampled node
-                            // indices per batch so the feature gather
-                            // walks forward.
-                            let sorted = (bsz * (1 + k)) as u64;
-                            let sort_ops = sorted * (64 - sorted.max(2).leading_zeros() as u64);
-                            let parallelism = if cfg.parallel_sampling { bsz as u64 } else { 1 };
-                            dx.host(HostWork {
-                                label: "temporal_sampling",
-                                ops: cost.ops * scale + calls * SAMPLING_CALL_OPS + sort_ops,
-                                seq_bytes: 0,
-                                irregular_bytes: cost.irregular_bytes * scale,
-                                parallelism,
-                            });
-                            layers
-                        })
+                    // differs. In pipelined mode it overlaps the
+                    // previous batch's kernels.
+                    let rep_layers = dx.prep("sampling", |dx| {
+                        let roots: Vec<(usize, f64)> =
+                            slice.iter().take(rep).map(|e| (e.src, e.time)).collect();
+                        let ks = vec![k; n_layers.max(1)];
+                        let (layers, cost) = sampler.sample_khop_batch(&*self.adj, &roots, &ks);
+                        let scale = (bsz as u64).div_ceil(rep as u64);
+                        let calls = (bsz * (1 + k)) as u64;
+                        // The reference also sorts the sampled node
+                        // indices per batch so the feature gather walks
+                        // forward.
+                        let sorted = (bsz * (1 + k)) as u64;
+                        let sort_ops = sorted * (64 - sorted.max(2).leading_zeros() as u64);
+                        let parallelism = if cfg.parallel_sampling { bsz as u64 } else { 1 };
+                        dx.host(HostWork {
+                            label: "temporal_sampling",
+                            ops: cost.ops * scale + calls * SAMPLING_CALL_OPS + sort_ops,
+                            seq_bytes: 0,
+                            irregular_bytes: cost.irregular_bytes * scale,
+                            parallelism,
+                        });
+                        layers
                     });
-                    lane_handoff(dx, StreamId::Host, StreamId::Copy);
 
                     // Split the gathered rows by owner: locally-owned
                     // rows cross this device's PCIe link, remote rows
@@ -270,60 +261,54 @@ impl DgnnModel for Tgat {
                     // constituent tensors (edge features, time deltas,
                     // neighbor indices) individually, summing to exactly
                     // the same bytes.
-                    on_lane(dx, StreamId::Copy, |dx| {
-                        dx.scope("memcpy_h2d", |dx| {
-                            // Cache-routed fetch: one row per locally
-                            // owned sampled neighbor, keyed by node id
-                            // (the slice's roots when nothing was
-                            // sampled). Hot nodes of the power-law graph
-                            // stay device-resident; only cold rows are
-                            // priced, as one merged H2D copy. The keys
-                            // are the representative subset, so each
-                            // key's row carries the logical slice scale.
-                            // A shard that owns none of the sampled
-                            // neighbors prices its (empty) local share
-                            // as a plain copy.
-                            let keys: Vec<u64> = if !plan.cached {
-                                Vec::new()
-                            } else if rep_total == 0 {
-                                slice.iter().take(rep).map(|e| e.src as u64).collect()
-                            } else {
-                                rep_layers
-                                    .iter()
-                                    .flatten()
-                                    .filter(|nb| owner(nb.node) == s)
-                                    .map(|nb| nb.node as u64)
-                                    .collect()
-                            };
-                            if !keys.is_empty() {
-                                let scale = scaled_rows(s) as f64 / keys.len() as f64;
-                                dx.fetch_rows(TensorClass::NodeFeature, &keys, row_bytes, scale);
-                            } else if plan.cached || staged_slices {
-                                dx.transfer(TransferDir::H2D, scaled_rows(s) * row_bytes);
-                            } else if plan.granular {
-                                let feat_bytes = edge_rows * (self.edge_dim * 4) as u64;
-                                let delta_bytes = edge_rows * 4;
-                                let index_bytes = edge_rows * 4;
-                                for bytes in [feat_bytes, delta_bytes, index_bytes] {
-                                    dx.transfer(TransferDir::H2D, bytes);
-                                }
-                            } else {
-                                let payload = DeviceTensor::host_scaled(
-                                    Tensor::zeros(&[1, self.edge_dim + 2]),
-                                    edge_rows as f64,
-                                );
-                                dx.ensure_resident(&payload);
+                    dx.h2d(|dx| {
+                        // Cache-routed fetch: one row per locally owned
+                        // sampled neighbor, keyed by node id (the
+                        // slice's roots when nothing was sampled). Hot
+                        // nodes of the power-law graph stay
+                        // device-resident; only cold rows are priced,
+                        // as one merged H2D copy. The keys are the
+                        // representative subset, so each key's row
+                        // carries the logical slice scale. A shard that
+                        // owns none of the sampled neighbors prices its
+                        // (empty) local share as a plain copy.
+                        let keys: Vec<u64> = if !plan.cached {
+                            Vec::new()
+                        } else if rep_total == 0 {
+                            slice.iter().take(rep).map(|e| e.src as u64).collect()
+                        } else {
+                            rep_layers
+                                .iter()
+                                .flatten()
+                                .filter(|nb| owner(nb.node) == s)
+                                .map(|nb| nb.node as u64)
+                                .collect()
+                        };
+                        if !keys.is_empty() {
+                            let scale = scaled_rows(s) as f64 / keys.len() as f64;
+                            dx.fetch_rows(TensorClass::NodeFeature, &keys, row_bytes, scale);
+                        } else if plan.cached || staged_slices {
+                            dx.transfer(TransferDir::H2D, scaled_rows(s) * row_bytes);
+                        } else if plan.granular {
+                            let feat_bytes = edge_rows * (self.edge_dim * 4) as u64;
+                            let delta_bytes = edge_rows * 4;
+                            let index_bytes = edge_rows * 4;
+                            for bytes in [feat_bytes, delta_bytes, index_bytes] {
+                                dx.transfer(TransferDir::H2D, bytes);
                             }
-                            for o in 0..plan.shards {
-                                if o != s && scaled_rows(o) > 0 {
-                                    dx.peer_transfer(o, scaled_rows(o) * row_bytes);
-                                }
+                        } else {
+                            let payload = DeviceTensor::host_scaled(
+                                Tensor::zeros(&[1, self.edge_dim + 2]),
+                                edge_rows as f64,
+                            );
+                            dx.ensure_resident(&payload);
+                        }
+                        for o in 0..plan.shards {
+                            if o != s && scaled_rows(o) > 0 {
+                                dx.peer_transfer(o, scaled_rows(o) * row_bytes);
                             }
-                            dx.flush_transfers();
-                        })
+                        }
                     });
-                    staging[s].uploaded(dx);
-                    lane_handoff(dx, StreamId::Copy, StreamId::Compute);
 
                     // Representative functional inputs: the first `rep`
                     // targets and one event's worth of sampled
@@ -351,16 +336,13 @@ impl DgnnModel for Tgat {
                     let kn = neigh_feats.dims()[0];
 
                     // 3. Time encoding, priced for all gathered rows.
-                    let rep_time = on_lane(dx, StreamId::Compute, |dx| {
-                        dx.scope("time_encoding", |dx| {
-                            let n_phys = deltas.len();
-                            let t = Tensor::from_vec(deltas.clone(), &[n_phys])?;
-                            // The deltas arrived inside the staged
-                            // payload, so they are already
-                            // device-resident.
-                            let t = dx.adopt(t, rows as f64 / n_phys as f64);
-                            self.time_enc.forward(dx, &t)
-                        })
+                    let rep_time = dx.compute("time_encoding", |dx| {
+                        let n_phys = deltas.len();
+                        let t = Tensor::from_vec(deltas.clone(), &[n_phys])?;
+                        // The deltas arrived inside the staged payload,
+                        // so they are already device-resident.
+                        let t = dx.adopt(t, rows as f64 / n_phys as f64);
+                        self.time_enc.forward(dx, &t)
                     })?;
 
                     // 4. Attention layers. The queries are `rep`
@@ -370,60 +352,45 @@ impl DgnnModel for Tgat {
                     // `targets × k` logical rows — both quadratic
                     // attention dims (`k`, `d`) stay physical, so scaled
                     // pricing equals full-batch pricing.
-                    let out = on_lane(dx, StreamId::Compute, |dx| {
-                        dx.scope("attention", |dx| -> Result<DeviceTensor> {
-                            let src = dx.adopt(src_feats.clone(), bsz as f64 / rep as f64);
-                            let q0 = self.feat_proj.forward(dx, &src)?;
-                            let nbr = dx.adopt(neigh_feats.clone(), (bsz * k) as f64 / kn as f64);
-                            let nf = self.feat_proj.forward(dx, &nbr)?;
-                            let nt = if nf.data().dims()[0] == rep_time.data().dims()[0] {
-                                let merged = nf.data().concat_cols(rep_time.data())?;
-                                let merged = dx.adopt(merged, nf.scale());
-                                self.merge[0].forward(dx, &merged)?
-                            } else {
-                                nf
-                            };
-                            let mut h = q0;
-                            for layer in 0..n_layers {
-                                let targets = if layer + 1 == n_layers { bsz } else { bsz * k };
-                                let q_rows = h.data().dims()[0];
-                                let q = dx.adopt(h.data().clone(), targets as f64 / q_rows as f64);
-                                let kv_rows = nt.data().dims()[0];
-                                let kv = dx.adopt(
-                                    nt.data().clone(),
-                                    (targets * k) as f64 / kv_rows as f64,
-                                );
-                                h = self.attn[layer].forward(dx, &q, &kv, &kv)?;
-                            }
-                            Ok(h)
-                        })
+                    let out = dx.compute("attention", |dx| -> Result<DeviceTensor> {
+                        let src = dx.adopt(src_feats.clone(), bsz as f64 / rep as f64);
+                        let q0 = self.feat_proj.forward(dx, &src)?;
+                        let nbr = dx.adopt(neigh_feats.clone(), (bsz * k) as f64 / kn as f64);
+                        let nf = self.feat_proj.forward(dx, &nbr)?;
+                        let nt = if nf.data().dims()[0] == rep_time.data().dims()[0] {
+                            let merged = nf.data().concat_cols(rep_time.data())?;
+                            let merged = dx.adopt(merged, nf.scale());
+                            self.merge[0].forward(dx, &merged)?
+                        } else {
+                            nf
+                        };
+                        let mut h = q0;
+                        for layer in 0..n_layers {
+                            let targets = if layer + 1 == n_layers { bsz } else { bsz * k };
+                            let q_rows = h.data().dims()[0];
+                            let q = dx.adopt(h.data().clone(), targets as f64 / q_rows as f64);
+                            let kv_rows = nt.data().dims()[0];
+                            let kv =
+                                dx.adopt(nt.data().clone(), (targets * k) as f64 / kv_rows as f64);
+                            h = self.attn[layer].forward(dx, &q, &kv, &kv)?;
+                        }
+                        Ok(h)
                     })?;
 
                     // 5. Prediction head + copy-back of the target
                     // embeddings over this device's own link.
-                    let result = on_lane(dx, StreamId::Compute, |dx| {
-                        dx.scope("prediction", |dx| -> Result<DeviceTensor> {
-                            let out_rows = out.data().dims()[0];
-                            let pair = dx.adopt(
-                                out.data().concat_cols(out.data())?,
-                                bsz as f64 / out_rows as f64,
-                            );
-                            let score = self.predictor.forward(dx, &pair)?;
-                            checksum += score.data().sum();
-                            Ok(dx.adopt(out.data().clone(), bsz as f64 / out_rows as f64))
-                        })
+                    let result = dx.compute("prediction", |dx| -> Result<DeviceTensor> {
+                        let out_rows = out.data().dims()[0];
+                        let pair = dx.adopt(
+                            out.data().concat_cols(out.data())?,
+                            bsz as f64 / out_rows as f64,
+                        );
+                        let score = self.predictor.forward(dx, &pair)?;
+                        checksum += score.data().sum();
+                        Ok(dx.adopt(out.data().clone(), bsz as f64 / out_rows as f64))
                     })?;
                     debug_assert_eq!(result.data().dims()[1], d);
-                    lane_handoff(dx, StreamId::Compute, StreamId::Copy);
-                    on_lane(dx, StreamId::Copy, |dx| {
-                        dx.scope("memcpy_d2h", |dx| {
-                            dx.download(&result);
-                            // No-op unless coalescing staged this
-                            // slice's crossings; then it prices the
-                            // merged copy here.
-                            dx.flush_transfers();
-                        })
-                    });
+                    dx.d2h(|dx| dx.download(&result));
                     Ok(())
                 })?;
             }

@@ -24,14 +24,13 @@
 use std::sync::Arc;
 
 use dgnn_datasets::TemporalDataset;
-use dgnn_device::{DeviceTensor, Executor, HostWork, StreamId, TensorClass, TransferDir};
+use dgnn_device::{DeviceTensor, Executor, HostWork, TensorClass, TransferDir};
 use dgnn_graph::{NeighborSampler, SampleStrategy, TemporalAdjacency};
 use dgnn_nn::{EmbeddingTable, GruCell, Linear, Module, MultiHeadAttention, Time2Vec};
 use dgnn_tensor::{OpDescriptor, Tensor, TensorRng};
 
 use crate::common::{
-    lane_handoff, on_lane, range_owner, representative, run_units, DgnnModel, DoubleBuffer,
-    InferenceConfig, RunSummary,
+    range_owner, representative, run_units, DgnnModel, InferenceConfig, RunSummary, SAMPLER_SEED,
 };
 use crate::Result;
 
@@ -109,12 +108,6 @@ impl Tgn {
             &self.predictor,
         ]
     }
-
-    /// Memory rows touched per batch: two endpoints plus sampled
-    /// neighbors per event.
-    fn touched_rows(&self, batch: usize, k: usize) -> u64 {
-        (batch * (2 + k)) as u64
-    }
 }
 
 impl DgnnModel for Tgn {
@@ -165,13 +158,12 @@ impl DgnnModel for Tgn {
         let k = cfg.n_neighbors.clamp(1, 10);
         let d = self.cfg.dim;
         let row_bytes = (2 * d * 4) as u64;
-        let sampler = NeighborSampler::new(SampleStrategy::MostRecent, cfg.seed);
+        let sampler = NeighborSampler::new(SampleStrategy::MostRecent, SAMPLER_SEED);
         let n_nodes = self.data.stream.n_nodes();
         let mut checksum = 0.0f32;
 
         let data = Arc::clone(&self.data);
         let owner = |v: usize| range_owner(v, n_nodes, plan.shards);
-        let mut staging = vec![DoubleBuffer::new(); plan.shards];
         let (iterations, time) = run_units(ex, plan, cfg.batches(&data.stream), |dx, batch| {
             let mut slices: Vec<Vec<&dgnn_graph::TemporalEvent>> = vec![Vec::new(); plan.shards];
             for e in batch {
@@ -187,24 +179,22 @@ impl DgnnModel for Tgn {
                     let bsz = slice.len();
                     let rep = representative(bsz);
                     let scale = bsz as f64 / rep as f64;
-                    let touched = self.touched_rows(bsz, k);
+                    // Memory rows touched: two endpoints plus sampled
+                    // neighbors per event.
+                    let touched = (bsz * (2 + k)) as u64;
                     let edge_bytes = (bsz * self.data.edge_dim() * 4) as u64;
                     let ts_bytes = (bsz * 2 * 4) as u64;
                     // Endpoint and neighbor message/memory blocks
                     // down (sums exactly to the staged write-back).
                     let d2h_pieces = [(bsz * 2 * d * 4) as u64, (bsz * k * d * 4) as u64];
 
-                    // 1. Batch preparation (host lane) + edge features
-                    // to GPU.
-                    staging[s].acquire(dx, StreamId::Host);
-                    on_lane(dx, StreamId::Host, |dx| {
-                        dx.scope("batch_prep", |dx| {
-                            dx.host(HostWork::sequential(
-                                "pack_batch",
-                                bsz as u64 * PREP_CALL_OPS,
-                                bsz as u64 * dgnn_graph::EventStream::EVENT_BYTES,
-                            ));
-                        })
+                    // 1. Batch preparation + edge features to GPU.
+                    dx.prep("batch_prep", |dx| {
+                        dx.host(HostWork::sequential(
+                            "pack_batch",
+                            bsz as u64 * PREP_CALL_OPS,
+                            bsz as u64 * dgnn_graph::EventStream::EVENT_BYTES,
+                        ));
                     });
                     if !per_tensor {
                         // Staged aggregate: the edge payload ships as
@@ -213,31 +203,25 @@ impl DgnnModel for Tgn {
                             Tensor::zeros(&[1, self.data.edge_dim() + 2]),
                             bsz as f64,
                         );
-                        lane_handoff(dx, StreamId::Host, StreamId::Copy);
-                        on_lane(dx, StreamId::Copy, |dx| {
-                            dx.scope("memcpy_h2d", |dx| dx.ensure_resident(&edge_payload))
-                        });
-                        staging[s].uploaded(dx);
+                        dx.h2d(|dx| dx.ensure_resident(&edge_payload));
                     }
 
                     // 2. Temporal neighbor sampling on the CPU — the
                     // CSR batch engine, one root per slice event.
-                    let rep_neighbors = on_lane(dx, StreamId::Host, |dx| {
-                        dx.scope("sampling", |dx| {
-                            let roots: Vec<(usize, f64)> =
-                                slice.iter().take(rep).map(|e| (e.src, e.time)).collect();
-                            let (rep_samples, cost) = sampler.sample_batch(&*self.adj, &roots, k);
-                            let sc = (bsz as u64).div_ceil(rep as u64);
-                            let parallelism = if cfg.parallel_sampling { bsz as u64 } else { 1 };
-                            dx.host(HostWork {
-                                label: "temporal_sampling",
-                                ops: cost.ops * sc / 4 + (bsz * 2) as u64 * SAMPLE_CALL_OPS,
-                                seq_bytes: 0,
-                                irregular_bytes: cost.irregular_bytes * sc / 4,
-                                parallelism,
-                            });
-                            rep_samples
-                        })
+                    let rep_neighbors = dx.prep("sampling", |dx| {
+                        let roots: Vec<(usize, f64)> =
+                            slice.iter().take(rep).map(|e| (e.src, e.time)).collect();
+                        let (rep_samples, cost) = sampler.sample_batch(&*self.adj, &roots, k);
+                        let sc = (bsz as u64).div_ceil(rep as u64);
+                        let parallelism = if cfg.parallel_sampling { bsz as u64 } else { 1 };
+                        dx.host(HostWork {
+                            label: "temporal_sampling",
+                            ops: cost.ops * sc / 4 + (bsz * 2) as u64 * SAMPLE_CALL_OPS,
+                            seq_bytes: 0,
+                            irregular_bytes: cost.irregular_bytes * sc / 4,
+                            parallelism,
+                        });
+                        rep_samples
                     });
 
                     // Memory rows by owning device: destination
@@ -279,194 +263,162 @@ impl DgnnModel for Tgn {
                         // neighbor block by the sampled ids at slice
                         // scale, so recurrent nodes skip the Fig 5(b)
                         // exchange.
-                        lane_handoff(dx, StreamId::Host, StreamId::Copy);
-                        on_lane(dx, StreamId::Copy, |dx| {
-                            dx.scope("memcpy_h2d", |dx| {
-                                if plan.cached {
-                                    if per_tensor {
-                                        // Edge features + timestamps
-                                        // were not shipped by the staged
-                                        // early upload.
-                                        dx.transfer(TransferDir::H2D, edge_bytes);
-                                        dx.transfer(TransferDir::H2D, ts_bytes);
-                                    }
-                                    let mut keys: Vec<u64> =
-                                        slice.iter().map(|e| e.src as u64).collect();
-                                    keys.extend(
-                                        slice
-                                            .iter()
-                                            .filter(|e| owner(e.dst) == s)
-                                            .map(|e| e.dst as u64),
-                                    );
-                                    dx.fetch_rows(TensorClass::NodeMemory, &keys, row_bytes, 1.0);
-                                    let nbr: Vec<u64> = rep_neighbors
+                        dx.h2d(|dx| {
+                            if plan.cached {
+                                if per_tensor {
+                                    // Edge features + timestamps were
+                                    // not shipped by the staged early
+                                    // upload.
+                                    dx.transfer(TransferDir::H2D, edge_bytes);
+                                    dx.transfer(TransferDir::H2D, ts_bytes);
+                                }
+                                let mut keys: Vec<u64> =
+                                    slice.iter().map(|e| e.src as u64).collect();
+                                keys.extend(
+                                    slice
                                         .iter()
-                                        .flatten()
-                                        .filter(|nb| owner(nb.node) == s)
-                                        .map(|nb| nb.node as u64)
-                                        .collect();
-                                    if !nbr.is_empty() {
-                                        let nscale = scaled_nbr(s) as f64 / nbr.len() as f64;
-                                        dx.fetch_rows(
-                                            TensorClass::NodeMemory,
-                                            &nbr,
-                                            row_bytes,
-                                            nscale,
-                                        );
-                                    }
-                                } else {
-                                    for bytes in [
-                                        edge_bytes,
-                                        ts_bytes,
-                                        bsz as u64 * row_bytes,
-                                        local_dst * row_bytes,
-                                        scaled_nbr(s) * row_bytes,
-                                    ] {
-                                        dx.transfer(TransferDir::H2D, bytes);
-                                    }
+                                        .filter(|e| owner(e.dst) == s)
+                                        .map(|e| e.dst as u64),
+                                );
+                                dx.fetch_rows(TensorClass::NodeMemory, &keys, row_bytes, 1.0);
+                                let nbr: Vec<u64> = rep_neighbors
+                                    .iter()
+                                    .flatten()
+                                    .filter(|nb| owner(nb.node) == s)
+                                    .map(|nb| nb.node as u64)
+                                    .collect();
+                                if !nbr.is_empty() {
+                                    let nscale = scaled_nbr(s) as f64 / nbr.len() as f64;
+                                    dx.fetch_rows(TensorClass::NodeMemory, &nbr, row_bytes, nscale);
                                 }
-                                for (o, &dst_rows) in remote_dst.iter().enumerate() {
-                                    if o == s {
-                                        continue;
-                                    }
-                                    let rows = dst_rows + scaled_nbr(o);
-                                    if rows > 0 {
-                                        dx.peer_transfer(o, rows * row_bytes);
-                                    }
+                            } else {
+                                for bytes in [
+                                    edge_bytes,
+                                    ts_bytes,
+                                    bsz as u64 * row_bytes,
+                                    local_dst * row_bytes,
+                                    scaled_nbr(s) * row_bytes,
+                                ] {
+                                    dx.transfer(TransferDir::H2D, bytes);
                                 }
-                                dx.flush_transfers();
-                            })
+                            }
+                            for (o, &dst_rows) in remote_dst.iter().enumerate() {
+                                if o == s {
+                                    continue;
+                                }
+                                let rows = dst_rows + scaled_nbr(o);
+                                if rows > 0 {
+                                    dx.peer_transfer(o, rows * row_bytes);
+                                }
+                            }
                         });
-                        if per_tensor {
-                            staging[s].uploaded(dx);
-                        }
                     }
-                    lane_handoff(dx, StreamId::Host, StreamId::Compute);
-                    lane_handoff(dx, StreamId::Copy, StreamId::Compute);
 
                     let rep_src: Vec<usize> = slice.iter().take(rep).map(|e| e.src).collect();
 
                     // 3. Message passing: memory exchange + message
                     // kernels.
-                    let rep_msgs = on_lane(dx, StreamId::Compute, |dx| {
-                        dx.scope("message_passing", |dx| -> Result<DeviceTensor> {
-                            // Staged pricing derives the Fig 5(b)
-                            // exchange from the residence of the staged
-                            // row blocks: the inbound rows (unless the
-                            // cache already fetched them in memcpy_h2d)
-                            // and the outbound staged messages. Granular
-                            // modes priced the inbound rows with the
-                            // upload; the outbound messages are priced
-                            // as their endpoint and neighbor blocks.
-                            if !per_tensor && !plan.cached {
-                                let mem_in = DeviceTensor::host_scaled(
-                                    Tensor::zeros(&[rep, 2 * d]),
-                                    touched as f64 / rep as f64,
-                                );
-                                dx.ensure_resident(&mem_in);
-                            }
-                            if staged_messages {
-                                if plan.granular {
-                                    for bytes in d2h_pieces {
-                                        dx.transfer(TransferDir::D2H, bytes);
-                                    }
-                                } else {
-                                    let staged_out = dx.adopt(
-                                        Tensor::zeros(&[rep, d]),
-                                        touched as f64 / rep as f64,
-                                    );
-                                    dx.download(&staged_out);
-                                }
-                            }
-
-                            let src_mem = self.memory.lookup_scaled(dx, &rep_src, scale)?;
-                            let dst: Vec<usize> = slice.iter().take(rep).map(|e| e.dst).collect();
-                            let dst_mem = self.memory.lookup_scaled(dx, &dst, scale)?;
-                            let feats: Vec<usize> =
-                                slice.iter().take(rep).map(|e| e.feature_idx).collect();
-                            let edge = self.data.edge_features.gather_rows(&feats)?;
-                            #[expect(
-                                clippy::cast_possible_truncation,
-                                reason = "f32 timestamps suffice"
-                            )]
-                            let deltas = Tensor::from_vec(
-                                slice.iter().take(rep).map(|e| e.time as f32).collect(),
-                                &[rep],
-                            )?;
-                            let deltas = dx.adopt(deltas, scale);
-                            let time = self.time_enc.forward(dx, &deltas)?;
-                            let raw = src_mem
-                                .data()
-                                .concat_cols(dst_mem.data())?
-                                .concat_cols(&edge)?
-                                .concat_cols(time.data())?;
-                            let raw = dx.adopt(raw, scale);
-                            let msgs = self.message_fn.forward(dx, &raw)?;
-                            // Per-node aggregation of messages has no
-                            // dense functional counterpart; charge the
-                            // reduce directly.
-                            dx.charge(OpDescriptor::reduce("message_agg", bsz, k.max(1)), 1.0);
-                            Ok(msgs)
-                        })
-                    })?;
-
-                    // 4. Memory update (GRU) + embedding (attention).
-                    let new_mem = on_lane(dx, StreamId::Compute, |dx| {
-                        dx.scope("memory_update", |dx| -> Result<DeviceTensor> {
-                            let prev = self.memory.lookup_scaled(dx, &rep_src, scale)?;
-                            self.memory_updater
-                                .forward(dx, &rep_msgs, &prev)
-                                .map_err(Into::into)
-                        })
-                    })?;
-                    on_lane(dx, StreamId::Compute, |dx| {
-                        self.memory.update(dx, &rep_src, &new_mem)
-                    })?;
-
-                    let emb = on_lane(dx, StreamId::Compute, |dx| {
-                        dx.scope("embedding", |dx| -> Result<DeviceTensor> {
-                            // Keys/values: one event's sampled
-                            // neighbors plus its source, standing in for
-                            // the full slice (scale bsz); the queries
-                            // are the rep updated-memory rows.
-                            let kv_ids: Vec<usize> = rep_neighbors
-                                .first()
-                                .map(|l| l.iter().map(|n| n.node).collect::<Vec<_>>())
-                                .unwrap_or_default()
-                                .into_iter()
-                                .chain(rep_src.first().copied())
-                                .collect();
-                            let kv = self.memory.lookup_scaled(dx, &kv_ids, bsz as f64)?;
-                            self.embed_attn
-                                .forward(dx, &new_mem, &kv, &kv)
-                                .map_err(Into::into)
-                        })
-                    })?;
-
-                    // 5. Prediction + memory write-back over this
-                    // device's own PCIe link.
-                    on_lane(dx, StreamId::Compute, |dx| {
-                        dx.scope("prediction", |dx| -> Result<()> {
-                            let pair = dx.adopt(emb.data().concat_cols(emb.data())?, scale);
-                            checksum += self.predictor.forward(dx, &pair)?.data().sum();
-                            Ok(())
-                        })
-                    })?;
-                    let writeback = dx.adopt(Tensor::zeros(&[rep, d]), touched as f64 / rep as f64);
-                    lane_handoff(dx, StreamId::Compute, StreamId::Copy);
-                    on_lane(dx, StreamId::Copy, |dx| {
-                        dx.scope("memcpy_d2h", |dx| {
-                            if per_tensor {
+                    let rep_msgs = dx.compute("message_passing", |dx| -> Result<DeviceTensor> {
+                        // Staged pricing derives the Fig 5(b) exchange
+                        // from the residence of the staged row blocks:
+                        // the inbound rows (unless the cache already
+                        // fetched them in memcpy_h2d) and the outbound
+                        // staged messages. Granular modes priced the
+                        // inbound rows with the upload; the outbound
+                        // messages are priced as their endpoint and
+                        // neighbor blocks.
+                        if !per_tensor && !plan.cached {
+                            let mem_in = DeviceTensor::host_scaled(
+                                Tensor::zeros(&[rep, 2 * d]),
+                                touched as f64 / rep as f64,
+                            );
+                            dx.ensure_resident(&mem_in);
+                        }
+                        if staged_messages {
+                            if plan.granular {
                                 for bytes in d2h_pieces {
                                     dx.transfer(TransferDir::D2H, bytes);
                                 }
                             } else {
-                                dx.download(&writeback);
+                                let staged_out =
+                                    dx.adopt(Tensor::zeros(&[rep, d]), touched as f64 / rep as f64);
+                                dx.download(&staged_out);
                             }
-                            // Prices the slice's merged copy under
-                            // coalescing; no-op otherwise.
-                            dx.flush_transfers();
-                        })
+                        }
+
+                        let src_mem = self.memory.lookup_scaled(dx, &rep_src, scale)?;
+                        let dst: Vec<usize> = slice.iter().take(rep).map(|e| e.dst).collect();
+                        let dst_mem = self.memory.lookup_scaled(dx, &dst, scale)?;
+                        let feats: Vec<usize> =
+                            slice.iter().take(rep).map(|e| e.feature_idx).collect();
+                        let edge = self.data.edge_features.gather_rows(&feats)?;
+                        #[expect(
+                            clippy::cast_possible_truncation,
+                            reason = "f32 timestamps suffice"
+                        )]
+                        let deltas = Tensor::from_vec(
+                            slice.iter().take(rep).map(|e| e.time as f32).collect(),
+                            &[rep],
+                        )?;
+                        let deltas = dx.adopt(deltas, scale);
+                        let time = self.time_enc.forward(dx, &deltas)?;
+                        let raw = src_mem
+                            .data()
+                            .concat_cols(dst_mem.data())?
+                            .concat_cols(&edge)?
+                            .concat_cols(time.data())?;
+                        let raw = dx.adopt(raw, scale);
+                        let msgs = self.message_fn.forward(dx, &raw)?;
+                        // Per-node aggregation of messages has no dense
+                        // functional counterpart; charge the reduce
+                        // directly.
+                        dx.charge(OpDescriptor::reduce("message_agg", bsz, k.max(1)), 1.0);
+                        Ok(msgs)
+                    })?;
+
+                    // 4. Memory update (GRU) + embedding (attention).
+                    let new_mem = dx.compute("memory_update", |dx| -> Result<DeviceTensor> {
+                        let prev = self.memory.lookup_scaled(dx, &rep_src, scale)?;
+                        self.memory_updater
+                            .forward(dx, &rep_msgs, &prev)
+                            .map_err(Into::into)
+                    })?;
+                    dx.compute(None, |dx| self.memory.update(dx, &rep_src, &new_mem))?;
+
+                    let emb = dx.compute("embedding", |dx| -> Result<DeviceTensor> {
+                        // Keys/values: one event's sampled neighbors
+                        // plus its source, standing in for the full
+                        // slice (scale bsz); the queries are the rep
+                        // updated-memory rows.
+                        let kv_ids: Vec<usize> = rep_neighbors
+                            .first()
+                            .map(|l| l.iter().map(|n| n.node).collect::<Vec<_>>())
+                            .unwrap_or_default()
+                            .into_iter()
+                            .chain(rep_src.first().copied())
+                            .collect();
+                        let kv = self.memory.lookup_scaled(dx, &kv_ids, bsz as f64)?;
+                        self.embed_attn
+                            .forward(dx, &new_mem, &kv, &kv)
+                            .map_err(Into::into)
+                    })?;
+
+                    // 5. Prediction + memory write-back over this
+                    // device's own PCIe link.
+                    dx.compute("prediction", |dx| -> Result<()> {
+                        let pair = dx.adopt(emb.data().concat_cols(emb.data())?, scale);
+                        checksum += self.predictor.forward(dx, &pair)?.data().sum();
+                        Ok(())
+                    })?;
+                    let writeback = dx.adopt(Tensor::zeros(&[rep, d]), touched as f64 / rep as f64);
+                    dx.d2h(|dx| {
+                        if per_tensor {
+                            for bytes in d2h_pieces {
+                                dx.transfer(TransferDir::D2H, bytes);
+                            }
+                        } else {
+                            dx.download(&writeback);
+                        }
                     });
                     Ok(())
                 })?;
