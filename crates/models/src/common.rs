@@ -42,11 +42,7 @@ pub enum TransferGranularity {
 }
 
 /// Inference configuration shared by all models. Fields a model does not
-/// use (e.g. `n_neighbors` for MolDGNN) are ignored by that model. TGN,
-/// TGAT, MolDGNN and EvolveGCN act on `pipeline_overlap`,
-/// `transfer_granularity`, `feature_cache` and `shards`; JODIE, DyRep,
-/// LDG and ASTGNN run one serial plan and price the same whatever those
-/// four knobs say.
+/// use (e.g. `n_neighbors` for MolDGNN) are ignored by that model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InferenceConfig {
     /// Mini-batch size: events per batch (continuous models), subgraphs
@@ -72,12 +68,20 @@ pub struct InferenceConfig {
     /// stage is a plain scope and the timeline is bit-identical to the
     /// sequential engine. A run with more than one shard forks its lanes
     /// whatever this says (see [`InferenceConfig::shards`]).
+    ///
+    /// TGN, TGAT, MolDGNN and EvolveGCN act on this knob. JODIE, DyRep,
+    /// LDG and ASTGNN name their stages too but run one serial plan, so
+    /// they price the same whatever it says.
     pub pipeline_overlap: bool,
     /// Transfer pricing granularity (see [`TransferGranularity`]). With
     /// more than one shard, TGN, MolDGNN and EvolveGCN price their copies
     /// per tensor even under `Staged`, and TGAT prices one staged upload
     /// per slice even under `PerTensor`; `Coalesced` is honored at every
     /// shard count.
+    ///
+    /// TGN, TGAT, MolDGNN and EvolveGCN act on this knob. JODIE, DyRep,
+    /// LDG and ASTGNN run one serial plan and price the same whatever
+    /// it says.
     pub transfer_granularity: TransferGranularity,
     /// Capacity (in rows) of the device-resident feature cache, or
     /// `None` (the default) for no cache. With a cache, drivers route
@@ -86,6 +90,10 @@ pub struct InferenceConfig {
     /// the device skip the H2D crossing entirely and only misses are
     /// priced. Model numerics are bit-identical either way — the cache
     /// changes *pricing*, never values.
+    ///
+    /// TGN, TGAT, MolDGNN and EvolveGCN act on this knob. JODIE, DyRep,
+    /// LDG and ASTGNN run one serial plan that routes nothing through
+    /// the cache, so they price the same whatever it says.
     pub feature_cache: Option<usize>,
     /// Host-memory regime for PCIe pricing (see
     /// [`dgnn_device::TransferMode`]). The default `Pinned` is
@@ -99,7 +107,9 @@ pub struct InferenceConfig {
     /// case — bit-identical to every historical timeline. Values above
     /// one take effect only in GPU mode on a platform with that many
     /// devices (capped at the device count); cross-shard data lands as
-    /// peer transfers priced on the interconnect.
+    /// peer transfers priced on the interconnect. JODIE, DyRep, LDG and
+    /// ASTGNN run one serial plan on one device and price the same
+    /// whatever it says.
     ///
     /// Above one shard the drivers still price a few things differently
     /// from one shard under the same knobs: they always fork lanes
@@ -191,10 +201,11 @@ impl InferenceConfig {
     }
 
     /// Applies the config's executor-level knobs (transfer mode, feature
-    /// cache) to `ex`. Enabling an already-enabled cache at the same
-    /// capacity keeps its contents, so a serving replica that reuses one
-    /// executor across requests keeps a warm cache.
-    fn apply_device_options(&self, ex: &mut Executor) {
+    /// cache) to `ex`. Every model calls this at the top of `infer`, so
+    /// serving replicas that reuse one executor across requests keep a
+    /// warm cache (enabling an already-enabled cache at the same
+    /// capacity preserves its contents).
+    pub fn apply_device_options(&self, ex: &mut Executor) {
         ex.set_transfer_mode(self.transfer_mode);
         if let Some(cap) = self.feature_cache {
             ex.enable_feature_cache(cap);

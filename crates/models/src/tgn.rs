@@ -108,6 +108,12 @@ impl Tgn {
             &self.predictor,
         ]
     }
+
+    /// Memory rows touched per batch: two endpoints plus sampled
+    /// neighbors per event.
+    fn touched_rows(&self, batch: usize, k: usize) -> u64 {
+        (batch * (2 + k)) as u64
+    }
 }
 
 impl DgnnModel for Tgn {
@@ -179,9 +185,7 @@ impl DgnnModel for Tgn {
                     let bsz = slice.len();
                     let rep = representative(bsz);
                     let scale = bsz as f64 / rep as f64;
-                    // Memory rows touched: two endpoints plus sampled
-                    // neighbors per event.
-                    let touched = (bsz * (2 + k)) as u64;
+                    let touched = self.touched_rows(bsz, k);
                     let edge_bytes = (bsz * self.data.edge_dim() * 4) as u64;
                     let ts_bytes = (bsz * 2 * 4) as u64;
                     // Endpoint and neighbor message/memory blocks
