@@ -601,26 +601,6 @@ impl<'a> Dispatcher<'a> {
         Ok(self.adopt(out, a.scale))
     }
 
-    /// `a[m, k] × wᵀ` for a weight `w[n, k]` — the linear-layer shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the functional transpose/matmul.
-    pub fn matmul_nt(
-        &mut self,
-        label: &'static str,
-        a: &DeviceTensor,
-        w: &impl Operand,
-    ) -> Result<DeviceTensor> {
-        self.ensure_resident(a);
-        self.ensure_resident(w);
-        let out = a.data.matmul(&w.tensor().transpose()?)?;
-        let (m, k) = (a.data.dims()[0], a.data.dims()[1]);
-        let n = w.tensor().dims()[0];
-        self.charge(OpDescriptor::gemm(label, m, k, n), a.scale);
-        Ok(self.adopt(out, a.scale))
-    }
-
     /// Row-broadcast bias add over `x[m, n]`.
     ///
     /// # Errors
@@ -742,9 +722,10 @@ impl<'a> Dispatcher<'a> {
         Ok(self.adopt(out, scale))
     }
 
-    /// Scatters `rows` back into a copy of `base` at `indices`
-    /// (embedding/memory update). Returns the new table values, which the
-    /// caller stores back into its weight slot.
+    /// Scatters `rows` into `table` in place at `indices`
+    /// (embedding/memory update), priced as a gather-family kernel over
+    /// the written rows. Every index is checked before the first write,
+    /// so on error `table` is unchanged and no kernel is charged.
     ///
     /// # Errors
     ///
@@ -752,18 +733,18 @@ impl<'a> Dispatcher<'a> {
     pub fn scatter_rows(
         &mut self,
         label: &'static str,
-        base: &impl Operand,
+        table: &mut Tensor,
         indices: &[usize],
         rows: &DeviceTensor,
-    ) -> Result<Tensor> {
+    ) -> Result<()> {
         self.ensure_resident(rows);
-        let out = base.tensor().scatter_rows(indices, rows.tensor())?;
-        let width = base.tensor().dims()[1];
+        table.scatter_rows(indices, rows.tensor())?;
+        let width = table.dims()[1];
         self.charge(
             OpDescriptor::gather(label, indices.len(), width),
             rows.scale,
         );
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -809,9 +790,9 @@ mod tests {
         {
             let mut dx = Dispatcher::new(&mut ex);
             let x = dx.adopt(Tensor::ones(&[8, 16]), 1.0);
-            let w = Tensor::ones(&[4, 16]);
+            let w = Tensor::ones(&[16, 4]);
             let bias = Tensor::zeros(&[4]);
-            let y = dx.matmul_nt("mm", &x, &w).unwrap();
+            let y = dx.matmul("mm", &x, &w).unwrap();
             dx.add_bias("bias", &y, &bias).unwrap();
         }
         assert_eq!(ex.now(), manual.now());
@@ -902,13 +883,13 @@ mod tests {
         {
             let mut dx = Dispatcher::new(&mut full);
             let x = dx.adopt(Tensor::ones(&[128, 8]), 1.0);
-            dx.matmul_nt("mm", &x, &Tensor::ones(&[8, 8])).unwrap();
+            dx.matmul("mm", &x, &Tensor::ones(&[8, 8])).unwrap();
         }
         let mut rep = gpu();
         {
             let mut dx = Dispatcher::new(&mut rep);
             let x = dx.adopt(Tensor::ones(&[8, 8]), 16.0);
-            dx.matmul_nt("mm", &x, &Tensor::ones(&[8, 8])).unwrap();
+            dx.matmul("mm", &x, &Tensor::ones(&[8, 8])).unwrap();
         }
         assert_eq!(full.now(), rep.now());
     }
@@ -934,7 +915,9 @@ mod tests {
         let table = Tensor::from_vec((0..12).map(|v| v as f32).collect(), &[4, 3]).unwrap();
         let rows = dx.gather_rows("lookup", &table, &[1, 3], 1.0).unwrap();
         assert_eq!(rows.data().dims(), &[2, 3]);
-        let updated = dx.scatter_rows("update", &table, &[0, 2], &rows).unwrap();
+        let mut updated = table.clone();
+        dx.scatter_rows("update", &mut updated, &[0, 2], &rows)
+            .unwrap();
         assert_eq!(updated.row(0).unwrap(), table.row(1).unwrap());
         let kinds: Vec<_> = ex.timeline().events().iter().map(|e| e.category).collect();
         assert_eq!(

@@ -430,11 +430,6 @@ impl Executor {
         }
     }
 
-    /// Whether a stream fork is active.
-    pub fn streams_active(&self) -> bool {
-        self.streams.is_some()
-    }
-
     /// Forks the timeline into the three execution lanes, each starting at
     /// the current serial clock. Until [`Executor::join_streams`], work
     /// issued inside [`Executor::on_stream`] advances only its lane.
@@ -1487,7 +1482,7 @@ mod tests {
         ex.launch(OpDescriptor::gemm("k", 32, 32, 32));
         ex.transfer(TransferDir::D2H, 4096);
         assert!(ex.timeline().events().iter().all(|e| e.stream.is_none()));
-        assert!(!ex.streams_active());
+        assert!(ex.streams.is_none());
     }
 
     #[test]
@@ -1496,7 +1491,7 @@ mod tests {
         ex.ensure_context();
         let before = ex.now();
         ex.fork_streams();
-        assert!(ex.streams_active());
+        assert!(ex.streams.is_some());
         let end = ex.join_streams();
         assert_eq!(end, before);
         assert_eq!(ex.now(), before);

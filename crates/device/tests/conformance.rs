@@ -112,23 +112,24 @@ fn sort_charge_matches_cost_estimator() {
 #[test]
 fn remaining_typed_ops_charge_their_family_estimators() {
     // The typed ops the per-family tests above do not reach, each under
-    // its caller's label and at its operands' shapes.
+    // its caller's label and at its operands' shapes (the GEMM only
+    // produces their input).
     let (m, k, n) = (7, 13, 5);
     let (rows, width) = (3, 19);
     let mut ex = gpu();
     let mut dx = Dispatcher::new(&mut ex);
     let a = dx.adopt(rand(&[m, k], 12), 1.0);
-    let w = dx.adopt(rand(&[n, k], 13), 1.0);
-    let y = dx.matmul_nt("conf_gemm_nt", &a, &w).unwrap();
+    let w = dx.adopt(rand(&[k, n], 13), 1.0);
+    let y = dx.matmul("conf_gemm", &a, &w).unwrap();
     let bias = dx.adopt(rand(&[n], 14), 1.0);
     let z = dx.add_bias("conf_bias", &y, &bias).unwrap();
     let sum = dx.binary("conf_binary", &y, &z, Tensor::add).unwrap();
     dx.activation("conf_sigmoid", &sum, Tensor::sigmoid);
     dx.reduce_rows("conf_sum_rows", &sum, Tensor::sum_rows)
         .unwrap();
-    let table = dx.adopt(rand(&[64, width], 15), 1.0);
+    let mut table = rand(&[64, width], 15);
     let update = dx.adopt(rand(&[rows, width], 16), 1.0);
-    dx.scatter_rows("conf_scatter", &table, &[1, 5, 9], &update)
+    dx.scatter_rows("conf_scatter", &mut table, &[1, 5, 9], &update)
         .unwrap();
 
     let len = m * n;
@@ -140,7 +141,7 @@ fn remaining_typed_ops_charge_their_family_estimators() {
         kernels(&ex),
         vec![
             (
-                "conf_gemm_nt",
+                "conf_gemm",
                 OpKind::Gemm,
                 matmul_flops(m, k, n),
                 matmul_bytes(m, k, n)

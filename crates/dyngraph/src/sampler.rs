@@ -30,10 +30,31 @@
 //! [`NeighborSampler::sample_khop_batch`]) byte-identical to their serial
 //! counterparts for any worker-thread count: each root's subtree is
 //! reproduced independently and results are concatenated in root order.
+//! At their default width they fan out only when the batch can sample at
+//! least two workers' worth ([`SAMPLED_PER_WORKER`] each) of neighbors;
+//! the `*_threads` variants take an explicit worker count.
 
 use dgnn_tensor::TensorRng;
 
 use crate::{par, EventStream, NodeId};
+
+/// Sampled neighbors each worker thread gets at the default width of the
+/// batch APIs: about 1 ms of sampling, against the tens of microseconds a
+/// scoped thread costs to spawn and join. A model's step (tens of roots,
+/// fan-out 10 and 10) stays inline; a batch of thousands of roots fans
+/// out.
+pub const SAMPLED_PER_WORKER: usize = 1 << 14;
+
+/// Most neighbors one root can sample under the fan-out `ks`:
+/// `ks[0] + ks[0]·ks[1] + …`.
+fn fanout_bound(ks: &[usize]) -> usize {
+    ks.iter()
+        .scan(1usize, |width, &k| {
+            *width = width.saturating_mul(k);
+            Some(*width)
+        })
+        .fold(0, usize::saturating_add)
+}
 
 /// One sampled temporal neighbor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -362,7 +383,9 @@ impl NeighborSampler {
     }
 
     /// Single-hop batch sampling: one sample per root, fanned out over
-    /// worker threads. Element `i` of the result is exactly what
+    /// one worker thread per [`SAMPLED_PER_WORKER`] of the `roots × k`
+    /// neighbors the batch can sample (inline below two workers' worth).
+    /// Element `i` of the result is exactly what
     /// `self.sample(adj, roots[i].0, roots[i].1, k)` returns, and the
     /// cost is the sum over roots — byte-identical to the serial loop.
     /// The view is borrowed by the workers, never cloned — a streaming
@@ -373,7 +396,8 @@ impl NeighborSampler {
         roots: &[(NodeId, f64)],
         k: usize,
     ) -> (Vec<Vec<SampledNeighbor>>, SampleCost) {
-        self.sample_batch_threads(adj, roots, k, par::max_threads())
+        let work = roots.len().saturating_mul(k);
+        self.sample_batch_threads(adj, roots, k, par::workers_for(work, SAMPLED_PER_WORKER))
     }
 
     /// [`NeighborSampler::sample_batch`] with an explicit thread cap.
@@ -402,14 +426,18 @@ impl NeighborSampler {
     /// order, which reproduces the serial layer layout exactly (the
     /// serial pass also visits layer `l` root-subtree by root-subtree).
     /// Byte-identical samples and [`SampleCost`] to the serial call for
-    /// any thread count.
+    /// any thread count. Takes one worker per [`SAMPLED_PER_WORKER`] of
+    /// the neighbors the batch can sample,
+    /// `roots × (ks[0] + ks[0]·ks[1] + …)`, and runs inline below two
+    /// workers' worth.
     pub fn sample_khop_batch<V: TemporalView + ?Sized>(
         &self,
         adj: &V,
         roots: &[(NodeId, f64)],
         ks: &[usize],
     ) -> (Vec<Vec<SampledNeighbor>>, SampleCost) {
-        self.sample_khop_batch_threads(adj, roots, ks, par::max_threads())
+        let work = roots.len().saturating_mul(fanout_bound(ks));
+        self.sample_khop_batch_threads(adj, roots, ks, par::workers_for(work, SAMPLED_PER_WORKER))
     }
 
     /// [`NeighborSampler::sample_khop_batch`] with an explicit thread cap.
@@ -601,6 +629,15 @@ mod tests {
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6));
+    }
+
+    #[test]
+    fn fanout_bound_sums_every_layer_width() {
+        assert_eq!(fanout_bound(&[]), 0);
+        assert_eq!(fanout_bound(&[10]), 10);
+        assert_eq!(fanout_bound(&[10, 10]), 110);
+        assert_eq!(fanout_bound(&[2, 3, 4]), 2 + 6 + 24);
+        assert_eq!(fanout_bound(&[usize::MAX, 2]), usize::MAX);
     }
 
     #[test]

@@ -10,13 +10,6 @@ pub enum ModelError {
     Tensor(TensorError),
     /// A graph operation failed (bad node id, unsorted events, …).
     Graph(GraphError),
-    /// The configuration is invalid for this model.
-    InvalidConfig {
-        /// Which model rejected it.
-        model: &'static str,
-        /// Why.
-        reason: &'static str,
-    },
 }
 
 impl fmt::Display for ModelError {
@@ -24,9 +17,6 @@ impl fmt::Display for ModelError {
         match self {
             ModelError::Tensor(e) => write!(f, "tensor error: {e}"),
             ModelError::Graph(e) => write!(f, "graph error: {e}"),
-            ModelError::InvalidConfig { model, reason } => {
-                write!(f, "invalid configuration for {model}: {reason}")
-            }
         }
     }
 }
@@ -36,7 +26,6 @@ impl std::error::Error for ModelError {
         match self {
             ModelError::Tensor(e) => Some(e),
             ModelError::Graph(e) => Some(e),
-            ModelError::InvalidConfig { .. } => None,
         }
     }
 }

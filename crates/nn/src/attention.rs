@@ -9,7 +9,8 @@ use crate::Result;
 /// Multi-head attention with fused head projections.
 ///
 /// `attend(q: [m, d], k: [n, d], v: [n, d]) → [m, d]` where `d` is the
-/// model dimension, split evenly over `heads`.
+/// model dimension, split evenly over `heads`. Each projection weight is
+/// `[d, d]` stored `[in, out]`, so a projection is the GEMM `x W`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiHeadAttention {
     wq: Param,
@@ -32,7 +33,10 @@ impl MultiHeadAttention {
             "dim must divide evenly into heads"
         );
         let mk = |name: &str, rng: &mut TensorRng| {
-            Param::new(name, rng.init(&[dim, dim], Initializer::XavierUniform))
+            Param::new(
+                name,
+                rng.init_transposed(dim, dim, Initializer::XavierUniform),
+            )
         };
         MultiHeadAttention {
             wq: mk("wq", rng),
@@ -74,15 +78,15 @@ impl MultiHeadAttention {
 
         // Projections: one GEMM for queries, one fused GEMM for keys and
         // values together (they share the `[n, d]` input).
-        let qp = dx.matmul_nt("attn_q_proj", q, &self.wq.value)?;
+        let qp = dx.matmul("attn_q_proj", q, &self.wq.value)?;
         dx.ensure_resident(k);
         dx.ensure_resident(v);
         let (kp, vp) = dx.fused(
             OpDescriptor::gemm("attn_kv_proj", n, d, 2 * d),
             k.scale(),
             || {
-                let kp = k.data().matmul(&self.wk.value.transpose()?)?;
-                let vp = v.data().matmul(&self.wv.value.transpose()?)?;
+                let kp = k.data().matmul(&self.wk.value)?;
+                let vp = v.data().matmul(&self.wv.value)?;
                 Ok((kp, vp))
             },
         )?;
@@ -130,7 +134,7 @@ impl MultiHeadAttention {
 
         // Output projection.
         let context = dx.adopt(context, q.scale());
-        dx.matmul_nt("attn_out_proj", &context, &self.wo.value)
+        dx.matmul("attn_out_proj", &context, &self.wo.value)
     }
 }
 

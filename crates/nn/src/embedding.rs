@@ -68,8 +68,9 @@ impl EmbeddingTable {
         dx.gather_rows("embedding_lookup", &self.table.value, indices, scale)
     }
 
-    /// Writes updated rows back (scatter), dispatching a gather-family
-    /// kernel and replacing the stored table.
+    /// Writes updated rows into the table in place (scatter), dispatching
+    /// a gather-family kernel over the written rows only. Every index is
+    /// checked before the first write, so on error the table is unchanged.
     ///
     /// # Errors
     ///
@@ -80,8 +81,7 @@ impl EmbeddingTable {
         indices: &[usize],
         rows: &DeviceTensor,
     ) -> Result<()> {
-        self.table.value = dx.scatter_rows("embedding_update", &self.table.value, indices, rows)?;
-        Ok(())
+        dx.scatter_rows("embedding_update", &mut self.table.value, indices, rows)
     }
 }
 

@@ -6,7 +6,8 @@ use dgnn_tensor::{Initializer, TensorRng};
 use crate::module::{Module, Param};
 use crate::Result;
 
-/// A dense affine layer `y = x Wᵀ + b` with weight `[out, in]`.
+/// A dense affine layer `y = x W + b` with weight `[in, out]`, the layout
+/// the GEMM reads, so a forward pass never transposes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Linear {
     weight: Param,
@@ -16,12 +17,13 @@ pub struct Linear {
 }
 
 impl Linear {
-    /// Creates a Xavier-initialized layer.
+    /// Creates a Xavier-initialized layer. The weight holds the values of
+    /// an `[out, in]` draw, stored transposed as `[in, out]`.
     pub fn new(in_dim: usize, out_dim: usize, rng: &mut TensorRng) -> Self {
         Linear {
             weight: Param::new(
                 "weight",
-                rng.init(&[out_dim, in_dim], Initializer::XavierUniform),
+                rng.init_transposed(out_dim, in_dim, Initializer::XavierUniform),
             ),
             bias: Param::new("bias", rng.init(&[out_dim], Initializer::Zeros)),
             in_dim,
@@ -46,7 +48,7 @@ impl Linear {
     ///
     /// Returns shape errors when `x` is not `[m, in]`.
     pub fn forward(&self, dx: &mut Dispatcher, x: &DeviceTensor) -> Result<DeviceTensor> {
-        let y = dx.matmul_nt("linear_gemm", x, &self.weight.value)?;
+        let y = dx.matmul("linear_gemm", x, &self.weight.value)?;
         dx.add_bias("linear_bias", &y, &self.bias.value)
     }
 }
@@ -159,7 +161,7 @@ mod tests {
         let x = TensorRng::seed(9).init(&[4, 3], Initializer::Uniform(1.0));
         let y = l.forward(&mut dx, &DeviceTensor::host(x.clone())).unwrap();
         let w = &l.parameters()[0].value;
-        let manual = x.matmul(&w.transpose().unwrap()).unwrap();
+        let manual = x.matmul(w).unwrap();
         y.data().assert_close(&manual, 1e-5);
     }
 

@@ -11,6 +11,9 @@ use dgnn_tensor::{Initializer, OpDescriptor, Tensor, TensorRng};
 use crate::module::{Module, Param};
 use crate::Result;
 
+/// The fused gate weights `w_input: [in, gates·hidden]` and
+/// `w_hidden: [hidden, gates·hidden]` (the layout the GEMM reads), each
+/// drawn as its `[gates·hidden, ·]` transpose, plus the gate bias.
 fn gate_params(
     n_gates: usize,
     in_dim: usize,
@@ -20,11 +23,11 @@ fn gate_params(
     (
         Param::new(
             "w_input",
-            rng.init(&[n_gates * hidden, in_dim], Initializer::XavierUniform),
+            rng.init_transposed(n_gates * hidden, in_dim, Initializer::XavierUniform),
         ),
         Param::new(
             "w_hidden",
-            rng.init(&[n_gates * hidden, hidden], Initializer::XavierUniform),
+            rng.init_transposed(n_gates * hidden, hidden, Initializer::XavierUniform),
         ),
         Param::new("bias", rng.init(&[n_gates * hidden], Initializer::Zeros)),
     )
@@ -45,8 +48,8 @@ fn gates(
     hidden: usize,
 ) -> Result<Vec<Tensor>> {
     let b = x.data().dims()[0];
-    let xi = dx.matmul_nt(label, x, w_input)?;
-    let hh = dx.matmul_nt(label, h, w_hidden)?;
+    let xi = dx.matmul(label, x, w_input)?;
+    let hh = dx.matmul(label, h, w_hidden)?;
     let pre = dx.fused(
         OpDescriptor::elementwise(label, b * n_gates * hidden, 2, 3),
         x.scale(),
@@ -228,7 +231,8 @@ impl Module for LstmCell {
     }
 }
 
-/// Vanilla RNN cell `h' = tanh(x Wᵀ + h Uᵀ + b)` (JODIE's update form).
+/// Vanilla RNN cell `h' = tanh(x W + h U + b)` (JODIE's update form),
+/// with `W: [in, hidden]` and `U: [hidden, hidden]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RnnCell {
     w_input: Param,

@@ -112,7 +112,7 @@ fn attention_output_is_convex_ish_in_values() {
         let row = TensorRng::seed(seed ^ 8).init(&[1, d], Initializer::Normal(1.0));
         let mut v = Tensor::zeros(&[n, d]);
         for r in 0..n {
-            v = v.scatter_rows(&[r], &row).unwrap();
+            v.scatter_rows(&[r], &row).unwrap();
         }
         let mut ex = cpu();
         let out = attn
@@ -143,7 +143,7 @@ fn gcn_respects_graph_locality() {
         let mut x2 = x1.clone();
         // Perturb only the last row.
         let noise = TensorRng::seed(seed ^ 10).init(&[1, d], Initializer::Normal(1.0));
-        x2 = x2.scatter_rows(&[n - 1], &noise).unwrap();
+        x2.scatter_rows(&[n - 1], &noise).unwrap();
         let mut ex1 = cpu();
         let y1 = layer
             .forward(&mut Dispatcher::new(&mut ex1), &adj, &dt(x1))

@@ -126,14 +126,50 @@ impl TensorRng {
             Initializer::Uniform(a) => (0..len).map(|_| self.uniform(-a, a)).collect(),
             Initializer::Normal(std) => (0..len).map(|_| self.normal() * std).collect(),
             Initializer::XavierUniform => {
-                let fan_out = dims.first().copied().unwrap_or(1);
-                let fan_in = dims.get(1).copied().unwrap_or(1);
-                let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
+                let a = xavier_bound(dims);
                 (0..len).map(|_| self.uniform(-a, a)).collect()
             }
         };
         Tensor::from_vec(data, dims).expect("init produces matching length")
     }
+
+    /// The transpose of `self.init(&[rows, cols], scheme)`, drawn in place:
+    /// the same draws in the same order, each written at its transposed
+    /// position of a `[cols, rows]` tensor, in one allocation. Layers
+    /// that keep a weight as `[in, out]` draw it with `rows = out`,
+    /// `cols = in`, so their values equal the `[out, in]` draw.
+    pub fn init_transposed(&mut self, rows: usize, cols: usize, scheme: Initializer) -> Tensor {
+        let mut data = vec![0.0; rows * cols];
+        let out = &mut data[..];
+        match scheme {
+            Initializer::Zeros => {}
+            Initializer::Uniform(a) => fill_transposed(out, rows, cols, || self.uniform(-a, a)),
+            Initializer::Normal(std) => fill_transposed(out, rows, cols, || self.normal() * std),
+            Initializer::XavierUniform => {
+                let a = xavier_bound(&[rows, cols]);
+                fill_transposed(out, rows, cols, || self.uniform(-a, a));
+            }
+        }
+        Tensor::from_vec(data, &[cols, rows]).expect("init produces matching length")
+    }
+}
+
+/// Writes `rows × cols` draws, in draw order, at their transposed
+/// positions (draw `(i, j)` lands at `j·rows + i`).
+fn fill_transposed(out: &mut [f32], rows: usize, cols: usize, mut draw: impl FnMut() -> f32) {
+    for i in 0..rows {
+        for j in 0..cols {
+            out[j * rows + i] = draw();
+        }
+    }
+}
+
+/// Xavier/Glorot half-width `sqrt(6 / (fan_in + fan_out))` for `dims`
+/// read as `[fan_out, fan_in]`.
+fn xavier_bound(dims: &[usize]) -> f32 {
+    let fan_out = dims.first().copied().unwrap_or(1);
+    let fan_in = dims.get(1).copied().unwrap_or(1);
+    (6.0 / (fan_in + fan_out) as f32).sqrt()
 }
 
 #[cfg(test)]
@@ -152,6 +188,25 @@ mod tests {
         let a = TensorRng::seed(1).init(&[16], Initializer::Uniform(1.0));
         let b = TensorRng::seed(2).init(&[16], Initializer::Uniform(1.0));
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn transposed_init_is_the_transpose_of_the_same_draws() {
+        for scheme in [
+            Initializer::XavierUniform,
+            Initializer::Normal(0.5),
+            Initializer::Uniform(2.0),
+            Initializer::Zeros,
+        ] {
+            let mut a = TensorRng::seed(12);
+            let mut b = TensorRng::seed(12);
+            let drawn = a.init(&[5, 3], scheme).transpose().unwrap();
+            let in_place = b.init_transposed(5, 3, scheme);
+            assert_eq!(in_place.dims(), &[3, 5]);
+            assert_eq!(in_place, drawn, "{scheme:?}");
+            // Both generators consumed the same number of draws.
+            assert_eq!(a.next_u64(), b.next_u64(), "{scheme:?}");
+        }
     }
 
     #[test]

@@ -140,14 +140,15 @@ impl Tensor {
         Tensor::from_vec(out, &[indices.len(), n])
     }
 
-    /// Scatters `rows` (rank-2, one row per index) into a copy of `self` at
-    /// the given row indices; later duplicates win.
+    /// Scatters `rows` (rank-2, one row per index) into `self` in place
+    /// at the given row indices; later duplicates win. Every index is
+    /// checked before the first write, so on error `self` is unchanged.
     ///
     /// # Errors
     ///
     /// Returns shape/index errors when widths differ, `rows` has fewer rows
     /// than `indices`, or any index is out of bounds.
-    pub fn scatter_rows(&self, indices: &[usize], rows: &Tensor) -> Result<Tensor> {
+    pub fn scatter_rows(&mut self, indices: &[usize], rows: &Tensor) -> Result<()> {
         if self.rank() != 2 || rows.rank() != 2 {
             return Err(TensorError::RankMismatch {
                 op: "scatter_rows",
@@ -163,18 +164,18 @@ impl Tensor {
                 rhs: rows.dims().to_vec(),
             });
         }
-        let mut out = self.as_slice().to_vec();
+        if let Some(&i) = indices.iter().find(|&&i| i >= m) {
+            return Err(TensorError::IndexOutOfBounds {
+                op: "scatter_rows",
+                index: i,
+                len: m,
+            });
+        }
+        let out = self.as_mut_slice();
         for (k, &i) in indices.iter().enumerate() {
-            if i >= m {
-                return Err(TensorError::IndexOutOfBounds {
-                    op: "scatter_rows",
-                    index: i,
-                    len: m,
-                });
-            }
             out[i * n..(i + 1) * n].copy_from_slice(&rows.as_slice()[k * n..(k + 1) * n]);
         }
-        Tensor::from_vec(out, &[m, n])
+        Ok(())
     }
 
     /// Stacks rank-1 tensors of equal length into a rank-2 tensor.
@@ -244,9 +245,9 @@ mod tests {
 
     #[test]
     fn scatter_rows_overwrites() {
-        let base = Tensor::zeros(&[3, 2]);
+        let mut out = Tensor::zeros(&[3, 2]);
         let rows = Tensor::from_vec(vec![1.0, 1.0, 2.0, 2.0], &[2, 2]).unwrap();
-        let out = base.scatter_rows(&[2, 0], &rows).unwrap();
+        out.scatter_rows(&[2, 0], &rows).unwrap();
         assert_eq!(out.as_slice(), &[2.0, 2.0, 0.0, 0.0, 1.0, 1.0]);
     }
 
@@ -255,8 +256,32 @@ mod tests {
         let base = Tensor::from_vec((0..8).map(|v| v as f32).collect(), &[4, 2]).unwrap();
         let idx = [1usize, 3];
         let g = base.gather_rows(&idx).unwrap();
-        let back = base.scatter_rows(&idx, &g).unwrap();
+        let mut back = base.clone();
+        back.scatter_rows(&idx, &g).unwrap();
         assert_eq!(base, back);
+    }
+
+    #[test]
+    fn scatter_with_a_bad_index_writes_no_row() {
+        let before = Tensor::from_vec((0..8).map(|v| v as f32 + 0.5).collect(), &[4, 2]).unwrap();
+        let rows = Tensor::full(&[3, 2], -1.0);
+        let mut table = before.clone();
+        // The bad index comes last, after two valid rows.
+        let err = table.scatter_rows(&[0, 2, 4], &rows).unwrap_err();
+        assert_eq!(
+            err,
+            TensorError::IndexOutOfBounds {
+                op: "scatter_rows",
+                index: 4,
+                len: 4,
+            }
+        );
+        let same_bits = before
+            .as_slice()
+            .iter()
+            .zip(table.as_slice())
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(same_bits, "a failed scatter wrote rows: {table:?}");
     }
 
     #[test]

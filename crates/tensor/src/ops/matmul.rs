@@ -1,11 +1,13 @@
 //! Matrix multiplication kernels (the GEMM family).
 //!
-//! `matmul` is cache-blocked and fans row blocks out over worker threads
-//! (honoring `RAYON_NUM_THREADS` via [`crate::par`]). Both optimizations
-//! preserve the serial ikj kernel's result *bit for bit*: every output
-//! element still accumulates its `k` products in ascending-`kk` order
-//! with the same zero-skip, and row blocks are disjoint, so neither
-//! tiling nor threading can reorder a single f32 addition.
+//! `matmul` is cache-blocked and, when a product has at least two
+//! workers' worth of multiply-adds (about 1 ms of work each), fans row
+//! blocks out over worker threads (honoring `RAYON_NUM_THREADS` via
+//! [`crate::par`]). Both optimizations preserve the serial ikj kernel's
+//! result *bit for bit*: every output element still accumulates its `k`
+//! products in ascending-`kk` order with the same zero-skip, and row
+//! blocks are disjoint, so neither tiling nor threading can reorder a
+//! single f32 addition.
 
 use crate::par;
 use crate::{Result, Tensor, TensorError};
@@ -15,8 +17,11 @@ const BLOCK_K: usize = 64;
 /// Tile of the output columns — with `BLOCK_K` this keeps the active
 /// `b` panel around 64 KiB.
 const BLOCK_N: usize = 256;
-/// Fewest rows per worker thread worth the spawn overhead.
-const MIN_ROWS_PER_THREAD: usize = 16;
+/// Multiply-adds (`m·k·n`) each worker thread should get: about 1 ms of
+/// the blocked kernel, against the tens of microseconds a scoped thread
+/// costs to spawn and join. Every product the model zoo runs per step is
+/// smaller (the largest is 32×172×516, 2.8M), so those run inline.
+const MACS_PER_WORKER: usize = 1 << 22;
 
 /// Multiplies `rows` rows of `a` (shape `[rows, k]`) by `b` (`[k, n]`)
 /// into a fresh `[rows, n]` buffer with k/n tiling. For each output
@@ -46,13 +51,12 @@ fn matmul_rows_blocked(a: &[f32], b: &[f32], rows: usize, k: usize, n: usize) ->
     out
 }
 
-/// Blocked GEMM with disjoint row blocks fanned out over worker threads;
-/// block results are re-concatenated in row order, so any thread count
-/// reproduces the single-threaded bytes.
+/// Blocked GEMM with disjoint row blocks fanned out over one worker per
+/// [`MACS_PER_WORKER`] multiply-adds; block results are re-concatenated
+/// in row order, so any thread count reproduces the single-threaded
+/// bytes.
 fn matmul_blocked_parallel(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let threads = par::max_threads()
-        .min(m.div_ceil(MIN_ROWS_PER_THREAD))
-        .max(1);
+    let threads = par::workers_for(m * k * n, MACS_PER_WORKER);
     if threads <= 1 {
         return matmul_rows_blocked(a, b, m, k, n);
     }
@@ -257,6 +261,7 @@ mod tests {
     #[test]
     fn blocked_parallel_matmul_is_byte_identical_to_serial() {
         let mut rng = TensorRng::seed(11);
+        let mut above_gate = false;
         // Shapes straddling every tile boundary: smaller than one tile,
         // exact multiples, and ragged remainders in both k and n.
         for (m, k, n) in [
@@ -266,7 +271,11 @@ mod tests {
             (33, BLOCK_K + 7, BLOCK_N + 13),
             (64, 200, 300),
             (129, 65, 257),
+            // Two workers' worth of multiply-adds: fans out at the
+            // default width.
+            (256, 128, 256),
         ] {
+            above_gate |= m * k * n >= 2 * MACS_PER_WORKER;
             let mut a = rng.init(&[m, k], crate::Initializer::Uniform(1.0));
             // Inject zeros so the zero-skip path is exercised.
             let az = a.as_mut_slice();
@@ -282,6 +291,7 @@ mod tests {
                 .all(|(r, o)| r.to_bits() == o.to_bits());
             assert!(same_bits, "bit mismatch at shape [{m},{k}]x[{k},{n}]");
         }
+        assert!(above_gate, "no shape is above the fan-out gate");
     }
 
     #[test]

@@ -7,12 +7,17 @@
 //! output is always identical to `items.iter().map(f).collect()`
 //! regardless of thread count or scheduling.
 //!
-//! Callers pass the thread count; [`max_threads`] gives the process
+//! Callers pass the thread count. [`max_threads`] gives the process
 //! default, read from `RAYON_NUM_THREADS` when set (the same knob rayon
 //! honors, which is what CI uses to pin the suite to one thread) and
-//! falling back to [`std::thread::available_parallelism`].
+//! falling back to the machine's core count, which is read once per
+//! process. [`workers_for`] sizes a fan-out by its work, so a call
+//! spawns threads only when each worker gets about a millisecond of it:
+//! spawning and joining a scoped thread costs tens of microseconds, more
+//! than the small GEMMs and sampler batches of one inference step.
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// Fewest items worth shipping to a worker thread; below this the spawn
 /// overhead dwarfs the work and the map runs inline.
@@ -20,6 +25,8 @@ const MIN_CHUNK: usize = 8;
 
 /// Worker threads the process should use: `RAYON_NUM_THREADS` when set
 /// to a positive integer, otherwise the machine's available parallelism.
+/// The variable is read on every call, so a program may change it while
+/// it runs; the core count is read once.
 pub fn max_threads() -> usize {
     // lint: allow(nondeterminism-source) — thread count shapes pacing only; par_map_* output is chunk-ordered and identical at any width
     match std::env::var("RAYON_NUM_THREADS") {
@@ -31,10 +38,27 @@ pub fn max_threads() -> usize {
     }
 }
 
+/// The machine's available parallelism, read once per process: each
+/// read reaches the OS (cgroup files on Linux) and costs microseconds.
 fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
+
+/// Workers for `work` units when each worker should get at least
+/// `per_worker` of them: `work / per_worker`, capped at [`max_threads`].
+/// Below two workers' worth this is 1, without reading the environment.
+pub fn workers_for(work: usize, per_worker: usize) -> usize {
+    let wanted = work / per_worker.max(1);
+    if wanted < 2 {
+        1
+    } else {
+        wanted.min(max_threads())
+    }
 }
 
 /// Maps `f` over `items` using up to `threads` worker threads.
@@ -121,5 +145,14 @@ mod tests {
     #[test]
     fn max_threads_is_positive() {
         assert!(max_threads() >= 1);
+    }
+
+    #[test]
+    fn workers_scale_with_work_and_stay_inline_below_two_shares() {
+        assert_eq!(workers_for(0, 100), 1);
+        assert_eq!(workers_for(199, 100), 1);
+        assert_eq!(workers_for(200, 100), 2.min(max_threads()));
+        assert_eq!(workers_for(usize::MAX, 100), max_threads());
+        assert_eq!(workers_for(5, 0), 5.min(max_threads()));
     }
 }

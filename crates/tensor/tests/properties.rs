@@ -101,7 +101,8 @@ fn gather_then_scatter_round_trips() {
         }
         idx.truncate(k);
         let g = t.gather_rows(&idx).unwrap();
-        let back = t.scatter_rows(&idx, &g).unwrap();
+        let mut back = t.clone();
+        back.scatter_rows(&idx, &g).unwrap();
         assert_eq!(t, back);
     }
 }

@@ -5,7 +5,7 @@
 //! (power-law) interaction streams like the paper's datasets.
 
 use dgnn_suite::datasets::PowerLawSampler;
-use dgnn_suite::graph::sampler::SampleCost;
+use dgnn_suite::graph::sampler::{SampleCost, SAMPLED_PER_WORKER};
 use dgnn_suite::graph::{EventStream, NeighborSampler, SampleStrategy, TemporalAdjacency};
 use dgnn_suite::tensor::TensorRng;
 
@@ -72,6 +72,25 @@ fn parallel_khop_is_byte_identical_to_serial_on_power_law_streams() {
             assert_eq!(layers, serial_layers);
             assert_eq!(cost, serial_cost);
         }
+    }
+}
+
+#[test]
+fn default_width_khop_batch_fans_out_above_the_gate_and_matches_serial() {
+    // Below two workers' worth of sampled neighbors the default width
+    // runs inline; this batch is sized past that, so with more than one
+    // worker available it reaches the spawn path.
+    let stream = power_law_stream(1_000, 12_000, 1.2, 0xe4);
+    let adj = TemporalAdjacency::from_stream(&stream);
+    let roots = late_roots(&stream, 400);
+    let ks = [10, 10];
+    assert!(roots.len() * (10 + 10 * 10) >= 2 * SAMPLED_PER_WORKER);
+    for strategy in [SampleStrategy::MostRecent, SampleStrategy::Uniform] {
+        let sampler = NeighborSampler::new(strategy, 0xe5);
+        let (layers, cost) = sampler.sample_khop_batch(&adj, &roots, &ks);
+        let (serial_layers, serial_cost) = sampler.sample_khop(&adj, &roots, &ks);
+        assert_eq!(layers, serial_layers, "{strategy:?}");
+        assert_eq!(cost, serial_cost, "{strategy:?}");
     }
 }
 
