@@ -40,7 +40,7 @@ fn bench_graph_substrate() {
     let t_end = data.stream.end_time();
     bench("graph/sample_khop_2x20", SAMPLES, || {
         let s = NeighborSampler::new(SampleStrategy::Uniform, 7);
-        black_box(s.sample_khop(&adj, &[(0, t_end)], &[20, 20]))
+        black_box(s.sample_khop_batch(&adj, &[(0, t_end)], &[20, 20]))
     });
     let batch_roots: Vec<(usize, f64)> = data
         .stream
@@ -50,11 +50,7 @@ fn bench_graph_substrate() {
         .take(256)
         .map(|e| (e.src, e.time))
         .collect();
-    bench("graph/sample_khop_batch_256x2x20_serial", SAMPLES, || {
-        let s = NeighborSampler::new(SampleStrategy::Uniform, 7);
-        black_box(s.sample_khop_batch_threads(&adj, &batch_roots, &[20, 20], 1))
-    });
-    bench("graph/sample_khop_batch_256x2x20_parallel", SAMPLES, || {
+    bench("graph/sample_khop_batch_256x2x20", SAMPLES, || {
         let s = NeighborSampler::new(SampleStrategy::Uniform, 7);
         black_box(s.sample_khop_batch(&adj, &batch_roots, &[20, 20]))
     });

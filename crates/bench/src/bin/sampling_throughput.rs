@@ -1,15 +1,13 @@
-//! Wall-clock throughput of the CSR temporal sampling engine, serial vs
-//! parallel, plus the simulated "parallel sampling" ablation.
+//! Wall-clock throughput of the CSR temporal sampling engine, plus the
+//! simulated "parallel sampling" ablation.
 //!
 //! The paper's Section 4.2 bottleneck is CPU-side temporal neighbor
 //! sampling (83–94% of TGAT inference as batch size goes 200→4000). This
 //! binary measures two things:
 //!
-//! 1. **Real wall-clock** of the host sampler itself: `sample_khop`
-//!    (serial) vs `sample_khop_batch` (thread fan-out) over a power-law
-//!    interaction stream, sweeping batch size and fan-out `k`. Both
-//!    paths return byte-identical samples (asserted), so the comparison
-//!    is pure engine throughput.
+//! 1. **Real wall-clock** of the host sampler itself:
+//!    `sample_khop_batch` over a power-law interaction stream, sweeping
+//!    batch size and fan-out `k`, in ms per batch and roots/s.
 //! 2. **Simulated sampling share** of TGAT inference as the platform's
 //!    core count grows with `parallel_sampling` enabled — the ablation
 //!    that shrinks the paper's workload imbalance.
@@ -23,7 +21,7 @@ use dgnn_bench::harness::walltime;
 use dgnn_bench::parse_opts;
 use dgnn_datasets::{wikipedia, PowerLawSampler, Scale};
 use dgnn_device::{ExecMode, Executor, PlatformSpec};
-use dgnn_graph::{par, EventStream, NeighborSampler, SampleStrategy, TemporalAdjacency};
+use dgnn_graph::{EventStream, NeighborSampler, SampleStrategy, TemporalAdjacency};
 use dgnn_models::{DgnnModel, InferenceConfig, Tgat, TgatConfig};
 use dgnn_profile::{InferenceProfile, TextTable};
 use dgnn_tensor::TensorRng;
@@ -68,22 +66,11 @@ fn main() {
     let n_nodes = (n_events / 10).max(1_000);
     let stream = power_law_stream(n_nodes, n_events, 1.2, opts.seed);
     let adj = TemporalAdjacency::from_stream(&stream);
-    let threads = par::max_threads();
     let samples = 5;
 
     let mut table = TextTable::new(
-        &format!(
-            "Sampling throughput — CSR engine, serial vs parallel ({threads} threads, \
-             {n_events} events, {n_nodes} nodes)"
-        ),
-        &[
-            "batch",
-            "k (2 hops)",
-            "serial ms",
-            "parallel ms",
-            "speedup",
-            "roots/s parallel",
-        ],
+        &format!("Sampling throughput — CSR engine ({n_events} events, {n_nodes} nodes)"),
+        &["batch", "k (2 hops)", "ms", "roots/s"],
     );
 
     for &batch in &[200usize, 1_000, 4_000] {
@@ -97,33 +84,18 @@ fn main() {
                 .collect();
             let ks = [k, k];
             let sampler = NeighborSampler::new(SampleStrategy::Uniform, opts.seed);
-
-            // Parallel must reproduce serial byte-for-byte.
-            let serial_out = sampler.sample_khop(&adj, &roots, &ks);
-            let parallel_out = sampler.sample_khop_batch(&adj, &roots, &ks);
-            assert_eq!(serial_out, parallel_out, "parallel sampling diverged");
-
-            let serial_ns = mean_ns(samples, || sampler.sample_khop(&adj, &roots, &ks));
-            let parallel_ns = mean_ns(samples, || sampler.sample_khop_batch(&adj, &roots, &ks));
-            let speedup = serial_ns / parallel_ns;
-            let roots_per_sec = roots.len() as f64 / (parallel_ns / 1e9);
+            let ns = mean_ns(samples, || sampler.sample_khop_batch(&adj, &roots, &ks));
+            let roots_per_sec = roots.len() as f64 / (ns / 1e9);
 
             table.row(&[
                 format!("{batch}"),
                 format!("{k}"),
-                format!("{:.3}", serial_ns / 1e6),
-                format!("{:.3}", parallel_ns / 1e6),
-                format!("{speedup:.2}x"),
+                format!("{:.3}", ns / 1e6),
                 format!("{roots_per_sec:.0}"),
             ]);
             println!(
-                "BENCH {{\"bench\":\"sampling_throughput\",\"mode\":\"serial\",\"batch\":{batch},\
-                 \"k\":{k},\"threads\":1,\"mean_ns\":{serial_ns:.0}}}"
-            );
-            println!(
-                "BENCH {{\"bench\":\"sampling_throughput\",\"mode\":\"parallel\",\"batch\":{batch},\
-                 \"k\":{k},\"threads\":{threads},\"mean_ns\":{parallel_ns:.0},\
-                 \"speedup\":{speedup:.3},\"roots_per_sec\":{roots_per_sec:.0}}}"
+                "BENCH {{\"bench\":\"sampling_throughput\",\"batch\":{batch},\"k\":{k},\
+                 \"mean_ns\":{ns:.0},\"roots_per_sec\":{roots_per_sec:.0}}}"
             );
         }
     }

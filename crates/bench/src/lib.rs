@@ -24,7 +24,7 @@
 //!
 //! | Extension | Binary |
 //! |---|---|
-//! | Sampling fan-out throughput    | `sampling_throughput` |
+//! | Sampling engine throughput     | `sampling_throughput` |
 //! | Pipeline overlap / coalescing  | `pipeline_overlap` |
 //! | Parameter sensitivity          | `sensitivity_sweep` |
 //! | Streaming ingest vs queries    | `streaming_ingest` |

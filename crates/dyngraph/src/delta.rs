@@ -31,7 +31,7 @@
 //! that composition with the same bisection step accounting, so
 //! sampling through a view is **byte-identical** — samples and
 //! [`crate::SampleCost`] both — to sampling the frozen graph, before
-//! and after compaction, at any thread count.
+//! and after compaction.
 //!
 //! # Cost accounting
 //!
@@ -370,8 +370,7 @@ impl StreamingAdjacency {
     /// through the snapshot is byte-identical to sampling a frozen
     /// [`TemporalAdjacency`](crate::TemporalAdjacency) built from that event prefix.
     ///
-    /// The snapshot is a plain borrow — no slab is cloned — and is
-    /// `Sync`, so batch sampling can fan it out across threads.
+    /// The snapshot is a plain borrow — no slab is cloned.
     ///
     /// # Panics
     ///
@@ -392,8 +391,8 @@ impl StreamingAdjacency {
 /// Borrowed read snapshot of a [`StreamingAdjacency`] prefix.
 ///
 /// Implements [`TemporalView`], so every `NeighborSampler` method —
-/// including the parallel batch APIs — reads through both tiers without
-/// copying them. Obtain one with [`StreamingAdjacency::view`] or
+/// the batch APIs included — reads through both tiers without copying
+/// them. Obtain one with [`StreamingAdjacency::view`] or
 /// [`StreamingAdjacency::view_prefix`].
 #[derive(Debug, Clone, Copy)]
 pub struct StreamingView<'a> {

@@ -12,7 +12,7 @@
 //! * [`TemporalAdjacency`] — a flat CSR index of per-node, time-sorted
 //!   neighbor history with bisection lookup, and [`NeighborSampler`]
 //!   implementing TGAT-style temporal neighbor sampling (most-recent and
-//!   uniform) with deterministic parallel batch APIs (see [`par`]);
+//!   uniform) with batch APIs that equal their per-root samples;
 //! * [`StreamingAdjacency`] — the appendable two-tier variant (immutable
 //!   CSR base + delta log with deterministic threshold compaction) for
 //!   queries racing live ingestion; its borrowed [`StreamingView`]
@@ -37,11 +37,6 @@ mod event;
 mod graph;
 pub mod partition;
 pub mod sampler;
-
-/// Deterministic thread fan-out, re-exported from `dgnn-tensor` where the
-/// cache-blocked parallel kernels live (this crate sits above it in the
-/// dependency graph and shares the same `RAYON_NUM_THREADS` discipline).
-pub use dgnn_tensor::par;
 mod snapshot;
 mod tbatch;
 

@@ -21,40 +21,19 @@
 //! streaming store (`StreamingAdjacency`'s borrowed snapshot,
 //! [`crate::StreamingView`]) with byte-identical results and costs.
 //!
-//! # Determinism under parallelism
+//! # Pure-function sampling
 //!
 //! Every sampling call derives its RNG stream from
 //! `(sampler seed, node, query time)` rather than consuming a shared
 //! sequential stream. A call is therefore a pure function of its
-//! arguments, which makes the batch APIs ([`NeighborSampler::sample_batch`],
-//! [`NeighborSampler::sample_khop_batch`]) byte-identical to their serial
-//! counterparts for any worker-thread count: each root's subtree is
-//! reproduced independently and results are concatenated in root order.
-//! At their default width they fan out only when the batch can sample at
-//! least two workers' worth ([`SAMPLED_PER_WORKER`] each) of neighbors;
-//! the `*_threads` variants take an explicit worker count.
+//! arguments: a batch ([`NeighborSampler::sample_batch`],
+//! [`NeighborSampler::sample_khop_batch`]) equals its roots' own samples
+//! concatenated in root order, and a streaming view samples exactly what
+//! the frozen CSR of the same event prefix does.
 
 use dgnn_tensor::TensorRng;
 
-use crate::{par, EventStream, NodeId};
-
-/// Sampled neighbors each worker thread gets at the default width of the
-/// batch APIs: about 1 ms of sampling, against the tens of microseconds a
-/// scoped thread costs to spawn and join. A model's step (tens of roots,
-/// fan-out 10 and 10) stays inline; a batch of thousands of roots fans
-/// out.
-pub const SAMPLED_PER_WORKER: usize = 1 << 14;
-
-/// Most neighbors one root can sample under the fan-out `ks`:
-/// `ks[0] + ks[0]·ks[1] + …`.
-fn fanout_bound(ks: &[usize]) -> usize {
-    ks.iter()
-        .scan(1usize, |width, &k| {
-            *width = width.saturating_mul(k);
-            Some(*width)
-        })
-        .fold(0, usize::saturating_add)
-}
+use crate::{EventStream, NodeId};
 
 /// One sampled temporal neighbor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -214,10 +193,7 @@ impl TemporalAdjacency {
 /// logical rows produce byte-identical samples *and* byte-identical
 /// [`SampleCost`]s, because every cost term is derived from logical row
 /// lengths and counts, never from the physical layout.
-///
-/// `Sync` is required so the batch APIs can fan a borrowed view out
-/// across worker threads without cloning it.
-pub trait TemporalView: Sync {
+pub trait TemporalView {
     /// Number of nodes indexed.
     fn n_nodes(&self) -> usize;
 
@@ -256,7 +232,7 @@ impl TemporalView for TemporalAdjacency {
 ///
 /// All methods take `&self`: each call derives a private RNG stream from
 /// `(seed, node, query time)`, so sampling is a pure function of its
-/// arguments and safe to fan out across threads (see module docs).
+/// arguments (see module docs).
 #[derive(Debug, Clone)]
 pub struct NeighborSampler {
     seed: u64,
@@ -349,11 +325,34 @@ impl NeighborSampler {
         (picked, cost)
     }
 
+    /// Single-hop batch sampling: element `i` of the result is exactly
+    /// what `self.sample(adj, roots[i].0, roots[i].1, k)` returns, and the
+    /// cost is the sum over roots.
+    pub fn sample_batch<V: TemporalView + ?Sized>(
+        &self,
+        adj: &V,
+        roots: &[(NodeId, f64)],
+        k: usize,
+    ) -> (Vec<Vec<SampledNeighbor>>, SampleCost) {
+        let mut cost = SampleCost::default();
+        let samples = roots
+            .iter()
+            .map(|&(node, t)| {
+                let (picked, c) = self.sample(adj, node, t, k);
+                cost.add(c);
+                picked
+            })
+            .collect();
+        (samples, cost)
+    }
+
     /// Recursive k-hop sampling: layer `l` samples `ks[l]` neighbors of
     /// every node sampled at layer `l-1`. Returns the flattened frontier
     /// per layer (layer 0 = the roots, with `feature_idx: None`) and the
-    /// accumulated cost.
-    pub fn sample_khop<V: TemporalView + ?Sized>(
+    /// accumulated cost. Each layer lists the roots' subtrees in root
+    /// order, so the result is every root's own k-hop sample
+    /// concatenated layer by layer, with the costs summed.
+    pub fn sample_khop_batch<V: TemporalView + ?Sized>(
         &self,
         adj: &V,
         roots: &[(NodeId, f64)],
@@ -379,86 +378,6 @@ impl NeighborSampler {
             layers.push(std::mem::replace(&mut frontier, next));
         }
         layers.push(frontier);
-        (layers, cost)
-    }
-
-    /// Single-hop batch sampling: one sample per root, fanned out over
-    /// one worker thread per [`SAMPLED_PER_WORKER`] of the `roots × k`
-    /// neighbors the batch can sample (inline below two workers' worth).
-    /// Element `i` of the result is exactly what
-    /// `self.sample(adj, roots[i].0, roots[i].1, k)` returns, and the
-    /// cost is the sum over roots — byte-identical to the serial loop.
-    /// The view is borrowed by the workers, never cloned — a streaming
-    /// snapshot fans out as cheaply as a frozen CSR.
-    pub fn sample_batch<V: TemporalView + ?Sized>(
-        &self,
-        adj: &V,
-        roots: &[(NodeId, f64)],
-        k: usize,
-    ) -> (Vec<Vec<SampledNeighbor>>, SampleCost) {
-        let work = roots.len().saturating_mul(k);
-        self.sample_batch_threads(adj, roots, k, par::workers_for(work, SAMPLED_PER_WORKER))
-    }
-
-    /// [`NeighborSampler::sample_batch`] with an explicit thread cap.
-    pub fn sample_batch_threads<V: TemporalView + ?Sized>(
-        &self,
-        adj: &V,
-        roots: &[(NodeId, f64)],
-        k: usize,
-        threads: usize,
-    ) -> (Vec<Vec<SampledNeighbor>>, SampleCost) {
-        let per_root =
-            par::par_map_threads(roots, threads, |&(node, t)| self.sample(adj, node, t, k));
-        let mut cost = SampleCost::default();
-        let samples = per_root
-            .into_iter()
-            .map(|(picked, c)| {
-                cost.add(c);
-                picked
-            })
-            .collect();
-        (samples, cost)
-    }
-
-    /// K-hop batch sampling: fans [`NeighborSampler::sample_khop`] out
-    /// over roots on worker threads and concatenates each layer in root
-    /// order, which reproduces the serial layer layout exactly (the
-    /// serial pass also visits layer `l` root-subtree by root-subtree).
-    /// Byte-identical samples and [`SampleCost`] to the serial call for
-    /// any thread count. Takes one worker per [`SAMPLED_PER_WORKER`] of
-    /// the neighbors the batch can sample,
-    /// `roots × (ks[0] + ks[0]·ks[1] + …)`, and runs inline below two
-    /// workers' worth.
-    pub fn sample_khop_batch<V: TemporalView + ?Sized>(
-        &self,
-        adj: &V,
-        roots: &[(NodeId, f64)],
-        ks: &[usize],
-    ) -> (Vec<Vec<SampledNeighbor>>, SampleCost) {
-        let work = roots.len().saturating_mul(fanout_bound(ks));
-        self.sample_khop_batch_threads(adj, roots, ks, par::workers_for(work, SAMPLED_PER_WORKER))
-    }
-
-    /// [`NeighborSampler::sample_khop_batch`] with an explicit thread cap.
-    pub fn sample_khop_batch_threads<V: TemporalView + ?Sized>(
-        &self,
-        adj: &V,
-        roots: &[(NodeId, f64)],
-        ks: &[usize],
-        threads: usize,
-    ) -> (Vec<Vec<SampledNeighbor>>, SampleCost) {
-        let per_root = par::par_map_threads(roots, threads, |&root| {
-            self.sample_khop(adj, std::slice::from_ref(&root), ks)
-        });
-        let mut layers: Vec<Vec<SampledNeighbor>> = (0..=ks.len()).map(|_| Vec::new()).collect();
-        let mut cost = SampleCost::default();
-        for (root_layers, c) in per_root {
-            cost.add(c);
-            for (l, mut layer) in root_layers.into_iter().enumerate() {
-                layers[l].append(&mut layer);
-            }
-        }
         (layers, cost)
     }
 }
@@ -603,7 +522,7 @@ mod tests {
     fn khop_layers_expand() {
         let adj = TemporalAdjacency::from_stream(&stream());
         let s = NeighborSampler::new(SampleStrategy::MostRecent, 4);
-        let (layers, cost) = s.sample_khop(&adj, &[(0, 4.5)], &[2, 2]);
+        let (layers, cost) = s.sample_khop_batch(&adj, &[(0, 4.5)], &[2, 2]);
         assert_eq!(layers.len(), 3);
         assert_eq!(layers[0].len(), 1);
         assert_eq!(layers[1].len(), 2);
@@ -615,7 +534,7 @@ mod tests {
     fn root_layer_has_no_feature_rows_but_hops_do() {
         let adj = TemporalAdjacency::from_stream(&stream());
         let s = NeighborSampler::new(SampleStrategy::Uniform, 4);
-        let (layers, _) = s.sample_khop(&adj, &[(0, 4.5), (1, 4.5)], &[3]);
+        let (layers, _) = s.sample_khop_batch(&adj, &[(0, 4.5), (1, 4.5)], &[3]);
         assert!(layers[0].iter().all(|n| n.feature_idx.is_none()));
         assert!(layers[1].iter().all(|n| n.feature_idx.is_some()));
     }
@@ -632,37 +551,22 @@ mod tests {
     }
 
     #[test]
-    fn fanout_bound_sums_every_layer_width() {
-        assert_eq!(fanout_bound(&[]), 0);
-        assert_eq!(fanout_bound(&[10]), 10);
-        assert_eq!(fanout_bound(&[10, 10]), 110);
-        assert_eq!(fanout_bound(&[2, 3, 4]), 2 + 6 + 24);
-        assert_eq!(fanout_bound(&[usize::MAX, 2]), usize::MAX);
-    }
-
-    #[test]
-    fn batch_apis_match_serial_for_any_thread_count() {
+    fn batch_matches_per_root_sample_loop() {
         let adj = TemporalAdjacency::from_stream(&stream());
         let roots: Vec<(NodeId, f64)> =
             vec![(0, 4.5), (1, 4.5), (2, 4.5), (3, 4.5), (0, 2.5), (1, 3.5)];
         for strategy in [SampleStrategy::MostRecent, SampleStrategy::Uniform] {
             let s = NeighborSampler::new(strategy, 11);
-            let (serial_layers, serial_cost) = s.sample_khop(&adj, &roots, &[2, 2]);
-            let mut serial_hop = Vec::new();
-            let mut serial_hop_cost = SampleCost::default();
+            let mut per_root = Vec::new();
+            let mut per_root_cost = SampleCost::default();
             for &(node, t) in &roots {
                 let (picked, c) = s.sample(&adj, node, t, 3);
-                serial_hop.push(picked);
-                serial_hop_cost.add(c);
+                per_root.push(picked);
+                per_root_cost.add(c);
             }
-            for threads in [1, 2, 4, 16] {
-                let (l, c) = s.sample_khop_batch_threads(&adj, &roots, &[2, 2], threads);
-                assert_eq!(l, serial_layers, "khop threads={threads}");
-                assert_eq!(c, serial_cost, "khop cost threads={threads}");
-                let (b, bc) = s.sample_batch_threads(&adj, &roots, 3, threads);
-                assert_eq!(b, serial_hop, "batch threads={threads}");
-                assert_eq!(bc, serial_hop_cost, "batch cost threads={threads}");
-            }
+            let (b, bc) = s.sample_batch(&adj, &roots, 3);
+            assert_eq!(b, per_root, "{strategy:?}");
+            assert_eq!(bc, per_root_cost, "{strategy:?}");
         }
     }
 }

@@ -2,8 +2,8 @@
 //! driven by a seeded sweep so the suite builds offline.
 
 use dgnn_graph::{
-    snapshots_from_events, EventStream, Graph, NeighborSampler, SampleStrategy, TBatcher,
-    TemporalAdjacency, TemporalEvent,
+    snapshots_from_events, EventStream, Graph, NeighborSampler, SampleCost, SampleStrategy,
+    TBatcher, TemporalAdjacency, TemporalEvent,
 };
 use dgnn_tensor::TensorRng;
 use std::collections::HashSet;
@@ -118,7 +118,7 @@ fn bisection_count_matches_brute_force() {
 }
 
 #[test]
-fn khop_batch_matches_serial_across_streams_strategies_and_threads() {
+fn khop_batch_equals_per_root_samples_across_streams_and_strategies() {
     let mut rng = TensorRng::seed(0xba7c);
     for stream in stream_cases(14, 120, 8) {
         let adj = TemporalAdjacency::from_stream(&stream);
@@ -128,13 +128,20 @@ fn khop_batch_matches_serial_across_streams_strategies_and_threads() {
             .collect();
         for strategy in [SampleStrategy::MostRecent, SampleStrategy::Uniform] {
             let sampler = NeighborSampler::new(strategy, rng.next_u64());
-            let (serial, serial_cost) = sampler.sample_khop(&adj, &roots, &[4, 3]);
-            for threads in [1, 3, 8] {
-                let (parallel, cost) =
-                    sampler.sample_khop_batch_threads(&adj, &roots, &[4, 3], threads);
-                assert_eq!(serial, parallel);
-                assert_eq!(serial_cost, cost);
+            let (batch, batch_cost) = sampler.sample_khop_batch(&adj, &roots, &[4, 3]);
+            // Each root's own sample, concatenated layer by layer.
+            let mut layers = vec![Vec::new(); 3];
+            let mut cost = SampleCost::default();
+            for root in &roots {
+                let (root_layers, c) =
+                    sampler.sample_khop_batch(&adj, std::slice::from_ref(root), &[4, 3]);
+                cost.add(c);
+                for (layer, mut part) in layers.iter_mut().zip(root_layers) {
+                    layer.append(&mut part);
+                }
             }
+            assert_eq!(batch, layers);
+            assert_eq!(batch_cost, cost);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Byte-identity property: sampling from (base CSR + delta log) equals
 //! sampling from a frozen [`TemporalAdjacency`] built from the same
 //! event prefix — for any event sequence, any split point, before and
-//! after compaction, serially and across every thread count.
+//! after compaction, per node and through both batch APIs.
 //!
 //! This is the contract that makes the streaming refactor safe: the
 //! two-tier [`StreamingAdjacency`] is *representationally* different
@@ -76,8 +76,7 @@ fn samplers() -> Vec<NeighborSampler> {
 }
 
 /// Asserts the streaming view at `visible` matches the frozen CSR of
-/// the same prefix under every sampler, probe time, batch API, and
-/// thread count.
+/// the same prefix under every sampler, probe time and batch API.
 fn assert_byte_identical(
     live: &StreamingAdjacency,
     events: &[TemporalEvent],
@@ -99,23 +98,17 @@ fn assert_byte_identical(
                     "visible={visible} node={node} t={tt}"
                 );
             }
-            // Batch fan-out across the RAYON_NUM_THREADS-style matrix:
-            // every thread count must reproduce the frozen serial bits.
-            let (ref_samples, ref_cost) = sampler.sample_batch_threads(&frozen, &roots, 2, 1);
-            let (ref_layers, ref_khop_cost) =
-                sampler.sample_khop_batch_threads(&frozen, &roots, &[2, 2], 1);
-            for threads in [1, 2, 4, 16] {
-                assert_eq!(
-                    sampler.sample_batch_threads(&view, &roots, 2, threads),
-                    (ref_samples.clone(), ref_cost),
-                    "visible={visible} threads={threads} t={t}"
-                );
-                assert_eq!(
-                    sampler.sample_khop_batch_threads(&view, &roots, &[2, 2], threads),
-                    (ref_layers.clone(), ref_khop_cost),
-                    "k-hop visible={visible} threads={threads} t={t}"
-                );
-            }
+            // Both batch APIs through the view equal the frozen CSR.
+            assert_eq!(
+                sampler.sample_batch(&view, &roots, 2),
+                sampler.sample_batch(&frozen, &roots, 2),
+                "visible={visible} t={t}"
+            );
+            assert_eq!(
+                sampler.sample_khop_batch(&view, &roots, &[2, 2]),
+                sampler.sample_khop_batch(&frozen, &roots, &[2, 2]),
+                "k-hop visible={visible} t={t}"
+            );
         }
     }
 }

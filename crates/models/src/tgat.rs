@@ -206,12 +206,11 @@ impl DgnnModel for Tgat {
                     let rows = bsz * self.rows_per_event(k);
                     let edge_rows = (bsz * self.edge_rows_per_event(k)) as u64;
 
-                    // 1. Temporal neighborhood sampling on the CPU,
-                    // fanned out over the slice's roots (the parallel
-                    // CSR engine); serial and parallel runs are
-                    // byte-identical, only the *charged* critical path
-                    // differs. In pipelined mode it overlaps the
-                    // previous batch's kernels.
+                    // 1. Temporal neighborhood sampling on the CPU over
+                    // the slice's roots. `parallel_sampling` changes only
+                    // the *charged* critical path, never the samples. In
+                    // pipelined mode it overlaps the previous batch's
+                    // kernels.
                     let rep_layers = dx.prep("sampling", |dx| {
                         let roots: Vec<(usize, f64)> =
                             slice.iter().take(rep).map(|e| (e.src, e.time)).collect();

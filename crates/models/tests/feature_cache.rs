@@ -4,9 +4,7 @@
 //! cache on or off; only the priced timeline (simulated time, transfer
 //! bytes) may differ. Hit/miss counts must be bit-deterministic — the
 //! cache keys come from seeded samplers and ordered batch walks, never
-//! from map iteration order, so two identical runs agree exactly
-//! regardless of thread count (CI runs this suite under both
-//! `RAYON_NUM_THREADS=1` and the default).
+//! from map iteration order, so two identical runs agree exactly.
 
 use dgnn_datasets::{iso17, wikipedia, Scale};
 use dgnn_device::{CacheStats, ExecMode, Executor, PlatformSpec, TransferMode};

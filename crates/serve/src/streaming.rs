@@ -251,20 +251,19 @@ impl StreamingState {
         let view = self.store.view_prefix(visible);
         let n_nodes = self.store.n_nodes();
         let fanout = [QUERY_NEIGHBORS; QUERY_HOPS];
-        let mut cost = SampleCost::default();
         // An empty store (a query dispatched before the first ingest, or
         // a degenerate zero-node stream) has nothing to sample: the
         // request is served over the empty snapshot at zero sampling
         // cost instead of dividing by zero below.
-        if n_nodes > 0 {
-            for &id in members {
-                let root = (id.wrapping_mul(0x9e37) ^ 0x79b9) % n_nodes;
-                let (_layers, c) =
-                    self.sampler
-                        .sample_khop(&view, &[(root, f64::INFINITY)], &fanout);
-                cost.add(c);
-            }
-        }
+        let cost = if n_nodes > 0 {
+            let roots: Vec<(usize, f64)> = members
+                .iter()
+                .map(|&id| ((id.wrapping_mul(0x9e37) ^ 0x79b9) % n_nodes, f64::INFINITY))
+                .collect();
+            self.sampler.sample_khop_batch(&view, &roots, &fanout).1
+        } else {
+            SampleCost::default()
+        };
         self.ingest.scope("stream_sample", |ex| {
             ex.host(HostWork {
                 label: "stream_sample",

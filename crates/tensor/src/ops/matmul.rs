@@ -1,15 +1,10 @@
 //! Matrix multiplication kernels (the GEMM family).
 //!
-//! `matmul` is cache-blocked and, when a product has at least two
-//! workers' worth of multiply-adds (about 1 ms of work each), fans row
-//! blocks out over worker threads (honoring `RAYON_NUM_THREADS` via
-//! [`crate::par`]). Both optimizations preserve the serial ikj kernel's
+//! `matmul` is cache-blocked. Tiling preserves the untiled ikj kernel's
 //! result *bit for bit*: every output element still accumulates its `k`
-//! products in ascending-`kk` order with the same zero-skip, and row
-//! blocks are disjoint, so neither tiling nor threading can reorder a
-//! single f32 addition.
+//! products in ascending-`kk` order with the same zero-skip, so no f32
+//! addition is reordered.
 
-use crate::par;
 use crate::{Result, Tensor, TensorError};
 
 /// Tile of the reduction dimension held hot in L1 across a row sweep.
@@ -17,23 +12,18 @@ const BLOCK_K: usize = 64;
 /// Tile of the output columns — with `BLOCK_K` this keeps the active
 /// `b` panel around 64 KiB.
 const BLOCK_N: usize = 256;
-/// Multiply-adds (`m·k·n`) each worker thread should get: about 1 ms of
-/// the blocked kernel, against the tens of microseconds a scoped thread
-/// costs to spawn and join. Every product the model zoo runs per step is
-/// smaller (the largest is 32×172×516, 2.8M), so those run inline.
-const MACS_PER_WORKER: usize = 1 << 22;
 
-/// Multiplies `rows` rows of `a` (shape `[rows, k]`) by `b` (`[k, n]`)
-/// into a fresh `[rows, n]` buffer with k/n tiling. For each output
-/// element the `kk` loop still runs 0..k ascending (tiles are visited in
-/// order), so the result is bitwise equal to the untiled kernel.
-fn matmul_rows_blocked(a: &[f32], b: &[f32], rows: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows * n];
+/// Multiplies `a` (shape `[m, k]`) by `b` (`[k, n]`) into a fresh
+/// `[m, n]` buffer with k/n tiling. For each output element the `kk`
+/// loop still runs 0..k ascending (tiles are visited in order), so the
+/// result is bitwise equal to the untiled kernel.
+fn matmul_blocked(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
     for kt in (0..k).step_by(BLOCK_K) {
         let kend = (kt + BLOCK_K).min(k);
         for jt in (0..n).step_by(BLOCK_N) {
             let jend = (jt + BLOCK_N).min(n);
-            for i in 0..rows {
+            for i in 0..m {
                 for kk in kt..kend {
                     let aik = a[i * k + kk];
                     if aik == 0.0 {
@@ -49,26 +39,6 @@ fn matmul_rows_blocked(a: &[f32], b: &[f32], rows: usize, k: usize, n: usize) ->
         }
     }
     out
-}
-
-/// Blocked GEMM with disjoint row blocks fanned out over one worker per
-/// [`MACS_PER_WORKER`] multiply-adds; block results are re-concatenated
-/// in row order, so any thread count reproduces the single-threaded
-/// bytes.
-fn matmul_blocked_parallel(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let threads = par::workers_for(m * k * n, MACS_PER_WORKER);
-    if threads <= 1 {
-        return matmul_rows_blocked(a, b, m, k, n);
-    }
-    let rows_per = m.div_ceil(threads);
-    let blocks: Vec<(usize, usize)> = (0..m)
-        .step_by(rows_per)
-        .map(|start| (start, rows_per.min(m - start)))
-        .collect();
-    par::par_map_coarse(&blocks, threads, |&(start, rows)| {
-        matmul_rows_blocked(&a[start * k..(start + rows) * k], b, rows, k, n)
-    })
-    .concat()
 }
 
 impl Tensor {
@@ -114,7 +84,7 @@ impl Tensor {
                 rhs: rhs.dims().to_vec(),
             });
         }
-        let out = matmul_blocked_parallel(self.as_slice(), rhs.as_slice(), m, k, n);
+        let out = matmul_blocked(self.as_slice(), rhs.as_slice(), m, k, n);
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -238,9 +208,9 @@ mod tests {
     use super::*;
     use crate::TensorRng;
 
-    /// The historical untiled single-threaded ikj kernel, kept verbatim
-    /// as the byte-identity reference for the blocked parallel version.
-    fn matmul_serial_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    /// The historical untiled ikj kernel, kept verbatim as the
+    /// byte-identity reference for the blocked version.
+    fn matmul_untiled_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
             for kk in 0..k {
@@ -259,9 +229,8 @@ mod tests {
     }
 
     #[test]
-    fn blocked_parallel_matmul_is_byte_identical_to_serial() {
+    fn blocked_matmul_is_byte_identical_to_untiled() {
         let mut rng = TensorRng::seed(11);
-        let mut above_gate = false;
         // Shapes straddling every tile boundary: smaller than one tile,
         // exact multiples, and ragged remainders in both k and n.
         for (m, k, n) in [
@@ -271,11 +240,7 @@ mod tests {
             (33, BLOCK_K + 7, BLOCK_N + 13),
             (64, 200, 300),
             (129, 65, 257),
-            // Two workers' worth of multiply-adds: fans out at the
-            // default width.
-            (256, 128, 256),
         ] {
-            above_gate |= m * k * n >= 2 * MACS_PER_WORKER;
             let mut a = rng.init(&[m, k], crate::Initializer::Uniform(1.0));
             // Inject zeros so the zero-skip path is exercised.
             let az = a.as_mut_slice();
@@ -283,44 +248,13 @@ mod tests {
                 az[idx] = 0.0;
             }
             let b = rng.init(&[k, n], crate::Initializer::Uniform(1.0));
-            let reference = matmul_serial_reference(a.as_slice(), b.as_slice(), m, k, n);
+            let reference = matmul_untiled_reference(a.as_slice(), b.as_slice(), m, k, n);
             let blocked = a.matmul(&b).unwrap();
             let same_bits = reference
                 .iter()
                 .zip(blocked.as_slice())
                 .all(|(r, o)| r.to_bits() == o.to_bits());
             assert!(same_bits, "bit mismatch at shape [{m},{k}]x[{k},{n}]");
-        }
-        assert!(above_gate, "no shape is above the fan-out gate");
-    }
-
-    #[test]
-    fn blocked_matmul_identical_across_thread_counts() {
-        let mut rng = TensorRng::seed(5);
-        let a = rng.init(&[97, 130], crate::Initializer::Uniform(1.0));
-        let b = rng.init(&[130, 71], crate::Initializer::Uniform(1.0));
-        let single = matmul_rows_blocked(a.as_slice(), b.as_slice(), 97, 130, 71);
-        for threads in [2usize, 3, 8] {
-            let rows_per = 97usize.div_ceil(threads);
-            let blocks: Vec<(usize, usize)> = (0..97)
-                .step_by(rows_per)
-                .map(|s| (s, rows_per.min(97 - s)))
-                .collect();
-            let par = crate::par::par_map_coarse(&blocks, threads, |&(s, rows)| {
-                matmul_rows_blocked(
-                    &a.as_slice()[s * 130..(s + rows) * 130],
-                    b.as_slice(),
-                    rows,
-                    130,
-                    71,
-                )
-            })
-            .concat();
-            let same = single
-                .iter()
-                .zip(&par)
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "threads={threads}");
         }
     }
 

@@ -1,11 +1,13 @@
-//! Determinism contract of the parallel CSR sampling engine: for the
-//! same seed, serial `sample_khop` and parallel `sample_khop_batch`
-//! (any thread count) must produce identical samples and identical
-//! accumulated `SampleCost`, across both strategies, on heavy-tailed
+//! Batch contract of the CSR sampling engine: every sampling call draws
+//! from an RNG stream derived from `(seed, node, time)`, so a batch
+//! equals its roots' own samples. A k-hop batch is each root's own
+//! `sample_khop_batch` output concatenated layer by layer, and
+//! `sample_batch` is the per-root `sample` loop, in samples and in
+//! summed `SampleCost` alike, across both strategies, on heavy-tailed
 //! (power-law) interaction streams like the paper's datasets.
 
 use dgnn_suite::datasets::PowerLawSampler;
-use dgnn_suite::graph::sampler::{SampleCost, SAMPLED_PER_WORKER};
+use dgnn_suite::graph::sampler::{SampleCost, SampledNeighbor};
 use dgnn_suite::graph::{EventStream, NeighborSampler, SampleStrategy, TemporalAdjacency};
 use dgnn_suite::tensor::TensorRng;
 
@@ -44,75 +46,73 @@ fn late_roots(stream: &EventStream, n: usize) -> Vec<(usize, f64)> {
         .collect()
 }
 
+/// Each root's own k-hop sample, concatenated layer by layer, with the
+/// costs summed.
+fn per_root_khop(
+    sampler: &NeighborSampler,
+    adj: &TemporalAdjacency,
+    roots: &[(usize, f64)],
+    ks: &[usize],
+) -> (Vec<Vec<SampledNeighbor>>, SampleCost) {
+    let mut layers = vec![Vec::new(); ks.len() + 1];
+    let mut cost = SampleCost::default();
+    for root in roots {
+        let (root_layers, c) = sampler.sample_khop_batch(adj, std::slice::from_ref(root), ks);
+        cost.add(c);
+        for (layer, mut part) in layers.iter_mut().zip(root_layers) {
+            layer.append(&mut part);
+        }
+    }
+    (layers, cost)
+}
+
 #[test]
-fn parallel_khop_is_byte_identical_to_serial_on_power_law_streams() {
-    for (alpha, seed) in [(0.8, 0xa1), (1.3, 0xa2), (1.8, 0xa3)] {
-        let stream = power_law_stream(500, 6_000, alpha, seed);
+fn khop_batch_equals_per_root_samples_on_power_law_streams() {
+    // (alpha, stream seed, nodes, events, roots, fan-out)
+    for (alpha, seed, n_nodes, n_events, n_roots, ks) in [
+        (0.8, 0xa1, 500, 6_000, 200, [8, 4]),
+        (1.3, 0xa2, 500, 6_000, 200, [8, 4]),
+        (1.8, 0xa3, 500, 6_000, 200, [8, 4]),
+        (1.2, 0xe4, 1_000, 12_000, 400, [10, 10]),
+    ] {
+        let stream = power_law_stream(n_nodes, n_events, alpha, seed);
         let adj = TemporalAdjacency::from_stream(&stream);
-        let roots = late_roots(&stream, 200);
-        let ks = [8, 4];
+        let roots = late_roots(&stream, n_roots);
         for strategy in [SampleStrategy::MostRecent, SampleStrategy::Uniform] {
             let sampler = NeighborSampler::new(strategy, seed ^ 0x5eed);
-            let (serial_layers, serial_cost) = sampler.sample_khop(&adj, &roots, &ks);
-            assert_eq!(serial_layers.len(), ks.len() + 1);
-            assert!(serial_cost.ops > 0);
-            for threads in [1, 2, 5, 16] {
-                let (layers, cost) = sampler.sample_khop_batch_threads(&adj, &roots, &ks, threads);
-                assert_eq!(
-                    layers, serial_layers,
-                    "samples diverge (alpha {alpha}, {strategy:?}, threads {threads})"
-                );
-                assert_eq!(
-                    cost, serial_cost,
-                    "cost diverges (alpha {alpha}, {strategy:?}, threads {threads})"
-                );
-            }
-            // Default-thread-count entry point agrees too.
             let (layers, cost) = sampler.sample_khop_batch(&adj, &roots, &ks);
-            assert_eq!(layers, serial_layers);
-            assert_eq!(cost, serial_cost);
+            assert_eq!(layers.len(), ks.len() + 1);
+            assert!(cost.ops > 0);
+            let (per_root_layers, per_root_cost) = per_root_khop(&sampler, &adj, &roots, &ks);
+            assert_eq!(
+                layers, per_root_layers,
+                "samples diverge (alpha {alpha}, {strategy:?})"
+            );
+            assert_eq!(
+                cost, per_root_cost,
+                "cost diverges (alpha {alpha}, {strategy:?})"
+            );
         }
     }
 }
 
 #[test]
-fn default_width_khop_batch_fans_out_above_the_gate_and_matches_serial() {
-    // Below two workers' worth of sampled neighbors the default width
-    // runs inline; this batch is sized past that, so with more than one
-    // worker available it reaches the spawn path.
-    let stream = power_law_stream(1_000, 12_000, 1.2, 0xe4);
-    let adj = TemporalAdjacency::from_stream(&stream);
-    let roots = late_roots(&stream, 400);
-    let ks = [10, 10];
-    assert!(roots.len() * (10 + 10 * 10) >= 2 * SAMPLED_PER_WORKER);
-    for strategy in [SampleStrategy::MostRecent, SampleStrategy::Uniform] {
-        let sampler = NeighborSampler::new(strategy, 0xe5);
-        let (layers, cost) = sampler.sample_khop_batch(&adj, &roots, &ks);
-        let (serial_layers, serial_cost) = sampler.sample_khop(&adj, &roots, &ks);
-        assert_eq!(layers, serial_layers, "{strategy:?}");
-        assert_eq!(cost, serial_cost, "{strategy:?}");
-    }
-}
-
-#[test]
-fn parallel_single_hop_matches_serial_loop() {
+fn single_hop_batch_matches_per_root_loop() {
     let stream = power_law_stream(300, 3_000, 1.2, 0xb7);
     let adj = TemporalAdjacency::from_stream(&stream);
     let roots = late_roots(&stream, 150);
     for strategy in [SampleStrategy::MostRecent, SampleStrategy::Uniform] {
         let sampler = NeighborSampler::new(strategy, 17);
-        let mut serial = Vec::new();
-        let mut serial_cost = SampleCost::default();
+        let mut per_root = Vec::new();
+        let mut per_root_cost = SampleCost::default();
         for &(node, t) in &roots {
             let (picked, c) = sampler.sample(&adj, node, t, 10);
-            serial.push(picked);
-            serial_cost.add(c);
+            per_root.push(picked);
+            per_root_cost.add(c);
         }
-        for threads in [1, 4, 12] {
-            let (batch, cost) = sampler.sample_batch_threads(&adj, &roots, 10, threads);
-            assert_eq!(batch, serial, "{strategy:?} threads {threads}");
-            assert_eq!(cost, serial_cost, "{strategy:?} threads {threads}");
-        }
+        let (batch, cost) = sampler.sample_batch(&adj, &roots, 10);
+        assert_eq!(batch, per_root, "{strategy:?}");
+        assert_eq!(cost, per_root_cost, "{strategy:?}");
     }
 }
 
