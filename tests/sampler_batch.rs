@@ -66,34 +66,53 @@ fn per_root_khop(
     (layers, cost)
 }
 
+/// Asserts that a k-hop batch over `roots` equals the roots' own samples,
+/// in layers and in cost, under both strategies.
+fn assert_khop_batch_equals_per_root(
+    adj: &TemporalAdjacency,
+    roots: &[(usize, f64)],
+    ks: &[usize],
+    sampler_seed: u64,
+) {
+    for strategy in [SampleStrategy::MostRecent, SampleStrategy::Uniform] {
+        let sampler = NeighborSampler::new(strategy, sampler_seed);
+        let (layers, cost) = sampler.sample_khop_batch(adj, roots, ks);
+        assert_eq!(layers.len(), ks.len() + 1);
+        assert!(cost.ops > 0);
+        let (per_root_layers, per_root_cost) = per_root_khop(&sampler, adj, roots, ks);
+        assert_eq!(
+            layers,
+            per_root_layers,
+            "samples diverge ({} roots, {strategy:?})",
+            roots.len()
+        );
+        assert_eq!(
+            cost,
+            per_root_cost,
+            "cost diverges ({} roots, {strategy:?})",
+            roots.len()
+        );
+    }
+}
+
 #[test]
 fn khop_batch_equals_per_root_samples_on_power_law_streams() {
-    // (alpha, stream seed, nodes, events, roots, fan-out)
-    for (alpha, seed, n_nodes, n_events, n_roots, ks) in [
-        (0.8, 0xa1, 500, 6_000, 200, [8, 4]),
-        (1.3, 0xa2, 500, 6_000, 200, [8, 4]),
-        (1.8, 0xa3, 500, 6_000, 200, [8, 4]),
-        (1.2, 0xe4, 1_000, 12_000, 400, [10, 10]),
-    ] {
-        let stream = power_law_stream(n_nodes, n_events, alpha, seed);
+    for (alpha, seed) in [(0.8, 0xa1), (1.3, 0xa2), (1.8, 0xa3)] {
+        let stream = power_law_stream(500, 6_000, alpha, seed);
         let adj = TemporalAdjacency::from_stream(&stream);
-        let roots = late_roots(&stream, n_roots);
-        for strategy in [SampleStrategy::MostRecent, SampleStrategy::Uniform] {
-            let sampler = NeighborSampler::new(strategy, seed ^ 0x5eed);
-            let (layers, cost) = sampler.sample_khop_batch(&adj, &roots, &ks);
-            assert_eq!(layers.len(), ks.len() + 1);
-            assert!(cost.ops > 0);
-            let (per_root_layers, per_root_cost) = per_root_khop(&sampler, &adj, &roots, &ks);
-            assert_eq!(
-                layers, per_root_layers,
-                "samples diverge (alpha {alpha}, {strategy:?})"
-            );
-            assert_eq!(
-                cost, per_root_cost,
-                "cost diverges (alpha {alpha}, {strategy:?})"
-            );
-        }
+        let roots = late_roots(&stream, 200);
+        assert_khop_batch_equals_per_root(&adj, &roots, &[8, 4], seed ^ 0x5eed);
     }
+}
+
+#[test]
+fn khop_batch_of_400_roots_equals_per_root_samples() {
+    // 400 roots × (10 + 10·10) = 44,000 sampled neighbours: the largest
+    // batch in this file.
+    let stream = power_law_stream(1_000, 12_000, 1.2, 0xe4);
+    let adj = TemporalAdjacency::from_stream(&stream);
+    let roots = late_roots(&stream, 400);
+    assert_khop_batch_equals_per_root(&adj, &roots, &[10, 10], 0xe5);
 }
 
 #[test]
