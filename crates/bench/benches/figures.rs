@@ -94,7 +94,7 @@ fn fig10_ablation() {
     bench("fig10_pipelined_evolvegcn", SAMPLES, || {
         let mut m = dgnn_models::EvolveGcn::new(
             dgnn_datasets::bitcoin_alpha(SCALE, SEED),
-            dgnn_models::EvolveGcnConfig::default(),
+            dgnn_models::EvolveGcnVersion::O,
             SEED,
         );
         let cfg = InferenceConfig::default().with_max_units(6);

@@ -13,9 +13,7 @@ use dgnn_models::optim::{
     delta_snapshot_evolvegcn, jodie_tbatch, overlapped_prep_evolvegcn, overlapped_sampling_tgat,
     pipelined_evolvegcn,
 };
-use dgnn_models::{
-    EvolveGcn, EvolveGcnConfig, EvolveGcnVersion, InferenceConfig, Tgat, TgatConfig,
-};
+use dgnn_models::{EvolveGcn, EvolveGcnVersion, InferenceConfig, Tgat};
 use dgnn_profile::TextTable;
 
 fn main() {
@@ -35,10 +33,7 @@ fn main() {
     let egcn_cfg = InferenceConfig::default().with_max_units(12);
     let mut egcn = EvolveGcn::new(
         bitcoin_alpha(opts.scale, opts.seed),
-        EvolveGcnConfig {
-            hidden: 100,
-            version: EvolveGcnVersion::O,
-        },
+        EvolveGcnVersion::O,
         opts.seed,
     );
     let r = pipelined_evolvegcn(&mut egcn, &egcn_cfg).expect("pipelined run");
@@ -48,10 +43,7 @@ fn main() {
 
     let mut egcn = EvolveGcn::new(
         bitcoin_alpha(opts.scale, opts.seed),
-        EvolveGcnConfig {
-            hidden: 100,
-            version: EvolveGcnVersion::O,
-        },
+        EvolveGcnVersion::O,
         opts.seed,
     );
     let r = overlapped_prep_evolvegcn(&mut egcn, &egcn_cfg).expect("prep overlap run");
@@ -62,11 +54,7 @@ fn main() {
     let tgat_cfg = InferenceConfig::default()
         .with_batch_size(200)
         .with_max_units(4);
-    let mut tgat = Tgat::new(
-        wikipedia(opts.scale, opts.seed),
-        TgatConfig::default(),
-        opts.seed,
-    );
+    let mut tgat = Tgat::new(wikipedia(opts.scale, opts.seed), opts.seed);
     let r = overlapped_sampling_tgat(&mut tgat, &tgat_cfg).expect("overlap run");
     let mut row = vec!["5.1.1: overlap TGAT sampling with compute".to_string()];
     row.extend(fmt(r));
@@ -75,10 +63,7 @@ fn main() {
     for similarity in [0.5, 0.9] {
         let mut egcn = EvolveGcn::new(
             bitcoin_alpha(opts.scale, opts.seed),
-            EvolveGcnConfig {
-                hidden: 100,
-                version: EvolveGcnVersion::O,
-            },
+            EvolveGcnVersion::O,
             opts.seed,
         );
         let r =

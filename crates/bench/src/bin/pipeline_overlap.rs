@@ -27,9 +27,7 @@
 use dgnn_bench::parse_opts;
 use dgnn_datasets::{iso17, wikipedia, Scale};
 use dgnn_device::{ExecMode, Executor, PlatformSpec};
-use dgnn_models::{
-    optim, DgnnModel, InferenceConfig, MolDgnn, MolDgnnConfig, Tgat, TgatConfig, Tgn, TgnConfig,
-};
+use dgnn_models::{optim, DgnnModel, InferenceConfig, MolDgnn, Tgat, Tgn};
 use dgnn_profile::{InferenceProfile, TextTable};
 
 /// One serial-vs-overlap measurement of a model run.
@@ -105,11 +103,7 @@ fn main() {
         ],
     );
     for &batch in batches {
-        let mut model = Tgat::new(
-            wikipedia(scale, opts.seed),
-            TgatConfig::default(),
-            opts.seed,
-        );
+        let mut model = Tgat::new(wikipedia(scale, opts.seed), opts.seed);
         let cfg = InferenceConfig::default()
             .with_batch_size(batch)
             .with_neighbors(k)
@@ -183,7 +177,7 @@ fn main() {
     };
 
     for &batch in tgn_batches {
-        let mut model = Tgn::new(wikipedia(scale, opts.seed), TgnConfig::default(), opts.seed);
+        let mut model = Tgn::new(wikipedia(scale, opts.seed), opts.seed);
         let cfg = InferenceConfig::default()
             .with_batch_size(batch)
             .with_neighbors(10)
@@ -191,7 +185,7 @@ fn main() {
         coalesce_case(&mut model, &cfg, batch);
     }
     for &batch in mol_batches {
-        let mut model = MolDgnn::new(iso17(scale, opts.seed), MolDgnnConfig::default(), opts.seed);
+        let mut model = MolDgnn::new(iso17(scale, opts.seed), opts.seed);
         let cfg = InferenceConfig::default()
             .with_batch_size(batch)
             .with_max_units(1);

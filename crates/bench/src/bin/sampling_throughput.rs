@@ -22,7 +22,7 @@ use dgnn_bench::parse_opts;
 use dgnn_datasets::{wikipedia, PowerLawSampler, Scale};
 use dgnn_device::{ExecMode, Executor, PlatformSpec};
 use dgnn_graph::{EventStream, NeighborSampler, SampleStrategy, TemporalAdjacency};
-use dgnn_models::{DgnnModel, InferenceConfig, Tgat, TgatConfig};
+use dgnn_models::{DgnnModel, InferenceConfig, Tgat};
 use dgnn_profile::{InferenceProfile, TextTable};
 use dgnn_tensor::TensorRng;
 
@@ -122,7 +122,7 @@ fn main() {
         let mut spec = PlatformSpec::default();
         spec.cpu.cores = cores;
         spec.cpu.saturation_width = cores as u64 * 256;
-        let mut model = Tgat::new(data.clone(), TgatConfig::default(), opts.seed);
+        let mut model = Tgat::new(data.clone(), opts.seed);
         let mut ex = Executor::new(spec, ExecMode::Gpu);
         let summary = model.run(&mut ex, &cfg).expect("tgat run");
         let profile = InferenceProfile::capture(&ex, "inference");

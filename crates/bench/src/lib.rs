@@ -47,9 +47,8 @@ use dgnn_datasets::{
 };
 use dgnn_device::{ExecMode, Executor, PlatformSpec};
 use dgnn_models::{
-    Astgnn, AstgnnConfig, DgnnModel, DyRep, DyRepConfig, EvolveGcn, EvolveGcnConfig,
-    EvolveGcnVersion, InferenceConfig, Jodie, JodieConfig, Ldg, LdgConfig, LdgEncoder, MolDgnn,
-    MolDgnnConfig, ReplicaHandle, RunSummary, Tgat, TgatConfig, Tgn, TgnConfig,
+    Astgnn, DgnnModel, DyRep, EvolveGcn, EvolveGcnVersion, InferenceConfig, Jodie, Ldg, LdgEncoder,
+    MolDgnn, ReplicaHandle, RunSummary, Tgat, Tgn,
 };
 use dgnn_profile::InferenceProfile;
 
@@ -151,24 +150,15 @@ fn prototype(name: &str, data: &mut Datasets) -> Box<dyn Prototype> {
                 _ => data.temporal("wikipedia", wikipedia),
             };
             match base {
-                "jodie" => Box::new(Jodie::new(data, JodieConfig::default(), seed)),
-                "tgn" => Box::new(Tgn::new(data, TgnConfig::default(), seed)),
-                _ => Box::new(Tgat::new(data, TgatConfig::default(), seed)),
+                "jodie" => Box::new(Jodie::new(data, seed)),
+                "tgn" => Box::new(Tgn::new(data, seed)),
+                _ => Box::new(Tgat::new(data, seed)),
             }
         }
-        "astgnn" => Box::new(Astgnn::new(
-            pems(scale, seed),
-            AstgnnConfig::default(),
-            seed,
-        )),
-        "moldgnn" => Box::new(MolDgnn::new(
-            iso17(scale, seed),
-            MolDgnnConfig::default(),
-            seed,
-        )),
+        "astgnn" => Box::new(Astgnn::new(pems(scale, seed), seed)),
+        "moldgnn" => Box::new(MolDgnn::new(iso17(scale, seed), seed)),
         "dyrep" => Box::new(DyRep::new(
             data.temporal("social_evolution", social_evolution),
-            DyRepConfig::default(),
             seed,
         )),
         "ldg_mlp" | "ldg_bilinear" => {
@@ -177,11 +167,7 @@ fn prototype(name: &str, data: &mut Datasets) -> Box<dyn Prototype> {
             } else {
                 LdgEncoder::Bilinear
             };
-            Box::new(Ldg::new(
-                data.temporal("github", github),
-                LdgConfig { dim: 32, encoder },
-                seed,
-            ))
+            Box::new(Ldg::new(data.temporal("github", github), encoder, seed))
         }
         "evolvegcn_o" | "evolvegcn_h" => {
             let version = if base.ends_with("_h") {
@@ -195,14 +181,7 @@ fn prototype(name: &str, data: &mut Datasets) -> Box<dyn Prototype> {
                 Some("sbm") => sbm(scale, seed),
                 _ => bitcoin_alpha(scale, seed),
             };
-            Box::new(EvolveGcn::new(
-                data,
-                EvolveGcnConfig {
-                    hidden: 100,
-                    version,
-                },
-                seed,
-            ))
+            Box::new(EvolveGcn::new(data, version, seed))
         }
         other => panic!("unknown model `{other}`; known: {MODEL_NAMES:?}"),
     }

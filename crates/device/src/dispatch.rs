@@ -291,11 +291,6 @@ impl<'a> Dispatcher<'a> {
         }
     }
 
-    /// Whether transfer coalescing is active.
-    pub fn coalescing(&self) -> bool {
-        self.coalesce
-    }
-
     /// Bytes staged for the given direction but not yet priced.
     pub fn pending_transfer_bytes(&self, dir: TransferDir) -> u64 {
         self.pending[dir_index(dir)]

@@ -203,11 +203,6 @@ impl StreamingAdjacency {
         self.n_nodes
     }
 
-    /// Events folded into the base tier.
-    pub fn base_events(&self) -> usize {
-        self.total_events - self.delta_events
-    }
-
     /// Events currently in the delta log.
     pub fn delta_events(&self) -> usize {
         self.delta_events
@@ -500,7 +495,6 @@ mod tests {
         // Six appends with threshold 3 → two compactions, empty log.
         assert_eq!(s.compactions(), 2);
         assert_eq!(s.delta_events(), 0);
-        assert_eq!(s.base_events(), 6);
         assert_eq!(s.total_events(), 6);
         assert_eq!(s.watermark(), Some(5.0));
     }

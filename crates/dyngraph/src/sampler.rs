@@ -146,11 +146,6 @@ impl TemporalAdjacency {
         self.offsets.len() - 1
     }
 
-    /// Total indexed interaction endpoints (twice the event count).
-    pub fn n_entries(&self) -> usize {
-        self.neighbors.len()
-    }
-
     /// Total degree (interactions) of `node`.
     pub fn degree(&self, node: NodeId) -> usize {
         self.offsets[node + 1] - self.offsets[node]
@@ -423,7 +418,6 @@ mod tests {
         assert_eq!(adj.degree(0), 3);
         assert_eq!(adj.degree(2), 2);
         assert_eq!(adj.degree(3), 1);
-        assert_eq!(adj.n_entries(), 8);
     }
 
     #[test]

@@ -19,43 +19,27 @@ use crate::Result;
 /// Framework ops per subgraph window for slicing/normalizing the signal.
 const WINDOW_PREP_OPS: u64 = 2_000;
 
-/// ASTGNN hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AstgnnConfig {
-    /// Model dimension.
-    pub dim: usize,
-    /// Input window length (5-minute slots).
-    pub t_in: usize,
-    /// Forecast horizon.
-    pub t_out: usize,
-    /// Encoder/decoder layers.
-    pub layers: usize,
-    /// Attention heads.
-    pub heads: usize,
-}
-
-impl Default for AstgnnConfig {
-    fn default() -> Self {
-        AstgnnConfig {
-            dim: 64,
-            t_in: 12,
-            t_out: 12,
-            layers: 2,
-            heads: 4,
-        }
-    }
-}
+/// Model width.
+const DIM: usize = 64;
+/// Input window length (5-minute slots).
+const T_IN: usize = 12;
+/// Forecast horizon.
+const T_OUT: usize = 12;
+/// Encoder and decoder layers.
+const LAYERS: usize = 2;
+/// Attention heads (divides [`DIM`]).
+const HEADS: usize = 4;
 
 /// The ASTGNN model bound to a sensor dataset.
 #[derive(Debug, Clone)]
 pub struct Astgnn {
     data: TimeSeriesDataset,
-    cfg: AstgnnConfig,
     input_proj: Linear,
-    enc_attn: Vec<MultiHeadAttention>,
-    enc_gcn: Vec<GcnLayer>,
-    dec_attn: Vec<MultiHeadAttention>,
-    dec_gcn: Vec<GcnLayer>,
+    enc_attn: [MultiHeadAttention; LAYERS],
+    enc_gcn: [GcnLayer; LAYERS],
+    /// Two temporal attention blocks per decoder layer.
+    dec_attn: [MultiHeadAttention; 2 * LAYERS],
+    dec_gcn: [GcnLayer; LAYERS],
     norm: LayerNorm,
     output_proj: Linear,
     adj: Tensor,
@@ -63,33 +47,23 @@ pub struct Astgnn {
 
 impl Astgnn {
     /// Builds ASTGNN over a traffic dataset.
-    pub fn new(data: TimeSeriesDataset, cfg: AstgnnConfig, seed: u64) -> Self {
+    pub fn new(data: TimeSeriesDataset, seed: u64) -> Self {
         let mut rng = TensorRng::seed(seed);
-        let d = cfg.dim;
         let adj = Tensor::from_vec(
             data.sensor_graph.normalized_adjacency(),
             &[data.n_sensors(), data.n_sensors()],
         )
         .expect("square adjacency");
         Astgnn {
-            input_proj: Linear::new(data.n_channels(), d, &mut rng),
-            enc_attn: (0..cfg.layers)
-                .map(|_| MultiHeadAttention::new(d, cfg.heads, &mut rng))
-                .collect(),
-            enc_gcn: (0..cfg.layers)
-                .map(|_| GcnLayer::new(d, d, &mut rng))
-                .collect(),
-            dec_attn: (0..2 * cfg.layers)
-                .map(|_| MultiHeadAttention::new(d, cfg.heads, &mut rng))
-                .collect(),
-            dec_gcn: (0..cfg.layers)
-                .map(|_| GcnLayer::new(d, d, &mut rng))
-                .collect(),
-            norm: LayerNorm::new(d, &mut rng),
-            output_proj: Linear::new(d, 1, &mut rng),
+            input_proj: Linear::new(data.n_channels(), DIM, &mut rng),
+            enc_attn: std::array::from_fn(|_| MultiHeadAttention::new(DIM, HEADS, &mut rng)),
+            enc_gcn: std::array::from_fn(|_| GcnLayer::new(DIM, DIM, &mut rng)),
+            dec_attn: std::array::from_fn(|_| MultiHeadAttention::new(DIM, HEADS, &mut rng)),
+            dec_gcn: std::array::from_fn(|_| GcnLayer::new(DIM, DIM, &mut rng)),
+            norm: LayerNorm::new(DIM, &mut rng),
+            output_proj: Linear::new(DIM, 1, &mut rng),
             adj,
             data,
-            cfg,
         }
     }
 
@@ -119,11 +93,10 @@ impl Astgnn {
         rep_seq: &DeviceTensor,
     ) -> Result<DeviceTensor> {
         let n = self.data.n_sensors();
-        let d = self.cfg.dim;
         let rows = batch * n * seq;
         let out = attn.forward(dx, rep_seq, rep_seq, rep_seq)?;
         dx.charge(
-            OpDescriptor::elementwise("tattn_permute", rows * d, 1, 1),
+            OpDescriptor::elementwise("tattn_permute", rows * DIM, 1, 1),
             1.0,
         );
         dx.charge(
@@ -131,11 +104,11 @@ impl Astgnn {
             1.0,
         );
         dx.charge(
-            OpDescriptor::elementwise("tattn_dropout", rows * d, 2, 1),
+            OpDescriptor::elementwise("tattn_dropout", rows * DIM, 2, 1),
             1.0,
         );
         dx.charge(
-            OpDescriptor::elementwise("tattn_residual", rows * d, 1, 2),
+            OpDescriptor::elementwise("tattn_residual", rows * DIM, 1, 2),
             1.0,
         );
         Ok(out)
@@ -179,18 +152,13 @@ impl DgnnModel for Astgnn {
     }
 
     fn activation_bytes(&self, cfg: &InferenceConfig) -> u64 {
-        (cfg.batch_size
-            * self.data.n_sensors()
-            * (self.cfg.t_in + self.cfg.t_out)
-            * self.cfg.dim
-            * 4) as u64
+        (cfg.batch_size * self.data.n_sensors() * (T_IN + T_OUT) * DIM * 4) as u64
     }
 
     fn infer(&mut self, ex: &mut Executor, cfg: &InferenceConfig) -> Result<RunSummary> {
         let plan = RunPlan::serial(cfg, ex);
         let b = cfg.batch_size.max(1);
         let n = self.data.n_sensors();
-        let (t_in, t_out) = (self.cfg.t_in, self.cfg.t_out);
         let rep_n = representative(n);
         let window_scale = (b * n) as f64;
         let mut checksum = 0.0f32;
@@ -213,39 +181,39 @@ impl DgnnModel for Astgnn {
                     dx.host(HostWork::sequential(
                         "slice_windows",
                         b as u64 * WINDOW_PREP_OPS,
-                        (b * n * t_in * self.data.n_channels() * 4) as u64,
+                        (b * n * T_IN * self.data.n_channels() * 4) as u64,
                     ));
                 });
                 let upload = DeviceTensor::host_scaled(
                     Tensor::zeros(&[1, self.data.n_channels()]),
-                    (b * n * t_in) as f64,
+                    (b * n * T_IN) as f64,
                 );
                 dx.h2d(|dx| dx.ensure_resident(&upload));
 
                 // Representative signal: window `iter`, one sensor's
                 // sequence stands in for every (window, sensor) pair.
-                let t0 = (iter * t_in) % (self.data.n_steps() - t_in).max(1);
-                let mut rep_sig = Vec::with_capacity(t_in * self.data.n_channels());
-                for t in 0..t_in {
+                let t0 = (iter * T_IN) % (self.data.n_steps() - T_IN).max(1);
+                let mut rep_sig = Vec::with_capacity(T_IN * self.data.n_channels());
+                for t in 0..T_IN {
                     for c in 0..self.data.n_channels() {
                         rep_sig.push(self.data.signal.at(&[t0 + t, 0, c])?);
                     }
                 }
                 let rep_window = dx.adopt(
-                    Tensor::from_vec(rep_sig, &[t_in, self.data.n_channels()])?,
+                    Tensor::from_vec(rep_sig, &[T_IN, self.data.n_channels()])?,
                     window_scale,
                 );
                 let mut h = dx.compute(None, |dx| self.input_proj.forward(dx, &rep_window))?;
 
                 // Encoder.
-                let mut rep_spatial = Tensor::ones(&[rep_n, self.cfg.dim]);
+                let mut rep_spatial = Tensor::ones(&[rep_n, DIM]);
                 let enc = dx.compute("encoder", |dx| -> Result<DeviceTensor> {
-                    for l in 0..self.cfg.layers {
+                    for l in 0..LAYERS {
                         h = dx.scope("temporal_attention", |dx| {
-                            self.temporal_attention(dx, &self.enc_attn[l], b, t_in, &h)
+                            self.temporal_attention(dx, &self.enc_attn[l], b, T_IN, &h)
                         })?;
                         rep_spatial = dx.scope("spatial_gcn", |dx| {
-                            self.spatial_gcn(dx, &self.enc_gcn[l], b, t_in, &rep_spatial, &rep_adj)
+                            self.spatial_gcn(dx, &self.enc_gcn[l], b, T_IN, &rep_spatial, &rep_adj)
                         })?;
                     }
                     self.norm.forward(dx, &h).map_err(Into::into)
@@ -258,22 +226,22 @@ impl DgnnModel for Astgnn {
                     dx.host(HostWork::sequential(
                         "decoder_input_prep",
                         300_000,
-                        (b * n * t_out * 4) as u64,
+                        (b * n * T_OUT * 4) as u64,
                     ));
                 });
 
                 // Decoder: two temporal attention blocks + GCN per layer.
                 let mut dec_h = enc.clone();
                 dx.compute("decoder", |dx| -> Result<()> {
-                    for l in 0..self.cfg.layers {
+                    for l in 0..LAYERS {
                         dec_h = dx.scope("temporal_attention", |dx| {
-                            self.temporal_attention(dx, &self.dec_attn[2 * l], b, t_out, &dec_h)
+                            self.temporal_attention(dx, &self.dec_attn[2 * l], b, T_OUT, &dec_h)
                         })?;
                         dec_h = dx.scope("temporal_attention", |dx| {
-                            self.temporal_attention(dx, &self.dec_attn[2 * l + 1], b, t_out, &dec_h)
+                            self.temporal_attention(dx, &self.dec_attn[2 * l + 1], b, T_OUT, &dec_h)
                         })?;
                         rep_spatial = dx.scope("spatial_gcn", |dx| {
-                            self.spatial_gcn(dx, &self.dec_gcn[l], b, t_out, &rep_spatial, &rep_adj)
+                            self.spatial_gcn(dx, &self.dec_gcn[l], b, T_OUT, &rep_spatial, &rep_adj)
                         })?;
                     }
                     Ok(())
@@ -287,7 +255,7 @@ impl DgnnModel for Astgnn {
                     Ok(())
                 })?;
                 dx.compute(None, |dx| dx.synchronize());
-                let readback = dx.adopt(Tensor::zeros(&[1, 1]), (b * n * t_out) as f64);
+                let readback = dx.adopt(Tensor::zeros(&[1, 1]), (b * n * T_OUT) as f64);
                 dx.d2h(|dx| dx.download(&readback));
                 Ok(())
             })
@@ -304,7 +272,7 @@ mod tests {
     use dgnn_profile::InferenceProfile;
 
     fn build() -> Astgnn {
-        Astgnn::new(pems(Scale::Tiny, 1), AstgnnConfig::default(), 7)
+        Astgnn::new(pems(Scale::Tiny, 1), 7)
     }
 
     fn cfg(bs: usize) -> InferenceConfig {

@@ -24,25 +24,14 @@ use crate::Result;
 /// bookkeeping) — DyRep processes events at roughly millisecond cost.
 const EVENT_LOOP_OPS: u64 = 400_000;
 
-/// DyRep hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DyRepConfig {
-    /// Node-embedding dimension.
-    pub dim: usize,
-}
-
-impl Default for DyRepConfig {
-    fn default() -> Self {
-        DyRepConfig { dim: 32 }
-    }
-}
+/// Node-embedding width.
+const DIM: usize = 32;
 
 /// The DyRep model bound to a dataset's event stream.
 #[derive(Debug, Clone)]
 pub struct DyRep {
     stream: Arc<EventStream>,
     edge_dim: usize,
-    cfg: DyRepConfig,
     embeddings: EmbeddingTable,
     update_rnn: RnnCell,
     intensity: Linear,
@@ -53,19 +42,17 @@ impl DyRep {
     /// Builds DyRep over an event dataset, owned or shared. It keeps the
     /// stream, which clones share, and the edge-feature width, not the
     /// features.
-    pub fn new(data: impl Into<Arc<TemporalDataset>>, cfg: DyRepConfig, seed: u64) -> Self {
+    pub fn new(data: impl Into<Arc<TemporalDataset>>, seed: u64) -> Self {
         let data = data.into();
         let mut rng = TensorRng::seed(seed);
-        let d = cfg.dim;
         // RNN input: local propagation + self propagation + exogenous drive.
         DyRep {
-            embeddings: EmbeddingTable::new(data.stream.n_nodes(), d, &mut rng),
-            update_rnn: RnnCell::new(3 * d, d, &mut rng),
-            intensity: Linear::new(2 * d, 1, &mut rng),
-            attention_w: Linear::new(2 * d, 1, &mut rng),
+            embeddings: EmbeddingTable::new(data.stream.n_nodes(), DIM, &mut rng),
+            update_rnn: RnnCell::new(3 * DIM, DIM, &mut rng),
+            intensity: Linear::new(2 * DIM, 1, &mut rng),
+            attention_w: Linear::new(2 * DIM, 1, &mut rng),
             stream: Arc::new(data.stream.clone()),
             edge_dim: data.edge_dim(),
-            cfg,
         }
     }
 
@@ -93,12 +80,11 @@ impl DgnnModel for DyRep {
     }
 
     fn activation_bytes(&self, cfg: &InferenceConfig) -> u64 {
-        (cfg.batch_size * self.cfg.dim * 4 * 4) as u64
+        (cfg.batch_size * DIM * 4 * 4) as u64
     }
 
     fn infer(&mut self, ex: &mut Executor, cfg: &InferenceConfig) -> Result<RunSummary> {
         let plan = RunPlan::serial(cfg, ex);
-        let d = self.cfg.dim;
         let mut checksum = 0.0f32;
 
         let stream = Arc::clone(&self.stream);
@@ -120,7 +106,7 @@ impl DgnnModel for DyRep {
                         label: "event_bookkeeping",
                         ops: EVENT_LOOP_OPS,
                         seq_bytes: 512,
-                        irregular_bytes: (4 * d * 4) as u64,
+                        irregular_bytes: (4 * DIM * 4) as u64,
                         parallelism: 1,
                     });
                 });
@@ -136,7 +122,7 @@ impl DgnnModel for DyRep {
                     let new = self.update_rnn.forward(dx, &x, &emb)?;
                     self.embeddings.update(dx, &pair, &new)?;
                     // Conditional intensity (bilinear + softplus).
-                    let both = dx.adopt(new.data().reshape(&[1, 2 * d])?, 1.0);
+                    let both = dx.adopt(new.data().reshape(&[1, 2 * DIM])?, 1.0);
                     let raw = self.intensity.forward(dx, &both)?;
                     let lambda = dx.activation("softplus", &raw, Tensor::softplus);
                     checksum += lambda.data().sum();
@@ -146,7 +132,7 @@ impl DgnnModel for DyRep {
                 })?;
             }
 
-            let readback = dx.adopt(Tensor::zeros(&[1, d]), batch.len() as f64);
+            let readback = dx.adopt(Tensor::zeros(&[1, DIM]), batch.len() as f64);
             dx.d2h(|dx| dx.download(&readback));
             Ok(())
         })?;
@@ -162,7 +148,7 @@ mod tests {
     use dgnn_profile::InferenceProfile;
 
     fn build() -> DyRep {
-        DyRep::new(social_evolution(Scale::Tiny, 1), DyRepConfig::default(), 7)
+        DyRep::new(social_evolution(Scale::Tiny, 1), 7)
     }
 
     fn cfg(bs: usize) -> InferenceConfig {

@@ -48,29 +48,14 @@ pub enum EvolveGcnVersion {
     H,
 }
 
-/// EvolveGCN hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EvolveGcnConfig {
-    /// Hidden dimension of both GCN layers.
-    pub hidden: usize,
-    /// Variant.
-    pub version: EvolveGcnVersion,
-}
-
-impl Default for EvolveGcnConfig {
-    fn default() -> Self {
-        EvolveGcnConfig {
-            hidden: 100,
-            version: EvolveGcnVersion::O,
-        }
-    }
-}
+/// Hidden width of both GCN layers.
+const HIDDEN: usize = 100;
 
 /// The EvolveGCN model bound to a snapshot dataset.
 #[derive(Debug, Clone)]
 pub struct EvolveGcn {
     data: SnapshotDataset,
-    cfg: EvolveGcnConfig,
+    version: EvolveGcnVersion,
     weight_rnn: GruCell,
     gcn1: GcnLayer,
     gcn2: GcnLayer,
@@ -79,25 +64,24 @@ pub struct EvolveGcn {
 }
 
 impl EvolveGcn {
-    /// Builds EvolveGCN over a snapshot dataset.
-    pub fn new(data: SnapshotDataset, cfg: EvolveGcnConfig, seed: u64) -> Self {
+    /// Builds the given EvolveGCN variant over a snapshot dataset.
+    pub fn new(data: SnapshotDataset, version: EvolveGcnVersion, seed: u64) -> Self {
         let mut rng = TensorRng::seed(seed);
-        let h = cfg.hidden;
         let in_dim = data.node_dim();
         EvolveGcn {
-            weight_rnn: GruCell::new(h, h, &mut rng),
-            gcn1: GcnLayer::new(in_dim, h, &mut rng),
-            gcn2: GcnLayer::new(h, h, &mut rng),
+            weight_rnn: GruCell::new(HIDDEN, HIDDEN, &mut rng),
+            gcn1: GcnLayer::new(in_dim, HIDDEN, &mut rng),
+            gcn2: GcnLayer::new(HIDDEN, HIDDEN, &mut rng),
             topk_scorer: Linear::new(in_dim, 1, &mut rng),
-            evolved_weight: rng.init(&[h, h], dgnn_tensor::Initializer::XavierUniform),
+            evolved_weight: rng.init(&[HIDDEN, HIDDEN], dgnn_tensor::Initializer::XavierUniform),
             data,
-            cfg,
+            version,
         }
     }
 
     /// The variant being run.
     pub fn version(&self) -> EvolveGcnVersion {
-        self.cfg.version
+        self.version
     }
 
     fn modules(&self) -> Vec<&dyn Module> {
@@ -107,7 +91,7 @@ impl EvolveGcn {
 
 impl DgnnModel for EvolveGcn {
     fn name(&self) -> &'static str {
-        match self.cfg.version {
+        match self.version {
             EvolveGcnVersion::O => "evolvegcn_o",
             EvolveGcnVersion::H => "evolvegcn_h",
         }
@@ -126,7 +110,7 @@ impl DgnnModel for EvolveGcn {
     }
 
     fn activation_bytes(&self, _cfg: &InferenceConfig) -> u64 {
-        (self.data.n_nodes() * self.cfg.hidden * 4 * 2) as u64
+        (self.data.n_nodes() * HIDDEN * 4 * 2) as u64
     }
 
     /// One driver for every shard count. Every snapshot's node set is
@@ -146,7 +130,6 @@ impl DgnnModel for EvolveGcn {
         // 18.74 ms.
         let per_tensor = plan.granular || plan.shards > 1;
 
-        let h = self.cfg.hidden;
         let n = self.data.n_nodes();
         let d_in = self.data.node_dim();
         let feat_bytes = (n * d_in * 4) as u64;
@@ -248,13 +231,13 @@ impl DgnnModel for EvolveGcn {
                         }
                         for (o, &cut_rows) in cut[s].iter().enumerate() {
                             if o != s && cut_rows > 0 {
-                                dx.peer_transfer(o, cut_rows * ((d_in + h) * 4) as u64);
+                                dx.peer_transfer(o, cut_rows * ((d_in + HIDDEN) * 4) as u64);
                             }
                         }
                     });
 
                     // 2. Weight evolution (RNN), plus top-k for -H.
-                    if self.cfg.version == EvolveGcnVersion::H {
+                    if self.version == EvolveGcnVersion::H {
                         checksum += dx.compute("topk", |dx| -> Result<f32> {
                             // Score the part's nodes with a
                             // fully-connected layer: the rep rows run
@@ -266,7 +249,7 @@ impl DgnnModel for EvolveGcn {
                             // counterpart at rep size — charge them
                             // directly.
                             dx.charge(OpDescriptor::sort("topk_sort", n_s[s]), 1.0);
-                            dx.charge(OpDescriptor::gather("topk_gather", h, h), 1.0);
+                            dx.charge(OpDescriptor::gather("topk_gather", HIDDEN, HIDDEN), 1.0);
                             // Scores come back to the host for the index
                             // selection, an interpreted partial sort.
                             let logn = 64 - (n_s[s].max(2) as u64).leading_zeros() as u64;
@@ -304,7 +287,7 @@ impl DgnnModel for EvolveGcn {
                     next_weight = Some(evolved);
 
                     // 4. The part's embeddings back to the CPU.
-                    let out = dx.adopt(Tensor::zeros(&[rep_n, h]), shard_scale);
+                    let out = dx.adopt(Tensor::zeros(&[rep_n, HIDDEN]), shard_scale);
                     dx.d2h(|dx| dx.download(&out));
                     Ok(())
                 })?;
@@ -328,14 +311,7 @@ mod tests {
     use dgnn_profile::InferenceProfile;
 
     fn build(version: EvolveGcnVersion) -> EvolveGcn {
-        EvolveGcn::new(
-            bitcoin_alpha(Scale::Tiny, 1),
-            EvolveGcnConfig {
-                hidden: 100,
-                version,
-            },
-            7,
-        )
+        EvolveGcn::new(bitcoin_alpha(Scale::Tiny, 1), version, 7)
     }
 
     fn cfg() -> InferenceConfig {
@@ -372,11 +348,7 @@ mod tests {
     fn gpu_utilization_below_one_percent_scale() {
         // The <1% claim reproduces at realistic node counts; Tiny-scale
         // graphs are launch-bound everywhere, so test at Small scale.
-        let mut m = EvolveGcn::new(
-            bitcoin_alpha(Scale::Small, 1),
-            EvolveGcnConfig::default(),
-            7,
-        );
+        let mut m = EvolveGcn::new(bitcoin_alpha(Scale::Small, 1), EvolveGcnVersion::O, 7);
         let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
         m.run(&mut ex, &cfg()).unwrap();
         let p = InferenceProfile::capture(&ex, "inference");
@@ -399,7 +371,7 @@ mod tests {
     #[test]
     fn reddit_style_snapshots_move_more_data_than_wikipedia() {
         let bytes = |data: dgnn_datasets::SnapshotDataset| {
-            let mut m = EvolveGcn::new(data, EvolveGcnConfig::default(), 7);
+            let mut m = EvolveGcn::new(data, EvolveGcnVersion::O, 7);
             let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
             m.run(&mut ex, &cfg()).unwrap();
             ex.timeline().transfer_bytes(None)

@@ -32,31 +32,18 @@ const TBATCH_EVENT_OPS: u64 = 300;
 /// re-indexes — roughly a millisecond of host time per t-batch.
 const TBATCH_STEP_OPS: u64 = 400_000;
 
-/// JODIE hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JodieConfig {
-    /// Embedding dimension of users and items.
-    pub dim: usize,
-    /// Whether to build t-batches (the paper's Sec 3.3 configuration).
-    /// With `false`, every event runs as its own step — the naive
-    /// schedule t-batching was invented to beat.
-    pub use_tbatch: bool,
-}
-
-impl Default for JodieConfig {
-    fn default() -> Self {
-        JodieConfig {
-            dim: 128,
-            use_tbatch: true,
-        }
-    }
-}
+/// Embedding width of users and items.
+const DIM: usize = 128;
 
 /// The JODIE model bound to a dataset.
 #[derive(Debug, Clone)]
 pub struct Jodie {
     data: Arc<TemporalDataset>,
-    cfg: JodieConfig,
+    /// Whether to build t-batches (the paper's Sec 3.3 configuration,
+    /// and what [`Jodie::new`] sets). With `false`, every event runs as
+    /// its own step — the naive schedule t-batching was invented to
+    /// beat, which only [`crate::optim::jodie_tbatch`] runs.
+    pub(crate) use_tbatch: bool,
     embeddings: EmbeddingTable,
     user_rnn: RnnCell,
     item_rnn: RnnCell,
@@ -67,19 +54,18 @@ pub struct Jodie {
 impl Jodie {
     /// Builds JODIE over an interaction dataset, owned or shared; clones
     /// share it.
-    pub fn new(data: impl Into<Arc<TemporalDataset>>, cfg: JodieConfig, seed: u64) -> Self {
+    pub fn new(data: impl Into<Arc<TemporalDataset>>, seed: u64) -> Self {
         let data = data.into();
         let mut rng = TensorRng::seed(seed);
-        let d = cfg.dim;
-        let in_dim = d + data.edge_dim() + 1; // partner embedding + features + Δt
+        let in_dim = DIM + data.edge_dim() + 1; // partner embedding + features + Δt
         Jodie {
-            embeddings: EmbeddingTable::new(data.stream.n_nodes(), d, &mut rng),
-            user_rnn: RnnCell::new(in_dim, d, &mut rng),
-            item_rnn: RnnCell::new(in_dim, d, &mut rng),
-            projector: Linear::new(d, d, &mut rng),
-            predictor: Linear::new(d, d, &mut rng),
+            embeddings: EmbeddingTable::new(data.stream.n_nodes(), DIM, &mut rng),
+            user_rnn: RnnCell::new(in_dim, DIM, &mut rng),
+            item_rnn: RnnCell::new(in_dim, DIM, &mut rng),
+            projector: Linear::new(DIM, DIM, &mut rng),
+            predictor: Linear::new(DIM, DIM, &mut rng),
             data,
-            cfg,
+            use_tbatch: true,
         }
     }
 
@@ -108,19 +94,18 @@ impl DgnnModel for Jodie {
     }
 
     fn activation_bytes(&self, cfg: &InferenceConfig) -> u64 {
-        (cfg.batch_size * (2 * self.cfg.dim + self.data.edge_dim()) * 4) as u64
+        (cfg.batch_size * (2 * DIM + self.data.edge_dim()) * 4) as u64
     }
 
     fn infer(&mut self, ex: &mut Executor, cfg: &InferenceConfig) -> Result<RunSummary> {
         let plan = RunPlan::serial(cfg, ex);
-        let d = self.cfg.dim;
         let mut checksum = 0.0f32;
 
         let data = Arc::clone(&self.data);
         let (iterations, time) = run_units(ex, plan, cfg.batches(&data.stream), |dx, window| {
             // 1. t-batch construction on the CPU.
             let tbatches = dx.prep("tbatch", |dx| {
-                if self.cfg.use_tbatch {
+                if self.use_tbatch {
                     let (tb, build_ops) = TBatcher::new().build(window);
                     dx.host(HostWork {
                         label: "t_batch",
@@ -149,7 +134,7 @@ impl DgnnModel for Jodie {
                     dx.host(HostWork {
                         label: "tbatch_step",
                         ops: TBATCH_STEP_OPS,
-                        seq_bytes: (width * d * 4) as u64,
+                        seq_bytes: (width * DIM * 4) as u64,
                         irregular_bytes: (width * 128) as u64,
                         parallelism: 1,
                     });
@@ -199,7 +184,7 @@ impl DgnnModel for Jodie {
                     // JODIE's time projection is an element-wise
                     // (1 + Δt·w) scaling — no functional counterpart
                     // beyond the projector itself.
-                    dx.charge(OpDescriptor::elementwise("project", width * d, 2, 2), 1.0);
+                    dx.charge(OpDescriptor::elementwise("project", width * DIM, 2, 2), 1.0);
                     let proj = self.projector.forward(dx, &new_u)?;
                     let pred = self.predictor.forward(dx, &proj)?;
                     checksum += pred.data().sum();
@@ -222,7 +207,7 @@ mod tests {
     use dgnn_profile::InferenceProfile;
 
     fn build() -> Jodie {
-        Jodie::new(wikipedia(Scale::Tiny, 1), JodieConfig::default(), 7)
+        Jodie::new(wikipedia(Scale::Tiny, 1), 7)
     }
 
     fn cfg() -> InferenceConfig {
@@ -262,14 +247,8 @@ mod tests {
         // fewer kernel launches — than the naive one-event-per-step
         // schedule over the same window.
         let kernels = |use_tbatch: bool| {
-            let mut m = Jodie::new(
-                wikipedia(Scale::Tiny, 1),
-                JodieConfig {
-                    dim: 128,
-                    use_tbatch,
-                },
-                7,
-            );
+            let mut m = Jodie::new(wikipedia(Scale::Tiny, 1), 7);
+            m.use_tbatch = use_tbatch;
             let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
             m.run(&mut ex, &cfg()).unwrap();
             ex.timeline()

@@ -31,30 +31,15 @@ pub enum LdgEncoder {
     Bilinear,
 }
 
-/// LDG hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LdgConfig {
-    /// Node-embedding dimension.
-    pub dim: usize,
-    /// Encoder variant.
-    pub encoder: LdgEncoder,
-}
-
-impl Default for LdgConfig {
-    fn default() -> Self {
-        LdgConfig {
-            dim: 32,
-            encoder: LdgEncoder::Bilinear,
-        }
-    }
-}
+/// Node-embedding width.
+const DIM: usize = 32;
 
 /// The LDG model bound to a dataset's event stream.
 #[derive(Debug, Clone)]
 pub struct Ldg {
     stream: Arc<EventStream>,
     edge_dim: usize,
-    cfg: LdgConfig,
+    encoder: LdgEncoder,
     embeddings: EmbeddingTable,
     update_rnn: RnnCell,
     encoder_mlp: Mlp,
@@ -63,28 +48,27 @@ pub struct Ldg {
 }
 
 impl Ldg {
-    /// Builds LDG over an event dataset, owned or shared. It keeps the
-    /// stream, which clones share, and the edge-feature width, not the
-    /// features.
-    pub fn new(data: impl Into<Arc<TemporalDataset>>, cfg: LdgConfig, seed: u64) -> Self {
+    /// Builds LDG with the given encoder over an event dataset, owned or
+    /// shared. It keeps the stream, which clones share, and the
+    /// edge-feature width, not the features.
+    pub fn new(data: impl Into<Arc<TemporalDataset>>, encoder: LdgEncoder, seed: u64) -> Self {
         let data = data.into();
         let mut rng = TensorRng::seed(seed);
-        let d = cfg.dim;
         Ldg {
-            embeddings: EmbeddingTable::new(data.stream.n_nodes(), d, &mut rng),
-            update_rnn: RnnCell::new(3 * d, d, &mut rng),
-            encoder_mlp: Mlp::new(&[2 * d, 2 * d, d], &mut rng),
-            encoder_bilinear: Linear::new(2 * d, d, &mut rng),
-            decoder: Linear::new(2 * d, 1, &mut rng),
+            embeddings: EmbeddingTable::new(data.stream.n_nodes(), DIM, &mut rng),
+            update_rnn: RnnCell::new(3 * DIM, DIM, &mut rng),
+            encoder_mlp: Mlp::new(&[2 * DIM, 2 * DIM, DIM], &mut rng),
+            encoder_bilinear: Linear::new(2 * DIM, DIM, &mut rng),
+            decoder: Linear::new(2 * DIM, 1, &mut rng),
             stream: Arc::new(data.stream.clone()),
             edge_dim: data.edge_dim(),
-            cfg,
+            encoder,
         }
     }
 
     /// The configured encoder variant.
     pub fn encoder(&self) -> LdgEncoder {
-        self.cfg.encoder
+        self.encoder
     }
 
     fn modules(&self) -> Vec<&dyn Module> {
@@ -100,7 +84,7 @@ impl Ldg {
 
 impl DgnnModel for Ldg {
     fn name(&self) -> &'static str {
-        match self.cfg.encoder {
+        match self.encoder {
             LdgEncoder::Mlp => "ldg_mlp",
             LdgEncoder::Bilinear => "ldg_bilinear",
         }
@@ -115,12 +99,11 @@ impl DgnnModel for Ldg {
     }
 
     fn activation_bytes(&self, cfg: &InferenceConfig) -> u64 {
-        (cfg.batch_size * self.cfg.dim * 4 * 5) as u64
+        (cfg.batch_size * DIM * 4 * 5) as u64
     }
 
     fn infer(&mut self, ex: &mut Executor, cfg: &InferenceConfig) -> Result<RunSummary> {
         let plan = RunPlan::serial(cfg, ex);
-        let d = self.cfg.dim;
         let mut checksum = 0.0f32;
 
         let stream = Arc::clone(&self.stream);
@@ -138,7 +121,7 @@ impl DgnnModel for Ldg {
                         label: "event_bookkeeping",
                         ops: EVENT_LOOP_OPS,
                         seq_bytes: 512,
-                        irregular_bytes: (5 * d * 4) as u64,
+                        irregular_bytes: (5 * DIM * 4) as u64,
                         parallelism: 1,
                     });
                 });
@@ -146,8 +129,8 @@ impl DgnnModel for Ldg {
                 // NRI encoder over the event's node pair.
                 let pair_emb = dx.compute("encoder", |dx| -> Result<DeviceTensor> {
                     let emb = self.embeddings.lookup(dx, &[e.src, e.dst])?;
-                    let x = dx.adopt(emb.data().reshape(&[1, 2 * d])?, 1.0);
-                    match self.cfg.encoder {
+                    let x = dx.adopt(emb.data().reshape(&[1, 2 * DIM])?, 1.0);
+                    match self.encoder {
                         LdgEncoder::Mlp => self.encoder_mlp.forward(dx, &x).map_err(Into::into),
                         LdgEncoder::Bilinear => {
                             self.encoder_bilinear.forward(dx, &x).map_err(Into::into)
@@ -173,7 +156,7 @@ impl DgnnModel for Ldg {
                 // Bilinear decoder scores the interaction.
                 dx.compute("decoder", |dx| -> Result<()> {
                     let emb = self.embeddings.lookup(dx, &[e.src, e.dst])?;
-                    let x = dx.adopt(emb.data().reshape(&[1, 2 * d])?, 1.0);
+                    let x = dx.adopt(emb.data().reshape(&[1, 2 * DIM])?, 1.0);
                     let score = self.decoder.forward(dx, &x)?;
                     let prob = dx.activation("sigmoid", &score, Tensor::sigmoid);
                     checksum += prob.data().sum();
@@ -181,7 +164,7 @@ impl DgnnModel for Ldg {
                 })?;
             }
 
-            let readback = dx.adopt(Tensor::zeros(&[1, d]), batch.len() as f64);
+            let readback = dx.adopt(Tensor::zeros(&[1, DIM]), batch.len() as f64);
             dx.d2h(|dx| dx.download(&readback));
             Ok(())
         })?;
@@ -197,7 +180,7 @@ mod tests {
     use dgnn_profile::InferenceProfile;
 
     fn build(encoder: LdgEncoder) -> Ldg {
-        Ldg::new(github(Scale::Tiny, 1), LdgConfig { dim: 32, encoder }, 7)
+        Ldg::new(github(Scale::Tiny, 1), encoder, 7)
     }
 
     fn cfg(bs: usize) -> InferenceConfig {

@@ -13,6 +13,14 @@
 //! categories (`sampling`, `time_encoding`, `attention`, `rnn`, `gnn`,
 //! `memcpy_h2d`, `memcpy_d2h`, …).
 //!
+//! ## Reference configuration
+//!
+//! Every model is built at one reference configuration: its widths,
+//! heads and layer, window and frame counts are private constants in
+//! its own file, so a constructor takes only its data and a weight
+//! seed. The two variants callers choose are arguments: LDG's
+//! [`LdgEncoder`] and EvolveGCN's [`EvolveGcnVersion`].
+//!
 //! ## Representative computation
 //!
 //! Kernel and transfer *costs* are always priced at the configured batch
@@ -38,19 +46,19 @@ mod replica;
 mod tgat;
 mod tgn;
 
-pub use astgnn::{Astgnn, AstgnnConfig};
+pub use astgnn::Astgnn;
 pub use common::{DgnnModel, InferenceConfig, RunSummary, TransferGranularity, REP_CAP};
-pub use dyrep::{DyRep, DyRepConfig};
+pub use dyrep::DyRep;
 pub use error::ModelError;
-pub use evolvegcn::{EvolveGcn, EvolveGcnConfig, EvolveGcnVersion};
-pub use jodie::{Jodie, JodieConfig};
-pub use ldg::{Ldg, LdgConfig, LdgEncoder};
+pub use evolvegcn::{EvolveGcn, EvolveGcnVersion};
+pub use jodie::Jodie;
+pub use ldg::{Ldg, LdgEncoder};
 pub use memory::IngestMemory;
-pub use moldgnn::{MolDgnn, MolDgnnConfig};
+pub use moldgnn::MolDgnn;
 pub use registry::{all_model_infos, EvolvingParts, ModelInfo, ModelKind};
 pub use replica::{ModelFactory, ReplicaHandle};
-pub use tgat::{Tgat, TgatConfig};
-pub use tgn::{Tgn, TgnConfig};
+pub use tgat::Tgat;
+pub use tgn::Tgn;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ModelError>;

@@ -27,32 +27,18 @@ const FRAME_MOLECULE_OPS: u64 = 400;
 /// millisecond per frame regardless of batch size.
 const FRAME_LOOP_OPS: u64 = 300_000;
 
-/// MolDGNN hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MolDgnnConfig {
-    /// GCN output width per atom.
-    pub gcn_dim: usize,
-    /// LSTM hidden width (over the flattened molecule embedding).
-    pub lstm_dim: usize,
-    /// Frames to roll through per run.
-    pub frames: usize,
-}
-
-impl Default for MolDgnnConfig {
-    fn default() -> Self {
-        MolDgnnConfig {
-            gcn_dim: 16,
-            lstm_dim: 64,
-            frames: 10,
-        }
-    }
-}
+/// GCN output width per atom.
+const GCN_DIM: usize = 16;
+/// LSTM hidden width (over the flattened molecule embedding).
+const LSTM_DIM: usize = 64;
+/// Frames rolled through per unit, capped at the dataset's frames per
+/// molecule.
+const FRAMES: usize = 10;
 
 /// The MolDGNN model bound to a trajectory dataset.
 #[derive(Debug, Clone)]
 pub struct MolDgnn {
     data: TrajectoryDataset,
-    cfg: MolDgnnConfig,
     gcn: GcnLayer,
     lstm: LstmCell,
     decoder: Linear,
@@ -60,16 +46,14 @@ pub struct MolDgnn {
 
 impl MolDgnn {
     /// Builds MolDGNN over a trajectory dataset.
-    pub fn new(data: TrajectoryDataset, cfg: MolDgnnConfig, seed: u64) -> Self {
+    pub fn new(data: TrajectoryDataset, seed: u64) -> Self {
         let mut rng = TensorRng::seed(seed);
         let atoms = data.n_atoms;
-        let flat = atoms * cfg.gcn_dim;
         MolDgnn {
-            gcn: GcnLayer::new(3, cfg.gcn_dim, &mut rng),
-            lstm: LstmCell::new(flat, cfg.lstm_dim, &mut rng),
-            decoder: Linear::new(cfg.lstm_dim, atoms * atoms, &mut rng),
+            gcn: GcnLayer::new(3, GCN_DIM, &mut rng),
+            lstm: LstmCell::new(atoms * GCN_DIM, LSTM_DIM, &mut rng),
+            decoder: Linear::new(LSTM_DIM, atoms * atoms, &mut rng),
             data,
-            cfg,
         }
     }
 
@@ -115,7 +99,7 @@ impl DgnnModel for MolDgnn {
     }
 
     fn activation_bytes(&self, cfg: &InferenceConfig) -> u64 {
-        self.adjacency_bytes(cfg.batch_size) * 2 + (cfg.batch_size * self.cfg.lstm_dim * 4) as u64
+        self.adjacency_bytes(cfg.batch_size) * 2 + (cfg.batch_size * LSTM_DIM * 4) as u64
     }
 
     /// One driver for every shard count. The batch's molecules split
@@ -133,8 +117,8 @@ impl DgnnModel for MolDgnn {
 
         let b = cfg.batch_size.max(1);
         let ranges = dgnn_graph::contiguous_ranges(b, plan.shards);
-        let frames = self.cfg.frames.min(self.data.frames_per_molecule()).max(1);
-        let flat = self.data.n_atoms * self.cfg.gcn_dim;
+        let frames = FRAMES.min(self.data.frames_per_molecule()).max(1);
+        let flat = self.data.n_atoms * GCN_DIM;
         let mut checksum = 0.0f32;
 
         // One representative per-molecule LSTM state per shard,
@@ -276,7 +260,7 @@ mod tests {
     use dgnn_profile::InferenceProfile;
 
     fn build() -> MolDgnn {
-        MolDgnn::new(iso17(Scale::Tiny, 1), MolDgnnConfig::default(), 7)
+        MolDgnn::new(iso17(Scale::Tiny, 1), 7)
     }
 
     fn cfg(bs: usize) -> InferenceConfig {

@@ -261,14 +261,8 @@ pub fn jodie_tbatch(
     seed: u64,
 ) -> Result<AblationResult> {
     let run = |use_tbatch: bool| -> Result<DurationNs> {
-        let mut model = crate::jodie::Jodie::new(
-            data.clone(),
-            crate::jodie::JodieConfig {
-                dim: 128,
-                use_tbatch,
-            },
-            seed,
-        );
+        let mut model = crate::jodie::Jodie::new(data.clone(), seed);
+        model.use_tbatch = use_tbatch;
         let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
         Ok(model.run(&mut ex, cfg)?.inference_time)
     };
@@ -317,19 +311,11 @@ pub fn delta_snapshot_evolvegcn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evolvegcn::{EvolveGcnConfig, EvolveGcnVersion};
-    use crate::tgat::TgatConfig;
+    use crate::evolvegcn::EvolveGcnVersion;
     use dgnn_datasets::{bitcoin_alpha, wikipedia, Scale};
 
     fn egcn() -> EvolveGcn {
-        EvolveGcn::new(
-            bitcoin_alpha(Scale::Tiny, 1),
-            EvolveGcnConfig {
-                hidden: 100,
-                version: EvolveGcnVersion::O,
-            },
-            7,
-        )
+        EvolveGcn::new(bitcoin_alpha(Scale::Tiny, 1), EvolveGcnVersion::O, 7)
     }
 
     #[test]
@@ -337,7 +323,7 @@ mod tests {
         // The §5.1.1 acceptance point: at batch ≥ 1000 with the heavy
         // neighbor count the paper flags (k ≈ 100), real stream overlap
         // must cut TGAT end-to-end simulated time by at least 20%.
-        let mut m = Tgat::new(wikipedia(Scale::Tiny, 1), TgatConfig::default(), 7);
+        let mut m = Tgat::new(wikipedia(Scale::Tiny, 1), 7);
         let cfg = InferenceConfig::default()
             .with_batch_size(1000)
             .with_neighbors(100)
@@ -356,12 +342,8 @@ mod tests {
         let cfg = InferenceConfig::default()
             .with_batch_size(500)
             .with_max_units(3);
-        let mut tgn = crate::Tgn::new(wikipedia(Scale::Tiny, 1), crate::TgnConfig::default(), 7);
-        let mut mol = crate::MolDgnn::new(
-            dgnn_datasets::iso17(Scale::Tiny, 1),
-            crate::MolDgnnConfig::default(),
-            7,
-        );
+        let mut tgn = crate::Tgn::new(wikipedia(Scale::Tiny, 1), 7);
+        let mut mol = crate::MolDgnn::new(dgnn_datasets::iso17(Scale::Tiny, 1), 7);
         let mut eg = egcn();
         let models: [&mut dyn DgnnModel; 3] = [&mut tgn, &mut mol, &mut eg];
         for m in models {
@@ -381,7 +363,7 @@ mod tests {
         // The lanes reorder *pricing*, never data: serial and overlapped
         // runs of a fresh model must produce identical checksums.
         let run = |overlap: bool| {
-            let mut m = Tgat::new(wikipedia(Scale::Tiny, 1), TgatConfig::default(), 7);
+            let mut m = Tgat::new(wikipedia(Scale::Tiny, 1), 7);
             let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
             let cfg = InferenceConfig::default()
                 .with_batch_size(200)
@@ -394,7 +376,7 @@ mod tests {
 
     #[test]
     fn coalescing_cuts_tgn_transfer_count_four_fold() {
-        let mut m = crate::Tgn::new(wikipedia(Scale::Tiny, 1), crate::TgnConfig::default(), 7);
+        let mut m = crate::Tgn::new(wikipedia(Scale::Tiny, 1), 7);
         let cfg = InferenceConfig::default()
             .with_batch_size(500)
             .with_neighbors(10)
@@ -413,11 +395,7 @@ mod tests {
 
     #[test]
     fn coalescing_cuts_moldgnn_transfer_count_four_fold() {
-        let mut m = crate::MolDgnn::new(
-            dgnn_datasets::iso17(Scale::Tiny, 1),
-            crate::MolDgnnConfig::default(),
-            7,
-        );
+        let mut m = crate::MolDgnn::new(dgnn_datasets::iso17(Scale::Tiny, 1), 7);
         let cfg = InferenceConfig::default()
             .with_batch_size(64)
             .with_max_units(1);
@@ -442,7 +420,7 @@ mod tests {
 
     #[test]
     fn overlapping_tgat_sampling_helps_substantially() {
-        let mut m = Tgat::new(wikipedia(Scale::Tiny, 1), TgatConfig::default(), 7);
+        let mut m = Tgat::new(wikipedia(Scale::Tiny, 1), 7);
         let cfg = InferenceConfig::default()
             .with_batch_size(100)
             .with_max_units(4);
@@ -455,7 +433,7 @@ mod tests {
 
     #[test]
     fn parallel_sampling_speedup_grows_with_cores() {
-        let mut m = Tgat::new(wikipedia(Scale::Tiny, 1), TgatConfig::default(), 7);
+        let mut m = Tgat::new(wikipedia(Scale::Tiny, 1), 7);
         // Enough roots per batch to engage many cores.
         let cfg = InferenceConfig::default()
             .with_batch_size(2000)

@@ -36,29 +36,29 @@ use crate::Result;
 /// `CpuSpec::host_ops_per_sec` (1600 ops ≈ 8 µs per call).
 const SAMPLING_CALL_OPS: u64 = 1_600;
 
-/// TGAT hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TgatConfig {
-    /// Model dimension.
-    pub dim: usize,
-    /// Time-encoding dimension.
-    pub time_dim: usize,
-    /// Attention layers (hops).
-    pub n_layers: usize,
-    /// Attention heads.
-    pub heads: usize,
+/// Model width: the reference runs Wikipedia with 172-dimensional
+/// features.
+const DIM: usize = 172;
+/// Time-encoding width.
+const TIME_DIM: usize = 172;
+/// Attention layers, one per sampled hop.
+const N_LAYERS: usize = 2;
+/// Attention heads (divides [`DIM`]).
+const HEADS: usize = 2;
+
+/// Rows of gathered features per event for neighbor count `k`: the
+/// target plus its [`N_LAYERS`] sampled hops (`k` first-hop + `k²`
+/// second-hop).
+fn rows_per_event(k: usize) -> usize {
+    1 + k + k * k
 }
 
-impl Default for TgatConfig {
-    fn default() -> Self {
-        // The reference runs Wikipedia with 172-dimensional features.
-        TgatConfig {
-            dim: 172,
-            time_dim: 172,
-            n_layers: 2,
-            heads: 2,
-        }
-    }
+/// Edge-feature rows shipped to the GPU per event: one per sampled
+/// interaction (`k` first-hop + `k²` second-hop). Node embeddings are
+/// a learned table resident in GPU memory and are *not* re-shipped —
+/// only edge features and time deltas cross PCIe each batch.
+fn edge_rows_per_event(k: usize) -> usize {
+    k + k * k
 }
 
 /// The TGAT model bound to a dataset's stream and node features.
@@ -68,11 +68,10 @@ pub struct Tgat {
     node_features: Tensor,
     edge_dim: usize,
     adj: Arc<TemporalAdjacency>,
-    cfg: TgatConfig,
     feat_proj: Linear,
     time_enc: BochnerTimeEncoder,
-    attn: Vec<MultiHeadAttention>,
-    merge: Vec<Linear>,
+    attn: [MultiHeadAttention; N_LAYERS],
+    merge: [Linear; N_LAYERS],
     predictor: Linear,
 }
 
@@ -81,51 +80,25 @@ impl Tgat {
     /// copies of the stream and node features and the edge-feature
     /// width, not the edge features; clones share the stream and its
     /// adjacency.
-    pub fn new(data: impl Into<Arc<TemporalDataset>>, cfg: TgatConfig, seed: u64) -> Self {
+    pub fn new(data: impl Into<Arc<TemporalDataset>>, seed: u64) -> Self {
         let data = data.into();
         let mut rng = TensorRng::seed(seed);
         let adj = Arc::new(TemporalAdjacency::from_stream(&data.stream));
-        let d = cfg.dim;
-        let feat_proj = Linear::new(data.node_dim(), d, &mut rng);
-        let time_enc = BochnerTimeEncoder::new(cfg.time_dim, &mut rng);
-        let attn = (0..cfg.n_layers)
-            .map(|_| MultiHeadAttention::new(d, cfg.heads, &mut rng))
-            .collect();
-        let merge = (0..cfg.n_layers)
-            .map(|_| Linear::new(d + cfg.time_dim, d, &mut rng))
-            .collect();
-        let predictor = Linear::new(2 * d, 1, &mut rng);
+        let feat_proj = Linear::new(data.node_dim(), DIM, &mut rng);
+        let time_enc = BochnerTimeEncoder::new(TIME_DIM, &mut rng);
+        let attn = std::array::from_fn(|_| MultiHeadAttention::new(DIM, HEADS, &mut rng));
+        let merge = std::array::from_fn(|_| Linear::new(DIM + TIME_DIM, DIM, &mut rng));
+        let predictor = Linear::new(2 * DIM, 1, &mut rng);
         Tgat {
             stream: Arc::new(data.stream.clone()),
             node_features: data.node_features.clone(),
             edge_dim: data.edge_dim(),
             adj,
-            cfg,
             feat_proj,
             time_enc,
             attn,
             merge,
             predictor,
-        }
-    }
-
-    /// Rows of gathered features per event for neighbor count `k`
-    /// (target + first hop + second hop).
-    fn rows_per_event(&self, k: usize) -> usize {
-        match self.cfg.n_layers {
-            0 | 1 => 1 + k,
-            _ => 1 + k + k * k,
-        }
-    }
-
-    /// Edge-feature rows shipped to the GPU per event: one per sampled
-    /// interaction (`k` first-hop + `k²` second-hop). Node embeddings are
-    /// a learned table resident in GPU memory and are *not* re-shipped —
-    /// only edge features and time deltas cross PCIe each batch.
-    fn edge_rows_per_event(&self, k: usize) -> usize {
-        match self.cfg.n_layers {
-            0 | 1 => k,
-            _ => k + k * k,
         }
     }
 
@@ -160,8 +133,8 @@ impl DgnnModel for Tgat {
     }
 
     fn activation_bytes(&self, cfg: &InferenceConfig) -> u64 {
-        let rows = cfg.batch_size * self.rows_per_event(cfg.n_neighbors);
-        (rows * (self.cfg.dim + self.cfg.time_dim) * 4) as u64
+        let rows = cfg.batch_size * rows_per_event(cfg.n_neighbors);
+        (rows * (DIM + TIME_DIM) * 4) as u64
     }
 
     /// One driver for every shard count. Events belong to the shard
@@ -180,8 +153,6 @@ impl DgnnModel for Tgat {
         let staged_slices = plan.shards > 1;
 
         let k = cfg.n_neighbors.max(1);
-        let d = self.cfg.dim;
-        let n_layers = self.cfg.n_layers;
         let sampler = NeighborSampler::new(SampleStrategy::Uniform, SAMPLER_SEED);
         // One gathered row: edge features + time delta + neighbor index.
         let row_bytes = ((self.edge_dim + 2) * 4) as u64;
@@ -203,8 +174,8 @@ impl DgnnModel for Tgat {
                 dx.on_device(s, |dx| -> Result<()> {
                     let bsz = slice.len();
                     let rep = representative(bsz);
-                    let rows = bsz * self.rows_per_event(k);
-                    let edge_rows = (bsz * self.edge_rows_per_event(k)) as u64;
+                    let rows = bsz * rows_per_event(k);
+                    let edge_rows = (bsz * edge_rows_per_event(k)) as u64;
 
                     // 1. Temporal neighborhood sampling on the CPU over
                     // the slice's roots. `parallel_sampling` changes only
@@ -214,8 +185,8 @@ impl DgnnModel for Tgat {
                     let rep_layers = dx.prep("sampling", |dx| {
                         let roots: Vec<(usize, f64)> =
                             slice.iter().take(rep).map(|e| (e.src, e.time)).collect();
-                        let ks = vec![k; n_layers.max(1)];
-                        let (layers, cost) = sampler.sample_khop_batch(&*self.adj, &roots, &ks);
+                        let (layers, cost) =
+                            sampler.sample_khop_batch(&*self.adj, &roots, &[k; N_LAYERS]);
                         let scale = (bsz as u64).div_ceil(rep as u64);
                         let calls = (bsz * (1 + k)) as u64;
                         // The reference also sorts the sampled node
@@ -364,8 +335,8 @@ impl DgnnModel for Tgat {
                             nf
                         };
                         let mut h = q0;
-                        for layer in 0..n_layers {
-                            let targets = if layer + 1 == n_layers { bsz } else { bsz * k };
+                        for layer in 0..N_LAYERS {
+                            let targets = if layer + 1 == N_LAYERS { bsz } else { bsz * k };
                             let q_rows = h.data().dims()[0];
                             let q = dx.adopt(h.data().clone(), targets as f64 / q_rows as f64);
                             let kv_rows = nt.data().dims()[0];
@@ -388,7 +359,7 @@ impl DgnnModel for Tgat {
                         checksum += score.data().sum();
                         Ok(dx.adopt(out.data().clone(), bsz as f64 / out_rows as f64))
                     })?;
-                    debug_assert_eq!(result.data().dims()[1], d);
+                    debug_assert_eq!(result.data().dims()[1], DIM);
                     dx.d2h(|dx| dx.download(&result));
                     Ok(())
                 })?;
@@ -407,7 +378,7 @@ mod tests {
     use dgnn_profile::InferenceProfile;
 
     fn build() -> Tgat {
-        Tgat::new(wikipedia(Scale::Tiny, 1), TgatConfig::default(), 7)
+        Tgat::new(wikipedia(Scale::Tiny, 1), 7)
     }
 
     fn small_cfg() -> InferenceConfig {

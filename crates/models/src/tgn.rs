@@ -41,33 +41,18 @@ const PREP_CALL_OPS: u64 = 30;
 /// cheaper than TGAT's per-node Python bisect loop).
 const SAMPLE_CALL_OPS: u64 = 120;
 
-/// TGN hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TgnConfig {
-    /// Memory/embedding dimension.
-    pub dim: usize,
-    /// Time-embedding dimension.
-    pub time_dim: usize,
-    /// Attention heads in the embedding module.
-    pub heads: usize,
-}
-
-impl Default for TgnConfig {
-    fn default() -> Self {
-        TgnConfig {
-            dim: 172,
-            time_dim: 100,
-            heads: 2,
-        }
-    }
-}
+/// Memory and embedding width.
+const DIM: usize = 172;
+/// Time-embedding width.
+const TIME_DIM: usize = 100;
+/// Attention heads in the embedding module (divides [`DIM`]).
+const HEADS: usize = 2;
 
 /// The TGN model bound to a dataset.
 #[derive(Debug, Clone)]
 pub struct Tgn {
     data: Arc<TemporalDataset>,
     adj: Arc<TemporalAdjacency>,
-    cfg: TgnConfig,
     memory: EmbeddingTable,
     message_fn: Linear,
     memory_updater: GruCell,
@@ -79,22 +64,20 @@ pub struct Tgn {
 impl Tgn {
     /// Builds TGN over an interaction dataset, owned or shared; clones
     /// share it and its adjacency.
-    pub fn new(data: impl Into<Arc<TemporalDataset>>, cfg: TgnConfig, seed: u64) -> Self {
+    pub fn new(data: impl Into<Arc<TemporalDataset>>, seed: u64) -> Self {
         let data = data.into();
         let mut rng = TensorRng::seed(seed);
         let adj = Arc::new(TemporalAdjacency::from_stream(&data.stream));
-        let d = cfg.dim;
-        let msg_in = 2 * d + data.edge_dim() + cfg.time_dim;
+        let msg_in = 2 * DIM + data.edge_dim() + TIME_DIM;
         Tgn {
             adj,
-            memory: EmbeddingTable::new(data.stream.n_nodes(), d, &mut rng),
-            message_fn: Linear::new(msg_in, d, &mut rng),
-            memory_updater: GruCell::new(d, d, &mut rng),
-            embed_attn: MultiHeadAttention::new(d, cfg.heads, &mut rng),
-            time_enc: Time2Vec::new(cfg.time_dim, &mut rng),
-            predictor: Linear::new(2 * d, 1, &mut rng),
+            memory: EmbeddingTable::new(data.stream.n_nodes(), DIM, &mut rng),
+            message_fn: Linear::new(msg_in, DIM, &mut rng),
+            memory_updater: GruCell::new(DIM, DIM, &mut rng),
+            embed_attn: MultiHeadAttention::new(DIM, HEADS, &mut rng),
+            time_enc: Time2Vec::new(TIME_DIM, &mut rng),
+            predictor: Linear::new(2 * DIM, 1, &mut rng),
             data,
-            cfg,
         }
     }
 
@@ -133,7 +116,7 @@ impl DgnnModel for Tgn {
         // TGN stages memory rows through reused pinned buffers; only the
         // per-batch output embeddings are freshly allocated, which keeps
         // its per-batch warm-up nearly flat (Table 2).
-        (cfg.batch_size * self.cfg.dim * 4 * 2) as u64
+        (cfg.batch_size * DIM * 4 * 2) as u64
     }
 
     /// One driver for every shard count. Events belong to the shard that
@@ -162,8 +145,7 @@ impl DgnnModel for Tgn {
         let whole_neighbor_block = plan.shards == 1;
 
         let k = cfg.n_neighbors.clamp(1, 10);
-        let d = self.cfg.dim;
-        let row_bytes = (2 * d * 4) as u64;
+        let row_bytes = (2 * DIM * 4) as u64;
         let sampler = NeighborSampler::new(SampleStrategy::MostRecent, SAMPLER_SEED);
         let n_nodes = self.data.stream.n_nodes();
         let mut checksum = 0.0f32;
@@ -190,7 +172,7 @@ impl DgnnModel for Tgn {
                     let ts_bytes = (bsz * 2 * 4) as u64;
                     // Endpoint and neighbor message/memory blocks
                     // down (sums exactly to the staged write-back).
-                    let d2h_pieces = [(bsz * 2 * d * 4) as u64, (bsz * k * d * 4) as u64];
+                    let d2h_pieces = [(bsz * 2 * DIM * 4) as u64, (bsz * k * DIM * 4) as u64];
 
                     // 1. Batch preparation + edge features to GPU.
                     dx.prep("batch_prep", |dx| {
@@ -333,7 +315,7 @@ impl DgnnModel for Tgn {
                         // neighbor blocks.
                         if !per_tensor && !plan.cached {
                             let mem_in = DeviceTensor::host_scaled(
-                                Tensor::zeros(&[rep, 2 * d]),
+                                Tensor::zeros(&[rep, 2 * DIM]),
                                 touched as f64 / rep as f64,
                             );
                             dx.ensure_resident(&mem_in);
@@ -344,8 +326,8 @@ impl DgnnModel for Tgn {
                                     dx.transfer(TransferDir::D2H, bytes);
                                 }
                             } else {
-                                let staged_out =
-                                    dx.adopt(Tensor::zeros(&[rep, d]), touched as f64 / rep as f64);
+                                let staged_out = dx
+                                    .adopt(Tensor::zeros(&[rep, DIM]), touched as f64 / rep as f64);
                                 dx.download(&staged_out);
                             }
                         }
@@ -414,7 +396,8 @@ impl DgnnModel for Tgn {
                         checksum += self.predictor.forward(dx, &pair)?.data().sum();
                         Ok(())
                     })?;
-                    let writeback = dx.adopt(Tensor::zeros(&[rep, d]), touched as f64 / rep as f64);
+                    let writeback =
+                        dx.adopt(Tensor::zeros(&[rep, DIM]), touched as f64 / rep as f64);
                     dx.d2h(|dx| {
                         if per_tensor {
                             for bytes in d2h_pieces {
@@ -441,7 +424,7 @@ mod tests {
     use dgnn_profile::InferenceProfile;
 
     fn build() -> Tgn {
-        Tgn::new(wikipedia(Scale::Tiny, 1), TgnConfig::default(), 7)
+        Tgn::new(wikipedia(Scale::Tiny, 1), 7)
     }
 
     fn cfg(bs: usize) -> InferenceConfig {

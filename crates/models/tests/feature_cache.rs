@@ -8,10 +8,7 @@
 
 use dgnn_datasets::{iso17, wikipedia, Scale};
 use dgnn_device::{CacheStats, ExecMode, Executor, PlatformSpec, TransferMode};
-use dgnn_models::{
-    DgnnModel, InferenceConfig, MolDgnn, MolDgnnConfig, RunSummary, Tgat, TgatConfig, Tgn,
-    TgnConfig,
-};
+use dgnn_models::{DgnnModel, InferenceConfig, MolDgnn, RunSummary, Tgat, Tgn};
 
 const SEED: u64 = 11;
 
@@ -19,22 +16,14 @@ fn models() -> Vec<(&'static str, Box<dyn DgnnModel>, InferenceConfig)> {
     vec![
         (
             "tgat",
-            Box::new(Tgat::new(
-                wikipedia(Scale::Tiny, SEED),
-                TgatConfig::default(),
-                SEED,
-            )),
+            Box::new(Tgat::new(wikipedia(Scale::Tiny, SEED), SEED)),
             InferenceConfig::default()
                 .with_batch_size(100)
                 .with_max_units(3),
         ),
         (
             "tgn",
-            Box::new(Tgn::new(
-                wikipedia(Scale::Tiny, SEED),
-                TgnConfig::default(),
-                SEED,
-            )),
+            Box::new(Tgn::new(wikipedia(Scale::Tiny, SEED), SEED)),
             InferenceConfig::default()
                 .with_batch_size(100)
                 .with_neighbors(10)
@@ -42,11 +31,7 @@ fn models() -> Vec<(&'static str, Box<dyn DgnnModel>, InferenceConfig)> {
         ),
         (
             "moldgnn",
-            Box::new(MolDgnn::new(
-                iso17(Scale::Tiny, SEED),
-                MolDgnnConfig::default(),
-                SEED,
-            )),
+            Box::new(MolDgnn::new(iso17(Scale::Tiny, SEED), SEED)),
             InferenceConfig::default()
                 .with_batch_size(32)
                 .with_max_units(2),
@@ -146,21 +131,9 @@ fn transfer_mode_is_a_pure_pricing_knob() {
 fn rebuild_pair(name: &str) -> (Box<dyn DgnnModel>, Box<dyn DgnnModel>) {
     let build = || -> Box<dyn DgnnModel> {
         match name {
-            "tgat" => Box::new(Tgat::new(
-                wikipedia(Scale::Tiny, SEED),
-                TgatConfig::default(),
-                SEED,
-            )),
-            "tgn" => Box::new(Tgn::new(
-                wikipedia(Scale::Tiny, SEED),
-                TgnConfig::default(),
-                SEED,
-            )),
-            "moldgnn" => Box::new(MolDgnn::new(
-                iso17(Scale::Tiny, SEED),
-                MolDgnnConfig::default(),
-                SEED,
-            )),
+            "tgat" => Box::new(Tgat::new(wikipedia(Scale::Tiny, SEED), SEED)),
+            "tgn" => Box::new(Tgn::new(wikipedia(Scale::Tiny, SEED), SEED)),
+            "moldgnn" => Box::new(MolDgnn::new(iso17(Scale::Tiny, SEED), SEED)),
             other => panic!("unknown model {other}"),
         }
     };

@@ -310,11 +310,11 @@ impl PoolState {
 ///
 /// ```
 /// use dgnn_datasets::{wikipedia, Scale};
-/// use dgnn_models::{InferenceConfig, Jodie, JodieConfig, ReplicaHandle};
+/// use dgnn_models::{InferenceConfig, Jodie, ReplicaHandle};
 /// use dgnn_serve::{serve_fleet, FleetConfig, ServedModel};
 ///
 /// // A prototype that is never run: every service gets a clone of it.
-/// let prototype = Jodie::new(wikipedia(Scale::Tiny, 11), JodieConfig::default(), 11);
+/// let prototype = Jodie::new(wikipedia(Scale::Tiny, 11), 11);
 /// let zoo = vec![ServedModel {
 ///     handle: ReplicaHandle::new("jodie", move || Box::new(prototype.clone())),
 ///     cfg: InferenceConfig::default().with_max_units(1),

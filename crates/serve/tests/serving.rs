@@ -4,15 +4,13 @@
 use dgnn_datasets::{wikipedia, Scale};
 use dgnn_device::{DurationNs, ExecMode, PlatformSpec};
 use dgnn_graph::WindowBatcher;
-use dgnn_models::{InferenceConfig, Jodie, JodieConfig, ReplicaHandle, Tgat, TgatConfig};
+use dgnn_models::{InferenceConfig, Jodie, ReplicaHandle, Tgat};
 use dgnn_serve::{serve, ServeConfig, ServedModel, UNBOUNDED};
 
 fn jodie_entry(weight: f64) -> ServedModel {
     let data = wikipedia(Scale::Tiny, 11);
     ServedModel {
-        handle: ReplicaHandle::new("jodie", move || {
-            Box::new(Jodie::new(data.clone(), JodieConfig::default(), 11))
-        }),
+        handle: ReplicaHandle::new("jodie", move || Box::new(Jodie::new(data.clone(), 11))),
         cfg: InferenceConfig::default()
             .with_batch_size(64)
             .with_max_units(1),
@@ -23,9 +21,7 @@ fn jodie_entry(weight: f64) -> ServedModel {
 fn tgat_entry(weight: f64) -> ServedModel {
     let data = wikipedia(Scale::Tiny, 13);
     ServedModel {
-        handle: ReplicaHandle::new("tgat", move || {
-            Box::new(Tgat::new(data.clone(), TgatConfig::default(), 13))
-        }),
+        handle: ReplicaHandle::new("tgat", move || Box::new(Tgat::new(data.clone(), 13))),
         cfg: InferenceConfig::default()
             .with_batch_size(32)
             .with_neighbors(5)

@@ -4,7 +4,7 @@
 use dgnn_datasets::{wikipedia, Scale};
 use dgnn_device::{DurationNs, ExecMode, PlatformSpec};
 use dgnn_graph::EventStream;
-use dgnn_models::{InferenceConfig, ReplicaHandle, Tgn, TgnConfig};
+use dgnn_models::{InferenceConfig, ReplicaHandle, Tgn};
 use dgnn_serve::{
     generate_ingest, serve_streaming, ServeConfig, ServedModel, StreamingConfig, StreamingOutcome,
 };
@@ -12,9 +12,7 @@ use dgnn_serve::{
 fn tgn_entry(weight: f64) -> ServedModel {
     let data = wikipedia(Scale::Tiny, 11);
     ServedModel {
-        handle: ReplicaHandle::new("tgn", move || {
-            Box::new(Tgn::new(data.clone(), TgnConfig::default(), 11))
-        }),
+        handle: ReplicaHandle::new("tgn", move || Box::new(Tgn::new(data.clone(), 11))),
         cfg: InferenceConfig::default()
             .with_batch_size(32)
             .with_neighbors(5)

@@ -80,14 +80,6 @@ impl Tensor {
         t
     }
 
-    /// Creates a 1-D tensor `[0, 1, ..., n-1]` as `f32`.
-    pub fn arange(n: usize) -> Self {
-        Tensor {
-            data: (0..n).map(|i| i as f32).collect(),
-            shape: Shape::new(&[n]),
-        }
-    }
-
     /// The tensor's shape.
     pub fn shape(&self) -> &Shape {
         &self.shape
@@ -248,7 +240,10 @@ mod tests {
 
     #[test]
     fn reshape_preserves_data() {
-        let t = Tensor::arange(6).reshape(&[2, 3]).unwrap();
+        let t = Tensor::from_vec(vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0], &[6])
+            .unwrap()
+            .reshape(&[2, 3])
+            .unwrap();
         assert_eq!(t.at(&[1, 2]).unwrap(), 5.0);
         assert!(t.reshape(&[7]).is_err());
     }

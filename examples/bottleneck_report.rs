@@ -12,9 +12,8 @@ use dgnn_suite::datasets::{
 };
 use dgnn_suite::device::{ExecMode, Executor, PlatformSpec};
 use dgnn_suite::models::{
-    Astgnn, AstgnnConfig, DgnnModel, DyRep, DyRepConfig, EvolveGcn, EvolveGcnConfig,
-    InferenceConfig, Jodie, JodieConfig, Ldg, LdgConfig, MolDgnn, MolDgnnConfig, Tgat, TgatConfig,
-    Tgn, TgnConfig,
+    Astgnn, DgnnModel, DyRep, EvolveGcn, EvolveGcnVersion, InferenceConfig, Jodie, Ldg, LdgEncoder,
+    MolDgnn, Tgat, Tgn,
 };
 use dgnn_suite::profile::InferenceProfile;
 
@@ -45,35 +44,35 @@ fn main() {
     let base = InferenceConfig::default().with_max_units(2);
 
     report(
-        &mut Jodie::new(wikipedia(scale, seed), JodieConfig::default(), seed),
+        &mut Jodie::new(wikipedia(scale, seed), seed),
         &base.clone().with_batch_size(128),
     );
     report(
-        &mut Tgn::new(wikipedia(scale, seed), TgnConfig::default(), seed),
+        &mut Tgn::new(wikipedia(scale, seed), seed),
         &base.clone().with_batch_size(512).with_neighbors(10),
     );
     report(
-        &mut EvolveGcn::new(bitcoin_alpha(scale, seed), EvolveGcnConfig::default(), seed),
+        &mut EvolveGcn::new(bitcoin_alpha(scale, seed), EvolveGcnVersion::O, seed),
         &base.clone().with_max_units(8),
     );
     report(
-        &mut Tgat::new(wikipedia(scale, seed), TgatConfig::default(), seed),
+        &mut Tgat::new(wikipedia(scale, seed), seed),
         &base.clone().with_batch_size(200).with_neighbors(20),
     );
     report(
-        &mut Astgnn::new(pems(scale, seed), AstgnnConfig::default(), seed),
+        &mut Astgnn::new(pems(scale, seed), seed),
         &base.clone().with_batch_size(8),
     );
     report(
-        &mut DyRep::new(social_evolution(scale, seed), DyRepConfig::default(), seed),
+        &mut DyRep::new(social_evolution(scale, seed), seed),
         &base.clone().with_batch_size(64),
     );
     report(
-        &mut Ldg::new(github(scale, seed), LdgConfig::default(), seed),
+        &mut Ldg::new(github(scale, seed), LdgEncoder::Bilinear, seed),
         &base.clone().with_batch_size(64),
     );
     report(
-        &mut MolDgnn::new(iso17(scale, seed), MolDgnnConfig::default(), seed),
+        &mut MolDgnn::new(iso17(scale, seed), seed),
         &base.with_batch_size(128).with_max_units(1),
     );
 }

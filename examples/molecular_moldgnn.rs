@@ -14,7 +14,7 @@ use std::collections::HashSet;
 
 use dgnn_suite::datasets::{iso17, Scale};
 use dgnn_suite::device::{ExecMode, Executor, PlatformSpec};
-use dgnn_suite::models::{DgnnModel, InferenceConfig, MolDgnn, MolDgnnConfig};
+use dgnn_suite::models::{DgnnModel, InferenceConfig, MolDgnn};
 use dgnn_suite::profile::{pipeline::delta_transfer_bytes, InferenceProfile};
 
 fn main() {
@@ -43,7 +43,7 @@ fn main() {
     println!("mean frame-to-frame bond-graph Jaccard similarity: {similarity:.3}");
 
     // Profile a batch of molecules on the simulated GPU.
-    let mut model = MolDgnn::new(data, MolDgnnConfig::default(), 11);
+    let mut model = MolDgnn::new(data, 11);
     let mut ex = Executor::new(PlatformSpec::paper_testbed(), ExecMode::Gpu);
     let cfg = InferenceConfig::default()
         .with_batch_size(512)

@@ -9,7 +9,7 @@
 
 use dgnn_suite::datasets::{wikipedia, Scale};
 use dgnn_suite::device::{ExecMode, Executor, PlatformSpec};
-use dgnn_suite::models::{DgnnModel, InferenceConfig, Tgat, TgatConfig};
+use dgnn_suite::models::{DgnnModel, InferenceConfig, Tgat};
 use dgnn_suite::profile::InferenceProfile;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
     );
 
     // 2. A model bound to it.
-    let mut model = Tgat::new(data, TgatConfig::default(), 42);
+    let mut model = Tgat::new(data, 42);
 
     // 3. A simulated platform (Xeon 6226R + A6000 + PCIe 4.0).
     let mut ex = Executor::new(PlatformSpec::paper_testbed(), ExecMode::Gpu);

@@ -10,7 +10,7 @@
 
 use dgnn_suite::datasets::{wikipedia, Scale};
 use dgnn_suite::device::{ExecMode, Executor, PlatformSpec};
-use dgnn_suite::models::{DgnnModel, InferenceConfig, Tgn, TgnConfig};
+use dgnn_suite::models::{DgnnModel, InferenceConfig, Tgn};
 use dgnn_suite::profile::InferenceProfile;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
         "batch", "gpu util", "mem (MiB)", "msg-pass share", "time"
     );
     for bs in [64usize, 256, 1_024] {
-        let mut model = Tgn::new(data.clone(), TgnConfig::default(), 5);
+        let mut model = Tgn::new(data.clone(), 5);
         let mut ex = Executor::new(PlatformSpec::paper_testbed(), ExecMode::Gpu);
         let cfg = InferenceConfig::default()
             .with_batch_size(bs)
@@ -45,7 +45,7 @@ fn main() {
     }
 
     // Show the full module breakdown for the largest batch.
-    let mut model = Tgn::new(data, TgnConfig::default(), 5);
+    let mut model = Tgn::new(data, 5);
     let mut ex = Executor::new(PlatformSpec::paper_testbed(), ExecMode::Gpu);
     let cfg = InferenceConfig::default()
         .with_batch_size(1_024)

@@ -10,7 +10,7 @@
 
 use dgnn_suite::datasets::{pems, Scale};
 use dgnn_suite::device::{DurationNs, ExecMode, Executor, PlatformSpec};
-use dgnn_suite::models::{Astgnn, AstgnnConfig, DgnnModel, InferenceConfig};
+use dgnn_suite::models::{Astgnn, DgnnModel, InferenceConfig};
 use dgnn_suite::profile::UtilizationReport;
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
             .with_max_units(2);
 
         // GPU run with a utilization timeline.
-        let mut model = Astgnn::new(data.clone(), AstgnnConfig::default(), 3);
+        let mut model = Astgnn::new(data.clone(), 3);
         let mut gpu = Executor::new(PlatformSpec::paper_testbed(), ExecMode::Gpu);
         let summary = model.run(&mut gpu, &cfg).expect("gpu inference");
         let inference = gpu
@@ -46,7 +46,7 @@ fn main() {
                 .collect();
 
         // CPU comparison.
-        let mut model = Astgnn::new(data.clone(), AstgnnConfig::default(), 3);
+        let mut model = Astgnn::new(data.clone(), 3);
         let mut cpu = Executor::new(PlatformSpec::paper_testbed(), ExecMode::CpuOnly);
         let cpu_summary = model.run(&mut cpu, &cfg).expect("cpu inference");
 

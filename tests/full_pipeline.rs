@@ -7,9 +7,8 @@ use dgnn_suite::datasets::{
 };
 use dgnn_suite::device::{DurationNs, ExecMode, Executor, PlatformSpec};
 use dgnn_suite::models::{
-    Astgnn, AstgnnConfig, DgnnModel, DyRep, DyRepConfig, EvolveGcn, EvolveGcnConfig,
-    EvolveGcnVersion, InferenceConfig, Jodie, JodieConfig, Ldg, LdgConfig, LdgEncoder, MolDgnn,
-    MolDgnnConfig, Tgat, TgatConfig, Tgn, TgnConfig,
+    Astgnn, DgnnModel, DyRep, EvolveGcn, EvolveGcnVersion, InferenceConfig, Jodie, Ldg, LdgEncoder,
+    MolDgnn, Tgat, Tgn,
 };
 use dgnn_suite::profile::InferenceProfile;
 
@@ -20,20 +19,17 @@ fn zoo() -> Vec<(Box<dyn DgnnModel>, InferenceConfig)> {
     let base = InferenceConfig::default().with_max_units(2);
     vec![
         (
-            Box::new(Jodie::new(wikipedia(s, SEED), JodieConfig::default(), SEED)) as _,
+            Box::new(Jodie::new(wikipedia(s, SEED), SEED)) as _,
             base.clone().with_batch_size(64),
         ),
         (
-            Box::new(Tgn::new(wikipedia(s, SEED), TgnConfig::default(), SEED)) as _,
+            Box::new(Tgn::new(wikipedia(s, SEED), SEED)) as _,
             base.clone().with_batch_size(128).with_neighbors(10),
         ),
         (
             Box::new(EvolveGcn::new(
                 bitcoin_alpha(s, SEED),
-                EvolveGcnConfig {
-                    hidden: 100,
-                    version: EvolveGcnVersion::O,
-                },
+                EvolveGcnVersion::O,
                 SEED,
             )) as _,
             base.clone().with_max_units(4),
@@ -41,54 +37,33 @@ fn zoo() -> Vec<(Box<dyn DgnnModel>, InferenceConfig)> {
         (
             Box::new(EvolveGcn::new(
                 bitcoin_alpha(s, SEED),
-                EvolveGcnConfig {
-                    hidden: 100,
-                    version: EvolveGcnVersion::H,
-                },
+                EvolveGcnVersion::H,
                 SEED,
             )) as _,
             base.clone().with_max_units(4),
         ),
         (
-            Box::new(Tgat::new(wikipedia(s, SEED), TgatConfig::default(), SEED)) as _,
+            Box::new(Tgat::new(wikipedia(s, SEED), SEED)) as _,
             base.clone().with_batch_size(100).with_neighbors(10),
         ),
         (
-            Box::new(Astgnn::new(pems(s, SEED), AstgnnConfig::default(), SEED)) as _,
+            Box::new(Astgnn::new(pems(s, SEED), SEED)) as _,
             base.clone().with_batch_size(4),
         ),
         (
-            Box::new(DyRep::new(
-                social_evolution(s, SEED),
-                DyRepConfig::default(),
-                SEED,
-            )) as _,
+            Box::new(DyRep::new(social_evolution(s, SEED), SEED)) as _,
             base.clone().with_batch_size(48),
         ),
         (
-            Box::new(Ldg::new(
-                github(s, SEED),
-                LdgConfig {
-                    dim: 32,
-                    encoder: LdgEncoder::Mlp,
-                },
-                SEED,
-            )) as _,
+            Box::new(Ldg::new(github(s, SEED), LdgEncoder::Mlp, SEED)) as _,
             base.clone().with_batch_size(48),
         ),
         (
-            Box::new(Ldg::new(
-                github(s, SEED),
-                LdgConfig {
-                    dim: 32,
-                    encoder: LdgEncoder::Bilinear,
-                },
-                SEED,
-            )) as _,
+            Box::new(Ldg::new(github(s, SEED), LdgEncoder::Bilinear, SEED)) as _,
             base.clone().with_batch_size(48),
         ),
         (
-            Box::new(MolDgnn::new(iso17(s, SEED), MolDgnnConfig::default(), SEED)) as _,
+            Box::new(MolDgnn::new(iso17(s, SEED), SEED)) as _,
             base.with_batch_size(32).with_max_units(1),
         ),
     ]
@@ -179,8 +154,8 @@ fn warmup_scales_with_model_size() {
     // TGAT (with its resident embedding table) has far more parameter
     // bytes than DyRep; its model init must cost more.
     let s = Scale::Tiny;
-    let big = Tgat::new(wikipedia(s, SEED), TgatConfig::default(), SEED);
-    let small = DyRep::new(social_evolution(s, SEED), DyRepConfig::default(), SEED);
+    let big = Tgat::new(wikipedia(s, SEED), SEED);
+    let small = DyRep::new(social_evolution(s, SEED), SEED);
     assert!(big.param_bytes() > 10 * small.param_bytes());
 
     let mut ex_big = Executor::new(PlatformSpec::default(), ExecMode::Gpu);

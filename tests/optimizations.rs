@@ -6,21 +6,12 @@ use dgnn_suite::datasets::{bitcoin_alpha, wikipedia, Scale};
 use dgnn_suite::models::optim::{
     delta_snapshot_evolvegcn, overlapped_sampling_tgat, pipelined_evolvegcn,
 };
-use dgnn_suite::models::{
-    EvolveGcn, EvolveGcnConfig, EvolveGcnVersion, InferenceConfig, Tgat, TgatConfig,
-};
+use dgnn_suite::models::{EvolveGcn, EvolveGcnVersion, InferenceConfig, Tgat};
 
 const SEED: u64 = 33;
 
 fn egcn(version: EvolveGcnVersion) -> EvolveGcn {
-    EvolveGcn::new(
-        bitcoin_alpha(Scale::Tiny, SEED),
-        EvolveGcnConfig {
-            hidden: 100,
-            version,
-        },
-        SEED,
-    )
+    EvolveGcn::new(bitcoin_alpha(Scale::Tiny, SEED), version, SEED)
 }
 
 #[test]
@@ -44,7 +35,7 @@ fn overlap_speedup_bounded_by_device_share() {
     let cfg = InferenceConfig::default()
         .with_batch_size(150)
         .with_max_units(4);
-    let mut m = Tgat::new(wikipedia(Scale::Tiny, SEED), TgatConfig::default(), SEED);
+    let mut m = Tgat::new(wikipedia(Scale::Tiny, SEED), SEED);
     let r = overlapped_sampling_tgat(&mut m, &cfg).expect("ablation runs");
     assert!(r.optimized < r.baseline);
     assert!(
@@ -86,7 +77,7 @@ fn profile_stays_coherent_over_overlapping_events() {
         .with_neighbors(50)
         .with_max_units(3);
     let run = |cfg: &InferenceConfig| {
-        let mut m = Tgat::new(wikipedia(Scale::Tiny, SEED), TgatConfig::default(), SEED);
+        let mut m = Tgat::new(wikipedia(Scale::Tiny, SEED), SEED);
         let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
         m.run(&mut ex, cfg).expect("tgat runs");
         InferenceProfile::capture(&ex, "inference")

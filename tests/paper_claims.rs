@@ -6,10 +6,7 @@
 
 use dgnn_suite::datasets::{iso17, social_evolution, wikipedia, Scale};
 use dgnn_suite::device::{ExecMode, Executor, PlatformSpec};
-use dgnn_suite::models::{
-    DgnnModel, DyRep, DyRepConfig, InferenceConfig, MolDgnn, MolDgnnConfig, Tgat, TgatConfig, Tgn,
-    TgnConfig,
-};
+use dgnn_suite::models::{DgnnModel, DyRep, InferenceConfig, MolDgnn, Tgat, Tgn};
 use dgnn_suite::profile::{BottleneckKind, InferenceProfile};
 
 const SEED: u64 = 21;
@@ -23,7 +20,7 @@ fn gpu_run(model: &mut dyn DgnnModel, cfg: &InferenceConfig) -> (InferenceProfil
 #[test]
 fn sec42_tgat_sampling_dominates_inference() {
     // Paper: neighborhood sampling is 83%→94% of TGAT inference time.
-    let mut m = Tgat::new(wikipedia(Scale::Tiny, SEED), TgatConfig::default(), SEED);
+    let mut m = Tgat::new(wikipedia(Scale::Tiny, SEED), SEED);
     let cfg = InferenceConfig::default()
         .with_batch_size(200)
         .with_max_units(3);
@@ -37,7 +34,7 @@ fn sec42_tgat_total_time_flat_in_batch_size() {
     // Paper Fig 8a: increasing the mini-batch size does not reduce total
     // inference time over the whole dataset (sampling is the bottleneck).
     let total_time = |bs: usize| {
-        let mut m = Tgat::new(wikipedia(Scale::Tiny, SEED), TgatConfig::default(), SEED);
+        let mut m = Tgat::new(wikipedia(Scale::Tiny, SEED), SEED);
         // Whole dataset: units large enough to cover it at every bs.
         let cfg = InferenceConfig::default()
             .with_batch_size(bs)
@@ -59,7 +56,7 @@ fn sec43_tgat_data_movement_explodes_past_k100() {
     // Paper: past ~100 sampled neighbors, transfer time grows rapidly
     // (quadratic in k).
     let pcie_time = |k: usize| {
-        let mut m = Tgat::new(wikipedia(Scale::Tiny, SEED), TgatConfig::default(), SEED);
+        let mut m = Tgat::new(wikipedia(Scale::Tiny, SEED), SEED);
         let cfg = InferenceConfig::default()
             .with_batch_size(100)
             .with_neighbors(k)
@@ -79,7 +76,7 @@ fn sec43_tgat_data_movement_explodes_past_k100() {
 fn sec43_tgn_message_passing_is_top_module_and_data_movement_flagged() {
     // Paper Fig 7a: message passing dominates TGN at large batches;
     // the data-movement bottleneck fires.
-    let mut m = Tgn::new(wikipedia(Scale::Tiny, SEED), TgnConfig::default(), SEED);
+    let mut m = Tgn::new(wikipedia(Scale::Tiny, SEED), SEED);
     let cfg = InferenceConfig::default()
         .with_batch_size(1_024)
         .with_neighbors(10)
@@ -96,7 +93,7 @@ fn sec43_tgn_message_passing_is_top_module_and_data_movement_flagged() {
 fn sec43_moldgnn_memcpy_dominates_gpu_working_time() {
     // Paper Fig 7b: memcpy is 80–90% of MolDGNN's GPU working time at
     // realistic batch sizes.
-    let mut m = MolDgnn::new(iso17(Scale::Tiny, SEED), MolDgnnConfig::default(), SEED);
+    let mut m = MolDgnn::new(iso17(Scale::Tiny, SEED), SEED);
     let cfg = InferenceConfig::default()
         .with_batch_size(512)
         .with_max_units(1);
@@ -119,11 +116,7 @@ fn sec41_dyrep_gpu_never_outperforms_cpu() {
     // batch size.
     for bs in [16usize, 64, 160] {
         let time = |mode| {
-            let mut m = DyRep::new(
-                social_evolution(Scale::Tiny, SEED),
-                DyRepConfig::default(),
-                SEED,
-            );
+            let mut m = DyRep::new(social_evolution(Scale::Tiny, SEED), SEED);
             let mut ex = Executor::new(PlatformSpec::default(), mode);
             let cfg = InferenceConfig::default()
                 .with_batch_size(bs)
@@ -140,7 +133,7 @@ fn sec41_dyrep_gpu_never_outperforms_cpu() {
 #[test]
 fn sec44_one_time_warmup_is_tens_of_batches() {
     // Paper: GPU warm-up ≈ 86× one TGAT mini-batch.
-    let mut m = Tgat::new(wikipedia(Scale::Tiny, SEED), TgatConfig::default(), SEED);
+    let mut m = Tgat::new(wikipedia(Scale::Tiny, SEED), SEED);
     let cfg = InferenceConfig::default()
         .with_batch_size(200)
         .with_max_units(4);
@@ -159,7 +152,7 @@ fn sec44_batch_warmup_share_grows_with_batch_size() {
     // Paper Table 2: for a fixed workload, warm-up share of GPU working
     // time grows with batch size.
     let share = |bs: usize| {
-        let mut m = Tgn::new(wikipedia(Scale::Tiny, SEED), TgnConfig::default(), SEED);
+        let mut m = Tgn::new(wikipedia(Scale::Tiny, SEED), SEED);
         let units = (2_048 / bs).max(1);
         let cfg = InferenceConfig::default()
             .with_batch_size(bs)
@@ -180,7 +173,7 @@ fn sec41_utilization_ordering_matches_paper() {
     let util = |name: &str| -> f64 {
         let (p, _) = match name {
             "tgat" => {
-                let mut m = Tgat::new(wikipedia(Scale::Tiny, SEED), TgatConfig::default(), SEED);
+                let mut m = Tgat::new(wikipedia(Scale::Tiny, SEED), SEED);
                 gpu_run(
                     &mut m,
                     &InferenceConfig::default()
@@ -189,11 +182,7 @@ fn sec41_utilization_ordering_matches_paper() {
                 )
             }
             "dyrep" => {
-                let mut m = DyRep::new(
-                    social_evolution(Scale::Tiny, SEED),
-                    DyRepConfig::default(),
-                    SEED,
-                );
+                let mut m = DyRep::new(social_evolution(Scale::Tiny, SEED), SEED);
                 gpu_run(
                     &mut m,
                     &InferenceConfig::default()
@@ -202,7 +191,7 @@ fn sec41_utilization_ordering_matches_paper() {
                 )
             }
             _ => {
-                let mut m = MolDgnn::new(iso17(Scale::Tiny, SEED), MolDgnnConfig::default(), SEED);
+                let mut m = MolDgnn::new(iso17(Scale::Tiny, SEED), SEED);
                 gpu_run(
                     &mut m,
                     &InferenceConfig::default()

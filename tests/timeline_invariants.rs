@@ -7,9 +7,7 @@
 
 use dgnn_suite::datasets::{iso17, wikipedia, Scale};
 use dgnn_suite::device::{ExecMode, Executor, PlatformSpec};
-use dgnn_suite::models::{
-    DgnnModel, InferenceConfig, MolDgnn, MolDgnnConfig, Tgat, TgatConfig, Tgn, TgnConfig,
-};
+use dgnn_suite::models::{DgnnModel, InferenceConfig, MolDgnn, Tgat, Tgn};
 
 const SEED: u64 = 13;
 
@@ -17,27 +15,15 @@ fn zoo() -> Vec<(Box<dyn DgnnModel>, InferenceConfig)> {
     let base = InferenceConfig::default().with_max_units(2);
     vec![
         (
-            Box::new(Tgat::new(
-                wikipedia(Scale::Tiny, SEED),
-                TgatConfig::default(),
-                SEED,
-            )) as _,
+            Box::new(Tgat::new(wikipedia(Scale::Tiny, SEED), SEED)) as _,
             base.clone().with_batch_size(100).with_neighbors(10),
         ),
         (
-            Box::new(Tgn::new(
-                wikipedia(Scale::Tiny, SEED),
-                TgnConfig::default(),
-                SEED,
-            )) as _,
+            Box::new(Tgn::new(wikipedia(Scale::Tiny, SEED), SEED)) as _,
             base.clone().with_batch_size(128).with_neighbors(10),
         ),
         (
-            Box::new(MolDgnn::new(
-                iso17(Scale::Tiny, SEED),
-                MolDgnnConfig::default(),
-                SEED,
-            )) as _,
+            Box::new(MolDgnn::new(iso17(Scale::Tiny, SEED), SEED)) as _,
             base.with_batch_size(32),
         ),
     ]
