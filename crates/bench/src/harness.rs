@@ -1,78 +1,17 @@
-//! Minimal self-timed benchmark harness.
+//! The workspace's one wall-clock read.
 //!
-//! The `[[bench]]` targets run with `harness = false`, so each bench
-//! binary drives this runner directly: no external benchmarking crate
-//! is needed and `cargo bench` works offline. Measurements are real
-//! wall-clock (not simulated time) so regressions in the reproduction
-//! infrastructure itself stay visible.
+//! Every number the experiment binaries print comes from the simulated
+//! clock. Host wall time is measured only by the `perfbench` benchmark,
+//! which times its runs and layers through [`walltime`].
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The one sanctioned wall-clock read in the workspace.
 ///
-/// Every other crate simulates time; bench binaries that need real
-/// timings route them through here so `dgnn-lint`'s LINT2 allowlist
-/// stays a single file. Wall time is **report-only**: it is printed
-/// next to results and never feeds back into simulated pricing,
+/// Every other crate simulates time; host timings route through here so
+/// `dgnn-lint`'s LINT2 allowlist stays a single file. Wall time is
+/// **report-only**: it never feeds back into simulated pricing,
 /// sampling or any other decision path.
 pub fn walltime() -> Instant {
     Instant::now()
-}
-
-/// Runs `f` for `samples` timed iterations (after one untimed warm-up)
-/// and prints mean/min/max wall-clock per iteration.
-pub fn bench<T>(name: &str, samples: usize, mut f: impl FnMut() -> T) {
-    std::hint::black_box(f());
-    let mut times: Vec<Duration> = Vec::with_capacity(samples);
-    for _ in 0..samples.max(1) {
-        let t0 = walltime();
-        std::hint::black_box(f());
-        times.push(t0.elapsed());
-    }
-    let total: Duration = times.iter().sum();
-    #[expect(clippy::cast_possible_truncation, reason = "sample counts are tiny")]
-    let mean = total / times.len() as u32;
-    let min = times.iter().min().copied().unwrap_or_default();
-    let max = times.iter().max().copied().unwrap_or_default();
-    println!(
-        "{name:<40} mean {:>12} min {:>12} max {:>12} ({} samples)",
-        fmt(mean),
-        fmt(min),
-        fmt(max),
-        times.len()
-    );
-}
-
-fn fmt(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns < 10_000 {
-        format!("{ns} ns")
-    } else if ns < 10_000_000 {
-        format!("{:.2} µs", ns as f64 / 1e3)
-    } else if ns < 10_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.2} s", ns as f64 / 1e9)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_runs_the_closure() {
-        let mut count = 0usize;
-        bench("noop", 3, || count += 1);
-        // One warm-up + three samples.
-        assert_eq!(count, 4);
-    }
-
-    #[test]
-    fn fmt_picks_sensible_units() {
-        assert!(fmt(Duration::from_nanos(120)).ends_with("ns"));
-        assert!(fmt(Duration::from_micros(120)).ends_with("µs"));
-        assert!(fmt(Duration::from_millis(120)).ends_with("ms"));
-        assert!(fmt(Duration::from_secs(12)).ends_with(" s"));
-    }
 }

@@ -24,7 +24,7 @@
 //!
 //! | Extension | Binary |
 //! |---|---|
-//! | Sampling engine throughput     | `sampling_throughput` |
+//! | Parallel sampling vs CPU cores | `sampling_throughput` |
 //! | Pipeline overlap / coalescing  | `pipeline_overlap` |
 //! | Parameter sensitivity          | `sensitivity_sweep` |
 //! | Streaming ingest vs queries    | `streaming_ingest` |

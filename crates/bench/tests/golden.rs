@@ -1,10 +1,10 @@
 //! Smoke-scale golden outputs of the paper-figure, transfer and
 //! sanitizer binaries.
 //!
-//! Each test runs one bin at smoke scale — the paper-figure bins at
-//! `--scale tiny --seed 1`, the transfer bins (`pipeline_overlap`,
-//! `feature_cache`, `multi_gpu`) at `--smoke`, `sanitize` at `--scale
-//! tiny --mode serial` — and compares its stdout
+//! Each test runs one bin at smoke scale — the paper-figure bins and
+//! `sampling_throughput` at `--scale tiny --seed 1`, the transfer bins
+//! (`pipeline_overlap`, `feature_cache`, `multi_gpu`) at `--smoke`,
+//! `sanitize` at `--scale tiny --mode serial` — and compares its stdout
 //! byte for byte with the file under `tests/golden/`. Every number
 //! those bins print comes from the simulated clock, so a change that
 //! moves any priced time, share, checksum or table row fails here; the
@@ -18,7 +18,7 @@
 
 use std::process::Command;
 
-/// The paper-figure bins' smoke arguments.
+/// The paper-figure bins' and `sampling_throughput`'s smoke arguments.
 const TINY: [&str; 4] = ["--scale", "tiny", "--seed", "1"];
 
 fn check(bin: &str, args: &[&str], golden: &str) {
@@ -101,6 +101,15 @@ fn ablation_optimizations() {
         env!("CARGO_BIN_EXE_ablation_optimizations"),
         &TINY,
         include_str!("golden/ablation_optimizations.txt"),
+    );
+}
+
+#[test]
+fn sampling_throughput() {
+    check(
+        env!("CARGO_BIN_EXE_sampling_throughput"),
+        &TINY,
+        include_str!("golden/sampling_throughput.txt"),
     );
 }
 

@@ -255,11 +255,6 @@ impl Executor {
         }
     }
 
-    /// Whether provenance tracing is on.
-    pub fn tracing_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// The causal provenance log collected so far (`None` while tracing
     /// is off).
     pub fn trace(&self) -> Option<&ExecTrace> {
@@ -567,8 +562,9 @@ impl Executor {
 
     /// Runs `f` with every priced action attributed to GPU `device`:
     /// timeline events carry the device tag, lane-placed work advances
-    /// that device's lane clocks, kernels price against that device's
-    /// spec, and feature-cache probes hit its shard-local cache.
+    /// that device's lane clocks, and feature-cache probes hit its
+    /// shard-local cache. Kernels price against [`PlatformSpec::gpu`]
+    /// on every device.
     /// Nesting is allowed; the innermost device wins. Device 0 with no
     /// fork is exactly the historical engine.
     ///
@@ -791,28 +787,6 @@ impl Executor {
         d
     }
 
-    /// Whether the (simulated) CUDA context has already been
-    /// initialized — `true` from construction in CPU-only mode, and
-    /// after the first GPU activity otherwise.
-    ///
-    /// A serving layer uses this to distinguish a *warm session* (an
-    /// executor reused across requests, context and weights already
-    /// paid for) from a *cold start* that will pay
-    /// [`Executor::ensure_context`] and [`Executor::model_init`] on its
-    /// first priced action:
-    ///
-    /// ```
-    /// use dgnn_device::{ExecMode, Executor, OpDescriptor, PlatformSpec};
-    ///
-    /// let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
-    /// assert!(!ex.context_ready()); // cold: first launch pays init
-    /// ex.launch(OpDescriptor::gemm("k", 8, 8, 8));
-    /// assert!(ex.context_ready()); // warm: reuse amortizes the cost
-    /// ```
-    pub fn context_ready(&self) -> bool {
-        self.context_ready
-    }
-
     /// Performs model initialization: allocates and uploads `weight_bytes`
     /// of parameters in `n_param_tensors` tensors. On the GPU this is the
     /// expensive warm-up component of Section 4.4; on the CPU it is a
@@ -887,7 +861,7 @@ impl Executor {
     }
 
     fn gpu_kernel_duration(&self, desc: &OpDescriptor) -> (DurationNs, f64) {
-        let g = self.spec.gpu_spec(self.current_device);
+        let g = &self.spec.gpu;
         let occupancy = (desc.parallelism as f64 / g.saturation_width as f64)
             .clamp(1.0 / g.sm_count as f64, 1.0);
         let compute_s = desc.flops as f64 / (g.peak_flops * g.kernel_efficiency * occupancy);
@@ -1430,7 +1404,7 @@ mod tests {
         let mut ex = gpu_executor();
         ex.ensure_context();
         ex.enable_tracing();
-        assert!(ex.tracing_enabled());
+        assert!(ex.trace().is_some());
         ex.fork_streams();
         let up = ex.on_stream(StreamId::Copy, |ex| {
             ex.transfer(TransferDir::H2D, 4096);
@@ -1472,7 +1446,6 @@ mod tests {
         let mut ex = gpu_executor();
         ex.launch(OpDescriptor::gemm("k", 32, 32, 32));
         ex.transfer(TransferDir::H2D, 1024);
-        assert!(!ex.tracing_enabled());
         assert!(ex.trace().is_none());
     }
 

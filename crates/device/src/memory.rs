@@ -8,7 +8,6 @@
 pub struct MemoryTracker {
     live: u64,
     peak: u64,
-    alloc_count: u64,
 }
 
 impl MemoryTracker {
@@ -21,7 +20,6 @@ impl MemoryTracker {
     pub fn alloc(&mut self, bytes: u64) {
         self.live += bytes;
         self.peak = self.peak.max(self.live);
-        self.alloc_count += 1;
     }
 
     /// Records a free of `bytes`, saturating at zero (frees of untracked
@@ -40,11 +38,6 @@ impl MemoryTracker {
     pub fn peak_bytes(&self) -> u64 {
         self.peak
     }
-
-    /// Number of allocations performed.
-    pub fn alloc_count(&self) -> u64 {
-        self.alloc_count
-    }
 }
 
 #[cfg(test)]
@@ -60,7 +53,6 @@ mod tests {
         m.alloc(10);
         assert_eq!(m.live_bytes(), 40);
         assert_eq!(m.peak_bytes(), 150);
-        assert_eq!(m.alloc_count(), 3);
     }
 
     #[test]

@@ -177,8 +177,10 @@ impl TransferMode {
     }
 }
 
-/// Index of a GPU in the platform's device graph. Device 0 is
-/// [`PlatformSpec::gpu`]; devices 1..N are [`PlatformSpec::extra_gpus`].
+/// Index of a GPU in the platform's device graph, `0..n_gpus()`. Device
+/// 0 is the historical single GPU and devices 1..N are the
+/// [`PlatformSpec::extra_gpus`]; every device is priced against
+/// [`PlatformSpec::gpu`].
 pub type DeviceId = usize;
 
 /// One directed interconnect edge between two GPUs (NVLink-class when
@@ -215,27 +217,26 @@ pub enum PeerPath {
 
 /// Complete platform: CPU + GPU(s) + interconnect graph.
 ///
-/// The historical single-GPU shape is the default: `extra_gpus` and
-/// `peer_links` are empty, so `PlatformSpec::default()` — and every
-/// serialized comparison against it — is unchanged. Each GPU owns an
-/// identical host PCIe link (`pcie`), so host↔device traffic to
-/// different devices proceeds in parallel.
+/// The historical single-GPU shape is the default: no extra GPUs and no
+/// peer link, so `PlatformSpec::default()` — and every serialized
+/// comparison against it — is unchanged. Every GPU is an identical
+/// `gpu` and owns an identical host PCIe link (`pcie`), so host↔device
+/// traffic to different devices proceeds in parallel.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PlatformSpec {
     /// The host CPU.
     pub cpu: CpuSpec,
-    /// The accelerator (device 0).
+    /// The accelerator (replicated per device).
     pub gpu: GpuSpec,
     /// The CPU↔GPU link (replicated per device).
     pub pcie: PcieSpec,
-    /// Additional accelerators: device `d` (d ≥ 1) is `extra_gpus[d-1]`.
-    /// Empty for the historical single-GPU platform.
-    pub extra_gpus: Vec<GpuSpec>,
-    /// Directed peer-link adjacency over GPUs: `peer_links[src][dst]` is
-    /// the direct edge from device `src` to device `dst`, `None` when
-    /// peer traffic must bounce through the host. May be empty (or
-    /// ragged) — missing entries mean "no direct edge".
-    pub peer_links: Vec<Vec<Option<LinkSpec>>>,
+    /// Number of GPUs beside device 0, each identical to `gpu`. Zero for
+    /// the historical single-GPU platform.
+    pub extra_gpus: usize,
+    /// The direct edge between every ordered pair of distinct devices (an
+    /// NVLink clique), or `None` when all peer traffic bounces through
+    /// the host.
+    pub peer_link: Option<LinkSpec>,
 }
 
 impl PlatformSpec {
@@ -252,19 +253,10 @@ impl PlatformSpec {
     ///
     /// Panics when `n == 0`.
     pub fn multi_gpu_nvlink(n: usize) -> Self {
-        assert!(n > 0, "a platform needs at least one GPU");
-        let mut spec = PlatformSpec {
-            extra_gpus: vec![GpuSpec::default(); n - 1],
-            ..PlatformSpec::default()
-        };
-        spec.peer_links = (0..n)
-            .map(|src| {
-                (0..n)
-                    .map(|dst| (src != dst).then(LinkSpec::nvlink))
-                    .collect()
-            })
-            .collect();
-        spec
+        PlatformSpec {
+            peer_link: Some(LinkSpec::nvlink()),
+            ..PlatformSpec::multi_gpu_pcie(n)
+        }
     }
 
     /// An `n`-GPU box of testbed-class devices with no peer links: every
@@ -276,41 +268,23 @@ impl PlatformSpec {
     pub fn multi_gpu_pcie(n: usize) -> Self {
         assert!(n > 0, "a platform needs at least one GPU");
         PlatformSpec {
-            extra_gpus: vec![GpuSpec::default(); n - 1],
+            extra_gpus: n - 1,
             ..PlatformSpec::default()
         }
     }
 
     /// Number of GPUs in the device graph (≥ 1).
     pub fn n_gpus(&self) -> usize {
-        1 + self.extra_gpus.len()
+        1 + self.extra_gpus
     }
 
-    /// The spec of GPU `device`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `device >= n_gpus()`.
-    pub fn gpu_spec(&self, device: DeviceId) -> &GpuSpec {
-        if device == 0 {
-            &self.gpu
-        } else {
-            &self.extra_gpus[device - 1]
-        }
-    }
-
-    /// How a transfer from `src` to `dst` is routed: the direct peer
-    /// edge when the adjacency has one, a host-staged bounce otherwise.
+    /// How a transfer from `src` to `dst` is routed: the peer link
+    /// between two distinct devices when the platform has one, a
+    /// host-staged bounce otherwise.
     pub fn peer_path(&self, src: DeviceId, dst: DeviceId) -> PeerPath {
-        match self
-            .peer_links
-            .get(src)
-            .and_then(|row| row.get(dst))
-            .copied()
-            .flatten()
-        {
-            Some(link) => PeerPath::Direct(link),
-            None => PeerPath::HostStaged,
+        match self.peer_link {
+            Some(link) if src != dst => PeerPath::Direct(link),
+            _ => PeerPath::HostStaged,
         }
     }
 }
@@ -351,10 +325,9 @@ mod tests {
     fn default_platform_is_a_single_gpu_graph() {
         let p = PlatformSpec::default();
         assert_eq!(p.n_gpus(), 1);
-        assert_eq!(p.gpu_spec(0), &p.gpu);
         assert_eq!(p.peer_path(0, 0), PeerPath::HostStaged);
         // The device graph is invisible to the historical constructors.
-        assert_eq!(PlatformSpec::multi_gpu_nvlink(1).extra_gpus.len(), 0);
+        assert_eq!(PlatformSpec::multi_gpu_nvlink(1).n_gpus(), 1);
         assert_eq!(PlatformSpec::multi_gpu_pcie(1), PlatformSpec::default());
     }
 
@@ -384,8 +357,5 @@ mod tests {
         assert_eq!(p.n_gpus(), 4);
         assert_eq!(p.peer_path(0, 3), PeerPath::HostStaged);
         assert_eq!(p.peer_path(2, 1), PeerPath::HostStaged);
-        for d in 0..4 {
-            assert_eq!(p.gpu_spec(d), &GpuSpec::default());
-        }
     }
 }

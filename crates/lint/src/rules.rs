@@ -39,9 +39,9 @@ use std::fmt;
 /// order; hash iteration there is a determinism hazard (LINT1).
 pub const DECISION_PATH_CRATES: [&str; 4] = ["serve", "device", "dyngraph", "models"];
 
-/// Files allowed to read the wall clock (LINT2): the self-timed bench
-/// harness, whose measurements are report-only and never feed simulated
-/// pricing. Paths are workspace-relative.
+/// Files allowed to read the wall clock (LINT2): the bench crate's
+/// `harness` module, whose measurements are report-only and never feed
+/// simulated pricing. Paths are workspace-relative.
 pub const WALLCLOCK_ALLOWLIST: [&str; 1] = ["crates/bench/src/harness.rs"];
 
 /// The five static rule classes `dgnn-lint` checks.

@@ -79,11 +79,6 @@ impl EvolveGcn {
         }
     }
 
-    /// The variant being run.
-    pub fn version(&self) -> EvolveGcnVersion {
-        self.version
-    }
-
     fn modules(&self) -> Vec<&dyn Module> {
         vec![&self.weight_rnn, &self.gcn1, &self.gcn2, &self.topk_scorer]
     }

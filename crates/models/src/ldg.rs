@@ -66,11 +66,6 @@ impl Ldg {
         }
     }
 
-    /// The configured encoder variant.
-    pub fn encoder(&self) -> LdgEncoder {
-        self.encoder
-    }
-
     fn modules(&self) -> Vec<&dyn Module> {
         vec![
             &self.embeddings,

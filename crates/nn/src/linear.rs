@@ -84,11 +84,6 @@ impl Mlp {
         Mlp { layers }
     }
 
-    /// Number of linear layers.
-    pub fn depth(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Forward pass `[m, in] → [m, out]` with ReLU after every layer but
     /// the last.
     ///
@@ -169,7 +164,6 @@ mod tests {
     fn mlp_depth_and_forward() {
         let mut rng = TensorRng::seed(4);
         let mlp = Mlp::new(&[8, 16, 4], &mut rng);
-        assert_eq!(mlp.depth(), 2);
         assert_eq!(mlp.param_tensor_count(), 4);
         let mut ex = executor();
         let mut dx = Dispatcher::new(&mut ex);

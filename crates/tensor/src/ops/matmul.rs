@@ -88,97 +88,6 @@ impl Tensor {
         Tensor::from_vec(out, &[m, n])
     }
 
-    /// Matrix–vector product: `[m, k] × [k] → [m]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors analogous to [`Tensor::matmul`].
-    pub fn matvec(&self, rhs: &Tensor) -> Result<Tensor> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                op: "matvec",
-                expected: 2,
-                actual: self.rank(),
-            });
-        }
-        if rhs.rank() != 1 {
-            return Err(TensorError::RankMismatch {
-                op: "matvec",
-                expected: 1,
-                actual: rhs.rank(),
-            });
-        }
-        let (m, k) = (self.dims()[0], self.dims()[1]);
-        if rhs.dims()[0] != k {
-            return Err(TensorError::ShapeMismatch {
-                op: "matvec",
-                lhs: self.dims().to_vec(),
-                rhs: rhs.dims().to_vec(),
-            });
-        }
-        let a = self.as_slice();
-        let x = rhs.as_slice();
-        let mut out = vec![0.0f32; m];
-        for i in 0..m {
-            let row = &a[i * k..(i + 1) * k];
-            out[i] = row.iter().zip(x).map(|(av, xv)| av * xv).sum();
-        }
-        Tensor::from_vec(out, &[m])
-    }
-
-    /// Batched matrix product of two rank-3 tensors:
-    /// `[b, m, k] × [b, k, n] → [b, m, n]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors when ranks are not 3, batch dimensions differ,
-    /// or inner dimensions disagree.
-    pub fn bmm(&self, rhs: &Tensor) -> Result<Tensor> {
-        if self.rank() != 3 {
-            return Err(TensorError::RankMismatch {
-                op: "bmm",
-                expected: 3,
-                actual: self.rank(),
-            });
-        }
-        if rhs.rank() != 3 {
-            return Err(TensorError::RankMismatch {
-                op: "bmm",
-                expected: 3,
-                actual: rhs.rank(),
-            });
-        }
-        let (b, m, k) = (self.dims()[0], self.dims()[1], self.dims()[2]);
-        let (b2, k2, n) = (rhs.dims()[0], rhs.dims()[1], rhs.dims()[2]);
-        if b != b2 || k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                op: "bmm",
-                lhs: self.dims().to_vec(),
-                rhs: rhs.dims().to_vec(),
-            });
-        }
-        let mut out = vec![0.0f32; b * m * n];
-        let a = self.as_slice();
-        let bb = rhs.as_slice();
-        for batch in 0..b {
-            let aoff = batch * m * k;
-            let boff = batch * k * n;
-            let ooff = batch * m * n;
-            for i in 0..m {
-                for kk in 0..k {
-                    let aik = a[aoff + i * k + kk];
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    for j in 0..n {
-                        out[ooff + i * n + j] += aik * bb[boff + kk * n + j];
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(out, &[b, m, n])
-    }
-
     /// Outer product of two rank-1 tensors: `[m] × [n] → [m, n]`.
     ///
     /// # Errors
@@ -279,23 +188,6 @@ mod tests {
         let b = Tensor::zeros(&[4, 2]);
         assert!(a.matmul(&b).is_err());
         assert!(a.matmul(&Tensor::zeros(&[3])).is_err());
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-        let x = Tensor::from_vec(vec![1.0, -1.0, 2.0], &[3]).unwrap();
-        let y = a.matvec(&x).unwrap();
-        let via_mm = a.matmul(&x.reshape(&[3, 1]).unwrap()).unwrap();
-        assert_eq!(y.as_slice(), via_mm.as_slice());
-    }
-
-    #[test]
-    fn bmm_batches_independently() {
-        let a = Tensor::from_vec((0..8).map(|v| v as f32).collect(), &[2, 2, 2]).unwrap();
-        let id =
-            Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0], &[2, 2, 2]).unwrap();
-        a.bmm(&id).unwrap().assert_close(&a, 1e-6);
     }
 
     #[test]
