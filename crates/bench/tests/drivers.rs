@@ -12,12 +12,19 @@
 //! fails here and prints the new digest of every cell in the row. Two
 //! tests cover the whole zoo: one pins every kernel event's fields on
 //! the GPU and the CPU, and one checks that every model honors the
-//! configured transfer mode.
+//! configured transfer mode. A last test pins every provenance trace
+//! record the zoo and a streaming ingest session log.
 
-use dgnn_bench::{build_model, default_config, MODEL_NAMES};
-use dgnn_datasets::Scale;
-use dgnn_device::{EventCategory, ExecMode, Executor, PlatformSpec, TransferDir, TransferMode};
+use std::collections::HashMap;
+
+use dgnn_bench::{build_model, default_config, served_zoo, MODEL_NAMES};
+use dgnn_datasets::{wikipedia, Scale};
+use dgnn_device::{
+    DurationNs, EventCategory, ExecMode, ExecTrace, Executor, PlatformSpec, TraceRecord,
+    TransferDir, TransferMode,
+};
 use dgnn_models::{InferenceConfig, TransferGranularity};
+use dgnn_serve::{serve_streaming, ServeConfig, StreamingConfig};
 
 const SEED: u64 = 5;
 
@@ -411,4 +418,106 @@ fn pageable_host_memory_is_slower_for_every_model() {
             "{name}: pageable {pageable:?} must cost more than pinned {pinned:?}"
         );
     }
+}
+
+/// Folds every record of `trace` into `d`: its variant and fields, in
+/// program order. Tensor ids are renumbered by first appearance, since
+/// their values come from a process-wide counter that other tests in
+/// this process also draw from.
+fn trace_digest(d: &mut Digest, trace: &ExecTrace) {
+    let mut ids: HashMap<u64, u64> = HashMap::new();
+    for r in trace.records() {
+        let mut r = r.clone();
+        if let TraceRecord::Access { tensor, .. }
+        | TraceRecord::Release { tensor, .. }
+        | TraceRecord::Crossing {
+            tensor: Some(tensor),
+            ..
+        } = &mut r
+        {
+            let next = ids.len() as u64;
+            *tensor = *ids.entry(*tensor).or_insert(next);
+        }
+        d.text(&format!("{r:?}"));
+    }
+}
+
+#[test]
+fn trace_records_of_every_model() {
+    // Every model traced under GPU serial, overlap with coalescing, the
+    // cache and the CPU; the sharded drivers also at four shards on each
+    // interconnect with overlap and coalescing. Then one streaming ingest
+    // session, which logs the graph appends and samples.
+    let mut got = Vec::new();
+    for &name in MODEL_NAMES {
+        let b = base(name);
+        let gpu = PlatformSpec::default();
+        let mut cells = vec![
+            (gpu.clone(), ExecMode::Gpu, b.clone()),
+            (gpu.clone(), ExecMode::Gpu, overlap_coalesced(b.clone())),
+            (
+                gpu.clone(),
+                ExecMode::Gpu,
+                b.clone().with_feature_cache(CACHE_ROWS),
+            ),
+            (gpu, ExecMode::CpuOnly, b.clone()),
+        ];
+        if ["tgn", "tgat", "moldgnn", "evolvegcn_o", "evolvegcn_h"].contains(&name) {
+            for spec in [
+                PlatformSpec::multi_gpu_nvlink(4),
+                PlatformSpec::multi_gpu_pcie(4),
+            ] {
+                cells.push((
+                    spec,
+                    ExecMode::Gpu,
+                    overlap_coalesced(b.clone().with_shards(4)),
+                ));
+            }
+        }
+        let mut d = Digest::new();
+        for (spec, mode, cfg) in cells {
+            let mut model = build_model(name, Scale::Tiny, SEED);
+            let mut ex = Executor::new(spec, mode);
+            ex.enable_tracing();
+            model
+                .run(&mut ex, &cfg)
+                .unwrap_or_else(|e| panic!("{name} inference failed: {e}"));
+            trace_digest(&mut d, ex.trace().expect("tracing is on"));
+        }
+        got.push((name, d.0));
+    }
+    let cfg = ServeConfig {
+        seed: 1,
+        n_requests: 6,
+        arrival_rate_rps: 2.0,
+        batch_window: DurationNs::from_millis(2),
+        pool_size: 1,
+        trace: true,
+        ..ServeConfig::default()
+    };
+    let mut scfg = StreamingConfig::new(wikipedia(Scale::Tiny, SEED).stream);
+    scfg.compaction_threshold = 64;
+    scfg.ingest_rate_eps = 20.0;
+    let out = serve_streaming(&cfg, &scfg, &served_zoo(&["tgn"], Scale::Tiny, SEED));
+    let ingest = out.ingest_session.trace().expect("tracing is on");
+    assert!(ingest
+        .records()
+        .iter()
+        .any(|r| matches!(r, TraceRecord::GraphAppend { .. })));
+    assert!(ingest
+        .records()
+        .iter()
+        .any(|r| matches!(r, TraceRecord::GraphSample { .. })));
+    let mut d = Digest::new();
+    trace_digest(&mut d, ingest);
+    got.push(("ingest", d.0));
+    let mut all = Digest::new();
+    for &(_, w) in &got {
+        all.word(w);
+    }
+    assert_eq!(
+        all.0, 0x6f78_9a66_2d2b_988e,
+        "trace records moved; digest {:#018x}, per run {got:#018x?}",
+        all.0
+    );
 }
