@@ -40,7 +40,7 @@ mod report;
 mod rules;
 
 pub use report::{Hazard, HazardRule, SanitizeStats, SanitizerReport};
-pub use rules::{sanitize, BusyClaim, SanitizeOptions};
+pub use rules::{sanitize, BusyClaim};
 
 use dgnn_device::{DurationNs, Executor};
 
@@ -69,9 +69,5 @@ pub fn audit(ex: &Executor) -> SanitizerReport {
         win_end: span_end,
         fraction: timeline.gpu_busy_fraction(DurationNs::ZERO, span_end),
     };
-    let opts = SanitizeOptions {
-        busy_claim: Some(claim),
-        ..SanitizeOptions::default()
-    };
-    sanitize(timeline, trace, &opts)
+    sanitize(timeline, trace, Some(&claim))
 }

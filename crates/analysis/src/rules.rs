@@ -50,23 +50,8 @@ pub struct BusyClaim {
     pub fraction: f64,
 }
 
-/// Sanitizer configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SanitizeOptions {
-    /// Optional busy-fraction claim to verify (RULE6).
-    pub busy_claim: Option<BusyClaim>,
-    /// Absolute tolerance for RULE6 fraction comparison.
-    pub epsilon: f64,
-}
-
-impl Default for SanitizeOptions {
-    fn default() -> Self {
-        SanitizeOptions {
-            busy_claim: None,
-            epsilon: 1e-9,
-        }
-    }
-}
+/// Absolute tolerance of RULE6's fraction comparison.
+const BUSY_EPSILON: f64 = 1e-9;
 
 fn dir_index(dir: TransferDir) -> usize {
     match dir {
@@ -1053,13 +1038,13 @@ impl<'a> Sanitizer<'a> {
     /// RULE6: verify a claimed busy fraction against an independently
     /// computed interval union (boundary sweep, a different algorithm
     /// from [`Timeline::gpu_busy_fraction`]'s sorted-interval merge).
-    fn check_busy_claim(&mut self, claim: &BusyClaim, epsilon: f64) {
+    fn check_busy_claim(&mut self, claim: &BusyClaim) {
         if !(0.0..=1.0).contains(&claim.fraction) {
             let msg = format!("claimed busy fraction {} is outside [0, 1]", claim.fraction);
             self.hazard(HazardRule::BusyFraction, msg, vec![], vec![], vec![], None);
         }
         let reference = reference_busy_fraction(self.timeline, claim.win_start, claim.win_end);
-        if (claim.fraction - reference).abs() > epsilon {
+        if (claim.fraction - reference).abs() > BUSY_EPSILON {
             let msg = format!(
                 "claimed busy fraction {:.9} disagrees with the interval-union \
                  reference {:.9} over [{}, {}) ns — per-event sums double-count \
@@ -1114,18 +1099,22 @@ fn reference_busy_fraction(timeline: &Timeline, win_start: DurationNs, win_end: 
 /// A clean report means: every device read is ordered after its defining
 /// transfer, no buffer is used after download/release, all conflicting
 /// cross-lane accesses are event-ordered, clocks are monotone, staged
-/// bytes are conserved, (when a claim is supplied) the busy fraction is
-/// consistent with the timeline, every streaming-graph sample reads
+/// bytes are conserved, (when `busy_claim` is supplied) the claimed busy
+/// fraction is consistent with the timeline (RULE6), every
+/// streaming-graph sample reads
 /// only append prefixes whose ingest work completed before the read,
 /// and every cross-device fetch is priced on exactly one interconnect
 /// edge (RULE8).
-pub fn sanitize(timeline: &Timeline, trace: &ExecTrace, opts: &SanitizeOptions) -> SanitizerReport {
+pub fn sanitize(
+    timeline: &Timeline,
+    trace: &ExecTrace,
+    busy_claim: Option<&BusyClaim>,
+) -> SanitizerReport {
     let mut s = Sanitizer::new(timeline);
     s.replay(trace);
     s.check_timeline();
-    if let Some(claim) = &opts.busy_claim {
-        let claim = *claim;
-        s.check_busy_claim(&claim, opts.epsilon);
+    if let Some(claim) = busy_claim {
+        s.check_busy_claim(claim);
     }
     let stats = SanitizeStats {
         trace_records: trace.len(),
@@ -1154,11 +1143,7 @@ mod tests {
 
     #[test]
     fn empty_trace_and_timeline_are_clean() {
-        let report = sanitize(
-            &Timeline::new(),
-            &ExecTrace::new(),
-            &SanitizeOptions::default(),
-        );
+        let report = sanitize(&Timeline::new(), &ExecTrace::new(), None);
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.stats.trace_records, 0);
     }
@@ -1202,7 +1187,7 @@ mod tests {
             lane: None,
             event: 0,
         });
-        let report = sanitize(&tl, &trace, &SanitizeOptions::default());
+        let report = sanitize(&tl, &trace, None);
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.stats.tensors, 1);
         assert_eq!(report.stats.priced_bytes, [64, 0]);
@@ -1250,7 +1235,7 @@ mod tests {
             lane: None,
             event: 0,
         });
-        let report = sanitize(&tl, &trace, &SanitizeOptions::default());
+        let report = sanitize(&tl, &trace, None);
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.stats.cache_hit_rows, 2);
         assert_eq!(report.stats.cache_hit_bytes, 256);
@@ -1282,7 +1267,7 @@ mod tests {
             at: DurationNs::from_nanos(10),
             lane_clocks: vec![DurationNs::ZERO; 3],
         });
-        let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+        let report = sanitize(&Timeline::new(), &trace, None);
         assert_eq!(report.count(HazardRule::ReadBeforeTransfer), 1, "{report}");
     }
 
@@ -1320,7 +1305,7 @@ mod tests {
             at: DurationNs::from_nanos(10),
             lane_clocks: vec![DurationNs::ZERO; 3],
         });
-        let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+        let report = sanitize(&Timeline::new(), &trace, None);
         assert_eq!(report.count(HazardRule::ReadBeforeTransfer), 0, "{report}");
         assert_eq!(report.count(HazardRule::MissingWait), 0, "{report}");
     }
@@ -1362,7 +1347,7 @@ mod tests {
         });
         let mut tl = Timeline::new();
         tl.push(peer_event("peer_copy", 1, 4096));
-        let report = sanitize(&tl, &trace, &SanitizeOptions::default());
+        let report = sanitize(&tl, &trace, None);
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.stats.peer_crossings, 1);
         assert_eq!(report.stats.peer_bytes, 4096);
@@ -1379,7 +1364,7 @@ mod tests {
             lane: None,
             at_event: 0,
         });
-        let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+        let report = sanitize(&Timeline::new(), &trace, None);
         assert_eq!(report.count(HazardRule::PeerConservation), 1, "{report}");
     }
 
@@ -1403,7 +1388,7 @@ mod tests {
         });
         let mut tl = Timeline::new();
         tl.push(peer_event("peer_copy", 1, 64));
-        let report = sanitize(&tl, &trace, &SanitizeOptions::default());
+        let report = sanitize(&tl, &trace, None);
         assert_eq!(report.count(HazardRule::PeerConservation), 1, "{report}");
     }
 
@@ -1430,7 +1415,7 @@ mod tests {
         });
         let mut tl = Timeline::new();
         tl.push(peer_event("peer_copy", 2, 512));
-        let report = sanitize(&tl, &trace, &SanitizeOptions::default());
+        let report = sanitize(&tl, &trace, None);
         assert_eq!(report.count(HazardRule::PeerConservation), 1, "{report}");
     }
 }

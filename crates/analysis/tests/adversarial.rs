@@ -6,7 +6,7 @@
 //! the checker honest in both directions: no missed hazards, no false
 //! positives on well-synchronized schedules.
 
-use dgnn_analysis::{audit, sanitize, BusyClaim, HazardRule, SanitizeOptions};
+use dgnn_analysis::{audit, sanitize, BusyClaim, HazardRule};
 use dgnn_device::{
     AccessKind, DeviceTensor, Dispatcher, DurationNs, EventCategory, ExecMode, ExecTrace, Executor,
     OpKind, Place, PlatformSpec, StreamId, Timeline, TimelineEvent, TraceRecord, TransferDir,
@@ -77,7 +77,7 @@ fn rule1_cross_lane_upload_without_wait_is_flagged() {
         at: ns(20),
         lane_clocks: vec![ns(10), ns(10), ns(10)],
     });
-    let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &trace, None);
     assert_eq!(report.count(HazardRule::ReadBeforeTransfer), 1, "{report}");
 }
 
@@ -91,7 +91,7 @@ fn rule1_read_of_never_uploaded_tensor_is_flagged() {
         place: Place::Gpu,
         at_event: 0,
     });
-    let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &trace, None);
     assert_eq!(report.count(HazardRule::ReadBeforeTransfer), 1, "{report}");
 }
 
@@ -127,7 +127,7 @@ fn rule1_clean_twin_with_handoff_passes() {
         at: ns(20),
         lane_clocks: vec![ns(10), ns(10), ns(15)],
     });
-    let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &trace, None);
     assert_eq!(report.count(HazardRule::ReadBeforeTransfer), 0, "{report}");
     assert_eq!(report.count(HazardRule::MissingWait), 0, "{report}");
     assert_eq!(report.count(HazardRule::ClockMonotonicity), 0, "{report}");
@@ -167,7 +167,7 @@ fn rule2_read_after_release_is_flagged() {
         place: Place::Gpu,
         at_event: 3,
     });
-    let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &trace, None);
     assert_eq!(report.count(HazardRule::UseAfterRelease), 1, "{report}");
 }
 
@@ -217,7 +217,7 @@ fn rule2_read_after_download_is_flagged_but_reupload_heals() {
             at_event: 3,
         });
     }
-    let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &trace, None);
     // Tensor 4 is flagged; tensor 5 was re-uploaded and is fine.
     assert_eq!(report.count(HazardRule::UseAfterRelease), 1, "{report}");
     let flagged = report
@@ -261,7 +261,7 @@ fn rule3_cross_lane_write_racing_a_read_is_flagged() {
         at: ns(20),
         lane_clocks: vec![ns(0), ns(10), ns(10)],
     });
-    let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &trace, None);
     assert_eq!(report.count(HazardRule::MissingWait), 1, "{report}");
 }
 
@@ -277,7 +277,7 @@ fn rule3_wait_on_unrecorded_event_is_flagged() {
         at: ns(1),
         lane_clocks: vec![ns(0), ns(0), ns(0)],
     });
-    let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &trace, None);
     assert_eq!(report.count(HazardRule::MissingWait), 1, "{report}");
 }
 
@@ -320,7 +320,7 @@ fn rule3_clean_twin_release_after_recorded_wait_passes() {
         at: ns(20),
         lane_clocks: vec![ns(0), ns(15), ns(10)],
     });
-    let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &trace, None);
     assert!(report.is_clean(), "{report}");
 }
 
@@ -336,7 +336,7 @@ fn rule4_join_below_lane_clock_is_flagged() {
         at: ns(5),
         lane_clocks: vec![ns(10), ns(0), ns(0)],
     });
-    let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &trace, None);
     assert_eq!(report.count(HazardRule::ClockMonotonicity), 1, "{report}");
 }
 
@@ -355,7 +355,7 @@ fn rule4_lane_clock_rewind_and_unjoined_fork_are_flagged() {
         at: ns(5), // rewinds the copy lane clock
     });
     // ...and the fork is never joined.
-    let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &trace, None);
     assert_eq!(report.count(HazardRule::ClockMonotonicity), 2, "{report}");
 }
 
@@ -368,7 +368,7 @@ fn rule4_overlapping_events_on_one_lane_are_flagged() {
     // Timeline::push debug-asserts end >= start, so build the overlap
     // via two well-formed but overlapping same-lane events.
     tl.push(bad);
-    let report = sanitize(&tl, &ExecTrace::new(), &SanitizeOptions::default());
+    let report = sanitize(&tl, &ExecTrace::new(), None);
     assert_eq!(report.count(HazardRule::ClockMonotonicity), 1, "{report}");
 }
 
@@ -377,7 +377,7 @@ fn rule4_overlap_across_lanes_is_legal() {
     let mut tl = Timeline::new();
     tl.push(kernel_event(0, 40, Some(StreamId::Compute)));
     tl.push(transfer_event(TransferDir::H2D, 64, Some(StreamId::Copy)));
-    let report = sanitize(&tl, &ExecTrace::new(), &SanitizeOptions::default());
+    let report = sanitize(&tl, &ExecTrace::new(), None);
     assert_eq!(report.count(HazardRule::ClockMonotonicity), 0, "{report}");
 }
 
@@ -397,7 +397,7 @@ fn rule5_staged_bytes_never_flushed_are_flagged() {
         at_event: 0,
     });
     // No Flush, no Priced: the staged bytes silently vanish.
-    let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &trace, None);
     assert!(report.count(HazardRule::ByteConservation) >= 1, "{report}");
 }
 
@@ -418,7 +418,7 @@ fn rule5_flush_exceeding_staged_is_flagged() {
         lane: None,
         at_event: 0,
     });
-    let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &trace, None);
     assert!(report.count(HazardRule::ByteConservation) >= 1, "{report}");
 }
 
@@ -441,7 +441,7 @@ fn rule5_priced_record_mismatching_timeline_is_flagged() {
         lane: None,
         event: 0,
     });
-    let report = sanitize(&tl, &trace, &SanitizeOptions::default());
+    let report = sanitize(&tl, &trace, None);
     assert!(report.count(HazardRule::ByteConservation) >= 1, "{report}");
 
     let mut dangling = ExecTrace::new();
@@ -451,7 +451,7 @@ fn rule5_priced_record_mismatching_timeline_is_flagged() {
         lane: None,
         event: 17, // points past the timeline
     });
-    let report = sanitize(&Timeline::new(), &dangling, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &dangling, None);
     assert!(report.count(HazardRule::ByteConservation) >= 1, "{report}");
 }
 
@@ -482,7 +482,7 @@ fn rule5_clean_staged_flush_price_cycle_passes() {
         lane: None,
         event: 0,
     });
-    let report = sanitize(&tl, &trace, &SanitizeOptions::default());
+    let report = sanitize(&tl, &trace, None);
     assert_eq!(report.count(HazardRule::ByteConservation), 0, "{report}");
 }
 
@@ -499,40 +499,31 @@ fn rule6_per_event_sum_over_overlapping_kernels_is_flagged() {
     tl.push(kernel_event(20, 60, Some(StreamId::Host)));
     tl.push(kernel_event(50, 60, Some(StreamId::Copy)));
     let naive_sum = (40.0 + 40.0 + 10.0) / 100.0; // 0.9, double-counted
-    let opts = SanitizeOptions {
-        busy_claim: Some(BusyClaim {
-            win_start: ns(0),
-            win_end: ns(100),
-            fraction: naive_sum,
-        }),
-        ..SanitizeOptions::default()
+    let claim = BusyClaim {
+        win_start: ns(0),
+        win_end: ns(100),
+        fraction: naive_sum,
     };
-    let report = sanitize(&tl, &ExecTrace::new(), &opts);
+    let report = sanitize(&tl, &ExecTrace::new(), Some(&claim));
     assert_eq!(report.count(HazardRule::BusyFraction), 1, "{report}");
 
-    let honest = SanitizeOptions {
-        busy_claim: Some(BusyClaim {
-            win_start: ns(0),
-            win_end: ns(100),
-            fraction: 0.6,
-        }),
-        ..SanitizeOptions::default()
+    let honest = BusyClaim {
+        win_start: ns(0),
+        win_end: ns(100),
+        fraction: 0.6,
     };
-    let report = sanitize(&tl, &ExecTrace::new(), &honest);
+    let report = sanitize(&tl, &ExecTrace::new(), Some(&honest));
     assert_eq!(report.count(HazardRule::BusyFraction), 0, "{report}");
 }
 
 #[test]
 fn rule6_fraction_outside_unit_interval_is_flagged() {
-    let opts = SanitizeOptions {
-        busy_claim: Some(BusyClaim {
-            win_start: ns(0),
-            win_end: ns(100),
-            fraction: 1.3,
-        }),
-        ..SanitizeOptions::default()
+    let claim = BusyClaim {
+        win_start: ns(0),
+        win_end: ns(100),
+        fraction: 1.3,
     };
-    let report = sanitize(&Timeline::new(), &ExecTrace::new(), &opts);
+    let report = sanitize(&Timeline::new(), &ExecTrace::new(), Some(&claim));
     assert!(report.count(HazardRule::BusyFraction) >= 1, "{report}");
 }
 
@@ -545,15 +536,12 @@ fn rule6_clean_twin_union_fraction_passes() {
     tl.push(kernel_event(0, 40, Some(StreamId::Compute)));
     tl.push(kernel_event(20, 60, Some(StreamId::Host)));
     tl.push(kernel_event(50, 60, Some(StreamId::Copy)));
-    let opts = SanitizeOptions {
-        busy_claim: Some(BusyClaim {
-            win_start: ns(0),
-            win_end: ns(100),
-            fraction: 0.6,
-        }),
-        ..SanitizeOptions::default()
+    let claim = BusyClaim {
+        win_start: ns(0),
+        win_end: ns(100),
+        fraction: 0.6,
     };
-    let report = sanitize(&tl, &ExecTrace::new(), &opts);
+    let report = sanitize(&tl, &ExecTrace::new(), Some(&claim));
     assert!(report.is_clean(), "{report}");
 }
 
@@ -588,24 +576,24 @@ fn real_forked_session_with_handoffs_is_clean() {
         let mut dx = Dispatcher::new(&mut ex);
         let a = DeviceTensor::host(Tensor::zeros(&[8, 8]));
         let w = DeviceTensor::host(Tensor::zeros(&[8, 8]));
-        dx.fork_streams();
+        dx.executor().fork_streams(1);
         // Copy lane uploads both operands.
         dx.on_stream(StreamId::Copy, |dx| {
             dx.ensure_resident(&a);
             dx.ensure_resident(&w);
         });
-        let uploaded = dx.record_event(StreamId::Copy);
+        let uploaded = dx.executor().record_event(StreamId::Copy);
         // Compute lane waits for the copies, then runs the kernels.
-        dx.wait_event(StreamId::Compute, uploaded);
+        dx.executor().wait_event(StreamId::Compute, uploaded);
         let out = dx.on_stream(StreamId::Compute, |dx| {
             let h = dx.matmul("proj", &a, &w).expect("shapes agree");
             dx.relu("act", &h)
         });
-        let computed = dx.record_event(StreamId::Compute);
+        let computed = dx.executor().record_event(StreamId::Compute);
         // Copy lane waits for the kernels, then drains the result.
-        dx.wait_event(StreamId::Copy, computed);
+        dx.executor().wait_event(StreamId::Copy, computed);
         dx.on_stream(StreamId::Copy, |dx| dx.download(&out));
-        dx.join_streams();
+        dx.executor().join_streams();
     }
     let report = audit(&ex);
     assert!(report.is_clean(), "{report}");
@@ -688,7 +676,7 @@ fn rule7_sample_before_append_completes_is_flagged() {
     // The snapshot exposes both events, but the second append's ingest
     // work only completes at 250 ns — reading at 120 ns races it.
     trace.push(graph_sample(7, 2, 120));
-    let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &trace, None);
     assert_eq!(report.count(HazardRule::SampleAfterAppend), 1, "{report}");
     assert_eq!(report.stats.graph_appends, 2);
     assert_eq!(report.stats.graph_samples, 1);
@@ -703,7 +691,7 @@ fn rule7_clean_twin_sample_after_visibility_passes() {
     // and an earlier read that caps its prefix at the visible watermark.
     trace.push(graph_sample(7, 1, 120));
     trace.push(graph_sample(7, 2, 250));
-    let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &trace, None);
     assert!(report.is_clean(), "{report}");
     assert_eq!(report.stats.graph_samples, 2);
 }
@@ -714,7 +702,7 @@ fn rule7_sample_beyond_appended_region_is_flagged() {
     trace.push(graph_append(3, 0, 1.0, 10));
     // Claims to read 2 events; only 1 was ever appended.
     trace.push(graph_sample(3, 2, 500));
-    let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &trace, None);
     assert_eq!(report.count(HazardRule::SampleAfterAppend), 1, "{report}");
 }
 
@@ -724,7 +712,7 @@ fn rule7_watermark_regression_is_flagged() {
     trace.push(graph_append(9, 0, 5.0, 10));
     // Timestamp moves backwards: the ingest watermark regressed.
     trace.push(graph_append(9, 1, 4.0, 20));
-    let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &trace, None);
     assert_eq!(report.count(HazardRule::SampleAfterAppend), 1, "{report}");
 }
 
@@ -734,7 +722,7 @@ fn rule7_visibility_regression_is_flagged() {
     trace.push(graph_append(11, 0, 1.0, 300));
     // A later append claims to become visible before an earlier one.
     trace.push(graph_append(11, 1, 2.0, 200));
-    let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &trace, None);
     assert_eq!(report.count(HazardRule::SampleAfterAppend), 1, "{report}");
 }
 
@@ -744,7 +732,7 @@ fn rule7_out_of_order_append_index_is_flagged() {
     trace.push(graph_append(13, 0, 1.0, 10));
     // Event index 2 arrives while only 1 append was logged — a gap.
     trace.push(graph_append(13, 2, 2.0, 20));
-    let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &trace, None);
     assert_eq!(report.count(HazardRule::SampleAfterAppend), 1, "{report}");
 }
 
@@ -756,7 +744,7 @@ fn rule7_stores_are_tracked_independently() {
     // Store 1's event is visible at 100 ns; store 2's only at 900 ns.
     trace.push(graph_sample(1, 1, 150));
     trace.push(graph_sample(2, 1, 150));
-    let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &trace, None);
     assert_eq!(report.count(HazardRule::SampleAfterAppend), 1, "{report}");
 }
 
@@ -776,7 +764,7 @@ fn rule8_unpriced_peer_crossing_is_flagged() {
         at_event: 0,
     });
     // No PeerPriced twin: the fetch intent escaped interconnect pricing.
-    let report = sanitize(&Timeline::new(), &trace, &SanitizeOptions::default());
+    let report = sanitize(&Timeline::new(), &trace, None);
     assert_eq!(report.count(HazardRule::PeerConservation), 1, "{report}");
 }
 
@@ -807,7 +795,7 @@ fn rule8_phantom_peer_pricing_is_flagged() {
         lane: None,
         event: 0,
     });
-    let report = sanitize(&tl, &trace, &SanitizeOptions::default());
+    let report = sanitize(&tl, &trace, None);
     assert_eq!(report.count(HazardRule::PeerConservation), 1, "{report}");
 }
 
@@ -819,7 +807,7 @@ fn rule8_real_multi_gpu_session_is_clean() {
     {
         let mut dx = Dispatcher::new(&mut ex);
         let x = dx.adopt(Tensor::ones(&[8, 8]), 1.0);
-        dx.fork_streams_multi(2);
+        dx.executor().fork_streams(2);
         dx.on_device(1, |dx| {
             // Shard 1 fetches remote rows from shard 0, then computes.
             dx.peer_transfer(0, 1 << 16);
@@ -827,7 +815,7 @@ fn rule8_real_multi_gpu_session_is_clean() {
                 dx.matmul("mm", &x, &Tensor::eye(8)).unwrap();
             });
         });
-        dx.join_streams();
+        dx.executor().join_streams();
     }
     let report = audit(&ex);
     assert!(report.is_clean(), "{report}");

@@ -8,9 +8,10 @@
 //!
 //! The executor can also run the overlap itself: with
 //! `InferenceConfig::pipeline_overlap` the pipelined models fork
-//! Host/Copy/Compute lanes, and `dgnn_models::optim::stream_overlap`
-//! reports the time of that run. The closed forms here stay as the
-//! analytic counterpart for the stage pairs a model records serially.
+//! Host/Copy/Compute lanes, and the `pipeline_overlap` bin reports the
+//! time of that run against its serial twin. The closed forms here stay
+//! as the analytic counterpart for the stage pairs a model records
+//! serially.
 
 use dgnn_device::DurationNs;
 

@@ -155,7 +155,7 @@ mod tests {
         use dgnn_device::StreamId;
         let mut ex = Executor::new(PlatformSpec::multi_gpu_nvlink(2), ExecMode::Gpu);
         ex.ensure_context();
-        ex.fork_streams_multi(2);
+        ex.fork_streams(2);
         // Device 0 does twice the kernel work of device 1.
         ex.on_device(0, |ex| {
             ex.on_stream(StreamId::Compute, |ex| {

@@ -160,8 +160,7 @@ pub struct FeatureCache {
     /// so `BTreeMap` iteration order is the deterministic LRU order.
     lru: BTreeMap<u64, (TensorClass, u64)>,
     tick: u64,
-    stats: CacheStats,
-    /// Per-class breakdown of `stats` ([`TensorClass::index`] order).
+    /// Lifetime counters per row class ([`TensorClass::index`] order).
     class_stats: ClassCacheStats,
 }
 
@@ -179,14 +178,8 @@ impl FeatureCache {
             map: HashMap::new(),
             lru: BTreeMap::new(),
             tick: 0,
-            stats: CacheStats::default(),
             class_stats: ClassCacheStats::default(),
         }
-    }
-
-    /// Maximum resident rows.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Currently resident rows.
@@ -199,9 +192,14 @@ impl FeatureCache {
         self.map.is_empty()
     }
 
-    /// Lifetime hit/miss/eviction counters.
+    /// Lifetime hit/miss/eviction counters: the sum of
+    /// [`FeatureCache::class_stats`] over every class.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        let mut total = CacheStats::default();
+        for s in &self.class_stats {
+            total.accumulate(s);
+        }
+        total
     }
 
     /// Lifetime counters broken down per row class
@@ -231,14 +229,10 @@ impl FeatureCache {
             self.lru.remove(&e.tick);
             self.lru.insert(tick, (class, key));
             e.tick = tick;
-            self.stats.hits += 1;
-            self.stats.hit_bytes += e.bytes;
             self.class_stats[class.index()].hits += 1;
             self.class_stats[class.index()].hit_bytes += e.bytes;
             return (true, 0);
         }
-        self.stats.misses += 1;
-        self.stats.miss_bytes += row_bytes;
         self.class_stats[class.index()].misses += 1;
         self.class_stats[class.index()].miss_bytes += row_bytes;
         let mut evicted = 0u64;
@@ -248,7 +242,6 @@ impl FeatureCache {
             self.lru.remove(&old_tick);
             let gone = self.map.remove(&victim).expect("lru entry is mapped");
             evicted = gone.bytes;
-            self.stats.evictions += 1;
             self.class_stats[victim.0.index()].evictions += 1;
         }
         self.map.insert(

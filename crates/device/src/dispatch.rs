@@ -39,6 +39,12 @@
 //! coalescing own the matching [`Dispatcher::flush_transfers`] — the
 //! byte-conservation invariant tests enforce that no staged copy
 //! escapes pricing.
+//!
+//! ## Lanes and tracing
+//!
+//! Forks, joins and events are the executor's own, reached through
+//! [`Dispatcher::executor`]. Each trace record the dispatcher logs is
+//! built at its call site and appended through the executor's one gate.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,9 +56,9 @@ use crate::event::{Place, TransferDir};
 use crate::executor::{ExecMode, Executor};
 use crate::kernel::HostWork;
 use crate::spec::DeviceId;
-use crate::stream::{EventId, StreamId};
+use crate::stream::StreamId;
 use crate::time::DurationNs;
-use crate::trace::{AccessKind, TensorId};
+use crate::trace::{AccessKind, TensorId, TraceRecord};
 
 /// Process-wide supply of [`DeviceTensor`] buffer identities, consumed
 /// by the provenance trace. Clones share their origin's id (they alias
@@ -308,13 +314,20 @@ impl<'a> Dispatcher<'a> {
     /// otherwise into the staging accumulator. `tensor` attributes the
     /// crossing in the provenance trace.
     fn charge_transfer(&mut self, dir: TransferDir, bytes: u64, tensor: Option<TensorId>) {
-        if self.coalesce && self.ex.mode() == ExecMode::Gpu {
-            self.ex.trace_crossing(tensor, dir, bytes, true);
+        let staged = self.coalesce && self.ex.mode() == ExecMode::Gpu;
+        if self.ex.mode() == ExecMode::Gpu {
+            self.ex.log(|lane, at_event| TraceRecord::Crossing {
+                tensor,
+                dir,
+                bytes,
+                lane,
+                staged,
+                at_event,
+            });
+        }
+        if staged {
             self.pending[dir_index(dir)] += bytes;
         } else {
-            if self.ex.mode() == ExecMode::Gpu {
-                self.ex.trace_crossing(tensor, dir, bytes, false);
-            }
             self.ex.transfer(dir, bytes);
         }
     }
@@ -372,8 +385,13 @@ impl<'a> Dispatcher<'a> {
         fetch.hit_bytes = fetch.hit_rows * scaled_row;
         fetch.miss_bytes = fetch.miss_rows * scaled_row;
         if fetch.hit_rows > 0 {
-            self.ex
-                .trace_cache_hit(class, fetch.hit_rows, fetch.hit_bytes);
+            self.ex.log(|lane, at_event| TraceRecord::CacheHit {
+                class,
+                rows: fetch.hit_rows,
+                bytes: fetch.hit_bytes,
+                lane,
+                at_event,
+            });
         }
         if fetch.miss_bytes > 0 {
             self.charge_transfer(TransferDir::H2D, fetch.miss_bytes, None);
@@ -390,7 +408,12 @@ impl<'a> Dispatcher<'a> {
         for dir in [TransferDir::H2D, TransferDir::D2H] {
             let bytes = std::mem::take(&mut self.pending[dir_index(dir)]);
             if bytes > 0 {
-                self.ex.trace_flush(dir, bytes);
+                self.ex.log(|lane, at_event| TraceRecord::Flush {
+                    dir,
+                    bytes,
+                    lane,
+                    at_event,
+                });
                 total += self.ex.transfer(dir, bytes);
             }
         }
@@ -400,11 +423,6 @@ impl<'a> Dispatcher<'a> {
     /// The underlying executor (for warm-up, memory and timeline access).
     pub fn executor(&mut self) -> &mut Executor {
         self.ex
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> DurationNs {
-        self.ex.now()
     }
 
     /// Where kernels execute in the current mode.
@@ -431,8 +449,14 @@ impl<'a> Dispatcher<'a> {
             };
             self.charge_transfer(dir, bytes, op.operand_id());
         }
-        if let Some(id) = op.operand_id() {
-            self.ex.trace_access(id, AccessKind::Arg, target);
+        if let Some(tensor) = op.operand_id() {
+            self.ex.log(|lane, at_event| TraceRecord::Access {
+                tensor,
+                kind: AccessKind::Arg,
+                lane,
+                place: target,
+                at_event,
+            });
         }
     }
 
@@ -442,7 +466,13 @@ impl<'a> Dispatcher<'a> {
     pub fn download(&mut self, t: &DeviceTensor) {
         let device = self.compute_place();
         if let Some(bytes) = t.relocate(Place::Cpu) {
-            self.ex.trace_access(t.id, AccessKind::Download, device);
+            self.ex.log(|lane, at_event| TraceRecord::Access {
+                tensor: t.id,
+                kind: AccessKind::Download,
+                lane,
+                place: device,
+                at_event,
+            });
             self.charge_transfer(TransferDir::D2H, bytes, Some(t.id));
         }
     }
@@ -455,7 +485,13 @@ impl<'a> Dispatcher<'a> {
             scale,
             id: fresh_tensor_id(),
         };
-        self.ex.trace_access(t.id, AccessKind::Adopt, t.place.get());
+        self.ex.log(|lane, at_event| TraceRecord::Access {
+            tensor: t.id,
+            kind: AccessKind::Adopt,
+            lane,
+            place: t.place.get(),
+            at_event,
+        });
         t
     }
 
@@ -464,7 +500,11 @@ impl<'a> Dispatcher<'a> {
     /// provenance trace. Any later device-side use of the tensor without
     /// a fresh upload is a use-after-release hazard.
     pub fn release_tensor(&mut self, t: &DeviceTensor) {
-        self.ex.trace_release(t.id);
+        self.ex.log(|lane, at_event| TraceRecord::Release {
+            tensor: t.id,
+            lane,
+            at_event,
+        });
         self.ex.release(t.logical_bytes());
     }
 
@@ -495,24 +535,6 @@ impl<'a> Dispatcher<'a> {
         self.ex.synchronize()
     }
 
-    /// Forks the owning executor's timeline into the three lanes (see
-    /// [`Executor::fork_streams`]).
-    pub fn fork_streams(&mut self) {
-        self.ex.fork_streams();
-    }
-
-    /// Forks the owning executor's timeline into `devices × 3` lanes
-    /// (see [`Executor::fork_streams_multi`]).
-    pub fn fork_streams_multi(&mut self, devices: usize) {
-        self.ex.fork_streams_multi(devices);
-    }
-
-    /// Joins the lanes back into the serial clock (see
-    /// [`Executor::join_streams`]).
-    pub fn join_streams(&mut self) -> DurationNs {
-        self.ex.join_streams()
-    }
-
     /// Runs `f` with every priced action (kernels, host work, transfer
     /// flushes) placed on `lane`.
     pub fn on_stream<R>(&mut self, lane: StreamId, f: impl FnOnce(&mut Self) -> R) -> R {
@@ -535,30 +557,22 @@ impl<'a> Dispatcher<'a> {
         result
     }
 
-    /// The GPU subsequent work targets.
-    pub fn current_device(&self) -> DeviceId {
-        self.ex.current_device()
-    }
-
     /// Fetches `bytes` owned by device `src` onto the current device,
     /// logging the crossing intent and pricing it on the platform's
     /// interconnect (see [`Executor::peer_transfer`]). Returns the
     /// modeled wall time; free when `src` is the current device.
     pub fn peer_transfer(&mut self, src: DeviceId, bytes: u64) -> DurationNs {
-        if self.ex.mode() == ExecMode::Gpu && bytes > 0 && src != self.ex.current_device() {
-            self.ex.trace_peer_crossing(src, bytes);
+        let dst = self.ex.current_device();
+        if self.ex.mode() == ExecMode::Gpu && bytes > 0 && src != dst {
+            self.ex.log(|lane, at_event| TraceRecord::PeerCrossing {
+                src,
+                dst,
+                bytes,
+                lane,
+                at_event,
+            });
         }
         self.ex.peer_transfer(src, bytes)
-    }
-
-    /// Records `lane`'s current clock as a waitable event.
-    pub fn record_event(&mut self, lane: StreamId) -> EventId {
-        self.ex.record_event(lane)
-    }
-
-    /// Stalls `lane` until the recorded event's timestamp.
-    pub fn wait_event(&mut self, lane: StreamId, event: EventId) {
-        self.ex.wait_event(lane, event);
     }
 
     /// Escape hatch for fused kernels (gate updates, time encodings,
@@ -1292,7 +1306,7 @@ mod tests {
     fn dispatcher_lane_placement_matches_executor() {
         let mut ex = gpu();
         ex.ensure_context();
-        ex.fork_streams();
+        ex.fork_streams(1);
         {
             let mut dx = Dispatcher::new(&mut ex);
             let x = dx.adopt(Tensor::ones(&[8, 8]), 1.0);
@@ -1359,7 +1373,7 @@ mod tests {
         dx.on_device(1, |dx| {
             dx.matmul("mm_dev1", &x, &Tensor::eye(8)).unwrap();
         });
-        assert_eq!(dx.current_device(), 0);
+        assert_eq!(dx.executor().current_device(), 0);
         let e = ex
             .timeline()
             .events()

@@ -30,7 +30,7 @@ use crate::spec::{DeviceId, PeerPath, PlatformSpec, TransferMode};
 use crate::stream::{EventId, StreamId, StreamSet};
 use crate::time::DurationNs;
 use crate::timeline::Timeline;
-use crate::trace::{AccessKind, ExecTrace, TensorId, TraceRecord};
+use crate::trace::{ExecTrace, TraceRecord};
 use crate::warmup::WarmupModel;
 
 /// Whether inference runs entirely on the CPU or offloads kernels to the
@@ -186,17 +186,6 @@ impl Executor {
         }
     }
 
-    /// Device 0's feature cache (`None` while disabled).
-    pub fn feature_cache(&self) -> Option<&FeatureCache> {
-        self.cache_capacity.and(self.feature_caches.first())
-    }
-
-    /// The feature cache of a specific device (`None` while disabled or
-    /// before the device's first probe).
-    pub fn device_feature_cache(&self, device: DeviceId) -> Option<&FeatureCache> {
-        self.cache_capacity.and(self.feature_caches.get(device))
-    }
-
     /// Hit/miss/eviction counters summed over every device's feature
     /// cache (all zero while disabled).
     pub fn cache_stats(&self) -> CacheStats {
@@ -261,94 +250,13 @@ impl Executor {
         self.trace.as_ref()
     }
 
-    /// Logs a tensor access on the current lane (dispatcher hook).
-    pub(crate) fn trace_access(&mut self, tensor: TensorId, kind: AccessKind, place: Place) {
+    /// Appends one record to the provenance trace while tracing is on:
+    /// the one gate every trace record passes. `record` builds it from
+    /// the current lane and the timeline length (the index the next
+    /// priced event will take), and is only called while tracing.
+    pub(crate) fn log(&mut self, record: impl FnOnce(Option<StreamId>, usize) -> TraceRecord) {
         if let Some(t) = self.trace.as_mut() {
-            t.push(TraceRecord::Access {
-                tensor,
-                kind,
-                lane: self.current_stream,
-                place,
-                at_event: self.timeline.len(),
-            });
-        }
-    }
-
-    /// Logs a residence-crossing intent (dispatcher hook).
-    pub(crate) fn trace_crossing(
-        &mut self,
-        tensor: Option<TensorId>,
-        dir: TransferDir,
-        bytes: u64,
-        staged: bool,
-    ) {
-        if let Some(t) = self.trace.as_mut() {
-            t.push(TraceRecord::Crossing {
-                tensor,
-                dir,
-                bytes,
-                lane: self.current_stream,
-                staged,
-                at_event: self.timeline.len(),
-            });
-        }
-    }
-
-    /// Logs a coalesced-flush pricing (dispatcher hook).
-    pub(crate) fn trace_flush(&mut self, dir: TransferDir, bytes: u64) {
-        if let Some(t) = self.trace.as_mut() {
-            t.push(TraceRecord::Flush {
-                dir,
-                bytes,
-                lane: self.current_stream,
-                at_event: self.timeline.len(),
-            });
-        }
-    }
-
-    /// Logs one aggregated feature-cache fetch result: `rows` rows
-    /// (`bytes` bytes) of `class` served device-resident, skipping
-    /// their H2D crossing (dispatcher hook).
-    pub(crate) fn trace_cache_hit(&mut self, class: TensorClass, rows: u64, bytes: u64) {
-        let at_event = self.timeline.len();
-        let lane = self.current_stream;
-        if let Some(t) = self.trace.as_mut() {
-            t.push(TraceRecord::CacheHit {
-                class,
-                rows,
-                bytes,
-                lane,
-                at_event,
-            });
-        }
-    }
-
-    /// Logs a cross-device fetch intent: `bytes` owned by `src` needed
-    /// on the current device (dispatcher hook). RULE8 pairs these
-    /// crossings with [`TraceRecord::PeerPriced`] pricing twins.
-    pub(crate) fn trace_peer_crossing(&mut self, src: DeviceId, bytes: u64) {
-        let dst = self.current_device;
-        let at_event = self.timeline.len();
-        let lane = self.current_stream;
-        if let Some(t) = self.trace.as_mut() {
-            t.push(TraceRecord::PeerCrossing {
-                src,
-                dst,
-                bytes,
-                lane,
-                at_event,
-            });
-        }
-    }
-
-    /// Logs an explicit device-buffer release (dispatcher hook).
-    pub(crate) fn trace_release(&mut self, tensor: TensorId) {
-        if let Some(t) = self.trace.as_mut() {
-            t.push(TraceRecord::Release {
-                tensor,
-                lane: self.current_stream,
-                at_event: self.timeline.len(),
-            });
+            t.push(record(self.current_stream, self.timeline.len()));
         }
     }
 
@@ -366,18 +274,14 @@ impl Executor {
         time_bits: u64,
         visible_at: DurationNs,
     ) {
-        let at_event = self.timeline.len();
-        let lane = self.current_stream;
-        if let Some(t) = self.trace.as_mut() {
-            t.push(TraceRecord::GraphAppend {
-                store,
-                event,
-                time_bits,
-                visible_at,
-                lane,
-                at_event,
-            });
-        }
+        self.log(|lane, at_event| TraceRecord::GraphAppend {
+            store,
+            event,
+            time_bits,
+            visible_at,
+            lane,
+            at_event,
+        });
     }
 
     /// Logs one streaming-graph sampling read: a snapshot exposing the
@@ -385,17 +289,13 @@ impl Executor {
     /// on this session's clock. Called by the serving layer when it
     /// prices query sampling; a no-op while tracing is off.
     pub fn trace_graph_sample(&mut self, store: u64, visible: usize, at: DurationNs) {
-        let at_event = self.timeline.len();
-        let lane = self.current_stream;
-        if let Some(t) = self.trace.as_mut() {
-            t.push(TraceRecord::GraphSample {
-                store,
-                visible,
-                at,
-                lane,
-                at_event,
-            });
-        }
+        self.log(|lane, at_event| TraceRecord::GraphSample {
+            store,
+            visible,
+            at,
+            lane,
+            at_event,
+        });
     }
 
     /// Current simulated time on the serial clock. Inside a stream fork
@@ -425,20 +325,26 @@ impl Executor {
         }
     }
 
-    /// Forks the timeline into the three execution lanes, each starting at
-    /// the current serial clock. Until [`Executor::join_streams`], work
-    /// issued inside [`Executor::on_stream`] advances only its lane.
+    /// Forks the timeline into `devices × 3` lanes: each of the first
+    /// `devices` GPUs gets its own Host/Copy/Compute lane triple, all
+    /// starting at the current serial clock. Until
+    /// [`Executor::join_streams`], work issued inside
+    /// [`Executor::on_stream`] advances only its lane on the current
+    /// device (see [`Executor::on_device`]). A one-device fork is
+    /// bit-identical to the historical engine.
     ///
     /// Cross-lane ordering is expressed with [`Executor::record_event`] /
-    /// [`Executor::wait_event`]; the join advances the serial clock to
-    /// the forked region's makespan:
+    /// [`Executor::wait_event`]; events recorded on any device's lane can
+    /// be waited on from any other, which is how sharded drivers express
+    /// cross-device barriers. The join advances the serial clock to the
+    /// forked region's makespan:
     ///
     /// ```
     /// use dgnn_device::{ExecMode, Executor, HostWork, OpDescriptor, PlatformSpec, StreamId};
     ///
     /// let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
     /// ex.ensure_context(); // pay warm-up outside the forked region
-    /// ex.fork_streams();
+    /// ex.fork_streams(1);
     /// let sampled = ex.on_stream(StreamId::Host, |ex| {
     ///     ex.host(HostWork::irregular("sample", 50_000, 1 << 18));
     ///     ex.record_event(StreamId::Host)
@@ -457,25 +363,10 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// Panics when a fork is already active (forks do not nest).
-    pub fn fork_streams(&mut self) {
-        self.fork_streams_multi(1);
-    }
-
-    /// Forks the timeline into `devices × 3` lanes: each of the first
-    /// `devices` GPUs gets its own Host/Copy/Compute lane triple, all
-    /// starting at the current serial clock. `fork_streams` is the
-    /// single-device case — a one-device fork is bit-identical to the
-    /// historical engine. Lane work targets the current device (see
-    /// [`Executor::on_device`]); events recorded on any device's lane
-    /// can be waited on from any other, which is how sharded drivers
-    /// express cross-device barriers.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a fork is already active, when `devices` is zero, or
-    /// when `devices` exceeds the platform's GPU count.
-    pub fn fork_streams_multi(&mut self, devices: usize) {
+    /// Panics when a fork is already active (forks do not nest), when
+    /// `devices` is zero, or when `devices` exceeds the platform's GPU
+    /// count.
+    pub fn fork_streams(&mut self, devices: usize) {
         assert!(self.streams.is_none(), "stream fork already active");
         assert!(
             devices <= self.n_devices(),
@@ -483,9 +374,8 @@ impl Executor {
             self.n_devices()
         );
         self.streams = Some(StreamSet::forked_at_devices(self.clock, devices));
-        if let Some(t) = self.trace.as_mut() {
-            t.push(TraceRecord::Fork { at: self.clock });
-        }
+        let at = self.clock;
+        self.log(|_, _| TraceRecord::Fork { at });
     }
 
     /// Ends the stream fork: the serial clock advances to the latest lane
@@ -505,18 +395,18 @@ impl Executor {
             .expect("join_streams without fork_streams");
         let end = s.max_clock().max(self.clock);
         self.clock = end;
-        if let Some(t) = self.trace.as_mut() {
+        self.log(|_, _| {
             let mut lane_clocks = Vec::with_capacity(s.devices() * 3);
             for device in 0..s.devices() {
                 for lane in StreamId::ALL {
                     lane_clocks.push(s.clock(device, lane));
                 }
             }
-            t.push(TraceRecord::Join {
+            TraceRecord::Join {
                 at: end,
                 lane_clocks,
-            });
-        }
+            }
+        });
         end
     }
 
@@ -597,9 +487,7 @@ impl Executor {
         }
         let prev = std::mem::replace(&mut self.current_device, device);
         if prev != device {
-            if let Some(t) = self.trace.as_mut() {
-                t.push(TraceRecord::DeviceSwitch { device });
-            }
+            self.log(|_, _| TraceRecord::DeviceSwitch { device });
         }
         prev
     }
@@ -617,16 +505,12 @@ impl Executor {
             .as_mut()
             .expect("record_event requires fork_streams")
             .record(device, lane);
-        if self.trace.is_some() {
-            let at = self.stream_now(lane);
-            if let Some(t) = self.trace.as_mut() {
-                t.push(TraceRecord::EventRecord {
-                    event: id.index(),
-                    lane,
-                    at,
-                });
-            }
-        }
+        let at = self.stream_now(lane);
+        self.log(|_, _| TraceRecord::EventRecord {
+            event: id.index(),
+            lane,
+            at,
+        });
         id
     }
 
@@ -646,12 +530,10 @@ impl Executor {
             .as_mut()
             .expect("wait_event requires fork_streams")
             .wait(device, lane, event);
-        if let Some(t) = self.trace.as_mut() {
-            t.push(TraceRecord::EventWait {
-                event: event.index(),
-                lane,
-            });
-        }
+        self.log(|_, _| TraceRecord::EventWait {
+            event: event.index(),
+            lane,
+        });
     }
 
     /// Execution mode.
@@ -792,42 +674,30 @@ impl Executor {
     /// expensive warm-up component of Section 4.4; on the CPU it is a
     /// cheap host-memory copy. Returns the simulated cost.
     pub fn model_init(&mut self, weight_bytes: u64, n_param_tensors: u64) -> DurationNs {
-        match self.mode {
+        let (place, d) = match self.mode {
             ExecMode::Gpu => {
                 self.ensure_context();
-                let d = WarmupModel::model_init_gpu(
-                    &self.spec.gpu,
-                    &self.spec.pcie,
-                    weight_bytes,
-                    n_param_tensors,
-                );
                 self.gpu_mem.alloc(weight_bytes);
-                self.push_event(
-                    "model_init",
-                    EventCategory::WarmupModelInit,
-                    Place::Gpu,
-                    d,
-                    0.0,
-                    0,
-                    weight_bytes,
-                );
-                d
+                let (gpu, pcie) = (&self.spec.gpu, &self.spec.pcie);
+                let d = WarmupModel::model_init_gpu(gpu, pcie, weight_bytes, n_param_tensors);
+                (Place::Gpu, d)
             }
             ExecMode::CpuOnly => {
-                let d = WarmupModel::model_init_cpu(&self.spec.cpu, weight_bytes, n_param_tensors);
                 self.cpu_mem.alloc(weight_bytes);
-                self.push_event(
-                    "model_init",
-                    EventCategory::WarmupModelInit,
-                    Place::Cpu,
-                    d,
-                    0.0,
-                    0,
-                    weight_bytes,
-                );
-                d
+                let d = WarmupModel::model_init_cpu(&self.spec.cpu, weight_bytes, n_param_tensors);
+                (Place::Cpu, d)
             }
-        }
+        };
+        self.push_event(
+            "model_init",
+            EventCategory::WarmupModelInit,
+            place,
+            d,
+            0.0,
+            0,
+            weight_bytes,
+        );
+        d
     }
 
     /// Per-run activation allocation warm-up (the batch-dependent part of
@@ -860,75 +730,58 @@ impl Executor {
         }
     }
 
-    fn gpu_kernel_duration(&self, desc: &OpDescriptor) -> (DurationNs, f64) {
-        let g = &self.spec.gpu;
-        let occupancy = (desc.parallelism as f64 / g.saturation_width as f64)
-            .clamp(1.0 / g.sm_count as f64, 1.0);
-        let compute_s = desc.flops as f64 / (g.peak_flops * g.kernel_efficiency * occupancy);
-        let bw = if desc.kind.is_irregular() {
-            g.mem_bw * g.irregular_efficiency
-        } else {
-            g.mem_bw
-        };
-        let memory_s = desc.bytes as f64 / bw;
-        let busy = DurationNs::from_secs_f64(compute_s.max(memory_s));
-        (
-            DurationNs::from_nanos(g.launch_overhead_ns) + busy,
-            occupancy,
-        )
-    }
-
-    fn cpu_kernel_duration(&self, desc: &OpDescriptor) -> (DurationNs, f64) {
-        let c = &self.spec.cpu;
-        let occupancy =
-            (desc.parallelism as f64 / c.saturation_width as f64).clamp(1.0 / c.cores as f64, 1.0);
-        let compute_s = desc.flops as f64 / (c.peak_flops * c.kernel_efficiency * occupancy);
-        let bw = if desc.kind.is_irregular() {
-            c.mem_bw * c.irregular_efficiency
-        } else {
-            c.mem_bw
-        };
-        let memory_s = desc.bytes as f64 / bw;
-        let busy = DurationNs::from_secs_f64(compute_s.max(memory_s));
-        (
-            DurationNs::from_nanos(c.dispatch_overhead_ns) + busy,
-            occupancy,
-        )
-    }
-
     /// Launches one kernel on the compute device of the current mode,
     /// advancing the clock. Returns the simulated duration (including
-    /// launch/dispatch overhead).
+    /// launch/dispatch overhead): a roofline over the compute device's
+    /// spec.
     pub fn launch(&mut self, desc: OpDescriptor) -> DurationNs {
-        match self.mode {
+        self.ensure_context();
+        let (place, units, width, sustained, mem_bw, irregular, overhead_ns) = match self.mode {
             ExecMode::Gpu => {
-                self.ensure_context();
-                let (d, occ) = self.gpu_kernel_duration(&desc);
-                self.push_event(
-                    desc.label,
-                    EventCategory::Kernel(desc.kind),
+                let g = &self.spec.gpu;
+                (
                     Place::Gpu,
-                    d,
-                    occ,
-                    desc.flops,
-                    desc.bytes,
-                );
-                d
+                    g.sm_count,
+                    g.saturation_width,
+                    g.peak_flops * g.kernel_efficiency,
+                    g.mem_bw,
+                    g.irregular_efficiency,
+                    g.launch_overhead_ns,
+                )
             }
             ExecMode::CpuOnly => {
-                let (d, occ) = self.cpu_kernel_duration(&desc);
-                self.push_event(
-                    desc.label,
-                    EventCategory::Kernel(desc.kind),
+                let c = &self.spec.cpu;
+                (
                     Place::Cpu,
-                    d,
-                    occ,
-                    desc.flops,
-                    desc.bytes,
-                );
-                d
+                    c.cores,
+                    c.saturation_width,
+                    c.peak_flops * c.kernel_efficiency,
+                    c.mem_bw,
+                    c.irregular_efficiency,
+                    c.dispatch_overhead_ns,
+                )
             }
-        }
+        };
+        let occupancy = (desc.parallelism as f64 / width as f64).clamp(1.0 / f64::from(units), 1.0);
+        let compute_s = desc.flops as f64 / (sustained * occupancy);
+        let bw = if desc.kind.is_irregular() {
+            mem_bw * irregular
+        } else {
+            mem_bw
+        };
+        let memory_s = desc.bytes as f64 / bw;
+        let d = DurationNs::from_nanos(overhead_ns)
+            + DurationNs::from_secs_f64(compute_s.max(memory_s));
+        self.push_event(
+            desc.label,
+            EventCategory::Kernel(desc.kind),
+            place,
+            d,
+            occupancy,
+            desc.flops,
+            desc.bytes,
+        );
+        d
     }
 
     /// Executes host-side preprocessing work on the simulated CPU
@@ -1001,18 +854,12 @@ impl Executor {
             0,
             bytes,
         );
-        if self.trace.is_some() {
-            let event = self.timeline.len() - 1;
-            let lane = self.current_stream;
-            if let Some(t) = self.trace.as_mut() {
-                t.push(TraceRecord::Priced {
-                    dir,
-                    bytes,
-                    lane,
-                    event,
-                });
-            }
-        }
+        self.log(|lane, len| TraceRecord::Priced {
+            dir,
+            bytes,
+            lane,
+            event: len - 1,
+        });
         d
     }
 
@@ -1073,20 +920,14 @@ impl Executor {
             0,
             bytes,
         );
-        if self.trace.is_some() {
-            let event = self.timeline.len() - 1;
-            let lane = self.current_stream;
-            if let Some(t) = self.trace.as_mut() {
-                t.push(TraceRecord::PeerPriced {
-                    src,
-                    dst,
-                    bytes,
-                    via_host,
-                    lane,
-                    event,
-                });
-            }
-        }
+        self.log(|lane, len| TraceRecord::PeerPriced {
+            src,
+            dst,
+            bytes,
+            via_host,
+            lane,
+            event: len - 1,
+        });
         d
     }
 
@@ -1327,7 +1168,7 @@ mod tests {
         let mut ex = gpu_executor();
         ex.ensure_context();
         let origin = ex.now();
-        ex.fork_streams();
+        ex.fork_streams(1);
         ex.on_stream(StreamId::Host, |ex| {
             ex.host(HostWork::sequential("sample", 1_000_000, 1 << 20));
         });
@@ -1355,7 +1196,7 @@ mod tests {
     fn wait_event_orders_across_lanes() {
         let mut ex = gpu_executor();
         ex.ensure_context();
-        ex.fork_streams();
+        ex.fork_streams(1);
         let uploaded = ex.on_stream(StreamId::Copy, |ex| {
             ex.transfer(TransferDir::H2D, 1 << 24);
             ex.record_event(StreamId::Copy)
@@ -1379,11 +1220,11 @@ mod tests {
     fn waiting_on_a_stale_forks_event_panics() {
         let mut ex = gpu_executor();
         ex.ensure_context();
-        ex.fork_streams();
+        ex.fork_streams(1);
         let stale = ex.record_event(StreamId::Copy);
         ex.join_streams();
         // A new fork must not honor handles from the previous one.
-        ex.fork_streams();
+        ex.fork_streams(1);
         ex.wait_event(StreamId::Compute, stale);
     }
 
@@ -1391,10 +1232,10 @@ mod tests {
     #[should_panic(expected = "different stream fork")]
     fn waiting_on_another_executors_event_panics() {
         let mut a = gpu_executor();
-        a.fork_streams();
+        a.fork_streams(1);
         let foreign = a.record_event(StreamId::Copy);
         let mut b = gpu_executor();
-        b.fork_streams();
+        b.fork_streams(1);
         b.wait_event(StreamId::Compute, foreign);
     }
 
@@ -1405,7 +1246,7 @@ mod tests {
         ex.ensure_context();
         ex.enable_tracing();
         assert!(ex.trace().is_some());
-        ex.fork_streams();
+        ex.fork_streams(1);
         let up = ex.on_stream(StreamId::Copy, |ex| {
             ex.transfer(TransferDir::H2D, 4096);
             ex.record_event(StreamId::Copy)
@@ -1463,7 +1304,7 @@ mod tests {
         let mut ex = gpu_executor();
         ex.ensure_context();
         let before = ex.now();
-        ex.fork_streams();
+        ex.fork_streams(1);
         assert!(ex.streams.is_some());
         let end = ex.join_streams();
         assert_eq!(end, before);
@@ -1522,7 +1363,6 @@ mod tests {
     #[test]
     fn enable_feature_cache_is_idempotent_and_keeps_warm_rows() {
         let mut ex = gpu_executor();
-        assert!(ex.feature_cache().is_none());
         assert!(!ex.cache_probe_insert(TensorClass::NodeMemory, 9, 64));
         assert_eq!(ex.cache_stats(), CacheStats::default());
         ex.enable_feature_cache(4);
@@ -1550,7 +1390,7 @@ mod tests {
         let mut ex = Executor::new(PlatformSpec::multi_gpu_nvlink(2), ExecMode::Gpu);
         ex.ensure_context();
         let origin = ex.now();
-        ex.fork_streams_multi(2);
+        ex.fork_streams(2);
         let desc = OpDescriptor::gemm("shard", 512, 512, 512);
         ex.on_stream(StreamId::Compute, |ex| {
             ex.launch(desc.clone());
@@ -1581,7 +1421,7 @@ mod tests {
     fn cross_device_events_order_work() {
         let mut ex = Executor::new(PlatformSpec::multi_gpu_nvlink(2), ExecMode::Gpu);
         ex.ensure_context();
-        ex.fork_streams_multi(2);
+        ex.fork_streams(2);
         let up = ex.on_device(1, |ex| {
             ex.on_stream(StreamId::Copy, |ex| {
                 ex.transfer(TransferDir::H2D, 1 << 24);
@@ -1606,7 +1446,7 @@ mod tests {
     #[should_panic(expected = "outside the active fork")]
     fn switching_past_the_fork_span_panics() {
         let mut ex = Executor::new(PlatformSpec::multi_gpu_nvlink(4), ExecMode::Gpu);
-        ex.fork_streams_multi(2);
+        ex.fork_streams(2);
         ex.on_device(3, |_| {});
     }
 
@@ -1685,8 +1525,6 @@ mod tests {
         let per = ex.cache_class_stats();
         assert_eq!(per[TensorClass::NodeFeature.index()].misses, 2);
         assert_eq!(per[TensorClass::EdgeFeature.index()].lookups(), 0);
-        assert!(ex.device_feature_cache(0).is_some());
-        assert!(ex.device_feature_cache(1).is_some());
     }
 
     #[test]
@@ -1720,7 +1558,7 @@ mod tests {
     fn scopes_span_lane_work_inside_a_fork() {
         let mut ex = gpu_executor();
         ex.ensure_context();
-        ex.fork_streams();
+        ex.fork_streams(1);
         ex.on_stream(StreamId::Host, |ex| {
             ex.scope("sampling", |ex| {
                 ex.host(HostWork::sequential("sample", 10_000, 4096));

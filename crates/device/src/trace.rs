@@ -17,8 +17,10 @@
 //! clocks to reconstruct the happens-before DAG and check the hazard
 //! ruleset against it.
 //!
-//! Recording is off by default and costs one branch per action when off
-//! ([`crate::Executor::enable_tracing`] switches it on); no existing
+//! Recording is off by default ([`crate::Executor::enable_tracing`]
+//! switches it on). Every record, the dispatcher's included, passes the
+//! executor's one gate, which checks tracing and stamps the issuing lane
+//! and timeline length: one branch per action while off. No existing
 //! timeline, pricing, or scope behavior changes either way.
 
 use crate::cache::TensorClass;

@@ -51,7 +51,7 @@ fn lane_events(ex: &Executor, lane: StreamId) -> Vec<&TimelineEvent> {
 #[test]
 fn per_lane_events_are_monotone_and_non_overlapping() {
     let mut ex = warmed();
-    ex.fork_streams();
+    ex.fork_streams(1);
     for round in 0..4u64 {
         ex.on_stream(StreamId::Host, |ex| {
             ex.host(HostWork::sequential("prep", 10_000 + round, 4_096));
@@ -84,7 +84,7 @@ fn per_lane_events_are_monotone_and_non_overlapping() {
 #[test]
 fn wait_event_orders_work_across_lanes() {
     let mut ex = warmed();
-    ex.fork_streams();
+    ex.fork_streams(1);
     // Delay the Copy lane, then make Compute wait on its completion.
     let done = ex.on_stream(StreamId::Copy, |ex| {
         ex.transfer(TransferDir::H2D, 64 << 20);
@@ -109,7 +109,7 @@ fn wait_event_orders_work_across_lanes() {
 #[test]
 fn without_wait_lanes_genuinely_overlap() {
     let mut ex = warmed();
-    ex.fork_streams();
+    ex.fork_streams(1);
     ex.on_stream(StreamId::Copy, |ex| {
         ex.transfer(TransferDir::H2D, 64 << 20);
     });
@@ -131,7 +131,7 @@ fn without_wait_lanes_genuinely_overlap() {
 #[test]
 fn join_advances_serial_clock_to_slowest_lane() {
     let mut ex = warmed();
-    ex.fork_streams();
+    ex.fork_streams(1);
     ex.on_stream(StreamId::Copy, |ex| {
         ex.transfer(TransferDir::H2D, 256 << 20);
     });

@@ -218,11 +218,6 @@ impl StreamingAdjacency {
         self.compactions
     }
 
-    /// The compaction threshold (delta events that trigger a fold).
-    pub fn threshold(&self) -> usize {
-        self.threshold
-    }
-
     /// Time of the most recently ingested event; `None` when empty.
     /// Appends must be monotone in this watermark.
     pub fn watermark(&self) -> Option<f64> {

@@ -240,16 +240,6 @@ impl NeighborSampler {
         NeighborSampler { seed, strategy }
     }
 
-    /// The configured strategy.
-    pub fn strategy(&self) -> SampleStrategy {
-        self.strategy
-    }
-
-    /// The configured seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives the per-call RNG stream for `(node, t)`: the seed and both
     /// call coordinates are mixed murmur3-style into the 64-bit key that
     /// seeds an independent xoshiro stream.

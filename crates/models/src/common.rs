@@ -311,7 +311,7 @@ pub(crate) fn run_units<U>(
             let mut dx = Dispatcher::with_coalescing(ex, plan.coalesced);
             let mut lanes = Vec::new();
             if plan.lanes {
-                dx.fork_streams_multi(plan.shards);
+                dx.executor().fork_streams(plan.shards);
                 lanes.resize_with(plan.shards, Lanes::default);
             }
             let mut stages = Stages {
@@ -325,7 +325,7 @@ pub(crate) fn run_units<U>(
                 iterations += 1;
             }
             if plan.lanes {
-                stages.join_streams();
+                stages.executor().join_streams();
             }
             Ok(iterations)
         })
@@ -457,25 +457,27 @@ impl<'a> Stages<'_, 'a> {
             None => f(dx),
         };
         let dx = &mut *self.dx;
-        let Some(state) = self.lanes.get_mut(dx.current_device()) else {
+        let Some(state) = self.lanes.get_mut(dx.executor().current_device()) else {
             return run(dx);
         };
         if stage == Stage::Prep && !std::mem::replace(&mut state.open, true) {
             if let Some(drained) = state.uploads[0] {
-                dx.wait_event(StreamId::Host, drained);
+                dx.executor().wait_event(StreamId::Host, drained);
             }
         }
         for &from in reads {
             if std::mem::take(&mut state.unwaited[from.index()]) {
-                let done = dx.record_event(from);
-                dx.wait_event(lane, done);
+                let ex = dx.executor();
+                let done = ex.record_event(from);
+                ex.wait_event(lane, done);
             }
         }
         let out = dx.on_stream(lane, run);
         state.unwaited[lane.index()] = true;
         match stage {
             Stage::Upload if !std::mem::replace(&mut state.marked, true) => {
-                state.uploads = [state.uploads[1], Some(dx.record_event(StreamId::Copy))];
+                let drained = dx.executor().record_event(StreamId::Copy);
+                state.uploads = [state.uploads[1], Some(drained)];
             }
             Stage::Readback => (state.open, state.marked) = (false, false),
             _ => {}
@@ -514,8 +516,9 @@ fn shard_barrier(dx: &mut Dispatcher, shards: usize) {
     let mut marks: Vec<(usize, EventId)> = Vec::with_capacity(shards * 2);
     for dev in 0..shards {
         dx.on_device(dev, |dx| {
-            marks.push((dev, dx.record_event(StreamId::Copy)));
-            marks.push((dev, dx.record_event(StreamId::Compute)));
+            let ex = dx.executor();
+            marks.push((dev, ex.record_event(StreamId::Copy)));
+            marks.push((dev, ex.record_event(StreamId::Compute)));
         });
     }
     for dev in 0..shards {
@@ -523,7 +526,7 @@ fn shard_barrier(dx: &mut Dispatcher, shards: usize) {
             for &(owner, mark) in &marks {
                 if owner != dev {
                     for lane in StreamId::ALL {
-                        dx.wait_event(lane, mark);
+                        dx.executor().wait_event(lane, mark);
                     }
                 }
             }

@@ -72,11 +72,6 @@ impl IngestMemory {
         }
     }
 
-    /// Row width.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Number of rows.
     pub fn n_nodes(&self) -> usize {
         self.rows.len() / self.dim

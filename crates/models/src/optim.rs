@@ -10,10 +10,13 @@
 //! * [`overlapped_sampling_tgat`] — CPU sampling of batch `t+1` overlaps
 //!   GPU compute of batch `t` (§5.1.1, the Zhang et al. scheme);
 //! * [`delta_snapshot_evolvegcn`] — transfer only the changed fraction of
-//!   each snapshot (§5.2.2, sliding-window similarity);
-//! * [`parallel_sampling_tgat`] — parallelize the temporal sampling loop
-//!   itself across CPU cores (the CSR batch engine), instead of merely
-//!   overlapping it with device work.
+//!   each snapshot (§5.2.2, sliding-window similarity).
+//!
+//! The executed mitigations need no function here: a run with
+//! [`InferenceConfig::pipeline_overlap`] forks the stream lanes, and one
+//! with [`InferenceConfig::parallel_sampling`] prices sampling over the
+//! platform's cores. The `pipeline_overlap` and `sampling_throughput`
+//! bins run each against its serial twin.
 
 use dgnn_device::{DurationNs, EventCategory, ExecMode, Executor, PlatformSpec};
 use dgnn_profile::pipeline::{
@@ -53,29 +56,6 @@ fn module_durations(ex: &Executor, name: &str) -> Vec<DurationNs> {
         .filter(|s| s.path == path)
         .map(|s| s.duration())
         .collect()
-}
-
-/// §5.1.1 on the real stream machine: run the model once sequentially
-/// and once with [`InferenceConfig::pipeline_overlap`], both on the
-/// simulated GPU. Unlike the analytic re-scheduling ablations below,
-/// the optimized run *executes* the three-lane stream executor — host
-/// preprocessing, copy engine and kernels advance on their own virtual
-/// clocks, ordered only by recorded events — so the reported time is the
-/// longest lane path, not a closed-form estimate. Numerics are identical
-/// in both runs (the lanes reorder pricing, never data).
-///
-/// # Errors
-///
-/// Propagates inference errors from either run.
-pub fn stream_overlap(model: &mut dyn DgnnModel, cfg: &InferenceConfig) -> Result<AblationResult> {
-    let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
-    let baseline = model.run(&mut ex, cfg)?.inference_time;
-    let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
-    let overlapped = cfg.clone().with_pipeline_overlap(true);
-    Ok(AblationResult {
-        baseline,
-        optimized: model.run(&mut ex, &overlapped)?.inference_time,
-    })
 }
 
 /// Outcome of the transfer-coalescing ablation: per-tensor pricing (what
@@ -186,35 +166,6 @@ pub fn overlapped_sampling_tgat(model: &mut Tgat, cfg: &InferenceConfig) -> Resu
     })
 }
 
-/// Parallel CSR sampling: re-run TGAT with temporal sampling charged as
-/// a critical path fanned out over the batch's roots on a platform with
-/// `cores` CPU cores (saturation width scales with the core count, 256
-/// parallel roots per core as in the default spec). The baseline is the
-/// profiled frameworks' serial per-node sampling loop on the default
-/// platform. With enough roots per batch, the sampling share — and with
-/// it the paper's workload imbalance — shrinks as cores grow.
-///
-/// # Errors
-///
-/// Propagates inference errors from either run.
-pub fn parallel_sampling_tgat(
-    model: &mut Tgat,
-    cfg: &InferenceConfig,
-    cores: u32,
-) -> Result<AblationResult> {
-    let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
-    let baseline = model.run(&mut ex, cfg)?.inference_time;
-    let mut spec = PlatformSpec::default();
-    spec.cpu.cores = cores;
-    spec.cpu.saturation_width = cores as u64 * 256;
-    let mut ex = Executor::new(spec, ExecMode::Gpu);
-    let parallel = cfg.clone().with_parallel_sampling(true);
-    Ok(AblationResult {
-        baseline,
-        optimized: model.run(&mut ex, &parallel)?.inference_time,
-    })
-}
-
 /// §5.1.1 applied to EvolveGCN: overlap the CPU snapshot preparation and
 /// upload of step `t+1` with the GPU stages (RNN/top-k/GNN) of step `t`.
 /// With preparation dominating each step, this recovers far more than
@@ -318,6 +269,16 @@ mod tests {
         EvolveGcn::new(bitcoin_alpha(Scale::Tiny, 1), EvolveGcnVersion::O, 7)
     }
 
+    /// Inference time of one run of `model` on a fresh GPU executor.
+    fn gpu_time(
+        model: &mut dyn DgnnModel,
+        spec: PlatformSpec,
+        cfg: &InferenceConfig,
+    ) -> DurationNs {
+        let mut ex = Executor::new(spec, ExecMode::Gpu);
+        model.run(&mut ex, cfg).unwrap().inference_time
+    }
+
     #[test]
     fn stream_overlap_recovers_tgat_sampling_wall() {
         // The §5.1.1 acceptance point: at batch ≥ 1000 with the heavy
@@ -328,8 +289,10 @@ mod tests {
             .with_batch_size(1000)
             .with_neighbors(100)
             .with_max_units(4);
-        let r = stream_overlap(&mut m, &cfg).unwrap();
-        let reduction = 1.0 - r.optimized.as_nanos() as f64 / r.baseline.as_nanos() as f64;
+        let serial = gpu_time(&mut m, PlatformSpec::default(), &cfg);
+        let overlap = cfg.with_pipeline_overlap(true);
+        let overlapped = gpu_time(&mut m, PlatformSpec::default(), &overlap);
+        let reduction = 1.0 - overlapped.as_nanos() as f64 / serial.as_nanos() as f64;
         assert!(
             reduction >= 0.20,
             "stream overlap should recover >=20%, got {:.1}%",
@@ -342,18 +305,18 @@ mod tests {
         let cfg = InferenceConfig::default()
             .with_batch_size(500)
             .with_max_units(3);
+        let overlap = cfg.clone().with_pipeline_overlap(true);
         let mut tgn = crate::Tgn::new(wikipedia(Scale::Tiny, 1), 7);
         let mut mol = crate::MolDgnn::new(dgnn_datasets::iso17(Scale::Tiny, 1), 7);
         let mut eg = egcn();
         let models: [&mut dyn DgnnModel; 3] = [&mut tgn, &mut mol, &mut eg];
         for m in models {
             let name = m.name();
-            let r = stream_overlap(m, &cfg).unwrap();
+            let serial = gpu_time(m, PlatformSpec::default(), &cfg);
+            let overlapped = gpu_time(m, PlatformSpec::default(), &overlap);
             assert!(
-                r.optimized < r.baseline,
-                "{name}: overlap {:?} should beat serial {:?}",
-                r.optimized,
-                r.baseline
+                overlapped < serial,
+                "{name}: overlap {overlapped:?} should beat serial {serial:?}"
             );
         }
     }
@@ -433,20 +396,28 @@ mod tests {
 
     #[test]
     fn parallel_sampling_speedup_grows_with_cores() {
+        // Serial per-node sampling on the default platform against
+        // sampling fanned out over the roots on `cores` cores (256
+        // parallel roots per core, as in the default spec).
         let mut m = Tgat::new(wikipedia(Scale::Tiny, 1), 7);
         // Enough roots per batch to engage many cores.
         let cfg = InferenceConfig::default()
             .with_batch_size(2000)
             .with_max_units(1);
+        let serial = gpu_time(&mut m, PlatformSpec::default(), &cfg);
+        let parallel = cfg.with_parallel_sampling(true);
         let mut previous = 0.0;
         for cores in [1u32, 4, 16] {
-            let r = parallel_sampling_tgat(&mut m, &cfg, cores).unwrap();
+            let mut spec = PlatformSpec::default();
+            spec.cpu.cores = cores;
+            spec.cpu.saturation_width = u64::from(cores) * 256;
+            let speedup =
+                serial.as_nanos() as f64 / gpu_time(&mut m, spec, &parallel).as_nanos() as f64;
             assert!(
-                r.speedup() >= previous,
-                "speedup must be monotone in cores: {} at {cores} cores after {previous}",
-                r.speedup()
+                speedup >= previous,
+                "speedup must be monotone in cores: {speedup} at {cores} cores after {previous}"
             );
-            previous = r.speedup();
+            previous = speedup;
         }
         assert!(
             previous > 1.5,

@@ -48,16 +48,6 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Model dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of heads.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
     /// Attention forward pass.
     ///
     /// # Errors

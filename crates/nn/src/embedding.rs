@@ -28,16 +28,6 @@ impl EmbeddingTable {
         }
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Embedding width.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// The raw table.
     pub fn table(&self) -> &Tensor {
         &self.table.value

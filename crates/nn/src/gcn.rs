@@ -31,16 +31,6 @@ impl GcnLayer {
         }
     }
 
-    /// Input feature dimension.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output feature dimension.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
     /// The layer's own weight `[in, out]`.
     pub fn weight(&self) -> &Tensor {
         &self.weight.value

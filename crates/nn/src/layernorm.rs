@@ -26,11 +26,6 @@ impl LayerNorm {
         }
     }
 
-    /// Normalized feature width.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Normalizes each row of `x: [m, dim]`.
     ///
     /// # Errors

@@ -31,16 +31,6 @@ impl Linear {
         }
     }
 
-    /// Input feature dimension.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output feature dimension.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
     /// Forward pass over a batch `x: [m, in] → [m, out]`: one GEMM plus
     /// one bias kernel, dispatched (and priced) from the actual shapes.
     ///
@@ -187,9 +177,9 @@ mod tests {
         let l = Linear::new(64, 64, &mut rng);
         let mut ex = executor();
         let mut dx = Dispatcher::new(&mut ex);
-        let t0 = dx.now();
+        let t0 = dx.executor().now();
         l.forward(&mut dx, &DeviceTensor::host(Tensor::zeros(&[32, 64])))
             .unwrap();
-        assert!(dx.now() > t0);
+        assert!(dx.executor().now() > t0);
     }
 }

@@ -74,7 +74,6 @@ pub struct GruCell {
     w_input: Param,
     w_hidden: Param,
     bias: Param,
-    in_dim: usize,
     hidden: usize,
 }
 
@@ -86,14 +85,8 @@ impl GruCell {
             w_input,
             w_hidden,
             bias,
-            in_dim,
             hidden,
         }
-    }
-
-    /// Hidden width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
     }
 
     /// One step: `(x: [b, in], h: [b, hidden]) → h': [b, hidden]`.
@@ -147,7 +140,6 @@ pub struct LstmCell {
     w_input: Param,
     w_hidden: Param,
     bias: Param,
-    in_dim: usize,
     hidden: usize,
 }
 
@@ -162,14 +154,8 @@ impl LstmCell {
             w_input,
             w_hidden,
             bias,
-            in_dim,
             hidden,
         }
-    }
-
-    /// Hidden width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
     }
 
     /// Zero state for a batch of `b`, resident on the compute device
@@ -238,7 +224,6 @@ pub struct RnnCell {
     w_input: Param,
     w_hidden: Param,
     bias: Param,
-    in_dim: usize,
     hidden: usize,
 }
 
@@ -250,14 +235,8 @@ impl RnnCell {
             w_input,
             w_hidden,
             bias,
-            in_dim,
             hidden,
         }
-    }
-
-    /// Hidden width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
     }
 
     /// One step: `(x: [b, in], h: [b, hidden]) → h'`.

@@ -33,11 +33,6 @@ impl BochnerTimeEncoder {
         }
     }
 
-    /// Encoding width.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Encodes a batch of time deltas `[n] → [n, dim]`.
     ///
     /// # Errors
@@ -91,11 +86,6 @@ impl Time2Vec {
             phase: Param::new("phase", rng.init(&[dim], Initializer::Uniform(1.0))),
             dim,
         }
-    }
-
-    /// Encoding width.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// Encodes time deltas `[n] → [n, dim]`.

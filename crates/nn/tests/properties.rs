@@ -235,11 +235,11 @@ fn every_forward_advances_the_clock() {
         let x = dt(Tensor::ones(&[m, d]));
         let mut ex = cpu();
         let mut dx = Dispatcher::new(&mut ex);
-        let t0 = dx.now();
+        let t0 = dx.executor().now();
         layer.forward(&mut dx, &x).unwrap();
-        let t1 = dx.now();
+        let t1 = dx.executor().now();
         attn.forward(&mut dx, &x, &x, &x).unwrap();
-        let t2 = dx.now();
+        let t2 = dx.executor().now();
         assert!(t0 < t1 && t1 < t2);
     }
 }

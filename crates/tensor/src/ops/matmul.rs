@@ -87,29 +87,6 @@ impl Tensor {
         let out = matmul_blocked(self.as_slice(), rhs.as_slice(), m, k, n);
         Tensor::from_vec(out, &[m, n])
     }
-
-    /// Outer product of two rank-1 tensors: `[m] × [n] → [m, n]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] unless both operands are rank 1.
-    pub fn outer(&self, rhs: &Tensor) -> Result<Tensor> {
-        if self.rank() != 1 || rhs.rank() != 1 {
-            return Err(TensorError::RankMismatch {
-                op: "outer",
-                expected: 1,
-                actual: self.rank().max(rhs.rank()),
-            });
-        }
-        let (m, n) = (self.len(), rhs.len());
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[i * n + j] = self.as_slice()[i] * rhs.as_slice()[j];
-            }
-        }
-        Tensor::from_vec(out, &[m, n])
-    }
 }
 
 #[cfg(test)]
@@ -188,14 +165,5 @@ mod tests {
         let b = Tensor::zeros(&[4, 2]);
         assert!(a.matmul(&b).is_err());
         assert!(a.matmul(&Tensor::zeros(&[3])).is_err());
-    }
-
-    #[test]
-    fn outer_product_shape_and_values() {
-        let u = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
-        let v = Tensor::from_vec(vec![3.0, 4.0, 5.0], &[3]).unwrap();
-        let o = u.outer(&v).unwrap();
-        assert_eq!(o.dims(), &[2, 3]);
-        assert_eq!(o.at(&[1, 2]).unwrap(), 10.0);
     }
 }
