@@ -494,6 +494,41 @@ mod tests {
         assert_eq!(s.watermark(), Some(5.0));
     }
 
+    /// `(ops, seq_bytes, irregular_bytes)` of each append, followed by
+    /// that of the compaction it triggered, if any.
+    fn priced(s: &mut StreamingAdjacency, events: &[TemporalEvent]) -> Vec<(u64, u64, u64)> {
+        let mut costs = Vec::new();
+        for &e in events {
+            let r = s.append(e).unwrap();
+            for c in std::iter::once(r.cost).chain(r.compaction) {
+                costs.push((c.ops, c.seq_bytes, c.irregular_bytes));
+            }
+        }
+        costs
+    }
+
+    #[test]
+    fn every_append_and_compaction_is_priced_exactly() {
+        // An append is 8 ops, two 32 B entries and two scattered lines.
+        // A compaction is (merged entries + 4 nodes) ops, each merged
+        // entry read and written once, one line per delta entry.
+        const A: (u64, u64, u64) = (8, 64, 128);
+        let all = events();
+        let mut s = StreamingAdjacency::new(4, 3);
+        let pinned = [A, A, A, (10, 384, 384), A, A, A, (16, 768, 384)];
+        assert_eq!(priced(&mut s, &all), pinned);
+        assert_eq!(s.compact(), IngestCost::default());
+        // A two-event prefix is the base; the first compaction merges
+        // its 4 entries with 6 delta entries.
+        let prefix = EventStream::new(4, all[..2].to_vec()).unwrap();
+        let mut s = StreamingAdjacency::from_stream(&prefix, 3);
+        assert_eq!(priced(&mut s, &all[2..]), [A, A, A, (14, 640, 384), A]);
+        let last = s.compact();
+        let last = (last.ops, last.seq_bytes, last.irregular_bytes);
+        assert_eq!(last, (16, 768, 128));
+        assert_eq!(s.compactions(), 2);
+    }
+
     #[test]
     fn append_rejects_bad_events() {
         let mut s = StreamingAdjacency::new(3, 8);

@@ -22,8 +22,9 @@ fn splitmix(z: &mut u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A random, time-sorted event sequence with repeated timestamps and
-/// hub-skewed endpoints (hubs stress long adjacency rows).
+/// A random, time-sorted event sequence with repeated timestamps,
+/// hub-skewed endpoints (hubs stress long adjacency rows) and
+/// self-loops (`src == dst`, which the CSR lists twice on one row).
 #[expect(
     clippy::cast_possible_truncation,
     reason = "test draws are reduced mod small n_nodes"
@@ -42,10 +43,7 @@ fn random_events(seed: u64, n_nodes: usize, n_events: usize) -> Vec<TemporalEven
             } else {
                 (splitmix(&mut state) as usize) % n_nodes
             };
-            let mut dst = (splitmix(&mut state) as usize) % n_nodes;
-            if dst == src {
-                dst = (dst + 1) % n_nodes;
-            }
+            let dst = (splitmix(&mut state) as usize) % n_nodes;
             TemporalEvent {
                 src,
                 dst,
@@ -54,6 +52,15 @@ fn random_events(seed: u64, n_nodes: usize, n_events: usize) -> Vec<TemporalEven
             }
         })
         .collect()
+}
+
+/// Fails unless `events` holds a self-loop, so the property covers the
+/// row that lists one event twice.
+fn assert_has_self_loop(events: &[TemporalEvent]) {
+    assert!(
+        events.iter().any(|e| e.src == e.dst),
+        "sequence has no self-loop"
+    );
 }
 
 /// Query times that bracket, split, and exceed the event time range.
@@ -119,6 +126,7 @@ fn any_split_of_any_sequence_matches_the_frozen_graph() {
     let n_events = 48;
     for seed in [3u64, 17] {
         let events = random_events(seed, n_nodes, n_events);
+        assert_has_self_loop(&events);
         // Threshold 7: compactions keep landing mid-sequence, so splits
         // probe every base/delta mix. Threshold 1000: pure delta log.
         for threshold in [7usize, 1000] {
@@ -140,6 +148,7 @@ fn any_split_of_any_sequence_matches_the_frozen_graph() {
 fn explicit_compaction_preserves_every_visible_prefix() {
     let n_nodes = 8;
     let events = random_events(41, n_nodes, 40);
+    assert_has_self_loop(&events);
     let mut live = StreamingAdjacency::new(n_nodes, 1000);
     for ev in &events {
         live.append(*ev).expect("valid event");
@@ -161,6 +170,7 @@ fn explicit_compaction_preserves_every_visible_prefix() {
 fn interleaved_appends_and_compactions_keep_view_identity() {
     let n_nodes = 6;
     let events = random_events(7, n_nodes, 36);
+    assert_has_self_loop(&events);
     let mut live = StreamingAdjacency::new(n_nodes, 1000);
     for (i, ev) in events.iter().enumerate() {
         live.append(*ev).expect("valid event");
