@@ -1,22 +1,23 @@
-//! Two-tier streaming adjacency: immutable CSR base + append-only delta
-//! log, with deterministic threshold compaction.
+//! Streaming adjacency: an append-only event log over one frozen
+//! [`TemporalAdjacency`], with deterministic threshold compaction.
 //!
-//! A frozen [`TemporalAdjacency`](crate::TemporalAdjacency) is the right index for offline
+//! A frozen [`TemporalAdjacency`] is the right index for offline
 //! inference, but the paper's dynamic-graph setting is most interesting
 //! when events arrive *while* queries are being served. Rebuilding the
 //! CSR per event is O(total history); a mutable CSR would invalidate
 //! borrowed rows under readers. [`StreamingAdjacency`] takes the
 //! LSM-style middle road:
 //!
-//! * **Base tier** — compacted CSR slabs, identical layout to
-//!   [`TemporalAdjacency`](crate::TemporalAdjacency) plus one `event_idx` slab recording which
-//!   global event produced each entry.
-//! * **Delta tier** — append-only struct-of-arrays log in arrival
-//!   order, plus a per-node position index so a node's delta history is
-//!   recoverable without scanning the log.
-//! * **Compaction** — when the delta log holds `threshold` events,
-//!   [`StreamingAdjacency::append`] folds the whole log into fresh base
-//!   slabs. The trigger depends only on the event sequence, so replays
+//! * **Event log** — every ingested event, in arrival order.
+//! * **Base tier** — the log's compacted prefix. It *is* a
+//!   [`TemporalAdjacency`], made by the same builder as a frozen graph,
+//!   plus one vector recording which event produced each entry.
+//! * **Delta tier** — per node, the log indexes of its events past the
+//!   compacted prefix, in arrival order. A self-loop is listed twice,
+//!   as the CSR lists it twice.
+//! * **Compaction** — when the delta tier holds `threshold` events,
+//!   [`StreamingAdjacency::append`] rebuilds the base over the whole
+//!   log. The trigger depends only on the event sequence, so replays
 //!   compact at identical points.
 //!
 //! # Read-through views and byte-identity
@@ -26,12 +27,11 @@
 //! they are currently split between tiers. Because appends are
 //! time-monotone and both tiers preserve arrival order, a node's
 //! visible history is `base-row prefix ++ delta-row prefix` — the same
-//! entries in the same order as a frozen [`TemporalAdjacency`](crate::TemporalAdjacency) built
-//! from that event prefix. [`crate::TemporalView`] is implemented over
-//! that composition with the same bisection step accounting, so
-//! sampling through a view is **byte-identical** — samples and
-//! [`crate::SampleCost`] both — to sampling the frozen graph, before
-//! and after compaction.
+//! entries in the same order as a frozen [`TemporalAdjacency`] built
+//! from that event prefix. [`TemporalView`] is implemented over that
+//! composition with the same bisection step count, so sampling through
+//! a view is **byte-identical** — samples and [`crate::SampleCost`]
+//! both — to sampling the frozen graph, before and after compaction.
 //!
 //! # Cost accounting
 //!
@@ -41,8 +41,8 @@
 //! contend on the same virtual clock.
 
 use crate::error::GraphError;
-use crate::sampler::TemporalView;
-use crate::{EventStream, NodeId, TemporalEvent};
+use crate::sampler::{bisect_steps, TemporalView};
+use crate::{EventStream, NodeId, TemporalAdjacency, TemporalEvent};
 
 /// Bytes of one CSR entry across the four slabs (neighbor, time,
 /// feature row, event index).
@@ -61,15 +61,6 @@ pub struct IngestCost {
     pub irregular_bytes: u64,
 }
 
-impl IngestCost {
-    /// Accumulates another cost.
-    pub fn add(&mut self, other: IngestCost) {
-        self.ops += other.ops;
-        self.seq_bytes += other.seq_bytes;
-        self.irregular_bytes += other.irregular_bytes;
-    }
-}
-
 /// Receipt of one [`StreamingAdjacency::append`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppendReceipt {
@@ -81,7 +72,8 @@ pub struct AppendReceipt {
     pub compaction: Option<IngestCost>,
 }
 
-/// Appendable two-tier temporal adjacency (see module docs).
+/// Appendable temporal adjacency: an event log over a compacted
+/// [`TemporalAdjacency`] (see module docs).
 ///
 /// ```
 /// use dgnn_graph::{
@@ -112,25 +104,17 @@ pub struct AppendReceipt {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingAdjacency {
-    n_nodes: usize,
     threshold: usize,
-    // Base tier: compacted CSR slabs (layout of `TemporalAdjacency`
-    // plus the per-entry global event index).
-    base_offsets: Vec<usize>,
-    base_neighbors: Vec<NodeId>,
-    base_times: Vec<f64>,
-    base_feature_idx: Vec<usize>,
-    base_event_idx: Vec<usize>,
-    // Delta tier: append-order slabs + per-node position index.
+    /// Every ingested event, in arrival order.
+    events: Vec<TemporalEvent>,
+    /// The base is the CSR of `events[..compacted]`, and `entry_events`
+    /// holds the log index of each base entry.
+    compacted: usize,
+    base: TemporalAdjacency,
+    entry_events: Vec<usize>,
+    /// Per node, the log indexes of its events past `compacted`.
     delta_rows: Vec<Vec<usize>>,
-    delta_neighbors: Vec<NodeId>,
-    delta_times: Vec<f64>,
-    delta_feature_idx: Vec<usize>,
-    delta_event_idx: Vec<usize>,
-    delta_events: usize,
-    total_events: usize,
     compactions: usize,
-    watermark: Option<f64>,
 }
 
 impl StreamingAdjacency {
@@ -143,23 +127,15 @@ impl StreamingAdjacency {
     /// to hold at least one event between compactions.
     pub fn new(n_nodes: usize, threshold: usize) -> Self {
         assert!(threshold >= 1, "compaction threshold must be >= 1");
+        let (base, entry_events) = TemporalAdjacency::from_events(n_nodes, &[]);
         StreamingAdjacency {
-            n_nodes,
             threshold,
-            base_offsets: vec![0; n_nodes + 1],
-            base_neighbors: Vec::new(),
-            base_times: Vec::new(),
-            base_feature_idx: Vec::new(),
-            base_event_idx: Vec::new(),
+            events: Vec::new(),
+            compacted: 0,
+            base,
+            entry_events,
             delta_rows: vec![Vec::new(); n_nodes],
-            delta_neighbors: Vec::new(),
-            delta_times: Vec::new(),
-            delta_feature_idx: Vec::new(),
-            delta_event_idx: Vec::new(),
-            delta_events: 0,
-            total_events: 0,
             compactions: 0,
-            watermark: None,
         }
     }
 
@@ -168,49 +144,24 @@ impl StreamingAdjacency {
     /// point for serving: a historical prefix plus live ingestion.
     pub fn from_stream(stream: &EventStream, threshold: usize) -> Self {
         let mut s = StreamingAdjacency::new(stream.n_nodes(), threshold);
-        let mut degree = vec![0usize; s.n_nodes];
-        for e in stream.events() {
-            degree[e.src] += 1;
-            degree[e.dst] += 1;
-        }
-        let mut acc = 0usize;
-        for (v, &d) in degree.iter().enumerate() {
-            acc += d;
-            s.base_offsets[v + 1] = acc;
-        }
-        s.base_neighbors = vec![0 as NodeId; acc];
-        s.base_times = vec![0.0f64; acc];
-        s.base_feature_idx = vec![0usize; acc];
-        s.base_event_idx = vec![0usize; acc];
-        let mut cursor = s.base_offsets[..s.n_nodes].to_vec();
-        for (i, e) in stream.events().iter().enumerate() {
-            for (from, to) in [(e.src, e.dst), (e.dst, e.src)] {
-                let at = cursor[from];
-                s.base_neighbors[at] = to;
-                s.base_times[at] = e.time;
-                s.base_feature_idx[at] = e.feature_idx;
-                s.base_event_idx[at] = i;
-                cursor[from] += 1;
-            }
-        }
-        s.total_events = stream.len();
-        s.watermark = stream.events().last().map(|e| e.time);
+        s.events = stream.events().to_vec();
+        s.rebuild_base();
         s
     }
 
     /// Number of nodes indexed (fixed at construction).
     pub fn n_nodes(&self) -> usize {
-        self.n_nodes
+        self.delta_rows.len()
     }
 
     /// Events currently in the delta log.
     pub fn delta_events(&self) -> usize {
-        self.delta_events
+        self.events.len() - self.compacted
     }
 
     /// Total events ingested (base + delta).
     pub fn total_events(&self) -> usize {
-        self.total_events
+        self.events.len()
     }
 
     /// Compactions performed so far.
@@ -221,7 +172,7 @@ impl StreamingAdjacency {
     /// Time of the most recently ingested event; `None` when empty.
     /// Appends must be monotone in this watermark.
     pub fn watermark(&self) -> Option<f64> {
-        self.watermark
+        self.events.last().map(|e| e.time)
     }
 
     /// Appends one event to the delta log, compacting first into the
@@ -236,47 +187,35 @@ impl StreamingAdjacency {
     ///   watermark (ingestion must be time-monotone, like the sorted
     ///   [`EventStream`] the base was built from).
     pub fn append(&mut self, event: TemporalEvent) -> Result<AppendReceipt, GraphError> {
+        let n_nodes = self.n_nodes();
         for node in [event.src, event.dst] {
-            if node >= self.n_nodes {
-                return Err(GraphError::NodeOutOfBounds {
-                    node,
-                    n_nodes: self.n_nodes,
-                });
+            if node >= n_nodes {
+                return Err(GraphError::NodeOutOfBounds { node, n_nodes });
             }
         }
+        let event_index = self.events.len();
         if !event.time.is_finite() {
-            return Err(GraphError::InvalidTimestamp {
-                index: self.total_events,
-            });
+            return Err(GraphError::InvalidTimestamp { index: event_index });
         }
-        if let Some(w) = self.watermark {
+        if let Some(w) = self.watermark() {
             if event.time < w {
-                return Err(GraphError::UnsortedEvents {
-                    index: self.total_events,
-                });
+                return Err(GraphError::UnsortedEvents { index: event_index });
             }
         }
 
-        let event_index = self.total_events;
-        for (from, to) in [(event.src, event.dst), (event.dst, event.src)] {
-            self.delta_rows[from].push(self.delta_neighbors.len());
-            self.delta_neighbors.push(to);
-            self.delta_times.push(event.time);
-            self.delta_feature_idx.push(event.feature_idx);
-            self.delta_event_idx.push(event_index);
-        }
-        self.delta_events += 1;
-        self.total_events += 1;
-        self.watermark = Some(event.time);
+        self.delta_rows[event.src].push(event_index);
+        self.delta_rows[event.dst].push(event_index);
+        self.events.push(event);
 
-        // Two slab-tail appends are sequential; the two per-node row
-        // index pushes each chase one scattered cache line.
+        // Priced as two CSR entries written at slab tails (sequential)
+        // and two per-node row pushes, each chasing one scattered cache
+        // line.
         let cost = IngestCost {
             ops: 8,
             seq_bytes: 2 * ENTRY_BYTES,
             irregular_bytes: 128,
         };
-        let compaction = (self.delta_events >= self.threshold).then(|| self.compact());
+        let compaction = (self.delta_events() >= self.threshold).then(|| self.compact());
         Ok(AppendReceipt {
             event_index,
             cost,
@@ -284,92 +223,61 @@ impl StreamingAdjacency {
         })
     }
 
-    /// Folds the whole delta log into fresh base slabs, preserving
-    /// per-row entry order (base prefix, then delta entries in arrival
-    /// order). Views are unaffected: a [`StreamingView`] filters both
-    /// tiers by event index, so the same prefix reads the same entries
-    /// before and after. Returns the Host-lane cost; no-op (zero cost)
-    /// when the log is empty.
+    /// Folds the delta log into the base by rebuilding it over the
+    /// whole log, so each row is its base prefix followed by its delta
+    /// entries in arrival order. Views are unaffected: a
+    /// [`StreamingView`] filters both tiers by event index, so the same
+    /// prefix reads the same entries before and after. Returns the
+    /// Host-lane cost; no-op (zero cost) when the log is empty.
     pub fn compact(&mut self) -> IngestCost {
-        if self.delta_events == 0 {
+        let delta_entries = 2 * self.delta_events() as u64;
+        if delta_entries == 0 {
             return IngestCost::default();
         }
-        let merged_entries = self.base_neighbors.len() + self.delta_neighbors.len();
-        let mut offsets = vec![0usize; self.n_nodes + 1];
-        let mut neighbors = vec![0 as NodeId; merged_entries];
-        let mut times = vec![0.0f64; merged_entries];
-        let mut feature_idx = vec![0usize; merged_entries];
-        let mut event_idx = vec![0usize; merged_entries];
-        let mut at = 0usize;
-        for v in 0..self.n_nodes {
-            let b = self.base_offsets[v]..self.base_offsets[v + 1];
-            let width = b.len() + self.delta_rows[v].len();
-            for i in b {
-                neighbors[at] = self.base_neighbors[i];
-                times[at] = self.base_times[i];
-                feature_idx[at] = self.base_feature_idx[i];
-                event_idx[at] = self.base_event_idx[i];
-                at += 1;
-            }
-            for &p in &self.delta_rows[v] {
-                neighbors[at] = self.delta_neighbors[p];
-                times[at] = self.delta_times[p];
-                feature_idx[at] = self.delta_feature_idx[p];
-                event_idx[at] = self.delta_event_idx[p];
-                at += 1;
-            }
-            offsets[v + 1] = offsets[v] + width;
-        }
-        debug_assert_eq!(at, merged_entries);
-
-        let delta_entries = self.delta_neighbors.len() as u64;
-        let cost = IngestCost {
-            ops: merged_entries as u64 + self.n_nodes as u64,
-            // Every merged entry is read once and written once.
-            seq_bytes: 2 * merged_entries as u64 * ENTRY_BYTES,
-            // Delta entries are gathered through the per-node position
-            // index — one scattered line each.
+        let merged_entries = 2 * self.events.len() as u64;
+        self.rebuild_base();
+        self.compactions += 1;
+        IngestCost {
+            ops: merged_entries + self.n_nodes() as u64,
+            // Priced as a merge: every merged entry is read once and
+            // written once, and each delta entry is gathered through
+            // its row index — one scattered line each.
+            seq_bytes: 2 * merged_entries * ENTRY_BYTES,
             irregular_bytes: delta_entries * 64,
-        };
+        }
+    }
 
-        self.base_offsets = offsets;
-        self.base_neighbors = neighbors;
-        self.base_times = times;
-        self.base_feature_idx = feature_idx;
-        self.base_event_idx = event_idx;
+    /// Indexes the whole log in the base and empties the delta tier.
+    fn rebuild_base(&mut self) {
+        (self.base, self.entry_events) =
+            TemporalAdjacency::from_events(self.n_nodes(), &self.events);
+        self.compacted = self.events.len();
         for row in &mut self.delta_rows {
             row.clear();
         }
-        self.delta_neighbors.clear();
-        self.delta_times.clear();
-        self.delta_feature_idx.clear();
-        self.delta_event_idx.clear();
-        self.delta_events = 0;
-        self.compactions += 1;
-        cost
     }
 
     /// Borrows a read snapshot over every ingested event. Equivalent to
     /// `view_prefix(total_events())`.
     pub fn view(&self) -> StreamingView<'_> {
-        self.view_prefix(self.total_events)
+        self.view_prefix(self.total_events())
     }
 
     /// Borrows a read snapshot exposing only the first `visible`
     /// events, wherever they currently live (base or delta). Sampling
     /// through the snapshot is byte-identical to sampling a frozen
-    /// [`TemporalAdjacency`](crate::TemporalAdjacency) built from that event prefix.
+    /// [`TemporalAdjacency`] built from that event prefix.
     ///
-    /// The snapshot is a plain borrow — no slab is cloned.
+    /// The snapshot is a plain borrow — nothing is cloned.
     ///
     /// # Panics
     ///
     /// Panics when `visible` exceeds the events ingested so far.
     pub fn view_prefix(&self, visible: usize) -> StreamingView<'_> {
         assert!(
-            visible <= self.total_events,
+            visible <= self.total_events(),
             "view of {visible} events but only {} ingested",
-            self.total_events
+            self.total_events()
         );
         StreamingView {
             store: self,
@@ -392,21 +300,20 @@ pub struct StreamingView<'a> {
 
 impl StreamingView<'_> {
     /// Visible entry counts of `node` in (base, delta): entries whose
-    /// producing event index precedes the visibility horizon. Both row
-    /// segments store event indexes in increasing order, so each prefix
+    /// producing event index precedes the visibility horizon. Both tiers
+    /// list a row's event indexes in increasing order, so each prefix
     /// length is one bisection.
     fn visible_split(&self, node: NodeId) -> (usize, usize) {
         let s = self.store;
-        let row = &s.base_event_idx[s.base_offsets[node]..s.base_offsets[node + 1]];
-        let base = row.partition_point(|&e| e < self.visible);
-        let delta = s.delta_rows[node].partition_point(|&p| s.delta_event_idx[p] < self.visible);
+        let base = s.entry_events[s.base.span(node)].partition_point(|&e| e < self.visible);
+        let delta = s.delta_rows[node].partition_point(|&e| e < self.visible);
         (base, delta)
     }
 }
 
 impl TemporalView for StreamingView<'_> {
     fn n_nodes(&self) -> usize {
-        self.store.n_nodes
+        self.store.n_nodes()
     }
 
     fn degree(&self, node: NodeId) -> usize {
@@ -418,47 +325,36 @@ impl TemporalView for StreamingView<'_> {
         let s = self.store;
         let (base, _) = self.visible_split(node);
         if i < base {
-            let at = s.base_offsets[node] + i;
-            (
-                s.base_neighbors[at],
-                s.base_times[at],
-                s.base_feature_idx[at],
-            )
+            s.base.entry(node, i)
         } else {
-            let p = s.delta_rows[node][i - base];
-            (
-                s.delta_neighbors[p],
-                s.delta_times[p],
-                s.delta_feature_idx[p],
-            )
+            // A delta entry is its logged event, seen from `node`: the
+            // neighbor is the other endpoint (`node` itself for a
+            // self-loop).
+            let e = &s.events[s.delta_rows[node][i - base]];
+            let neighbor = if e.src == node { e.dst } else { e.src };
+            (neighbor, e.time, e.feature_idx)
         }
     }
 
     fn count_before(&self, node: NodeId, t: f64) -> (usize, u64) {
         let s = self.store;
         let (base, delta) = self.visible_split(node);
-        let len = base + delta;
-        if len == 0 {
-            return (0, 0);
-        }
         // The visible row is `base prefix ++ delta prefix`, globally
         // time-sorted (appends are watermark-monotone), so the strict
         // lower bound splits across the two segments. The step count is
         // a function of the *visible row length* alone — the same
         // bisection a frozen CSR of this prefix would pay.
-        let b0 = s.base_offsets[node];
-        let in_base = s.base_times[b0..b0 + base].partition_point(|&x| x < t);
-        let in_delta = s.delta_rows[node][..delta].partition_point(|&p| s.delta_times[p] < t);
-        #[expect(clippy::cast_possible_truncation, reason = "log2 of a length fits u64")]
-        let steps = (len as f64).log2().ceil() as u64 + 1;
-        (in_base + in_delta, steps)
+        let (_, times, _) = s.base.row(node);
+        let in_base = times[..base].partition_point(|&x| x < t);
+        let in_delta = s.delta_rows[node][..delta].partition_point(|&e| s.events[e].time < t);
+        (in_base + in_delta, bisect_steps(base + delta))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NeighborSampler, SampleStrategy, TemporalAdjacency};
+    use crate::{NeighborSampler, SampleStrategy};
 
     fn ev(src: usize, dst: usize, time: f64, feature_idx: usize) -> TemporalEvent {
         TemporalEvent {

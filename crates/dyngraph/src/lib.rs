@@ -13,11 +13,13 @@
 //!   neighbor history with bisection lookup, and [`NeighborSampler`]
 //!   implementing TGAT-style temporal neighbor sampling (most-recent and
 //!   uniform) with batch APIs that equal their per-root samples;
-//! * [`StreamingAdjacency`] — the appendable two-tier variant (immutable
-//!   CSR base + delta log with deterministic threshold compaction) for
-//!   queries racing live ingestion; its borrowed [`StreamingView`]
-//!   snapshot and the frozen CSR both implement [`TemporalView`], the
-//!   read interface every sampler method is written against;
+//! * [`StreamingAdjacency`] — the appendable variant for queries racing
+//!   live ingestion: an event log over a [`TemporalAdjacency`] of its
+//!   compacted prefix, with per-node delta rows and deterministic
+//!   threshold compaction through the same CSR builder; its borrowed
+//!   [`StreamingView`] snapshot and the frozen CSR both implement
+//!   [`TemporalView`], the read interface every sampler method is
+//!   written against;
 //! * [`TBatcher`] — JODIE's t-batch parallelization algorithm, and
 //!   [`WindowBatcher`] — the arrival-time micro-batching rule the
 //!   `dgnn-serve` admission queue applies per model;

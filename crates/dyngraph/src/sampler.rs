@@ -31,9 +31,11 @@
 //! concatenated in root order, and a streaming view samples exactly what
 //! the frozen CSR of the same event prefix does.
 
+use std::ops::Range;
+
 use dgnn_tensor::TensorRng;
 
-use crate::{EventStream, NodeId};
+use crate::{EventStream, NodeId, TemporalEvent};
 
 /// One sampled temporal neighbor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,17 +105,21 @@ pub struct TemporalAdjacency {
 }
 
 impl TemporalAdjacency {
-    /// Builds the CSR index from a stream in two passes: degree count +
-    /// prefix sum, then a fill in stream order (events arrive
-    /// time-sorted, so every row ends up time-sorted too).
+    /// Builds the CSR index of a stream (time-sorted, so every row is).
     pub fn from_stream(stream: &EventStream) -> Self {
-        let n = stream.n_nodes();
-        let mut degree = vec![0usize; n];
-        for e in stream.events() {
+        TemporalAdjacency::from_events(stream.n_nodes(), stream.events()).0
+    }
+
+    /// The one CSR builder, frozen and streaming: degree count + prefix
+    /// sum, then a fill in event order (a self-loop fills its row twice).
+    /// Also returns each entry's index into `events`.
+    pub(crate) fn from_events(n_nodes: usize, events: &[TemporalEvent]) -> (Self, Vec<usize>) {
+        let mut degree = vec![0usize; n_nodes];
+        for e in events {
             degree[e.src] += 1;
             degree[e.dst] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
+        let mut offsets = Vec::with_capacity(n_nodes + 1);
         let mut acc = 0usize;
         offsets.push(0);
         for &d in &degree {
@@ -123,22 +129,25 @@ impl TemporalAdjacency {
         let mut neighbors = vec![0 as NodeId; acc];
         let mut times = vec![0.0f64; acc];
         let mut feature_idx = vec![0usize; acc];
-        let mut cursor = offsets[..n].to_vec();
-        for e in stream.events() {
+        let mut event_idx = vec![0usize; acc];
+        let mut cursor = offsets[..n_nodes].to_vec();
+        for (i, e) in events.iter().enumerate() {
             for (from, to) in [(e.src, e.dst), (e.dst, e.src)] {
                 let at = cursor[from];
                 neighbors[at] = to;
                 times[at] = e.time;
                 feature_idx[at] = e.feature_idx;
+                event_idx[at] = i;
                 cursor[from] += 1;
             }
         }
-        TemporalAdjacency {
+        let adj = TemporalAdjacency {
             offsets,
             neighbors,
             times,
             feature_idx,
-        }
+        };
+        (adj, event_idx)
     }
 
     /// Number of nodes indexed.
@@ -151,10 +160,15 @@ impl TemporalAdjacency {
         self.offsets[node + 1] - self.offsets[node]
     }
 
+    /// Slab range of `node`'s row.
+    pub(crate) fn span(&self, node: NodeId) -> Range<usize> {
+        self.offsets[node]..self.offsets[node + 1]
+    }
+
     /// The contiguous CSR row of `node`: `(neighbors, times, feature
     /// rows)`, time-sorted.
     pub fn row(&self, node: NodeId) -> (&[NodeId], &[f64], &[usize]) {
-        let r = self.offsets[node]..self.offsets[node + 1];
+        let r = self.span(node);
         (
             &self.neighbors[r.clone()],
             &self.times[r.clone()],
@@ -167,13 +181,18 @@ impl TemporalAdjacency {
     /// no history costs nothing — there is no array to bisect.
     pub fn count_before(&self, node: NodeId, t: f64) -> (usize, u64) {
         let (_, times, _) = self.row(node);
-        if times.is_empty() {
-            return (0, 0);
-        }
-        let idx = times.partition_point(|&x| x < t);
-        #[expect(clippy::cast_possible_truncation, reason = "log2 of a length fits u64")]
-        let steps = (times.len() as f64).log2().ceil() as u64 + 1;
-        (idx, steps)
+        (times.partition_point(|&x| x < t), bisect_steps(times.len()))
+    }
+}
+
+/// Comparison steps every [`TemporalView`] prices a bisection over a
+/// row of `len` entries at: `⌈log₂ len⌉ + 1`, none for an empty row.
+#[expect(clippy::cast_possible_truncation, reason = "log2 of a length fits u64")]
+pub(crate) fn bisect_steps(len: usize) -> u64 {
+    if len == 0 {
+        0
+    } else {
+        (len as f64).log2().ceil() as u64 + 1
     }
 }
 
@@ -370,7 +389,6 @@ impl NeighborSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TemporalEvent;
 
     fn stream() -> EventStream {
         let events = vec![

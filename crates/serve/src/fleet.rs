@@ -360,7 +360,7 @@ pub fn serve(cfg: &ServeConfig, zoo: &[ServedModel]) -> ServeOutcome {
 pub(crate) fn serve_one_pool(
     cfg: &ServeConfig,
     zoo: &[ServedModel],
-    streaming: Option<&mut StreamingState>,
+    streaming: Option<&mut StreamingState<'_>>,
 ) -> ServeOutcome {
     // With a single pool every policy places every request on it, and
     // the SLO only feeds the report; both keep their defaults.
@@ -394,7 +394,7 @@ pub(crate) fn serve_one_pool(
 fn run(
     cfg: &FleetConfig,
     zoo: &[ServedModel],
-    mut streaming: Option<&mut StreamingState>,
+    mut streaming: Option<&mut StreamingState<'_>>,
 ) -> Records {
     assert!(!zoo.is_empty(), "model mix must not be empty");
     assert!(cfg.initial_pools >= 1, "fleet needs at least one pool");
@@ -654,7 +654,7 @@ fn try_dispatch(
     dispatch_seq: &mut u64,
     events: &mut BTreeMap<(u64, u8, u64), Ev>,
     seq: &mut u64,
-    mut streaming: Option<&mut StreamingState>,
+    mut streaming: Option<&mut StreamingState<'_>>,
 ) {
     // Earliest-ready batch that can start now. Affinity can block the
     // head (its model's slot is busy) without blocking later batches

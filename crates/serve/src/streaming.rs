@@ -127,23 +127,23 @@ pub fn generate_ingest(seed: u64, n: usize, rate_eps: f64) -> Vec<DurationNs> {
 ///
 /// Owns the delta-log store, the serving-path node memory, and the
 /// ingest executor whose Host lane both ingestion and query sampling
-/// are priced on.
+/// are priced on. It borrows the stream it ingests: the store's log
+/// holds every ingested event.
 #[derive(Debug)]
-pub(crate) struct StreamingState {
+pub(crate) struct StreamingState<'a> {
     store: StreamingAdjacency,
     memory: IngestMemory,
     ingest: Executor,
     sampler: NeighborSampler,
-    events: Vec<TemporalEvent>,
+    events: &'a [TemporalEvent],
     /// Virtual arrival instant per event (empty in frozen mode).
     arrivals: Vec<DurationNs>,
     /// Instant each ingested event's append work completed (monotone).
     visible_at: Vec<DurationNs>,
-    next: usize,
     frozen: bool,
 }
 
-impl StreamingState {
+impl<'a> StreamingState<'a> {
     /// Builds the streaming state for one run. In frozen mode the whole
     /// stream is ingested (and node memory advanced) offline at t = 0.
     ///
@@ -151,15 +151,15 @@ impl StreamingState {
     ///
     /// Panics when the stream is malformed (unsorted, out-of-bounds
     /// nodes) or the compaction threshold is zero.
-    pub fn new(scfg: &StreamingConfig, cfg: &ServeConfig) -> Self {
-        let events: Vec<TemporalEvent> = scfg.stream.events().to_vec();
+    pub fn new(scfg: &'a StreamingConfig, cfg: &ServeConfig) -> Self {
+        let events = scfg.stream.events();
         let n_nodes = scfg.stream.n_nodes();
         let mut ingest = Executor::new(cfg.spec.clone(), ExecMode::CpuOnly);
         if cfg.trace {
             ingest.enable_tracing();
         }
         let mut memory = IngestMemory::new(n_nodes, MEMORY_DIM, cfg.seed);
-        let (store, arrivals, visible_at, next) = if scfg.frozen {
+        let (store, arrivals, visible_at) = if scfg.frozen {
             // Offline build: the store and memory reflect the full
             // stream before the clock starts; nothing arrives live.
             let store = StreamingAdjacency::from_stream(&scfg.stream, scfg.compaction_threshold);
@@ -168,11 +168,11 @@ impl StreamingState {
                 ingest.trace_graph_append(STORE_ID, i, ev.time.to_bits(), DurationNs::ZERO);
             }
             let visible = vec![DurationNs::ZERO; events.len()];
-            (store, Vec::new(), visible, events.len())
+            (store, Vec::new(), visible)
         } else {
             let store = StreamingAdjacency::new(n_nodes, scfg.compaction_threshold);
             let arrivals = generate_ingest(cfg.seed, events.len(), scfg.ingest_rate_eps);
-            (store, arrivals, Vec::new(), 0)
+            (store, arrivals, Vec::new())
         };
         StreamingState {
             store,
@@ -182,7 +182,6 @@ impl StreamingState {
             events,
             arrivals,
             visible_at,
-            next,
             frozen: scfg.frozen,
         }
     }
@@ -197,7 +196,7 @@ impl StreamingState {
     /// the shared ingest clock; the event becomes visible to samplers
     /// when that work completes.
     pub(crate) fn ingest(&mut self, i: usize, now: DurationNs) {
-        assert_eq!(i, self.next, "ingest events must arrive in order");
+        assert_eq!(i, self.store.total_events(), "ingest out of order");
         let ev = self.events[i];
         self.ingest.advance_to(now);
         let receipt = self
@@ -227,7 +226,6 @@ impl StreamingState {
         self.ingest
             .trace_graph_append(STORE_ID, i, ev.time.to_bits(), visible);
         self.visible_at.push(visible);
-        self.next = i + 1;
     }
 
     /// Samples for one dispatched batch at `now`. Returns the host-side
@@ -298,27 +296,6 @@ impl StreamingState {
             .collect();
         (extra, staleness)
     }
-
-    /// Events ingested so far.
-    pub fn ingested(&self) -> usize {
-        self.next
-    }
-
-    /// Compactions the store ran.
-    pub fn compactions(&self) -> usize {
-        self.store.compactions()
-    }
-
-    /// Order-sensitive checksum of the serving-path node memory.
-    pub fn memory_checksum(&self) -> u64 {
-        self.memory.checksum()
-    }
-
-    /// Consumes the state, returning the ingest session executor for
-    /// post-hoc auditing (RULE7 runs over its provenance trace).
-    pub fn into_session(self) -> Executor {
-        self.ingest
-    }
 }
 
 /// Everything a streaming serving run produced.
@@ -353,9 +330,9 @@ pub fn serve_streaming(
     let serve = serve_one_pool(cfg, zoo, Some(&mut state));
     StreamingOutcome {
         serve,
-        ingested: state.ingested(),
-        compactions: state.compactions(),
-        memory_checksum: state.memory_checksum(),
-        ingest_session: state.into_session(),
+        ingested: state.store.total_events(),
+        compactions: state.store.compactions(),
+        memory_checksum: state.memory.checksum(),
+        ingest_session: state.ingest,
     }
 }
