@@ -63,8 +63,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use dgnn_device::{
-    accumulate_class_stats, CacheStats, ClassCacheStats, DurationNs, ExecMode, Executor,
-    PlatformSpec,
+    accumulate_class_stats, ClassCacheStats, DurationNs, ExecMode, Executor, PlatformSpec,
 };
 use dgnn_graph::WindowBatcher;
 use dgnn_profile::ServicePhases;
@@ -215,9 +214,8 @@ pub(crate) struct Records {
     pub provision: ServicePhases,
     /// Services that paid a model swap, fleet-wide.
     pub cold_services: usize,
-    /// Feature-cache counters summed over every replica session.
-    pub cache: CacheStats,
-    /// The same counters split by tensor class.
+    /// Feature-cache counters summed over every replica session, split
+    /// by tensor class.
     pub cache_by_class: ClassCacheStats,
     /// Each pool's `(spawned_at, retired_at)` lifetime, in spawn order.
     pub pool_spans: Vec<(DurationNs, Option<DurationNs>)>,
@@ -621,7 +619,6 @@ fn run(
     for p in pools {
         records.provision.accumulate(&p.pool.provision_phases());
         records.cold_services += p.pool.cold_starts();
-        records.cache.accumulate(&p.pool.cache_stats());
         accumulate_class_stats(&mut records.cache_by_class, &p.pool.cache_class_stats());
         records.sessions.extend(p.pool.into_sessions());
     }

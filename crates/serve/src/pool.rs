@@ -27,8 +27,7 @@
 //! without carrying mutable model state between requests.
 
 use dgnn_device::{
-    accumulate_class_stats, CacheStats, ClassCacheStats, DurationNs, ExecMode, Executor,
-    PlatformSpec,
+    accumulate_class_stats, ClassCacheStats, DurationNs, ExecMode, Executor, PlatformSpec,
 };
 use dgnn_models::RunSummary;
 use dgnn_profile::ServicePhases;
@@ -264,22 +263,12 @@ impl WarmPool {
         self.replicas.iter().map(|r| r.cold_starts).sum()
     }
 
-    /// Feature-cache counters summed over every slot's session. A slot's
-    /// cache stays warm between services — the whole point of the pool —
-    /// so hits here measure cross-request reuse, not just intra-batch
-    /// locality. All zeros when the served configs never enable the
-    /// cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for r in &self.replicas {
-            total.accumulate(&r.session.cache_stats());
-        }
-        total
-    }
-
     /// Per-[`dgnn_device::TensorClass`] feature-cache counters summed
-    /// over every slot's session — splits the [`WarmPool::cache_stats`]
-    /// total into node-feature / edge-feature / node-memory traffic.
+    /// over every slot's session: node-feature / edge-feature /
+    /// node-memory traffic. A slot's cache stays warm between services —
+    /// the whole point of the pool — so hits here measure cross-request
+    /// reuse, not just intra-batch locality. All zeros when the served
+    /// configs never enable the cache.
     pub fn cache_class_stats(&self) -> ClassCacheStats {
         let mut total = ClassCacheStats::default();
         for r in &self.replicas {

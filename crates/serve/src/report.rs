@@ -204,6 +204,11 @@ impl FleetReport {
         for b in &records.batches {
             service_phases.accumulate(&b.batch.phases);
         }
+        // The class split sums exactly (`u64` counters) to the total.
+        let mut cache = CacheStats::default();
+        for class in &records.cache_by_class {
+            cache.accumulate(class);
+        }
         let served = records.served.len() as f64;
         let throughput_rps = if records.makespan.as_nanos() == 0 {
             0.0
@@ -260,7 +265,7 @@ impl FleetReport {
             queue_wait: stats(ServedRequest::queue_wait),
             service: stats(ServedRequest::service_time),
             staleness: stats(|r| r.staleness),
-            cache: records.cache,
+            cache,
             cache_by_class: records.cache_by_class,
             makespan: records.makespan,
             throughput_rps,
