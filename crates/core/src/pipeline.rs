@@ -15,46 +15,21 @@
 
 use dgnn_device::DurationNs;
 
-/// Per-timestep durations of a two-stage computation
-/// (e.g. EvolveGCN's RNN stage and GNN stage).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StagePair {
-    /// First stage (producer — e.g. RNN weight update).
-    pub first: DurationNs,
-    /// Second stage (consumer — e.g. GNN using the updated weights).
-    pub second: DurationNs,
-}
-
-/// Sequential makespan: `Σ (first + second)`.
-pub fn sequential_makespan(steps: &[StagePair]) -> DurationNs {
-    steps.iter().map(|s| s.first + s.second).sum()
-}
-
-/// Two-stage pipelined makespan (Fig 10): stage one of step `t+1` runs
-/// concurrently with stage two of step `t`; within a step, stage two
-/// still waits for stage one.
-pub fn pipelined_makespan(steps: &[StagePair]) -> DurationNs {
+/// Two-stage pipelined makespan over per-step `(first, second)`
+/// durations: stage one of step `t+1` runs concurrently with stage two
+/// of step `t`; within a step, stage two still waits for stage one.
+/// Fig 10 pipelines EvolveGCN's RNN (first) with its GNN (second), and
+/// §5.1.1 (the Zhang et al. style sampling/inference overlap) runs host
+/// preprocessing of batch `t+1` (first) under device compute of batch
+/// `t` (second).
+pub fn pipelined_makespan(steps: &[(DurationNs, DurationNs)]) -> DurationNs {
     let mut first_done = DurationNs::ZERO;
     let mut second_done = DurationNs::ZERO;
-    for s in steps {
-        first_done += s.first;
-        second_done = first_done.max(second_done) + s.second;
+    for &(first, second) in steps {
+        first_done += first;
+        second_done = first_done.max(second_done) + second;
     }
     second_done
-}
-
-/// Overlap of host preprocessing with device compute (§5.1.1, the
-/// Zhang et al. style sampling/inference overlap): host work for batch
-/// `t+1` proceeds while the device processes batch `t`. `pairs` holds
-/// `(host, device)` durations per batch.
-pub fn overlapped_makespan(pairs: &[(DurationNs, DurationNs)]) -> DurationNs {
-    let mut host_done = DurationNs::ZERO;
-    let mut device_done = DurationNs::ZERO;
-    for &(host, device) in pairs {
-        host_done += host;
-        device_done = host_done.max(device_done) + device;
-    }
-    device_done
 }
 
 /// Bytes saved by delta-snapshot transfer (§5.2.2): transferring only the
@@ -91,57 +66,35 @@ mod tests {
         DurationNs::from_nanos(v)
     }
 
+    /// Sequential makespan: `Σ (first + second)`.
+    fn sequential(steps: &[(DurationNs, DurationNs)]) -> DurationNs {
+        steps.iter().map(|&(first, second)| first + second).sum()
+    }
+
     #[test]
     fn balanced_stages_approach_2x_speedup() {
-        let steps: Vec<StagePair> = (0..100)
-            .map(|_| StagePair {
-                first: ns(10),
-                second: ns(10),
-            })
-            .collect();
+        let steps = vec![(ns(10), ns(10)); 100];
         // Only the first step's first stage is exposed: 1010 ns against
         // 2000 ns sequential, a 1.98x speedup.
-        assert_eq!(sequential_makespan(&steps), ns(2_000));
+        assert_eq!(sequential(&steps), ns(2_000));
         assert_eq!(pipelined_makespan(&steps), ns(1_010));
     }
 
     #[test]
     fn pipelining_never_hurts() {
-        let steps = vec![
-            StagePair {
-                first: ns(5),
-                second: ns(20),
-            },
-            StagePair {
-                first: ns(30),
-                second: ns(2),
-            },
-            StagePair {
-                first: ns(1),
-                second: ns(1),
-            },
-        ];
-        assert!(pipelined_makespan(&steps) <= sequential_makespan(&steps));
+        let steps = vec![(ns(5), ns(20)), (ns(30), ns(2)), (ns(1), ns(1))];
+        assert!(pipelined_makespan(&steps) <= sequential(&steps));
     }
 
     #[test]
     fn pipelined_respects_intra_step_dependency() {
         // One step: no overlap possible; makespan equals sequential.
-        let steps = vec![StagePair {
-            first: ns(7),
-            second: ns(9),
-        }];
-        assert_eq!(pipelined_makespan(&steps), ns(16));
+        assert_eq!(pipelined_makespan(&[(ns(7), ns(9))]), ns(16));
     }
 
     #[test]
     fn skewed_stages_bound_by_bottleneck_stage() {
-        let steps: Vec<StagePair> = (0..50)
-            .map(|_| StagePair {
-                first: ns(100),
-                second: ns(1),
-            })
-            .collect();
+        let steps = vec![(ns(100), ns(1)); 50];
         // Makespan is dominated by the slow first stage.
         let m = pipelined_makespan(&steps).as_nanos();
         assert!(m >= 50 * 100);
@@ -150,16 +103,16 @@ mod tests {
 
     #[test]
     fn overlap_hides_cheap_host_work() {
-        let pairs: Vec<(DurationNs, DurationNs)> = (0..20).map(|_| (ns(2), ns(10))).collect();
-        let overlapped = overlapped_makespan(&pairs);
+        let pairs = vec![(ns(2), ns(10)); 20];
+        let overlapped = pipelined_makespan(&pairs);
         // Only the first host stage is exposed.
         assert_eq!(overlapped.as_nanos(), 2 + 20 * 10);
     }
 
     #[test]
     fn overlap_degrades_to_host_bound_when_sampling_dominates() {
-        let pairs: Vec<(DurationNs, DurationNs)> = (0..20).map(|_| (ns(50), ns(5))).collect();
-        let overlapped = overlapped_makespan(&pairs).as_nanos();
+        let pairs = vec![(ns(50), ns(5)); 20];
+        let overlapped = pipelined_makespan(&pairs).as_nanos();
         assert!(overlapped >= 20 * 50, "host chain lower-bounds makespan");
     }
 

@@ -19,9 +19,7 @@
 //! bins run each against its serial twin.
 
 use dgnn_device::{DurationNs, EventCategory, ExecMode, Executor, PlatformSpec};
-use dgnn_profile::pipeline::{
-    delta_transfer_bytes, overlapped_makespan, pipelined_makespan, sequential_makespan, StagePair,
-};
+use dgnn_profile::pipeline::{delta_transfer_bytes, pipelined_makespan};
 
 use crate::common::{DgnnModel, InferenceConfig, TransferGranularity};
 use crate::evolvegcn::EvolveGcn;
@@ -133,12 +131,9 @@ pub fn pipelined_evolvegcn(model: &mut EvolveGcn, cfg: &InferenceConfig) -> Resu
     let baseline = model.run(&mut ex, cfg)?.inference_time;
     let rnn = module_durations(&ex, "rnn");
     let gnn = module_durations(&ex, "gnn");
-    let steps: Vec<StagePair> = rnn
-        .iter()
-        .zip(&gnn)
-        .map(|(&first, &second)| StagePair { first, second })
-        .collect();
-    let saved = sequential_makespan(&steps) - pipelined_makespan(&steps);
+    let steps: Vec<(DurationNs, DurationNs)> = rnn.into_iter().zip(gnn).collect();
+    let sequential: DurationNs = steps.iter().map(|&(rnn, gnn)| rnn + gnn).sum();
+    let saved = sequential - pipelined_makespan(&steps);
     Ok(AblationResult {
         baseline,
         optimized: baseline - saved,
@@ -162,7 +157,7 @@ pub fn overlapped_sampling_tgat(model: &mut Tgat, cfg: &InferenceConfig) -> Resu
     let pairs: Vec<(DurationNs, DurationNs)> = sampling.iter().map(|&s| (s, per_device)).collect();
     Ok(AblationResult {
         baseline,
-        optimized: overlapped_makespan(&pairs),
+        optimized: pipelined_makespan(&pairs),
     })
 }
 
@@ -195,7 +190,7 @@ pub fn overlapped_prep_evolvegcn(
         .collect();
     Ok(AblationResult {
         baseline,
-        optimized: overlapped_makespan(&pairs),
+        optimized: pipelined_makespan(&pairs),
     })
 }
 
