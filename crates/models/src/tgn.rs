@@ -144,7 +144,7 @@ impl DgnnModel for Tgn {
         // event has history tells the two apart.
         let whole_neighbor_block = plan.shards == 1;
 
-        let k = cfg.n_neighbors.clamp(1, 10);
+        let k = cfg.n_neighbors.max(1);
         let row_bytes = (2 * DIM * 4) as u64;
         let sampler = NeighborSampler::new(SampleStrategy::MostRecent, SAMPLER_SEED);
         let n_nodes = self.data.stream.n_nodes();
@@ -443,6 +443,19 @@ mod tests {
         assert!(s.checksum.is_finite());
         let p = InferenceProfile::capture(&ex, "inference");
         assert!(p.breakdown.share_of("message_passing") > 0.0);
+    }
+
+    #[test]
+    fn more_neighbors_price_more_time() {
+        // `n_neighbors` is honoured above 10: every extra neighbor is a
+        // sampled, gathered and attended-over row.
+        let time = |k: usize| {
+            let mut m = build();
+            let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
+            let cfg = cfg(200).with_neighbors(k);
+            m.run(&mut ex, &cfg).unwrap().inference_time
+        };
+        assert!(time(20) > time(10));
     }
 
     #[test]
