@@ -1,15 +1,19 @@
-//! Smoke-scale golden outputs of the paper-figure, transfer and
-//! sanitizer binaries.
+//! Smoke-scale golden outputs of the paper-figure, sweep and sanitizer
+//! binaries.
 //!
-//! Each test runs one bin at smoke scale — the paper-figure bins and
-//! `sampling_throughput` at `--scale tiny --seed 1`, the transfer bins
-//! (`pipeline_overlap`, `feature_cache`, `multi_gpu`) at `--smoke`,
-//! `sanitize` at `--scale tiny --mode serial` — and compares its stdout
-//! byte for byte with the file under `tests/golden/`. Every number
-//! those bins print comes from the simulated clock, so a change that
-//! moves any priced time, share, checksum or table row fails here; the
-//! sanitizer's serial rows also pin each model's trace-record count.
-//! Debug and release builds print the same bytes.
+//! Each test runs one bin at smoke scale — the paper-figure bins,
+//! `sampling_throughput` and `sensitivity_sweep` at `--scale tiny
+//! --seed 1`, the transfer and serving sweeps (`pipeline_overlap`,
+//! `feature_cache`, `multi_gpu`, `serve_sweep`, `streaming_ingest`) at
+//! `--smoke`, `sanitize` at `--scale tiny --mode serial` — and compares
+//! its stdout byte for byte with the file under `tests/golden/`. Every
+//! number those bins print comes from the simulated clock, so a change
+//! that moves any priced time, share, checksum or table row fails here;
+//! the sanitizer's serial rows also pin each model's trace-record count.
+//! Debug and release builds print the same bytes. `table2_warmup` and
+//! `sanitize`'s other modes are too slow in debug for this file; CI
+//! diffs their release stdout against `table2_warmup.txt` and
+//! `sanitize_all.txt` instead.
 //!
 //! To re-record after an intended change, run each bin with its
 //! arguments at the parent commit and redirect its stdout to the golden
@@ -18,7 +22,8 @@
 
 use std::process::Command;
 
-/// The paper-figure bins' and `sampling_throughput`'s smoke arguments.
+/// The paper-figure bins', `sampling_throughput`'s and
+/// `sensitivity_sweep`'s smoke arguments.
 const TINY: [&str; 4] = ["--scale", "tiny", "--seed", "1"];
 
 fn check(bin: &str, args: &[&str], golden: &str) {
@@ -69,6 +74,15 @@ fn fig7_breakdown() {
 }
 
 #[test]
+fn fig8_cpu_gpu() {
+    check(
+        env!("CARGO_BIN_EXE_fig8_cpu_gpu"),
+        &TINY,
+        include_str!("golden/fig8_cpu_gpu.txt"),
+    );
+}
+
+#[test]
 fn fig9_astgnn_timeline() {
     check(
         env!("CARGO_BIN_EXE_fig9_astgnn_timeline"),
@@ -114,6 +128,15 @@ fn sampling_throughput() {
 }
 
 #[test]
+fn sensitivity_sweep() {
+    check(
+        env!("CARGO_BIN_EXE_sensitivity_sweep"),
+        &TINY,
+        include_str!("golden/sensitivity_sweep.txt"),
+    );
+}
+
+#[test]
 fn pipeline_overlap() {
     check(
         env!("CARGO_BIN_EXE_pipeline_overlap"),
@@ -137,6 +160,24 @@ fn multi_gpu() {
         env!("CARGO_BIN_EXE_multi_gpu"),
         &["--smoke"],
         include_str!("golden/multi_gpu.txt"),
+    );
+}
+
+#[test]
+fn serve_sweep() {
+    check(
+        env!("CARGO_BIN_EXE_serve_sweep"),
+        &["--smoke"],
+        include_str!("golden/serve_sweep.txt"),
+    );
+}
+
+#[test]
+fn streaming_ingest() {
+    check(
+        env!("CARGO_BIN_EXE_streaming_ingest"),
+        &["--smoke"],
+        include_str!("golden/streaming_ingest.txt"),
     );
 }
 
