@@ -22,8 +22,9 @@
 //! checksums against the uncached pinned baseline.
 //!
 //! Every measurement is emitted as a machine-readable `BENCH {json}`
-//! line; the committed `BENCH_cache.json` baseline at the repo root is
-//! the array of these records.
+//! line. A full run from the repo root,
+//! `cargo run --release -p dgnn-bench --bin feature_cache`, also writes
+//! these records to the committed `BENCH_cache.json` baseline.
 //!
 //! Usage: `feature_cache [--scale tiny|small|full] [--seed N] [--smoke]`
 //!
@@ -31,11 +32,11 @@
 //! adds a determinism replay plus a sanitizer audit of a traced cached
 //! run, so CI exercises the full code path in seconds.
 
-use dgnn_bench::{build_model, parse_opts};
+use dgnn_bench::{build_model, emit, measure, measure_sanitized, parse_opts, transfer_cases};
 use dgnn_datasets::Scale;
-use dgnn_device::{CacheStats, ExecMode, Executor, PlatformSpec, TransferMode};
+use dgnn_device::{CacheStats, ExecMode, PlatformSpec, TransferMode};
 use dgnn_models::InferenceConfig;
-use dgnn_profile::{InferenceProfile, TextTable};
+use dgnn_profile::TextTable;
 
 /// One measured cell of the sweep. Times cover the inference window
 /// only — the §4.4 one-time context/model warm-up is identical across
@@ -60,61 +61,22 @@ fn run_cell(
     if let Some(cap) = capacity {
         cfg = cfg.with_feature_cache(cap);
     }
-    let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
-    let summary = model
-        .run(&mut ex, &cfg)
-        .unwrap_or_else(|e| panic!("{name} inference failed: {e}"));
-    let profile = InferenceProfile::capture(&ex, "inference");
+    let run = measure(model.as_mut(), PlatformSpec::default(), ExecMode::Gpu, &cfg);
     Cell {
-        inference_ns: profile.inference_time.as_nanos(),
-        transfer_bytes: ex.timeline().transfer_bytes(None),
-        checksum_bits: summary.checksum.to_bits(),
-        cache: ex.cache_stats(),
+        inference_ns: run.profile.inference_time.as_nanos(),
+        transfer_bytes: run.executor.timeline().transfer_bytes(None),
+        checksum_bits: run.summary.checksum.to_bits(),
+        cache: run.executor.cache_stats(),
     }
 }
 
 fn main() {
     let opts = parse_opts();
-    let smoke = opts.rest.iter().any(|a| a == "--smoke");
-    // Cache hit structure is scale-insensitive (reuse comes from the
-    // unit loop and sampler popularity, not event count), so cap at
-    // Small to keep host-side sampling wall-clock sane.
-    let scale = if smoke {
-        Scale::Tiny
-    } else {
-        match opts.scale {
-            Scale::Full => Scale::Small,
-            s => s,
-        }
-    };
-
-    // (model, inference config): recurrent regimes where rows re-cross
-    // PCIe — TGN node memory for batch endpoints + sampled neighbors,
-    // TGAT neighbor features, MolDGNN per-frame adjacencies repeated
-    // over units.
-    let units = if smoke { 2 } else { 4 };
-    let cases: Vec<(&str, InferenceConfig)> = vec![
-        (
-            "tgn",
-            InferenceConfig::default()
-                .with_batch_size(if smoke { 128 } else { 512 })
-                .with_neighbors(10)
-                .with_max_units(units),
-        ),
-        (
-            "tgat",
-            InferenceConfig::default()
-                .with_batch_size(if smoke { 100 } else { 200 })
-                .with_neighbors(20)
-                .with_max_units(units),
-        ),
-        (
-            "moldgnn",
-            InferenceConfig::default()
-                .with_batch_size(if smoke { 16 } else { 128 })
-                .with_max_units(if smoke { 2 } else { 3 }),
-        ),
-    ];
+    let smoke = opts.smoke;
+    // Cache hit structure is scale-insensitive: reuse comes from the
+    // unit loop and sampler popularity, not event count.
+    let scale = opts.sweep_scale();
+    let cases = transfer_cases(smoke);
     let capacities: &[usize] = if smoke { &[4096] } else { &[1_024, 1 << 20] };
 
     let mut table = TextTable::new(
@@ -131,6 +93,7 @@ fn main() {
         ],
     );
     let mut best_speedup = 0.0f64;
+    let mut records = Vec::new();
 
     for (name, cfg) in &cases {
         for mode in [TransferMode::Pinned, TransferMode::Pageable] {
@@ -162,20 +125,23 @@ fn main() {
                     format!("{:.1}%", cached.cache.hit_rate() * 100.0),
                     format!("{}", base.transfer_bytes - cached.transfer_bytes),
                 ]);
-                println!(
-                    "BENCH {{\"bench\":\"feature_cache\",\"model\":\"{name}\",\
-                     \"mode\":\"{}\",\"capacity\":{cap},\"base_ns\":{},\"cached_ns\":{},\
-                     \"speedup\":{speedup:.4},\"hits\":{},\"misses\":{},\"evictions\":{},\
-                     \"hit_rate\":{:.4},\"base_transfer_bytes\":{},\"cached_transfer_bytes\":{}}}",
-                    mode.name(),
-                    base.inference_ns,
-                    cached.inference_ns,
-                    cached.cache.hits,
-                    cached.cache.misses,
-                    cached.cache.evictions,
-                    cached.cache.hit_rate(),
-                    base.transfer_bytes,
-                    cached.transfer_bytes,
+                emit(
+                    &mut records,
+                    format!(
+                        "{{\"bench\":\"feature_cache\",\"model\":\"{name}\",\
+                         \"mode\":\"{}\",\"capacity\":{cap},\"base_ns\":{},\"cached_ns\":{},\
+                         \"speedup\":{speedup:.4},\"hits\":{},\"misses\":{},\"evictions\":{},\
+                         \"hit_rate\":{:.4},\"base_transfer_bytes\":{},\"cached_transfer_bytes\":{}}}",
+                        mode.name(),
+                        base.inference_ns,
+                        cached.inference_ns,
+                        cached.cache.hits,
+                        cached.cache.misses,
+                        cached.cache.evictions,
+                        cached.cache.hit_rate(),
+                        base.transfer_bytes,
+                        cached.transfer_bytes,
+                    ),
                 );
             }
         }
@@ -203,10 +169,13 @@ fn main() {
             format!("{:.3}", pageable.inference_ns as f64 / 1e6),
             format!("+{:.1}%", tax * 100.0),
         ]);
-        println!(
-            "BENCH {{\"bench\":\"transfer_mode_tax\",\"model\":\"{name}\",\
-             \"pinned_ns\":{},\"pageable_ns\":{},\"tax\":{tax:.4}}}",
-            pinned.inference_ns, pageable.inference_ns,
+        emit(
+            &mut records,
+            format!(
+                "{{\"bench\":\"transfer_mode_tax\",\"model\":\"{name}\",\
+                 \"pinned_ns\":{},\"pageable_ns\":{},\"tax\":{tax:.4}}}",
+                pinned.inference_ns, pageable.inference_ns,
+            ),
         );
     }
     print!("{}", tax_table.render());
@@ -240,16 +209,15 @@ fn main() {
         // Sanitizer audit of a traced cached run: cache hits are
         // legitimately unpriced and must not trip RULE5.
         let mut model = build_model(name, scale, opts.seed);
-        let traced_cfg = cfg.clone().with_feature_cache(4096);
-        let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
-        ex.enable_tracing();
-        model
-            .run(&mut ex, &traced_cfg)
-            .unwrap_or_else(|e| panic!("{name} traced run failed: {e}"));
-        let report = dgnn_analysis::audit(&ex);
+        let (report, run) = measure_sanitized(
+            model.as_mut(),
+            PlatformSpec::default(),
+            ExecMode::Gpu,
+            &cfg.clone().with_feature_cache(4096),
+        );
         assert!(report.is_clean(), "cached run has hazards: {report}");
         assert!(
-            report.stats.cache_hit_rows > 0 || ex.cache_stats().hits == 0,
+            report.stats.cache_hit_rows > 0 || run.executor.cache_stats().hits == 0,
             "traced hits must reach the sanitizer"
         );
         println!("smoke OK: cached replay exact, sanitizer clean ({})", name);
@@ -259,4 +227,5 @@ fn main() {
             "expected >= 1.5x end-to-end reduction on at least one model, best {best_speedup:.2}x"
         );
     }
+    opts.write_bench_file("BENCH_cache.json", "feature_cache", &records);
 }

@@ -8,7 +8,7 @@
 //! Usage: `fig6_mem_util [--scale tiny|small|full] [--panel a|b|c|d]`
 
 use dgnn_bench::{build_model, flag_value, measure, parse_opts};
-use dgnn_device::ExecMode;
+use dgnn_device::{ExecMode, PlatformSpec};
 use dgnn_models::InferenceConfig;
 use dgnn_profile::TextTable;
 
@@ -28,7 +28,7 @@ fn main() {
                 .with_batch_size(200)
                 .with_neighbors(k)
                 .with_max_units(3);
-            let r = measure(m.as_mut(), ExecMode::Gpu, &cfg);
+            let r = measure(m.as_mut(), PlatformSpec::default(), ExecMode::Gpu, &cfg);
             t.row(&[
                 k.to_string(),
                 format!("{:.2}%", r.profile.utilization.busy_fraction * 100.0),
@@ -49,7 +49,7 @@ fn main() {
                 .with_batch_size(bs)
                 .with_neighbors(20)
                 .with_max_units(3);
-            let r = measure(m.as_mut(), ExecMode::Gpu, &cfg);
+            let r = measure(m.as_mut(), PlatformSpec::default(), ExecMode::Gpu, &cfg);
             t.row(&[
                 bs.to_string(),
                 format!("{:.2}%", r.profile.utilization.busy_fraction * 100.0),
@@ -70,7 +70,7 @@ fn main() {
                 .with_batch_size(bs)
                 .with_neighbors(10)
                 .with_max_units(2);
-            let r = measure(m.as_mut(), ExecMode::Gpu, &cfg);
+            let r = measure(m.as_mut(), PlatformSpec::default(), ExecMode::Gpu, &cfg);
             t.row(&[
                 bs.to_string(),
                 format!("{:.2}%", r.profile.utilization.busy_fraction * 100.0),
@@ -90,7 +90,7 @@ fn main() {
             let cfg = InferenceConfig::default()
                 .with_batch_size(bs)
                 .with_max_units(1);
-            let r = measure(m.as_mut(), ExecMode::Gpu, &cfg);
+            let r = measure(m.as_mut(), PlatformSpec::default(), ExecMode::Gpu, &cfg);
             t.row(&[
                 bs.to_string(),
                 format!("{:.2}%", r.profile.utilization.busy_fraction * 100.0),

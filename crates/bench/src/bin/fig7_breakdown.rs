@@ -12,12 +12,12 @@
 //! Usage: `fig7_breakdown [--scale ...] [--model <name>]`
 
 use dgnn_bench::{build_model, default_config, flag_value, measure, parse_opts};
-use dgnn_device::ExecMode;
+use dgnn_device::{ExecMode, PlatformSpec};
 use dgnn_models::InferenceConfig;
 
 fn show(name: &str, scale: dgnn_datasets::Scale, seed: u64, cfg: &InferenceConfig, label: &str) {
     let mut m = build_model(name, scale, seed);
-    let r = measure(m.as_mut(), ExecMode::Gpu, cfg);
+    let r = measure(m.as_mut(), PlatformSpec::default(), ExecMode::Gpu, cfg);
     println!(
         "{}",
         r.profile.breakdown.to_table(&format!(

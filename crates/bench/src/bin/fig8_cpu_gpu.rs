@@ -8,7 +8,7 @@
 //! Usage: `fig8_cpu_gpu [--scale ...] [--model <name>]`
 
 use dgnn_bench::{build_model, flag_value, measure, parse_opts};
-use dgnn_device::ExecMode;
+use dgnn_device::{ExecMode, PlatformSpec};
 use dgnn_models::InferenceConfig;
 use dgnn_profile::TextTable;
 
@@ -51,7 +51,9 @@ fn main() {
             };
             let time = |mode| {
                 let mut m = build_model(name, opts.scale, opts.seed);
-                measure(m.as_mut(), mode, &cfg).profile.inference_time
+                measure(m.as_mut(), PlatformSpec::default(), mode, &cfg)
+                    .profile
+                    .inference_time
             };
             let cpu = time(ExecMode::CpuOnly);
             let gpu = time(ExecMode::Gpu);

@@ -8,7 +8,7 @@
 //! Usage: `fig9_astgnn_timeline [--scale ...]`
 
 use dgnn_bench::{build_model, measure, parse_opts};
-use dgnn_device::{DurationNs, ExecMode};
+use dgnn_device::{DurationNs, ExecMode, PlatformSpec};
 use dgnn_models::InferenceConfig;
 use dgnn_profile::UtilizationReport;
 
@@ -19,7 +19,7 @@ fn main() {
         let cfg = InferenceConfig::default()
             .with_batch_size(bs)
             .with_max_units(2);
-        let run = measure(m.as_mut(), ExecMode::Gpu, &cfg);
+        let run = measure(m.as_mut(), PlatformSpec::default(), ExecMode::Gpu, &cfg);
         let inference = run
             .executor
             .scopes()

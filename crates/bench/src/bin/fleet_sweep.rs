@@ -16,8 +16,10 @@
 //! is compared against a static fleet of the same initial size — the
 //! SLO-attainment / replica-seconds trade-off in one table.
 //!
-//! Every cell is emitted as a machine-readable `BENCH {json}` line; a
-//! non-smoke run also writes the committed `BENCH_fleet.json`.
+//! Every cell is emitted as a machine-readable `BENCH {json}` line. A
+//! full run from the repo root,
+//! `cargo run --release -p dgnn-bench --bin fleet_sweep`, also writes
+//! these records to the committed `BENCH_fleet.json` baseline.
 //!
 //! Usage: `fleet_sweep [--scale tiny|small|full] [--seed N] [--smoke]`
 //!
@@ -28,7 +30,7 @@
 //! autoscaler-spawned ones — with the timeline sanitizer, and
 //! (3) asserts the flash crowd actually triggers a scale-out.
 
-use dgnn_bench::{parse_opts, served_zoo};
+use dgnn_bench::{assert_clean, emit, parse_opts, served_zoo};
 use dgnn_datasets::Scale;
 use dgnn_device::{DurationNs, ExecMode, PlatformSpec};
 use dgnn_profile::TextTable;
@@ -72,6 +74,7 @@ fn scaler() -> AutoscalerConfig {
 }
 
 fn fleet_cfg(
+    seed: u64,
     n_requests: usize,
     shape: WorkloadShape,
     policy: RouterPolicy,
@@ -79,7 +82,7 @@ fn fleet_cfg(
     trace: bool,
 ) -> FleetConfig {
     FleetConfig {
-        seed: 1,
+        seed,
         n_requests,
         arrival_rate_rps: 1.0,
         shape,
@@ -137,17 +140,10 @@ fn record_json(out: &FleetOutcome, scaling: &str) -> String {
 
 fn main() {
     let opts = parse_opts();
-    let smoke = opts.rest.iter().any(|a| a == "--smoke");
+    let (smoke, seed) = (opts.smoke, opts.seed);
     // Like serve_sweep: the object of study is placement + pricing,
-    // both scale-insensitive; cap datasets at Small.
-    let scale = if smoke {
-        Scale::Tiny
-    } else {
-        match opts.scale {
-            Scale::Full => Scale::Small,
-            s => s,
-        }
-    };
+    // both scale-insensitive.
+    let scale = opts.sweep_scale();
     let names: &[&str] = if smoke {
         &["jodie", "dyrep"]
     } else {
@@ -161,7 +157,7 @@ fn main() {
     ];
 
     if smoke {
-        run_smoke(names, scale, opts.seed, n_requests);
+        run_smoke(names, scale, seed, n_requests);
         return;
     }
 
@@ -181,8 +177,8 @@ fn main() {
             "p99 (s)",
         ],
     );
-    let mut records: Vec<String> = Vec::new();
-    let mut emit = |out: &FleetOutcome, scaling: &str| {
+    let mut records = Vec::new();
+    let mut row = |out: &FleetOutcome, scaling: &str| {
         let r = &out.report;
         table.row(&[
             r.shape.to_string(),
@@ -194,44 +190,30 @@ fn main() {
             format!("{}/{}", r.scale_outs, r.scale_ins),
             format!("{:.2}", r.latency.p99.as_secs_f64()),
         ]);
-        let json = record_json(out, scaling);
-        println!("BENCH {json}");
-        records.push(format!("    {json}"));
+        emit(&mut records, record_json(out, scaling));
     };
 
     for shape in shapes() {
         // Autoscaled fleet under every policy…
         for policy in policies {
-            let cfg = fleet_cfg(n_requests, shape, policy, true, false);
-            let out = serve_fleet(&cfg, &served_zoo(names, scale, opts.seed));
-            emit(&out, "auto");
+            let cfg = fleet_cfg(seed, n_requests, shape, policy, true, false);
+            let out = serve_fleet(&cfg, &served_zoo(names, scale, seed));
+            row(&out, "auto");
         }
         // …and a static JSQ fleet of the same initial size as baseline.
         let cfg = fleet_cfg(
+            seed,
             n_requests,
             shape,
             RouterPolicy::JoinShortestQueue,
             false,
             false,
         );
-        let out = serve_fleet(&cfg, &served_zoo(names, scale, opts.seed));
-        emit(&out, "static");
+        let out = serve_fleet(&cfg, &served_zoo(names, scale, seed));
+        row(&out, "static");
     }
     print!("{}", table.render());
-
-    let scale_name = match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Full => "full",
-    };
-    let json = format!(
-        "{{\n  \"generated_by\": \"cargo run --release -p dgnn-bench --bin fleet_sweep\",\n  \
-         \"scale\": \"{scale_name}\",\n  \"seed\": {},\n  \"records\": [\n{}\n  ]\n}}\n",
-        opts.seed,
-        records.join(",\n"),
-    );
-    std::fs::write("BENCH_fleet.json", json).expect("write BENCH_fleet.json");
-    println!("wrote BENCH_fleet.json ({} records)", records.len());
+    opts.write_bench_file("BENCH_fleet.json", "fleet_sweep", &records);
 }
 
 fn run_smoke(names: &[&str], scale: Scale, seed: u64, n_requests: usize) {
@@ -244,6 +226,7 @@ fn run_smoke(names: &[&str], scale: Scale, seed: u64, n_requests: usize) {
     // 1. Bit-determinism: an identical autoscaled configuration
     //    replays the identical schedule, scale decisions and numerics.
     let mut cfg = fleet_cfg(
+        seed,
         n_requests,
         flash,
         RouterPolicy::PowerOfTwoChoices,
@@ -285,18 +268,12 @@ fn run_smoke(names: &[&str], scale: Scale, seed: u64, n_requests: usize) {
     cfg.trace = true;
     let out = serve_fleet(&cfg, &served_zoo(names, scale, seed));
     assert!(out.report.pools_spawned > 1, "trace run must also scale");
-    for (i, session) in out.sessions.iter().enumerate() {
-        let report = dgnn_analysis::audit(session);
-        assert!(
-            report.is_clean(),
-            "fleet replica {i} has hazards: {report:?}"
-        );
-    }
+    assert_clean("fleet replica", &out.sessions);
 
     // 4. Policies and shapes stay deterministic and conserve requests.
     for policy in [RouterPolicy::AffinityFirst, RouterPolicy::JoinShortestQueue] {
         for shape in shapes() {
-            let cfg = fleet_cfg(12, shape, policy, false, false);
+            let cfg = fleet_cfg(seed, 12, shape, policy, false, false);
             let out = serve_fleet(&cfg, &served_zoo(names, scale, seed));
             assert_eq!(
                 out.report.served + out.report.shed,

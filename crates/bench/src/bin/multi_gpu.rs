@@ -23,8 +23,9 @@
 //! the 2.25× the table reports.
 //!
 //! Every measurement is emitted as a machine-readable `BENCH {json}`
-//! line; the committed `BENCH_multigpu.json` baseline at the repo root
-//! is the array of these records.
+//! line. A full run from the repo root,
+//! `cargo run --release -p dgnn-bench --bin multi_gpu`, also writes
+//! these records to the committed `BENCH_multigpu.json` baseline.
 //!
 //! Usage: `multi_gpu [--scale tiny|small|full] [--seed N] [--smoke]`
 //!
@@ -32,11 +33,11 @@
 //! shards=4 determinism replay plus a RULE1–RULE8 sanitizer audit of a
 //! traced sharded run, so CI exercises the cross-device path in seconds.
 
-use dgnn_bench::{build_model, parse_opts};
+use dgnn_bench::{build_model, emit, measure, measure_sanitized, parse_opts, transfer_cases};
 use dgnn_datasets::Scale;
-use dgnn_device::{ExecMode, Executor, PlatformSpec};
+use dgnn_device::{ExecMode, PlatformSpec};
 use dgnn_models::InferenceConfig;
-use dgnn_profile::{InferenceProfile, TextTable};
+use dgnn_profile::TextTable;
 
 /// One measured cell. Times cover the inference window only — context
 /// and model warm-up are identical across shard counts and would drown
@@ -65,57 +66,23 @@ fn run_cell(
     spec: PlatformSpec,
 ) -> Cell {
     let mut model = build_model(name, scale, seed);
-    let mut ex = Executor::new(spec, ExecMode::Gpu);
-    let summary = model
-        .run(&mut ex, cfg)
-        .unwrap_or_else(|e| panic!("{name} inference failed: {e}"));
-    let profile = InferenceProfile::capture(&ex, "inference");
+    let run = measure(model.as_mut(), spec, ExecMode::Gpu, cfg);
     Cell {
-        inference_ns: profile.inference_time.as_nanos(),
-        checksum_bits: summary.checksum.to_bits(),
-        peer_bytes: ex.timeline().peer_bytes(),
-        platform_busy: profile.utilization.platform_busy_fraction,
-        per_device_busy: profile.utilization.per_device,
+        inference_ns: run.profile.inference_time.as_nanos(),
+        checksum_bits: run.summary.checksum.to_bits(),
+        peer_bytes: run.executor.timeline().peer_bytes(),
+        platform_busy: run.profile.utilization.platform_busy_fraction,
+        per_device_busy: run.profile.utilization.per_device,
     }
 }
 
 fn main() {
     let opts = parse_opts();
-    let smoke = opts.rest.iter().any(|a| a == "--smoke");
+    let smoke = opts.smoke;
     // Shard scaling is batch-structure-sensitive, not event-count-
-    // sensitive; cap at Small to keep host-side sampling wall-clock sane.
-    let scale = if smoke {
-        Scale::Tiny
-    } else {
-        match opts.scale {
-            Scale::Full => Scale::Small,
-            s => s,
-        }
-    };
-
-    let units = if smoke { 2 } else { 4 };
-    let cases: Vec<(&str, InferenceConfig)> = vec![
-        (
-            "tgn",
-            InferenceConfig::default()
-                .with_batch_size(if smoke { 128 } else { 512 })
-                .with_neighbors(10)
-                .with_max_units(units),
-        ),
-        (
-            "tgat",
-            InferenceConfig::default()
-                .with_batch_size(if smoke { 100 } else { 200 })
-                .with_neighbors(20)
-                .with_max_units(units),
-        ),
-        (
-            "moldgnn",
-            InferenceConfig::default()
-                .with_batch_size(if smoke { 16 } else { 128 })
-                .with_max_units(if smoke { 2 } else { 3 }),
-        ),
-    ];
+    // sensitive.
+    let scale = opts.sweep_scale();
+    let cases = transfer_cases(smoke);
     let shard_counts: &[usize] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
 
     let mut table = TextTable::new(
@@ -132,6 +99,7 @@ fn main() {
         ],
     );
     let mut best_nvlink4 = 0.0f64;
+    let mut records = Vec::new();
 
     for (name, cfg) in &cases {
         // Bit-identity anchor: the default single-GPU platform.
@@ -179,12 +147,15 @@ fn main() {
                     .map(|f| format!("{f:.4}"))
                     .collect::<Vec<_>>()
                     .join(",");
-                println!(
-                    "BENCH {{\"bench\":\"multi_gpu\",\"model\":\"{name}\",\
-                     \"topology\":\"{topology}\",\"shards\":{shards},\"base_ns\":{base_ns},\
-                     \"sharded_ns\":{},\"speedup\":{speedup:.4},\"peer_bytes\":{},\
-                     \"platform_busy\":{:.4},\"per_device_busy\":[{busy}]}}",
-                    cell.inference_ns, cell.peer_bytes, cell.platform_busy,
+                emit(
+                    &mut records,
+                    format!(
+                        "{{\"bench\":\"multi_gpu\",\"model\":\"{name}\",\
+                         \"topology\":\"{topology}\",\"shards\":{shards},\"base_ns\":{base_ns},\
+                         \"sharded_ns\":{},\"speedup\":{speedup:.4},\"peer_bytes\":{},\
+                         \"platform_busy\":{:.4},\"per_device_busy\":[{busy}]}}",
+                        cell.inference_ns, cell.peer_bytes, cell.platform_busy,
+                    ),
                 );
             }
         }
@@ -209,12 +180,12 @@ fn main() {
         // clean on both topologies.
         for topology in ["nvlink", "pcie"] {
             let mut model = build_model(name, scale, opts.seed);
-            let mut ex = Executor::new(platform(topology, 4), ExecMode::Gpu);
-            ex.enable_tracing();
-            model
-                .run(&mut ex, &sharded)
-                .unwrap_or_else(|e| panic!("{name} traced sharded run failed: {e}"));
-            let report = dgnn_analysis::audit(&ex);
+            let (report, _run) = measure_sanitized(
+                model.as_mut(),
+                platform(topology, 4),
+                ExecMode::Gpu,
+                &sharded,
+            );
             assert!(
                 report.is_clean(),
                 "sharded {topology} run has hazards: {report}"
@@ -228,4 +199,5 @@ fn main() {
              best {best_nvlink4:.2}x"
         );
     }
+    opts.write_bench_file("BENCH_multigpu.json", "multi_gpu", &records);
 }

@@ -7,7 +7,7 @@
 use std::fs;
 
 use dgnn_bench::{build_model, default_config, flag_value, measure, parse_opts};
-use dgnn_device::ExecMode;
+use dgnn_device::{ExecMode, PlatformSpec};
 use dgnn_profile::{chrome_trace, render_kernel_summary};
 
 fn main() {
@@ -16,7 +16,12 @@ fn main() {
     let out_path = flag_value(&opts.rest, "--out").unwrap_or("trace.json");
 
     let mut model = build_model(model_name, opts.scale, opts.seed);
-    let run = measure(model.as_mut(), ExecMode::Gpu, &default_config(model_name));
+    let run = measure(
+        model.as_mut(),
+        PlatformSpec::default(),
+        ExecMode::Gpu,
+        &default_config(model_name),
+    );
 
     let json = chrome_trace(&run.executor);
     fs::write(out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));

@@ -16,19 +16,20 @@
 //!    conserved), and the resulting time reduction.
 //!
 //! Every measurement is emitted as a machine-readable `BENCH {json}`
-//! line; the committed `BENCH_overlap.json` baseline at the repo root is
-//! the array of these records.
+//! line. A full run from the repo root,
+//! `cargo run --release -p dgnn-bench --bin pipeline_overlap`, also
+//! writes these records to the committed `BENCH_overlap.json` baseline.
 //!
 //! Usage: `pipeline_overlap [--scale tiny|small|full] [--seed N] [--smoke]`
 //!
 //! `--smoke` shrinks the sweep to a single tiny configuration per model
 //! so CI can exercise the full code path in seconds.
 
-use dgnn_bench::parse_opts;
-use dgnn_datasets::{iso17, wikipedia, Scale};
-use dgnn_device::{ExecMode, Executor, PlatformSpec};
+use dgnn_bench::{emit, measure, parse_opts};
+use dgnn_datasets::{iso17, wikipedia};
+use dgnn_device::{ExecMode, PlatformSpec};
 use dgnn_models::{optim, DgnnModel, InferenceConfig, MolDgnn, Tgat, Tgn};
-use dgnn_profile::{InferenceProfile, TextTable};
+use dgnn_profile::TextTable;
 
 /// One serial-vs-overlap measurement of a model run.
 struct OverlapPoint {
@@ -50,19 +51,15 @@ impl OverlapPoint {
 /// Runs `model` twice on fresh GPU executors — serial then overlapped —
 /// and captures simulated time plus GPU busy fraction for both.
 fn measure_overlap(model: &mut dyn DgnnModel, cfg: &InferenceConfig) -> OverlapPoint {
-    let run = |model: &mut dyn DgnnModel, cfg: &InferenceConfig| -> (u64, f64) {
-        let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
-        model
-            .run(&mut ex, cfg)
-            .unwrap_or_else(|e| panic!("{} inference failed: {e}", model.name()));
-        let profile = InferenceProfile::capture(&ex, "inference");
+    let mut run = |cfg: &InferenceConfig| -> (u64, f64) {
+        let profile = measure(model, PlatformSpec::default(), ExecMode::Gpu, cfg).profile;
         (
             profile.inference_time.as_nanos(),
             profile.utilization.busy_fraction,
         )
     };
-    let (serial_ns, serial_busy) = run(model, cfg);
-    let (overlap_ns, overlap_busy) = run(model, &cfg.clone().with_pipeline_overlap(true));
+    let (serial_ns, serial_busy) = run(cfg);
+    let (overlap_ns, overlap_busy) = run(&cfg.clone().with_pipeline_overlap(true));
     OverlapPoint {
         serial_ns,
         overlap_ns,
@@ -73,18 +70,11 @@ fn measure_overlap(model: &mut dyn DgnnModel, cfg: &InferenceConfig) -> OverlapP
 
 fn main() {
     let opts = parse_opts();
-    let smoke = opts.rest.iter().any(|a| a == "--smoke");
-    // Overlap shares are scale-insensitive (the pipeline hides the same
-    // fraction of the dominant lane regardless of event count), so cap
-    // the dataset at Small to keep host-side sampling wall-clock sane.
-    let scale = if smoke {
-        Scale::Tiny
-    } else {
-        match opts.scale {
-            Scale::Full => Scale::Small,
-            s => s,
-        }
-    };
+    let smoke = opts.smoke;
+    // Overlap shares are scale-insensitive: the pipeline hides the same
+    // fraction of the dominant lane regardless of event count.
+    let scale = opts.sweep_scale();
+    let mut records = Vec::new();
 
     // ── 1. TGAT pipeline overlap across batch sizes ────────────────────
     let k = 100usize; // transfer/compute-heavy regime where overlap pays
@@ -117,15 +107,18 @@ fn main() {
             format!("{:.1}%", p.serial_busy * 100.0),
             format!("{:.1}%", p.overlap_busy * 100.0),
         ]);
-        println!(
-            "BENCH {{\"bench\":\"pipeline_overlap\",\"model\":\"tgat\",\"batch\":{batch},\
-             \"k\":{k},\"serial_ns\":{},\"overlap_ns\":{},\"reduction\":{:.4},\
-             \"gpu_busy_serial\":{:.4},\"gpu_busy_overlap\":{:.4}}}",
-            p.serial_ns,
-            p.overlap_ns,
-            p.reduction(),
-            p.serial_busy,
-            p.overlap_busy,
+        emit(
+            &mut records,
+            format!(
+                "{{\"bench\":\"pipeline_overlap\",\"model\":\"tgat\",\"batch\":{batch},\
+                 \"k\":{k},\"serial_ns\":{},\"overlap_ns\":{},\"reduction\":{:.4},\
+                 \"gpu_busy_serial\":{:.4},\"gpu_busy_overlap\":{:.4}}}",
+                p.serial_ns,
+                p.overlap_ns,
+                p.reduction(),
+                p.serial_busy,
+                p.overlap_busy,
+            ),
         );
     }
     print!("{}", table.render());
@@ -163,16 +156,19 @@ fn main() {
             format!("{}", r.coalesced_bytes),
             format!("{:.3}x", r.timing.speedup()),
         ]);
-        println!(
-            "BENCH {{\"bench\":\"transfer_coalescing\",\"model\":\"{}\",\"batch\":{batch},\
-             \"per_tensor_transfers\":{},\"coalesced_transfers\":{},\
-             \"count_reduction\":{:.3},\"bytes\":{},\"time_speedup\":{:.4}}}",
-            model.name(),
-            r.per_tensor_transfers,
-            r.coalesced_transfers,
-            r.count_reduction(),
-            r.coalesced_bytes,
-            r.timing.speedup(),
+        emit(
+            &mut records,
+            format!(
+                "{{\"bench\":\"transfer_coalescing\",\"model\":\"{}\",\"batch\":{batch},\
+                 \"per_tensor_transfers\":{},\"coalesced_transfers\":{},\
+                 \"count_reduction\":{:.3},\"bytes\":{},\"time_speedup\":{:.4}}}",
+                model.name(),
+                r.per_tensor_transfers,
+                r.coalesced_transfers,
+                r.count_reduction(),
+                r.coalesced_bytes,
+                r.timing.speedup(),
+            ),
         );
     };
 
@@ -192,4 +188,5 @@ fn main() {
         coalesce_case(&mut model, &cfg, batch);
     }
     print!("{}", coalesce_table.render());
+    opts.write_bench_file("BENCH_overlap.json", "pipeline_overlap", &records);
 }

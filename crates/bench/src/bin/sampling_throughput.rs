@@ -11,11 +11,11 @@
 //!
 //! Usage: `sampling_throughput [--scale tiny|small|full] [--seed N]`
 
-use dgnn_bench::parse_opts;
-use dgnn_datasets::{wikipedia, Scale};
-use dgnn_device::{ExecMode, Executor, PlatformSpec};
-use dgnn_models::{DgnnModel, InferenceConfig, Tgat};
-use dgnn_profile::{InferenceProfile, TextTable};
+use dgnn_bench::{emit, measure, parse_opts};
+use dgnn_datasets::wikipedia;
+use dgnn_device::{ExecMode, PlatformSpec};
+use dgnn_models::{InferenceConfig, Tgat};
+use dgnn_profile::TextTable;
 
 fn main() {
     let opts = parse_opts();
@@ -23,35 +23,32 @@ fn main() {
         "Parallel sampling ablation — simulated TGAT sampling share vs CPU cores",
         &["cores", "sampling share", "batch time ms"],
     );
-    // Full-scale wikipedia is overkill for a share measurement; cap the
-    // ablation dataset at Small.
-    let ablation_scale = match opts.scale {
-        Scale::Full => Scale::Small,
-        s => s,
-    };
-    let data = wikipedia(ablation_scale, opts.seed);
+    // Full-scale wikipedia is overkill for a share measurement.
+    let data = wikipedia(opts.sweep_scale(), opts.seed);
     let cfg = InferenceConfig::default()
         .with_batch_size(4_000)
         .with_max_units(1)
         .with_parallel_sampling(true);
+    let mut records = Vec::new();
     for &cores in &[1u32, 2, 4, 8, 16] {
         let mut spec = PlatformSpec::default();
         spec.cpu.cores = cores;
         spec.cpu.saturation_width = cores as u64 * 256;
         let mut model = Tgat::new(data.clone(), opts.seed);
-        let mut ex = Executor::new(spec, ExecMode::Gpu);
-        let summary = model.run(&mut ex, &cfg).expect("tgat run");
-        let profile = InferenceProfile::capture(&ex, "inference");
-        let share = profile.breakdown.share_of("sampling");
-        let ms = summary.inference_time.as_nanos() as f64 / 1e6;
+        let run = measure(&mut model, spec, ExecMode::Gpu, &cfg);
+        let share = run.profile.breakdown.share_of("sampling");
+        let ms = run.summary.inference_time.as_nanos() as f64 / 1e6;
         ablation.row(&[
             format!("{cores}"),
             format!("{:.1}%", share * 100.0),
             format!("{ms:.2}"),
         ]);
-        println!(
-            "BENCH {{\"bench\":\"parallel_sampling_ablation\",\"cores\":{cores},\
-             \"sampling_share\":{share:.4},\"inference_ms\":{ms:.3}}}"
+        emit(
+            &mut records,
+            format!(
+                "{{\"bench\":\"parallel_sampling_ablation\",\"cores\":{cores},\
+                 \"sampling_share\":{share:.4},\"inference_ms\":{ms:.3}}}"
+            ),
         );
     }
     print!("{}", ablation.render());

@@ -12,31 +12,29 @@
 //!
 //! Usage: `sensitivity_sweep [--scale tiny|small|full]`
 
-use dgnn_bench::{build_model, parse_opts};
-use dgnn_device::{ExecMode, Executor, PlatformSpec};
+use dgnn_bench::{build_model, measure, parse_opts};
+use dgnn_device::{ExecMode, PlatformSpec};
 use dgnn_models::InferenceConfig;
-use dgnn_profile::{InferenceProfile, TextTable};
+use dgnn_profile::TextTable;
 
 fn tgat_sampling_share(spec: PlatformSpec, scale: dgnn_datasets::Scale, seed: u64) -> f64 {
     let mut m = build_model("tgat", scale, seed);
-    let mut ex = Executor::new(spec, ExecMode::Gpu);
     let cfg = InferenceConfig::default()
         .with_batch_size(200)
         .with_max_units(2);
-    m.run(&mut ex, &cfg).expect("tgat run");
-    InferenceProfile::capture(&ex, "inference")
+    measure(m.as_mut(), spec, ExecMode::Gpu, &cfg)
+        .profile
         .breakdown
         .share_of("sampling")
 }
 
 fn moldgnn_memcpy_share(spec: PlatformSpec, scale: dgnn_datasets::Scale, seed: u64) -> f64 {
     let mut m = build_model("moldgnn", scale, seed);
-    let mut ex = Executor::new(spec, ExecMode::Gpu);
     let cfg = InferenceConfig::default()
         .with_batch_size(512)
         .with_max_units(1);
-    m.run(&mut ex, &cfg).expect("moldgnn run");
-    let tl = ex.timeline();
+    let run = measure(m.as_mut(), spec, ExecMode::Gpu, &cfg);
+    let tl = run.executor.timeline();
     let memcpy = tl.busy_time(dgnn_device::Place::Pcie).as_nanos() as f64;
     let kernels = tl
         .category_time(dgnn_device::EventCategory::is_gpu_compute)
@@ -50,8 +48,9 @@ fn dyrep_gpu_vs_cpu(spec: PlatformSpec, scale: dgnn_datasets::Scale, seed: u64) 
         .with_max_units(1);
     let time = |mode| {
         let mut m = build_model("dyrep", scale, seed);
-        let mut ex = Executor::new(spec.clone(), mode);
-        m.run(&mut ex, &cfg).expect("dyrep run").inference_time
+        measure(m.as_mut(), spec.clone(), mode, &cfg)
+            .summary
+            .inference_time
     };
     time(ExecMode::CpuOnly).as_nanos() as f64 / time(ExecMode::Gpu).as_nanos() as f64
 }

@@ -24,16 +24,15 @@
 //! serial and pipeline-overlap service modes — and
 //! (3) asserts that pool 2 beats pool 1 at the tail.
 
-use dgnn_bench::{parse_opts, served_zoo};
-use dgnn_datasets::Scale;
+use dgnn_bench::{assert_clean, emit, parse_opts, served_zoo};
 use dgnn_device::{DurationNs, ExecMode, PlatformSpec};
 use dgnn_profile::TextTable;
 use dgnn_serve::{serve, ServeConfig, ServeOutcome, ServedModel};
 
-fn serve_cfg(scale_requests: usize, pool: usize, trace: bool) -> ServeConfig {
+fn serve_cfg(seed: u64, n_requests: usize, pool: usize, trace: bool) -> ServeConfig {
     ServeConfig {
-        seed: 1,
-        n_requests: scale_requests,
+        seed,
+        n_requests,
         arrival_rate_rps: 200.0,
         batch_window: DurationNs::from_millis(2),
         max_batch: 4,
@@ -45,10 +44,10 @@ fn serve_cfg(scale_requests: usize, pool: usize, trace: bool) -> ServeConfig {
     }
 }
 
-fn bench_line(tag: &str, cfg: &ServeConfig, out: &ServeOutcome) {
+fn record_json(tag: &str, cfg: &ServeConfig, out: &ServeOutcome) -> String {
     let r = &out.report;
-    println!(
-        "BENCH {{\"bench\":\"serve_sweep\",\"mix\":\"{tag}\",\"pool\":{},\
+    format!(
+        "{{\"bench\":\"serve_sweep\",\"mix\":\"{tag}\",\"pool\":{},\
          \"rate_rps\":{:.1},\"window_ms\":{:.1},\"max_batch\":{},\
          \"offered\":{},\"served\":{},\"shed\":{},\"batches\":{},\
          \"mean_batch\":{:.3},\"cold_services\":{},\"warm_services\":{},\
@@ -71,23 +70,15 @@ fn bench_line(tag: &str, cfg: &ServeConfig, out: &ServeOutcome) {
         r.latency.mean.as_nanos(),
         r.throughput_rps,
         r.warmup_share(),
-    );
+    )
 }
 
 fn main() {
     let opts = parse_opts();
-    let smoke = opts.rest.iter().any(|a| a == "--smoke");
+    let (smoke, seed) = (opts.smoke, opts.seed);
     // The sweep's object of study is scheduling + warm-up pricing, both
-    // scale-insensitive; cap datasets at Small so host-side math stays
-    // fast at full request counts.
-    let scale = if smoke {
-        Scale::Tiny
-    } else {
-        match opts.scale {
-            Scale::Full => Scale::Small,
-            s => s,
-        }
-    };
+    // scale-insensitive.
+    let scale = opts.sweep_scale();
     let names: &[&str] = if smoke {
         &["jodie", "dyrep"]
     } else {
@@ -111,9 +102,10 @@ fn main() {
     );
 
     let mut p99_by_pool: Vec<(usize, u64)> = Vec::new();
+    let mut records = Vec::new();
     for &pool in pools {
-        let cfg = serve_cfg(n_requests, pool, false);
-        let zoo = served_zoo(names, scale, opts.seed);
+        let cfg = serve_cfg(seed, n_requests, pool, false);
+        let zoo = served_zoo(names, scale, seed);
         let out = serve(&cfg, &zoo);
         let r = &out.report;
         table.row(&[
@@ -125,7 +117,7 @@ fn main() {
             format!("{:.1}", r.throughput_rps),
             format!("{:.1}%", r.warmup_share() * 100.0),
         ]);
-        bench_line(&tag, &cfg, &out);
+        emit(&mut records, record_json(&tag, &cfg, &out));
         p99_by_pool.push((pool, r.latency.p99.as_nanos()));
     }
     print!("{}", table.render());
@@ -143,9 +135,9 @@ fn main() {
     if smoke {
         // 1. Bit-determinism: an identical configuration replays the
         //    identical schedule and numerics.
-        let cfg = serve_cfg(n_requests, 1, false);
-        let a = serve(&cfg, &served_zoo(names, scale, opts.seed));
-        let b = serve(&cfg, &served_zoo(names, scale, opts.seed));
+        let cfg = serve_cfg(seed, n_requests, 1, false);
+        let a = serve(&cfg, &served_zoo(names, scale, seed));
+        let b = serve(&cfg, &served_zoo(names, scale, seed));
         assert_eq!(a.requests, b.requests, "serving replay diverged");
         let bits = |o: &ServeOutcome| -> Vec<u32> {
             o.batches
@@ -156,34 +148,24 @@ fn main() {
         assert_eq!(bits(&a), bits(&b), "service numerics diverged");
 
         // 2. Sanitizer audit over served sessions, serial mode.
-        let cfg = serve_cfg(12, 2, true);
-        let out = serve(&cfg, &served_zoo(names, scale, opts.seed));
-        for (slot, session) in out.sessions.iter().enumerate() {
-            let report = dgnn_analysis::audit(session);
-            assert!(
-                report.is_clean(),
-                "serial replica {slot} has hazards: {report:?}"
-            );
-        }
+        let out = serve(
+            &serve_cfg(seed, 12, 2, true),
+            &served_zoo(names, scale, seed),
+        );
+        assert_clean("serial replica", &out.sessions);
 
         // 3. Same audit with pipeline-overlap services: the replicas
         //    run the stream-forked drivers, so the sanitizer checks
         //    real cross-stream edges.
-        let overlap_zoo: Vec<ServedModel> = served_zoo(&["tgat", "tgn"], scale, opts.seed)
+        let overlap_zoo: Vec<ServedModel> = served_zoo(&["tgat", "tgn"], scale, seed)
             .into_iter()
             .map(|mut m| {
                 m.cfg = m.cfg.with_pipeline_overlap(true).with_batch_size(64);
                 m
             })
             .collect();
-        let out = serve(&serve_cfg(8, 2, true), &overlap_zoo);
-        for (slot, session) in out.sessions.iter().enumerate() {
-            let report = dgnn_analysis::audit(session);
-            assert!(
-                report.is_clean(),
-                "overlap replica {slot} has hazards: {report:?}"
-            );
-        }
+        let out = serve(&serve_cfg(seed, 8, 2, true), &overlap_zoo);
+        assert_clean("overlap replica", &out.sessions);
         println!("serve_sweep --smoke: determinism + sanitizer (serial, overlap) OK");
     }
 }

@@ -16,8 +16,10 @@
 //!   before serving: zero staleness, zero ingest contention.
 //!
 //! Every configuration is emitted as a `BENCH {json}` line with
-//! latency and staleness order statistics; the full sweep is also
-//! written to `BENCH_streaming.json` (skipped under `--smoke`).
+//! latency and staleness order statistics. A full run from the repo
+//! root, `cargo run --release -p dgnn-bench --bin streaming_ingest`,
+//! also writes these records to the committed `BENCH_streaming.json`
+//! baseline.
 //!
 //! Usage: `streaming_ingest [--scale tiny|small|full] [--seed N] [--smoke]`
 //!
@@ -27,15 +29,15 @@
 //! ingest session and every replica session with the timeline
 //! sanitizer, RULE7 (sample-after-append) included.
 
-use dgnn_bench::{parse_opts, served_zoo};
+use dgnn_bench::{assert_clean, emit, parse_opts, served_zoo};
 use dgnn_datasets::{wikipedia, Scale};
 use dgnn_device::{DurationNs, ExecMode, PlatformSpec};
 use dgnn_profile::TextTable;
 use dgnn_serve::{serve_streaming, ServeConfig, StreamingConfig, StreamingOutcome};
 
-fn serve_cfg(n_requests: usize, trace: bool) -> ServeConfig {
+fn serve_cfg(seed: u64, n_requests: usize, trace: bool) -> ServeConfig {
     ServeConfig {
-        seed: 1,
+        seed,
         n_requests,
         // Slow arrivals: the stream outlasts pool provisioning, so the
         // tail of the request stream genuinely races ingestion.
@@ -99,28 +101,21 @@ impl Row {
 
 fn main() {
     let opts = parse_opts();
-    let smoke = opts.rest.iter().any(|a| a == "--smoke");
+    let (smoke, seed) = (opts.smoke, opts.seed);
     // The object of study is host-side ingest/sampling contention, not
-    // model math; cap datasets at Small so services stay fast.
-    let scale = if smoke {
-        Scale::Tiny
-    } else {
-        match opts.scale {
-            Scale::Full => Scale::Small,
-            s => s,
-        }
-    };
+    // model math.
+    let scale = opts.sweep_scale();
     let n_requests = if smoke { 10 } else { 24 };
     let thresholds: &[usize] = &[64, 256, 1024];
     let rates: &[f64] = if smoke { &[20.0] } else { &[20.0, 200.0] };
 
-    let zoo = served_zoo(&["tgn"], scale, opts.seed);
+    let zoo = served_zoo(&["tgn"], scale, seed);
     let mut rows: Vec<Row> = Vec::new();
 
     // Frozen-graph baseline: the reference column.
     let out = serve_streaming(
-        &serve_cfg(n_requests, false),
-        &stream_cfg(scale, opts.seed, 256, 20.0, true),
+        &serve_cfg(seed, n_requests, false),
+        &stream_cfg(scale, seed, 256, 20.0, true),
         &zoo,
     );
     assert!(
@@ -140,8 +135,8 @@ fn main() {
     for &threshold in thresholds {
         for &rate in rates {
             let out = serve_streaming(
-                &serve_cfg(n_requests, false),
-                &stream_cfg(scale, opts.seed, threshold, rate, false),
+                &serve_cfg(seed, n_requests, false),
+                &stream_cfg(scale, seed, threshold, rate, false),
                 &zoo,
             );
             rows.push(Row {
@@ -166,6 +161,7 @@ fn main() {
             "stale p99 (ms)",
         ],
     );
+    let mut records = Vec::new();
     for row in &rows {
         let r = &row.out.serve.report;
         let ms = |d: DurationNs| format!("{:.3}", d.as_secs_f64() * 1e3);
@@ -187,7 +183,7 @@ fn main() {
             ms(r.staleness.p50),
             ms(r.staleness.p99),
         ]);
-        println!("BENCH {}", row.json());
+        emit(&mut records, row.json());
     }
     print!("{}", table.render());
 
@@ -204,10 +200,10 @@ fn main() {
 
     if smoke {
         // 1. Bit-determinism: schedule, numerics, and ingested state.
-        let cfg = serve_cfg(n_requests, false);
-        let scfg = stream_cfg(scale, opts.seed, 64, 20.0, false);
-        let a = serve_streaming(&cfg, &scfg, &served_zoo(&["tgn"], scale, opts.seed));
-        let b = serve_streaming(&cfg, &scfg, &served_zoo(&["tgn"], scale, opts.seed));
+        let cfg = serve_cfg(seed, n_requests, false);
+        let scfg = stream_cfg(scale, seed, 64, 20.0, false);
+        let a = serve_streaming(&cfg, &scfg, &served_zoo(&["tgn"], scale, seed));
+        let b = serve_streaming(&cfg, &scfg, &served_zoo(&["tgn"], scale, seed));
         assert_eq!(
             a.serve.requests, b.serve.requests,
             "streaming replay diverged"
@@ -228,33 +224,16 @@ fn main() {
         // 2. Sanitizer audit, RULE7 included: the ingest session logs
         //    every append and sample; replicas stay clean too.
         let out = serve_streaming(
-            &serve_cfg(8, true),
-            &stream_cfg(scale, opts.seed, 64, 20.0, false),
-            &served_zoo(&["tgn"], scale, opts.seed),
+            &serve_cfg(seed, 8, true),
+            &stream_cfg(scale, seed, 64, 20.0, false),
+            &served_zoo(&["tgn"], scale, seed),
         );
         let report = dgnn_analysis::audit(&out.ingest_session);
         assert!(report.is_clean(), "ingest session has hazards: {report}");
         assert_eq!(report.stats.graph_appends, out.ingested);
         assert!(report.stats.graph_samples > 0, "batches must log samples");
-        for (slot, session) in out.serve.sessions.iter().enumerate() {
-            let r = dgnn_analysis::audit(session);
-            assert!(r.is_clean(), "replica {slot} has hazards: {r:?}");
-        }
+        assert_clean("replica", &out.serve.sessions);
         println!("streaming_ingest --smoke: determinism + RULE7 sanitizer OK");
-    } else {
-        let scale_name = match scale {
-            Scale::Tiny => "tiny",
-            Scale::Small => "small",
-            Scale::Full => "full",
-        };
-        let records: Vec<String> = rows.iter().map(|r| format!("    {}", r.json())).collect();
-        let json = format!(
-            "{{\n  \"generated_by\": \"cargo run --release -p dgnn-bench --bin streaming_ingest\",\n  \
-             \"scale\": \"{scale_name}\",\n  \"seed\": {},\n  \"records\": [\n{}\n  ]\n}}\n",
-            opts.seed,
-            records.join(",\n"),
-        );
-        std::fs::write("BENCH_streaming.json", json).expect("write BENCH_streaming.json");
-        println!("wrote BENCH_streaming.json ({} records)", rows.len());
     }
+    opts.write_bench_file("BENCH_streaming.json", "streaming_ingest", &records);
 }

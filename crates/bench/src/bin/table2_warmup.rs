@@ -9,7 +9,7 @@
 //! Usage: `table2_warmup [--scale ...]`
 
 use dgnn_bench::{build_model, measure, parse_opts};
-use dgnn_device::ExecMode;
+use dgnn_device::{ExecMode, PlatformSpec};
 use dgnn_models::InferenceConfig;
 use dgnn_profile::WarmupReport;
 
@@ -29,7 +29,7 @@ fn main() {
                 .with_batch_size(bs)
                 .with_neighbors(10)
                 .with_max_units(units);
-            let run = measure(m.as_mut(), ExecMode::Gpu, &cfg);
+            let run = measure(m.as_mut(), PlatformSpec::default(), ExecMode::Gpu, &cfg);
             rows.push((bs, run.profile.warmup));
         }
         print!("{}", WarmupReport::render_table2(name, &rows));

@@ -7,7 +7,7 @@
 //! Usage: `util_summary [--scale ...]`
 
 use dgnn_bench::{build_model, default_config, measure, parse_opts, MODEL_NAMES};
-use dgnn_device::ExecMode;
+use dgnn_device::{ExecMode, PlatformSpec};
 use dgnn_profile::TextTable;
 
 fn main() {
@@ -18,7 +18,12 @@ fn main() {
     );
     for name in MODEL_NAMES {
         let mut m = build_model(name, opts.scale, opts.seed);
-        let run = measure(m.as_mut(), ExecMode::Gpu, &default_config(name));
+        let run = measure(
+            m.as_mut(),
+            PlatformSpec::default(),
+            ExecMode::Gpu,
+            &default_config(name),
+        );
         // Warm-up dominates every short run (the paper's 86x ratios);
         // report the most severe *steady-state* bottleneck alongside it.
         let top = run

@@ -27,7 +27,7 @@ fn main() {
     for name in ["tgat", "evolvegcn_o", "evolvegcn_h"] {
         let cfg = default_config(name);
         let mut m = build_model(name, opts.scale, opts.seed);
-        let run = measure(m.as_mut(), ExecMode::Gpu, &cfg);
+        let run = measure(m.as_mut(), PlatformSpec::default(), ExecMode::Gpu, &cfg);
         let one_time = run.profile.warmup.context + run.profile.warmup.model_init;
         let ratio = run
             .profile
@@ -35,13 +35,11 @@ fn main() {
             .one_time_warmup_ratio(run.summary.unit_time);
 
         // Model-init comparison on both devices.
-        let mut mg = build_model(name, opts.scale, opts.seed);
         let mut exg = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
         exg.ensure_context();
-        let init_gpu = exg.model_init(mg.param_bytes(), mg.param_tensors());
+        let init_gpu = exg.model_init(m.param_bytes(), m.param_tensors());
         let mut exc = Executor::new(PlatformSpec::default(), ExecMode::CpuOnly);
-        let init_cpu = exc.model_init(mg.param_bytes(), mg.param_tensors());
-        let _ = &mut mg;
+        let init_cpu = exc.model_init(m.param_bytes(), m.param_tensors());
 
         t.row(&[
             name.to_string(),

@@ -1,9 +1,20 @@
 //! # dgnn-bench
 //!
 //! Experiment harness for the paper's evaluation section. Each table and
-//! figure has a dedicated binary (see `src/bin/`); this library provides
-//! the shared machinery: a model factory, a standard runner that captures
-//! an [`InferenceProfile`], and light CLI parsing.
+//! figure has a dedicated binary (see `src/bin/`); this library is the
+//! one way each binary does each experiment job:
+//!
+//! * build a model: [`build_model`], [`default_config`], [`served_zoo`],
+//!   and the transfer sweeps' shared [`transfer_cases`];
+//! * run it: [`measure`] captures an [`InferenceProfile`] from one run
+//!   on a fresh executor, and [`measure_sanitized`] is its traced twin,
+//!   which also audits the run;
+//! * audit serving sessions: [`assert_clean`];
+//! * parse the CLI: [`parse_opts`], with [`BenchOpts::sweep_scale`] as
+//!   the sweep bins' one dataset-scale rule;
+//! * report: [`emit`] prints each `BENCH {json}` record, and
+//!   [`BenchOpts::write_bench_file`] writes the records to the
+//!   committed `BENCH_*.json` file a full sweep regenerates.
 //!
 //! | Paper artifact | Binary |
 //! |---|---|
@@ -130,8 +141,7 @@ impl Datasets {
     }
 }
 
-/// The name → model table behind [`build_model`], [`replica_handle`]
-/// and [`served_zoo`].
+/// The name → model table behind [`build_model`] and [`served_zoo`].
 ///
 /// # Panics
 ///
@@ -187,12 +197,6 @@ fn prototype(name: &str, data: &mut Datasets) -> Box<dyn Prototype> {
     }
 }
 
-/// A handle over the prototype of `name`: each build is a clone.
-fn handle(name: &str, data: &mut Datasets) -> ReplicaHandle {
-    let prototype = prototype(name, data);
-    ReplicaHandle::new(name, move || prototype.fresh())
-}
-
 /// The default inference configuration each model was profiled with in
 /// the paper (batch sizes, neighbor counts).
 pub fn default_config(name: &str) -> InferenceConfig {
@@ -214,25 +218,16 @@ pub fn default_config(name: &str) -> InferenceConfig {
     }
 }
 
-/// A serving-ready replica handle for `name`: builds the model (with
-/// its paper dataset at `scale`) once, as a prototype that is never
-/// run, and hands out a clone of it on every
-/// [`ReplicaHandle::build`]. Every clone is bit-identical to a fresh
-/// [`build_model`]; clones share only immutable data (datasets, event
-/// streams, adjacency), never state a run mutates.
-///
-/// # Panics
-///
-/// Panics on an unknown name (same contract as [`build_model`]).
-pub fn replica_handle(name: &str, scale: Scale, seed: u64) -> ReplicaHandle {
-    handle(name, &mut Datasets::new(scale, seed))
-}
-
 /// A uniformly-weighted serving mix over `names`, each model bound to
 /// its paper dataset at `scale` and its paper inference configuration
-/// capped at one unit per request. Each handle hands out clones of a
-/// never-run prototype, like [`replica_handle`]; each distinct dataset
-/// is generated once and shared by every model that reads it.
+/// capped at one unit per request.
+///
+/// Each handle builds its model once, as a prototype that is never run,
+/// and hands out a clone of it on every [`ReplicaHandle::build`]. Every
+/// clone is bit-identical to a fresh [`build_model`]; clones share only
+/// immutable data (datasets, event streams, adjacency), never state a
+/// run mutates. Each distinct dataset is generated once and shared by
+/// every model that reads it.
 ///
 /// # Panics
 ///
@@ -241,12 +236,46 @@ pub fn served_zoo(names: &[&str], scale: Scale, seed: u64) -> Vec<dgnn_serve::Se
     let mut data = Datasets::new(scale, seed);
     names
         .iter()
-        .map(|name| dgnn_serve::ServedModel {
-            handle: handle(name, &mut data),
-            cfg: default_config(name).with_max_units(1),
-            weight: 1.0,
+        .map(|&name| {
+            let prototype = prototype(name, &mut data);
+            dgnn_serve::ServedModel {
+                handle: ReplicaHandle::new(name, move || prototype.fresh()),
+                cfg: default_config(name).with_max_units(1),
+                weight: 1.0,
+            }
         })
         .collect()
+}
+
+/// The cases `feature_cache` and `multi_gpu` sweep: the recurrent
+/// regimes where rows re-cross PCIe every unit. TGN moves node memory
+/// for batch endpoints and sampled neighbors, TGAT neighbor features,
+/// and MolDGNN per-frame adjacencies repeated over units. `smoke`
+/// selects the bins' `--smoke` sizes.
+pub fn transfer_cases(smoke: bool) -> Vec<(&'static str, InferenceConfig)> {
+    let units = if smoke { 2 } else { 4 };
+    vec![
+        (
+            "tgn",
+            InferenceConfig::default()
+                .with_batch_size(if smoke { 128 } else { 512 })
+                .with_neighbors(10)
+                .with_max_units(units),
+        ),
+        (
+            "tgat",
+            InferenceConfig::default()
+                .with_batch_size(if smoke { 100 } else { 200 })
+                .with_neighbors(20)
+                .with_max_units(units),
+        ),
+        (
+            "moldgnn",
+            InferenceConfig::default()
+                .with_batch_size(if smoke { 16 } else { 128 })
+                .with_max_units(if smoke { 2 } else { 3 }),
+        ),
+    ]
 }
 
 /// Result of one measured run.
@@ -259,28 +288,23 @@ pub struct MeasuredRun {
     pub executor: Executor,
 }
 
-/// Runs `model` under `cfg` on a fresh executor in `mode` and captures
-/// the profile.
+/// Runs `model` under `cfg` on a fresh executor for `spec` in `mode`
+/// and captures the profile.
 ///
 /// # Panics
 ///
 /// Panics when inference fails (experiment configurations are known-good).
-pub fn measure(model: &mut dyn DgnnModel, mode: ExecMode, cfg: &InferenceConfig) -> MeasuredRun {
-    let mut ex = Executor::new(PlatformSpec::default(), mode);
-    let summary = model
-        .run(&mut ex, cfg)
-        .unwrap_or_else(|e| panic!("{} inference failed: {e}", model.name()));
-    let profile = InferenceProfile::capture(&ex, "inference");
-    MeasuredRun {
-        profile,
-        summary,
-        executor: ex,
-    }
+pub fn measure(
+    model: &mut dyn DgnnModel,
+    spec: PlatformSpec,
+    mode: ExecMode,
+    cfg: &InferenceConfig,
+) -> MeasuredRun {
+    run(model, Executor::new(spec, mode), cfg)
 }
 
-/// Runs `model` under `cfg` on a fresh executor for `spec` with
-/// provenance tracing enabled, then audits the recorded execution with
-/// the timeline sanitizer (`dgnn-analysis`).
+/// [`measure`] with provenance tracing enabled, then an audit of the
+/// recorded execution with the timeline sanitizer (`dgnn-analysis`).
 ///
 /// # Panics
 ///
@@ -293,19 +317,42 @@ pub fn measure_sanitized(
 ) -> (dgnn_analysis::SanitizerReport, MeasuredRun) {
     let mut ex = Executor::new(spec, mode);
     ex.enable_tracing();
+    let run = run(model, ex, cfg);
+    (dgnn_analysis::audit(&run.executor), run)
+}
+
+/// The one measured run behind [`measure`] and [`measure_sanitized`]:
+/// `model` runs under `cfg` on the fresh executor `ex`, and the profile
+/// is captured from it.
+fn run(model: &mut dyn DgnnModel, mut ex: Executor, cfg: &InferenceConfig) -> MeasuredRun {
     let summary = model
         .run(&mut ex, cfg)
         .unwrap_or_else(|e| panic!("{} inference failed: {e}", model.name()));
-    let report = dgnn_analysis::audit(&ex);
     let profile = InferenceProfile::capture(&ex, "inference");
-    (
-        report,
-        MeasuredRun {
-            profile,
-            summary,
-            executor: ex,
-        },
-    )
+    MeasuredRun {
+        profile,
+        summary,
+        executor: ex,
+    }
+}
+
+/// Audits every executor in `sessions` with the timeline sanitizer.
+///
+/// # Panics
+///
+/// Panics on the first session with a hazard, naming it `{what} {index}`.
+pub fn assert_clean(what: &str, sessions: &[Executor]) {
+    for (i, session) in sessions.iter().enumerate() {
+        let report = dgnn_analysis::audit(session);
+        assert!(report.is_clean(), "{what} {i} has hazards: {report}");
+    }
+}
+
+/// Prints `json` as its `BENCH {json}` line and keeps it in `records`
+/// for [`BenchOpts::write_bench_file`].
+pub fn emit(records: &mut Vec<String>, json: String) {
+    println!("BENCH {json}");
+    records.push(json);
 }
 
 /// CLI options shared by the experiment binaries.
@@ -313,17 +360,60 @@ pub fn measure_sanitized(
 pub struct BenchOpts {
     /// Dataset scale.
     pub scale: Scale,
-    /// Seed for datasets and weights.
+    /// Seed for datasets, weights and the serving bins' request streams.
     pub seed: u64,
+    /// `--smoke`: the sweep bins' fast CI configuration.
+    pub smoke: bool,
     /// Remaining (binary-specific) arguments.
     pub rest: Vec<String>,
 }
 
-/// Parses `--scale tiny|small|full`, `--seed N` and collects the rest.
-/// Unknown flags are passed through in `rest`.
+impl BenchOpts {
+    /// The dataset scale of a sweep: `Tiny` under `--smoke`, otherwise
+    /// `--scale` capped at `Small`. What the sweeps study (overlap and
+    /// cache shares, shard scaling, scheduling and warm-up pricing,
+    /// ingest contention) does not grow with event count, and the cap
+    /// keeps host-side sampling fast.
+    pub fn sweep_scale(&self) -> Scale {
+        match self.scale {
+            _ if self.smoke => Scale::Tiny,
+            Scale::Full => Scale::Small,
+            s => s,
+        }
+    }
+
+    /// Writes `records` to the committed baseline `path` (relative to
+    /// the working directory) as the file `bin` regenerates: its
+    /// `generated_by` command, the sweep scale, the seed, then one
+    /// record per line. Prints `wrote …`. Under `--smoke` it writes
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the file cannot be written.
+    pub fn write_bench_file(&self, path: &str, bin: &str, records: &[String]) {
+        if self.smoke {
+            return;
+        }
+        let scale = format!("{:?}", self.sweep_scale()).to_lowercase();
+        let lines: Vec<String> = records.iter().map(|r| format!("    {r}")).collect();
+        let json = format!(
+            "{{\n  \"generated_by\": \"cargo run --release -p dgnn-bench --bin {bin}\",\n  \
+             \"scale\": \"{scale}\",\n  \"seed\": {},\n  \"records\": [\n{}\n  ]\n}}\n",
+            self.seed,
+            lines.join(",\n"),
+        );
+        std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        println!("wrote {path} ({} records)", records.len());
+    }
+}
+
+/// Parses `--scale tiny|small|full`, `--seed N` and `--smoke`, and
+/// collects the rest. Unknown flags are passed through in `rest`.
 pub fn parse_opts() -> BenchOpts {
     let mut scale = Scale::Small;
     let mut seed = 1u64;
+    let mut smoke = false;
     let mut rest = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -337,10 +427,16 @@ pub fn parse_opts() -> BenchOpts {
                 let v = args.next().unwrap_or_default();
                 seed = v.parse().unwrap_or_else(|_| panic!("bad --seed `{v}`"));
             }
+            "--smoke" => smoke = true,
             other => rest.push(other.to_string()),
         }
     }
-    BenchOpts { scale, seed, rest }
+    BenchOpts {
+        scale,
+        seed,
+        smoke,
+        rest,
+    }
 }
 
 /// Value of a `--key value` pair in leftover args, if present.
@@ -390,9 +486,22 @@ mod tests {
         let cfg = InferenceConfig::default()
             .with_batch_size(50)
             .with_max_units(2);
-        let run = measure(m.as_mut(), ExecMode::Gpu, &cfg);
+        let run = measure(m.as_mut(), PlatformSpec::default(), ExecMode::Gpu, &cfg);
         assert_eq!(run.summary.iterations, 2);
         assert!(run.profile.inference_time.as_nanos() > 0);
+    }
+
+    #[test]
+    fn sweep_scale_is_tiny_under_smoke_and_capped_at_small() {
+        let opts = |scale, smoke| BenchOpts {
+            scale,
+            seed: 1,
+            smoke,
+            rest: Vec::new(),
+        };
+        assert_eq!(opts(Scale::Full, true).sweep_scale(), Scale::Tiny);
+        assert_eq!(opts(Scale::Full, false).sweep_scale(), Scale::Small);
+        assert_eq!(opts(Scale::Tiny, false).sweep_scale(), Scale::Tiny);
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! `sampling_throughput` and `sensitivity_sweep` at `--scale tiny
 //! --seed 1`, the transfer and serving sweeps (`pipeline_overlap`,
 //! `feature_cache`, `multi_gpu`, `serve_sweep`, `streaming_ingest`) at
-//! `--smoke`, `sanitize` at `--scale tiny --mode serial` — and compares
-//! its stdout byte for byte with the file under `tests/golden/`. Every
-//! number those bins print comes from the simulated clock, so a change
-//! that moves any priced time, share, checksum or table row fails here;
-//! the sanitizer's serial rows also pin each model's trace-record count.
-//! Debug and release builds print the same bytes. `table2_warmup` and
+//! `--smoke`, `serve_sweep` also at `--smoke --seed 2`, `sanitize` at
+//! `--scale tiny --mode serial` — and compares its stdout byte for byte
+//! with the file under `tests/golden/`. Every number those bins print
+//! comes from the simulated clock, so a change that moves any priced
+//! time, share, checksum or table row fails here; the sanitizer's
+//! serial rows also pin each model's trace-record count. Debug and
+//! release builds print the same bytes. `table2_warmup` and
 //! `sanitize`'s other modes are too slow in debug for this file; CI
 //! diffs their release stdout against `table2_warmup.txt` and
 //! `sanitize_all.txt` instead.
@@ -169,6 +170,17 @@ fn serve_sweep() {
         env!("CARGO_BIN_EXE_serve_sweep"),
         &["--smoke"],
         include_str!("golden/serve_sweep.txt"),
+    );
+}
+
+/// At a seed other than 1, so that `--seed` is seen to reach the
+/// request stream as well as the datasets and weights.
+#[test]
+fn serve_sweep_seed2() {
+    check(
+        env!("CARGO_BIN_EXE_serve_sweep"),
+        &["--smoke", "--seed", "2"],
+        include_str!("golden/serve_sweep_seed2.txt"),
     );
 }
 

@@ -11,14 +11,12 @@
 //! `fleet_sweep` each reduce to one outcome fingerprint, and `serve`
 //! must equal a one-pool static `serve_fleet` record for record.
 //!
-//! The last two tests hold the replica handles to their contract: a
-//! handle's prototype is never run, so every model it builds runs like
-//! a fresh `build_model`, and a zoo whose models share datasets serves
-//! exactly like one built from separate handles.
+//! The last two tests hold `served_zoo`'s replica handles to their
+//! contract: a handle's prototype is never run, so every model it
+//! builds runs like a fresh `build_model`, and a zoo whose models share
+//! datasets serves exactly like one built from separate zoos.
 
-use dgnn_bench::{
-    build_model, default_config, measure_sanitized, replica_handle, served_zoo, MODEL_NAMES,
-};
+use dgnn_bench::{build_model, default_config, measure_sanitized, served_zoo, MODEL_NAMES};
 use dgnn_datasets::{wikipedia, Scale};
 use dgnn_device::{DurationNs, ExecMode, Executor, PlatformSpec};
 use dgnn_models::DgnnModel;
@@ -464,9 +462,9 @@ fn run_digest(model: &mut dyn DgnnModel) -> u64 {
 fn replica_handles_hand_out_fresh_models() {
     for &name in MODEL_NAMES {
         let want = run_digest(build_model(name, Scale::Tiny, SMOKE_SEED).as_mut());
-        let handle = replica_handle(name, Scale::Tiny, SMOKE_SEED);
+        let zoo = served_zoo(&[name], Scale::Tiny, SMOKE_SEED);
         for build in 0..2 {
-            let got = run_digest(handle.build().as_mut());
+            let got = run_digest(zoo[0].handle.build().as_mut());
             assert_eq!(got, want, "{name}: build {build} ran unlike a fresh model");
         }
     }
@@ -474,17 +472,13 @@ fn replica_handles_hand_out_fresh_models() {
 
 /// Models that share a dataset in one `served_zoo` (JODIE, TGN and TGAT
 /// all read Wikipedia) serve exactly like the same mix built from three
-/// separate handles, each over its own dataset.
+/// separate one-model zoos, each over its own dataset.
 #[test]
 fn served_zoo_with_shared_datasets_matches_separate_handles() {
     let names = ["jodie", "tgn", "tgat"];
     let separate: Vec<ServedModel> = names
         .iter()
-        .map(|&name| ServedModel {
-            handle: replica_handle(name, Scale::Tiny, SMOKE_SEED),
-            cfg: default_config(name).with_max_units(1),
-            weight: 1.0,
-        })
+        .flat_map(|&name| served_zoo(&[name], Scale::Tiny, SMOKE_SEED))
         .collect();
     let shared = served_zoo(&names, Scale::Tiny, SMOKE_SEED);
     let digest = |zoo: &[ServedModel]| {

@@ -8,10 +8,10 @@
 //! Rust work the simulator does not price; the priced warm-up (context
 //! init, weight upload) is exactly what the warm session amortizes.
 //!
-//! `dgnn-bench`'s `replica_handle` and `served_zoo` build each model
-//! once, bound to its paper dataset, as a prototype that is never run;
-//! every [`ReplicaHandle::build`] returns a clone of it. Clones share
-//! only immutable data (datasets, event streams, adjacency), so each is
+//! `dgnn-bench`'s `served_zoo` builds each model once, bound to its
+//! paper dataset, as a prototype that is never run; every
+//! [`ReplicaHandle::build`] returns a clone of it. Clones share only
+//! immutable data (datasets, event streams, adjacency), so each is
 //! bit-identical to a fresh build. The zoo has ten model names
 //! (`MODEL_NAMES`).
 
