@@ -26,7 +26,7 @@
 //! ```
 //! use dgnn_device::{Executor, PlatformSpec, ExecMode};
 //!
-//! let mut ex = Executor::new(PlatformSpec::paper_testbed(), ExecMode::Gpu);
+//! let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
 //! ex.enable_tracing();
 //! // ... drive a model ...
 //! let report = dgnn_analysis::audit(&ex);

@@ -551,7 +551,7 @@ fn rule6_clean_twin_union_fraction_passes() {
 
 #[test]
 fn real_serial_gpu_session_is_clean() {
-    let mut ex = Executor::new(PlatformSpec::paper_testbed(), ExecMode::Gpu);
+    let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
     ex.enable_tracing();
     {
         let mut dx = Dispatcher::new(&mut ex);
@@ -570,7 +570,7 @@ fn real_serial_gpu_session_is_clean() {
 
 #[test]
 fn real_forked_session_with_handoffs_is_clean() {
-    let mut ex = Executor::new(PlatformSpec::paper_testbed(), ExecMode::Gpu);
+    let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
     ex.enable_tracing();
     {
         let mut dx = Dispatcher::new(&mut ex);
@@ -602,7 +602,7 @@ fn real_forked_session_with_handoffs_is_clean() {
 
 #[test]
 fn real_coalesced_session_is_clean_once_flushed() {
-    let mut ex = Executor::new(PlatformSpec::paper_testbed(), ExecMode::Gpu);
+    let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
     ex.enable_tracing();
     {
         let mut dx = Dispatcher::with_coalescing(&mut ex, true);
@@ -622,7 +622,7 @@ fn real_coalesced_session_is_clean_once_flushed() {
 
 #[test]
 fn real_cpu_only_session_is_clean() {
-    let mut ex = Executor::new(PlatformSpec::paper_testbed(), ExecMode::CpuOnly);
+    let mut ex = Executor::new(PlatformSpec::default(), ExecMode::CpuOnly);
     ex.enable_tracing();
     {
         let mut dx = Dispatcher::new(&mut ex);
@@ -638,7 +638,7 @@ fn real_cpu_only_session_is_clean() {
 
 #[test]
 fn audit_panics_without_tracing() {
-    let ex = Executor::new(PlatformSpec::paper_testbed(), ExecMode::Gpu);
+    let ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
     let result = std::panic::catch_unwind(|| audit(&ex));
     assert!(result.is_err(), "audit must refuse an untraced executor");
 }
@@ -843,7 +843,7 @@ fn rule8_host_staged_bounce_on_pcie_topology_is_clean() {
 fn rule7_real_executor_ingest_session_is_clean() {
     use dgnn_device::HostWork;
 
-    let mut ex = Executor::new(PlatformSpec::paper_testbed(), ExecMode::Gpu);
+    let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
     ex.enable_tracing();
     // Priced ingest loop: each append is Host-lane work; the event
     // becomes visible when that work completes on the session clock.

@@ -217,11 +217,12 @@ pub enum PeerPath {
 
 /// Complete platform: CPU + GPU(s) + interconnect graph.
 ///
-/// The historical single-GPU shape is the default: no extra GPUs and no
-/// peer link, so `PlatformSpec::default()` — and every serialized
-/// comparison against it — is unchanged. Every GPU is an identical
-/// `gpu` and owns an identical host PCIe link (`pcie`), so host↔device
-/// traffic to different devices proceeds in parallel.
+/// `PlatformSpec::default()` is the paper's testbed (Xeon 6226R + A6000
+/// over PCIe 4.0) in the historical single-GPU shape: no extra GPUs and
+/// no peer link, so every serialized comparison against it is
+/// unchanged. Every GPU is an identical `gpu` and owns an identical
+/// host PCIe link (`pcie`), so host↔device traffic to different devices
+/// proceeds in parallel.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PlatformSpec {
     /// The host CPU.
@@ -240,12 +241,6 @@ pub struct PlatformSpec {
 }
 
 impl PlatformSpec {
-    /// The paper's testbed (Xeon 6226R + A6000); same as `default()`,
-    /// spelled explicitly for call sites that want to document intent.
-    pub fn paper_testbed() -> Self {
-        PlatformSpec::default()
-    }
-
     /// An `n`-GPU box of testbed-class devices fully connected by NVLink
     /// (every ordered pair of distinct devices has a direct edge).
     ///
@@ -314,11 +309,6 @@ mod tests {
         assert_eq!(TransferMode::default(), TransferMode::Pinned);
         assert_eq!(TransferMode::Pinned.name(), "pinned");
         assert_eq!(TransferMode::Pageable.name(), "pageable");
-    }
-
-    #[test]
-    fn paper_testbed_matches_default() {
-        assert_eq!(PlatformSpec::paper_testbed(), PlatformSpec::default());
     }
 
     #[test]

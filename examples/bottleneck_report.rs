@@ -18,7 +18,7 @@ use dgnn_suite::models::{
 use dgnn_suite::profile::InferenceProfile;
 
 fn report(model: &mut dyn DgnnModel, cfg: &InferenceConfig) {
-    let mut ex = Executor::new(PlatformSpec::paper_testbed(), ExecMode::Gpu);
+    let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
     model.run(&mut ex, cfg).expect("inference succeeds");
     let p = InferenceProfile::capture(&ex, "inference");
     println!(

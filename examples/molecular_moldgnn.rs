@@ -44,7 +44,7 @@ fn main() {
 
     // Profile a batch of molecules on the simulated GPU.
     let mut model = MolDgnn::new(data, 11);
-    let mut ex = Executor::new(PlatformSpec::paper_testbed(), ExecMode::Gpu);
+    let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
     let cfg = InferenceConfig::default()
         .with_batch_size(512)
         .with_max_units(1);

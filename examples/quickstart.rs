@@ -26,7 +26,7 @@ fn main() {
     let mut model = Tgat::new(data, 42);
 
     // 3. A simulated platform (Xeon 6226R + A6000 + PCIe 4.0).
-    let mut ex = Executor::new(PlatformSpec::paper_testbed(), ExecMode::Gpu);
+    let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
 
     // 4. Run inference: warm-up (context + model init + allocation) then
     //    four mini-batches of 200 events with 20 sampled neighbors each.

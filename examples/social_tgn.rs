@@ -27,7 +27,7 @@ fn main() {
     );
     for bs in [64usize, 256, 1_024] {
         let mut model = Tgn::new(data.clone(), 5);
-        let mut ex = Executor::new(PlatformSpec::paper_testbed(), ExecMode::Gpu);
+        let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
         let cfg = InferenceConfig::default()
             .with_batch_size(bs)
             .with_neighbors(10)
@@ -46,7 +46,7 @@ fn main() {
 
     // Show the full module breakdown for the largest batch.
     let mut model = Tgn::new(data, 5);
-    let mut ex = Executor::new(PlatformSpec::paper_testbed(), ExecMode::Gpu);
+    let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
     let cfg = InferenceConfig::default()
         .with_batch_size(1_024)
         .with_neighbors(10)

@@ -29,7 +29,7 @@ fn main() {
 
         // GPU run with a utilization timeline.
         let mut model = Astgnn::new(data.clone(), 3);
-        let mut gpu = Executor::new(PlatformSpec::paper_testbed(), ExecMode::Gpu);
+        let mut gpu = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
         let summary = model.run(&mut gpu, &cfg).expect("gpu inference");
         let inference = gpu
             .scopes()
@@ -47,7 +47,7 @@ fn main() {
 
         // CPU comparison.
         let mut model = Astgnn::new(data.clone(), 3);
-        let mut cpu = Executor::new(PlatformSpec::paper_testbed(), ExecMode::CpuOnly);
+        let mut cpu = Executor::new(PlatformSpec::default(), ExecMode::CpuOnly);
         let cpu_summary = model.run(&mut cpu, &cfg).expect("cpu inference");
 
         println!(
