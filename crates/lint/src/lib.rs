@@ -34,18 +34,16 @@ use std::path::Path;
 pub use crate::lex::{lex, Allow, Lexed};
 pub use crate::model::{SourceFile, Workspace};
 pub use crate::report::{Finding, LintReport};
-pub use crate::rules::{LintRule, RuleSet, DECISION_PATH_CRATES, WALLCLOCK_ALLOWLIST};
+pub use crate::rules::{LintRule, DECISION_PATH_CRATES, WALLCLOCK_ALLOWLIST};
 
-/// Analyzes a loaded workspace: per-file scans plus the cross-file
-/// structural checks, findings sorted by (file, line).
-pub fn analyze(ws: &Workspace, rules: &RuleSet) -> LintReport {
+/// Analyzes a loaded workspace with every rule: per-file scans plus
+/// the cross-file structural checks, findings sorted by (file, line).
+pub fn analyze(ws: &Workspace) -> LintReport {
     let mut findings: Vec<Finding> = Vec::new();
     for file in &ws.files {
-        findings.extend(scan::scan_file(file, rules));
+        findings.extend(scan::scan_file(file));
     }
-    if rules.has(LintRule::StructuralCoverage) {
-        findings.extend(structural::scan_workspace(ws));
-    }
+    findings.extend(structural::scan_workspace(ws));
     findings.sort_by(|a, b| (&a.file, a.line, a.rule.id()).cmp(&(&b.file, b.line, b.rule.id())));
     LintReport {
         findings,
@@ -54,9 +52,9 @@ pub fn analyze(ws: &Workspace, rules: &RuleSet) -> LintReport {
 }
 
 /// Loads the workspace at `root` and analyzes it with every rule.
-pub fn analyze_root(root: &Path, rules: &RuleSet) -> io::Result<LintReport> {
+pub fn analyze_root(root: &Path) -> io::Result<LintReport> {
     let ws = Workspace::load(root)?;
-    Ok(analyze(&ws, rules))
+    Ok(analyze(&ws))
 }
 
 #[cfg(test)]
@@ -82,7 +80,7 @@ mod tests {
                 ),
             ],
         };
-        let report = analyze(&ws, &RuleSet::all());
+        let report = analyze(&ws);
         assert_eq!(report.findings.len(), 2);
         assert_eq!(report.files_scanned, 2);
         assert!(report.findings[0].file < report.findings[1].file);

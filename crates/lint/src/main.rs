@@ -11,7 +11,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use dgnn_lint::{analyze_root, RuleSet};
+use dgnn_lint::analyze_root;
 
 struct Opts {
     root: Option<PathBuf>,
@@ -61,7 +61,7 @@ fn find_root() -> PathBuf {
 fn main() -> ExitCode {
     let opts = parse_opts();
     let root = opts.root.unwrap_or_else(find_root);
-    let report = match analyze_root(Path::new(&root), &RuleSet::all()) {
+    let report = match analyze_root(Path::new(&root)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("dgnn-lint: cannot scan {}: {e}", root.display());

@@ -136,34 +136,6 @@ impl fmt::Display for LintRule {
     }
 }
 
-/// Which rules a run checks (the fixture tests enable one at a time;
-/// the CLI enables all).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RuleSet {
-    enabled: Vec<LintRule>,
-}
-
-impl RuleSet {
-    /// All five rules.
-    pub fn all() -> Self {
-        RuleSet {
-            enabled: LintRule::ALL.to_vec(),
-        }
-    }
-
-    /// Just the given rules.
-    pub fn only(rules: &[LintRule]) -> Self {
-        RuleSet {
-            enabled: rules.to_vec(),
-        }
-    }
-
-    /// Whether a rule is enabled.
-    pub fn has(&self, rule: LintRule) -> bool {
-        self.enabled.contains(&rule)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,13 +148,5 @@ mod tests {
         slugs.sort_unstable();
         slugs.dedup();
         assert_eq!(slugs.len(), 5, "slugs must be distinct");
-    }
-
-    #[test]
-    fn rule_sets_filter() {
-        let rs = RuleSet::only(&[LintRule::HashIteration]);
-        assert!(rs.has(LintRule::HashIteration));
-        assert!(!rs.has(LintRule::PricingDiscipline));
-        assert!(RuleSet::all().has(LintRule::FloatReductionOrder));
     }
 }

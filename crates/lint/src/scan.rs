@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 
 use crate::model::SourceFile;
 use crate::report::Finding;
-use crate::rules::{LintRule, RuleSet, DECISION_PATH_CRATES, WALLCLOCK_ALLOWLIST};
+use crate::rules::{LintRule, DECISION_PATH_CRATES, WALLCLOCK_ALLOWLIST};
 
 /// Hash-container methods whose results depend on iteration order.
 const ITERATION_METHODS: [&str; 10] = [
@@ -26,21 +26,13 @@ const ITERATION_METHODS: [&str; 10] = [
     "retain",
 ];
 
-/// Scans one file against every enabled per-file rule.
-pub fn scan_file(file: &SourceFile, rules: &RuleSet) -> Vec<Finding> {
+/// Scans one file against every per-file rule.
+pub fn scan_file(file: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
-    if rules.has(LintRule::HashIteration) {
-        scan_hash_iteration(file, &mut out);
-    }
-    if rules.has(LintRule::NondeterminismSource) {
-        scan_nondeterminism(file, &mut out);
-    }
-    if rules.has(LintRule::PricingDiscipline) {
-        scan_pricing(file, &mut out);
-    }
-    if rules.has(LintRule::FloatReductionOrder) {
-        scan_float_reduction(file, &mut out);
-    }
+    scan_hash_iteration(file, &mut out);
+    scan_nondeterminism(file, &mut out);
+    scan_pricing(file, &mut out);
+    scan_float_reduction(file, &mut out);
     out
 }
 
@@ -477,7 +469,7 @@ mod tests {
                    let total: u64 = pending.values().sum();\n\
                    }\n";
         let f = serve_file(src);
-        let findings = scan_file(&f, &RuleSet::only(&[LintRule::HashIteration]));
+        let findings = scan_file(&f);
         assert_eq!(findings.len(), 2, "{findings:#?}");
         assert!(findings.iter().any(|x| x.excerpt.contains("for …")));
         assert!(findings.iter().any(|x| x.excerpt.contains("values")));
@@ -490,12 +482,12 @@ mod tests {
                    fn ok() { let m: BTreeMap<u64, u64> = BTreeMap::new();\n\
                    for (k, v) in &m { let _ = (k, v); } }\n";
         let f = serve_file(src);
-        assert!(scan_file(&f, &RuleSet::all()).is_empty());
+        assert!(scan_file(&f).is_empty());
         // The same hash iteration in a non-decision-path crate passes.
         let bad = "fn f() { let m = std::collections::HashMap::<u8, u8>::new();\n\
                    for x in &m { let _ = x; } }\n";
         let f = SourceFile::from_source("crates/datasets/src/events.rs", bad.to_string());
-        assert!(scan_file(&f, &RuleSet::only(&[LintRule::HashIteration])).is_empty());
+        assert!(scan_file(&f).is_empty());
     }
 
     #[test]
@@ -505,12 +497,12 @@ mod tests {
                     let mut v: Vec<_> = m.iter().collect();\n\
                     v.sort(); }\n";
         let f = serve_file(with);
-        assert!(scan_file(&f, &RuleSet::only(&[LintRule::HashIteration])).is_empty());
+        assert!(scan_file(&f).is_empty());
         let without = "fn f() { let m: std::collections::HashMap<u8, u8> = Default::default();\n\
                        // lint: allow(hash-iteration)\n\
                        let _ = m.keys().count(); }\n";
         let f = serve_file(without);
-        let findings = scan_file(&f, &RuleSet::only(&[LintRule::HashIteration]));
+        let findings = scan_file(&f);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("no rationale"));
     }
@@ -522,7 +514,7 @@ mod tests {
                    fn t() { let m: std::collections::HashMap<u8, u8> = Default::default();\n\
                    for x in &m { let _ = x; } }\n}\n";
         let f = serve_file(src);
-        assert!(scan_file(&f, &RuleSet::all()).is_empty());
+        assert!(scan_file(&f).is_empty());
     }
 
     #[test]
@@ -530,11 +522,11 @@ mod tests {
         let src = "fn t() { let t0 = std::time::Instant::now();\n\
                    let s = std::env::var(\"X\"); let _ = (t0, s); }\n";
         let f = SourceFile::from_source("crates/models/src/tgn.rs", src.to_string());
-        let findings = scan_file(&f, &RuleSet::only(&[LintRule::NondeterminismSource]));
+        let findings = scan_file(&f);
         assert_eq!(findings.len(), 2, "{findings:#?}");
         // The harness may read the wall clock (but not the environment).
         let f = SourceFile::from_source("crates/bench/src/harness.rs", src.to_string());
-        let findings = scan_file(&f, &RuleSet::only(&[LintRule::NondeterminismSource]));
+        let findings = scan_file(&f);
         assert_eq!(findings.len(), 1, "{findings:#?}");
         assert!(findings[0].excerpt.contains("env::var"));
     }
@@ -545,15 +537,15 @@ mod tests {
                    tl.push(TimelineEvent { start: 0, end: 1 });\n\
                    }\n";
         let f = serve_file(src);
-        let findings = scan_file(&f, &RuleSet::only(&[LintRule::PricingDiscipline]));
+        let findings = scan_file(&f);
         assert_eq!(findings.len(), 2, "{findings:#?}");
         // The same code inside dgnn-device internals is the implementation.
         let f = SourceFile::from_source("crates/device/src/executor.rs", src.to_string());
-        assert!(scan_file(&f, &RuleSet::all()).is_empty());
+        assert!(scan_file(&f).is_empty());
         // A return type `-> TimelineEvent {` is not a literal.
         let ret = "fn mk() -> dgnn_device::TimelineEvent { unreachable() }\n";
         let f = serve_file(ret);
-        let findings = scan_file(&f, &RuleSet::only(&[LintRule::PricingDiscipline]));
+        let findings = scan_file(&f);
         assert!(findings.is_empty(), "{findings:#?}");
     }
 
@@ -563,13 +555,13 @@ mod tests {
                    std::thread::scope(|_s| {});\n\
                    let x: f32 = m.values().copied().sum::<f32>(); let _ = x; }\n";
         let f = SourceFile::from_source("crates/tensor/src/par.rs", src.to_string());
-        let findings = scan_file(&f, &RuleSet::only(&[LintRule::FloatReductionOrder]));
+        let findings = scan_file(&f);
         assert_eq!(findings.len(), 1, "{findings:#?}");
         // Ordered slice reductions pass, even in a parallel module.
         let ok = "fn f(v: &[f32]) { std::thread::scope(|_s| {});\n\
                   let x: f32 = v.iter().sum::<f32>(); let _ = x; }\n";
         let f = SourceFile::from_source("crates/tensor/src/par.rs", ok.to_string());
-        assert!(scan_file(&f, &RuleSet::only(&[LintRule::FloatReductionOrder])).is_empty());
+        assert!(scan_file(&f).is_empty());
     }
 
     #[test]

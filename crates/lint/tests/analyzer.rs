@@ -5,7 +5,7 @@
 
 use std::path::{Path, PathBuf};
 
-use dgnn_lint::{analyze_root, LintRule, RuleSet};
+use dgnn_lint::{analyze_root, LintRule};
 
 fn fixture_root(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -13,16 +13,15 @@ fn fixture_root(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Analyzes a fixture tree with the given rules.
-fn run(name: &str, rules: &RuleSet) -> dgnn_lint::LintReport {
-    analyze_root(&fixture_root(name), rules)
-        .unwrap_or_else(|e| panic!("cannot scan fixture {name}: {e}"))
+/// Analyzes a fixture tree with every rule.
+fn run(name: &str) -> dgnn_lint::LintReport {
+    analyze_root(&fixture_root(name)).unwrap_or_else(|e| panic!("cannot scan fixture {name}: {e}"))
 }
 
-/// Asserts the adversarial fixture is flagged (all findings carry the
-/// expected rule) and the clean twin passes under *every* rule.
+/// Asserts the adversarial fixture is flagged under every rule, with
+/// every finding carrying the expected rule, and the clean twin passes.
 fn prove(rule: LintRule, bad: &str, clean: &str, min_findings: usize) {
-    let report = run(bad, &RuleSet::only(&[rule]));
+    let report = run(bad);
     assert!(
         report.findings.len() >= min_findings,
         "{bad}: expected ≥{min_findings} {} finding(s), got {:#?}",
@@ -34,7 +33,7 @@ fn prove(rule: LintRule, bad: &str, clean: &str, min_findings: usize) {
         assert!(f.line > 0, "{bad}: finding without a line: {f:#?}");
         assert!(!f.excerpt.is_empty(), "{bad}: empty excerpt: {f:#?}");
     }
-    let report = run(clean, &RuleSet::all());
+    let report = run(clean);
     assert!(
         report.is_clean(),
         "{clean}: clean twin must pass every rule, got {:#?}",
@@ -64,7 +63,7 @@ fn lint3_pricing_discipline_fixture_pair() {
 
 #[test]
 fn lint4_structural_coverage_fixture_pair() {
-    let report = run("lint4_bad", &RuleSet::only(&[LintRule::StructuralCoverage]));
+    let report = run("lint4_bad");
     let messages: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
     assert!(
         messages
@@ -87,7 +86,7 @@ fn lint5_float_reduction_fixture_pair() {
 
 #[test]
 fn json_report_is_well_formed() {
-    let report = run("lint2_bad", &RuleSet::all());
+    let report = run("lint2_bad");
     let json = report.to_json();
     assert!(json.contains("\"LINT2\""), "{json}");
     assert!(json.contains("\"nondeterminism-source\""), "{json}");
@@ -99,7 +98,7 @@ fn json_report_is_well_formed() {
 #[test]
 fn live_workspace_lints_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = analyze_root(&root, &RuleSet::all()).unwrap();
+    let report = analyze_root(&root).unwrap();
     assert!(report.files_scanned > 100, "suspiciously small scan");
     assert!(
         report.is_clean(),
