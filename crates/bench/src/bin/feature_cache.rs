@@ -71,7 +71,7 @@ fn run_cell(
 }
 
 fn main() {
-    let opts = parse_opts();
+    let opts = parse_opts(&[]);
     let smoke = opts.smoke;
     // Cache hit structure is scale-insensitive: reuse comes from the
     // unit loop and sampler popularity, not event count.

@@ -7,92 +7,90 @@
 //!
 //! Usage: `fig6_mem_util [--scale tiny|small|full] [--panel a|b|c|d]`
 
-use dgnn_bench::{build_model, flag_value, measure, parse_opts};
+use dgnn_bench::{build_model, measure, parse_opts};
 use dgnn_device::{ExecMode, PlatformSpec};
 use dgnn_models::InferenceConfig;
 use dgnn_profile::TextTable;
 
-fn main() {
-    let opts = parse_opts();
-    let panel = flag_value(&opts.rest, "--panel");
-    let run_panel = |p: &str| panel.is_none() || panel == Some(p);
+/// One panel: a model swept over `xs`, each point run at `config(x)`.
+struct Panel {
+    letter: &'static str,
+    title: &'static str,
+    x_header: &'static str,
+    model: &'static str,
+    xs: &'static [usize],
+    config: fn(usize) -> InferenceConfig,
+}
 
-    if run_panel("a") {
-        let mut t = TextTable::new(
-            "Fig 6a — TGAT: utilization & memory vs sampled neighbors (bs=200)",
-            &["n_neighbors", "gpu util", "gpu mem (MiB)"],
-        );
-        for k in [10usize, 20, 50, 100, 200] {
-            let mut m = build_model("tgat", opts.scale, opts.seed);
-            let cfg = InferenceConfig::default()
+const PANELS: [Panel; 4] = [
+    Panel {
+        letter: "a",
+        title: "Fig 6a — TGAT: utilization & memory vs sampled neighbors (bs=200)",
+        x_header: "n_neighbors",
+        model: "tgat",
+        xs: &[10, 20, 50, 100, 200],
+        config: |k| {
+            InferenceConfig::default()
                 .with_batch_size(200)
                 .with_neighbors(k)
-                .with_max_units(3);
-            let r = measure(m.as_mut(), PlatformSpec::default(), ExecMode::Gpu, &cfg);
-            t.row(&[
-                k.to_string(),
-                format!("{:.2}%", r.profile.utilization.busy_fraction * 100.0),
-                format!("{:.1}", r.profile.gpu_peak_mib()),
-            ]);
-        }
-        print!("{}", t.render());
-    }
-
-    if run_panel("b") {
-        let mut t = TextTable::new(
-            "Fig 6b — TGAT: utilization & memory vs mini-batch size (k=20)",
-            &["batch size", "gpu util", "gpu mem (MiB)"],
-        );
-        for bs in [200usize, 1_000, 2_000, 4_000] {
-            let mut m = build_model("tgat", opts.scale, opts.seed);
-            let cfg = InferenceConfig::default()
+                .with_max_units(3)
+        },
+    },
+    Panel {
+        letter: "b",
+        title: "Fig 6b — TGAT: utilization & memory vs mini-batch size (k=20)",
+        x_header: "batch size",
+        model: "tgat",
+        xs: &[200, 1_000, 2_000, 4_000],
+        config: |bs| {
+            InferenceConfig::default()
                 .with_batch_size(bs)
                 .with_neighbors(20)
-                .with_max_units(3);
-            let r = measure(m.as_mut(), PlatformSpec::default(), ExecMode::Gpu, &cfg);
-            t.row(&[
-                bs.to_string(),
-                format!("{:.2}%", r.profile.utilization.busy_fraction * 100.0),
-                format!("{:.1}", r.profile.gpu_peak_mib()),
-            ]);
-        }
-        print!("{}", t.render());
-    }
-
-    if run_panel("c") {
-        let mut t = TextTable::new(
-            "Fig 6c — TGN: utilization & memory vs batch size",
-            &["batch size", "gpu util", "gpu mem (MiB)"],
-        );
-        for bs in [1_024usize, 4_096, 16_384, 65_536] {
-            let mut m = build_model("tgn", opts.scale, opts.seed);
-            let cfg = InferenceConfig::default()
+                .with_max_units(3)
+        },
+    },
+    Panel {
+        letter: "c",
+        title: "Fig 6c — TGN: utilization & memory vs batch size",
+        x_header: "batch size",
+        model: "tgn",
+        xs: &[1_024, 4_096, 16_384, 65_536],
+        config: |bs| {
+            InferenceConfig::default()
                 .with_batch_size(bs)
                 .with_neighbors(10)
-                .with_max_units(2);
-            let r = measure(m.as_mut(), PlatformSpec::default(), ExecMode::Gpu, &cfg);
-            t.row(&[
-                bs.to_string(),
-                format!("{:.2}%", r.profile.utilization.busy_fraction * 100.0),
-                format!("{:.1}", r.profile.gpu_peak_mib()),
-            ]);
-        }
-        print!("{}", t.render());
-    }
-
-    if run_panel("d") {
-        let mut t = TextTable::new(
-            "Fig 6d — MolDGNN: utilization & memory vs batch size",
-            &["batch size", "gpu util", "gpu mem (MiB)"],
-        );
-        for bs in [8usize, 32, 128, 512, 2_048, 8_192] {
-            let mut m = build_model("moldgnn", opts.scale, opts.seed);
-            let cfg = InferenceConfig::default()
+                .with_max_units(2)
+        },
+    },
+    Panel {
+        letter: "d",
+        title: "Fig 6d — MolDGNN: utilization & memory vs batch size",
+        x_header: "batch size",
+        model: "moldgnn",
+        xs: &[8, 32, 128, 512, 2_048, 8_192],
+        config: |bs| {
+            InferenceConfig::default()
                 .with_batch_size(bs)
-                .with_max_units(1);
+                .with_max_units(1)
+        },
+    },
+];
+
+fn main() {
+    let opts = parse_opts(&["--panel"]);
+    let only = opts.flag("--panel");
+
+    for panel in PANELS
+        .iter()
+        .filter(|p| only.is_none() || only == Some(p.letter))
+    {
+        let mut t = TextTable::new(panel.title, &[panel.x_header, "gpu util", "gpu mem (MiB)"]);
+        for &x in panel.xs {
+            let mut m = build_model(panel.model, opts.scale, opts.seed);
+            let cfg = (panel.config)(x);
             let r = measure(m.as_mut(), PlatformSpec::default(), ExecMode::Gpu, &cfg);
             t.row(&[
-                bs.to_string(),
+                x.to_string(),
                 format!("{:.2}%", r.profile.utilization.busy_fraction * 100.0),
                 format!("{:.1}", r.profile.gpu_peak_mib()),
             ]);

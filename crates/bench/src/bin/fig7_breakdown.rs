@@ -11,7 +11,7 @@
 //!
 //! Usage: `fig7_breakdown [--scale ...] [--model <name>]`
 
-use dgnn_bench::{build_model, default_config, flag_value, measure, parse_opts};
+use dgnn_bench::{build_model, default_config, measure, parse_opts};
 use dgnn_device::{ExecMode, PlatformSpec};
 use dgnn_models::InferenceConfig;
 
@@ -29,8 +29,8 @@ fn show(name: &str, scale: dgnn_datasets::Scale, seed: u64, cfg: &InferenceConfi
 }
 
 fn main() {
-    let opts = parse_opts();
-    let only = flag_value(&opts.rest, "--model");
+    let opts = parse_opts(&["--model"]);
+    let only = opts.flag("--model");
     let want = |m: &str| only.is_none() || only == Some(m);
     let (scale, seed) = (opts.scale, opts.seed);
 

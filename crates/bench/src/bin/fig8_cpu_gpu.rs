@@ -7,7 +7,7 @@
 //!
 //! Usage: `fig8_cpu_gpu [--scale ...] [--model <name>]`
 
-use dgnn_bench::{build_model, flag_value, measure, parse_opts};
+use dgnn_bench::{build_model, measure, parse_opts};
 use dgnn_device::{ExecMode, PlatformSpec};
 use dgnn_models::InferenceConfig;
 use dgnn_profile::TextTable;
@@ -27,8 +27,8 @@ fn sweep(name: &str) -> (Vec<usize>, usize, usize) {
 }
 
 fn main() {
-    let opts = parse_opts();
-    let only = flag_value(&opts.rest, "--model");
+    let opts = parse_opts(&["--model"]);
+    let only = opts.flag("--model");
     let models: Vec<&str> = match only {
         Some(m) => vec![m],
         None => dgnn_bench::MODEL_NAMES.to_vec(),

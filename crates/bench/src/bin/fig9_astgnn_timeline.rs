@@ -13,7 +13,7 @@ use dgnn_models::InferenceConfig;
 use dgnn_profile::UtilizationReport;
 
 fn main() {
-    let opts = parse_opts();
+    let opts = parse_opts(&[]);
     for bs in [4usize, 8, 16] {
         let mut m = build_model("astgnn", opts.scale, opts.seed);
         let cfg = InferenceConfig::default()

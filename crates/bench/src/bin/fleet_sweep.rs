@@ -139,7 +139,7 @@ fn record_json(out: &FleetOutcome, scaling: &str) -> String {
 }
 
 fn main() {
-    let opts = parse_opts();
+    let opts = parse_opts(&[]);
     let (smoke, seed) = (opts.smoke, opts.seed);
     // Like serve_sweep: the object of study is placement + pricing,
     // both scale-insensitive.

@@ -77,7 +77,7 @@ fn run_cell(
 }
 
 fn main() {
-    let opts = parse_opts();
+    let opts = parse_opts(&[]);
     let smoke = opts.smoke;
     // Shard scaling is batch-structure-sensitive, not event-count-
     // sensitive.

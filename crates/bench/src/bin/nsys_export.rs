@@ -6,14 +6,14 @@
 
 use std::fs;
 
-use dgnn_bench::{build_model, default_config, flag_value, measure, parse_opts};
+use dgnn_bench::{build_model, default_config, measure, parse_opts};
 use dgnn_device::{ExecMode, PlatformSpec};
 use dgnn_profile::{chrome_trace, render_kernel_summary};
 
 fn main() {
-    let opts = parse_opts();
-    let model_name = flag_value(&opts.rest, "--model").unwrap_or("tgat");
-    let out_path = flag_value(&opts.rest, "--out").unwrap_or("trace.json");
+    let opts = parse_opts(&["--model", "--out"]);
+    let model_name = opts.flag("--model").unwrap_or("tgat");
+    let out_path = opts.flag("--out").unwrap_or("trace.json");
 
     let mut model = build_model(model_name, opts.scale, opts.seed);
     let run = measure(

@@ -28,7 +28,7 @@
 use dgnn_bench::{emit, measure, parse_opts};
 use dgnn_datasets::{iso17, wikipedia};
 use dgnn_device::{ExecMode, PlatformSpec};
-use dgnn_models::{optim, DgnnModel, InferenceConfig, MolDgnn, Tgat, Tgn};
+use dgnn_models::{DgnnModel, InferenceConfig, MolDgnn, Tgat, Tgn, TransferGranularity};
 use dgnn_profile::TextTable;
 
 /// One serial-vs-overlap measurement of a model run.
@@ -69,7 +69,7 @@ fn measure_overlap(model: &mut dyn DgnnModel, cfg: &InferenceConfig) -> OverlapP
 }
 
 fn main() {
-    let opts = parse_opts();
+    let opts = parse_opts(&[]);
     let smoke = opts.smoke;
     // Overlap shares are scale-insensitive: the pipeline hides the same
     // fraction of the dominant lane regardless of event count.
@@ -141,33 +141,38 @@ fn main() {
     let tgn_units = if smoke { 1 } else { 3 };
 
     let mut coalesce_case = |model: &mut dyn DgnnModel, cfg: &InferenceConfig, batch: usize| {
-        let r = optim::coalesced_transfers(model, cfg)
-            .unwrap_or_else(|e| panic!("{} coalescing run failed: {e}", model.name()));
-        assert_eq!(
-            r.per_tensor_bytes, r.coalesced_bytes,
-            "coalescing must conserve bytes"
-        );
+        let mut transfers = |granularity| {
+            let cfg = cfg.clone().with_transfer_granularity(granularity);
+            let run = measure(model, PlatformSpec::default(), ExecMode::Gpu, &cfg);
+            let timeline = run.executor.timeline();
+            (
+                run.summary.inference_time.as_nanos(),
+                timeline.transfer_count(None),
+                timeline.transfer_bytes(None),
+            )
+        };
+        let (per_ns, per_count, per_bytes) = transfers(TransferGranularity::PerTensor);
+        let (co_ns, co_count, co_bytes) = transfers(TransferGranularity::Coalesced);
+        assert_eq!(per_bytes, co_bytes, "coalescing must conserve bytes");
+        let count_reduction = per_count as f64 / co_count as f64;
+        let time_speedup = per_ns as f64 / co_ns as f64;
         coalesce_table.row(&[
             model.name().to_string(),
             format!("{batch}"),
-            format!("{}", r.per_tensor_transfers),
-            format!("{}", r.coalesced_transfers),
-            format!("{:.1}x", r.count_reduction()),
-            format!("{}", r.coalesced_bytes),
-            format!("{:.3}x", r.timing.speedup()),
+            format!("{per_count}"),
+            format!("{co_count}"),
+            format!("{count_reduction:.1}x"),
+            format!("{co_bytes}"),
+            format!("{time_speedup:.3}x"),
         ]);
         emit(
             &mut records,
             format!(
                 "{{\"bench\":\"transfer_coalescing\",\"model\":\"{}\",\"batch\":{batch},\
-                 \"per_tensor_transfers\":{},\"coalesced_transfers\":{},\
-                 \"count_reduction\":{:.3},\"bytes\":{},\"time_speedup\":{:.4}}}",
+                 \"per_tensor_transfers\":{per_count},\"coalesced_transfers\":{co_count},\
+                 \"count_reduction\":{count_reduction:.3},\"bytes\":{co_bytes},\
+                 \"time_speedup\":{time_speedup:.4}}}",
                 model.name(),
-                r.per_tensor_transfers,
-                r.coalesced_transfers,
-                r.count_reduction(),
-                r.coalesced_bytes,
-                r.timing.speedup(),
             ),
         );
     };

@@ -18,7 +18,7 @@ use dgnn_models::{InferenceConfig, Tgat};
 use dgnn_profile::TextTable;
 
 fn main() {
-    let opts = parse_opts();
+    let opts = parse_opts(&[]);
     let mut ablation = TextTable::new(
         "Parallel sampling ablation — simulated TGAT sampling share vs CPU cores",
         &["cores", "sampling share", "batch time ms"],

@@ -14,9 +14,7 @@
 //! and on a four-GPU PCIe box, each under the default knobs and under
 //! overlap with coalesced transfers; the other modes run one GPU.
 
-use dgnn_bench::{
-    build_model, default_config, flag_value, measure_sanitized, parse_opts, MODEL_NAMES,
-};
+use dgnn_bench::{build_model, default_config, measure_sanitized, parse_opts, MODEL_NAMES};
 use dgnn_device::{ExecMode, PlatformSpec};
 use dgnn_models::{InferenceConfig, TransferGranularity};
 
@@ -55,9 +53,9 @@ fn mode_runs(base: InferenceConfig, mode: &str) -> Vec<(String, PlatformSpec, In
 }
 
 fn main() {
-    let opts = parse_opts();
-    let only_model = flag_value(&opts.rest, "--model");
-    let mode_sel = flag_value(&opts.rest, "--mode").unwrap_or("all");
+    let opts = parse_opts(&["--model", "--mode"]);
+    let only_model = opts.flag("--model");
+    let mode_sel = opts.flag("--mode").unwrap_or("all");
     let modes: Vec<&str> = match mode_sel {
         "all" => vec!["serial", "overlap", "overlap-coalesced", "sharded"],
         m => vec![m],

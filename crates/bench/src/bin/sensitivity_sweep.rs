@@ -56,7 +56,7 @@ fn dyrep_gpu_vs_cpu(spec: PlatformSpec, scale: dgnn_datasets::Scale, seed: u64) 
 }
 
 fn main() {
-    let opts = parse_opts();
+    let opts = parse_opts(&[]);
 
     // 1. Host preprocessing throughput vs TGAT sampling dominance.
     let mut t = TextTable::new(

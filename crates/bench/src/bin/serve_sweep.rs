@@ -74,7 +74,7 @@ fn record_json(tag: &str, cfg: &ServeConfig, out: &ServeOutcome) -> String {
 }
 
 fn main() {
-    let opts = parse_opts();
+    let opts = parse_opts(&[]);
     let (smoke, seed) = (opts.smoke, opts.seed);
     // The sweep's object of study is scheduling + warm-up pricing, both
     // scale-insensitive.

@@ -100,7 +100,7 @@ impl Row {
 }
 
 fn main() {
-    let opts = parse_opts();
+    let opts = parse_opts(&[]);
     let (smoke, seed) = (opts.smoke, opts.seed);
     // The object of study is host-side ingest/sampling contention, not
     // model math.

@@ -1,9 +1,12 @@
 //! Regenerates Table 1: the taxonomy of the eight profiled DGNNs.
 
+use dgnn_bench::parse_opts;
 use dgnn_models::all_model_infos;
 use dgnn_profile::TextTable;
 
 fn main() {
+    // The taxonomy reads no option; this only rejects unknown arguments.
+    parse_opts(&[]);
     let mut t = TextTable::new(
         "Table 1 — Summary of the DGNNs profiled in this work",
         &[

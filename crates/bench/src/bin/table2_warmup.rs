@@ -19,7 +19,7 @@ use dgnn_profile::WarmupReport;
 const TOTAL_WORK: usize = 8_192;
 
 fn main() {
-    let opts = parse_opts();
+    let opts = parse_opts(&[]);
     for name in ["tgn", "moldgnn"] {
         let mut rows = Vec::new();
         for bs in [8usize, 32, 128, 512, 2_048, 8_192] {

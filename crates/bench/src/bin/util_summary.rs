@@ -11,7 +11,7 @@ use dgnn_device::{ExecMode, PlatformSpec};
 use dgnn_profile::TextTable;
 
 fn main() {
-    let opts = parse_opts();
+    let opts = parse_opts(&[]);
     let mut t = TextTable::new(
         "Sec 4.1 — GPU utilization during inference",
         &["model", "gpu util", "gpu mem (MiB)", "top bottleneck"],

@@ -13,7 +13,7 @@ use dgnn_device::{ExecMode, Executor, PlatformSpec};
 use dgnn_profile::TextTable;
 
 fn main() {
-    let opts = parse_opts();
+    let opts = parse_opts(&[]);
     let mut t = TextTable::new(
         "Sec 4.4 — GPU warm-up ratios",
         &[

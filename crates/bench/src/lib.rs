@@ -10,8 +10,10 @@
 //!   on a fresh executor, and [`measure_sanitized`] is its traced twin,
 //!   which also audits the run;
 //! * audit serving sessions: [`assert_clean`];
-//! * parse the CLI: [`parse_opts`], with [`BenchOpts::sweep_scale`] as
-//!   the sweep bins' one dataset-scale rule;
+//! * parse the CLI: [`parse_opts`], which rejects any argument the bin
+//!   does not read, with [`BenchOpts::flag`] for the bin's own value
+//!   flags and [`BenchOpts::sweep_scale`] as the sweep bins' one
+//!   dataset-scale rule;
 //! * report: [`emit`] prints each `BENCH {json}` record, and
 //!   [`BenchOpts::write_bench_file`] writes the records to the
 //!   committed `BENCH_*.json` file a full sweep regenerates.
@@ -364,11 +366,26 @@ pub struct BenchOpts {
     pub seed: u64,
     /// `--smoke`: the sweep bins' fast CI configuration.
     pub smoke: bool,
-    /// Remaining (binary-specific) arguments.
-    pub rest: Vec<String>,
+    /// The bin's declared value flags, each with the value it was given.
+    flags: Vec<(&'static str, Option<String>)>,
 }
 
 impl BenchOpts {
+    /// The value the command line gave `flag`, one of the value flags
+    /// the bin declared to [`parse_opts`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the bin did not declare `flag`.
+    pub fn flag(&self, flag: &str) -> Option<&str> {
+        let (_, value) = self
+            .flags
+            .iter()
+            .find(|(declared, _)| *declared == flag)
+            .unwrap_or_else(|| panic!("`{flag}` is not a declared flag"));
+        value.as_deref()
+    }
+
     /// The dataset scale of a sweep: `Tiny` under `--smoke`, otherwise
     /// `--scale` capped at `Small`. What the sweeps study (overlap and
     /// cache shares, shard scaling, scheduling and warm-up pricing,
@@ -408,43 +425,58 @@ impl BenchOpts {
     }
 }
 
-/// Parses `--scale tiny|small|full`, `--seed N` and `--smoke`, and
-/// collects the rest. Unknown flags are passed through in `rest`.
-pub fn parse_opts() -> BenchOpts {
-    let mut scale = Scale::Small;
-    let mut seed = 1u64;
-    let mut smoke = false;
-    let mut rest = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => {
-                let v = args.next().unwrap_or_default();
-                scale = Scale::parse(&v)
-                    .unwrap_or_else(|| panic!("bad --scale `{v}` (tiny|small|full)"));
-            }
-            "--seed" => {
-                let v = args.next().unwrap_or_default();
-                seed = v.parse().unwrap_or_else(|_| panic!("bad --seed `{v}`"));
-            }
-            "--smoke" => smoke = true,
-            other => rest.push(other.to_string()),
-        }
-    }
-    BenchOpts {
-        scale,
-        seed,
-        smoke,
-        rest,
-    }
+/// Parses the command line: `--scale tiny|small|full`, `--seed N`,
+/// `--smoke`, and each `--flag value` pair whose flag is in `flags`,
+/// the value flags the bin reads through [`BenchOpts::flag`].
+///
+/// Any other argument, a flag without its value, or a bad `--scale` or
+/// `--seed` value prints an error naming it and exits with status 2,
+/// before the bin does any work.
+pub fn parse_opts(flags: &[&'static str]) -> BenchOpts {
+    parse_args(std::env::args().skip(1), flags).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
-/// Value of a `--key value` pair in leftover args, if present.
-pub fn flag_value<'a>(rest: &'a [String], key: &str) -> Option<&'a str> {
-    rest.iter()
-        .position(|a| a == key)
-        .and_then(|i| rest.get(i + 1))
-        .map(String::as_str)
+/// [`parse_opts`] over `args`, the arguments after the program name.
+fn parse_args(
+    args: impl IntoIterator<Item = String>,
+    flags: &[&'static str],
+) -> Result<BenchOpts, String> {
+    let mut opts = BenchOpts {
+        scale: Scale::Small,
+        seed: 1,
+        smoke: false,
+        flags: flags.iter().map(|&flag| (flag, None)).collect(),
+    };
+    let mut args = args.into_iter().peekable();
+    while let Some(arg) = args.next() {
+        if arg == "--smoke" {
+            opts.smoke = true;
+            continue;
+        }
+        let mut value = || {
+            args.next_if(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("`{arg}` needs a value"))
+        };
+        match arg.as_str() {
+            "--scale" => {
+                let v = value()?;
+                opts.scale = Scale::parse(&v)
+                    .ok_or_else(|| format!("bad --scale `{v}` (tiny|small|full)"))?;
+            }
+            "--seed" => {
+                let v = value()?;
+                opts.seed = v.parse().map_err(|_| format!("bad --seed `{v}`"))?;
+            }
+            other => match opts.flags.iter_mut().find(|(flag, _)| *flag == other) {
+                Some((_, slot)) => *slot = Some(value()?),
+                None => return Err(format!("unknown argument `{other}`")),
+            },
+        }
+    }
+    Ok(opts)
 }
 
 #[cfg(test)]
@@ -491,13 +523,18 @@ mod tests {
         assert!(run.profile.inference_time.as_nanos() > 0);
     }
 
+    /// [`parse_args`] over `args` with `flags` declared.
+    fn parse(args: &[&str], flags: &[&'static str]) -> Result<BenchOpts, String> {
+        parse_args(args.iter().map(|a| a.to_string()), flags)
+    }
+
     #[test]
     fn sweep_scale_is_tiny_under_smoke_and_capped_at_small() {
         let opts = |scale, smoke| BenchOpts {
             scale,
             seed: 1,
             smoke,
-            rest: Vec::new(),
+            flags: Vec::new(),
         };
         assert_eq!(opts(Scale::Full, true).sweep_scale(), Scale::Tiny);
         assert_eq!(opts(Scale::Full, false).sweep_scale(), Scale::Small);
@@ -505,9 +542,44 @@ mod tests {
     }
 
     #[test]
-    fn flag_value_finds_pairs() {
-        let rest = vec!["--panel".to_string(), "a".to_string()];
-        assert_eq!(flag_value(&rest, "--panel"), Some("a"));
-        assert_eq!(flag_value(&rest, "--model"), None);
+    fn parse_reads_common_and_declared_flags() {
+        let opts = parse(&[], &["--model"]).unwrap();
+        assert_eq!(
+            (opts.scale, opts.seed, opts.smoke),
+            (Scale::Small, 1, false)
+        );
+        assert_eq!(opts.flag("--model"), None);
+        let args = [
+            "--scale", "tiny", "--model", "tgn", "--seed", "7", "--smoke",
+        ];
+        let opts = parse(&args, &["--model", "--mode"]).unwrap();
+        assert_eq!((opts.scale, opts.seed, opts.smoke), (Scale::Tiny, 7, true));
+        assert_eq!(
+            (opts.flag("--model"), opts.flag("--mode")),
+            (Some("tgn"), None)
+        );
+    }
+
+    #[test]
+    fn parse_rejects_what_the_bin_does_not_read() {
+        for (args, error) in [
+            (&["--smok"][..], "unknown argument `--smok`"),
+            (&["--scael", "tiny"], "unknown argument `--scael`"),
+            (&["--panel", "a"], "unknown argument `--panel`"),
+            (&["tiny"], "unknown argument `tiny`"),
+            (&["--model"], "`--model` needs a value"),
+            (&["--model", "--scale", "tiny"], "`--model` needs a value"),
+            (&["--seed"], "`--seed` needs a value"),
+            (&["--scale", "huge"], "bad --scale `huge` (tiny|small|full)"),
+            (&["--seed", "x"], "bad --seed `x`"),
+        ] {
+            assert_eq!(parse(args, &["--model"]).unwrap_err(), error, "{args:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "`--model` is not a declared flag")]
+    fn flag_lookup_panics_on_an_undeclared_flag() {
+        let _ = parse(&[], &["--panel"]).unwrap().flag("--model");
     }
 }

@@ -20,8 +20,8 @@
 //! * [`LatencyStats`] / [`ServicePhases`] — tail-latency order
 //!   statistics and per-request phase decomposition for the serving
 //!   subsystem (`dgnn-serve`);
-//! * [`pipeline`] — schedule re-simulation for the §5 optimization
-//!   proposals (e.g. Fig 10's pipelined EvolveGCN);
+//! * [`pipeline`] — schedule re-simulation for the §5 proposals the
+//!   executor cannot run (Fig 10's pipelined EvolveGCN, delta transfer);
 //! * [`chrome_trace`] — Chrome-trace/Perfetto export of the timeline
 //!   (the `.nsys-rep` stand-in);
 //! * [`kernel_summary`] — Nsight-style per-kernel statistics.

@@ -1,27 +1,26 @@
-//! Schedule re-simulation for the paper's §5 optimization proposals.
+//! Schedule re-simulation for the §5 proposals the executor cannot run.
 //!
-//! The analytic ablations evaluate a proposed optimization by
-//! *re-scheduling recorded stage durations*: take the per-timestep
-//! durations a sequential run measured, and compute the makespan a
-//! pipelined schedule would achieve. This mirrors how Figure 10 argues
-//! the optimization — RNN of step `t+1` overlaps GNN of step `t`.
+//! Fig 10 overlaps EvolveGCN's RNN of step `t+1` with its GNN of step
+//! `t`. Both are kernels and the executor has one compute lane, so the
+//! Fig 10 ablation (`dgnn_models::optim::pipelined_evolvegcn`)
+//! *re-schedules recorded stage durations*: it takes the per-timestep
+//! durations a sequential run measured and computes the makespan the
+//! pipelined schedule would achieve, which mirrors how Figure 10 argues
+//! the optimization. §5.2.2's delta transfer is re-priced from the
+//! recorded upload sizes the same way.
 //!
-//! The executor can also run the overlap itself: with
+//! The overlap the executor can run is executed instead: with
 //! `InferenceConfig::pipeline_overlap` the pipelined models fork
-//! Host/Copy/Compute lanes, and the `pipeline_overlap` bin reports the
-//! time of that run against its serial twin. The closed forms here stay
-//! as the analytic counterpart for the stage pairs a model records
-//! serially.
+//! Host/Copy/Compute lanes and hide host sampling or snapshot prep
+//! behind device work (§5.1.1), and the `ablation_optimizations` and
+//! `pipeline_overlap` bins time that run against its serial twin.
 
 use dgnn_device::DurationNs;
 
 /// Two-stage pipelined makespan over per-step `(first, second)`
 /// durations: stage one of step `t+1` runs concurrently with stage two
 /// of step `t`; within a step, stage two still waits for stage one.
-/// Fig 10 pipelines EvolveGCN's RNN (first) with its GNN (second), and
-/// §5.1.1 (the Zhang et al. style sampling/inference overlap) runs host
-/// preprocessing of batch `t+1` (first) under device compute of batch
-/// `t` (second).
+/// Fig 10 pipelines EvolveGCN's RNN (first) with its GNN (second).
 pub fn pipelined_makespan(steps: &[(DurationNs, DurationNs)]) -> DurationNs {
     let mut first_done = DurationNs::ZERO;
     let mut second_done = DurationNs::ZERO;

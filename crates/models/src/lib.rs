@@ -3,7 +3,8 @@
 //! The eight dynamic graph neural networks the paper profiles —
 //! JODIE, TGN, EvolveGCN (-H and -O), TGAT, ASTGNN, MolDGNN, DyRep and
 //! LDG (MLP and bilinear encoders) — implemented over the simulated
-//! platform, plus the §5 optimization proposals as measurable ablations.
+//! platform, plus, in [`optim`], the §5 and §3.3 ablations that no
+//! [`InferenceConfig`] setting executes.
 //!
 //! ## Execution model
 //!

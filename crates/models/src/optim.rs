@@ -1,29 +1,35 @@
-//! The paper's §5 optimization proposals, made measurable.
+//! The paper's §5 optimization proposals that no configuration executes.
 //!
-//! The authors propose (but do not evaluate) several optimizations. Each
-//! function here runs a model on the sequential simulator, then
-//! re-schedules the *recorded* stage durations under the proposed
-//! optimization and reports the speedup:
+//! The authors propose (but do not evaluate) several optimizations. The
+//! ones the stream machine can execute are configuration settings, not
+//! functions here: a run with [`InferenceConfig::pipeline_overlap`]
+//! forks the stream lanes and hides sampling or snapshot preparation
+//! behind compute (§5.1.1), one with
+//! [`InferenceConfig::transfer_granularity`] set to `Coalesced` merges
+//! each batch's transfers per direction, and one with
+//! [`InferenceConfig::parallel_sampling`] prices sampling over the
+//! platform's cores. The `ablation_optimizations`, `pipeline_overlap`
+//! and `sampling_throughput` bins run each against its serial twin.
+//!
+//! What stays here needs something no configuration offers:
 //!
 //! * [`pipelined_evolvegcn`] — Fig 10: RNN of step `t+1` overlaps GNN of
-//!   step `t` (§5.2.1);
-//! * [`overlapped_sampling_tgat`] — CPU sampling of batch `t+1` overlaps
-//!   GPU compute of batch `t` (§5.1.1, the Zhang et al. scheme);
+//!   step `t` (§5.2.1). Both stages are kernels and the executor has one
+//!   compute lane, so this re-schedules the *recorded* stage durations
+//!   of a sequential run;
 //! * [`delta_snapshot_evolvegcn`] — transfer only the changed fraction of
-//!   each snapshot (§5.2.2, sliding-window similarity).
-//!
-//! The executed mitigations need no function here: a run with
-//! [`InferenceConfig::pipeline_overlap`] forks the stream lanes, and one
-//! with [`InferenceConfig::parallel_sampling`] prices sampling over the
-//! platform's cores. The `pipeline_overlap` and `sampling_throughput`
-//! bins run each against its serial twin.
+//!   each snapshot (§5.2.2, sliding-window similarity). No configuration
+//!   uploads only the changed bytes, so this re-prices the recorded
+//!   uploads;
+//! * [`jodie_tbatch`] — §3.3: JODIE's t-batches against the
+//!   one-event-per-step schedule, which only JODIE's crate-private
+//!   per-event switch runs.
 
 use dgnn_device::{DurationNs, EventCategory, ExecMode, Executor, PlatformSpec};
 use dgnn_profile::pipeline::{delta_transfer_bytes, pipelined_makespan};
 
-use crate::common::{DgnnModel, InferenceConfig, TransferGranularity};
+use crate::common::{DgnnModel, InferenceConfig};
 use crate::evolvegcn::EvolveGcn;
-use crate::tgat::Tgat;
 use crate::Result;
 
 /// Outcome of one optimization ablation.
@@ -56,71 +62,6 @@ fn module_durations(ex: &Executor, name: &str) -> Vec<DurationNs> {
         .collect()
 }
 
-/// Outcome of the transfer-coalescing ablation: per-tensor pricing (what
-/// the profiled frameworks issue) against one merged PCIe transaction
-/// per batch and direction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoalescingResult {
-    /// End-to-end simulated times (baseline = per-tensor).
-    pub timing: AblationResult,
-    /// Priced transfer events in the per-tensor run.
-    pub per_tensor_transfers: usize,
-    /// Priced transfer events in the coalesced run.
-    pub coalesced_transfers: usize,
-    /// Bytes moved in the per-tensor run.
-    pub per_tensor_bytes: u64,
-    /// Bytes moved in the coalesced run (must equal the per-tensor run —
-    /// coalescing merges crossings, it never drops them).
-    pub coalesced_bytes: u64,
-}
-
-impl CoalescingResult {
-    /// Factor by which coalescing shrinks the priced transfer count.
-    pub fn count_reduction(&self) -> f64 {
-        if self.coalesced_transfers == 0 {
-            return 1.0;
-        }
-        self.per_tensor_transfers as f64 / self.coalesced_transfers as f64
-    }
-}
-
-/// §5 transfer batching on the real dispatcher: run the model with
-/// [`TransferGranularity::PerTensor`] and again with
-/// [`TransferGranularity::Coalesced`], reporting times, priced transfer
-/// counts, and bytes (which must match between the two runs).
-///
-/// # Errors
-///
-/// Propagates inference errors from either run.
-pub fn coalesced_transfers(
-    model: &mut dyn DgnnModel,
-    cfg: &InferenceConfig,
-) -> Result<CoalescingResult> {
-    let run = |model: &mut dyn DgnnModel,
-               granularity: TransferGranularity|
-     -> Result<(DurationNs, usize, u64)> {
-        let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
-        let summary = model.run(&mut ex, &cfg.clone().with_transfer_granularity(granularity))?;
-        Ok((
-            summary.inference_time,
-            ex.timeline().transfer_count(None),
-            ex.timeline().transfer_bytes(None),
-        ))
-    };
-    let (per_time, per_count, per_bytes) = run(model, TransferGranularity::PerTensor)?;
-    let (co_time, co_count, co_bytes) = run(model, TransferGranularity::Coalesced)?;
-    Ok(CoalescingResult {
-        timing: AblationResult {
-            baseline: per_time,
-            optimized: co_time,
-        },
-        per_tensor_transfers: per_count,
-        coalesced_transfers: co_count,
-        per_tensor_bytes: per_bytes,
-        coalesced_bytes: co_bytes,
-    })
-}
-
 /// Fig 10: pipeline EvolveGCN's RNN and GNN across adjacent time steps.
 ///
 /// # Errors
@@ -137,60 +78,6 @@ pub fn pipelined_evolvegcn(model: &mut EvolveGcn, cfg: &InferenceConfig) -> Resu
     Ok(AblationResult {
         baseline,
         optimized: baseline - saved,
-    })
-}
-
-/// §5.1.1: overlap TGAT's CPU-side temporal sampling for batch `t+1`
-/// with the device work (transfers + kernels) of batch `t`.
-///
-/// # Errors
-///
-/// Propagates inference errors from the baseline run.
-pub fn overlapped_sampling_tgat(model: &mut Tgat, cfg: &InferenceConfig) -> Result<AblationResult> {
-    let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
-    let baseline = model.run(&mut ex, cfg)?.inference_time;
-    let sampling = module_durations(&ex, "sampling");
-    let n = sampling.len().max(1);
-    let total_sampling: DurationNs = sampling.iter().copied().sum();
-    let device_total = baseline.saturating_sub(total_sampling);
-    let per_device = DurationNs::from_nanos(device_total.as_nanos() / n as u64);
-    let pairs: Vec<(DurationNs, DurationNs)> = sampling.iter().map(|&s| (s, per_device)).collect();
-    Ok(AblationResult {
-        baseline,
-        optimized: pipelined_makespan(&pairs),
-    })
-}
-
-/// §5.1.1 applied to EvolveGCN: overlap the CPU snapshot preparation and
-/// upload of step `t+1` with the GPU stages (RNN/top-k/GNN) of step `t`.
-/// With preparation dominating each step, this recovers far more than
-/// Fig 10's RNN‖GNN pipelining alone.
-///
-/// # Errors
-///
-/// Propagates inference errors from the baseline run.
-pub fn overlapped_prep_evolvegcn(
-    model: &mut EvolveGcn,
-    cfg: &InferenceConfig,
-) -> Result<AblationResult> {
-    let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
-    let baseline = model.run(&mut ex, cfg)?.inference_time;
-    let prep = module_durations(&ex, "snapshot_prep");
-    let h2d = module_durations(&ex, "memcpy_h2d");
-    let n = prep.len();
-    let device_total: DurationNs = ["topk", "rnn", "gnn", "memcpy_d2h"]
-        .iter()
-        .map(|m| module_durations(&ex, m).into_iter().sum::<DurationNs>())
-        .sum();
-    let per_device = DurationNs::from_nanos(device_total.as_nanos() / n.max(1) as u64);
-    let pairs: Vec<(DurationNs, DurationNs)> = prep
-        .iter()
-        .zip(&h2d)
-        .map(|(&p, &h)| (p + h, per_device))
-        .collect();
-    Ok(AblationResult {
-        baseline,
-        optimized: pipelined_makespan(&pairs),
     })
 }
 
@@ -258,6 +145,7 @@ pub fn delta_snapshot_evolvegcn(
 mod tests {
     use super::*;
     use crate::evolvegcn::EvolveGcnVersion;
+    use crate::{Tgat, TransferGranularity};
     use dgnn_datasets::{bitcoin_alpha, wikipedia, Scale};
 
     fn egcn() -> EvolveGcn {
@@ -332,6 +220,39 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
+    /// Inference time, priced transfer count and bytes moved of one run
+    /// of `model` on a fresh GPU executor at transfer `granularity`.
+    fn transfers(
+        model: &mut dyn DgnnModel,
+        cfg: &InferenceConfig,
+        granularity: TransferGranularity,
+    ) -> (DurationNs, usize, u64) {
+        let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
+        let cfg = cfg.clone().with_transfer_granularity(granularity);
+        let time = model.run(&mut ex, &cfg).unwrap().inference_time;
+        let timeline = ex.timeline();
+        (
+            time,
+            timeline.transfer_count(None),
+            timeline.transfer_bytes(None),
+        )
+    }
+
+    /// Runs `model` per-tensor, then coalesced: coalescing must move the
+    /// same bytes in at most a quarter of the priced transfers, faster.
+    fn assert_coalescing_cuts_four_fold(model: &mut dyn DgnnModel, cfg: &InferenceConfig) {
+        let name = model.name();
+        let (per_time, per_count, per_bytes) =
+            transfers(model, cfg, TransferGranularity::PerTensor);
+        let (co_time, co_count, co_bytes) = transfers(model, cfg, TransferGranularity::Coalesced);
+        assert_eq!(per_bytes, co_bytes, "bytes conserved");
+        assert!(
+            co_count > 0 && per_count >= 4 * co_count,
+            "{name} coalescing should merge >=4x, got {per_count} -> {co_count}"
+        );
+        assert!(co_time < per_time);
+    }
+
     #[test]
     fn coalescing_cuts_tgn_transfer_count_four_fold() {
         let mut m = crate::Tgn::new(wikipedia(Scale::Tiny, 1), 7);
@@ -339,16 +260,7 @@ mod tests {
             .with_batch_size(500)
             .with_neighbors(10)
             .with_max_units(3);
-        let r = coalesced_transfers(&mut m, &cfg).unwrap();
-        assert_eq!(r.per_tensor_bytes, r.coalesced_bytes, "bytes conserved");
-        assert!(
-            r.count_reduction() >= 4.0,
-            "TGN coalescing should merge >=4x, got {:.1}x ({} -> {})",
-            r.count_reduction(),
-            r.per_tensor_transfers,
-            r.coalesced_transfers
-        );
-        assert!(r.timing.optimized < r.timing.baseline);
+        assert_coalescing_cuts_four_fold(&mut m, &cfg);
     }
 
     #[test]
@@ -357,14 +269,7 @@ mod tests {
         let cfg = InferenceConfig::default()
             .with_batch_size(64)
             .with_max_units(1);
-        let r = coalesced_transfers(&mut m, &cfg).unwrap();
-        assert_eq!(r.per_tensor_bytes, r.coalesced_bytes, "bytes conserved");
-        assert!(
-            r.count_reduction() >= 4.0,
-            "MolDGNN coalescing should merge >=4x, got {:.1}x",
-            r.count_reduction()
-        );
-        assert!(r.timing.optimized < r.timing.baseline);
+        assert_coalescing_cuts_four_fold(&mut m, &cfg);
     }
 
     #[test]
@@ -374,19 +279,6 @@ mod tests {
         assert!(r.optimized < r.baseline);
         assert!(r.speedup() > 1.0);
         assert!(r.speedup() < 2.0, "two-stage pipeline caps at 2x");
-    }
-
-    #[test]
-    fn overlapping_tgat_sampling_helps_substantially() {
-        let mut m = Tgat::new(wikipedia(Scale::Tiny, 1), 7);
-        let cfg = InferenceConfig::default()
-            .with_batch_size(100)
-            .with_max_units(4);
-        let r = overlapped_sampling_tgat(&mut m, &cfg).unwrap();
-        assert!(r.optimized < r.baseline);
-        // Sampling dominates, so overlap is bounded by the sampling chain:
-        // speedup stays modest but real.
-        assert!(r.speedup() > 1.05, "speedup {}", r.speedup());
     }
 
     #[test]
@@ -424,7 +316,11 @@ mod tests {
     fn prep_overlap_beats_fig10_pipelining_alone() {
         let cfg = InferenceConfig::default().with_max_units(8);
         let fig10 = pipelined_evolvegcn(&mut egcn(), &cfg).unwrap();
-        let prep = overlapped_prep_evolvegcn(&mut egcn(), &cfg).unwrap();
+        let overlap = cfg.clone().with_pipeline_overlap(true);
+        let prep = AblationResult {
+            baseline: gpu_time(&mut egcn(), PlatformSpec::default(), &cfg),
+            optimized: gpu_time(&mut egcn(), PlatformSpec::default(), &overlap),
+        };
         assert!(prep.optimized < prep.baseline);
         assert!(
             prep.speedup() >= fig10.speedup(),

@@ -3,10 +3,9 @@
 //! theoretical bounds.
 
 use dgnn_suite::datasets::{bitcoin_alpha, wikipedia, Scale};
-use dgnn_suite::models::optim::{
-    delta_snapshot_evolvegcn, overlapped_sampling_tgat, pipelined_evolvegcn,
-};
-use dgnn_suite::models::{EvolveGcn, EvolveGcnVersion, InferenceConfig, Tgat};
+use dgnn_suite::device::{ExecMode, Executor, PlatformSpec};
+use dgnn_suite::models::optim::{delta_snapshot_evolvegcn, pipelined_evolvegcn, AblationResult};
+use dgnn_suite::models::{DgnnModel, EvolveGcn, EvolveGcnVersion, InferenceConfig, Tgat};
 
 const SEED: u64 = 33;
 
@@ -35,8 +34,15 @@ fn overlap_speedup_bounded_by_device_share() {
     let cfg = InferenceConfig::default()
         .with_batch_size(150)
         .with_max_units(4);
-    let mut m = Tgat::new(wikipedia(Scale::Tiny, SEED), SEED);
-    let r = overlapped_sampling_tgat(&mut m, &cfg).expect("ablation runs");
+    let time = |cfg: &InferenceConfig| {
+        let mut m = Tgat::new(wikipedia(Scale::Tiny, SEED), SEED);
+        let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
+        m.run(&mut ex, cfg).expect("tgat runs").inference_time
+    };
+    let r = AblationResult {
+        baseline: time(&cfg),
+        optimized: time(&cfg.clone().with_pipeline_overlap(true)),
+    };
     assert!(r.optimized < r.baseline);
     assert!(
         r.speedup() < 2.0,
@@ -68,8 +74,6 @@ fn delta_transfer_monotone_in_similarity() {
 /// the serial one while the GPU sits *less* idle.
 #[test]
 fn profile_stays_coherent_over_overlapping_events() {
-    use dgnn_suite::device::{ExecMode, Executor, PlatformSpec};
-    use dgnn_suite::models::DgnnModel;
     use dgnn_suite::profile::InferenceProfile;
 
     let cfg = InferenceConfig::default()
