@@ -14,7 +14,6 @@ use dgnn_profile::TextTable;
 
 /// One panel: a model swept over `xs`, each point run at `config(x)`.
 struct Panel {
-    letter: &'static str,
     title: &'static str,
     x_header: &'static str,
     model: &'static str,
@@ -22,9 +21,11 @@ struct Panel {
     config: fn(usize) -> InferenceConfig,
 }
 
+/// The `--panel` letter of each of [`PANELS`], in order.
+const LETTERS: [&str; 4] = ["a", "b", "c", "d"];
+
 const PANELS: [Panel; 4] = [
     Panel {
-        letter: "a",
         title: "Fig 6a — TGAT: utilization & memory vs sampled neighbors (bs=200)",
         x_header: "n_neighbors",
         model: "tgat",
@@ -37,7 +38,6 @@ const PANELS: [Panel; 4] = [
         },
     },
     Panel {
-        letter: "b",
         title: "Fig 6b — TGAT: utilization & memory vs mini-batch size (k=20)",
         x_header: "batch size",
         model: "tgat",
@@ -50,7 +50,6 @@ const PANELS: [Panel; 4] = [
         },
     },
     Panel {
-        letter: "c",
         title: "Fig 6c — TGN: utilization & memory vs batch size",
         x_header: "batch size",
         model: "tgn",
@@ -63,7 +62,6 @@ const PANELS: [Panel; 4] = [
         },
     },
     Panel {
-        letter: "d",
         title: "Fig 6d — MolDGNN: utilization & memory vs batch size",
         x_header: "batch size",
         model: "moldgnn",
@@ -77,12 +75,13 @@ const PANELS: [Panel; 4] = [
 ];
 
 fn main() {
-    let opts = parse_opts(&["--panel"]);
+    let opts = parse_opts(&[("--panel", Some(&LETTERS))]);
     let only = opts.flag("--panel");
 
-    for panel in PANELS
+    for (_, panel) in LETTERS
         .iter()
-        .filter(|p| only.is_none() || only == Some(p.letter))
+        .zip(&PANELS)
+        .filter(|(letter, _)| only.is_none() || only == Some(letter))
     {
         let mut t = TextTable::new(panel.title, &[panel.x_header, "gpu util", "gpu mem (MiB)"]);
         for &x in panel.xs {

@@ -11,7 +11,7 @@
 //!
 //! Usage: `fig7_breakdown [--scale ...] [--model <name>]`
 
-use dgnn_bench::{build_model, default_config, measure, parse_opts};
+use dgnn_bench::{build_model, default_config, measure, parse_opts, MODEL_NAMES};
 use dgnn_device::{ExecMode, PlatformSpec};
 use dgnn_models::InferenceConfig;
 
@@ -29,7 +29,7 @@ fn show(name: &str, scale: dgnn_datasets::Scale, seed: u64, cfg: &InferenceConfi
 }
 
 fn main() {
-    let opts = parse_opts(&["--model"]);
+    let opts = parse_opts(&[("--model", Some(MODEL_NAMES))]);
     let only = opts.flag("--model");
     let want = |m: &str| only.is_none() || only == Some(m);
     let (scale, seed) = (opts.scale, opts.seed);
@@ -93,7 +93,7 @@ fn main() {
             "DyRep social-evolution",
         );
     }
-    if want("ldg") {
+    if want("ldg_mlp") {
         show(
             "ldg_mlp",
             scale,
@@ -101,6 +101,8 @@ fn main() {
             &default_config("ldg_mlp"),
             "LDG (MLP encoder) github",
         );
+    }
+    if want("ldg_bilinear") {
         show(
             "ldg_bilinear",
             scale,
@@ -109,7 +111,7 @@ fn main() {
             "LDG (bilinear) github",
         );
     }
-    if want("evolvegcn_o") || want("evolvegcn") {
+    if want("evolvegcn_o") {
         for ds in ["wikipedia", "reddit"] {
             let name = format!("evolvegcn_o@{ds}");
             show(
@@ -121,7 +123,7 @@ fn main() {
             );
         }
     }
-    if want("evolvegcn_h") || want("evolvegcn") {
+    if want("evolvegcn_h") {
         for ds in ["wikipedia", "reddit"] {
             let name = format!("evolvegcn_h@{ds}");
             show(

@@ -7,7 +7,7 @@
 //!
 //! Usage: `fig8_cpu_gpu [--scale ...] [--model <name>]`
 
-use dgnn_bench::{build_model, measure, parse_opts};
+use dgnn_bench::{build_model, measure, parse_opts, MODEL_NAMES};
 use dgnn_device::{ExecMode, PlatformSpec};
 use dgnn_models::InferenceConfig;
 use dgnn_profile::TextTable;
@@ -27,11 +27,11 @@ fn sweep(name: &str) -> (Vec<usize>, usize, usize) {
 }
 
 fn main() {
-    let opts = parse_opts(&["--model"]);
+    let opts = parse_opts(&[("--model", Some(MODEL_NAMES))]);
     let only = opts.flag("--model");
     let models: Vec<&str> = match only {
         Some(m) => vec![m],
-        None => dgnn_bench::MODEL_NAMES.to_vec(),
+        None => MODEL_NAMES.to_vec(),
     };
 
     for name in models {

@@ -6,12 +6,12 @@
 
 use std::fs;
 
-use dgnn_bench::{build_model, default_config, measure, parse_opts};
+use dgnn_bench::{build_model, default_config, measure, parse_opts, MODEL_NAMES};
 use dgnn_device::{ExecMode, PlatformSpec};
 use dgnn_profile::{chrome_trace, render_kernel_summary};
 
 fn main() {
-    let opts = parse_opts(&["--model", "--out"]);
+    let opts = parse_opts(&[("--model", Some(MODEL_NAMES)), ("--out", None)]);
     let model_name = opts.flag("--model").unwrap_or("tgat");
     let out_path = opts.flag("--out").unwrap_or("trace.json");
 

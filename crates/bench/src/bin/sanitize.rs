@@ -46,18 +46,20 @@ fn mode_runs(base: InferenceConfig, mode: &str) -> Vec<(String, PlatformSpec, In
             }
             runs
         }
-        other => {
-            panic!("unknown --mode `{other}` (serial|overlap|overlap-coalesced|sharded|all)")
-        }
+        other => unreachable!("`--mode {other}` passed parse_opts"),
     }
 }
 
+/// The values `--mode` accepts: each mode, then `all` (the default),
+/// which runs every mode before it.
+const MODES: [&str; 5] = ["serial", "overlap", "overlap-coalesced", "sharded", "all"];
+
 fn main() {
-    let opts = parse_opts(&["--model", "--mode"]);
+    let opts = parse_opts(&[("--model", Some(MODEL_NAMES)), ("--mode", Some(&MODES))]);
     let only_model = opts.flag("--model");
     let mode_sel = opts.flag("--mode").unwrap_or("all");
     let modes: Vec<&str> = match mode_sel {
-        "all" => vec!["serial", "overlap", "overlap-coalesced", "sharded"],
+        "all" => MODES[..MODES.len() - 1].to_vec(),
         m => vec![m],
     };
 

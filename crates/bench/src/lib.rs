@@ -425,14 +425,18 @@ impl BenchOpts {
     }
 }
 
+/// A value flag a bin reads through [`BenchOpts::flag`]: its name and
+/// the values it accepts, where `None` accepts any value (a path).
+pub type ValueFlag = (&'static str, Option<&'static [&'static str]>);
+
 /// Parses the command line: `--scale tiny|small|full`, `--seed N`,
 /// `--smoke`, and each `--flag value` pair whose flag is in `flags`,
 /// the value flags the bin reads through [`BenchOpts::flag`].
 ///
-/// Any other argument, a flag without its value, or a bad `--scale` or
-/// `--seed` value prints an error naming it and exits with status 2,
-/// before the bin does any work.
-pub fn parse_opts(flags: &[&'static str]) -> BenchOpts {
+/// Any other argument, a flag without its value, a value its flag does
+/// not accept, or a bad `--scale` or `--seed` value prints an error
+/// naming it and exits with status 2, before the bin does any work.
+pub fn parse_opts(flags: &[ValueFlag]) -> BenchOpts {
     parse_args(std::env::args().skip(1), flags).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2)
@@ -442,13 +446,13 @@ pub fn parse_opts(flags: &[&'static str]) -> BenchOpts {
 /// [`parse_opts`] over `args`, the arguments after the program name.
 fn parse_args(
     args: impl IntoIterator<Item = String>,
-    flags: &[&'static str],
+    flags: &[ValueFlag],
 ) -> Result<BenchOpts, String> {
     let mut opts = BenchOpts {
         scale: Scale::Small,
         seed: 1,
         smoke: false,
-        flags: flags.iter().map(|&flag| (flag, None)).collect(),
+        flags: flags.iter().map(|&(flag, _)| (flag, None)).collect(),
     };
     let mut args = args.into_iter().peekable();
     while let Some(arg) = args.next() {
@@ -470,10 +474,18 @@ fn parse_args(
                 let v = value()?;
                 opts.seed = v.parse().map_err(|_| format!("bad --seed `{v}`"))?;
             }
-            other => match opts.flags.iter_mut().find(|(flag, _)| *flag == other) {
-                Some((_, slot)) => *slot = Some(value()?),
-                None => return Err(format!("unknown argument `{other}`")),
-            },
+            other => {
+                let Some(pos) = flags.iter().position(|&(flag, _)| flag == other) else {
+                    return Err(format!("unknown argument `{other}`"));
+                };
+                let v = value()?;
+                if let Some(accepted) = flags[pos].1 {
+                    if !accepted.contains(&v.as_str()) {
+                        return Err(format!("bad {other} `{v}` ({})", accepted.join("|")));
+                    }
+                }
+                opts.flags[pos].1 = Some(v);
+            }
         }
     }
     Ok(opts)
@@ -524,9 +536,11 @@ mod tests {
     }
 
     /// [`parse_args`] over `args` with `flags` declared.
-    fn parse(args: &[&str], flags: &[&'static str]) -> Result<BenchOpts, String> {
+    fn parse(args: &[&str], flags: &[ValueFlag]) -> Result<BenchOpts, String> {
         parse_args(args.iter().map(|a| a.to_string()), flags)
     }
+
+    const MODEL: ValueFlag = ("--model", Some(&["tgn", "tgat"]));
 
     #[test]
     fn sweep_scale_is_tiny_under_smoke_and_capped_at_small() {
@@ -543,20 +557,24 @@ mod tests {
 
     #[test]
     fn parse_reads_common_and_declared_flags() {
-        let opts = parse(&[], &["--model"]).unwrap();
+        let opts = parse(&[], &[MODEL]).unwrap();
         assert_eq!(
             (opts.scale, opts.seed, opts.smoke),
             (Scale::Small, 1, false)
         );
         assert_eq!(opts.flag("--model"), None);
         let args = [
-            "--scale", "tiny", "--model", "tgn", "--seed", "7", "--smoke",
+            "--scale", "tiny", "--model", "tgn", "--seed", "7", "--smoke", "--out", "a/b.json",
         ];
-        let opts = parse(&args, &["--model", "--mode"]).unwrap();
+        let opts = parse(&args, &[MODEL, ("--mode", Some(&["all"])), ("--out", None)]).unwrap();
         assert_eq!((opts.scale, opts.seed, opts.smoke), (Scale::Tiny, 7, true));
         assert_eq!(
-            (opts.flag("--model"), opts.flag("--mode")),
-            (Some("tgn"), None)
+            (
+                opts.flag("--model"),
+                opts.flag("--mode"),
+                opts.flag("--out")
+            ),
+            (Some("tgn"), None, Some("a/b.json"))
         );
     }
 
@@ -572,14 +590,15 @@ mod tests {
             (&["--seed"], "`--seed` needs a value"),
             (&["--scale", "huge"], "bad --scale `huge` (tiny|small|full)"),
             (&["--seed", "x"], "bad --seed `x`"),
+            (&["--model", "gpt"], "bad --model `gpt` (tgn|tgat)"),
         ] {
-            assert_eq!(parse(args, &["--model"]).unwrap_err(), error, "{args:?}");
+            assert_eq!(parse(args, &[MODEL]).unwrap_err(), error, "{args:?}");
         }
     }
 
     #[test]
     #[should_panic(expected = "`--model` is not a declared flag")]
     fn flag_lookup_panics_on_an_undeclared_flag() {
-        let _ = parse(&[], &["--panel"]).unwrap().flag("--model");
+        let _ = parse(&[], &[("--panel", None)]).unwrap().flag("--model");
     }
 }

@@ -1,6 +1,7 @@
-//! The bins' command line: an argument a bin does not read stops it
-//! before it does any work, so a mistyped flag can neither run the
-//! wrong sweep nor overwrite a committed `BENCH_*.json` baseline.
+//! The bins' command line: an argument a bin does not read, or a value
+//! it cannot run, stops it before it does any work, so a mistyped flag
+//! can neither run the wrong sweep, pass a gate having checked nothing,
+//! nor overwrite a committed `BENCH_*.json` baseline.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -56,4 +57,18 @@ fn table1_summary_rejects_a_mistyped_scale() {
         &["--scael", "tiny"],
         "--scael",
     );
+}
+
+#[test]
+fn sanitize_rejects_a_model_it_cannot_run() {
+    rejects(
+        env!("CARGO_BIN_EXE_sanitize"),
+        &["--scale", "tiny", "--model", "gpt"],
+        "gpt",
+    );
+}
+
+#[test]
+fn fig6_mem_util_rejects_a_panel_it_does_not_have() {
+    rejects(env!("CARGO_BIN_EXE_fig6_mem_util"), &["--panel", "e"], "e");
 }

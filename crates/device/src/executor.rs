@@ -15,6 +15,12 @@
 //! ([`Executor::record_event`] / [`Executor::wait_event`]). While no fork
 //! is active the engine is bit-identical to the historical sequential
 //! implementation — every existing timeline invariant holds unchanged.
+//!
+//! A call whose pricing cannot depend on the session's state can be
+//! recorded once ([`Executor::tape`]) and appended to a session in the
+//! same state as often as needed ([`Executor::replay`]): CUDA Graphs'
+//! capture-once, replay-many pattern, applied to the simulator's own
+//! host work.
 
 use std::sync::Arc;
 
@@ -74,6 +80,34 @@ impl ScopeRecord {
     pub fn name(&self) -> &str {
         self.path.rsplit('/').next().unwrap_or(&self.path)
     }
+}
+
+/// What one call recorded by [`Executor::tape`] left on its session: the
+/// timeline events and scope records it pushed, its clock advance and the
+/// transfer mode it left, together with the session state it started
+/// from. [`Executor::replay`] appends it to any session in that state,
+/// with every time moved from the call's start to the session's clock.
+#[derive(Debug)]
+pub struct Tape {
+    origin: TapeOrigin,
+    /// The clock when the call started.
+    start: DurationNs,
+    events: Vec<TimelineEvent>,
+    scopes: Vec<ScopeRecord>,
+    advance: DurationNs,
+    transfer_mode: TransferMode,
+}
+
+/// The session state a [`Tape`]'s pricing depended on: the state it was
+/// recorded from and the only one it replays onto.
+#[derive(Debug, Clone, PartialEq)]
+struct TapeOrigin {
+    spec: PlatformSpec,
+    mode: ExecMode,
+    device: DeviceId,
+    scope_path: Arc<str>,
+    scope_depth: usize,
+    transfer_mode: TransferMode,
 }
 
 /// The simulated runtime: prices kernels, host work, transfers and warm-up
@@ -613,6 +647,122 @@ impl Executor {
         let start = self.cursor();
         let result = f(self);
         (result, self.cursor() - start)
+    }
+
+    /// The state a tape recorded now would depend on, or `None` while
+    /// something `f` prices could also depend on state a tape does not
+    /// carry: tracing is on (its records carry tensor ids and timeline
+    /// indexes a replay would have to remap), a feature cache is enabled
+    /// (its contents change pricing), a fork is open or a lane selected,
+    /// or the GPU context is not initialised yet.
+    fn tape_origin(&self) -> Option<TapeOrigin> {
+        let settled = self.trace.is_none()
+            && self.cache_capacity.is_none()
+            && self.streams.is_none()
+            && self.current_stream.is_none()
+            && self.context_ready;
+        settled.then(|| TapeOrigin {
+            spec: self.spec.clone(),
+            mode: self.mode,
+            device: self.current_device,
+            scope_path: Arc::clone(&self.scope_path),
+            scope_depth: self.scope_stack.len(),
+            transfer_mode: self.transfer_mode,
+        })
+    }
+
+    /// Runs `f` and, when nothing it priced can depend on this session's
+    /// state, also returns a [`Tape`] of what it did for
+    /// [`Executor::replay`]. The tape is `None` when tracing is on, a
+    /// feature cache is enabled before or after `f`, a fork is open or a
+    /// lane selected, the GPU context is not initialised yet (CPU mode
+    /// always counts as initialised), or `f` changed either memory
+    /// tracker, the current device or the scope path. The session is
+    /// left exactly as `f` left it either way.
+    ///
+    /// ```
+    /// use dgnn_device::{ExecMode, Executor, HostWork, OpDescriptor, PlatformSpec};
+    ///
+    /// let work = |ex: &mut Executor| {
+    ///     ex.scope("inference", |ex| {
+    ///         ex.host(HostWork::sequential("pack", 1_000, 4096));
+    ///         ex.launch(OpDescriptor::gemm("proj", 32, 64, 64));
+    ///     })
+    /// };
+    /// let mut a = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
+    /// a.ensure_context();
+    /// let ((), tape) = a.tape(work);
+    /// let tape = tape.expect("an untraced, uncached, warm session tapes");
+    ///
+    /// // Replaying appends what a real run would, at the session's clock.
+    /// let mut b = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
+    /// b.ensure_context();
+    /// let mut c = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
+    /// c.ensure_context();
+    /// assert!(b.replay(&tape));
+    /// work(&mut c);
+    /// assert_eq!(b.timeline().events(), c.timeline().events());
+    /// assert_eq!(b.scopes(), c.scopes());
+    /// assert_eq!(b.now(), c.now());
+    /// ```
+    pub fn tape<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> (R, Option<Tape>) {
+        let origin = self.tape_origin();
+        let (start, first_event, first_scope) =
+            (self.clock, self.timeline.len(), self.scopes.len());
+        let (cpu_mem, gpu_mem) = (self.cpu_mem.clone(), self.gpu_mem.clone());
+        let result = f(self);
+        // `f` may set the transfer mode (the tape carries it); nothing
+        // else it leaves behind may differ from where it started.
+        let tape = origin
+            .filter(|o| {
+                self.tape_origin().is_some_and(|now| {
+                    TapeOrigin {
+                        transfer_mode: o.transfer_mode,
+                        ..now
+                    } == *o
+                }) && self.cpu_mem == cpu_mem
+                    && self.gpu_mem == gpu_mem
+            })
+            .map(|origin| Tape {
+                origin,
+                start,
+                events: self.timeline.events()[first_event..].to_vec(),
+                scopes: self.scopes[first_scope..].to_vec(),
+                advance: self.clock - start,
+                transfer_mode: self.transfer_mode,
+            });
+        (result, tape)
+    }
+
+    /// Appends `tape` at the current clock: its events and scopes, its
+    /// clock advance and the transfer mode it left — exactly what running
+    /// the taped call again would add here. Returns `false` and leaves
+    /// the session untouched unless it is in the state the tape was
+    /// recorded from: the same platform, [`ExecMode`], current device,
+    /// scope path and transfer mode, and nothing that stops
+    /// [`Executor::tape`] (tracing, a feature cache, an open fork or a
+    /// selected lane, an uninitialised context).
+    pub fn replay(&mut self, tape: &Tape) -> bool {
+        if self.tape_origin().as_ref() != Some(&tape.origin) {
+            return false;
+        }
+        let at = self.clock;
+        let moved = |t: DurationNs| t - tape.start + at;
+        for e in &tape.events {
+            self.timeline.push(TimelineEvent {
+                start: moved(e.start),
+                end: moved(e.end),
+                ..e.clone()
+            });
+        }
+        self.scopes.extend(tape.scopes.iter().map(|s| ScopeRecord {
+            start: moved(s.start),
+            end: moved(s.end),
+            ..s.clone()
+        }));
+        self.clock = at + tape.advance;
+        self.transfer_mode = tape.transfer_mode;
+        true
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1552,6 +1702,144 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    /// A forked two-lane call inside a scope that ends with `mode` set.
+    fn taped_work(ex: &mut Executor, mode: TransferMode) {
+        ex.scope("inference", |ex| {
+            ex.set_transfer_mode(mode);
+            ex.fork_streams(1);
+            ex.on_stream(StreamId::Copy, |ex| ex.transfer(TransferDir::H2D, 4096));
+            ex.on_stream(StreamId::Compute, |ex| {
+                ex.launch(OpDescriptor::gemm("k", 64, 64, 64))
+            });
+            ex.join_streams();
+            ex.advance_to(ex.now() + DurationNs::from_nanos(7));
+        });
+    }
+
+    /// A warm GPU session whose clock is already past zero.
+    fn warm_session() -> Executor {
+        let mut ex = gpu_executor();
+        ex.ensure_context();
+        ex
+    }
+
+    fn tape_of(ex: &mut Executor, f: impl FnOnce(&mut Executor)) -> Option<Tape> {
+        ex.tape(f).1
+    }
+
+    #[test]
+    fn replay_appends_what_a_real_run_adds_at_the_current_clock() {
+        let mut first = warm_session();
+        let tape = tape_of(&mut first, |ex| taped_work(ex, TransferMode::Pageable)).unwrap();
+        let (mut replayed, mut real) = (warm_session(), warm_session());
+        for ex in [&mut replayed, &mut real] {
+            ex.host(HostWork::sequential("earlier", 5_000, 64));
+        }
+        assert!(replayed.replay(&tape));
+        taped_work(&mut real, TransferMode::Pageable);
+        assert_eq!(replayed.timeline().events(), real.timeline().events());
+        assert_eq!(replayed.scopes(), real.scopes());
+        assert_eq!(replayed.now(), real.now());
+        assert_eq!(replayed.transfer_mode(), TransferMode::Pageable);
+        assert!(replayed.now() > first.now(), "the replay ran later");
+    }
+
+    #[test]
+    fn cpu_sessions_count_as_initialised() {
+        let mut ex = Executor::new(PlatformSpec::default(), ExecMode::CpuOnly);
+        assert!(tape_of(&mut ex, |ex| taped_work(ex, TransferMode::Pinned)).is_some());
+    }
+
+    #[test]
+    fn tape_refuses_sessions_whose_state_could_change_pricing() {
+        let work = |ex: &mut Executor| {
+            ex.launch(OpDescriptor::gemm("k", 8, 8, 8));
+        };
+        // The first GPU action would pay context init.
+        assert!(tape_of(&mut gpu_executor(), work).is_none());
+        let mut traced = warm_session();
+        traced.enable_tracing();
+        assert!(tape_of(&mut traced, work).is_none());
+        let mut cached = warm_session();
+        cached.enable_feature_cache(4);
+        assert!(tape_of(&mut cached, work).is_none());
+        let mut forked = warm_session();
+        forked.fork_streams(1);
+        assert!(tape_of(&mut forked, work).is_none());
+        let on_lane = forked.on_stream(StreamId::Copy, |ex| tape_of(ex, work));
+        assert!(on_lane.is_none());
+    }
+
+    #[test]
+    fn tape_refuses_calls_that_change_what_it_does_not_carry() {
+        let refused = |f: fn(&mut Executor)| tape_of(&mut warm_session(), f).is_none();
+        assert!(refused(|ex| ex.enable_tracing()));
+        assert!(refused(|ex| ex.enable_feature_cache(4)));
+        assert!(refused(|ex| ex.fork_streams(1)));
+        assert!(refused(|ex| {
+            ex.alloc_warmup(64);
+        }));
+        let mut cpu = Executor::new(PlatformSpec::default(), ExecMode::CpuOnly);
+        assert!(tape_of(&mut cpu, |ex| {
+            ex.alloc_warmup(64);
+        })
+        .is_none());
+        let mut multi = Executor::new(PlatformSpec::multi_gpu_nvlink(2), ExecMode::Gpu);
+        multi.ensure_context();
+        assert!(tape_of(&mut multi, |ex| {
+            ex.swap_current_device(1);
+        })
+        .is_none());
+        assert!(refused(|ex| {
+            ex.enter_scope("left open");
+        }));
+    }
+
+    #[test]
+    fn replay_refuses_a_session_in_another_state() {
+        let mut ex = Executor::new(PlatformSpec::multi_gpu_nvlink(2), ExecMode::Gpu);
+        ex.ensure_context();
+        let tape = tape_of(&mut ex, |ex| taped_work(ex, TransferMode::Pinned)).unwrap();
+        let session = || {
+            let mut ex = Executor::new(PlatformSpec::multi_gpu_nvlink(2), ExecMode::Gpu);
+            ex.ensure_context();
+            ex
+        };
+        let untouched = |ex: &mut Executor, ok: bool| {
+            let (events, scopes, now) = (ex.timeline().len(), ex.scopes().len(), ex.now());
+            assert_eq!(ex.replay(&tape), ok);
+            if !ok {
+                assert_eq!(
+                    (ex.timeline().len(), ex.scopes().len(), ex.now()),
+                    (events, scopes, now)
+                );
+            }
+        };
+        untouched(&mut session(), true);
+        let mut cpu = Executor::new(PlatformSpec::multi_gpu_nvlink(2), ExecMode::CpuOnly);
+        untouched(&mut cpu, false);
+        let mut other_spec = warm_session();
+        untouched(&mut other_spec, false);
+        let mut on_device = session();
+        on_device.on_device(1, |ex| untouched(ex, false));
+        let mut in_scope = session();
+        in_scope.scope("serve", |ex| untouched(ex, false));
+        let mut pageable = session();
+        pageable.set_transfer_mode(TransferMode::Pageable);
+        untouched(&mut pageable, false);
+        let mut cold = Executor::new(PlatformSpec::multi_gpu_nvlink(2), ExecMode::Gpu);
+        untouched(&mut cold, false);
+        let mut traced = session();
+        traced.enable_tracing();
+        untouched(&mut traced, false);
+        let mut cached = session();
+        cached.enable_feature_cache(4);
+        untouched(&mut cached, false);
+        let mut forked = session();
+        forked.fork_streams(1);
+        untouched(&mut forked, false);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub use cache::{accumulate_class_stats, CacheStats, ClassCacheStats, FeatureCach
 pub use dgnn_tensor::{OpDescriptor, OpKind};
 pub use dispatch::{CacheFetch, DeviceTensor, Dispatcher, Operand};
 pub use event::{EventCategory, Place, TimelineEvent, TransferDir};
-pub use executor::{ExecMode, Executor, ScopeRecord};
+pub use executor::{ExecMode, Executor, ScopeRecord, Tape};
 pub use kernel::HostWork;
 pub use memory::MemoryTracker;
 pub use spec::{

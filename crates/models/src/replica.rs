@@ -8,6 +8,10 @@
 //! Rust work the simulator does not price; the priced warm-up (context
 //! init, weight upload) is exactly what the warm session amortizes.
 //!
+//! Because two builds are bit-identical, `dgnn-serve` runs each
+//! (model, request count) of a serving run once and replays what it
+//! priced for every later service of it, without building again.
+//!
 //! `dgnn-bench`'s `served_zoo` builds each model once, bound to its
 //! paper dataset, as a prototype that is never run; every
 //! [`ReplicaHandle::build`] returns a clone of it. Clones share only
@@ -26,7 +30,9 @@ pub type ModelFactory = Box<dyn Fn() -> Box<dyn DgnnModel> + Send + Sync>;
 /// Two instances built from the same handle are bit-identical: the
 /// factory must close over its dataset and seed, or over a prototype
 /// that is never run, not over mutable state. [`ReplicaHandle::build`]
-/// is therefore safe to call once per served batch.
+/// is therefore safe to call once per served batch, and a serving run
+/// relies on this rule to build and run each (model, request count)
+/// once and replay its tape for every later service of it.
 pub struct ReplicaHandle {
     name: String,
     factory: ModelFactory,

@@ -36,7 +36,11 @@
 //!   when the model is resident nowhere (cold start).
 //! * **Service**: the batch runs on the slot's session executor
 //!   ([`WarmPool::service`]); the slot is busy until the
-//!   simulated service duration elapses.
+//!   simulated service duration elapses. A service's work depends only
+//!   on its model and request count, so the run keeps one memo for
+//!   every pool: the first service of a (model, request count) builds
+//!   the model and tapes its inference, and every later one prices its
+//!   warm-up, then replays the tape on its own session's clock.
 //! * **Scaling**: the [`Autoscaler`] reads fleet-wide queue depth at
 //!   each arrival — the deterministic latency signal, by Little's law —
 //!   and can spawn a pool (whose replicas pay the full context +
@@ -69,7 +73,7 @@ use dgnn_graph::WindowBatcher;
 use dgnn_profile::ServicePhases;
 
 use crate::autoscaler::{Autoscaler, AutoscalerConfig, ScaleEvent, ScaleKind};
-use crate::pool::WarmPool;
+use crate::pool::{Memo, WarmPool};
 use crate::report::{FleetReport, ServedBatch, ServedRequest};
 use crate::router::{PoolLoad, Router, RouterPolicy};
 use crate::streaming::StreamingState;
@@ -300,6 +304,14 @@ impl PoolState {
 
 /// Runs the fleet simulation to completion.
 ///
+/// Each (model, request count) is built and run once per call; every
+/// later service of it replays what that run priced (see
+/// [`dgnn_device::Executor::tape`]). This relies on the rule of
+/// [`ReplicaHandle`](dgnn_models::ReplicaHandle) that two builds are
+/// bit-identical. A traced run, and a model served with a feature
+/// cache, build and run every service: a replay would carry no trace
+/// records, and cache contents change pricing.
+///
 /// # Panics
 ///
 /// Panics on an invalid configuration (empty mix, zero pools or
@@ -462,6 +474,9 @@ fn run(
     let mut dispatch_seq = 0u64;
     let mut peak_pools = cfg.initial_pools;
     let mut makespan = DurationNs::ZERO;
+    // Every pool's services share one memo: a service's work depends
+    // only on its model and request count, never on pool or slot.
+    let mut memo = Memo::new();
 
     while let Some(((t, _, _), ev)) = events.pop_first() {
         let now = DurationNs::from_nanos(t);
@@ -530,6 +545,7 @@ fn run(
                         &mut dispatch_seq,
                         &mut events,
                         &mut seq,
+                        &mut memo,
                         streaming.as_deref_mut(),
                     );
                 } else if p.queues[req.model].len() == 1 {
@@ -565,6 +581,7 @@ fn run(
                     &mut dispatch_seq,
                     &mut events,
                     &mut seq,
+                    &mut memo,
                     streaming.as_deref_mut(),
                 );
             }
@@ -586,6 +603,7 @@ fn run(
                     &mut dispatch_seq,
                     &mut events,
                     &mut seq,
+                    &mut memo,
                     streaming.as_deref_mut(),
                 );
                 pools[pool].maybe_retire(now);
@@ -651,6 +669,7 @@ fn try_dispatch(
     dispatch_seq: &mut u64,
     events: &mut BTreeMap<(u64, u8, u64), Ev>,
     seq: &mut u64,
+    memo: &mut Memo,
     mut streaming: Option<&mut StreamingState<'_>>,
 ) {
     // Earliest-ready batch that can start now. Affinity can block the
@@ -672,9 +691,14 @@ fn try_dispatch(
             Some(state) => state.sample_batch(now, &batch.members, requests),
             None => (DurationNs::ZERO, Vec::new()),
         };
-        let record = p
-            .pool
-            .service(slot, batch.model, zoo, batch.members.len(), *dispatch_seq);
+        let record = p.pool.service(
+            slot,
+            batch.model,
+            zoo,
+            batch.members.len(),
+            *dispatch_seq,
+            memo,
+        );
         let completed = now + sampling + record.duration;
         p.queued -= batch.members.len();
         p.busy += 1;

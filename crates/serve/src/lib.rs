@@ -13,7 +13,9 @@
 //! * [`dgnn_graph::WindowBatcher`]-driven dynamic micro-batching — a
 //!   batch closes when its window expires or it reaches capacity;
 //! * a warm pool of pre-initialized replica sessions per pool; warm
-//!   hits pay only per-run allocation, cold starts pay a model swap;
+//!   hits pay only per-run allocation, cold starts pay a model swap,
+//!   and a run computes each (model, request count) once and replays
+//!   what it priced for every later service of it;
 //! * [`serve`] — one warm pool behind the serving event loop, with
 //!   backpressure shedding at a queue bound;
 //! * [`serve_streaming`] — the same pool with queries racing live graph

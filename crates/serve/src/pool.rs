@@ -20,19 +20,50 @@
 //!   weights are released and the new model's `model_init` is paid
 //!   inside the request's service time.
 //!
-//! Every service takes a fresh model *struct* from its
+//! Every service runs a fresh model *struct* from its
 //! [`ReplicaHandle`]: a clone of a prototype that is never run, sharing
-//! only immutable data with it. Request numerics therefore depend only
-//! on the handle's model — session reuse amortizes priced warm-up
-//! without carrying mutable model state between requests.
+//! only immutable data with it. What a service prices and computes
+//! therefore depends only on its model and its batch's request count,
+//! so one serving run computes each (model, request count) once: the
+//! first service of that key builds the model and tapes its `infer`
+//! ([`Executor::tape`]) into the run's [`Memo`], and every later service
+//! prices its warm-up for real, then replays the tape
+//! ([`Executor::replay`]) — no build, no tensor math, the same events,
+//! scopes, clock and checksum. Traced and feature-cached sessions
+//! cannot be taped, so they build and run every service.
+//!
+//! [`ReplicaHandle`]: dgnn_models::ReplicaHandle
+
+use std::collections::BTreeMap;
 
 use dgnn_device::{
-    accumulate_class_stats, ClassCacheStats, DurationNs, ExecMode, Executor, PlatformSpec,
+    accumulate_class_stats, ClassCacheStats, DurationNs, ExecMode, Executor, PlatformSpec, Tape,
 };
 use dgnn_models::RunSummary;
 use dgnn_profile::ServicePhases;
 
 use crate::ServedModel;
+
+/// The sizes a service's warm-up prices.
+#[derive(Debug, Clone, Copy)]
+struct WarmupSizes {
+    param_bytes: u64,
+    param_tensors: u64,
+    activation_bytes: u64,
+}
+
+/// What the first service of one key left for every later one: its
+/// model's warm-up sizes, its summary and the tape of its `infer`.
+#[derive(Debug)]
+pub(crate) struct Taped {
+    sizes: WarmupSizes,
+    summary: RunSummary,
+    tape: Tape,
+}
+
+/// One serving run's taped services, keyed by (mix index, requests in
+/// the batch), shared by every pool of the run.
+pub(crate) type Memo = BTreeMap<(usize, usize), Taped>;
 
 /// One replica slot: a long-lived executor session plus residence
 /// bookkeeping.
@@ -192,6 +223,15 @@ impl WarmPool {
     /// `zoo[model_idx]` on `slot`, advancing that slot's session clock.
     /// `seq` is a monotone dispatch counter used for LRU bookkeeping.
     ///
+    /// The service prices its warm-up, then its inference. The first
+    /// service of a key builds the model and tapes its `infer` into
+    /// `memo`; every later service of that key replays the tape, with
+    /// no build and no tensor math. That relies on [`ReplicaHandle`]'s
+    /// rule that two builds are bit-identical. A session that cannot
+    /// replay (tracing, a feature cache) builds and runs for real.
+    ///
+    /// [`ReplicaHandle`]: dgnn_models::ReplicaHandle
+    ///
     /// # Panics
     ///
     /// Panics when the slot is busy, or when inference fails (serving
@@ -203,6 +243,7 @@ impl WarmPool {
         zoo: &[ServedModel],
         units: usize,
         seq: u64,
+        memo: &mut Memo,
     ) -> ServiceRecord {
         let m = &zoo[model_idx];
         let r = &mut self.replicas[slot];
@@ -213,34 +254,62 @@ impl WarmPool {
             .cfg
             .clone()
             .with_max_units(m.cfg.max_units.max(1) * units.max(1));
-        let mut model = m.handle.build();
+        let key = (model_idx, units);
+        let mut built = None;
+        let sizes = match memo.get(&key) {
+            Some(taped) => taped.sizes,
+            None => {
+                let model = built.insert(m.handle.build());
+                WarmupSizes {
+                    param_bytes: model.param_bytes(),
+                    param_tensors: model.param_tensors(),
+                    activation_bytes: model.activation_bytes(&run_cfg),
+                }
+            }
+        };
 
         let t0 = r.session.now();
         let i0 = r.session.timeline().len();
-        let summary = if cold {
-            // Evict the resident model, then pay the §4.4 model-init
-            // warm-up inside this request's service time. The context
-            // stays warm — the session (process) survives the swap.
+        if cold {
+            // Evict the resident model; the context stays warm — the
+            // session (process) survives the swap.
             r.session.release(r.resident_param_bytes);
             r.cold_starts += 1;
-            model.run(&mut r.session, &run_cfg)
-        } else {
-            // Warm hit: only the batch-dependent activation allocation
-            // (Table 2) is paid before inference.
-            r.session.scope("warmup", |ex| {
-                ex.alloc_warmup(model.activation_bytes(&run_cfg));
-            });
-            model.infer(&mut r.session, &run_cfg)
         }
-        .unwrap_or_else(|e| panic!("{} service failed: {e}", model.name()));
+        // The warm-up `DgnnModel::run` prices: the §4.4 model init on a
+        // cold start, then the batch-dependent activation allocation
+        // (Table 2).
+        r.session.scope("warmup", |ex| {
+            if cold {
+                ex.model_init(sizes.param_bytes, sizes.param_tensors);
+            }
+            ex.alloc_warmup(sizes.activation_bytes);
+        });
+        let replayed = memo
+            .get(&key)
+            .filter(|taped| r.session.replay(&taped.tape))
+            .map(|taped| taped.summary.clone());
+        let summary = replayed.unwrap_or_else(|| {
+            let mut model = built.unwrap_or_else(|| m.handle.build());
+            let (result, tape) = r.session.tape(|ex| model.infer(ex, &run_cfg));
+            let summary = result.unwrap_or_else(|e| panic!("{} service failed: {e}", model.name()));
+            if let Some(tape) = tape {
+                memo.entry(key).or_insert(Taped {
+                    sizes,
+                    summary: summary.clone(),
+                    tape,
+                });
+            }
+            summary
+        });
 
         let duration = r.session.now() - t0;
         let phases = ServicePhases::from_events(&r.session.timeline().events()[i0..]);
         // The activation pool is recycled between services.
-        r.session.release(model.activation_bytes(&run_cfg));
+        r.session.release(sizes.activation_bytes);
 
         r.resident = Some(model_idx);
-        r.resident_param_bytes = model.param_bytes();
+        r.resident_param_bytes = sizes.param_bytes;
         r.busy = true;
         r.last_used = seq;
 

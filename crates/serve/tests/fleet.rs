@@ -1,12 +1,17 @@
 //! Fleet-level end-to-end properties: determinism, conservation,
-//! routing-policy behaviour, autoscaler pricing, and sanitizer
-//! cleanliness.
+//! routing-policy behaviour, autoscaler pricing, sanitizer cleanliness,
+//! and how many models a run builds.
+
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use dgnn_datasets::{wikipedia, Scale};
 use dgnn_device::{DurationNs, ExecMode, PlatformSpec};
 use dgnn_models::{InferenceConfig, Jodie, ReplicaHandle, Tgat};
 use dgnn_serve::{
-    serve_fleet, AutoscalerConfig, FleetConfig, RouterPolicy, ServedModel, WorkloadShape, UNBOUNDED,
+    serve_fleet, AutoscalerConfig, FleetConfig, FleetOutcome, RouterPolicy, ServedModel,
+    WorkloadShape, UNBOUNDED,
 };
 
 fn jodie_entry(weight: f64) -> ServedModel {
@@ -292,6 +297,71 @@ fn fleet_sessions_audit_clean() {
             "fleet replica {i} timeline has hazards: {report:?}"
         );
     }
+}
+
+/// `entry` with a handle that counts every model it builds in `builds`.
+fn counted(entry: ServedModel, builds: &Arc<AtomicUsize>) -> ServedModel {
+    let builds = Arc::clone(builds);
+    let name = entry.handle.name().to_string();
+    let inner = entry.handle;
+    ServedModel {
+        handle: ReplicaHandle::new(name, move || {
+            builds.fetch_add(1, Ordering::Relaxed);
+            inner.build()
+        }),
+        ..entry
+    }
+}
+
+#[test]
+fn untraced_runs_build_each_service_key_once_and_traced_runs_every_service() {
+    let mut cfg = base_cfg();
+    cfg.autoscaler = Some(burst_scaler());
+    cfg.arrival_rate_rps = 600.0;
+    let run = |trace: bool| {
+        let builds = Arc::new(AtomicUsize::new(0));
+        let zoo = [
+            counted(jodie_entry(3.0), &builds),
+            counted(tgat_entry(1.0), &builds),
+        ];
+        let out = serve_fleet(
+            &FleetConfig {
+                trace,
+                ..cfg.clone()
+            },
+            &zoo,
+        );
+        (out, builds.load(Ordering::Relaxed))
+    };
+    let (untraced, untraced_builds) = run(false);
+    let (traced, traced_builds) = run(true);
+
+    let slots = untraced.report.pools_spawned * cfg.replicas_per_pool;
+    assert!(
+        untraced.report.pools_spawned > cfg.initial_pools,
+        "a pool spawned"
+    );
+    let keys: BTreeSet<_> = untraced
+        .batches
+        .iter()
+        .map(|b| (b.batch.model, b.batch.requests.len()))
+        .collect();
+    assert!(keys.len() < untraced.batches.len(), "a key repeats");
+    assert_eq!(untraced_builds, slots + keys.len(), "untraced builds");
+    assert_eq!(traced_builds, slots + traced.batches.len(), "traced builds");
+
+    let served = |out: &FleetOutcome| -> Vec<_> {
+        out.batches
+            .iter()
+            .map(|b| {
+                let s = &b.batch;
+                let checksum = s.summary.checksum.to_bits();
+                let placed = (b.pool, s.replica, s.model, s.requests.clone(), s.cold);
+                (placed, s.completed - s.started, s.phases, checksum)
+            })
+            .collect()
+    };
+    assert_eq!(served(&untraced), served(&traced));
 }
 
 #[test]
