@@ -11,10 +11,10 @@
 //! comes from the simulated clock, so a change that moves any priced
 //! time, share, checksum or table row fails here; the sanitizer's
 //! serial rows also pin each model's trace-record count. Debug and
-//! release builds print the same bytes. `table2_warmup` and
-//! `sanitize`'s other modes are too slow in debug for this file; CI
-//! diffs their release stdout against `table2_warmup.txt` and
-//! `sanitize_all.txt` instead.
+//! release builds print the same bytes. `table2_warmup`, `sanitize`'s
+//! other modes and a full `serve_sweep` are too slow in debug for this
+//! file; CI diffs their release stdout against `table2_warmup.txt`,
+//! `sanitize_all.txt` and `serve_sweep_full.txt` instead.
 //!
 //! To re-record after an intended change, run each bin with its
 //! arguments at the parent commit and redirect its stdout to the golden

@@ -37,10 +37,11 @@
 //! * **Service**: the batch runs on the slot's session executor
 //!   ([`WarmPool::service`]); the slot is busy until the
 //!   simulated service duration elapses. A service's work depends only
-//!   on its model and request count, so the run keeps one memo for
-//!   every pool: the first service of a (model, request count) builds
-//!   the model and tapes its inference, and every later one prices its
-//!   warm-up, then replays the tape on its own session's clock.
+//!   on its model and request count, so the run keeps one [`Memo`] for
+//!   every pool: each mix entry's parameter sizes, read from its first
+//!   build, and for each (model, request count) the tape of its first
+//!   service's inference, which every later one replays on its own
+//!   session's clock after pricing its warm-up.
 //! * **Scaling**: the [`Autoscaler`] reads fleet-wide queue depth at
 //!   each arrival — the deterministic latency signal, by Little's law —
 //!   and can spawn a pool (whose replicas pay the full context +
@@ -55,14 +56,16 @@
 //!   clock before its replica service starts, the freshness-vs-latency
 //!   contention the streaming benchmarks measure.
 //!
-//! Event ordering is total: keys are `(time, kind-priority, sequence)`
-//! in one `BTreeMap`, with replica releases before arrivals before
-//! graph ingests before batch closes at equal times (`ReplicaFree <
-//! Arrival < Ingest < BatchClose`), so a freed slot is reusable by a
-//! same-instant arrival, a same-instant ingest is visible to the batch
-//! that closes then, and a zero-window batch closes after its own
-//! arrival. No hash map participates in any decision — identical inputs
-//! replay identical schedules bit for bit.
+//! One [`EventLoop`] holds the run's whole state, and each event kind
+//! has one handler on it. Event ordering is total: keys are `(time,
+//! kind-priority, sequence)` in one `BTreeMap`, and [`Agenda::push`] is
+//! the only way in. Replica releases come before arrivals before graph
+//! ingests before batch closes at equal times (`ReplicaFree < Arrival <
+//! Ingest < BatchClose`), so a freed slot is reusable by a same-instant
+//! arrival, a same-instant ingest is visible to the batch that closes
+//! then, and a zero-window batch closes after its own arrival. No hash
+//! map participates in any decision — identical inputs replay identical
+//! schedules bit for bit.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -77,7 +80,7 @@ use crate::pool::{Memo, WarmPool};
 use crate::report::{FleetReport, ServedBatch, ServedRequest};
 use crate::router::{PoolLoad, Router, RouterPolicy};
 use crate::streaming::StreamingState;
-use crate::workload::{generate_shaped, RateError, Request, WorkloadShape};
+use crate::workload::{generate_shaped, validate_count, RateError, Request, WorkloadShape};
 use crate::{ServeConfig, ServedModel, UNBOUNDED};
 
 /// Full configuration of one fleet serving run.
@@ -144,13 +147,30 @@ impl Default for FleetConfig {
 
 impl FleetConfig {
     /// Validates the arrival rate and the shape parameters (see
-    /// [`WorkloadShape::validate`]).
+    /// [`WorkloadShape::validate`]), then every count a run needs at
+    /// least one of: initial pools, replicas per pool, the batch
+    /// capacity and the autoscaler's `min_pools`, which must not exceed
+    /// its `max_pools`.
     ///
     /// # Errors
     ///
     /// Returns a [`RateError`] naming the offending parameter.
     pub fn validate(&self) -> Result<(), RateError> {
-        self.shape.validate(self.arrival_rate_rps)
+        self.shape.validate(self.arrival_rate_rps)?;
+        validate_count("initial pools", self.initial_pools)?;
+        validate_count("replicas per pool", self.replicas_per_pool)?;
+        validate_count("max batch", self.max_batch)?;
+        if let Some(scaler) = &self.autoscaler {
+            validate_count("autoscaler min pools", scaler.min_pools)?;
+            if scaler.min_pools > scaler.max_pools {
+                return Err(RateError {
+                    what: "autoscaler min pools",
+                    value: scaler.min_pools as f64,
+                    reason: "above max pools",
+                });
+            }
+        }
+        Ok(())
     }
 }
 
@@ -200,108 +220,6 @@ pub struct ServeOutcome {
     pub sessions: Vec<Executor>,
 }
 
-/// The raw records of one event-loop run, from which its
-/// [`FleetReport`] is built.
-#[derive(Default)]
-pub(crate) struct Records {
-    /// Requests generated (offered load).
-    pub offered: usize,
-    /// Served requests, in arrival order.
-    pub served: Vec<ServedRequest>,
-    /// Requests rejected by backpressure, in arrival order.
-    pub shed: Vec<Request>,
-    /// Per-batch service records, in dispatch order.
-    pub batches: Vec<FleetBatch>,
-    /// Scale decisions, in virtual-time order.
-    pub scale_events: Vec<ScaleEvent>,
-    /// Provisioning phases, summed over every slot of every pool.
-    pub provision: ServicePhases,
-    /// Services that paid a model swap, fleet-wide.
-    pub cold_services: usize,
-    /// Feature-cache counters summed over every replica session, split
-    /// by tensor class.
-    pub cache_by_class: ClassCacheStats,
-    /// Each pool's `(spawned_at, retired_at)` lifetime, in spawn order.
-    pub pool_spans: Vec<(DurationNs, Option<DurationNs>)>,
-    /// Most pools routable at once.
-    pub peak_pools: usize,
-    /// Pools still routable when the run ended.
-    pub final_pools: usize,
-    /// Last service or provisioning completion.
-    pub makespan: DurationNs,
-    /// Every replica session, pools in spawn order, slots in slot order.
-    pub sessions: Vec<Executor>,
-}
-
-/// Event kinds, in tie-break priority order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ev {
-    /// A replica finished its service (or its provisioning).
-    ReplicaFree { pool: usize, slot: usize },
-    /// A request arrives at the router.
-    Arrival(usize),
-    /// A live graph event arrives for ingestion (streaming runs only).
-    Ingest(usize),
-    /// A batch window expires. The token names the open window it was
-    /// scheduled for, so it fires on nothing once that batch has
-    /// already closed by capacity.
-    BatchClose(u64),
-}
-
-impl Ev {
-    fn priority(&self) -> u8 {
-        match self {
-            Ev::ReplicaFree { .. } => 0,
-            Ev::Arrival(_) => 1,
-            Ev::Ingest(_) => 2,
-            Ev::BatchClose(_) => 3,
-        }
-    }
-}
-
-/// A closed batch waiting for a replica, within one pool.
-#[derive(Debug)]
-struct PendingBatch {
-    model: usize,
-    members: Vec<usize>,
-    ready: DurationNs,
-}
-
-/// One pool plus its admission state and lifetime accounting.
-struct PoolState {
-    id: usize,
-    pool: WarmPool,
-    queues: Vec<VecDeque<usize>>,
-    open_token: Vec<Option<u64>>,
-    ready: VecDeque<PendingBatch>,
-    /// Admitted but not yet dispatched (model queues + ready members).
-    queued: usize,
-    /// Replicas currently busy (provisioning or serving).
-    busy: usize,
-    spawned_at: DurationNs,
-    retired_at: Option<DurationNs>,
-    draining: bool,
-}
-
-impl PoolState {
-    fn routable(&self) -> bool {
-        !self.draining && self.retired_at.is_none()
-    }
-
-    fn holds(&self, model: usize) -> bool {
-        (0..self.pool.len()).any(|i| self.pool.replica(i).resident() == Some(model))
-    }
-
-    /// A draining pool retires the instant it runs dry; from then on
-    /// it accrues no replica-seconds.
-    fn maybe_retire(&mut self, now: DurationNs) {
-        if self.draining && self.retired_at.is_none() && self.queued == 0 && self.busy == 0 {
-            debug_assert!(self.ready.is_empty());
-            self.retired_at = Some(now);
-        }
-    }
-}
-
 /// Runs the fleet simulation to completion.
 ///
 /// Each (model, request count) is built and run once per call; every
@@ -314,9 +232,8 @@ impl PoolState {
 ///
 /// # Panics
 ///
-/// Panics on an invalid configuration (empty mix, zero pools or
-/// replicas, a rate or shape [`FleetConfig::validate`] rejects) or when
-/// a model service fails.
+/// Panics on an empty mix, on a configuration [`FleetConfig::validate`]
+/// rejects, or when a model service fails.
 ///
 /// ```
 /// use dgnn_datasets::{wikipedia, Scale};
@@ -358,8 +275,8 @@ pub fn serve_fleet(cfg: &FleetConfig, zoo: &[ServedModel]) -> FleetOutcome {
 ///
 /// # Panics
 ///
-/// Panics on an invalid configuration (empty mix, zero pool/rate) or
-/// when a model service fails.
+/// Panics on an empty mix, on a configuration [`ServeConfig::validate`]
+/// rejects, or when a model service fails.
 pub fn serve(cfg: &ServeConfig, zoo: &[ServedModel]) -> ServeOutcome {
     serve_one_pool(cfg, zoo, None)
 }
@@ -400,342 +317,430 @@ pub(crate) fn serve_one_pool(
     }
 }
 
-/// The event loop behind every entry point.
-fn run(
-    cfg: &FleetConfig,
-    zoo: &[ServedModel],
-    mut streaming: Option<&mut StreamingState<'_>>,
-) -> Records {
-    assert!(!zoo.is_empty(), "model mix must not be empty");
-    assert!(cfg.initial_pools >= 1, "fleet needs at least one pool");
-    assert!(
-        cfg.replicas_per_pool >= 1,
-        "pools need at least one replica"
-    );
-    let weights: Vec<f64> = zoo.iter().map(|m| m.weight).collect();
-    let requests = generate_shaped(
-        cfg.seed,
-        cfg.n_requests,
-        cfg.arrival_rate_rps,
-        &weights,
-        &cfg.shape,
-    );
-    let batcher = WindowBatcher::new(cfg.batch_window.as_nanos(), cfg.max_batch);
-    let mut router = Router::new(cfg.policy, cfg.seed);
-    let mut autoscaler = cfg.autoscaler.map(Autoscaler::new);
+/// The raw records of one event-loop run, from which its
+/// [`FleetReport`] is built.
+#[derive(Default)]
+pub(crate) struct Records {
+    /// Requests generated (offered load).
+    pub offered: usize,
+    /// Served requests, in arrival order.
+    pub served: Vec<ServedRequest>,
+    /// Requests rejected by backpressure, in arrival order.
+    pub shed: Vec<Request>,
+    /// Per-batch service records, in dispatch order.
+    pub batches: Vec<FleetBatch>,
+    /// Scale decisions, in virtual-time order.
+    pub scale_events: Vec<ScaleEvent>,
+    /// Provisioning phases, summed over every slot of every pool.
+    pub provision: ServicePhases,
+    /// Feature-cache counters summed over every replica session, split
+    /// by tensor class.
+    pub cache_by_class: ClassCacheStats,
+    /// Each pool's `(spawned_at, retired_at)` lifetime, in spawn order.
+    pub pool_spans: Vec<(DurationNs, Option<DurationNs>)>,
+    /// Most pools routable at once.
+    pub peak_pools: usize,
+    /// Pools still routable when the run ended.
+    pub final_pools: usize,
+    /// Last service or provisioning completion.
+    pub makespan: DurationNs,
+    /// Every replica session, pools in spawn order, slots in slot order.
+    pub sessions: Vec<Executor>,
+}
 
-    let mut events: BTreeMap<(u64, u8, u64), Ev> = BTreeMap::new();
-    let mut seq = 0u64;
-    let push = |events: &mut BTreeMap<(u64, u8, u64), Ev>, seq: &mut u64, t: DurationNs, ev: Ev| {
-        *seq += 1;
-        events.insert((t.as_nanos(), ev.priority(), *seq), ev);
-    };
+/// Event kinds, in tie-break priority order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ev {
+    /// A replica finished its service (or its provisioning).
+    ReplicaFree { pool: usize, slot: usize },
+    /// A request arrives at the router.
+    Arrival(usize),
+    /// A live graph event arrives for ingestion (streaming runs only).
+    Ingest(usize),
+    /// The window of `model`'s open batch in `pool` expires. It fires on
+    /// nothing once capacity has closed that batch: the pool's open
+    /// window then no longer holds this event's sequence number.
+    BatchClose { pool: usize, model: usize },
+}
 
-    let mut pools: Vec<PoolState> = Vec::new();
-    let spawn = |pools: &mut Vec<PoolState>,
-                 events: &mut BTreeMap<(u64, u8, u64), Ev>,
-                 seq: &mut u64,
-                 at: DurationNs| {
-        let id = pools.len();
-        let mut pool = WarmPool::new(cfg.replicas_per_pool, cfg.spec.clone(), cfg.mode, cfg.trace);
-        // Scale-out pricing: each replica pays context + model init
-        // before its first service, exactly like the t = 0 pools.
-        for (slot, done) in pool.provision(zoo).into_iter().enumerate() {
-            push(events, seq, at + done, Ev::ReplicaFree { pool: id, slot });
+impl Ev {
+    fn priority(&self) -> u8 {
+        match self {
+            Ev::ReplicaFree { .. } => 0,
+            Ev::Arrival(_) => 1,
+            Ev::Ingest(_) => 2,
+            Ev::BatchClose { .. } => 3,
         }
-        pools.push(PoolState {
+    }
+}
+
+/// Pending events, totally ordered by `(time, kind priority, sequence)`.
+#[derive(Default)]
+struct Agenda {
+    events: BTreeMap<(u64, u8, u64), Ev>,
+    /// Sequence number of the last event enqueued.
+    seq: u64,
+}
+
+impl Agenda {
+    /// Enqueues `ev` at `at` and returns its sequence number.
+    fn push(&mut self, at: DurationNs, ev: Ev) -> u64 {
+        self.seq += 1;
+        self.events
+            .insert((at.as_nanos(), ev.priority(), self.seq), ev);
+        self.seq
+    }
+}
+
+/// A closed batch waiting for a replica, within one pool.
+#[derive(Debug)]
+struct PendingBatch {
+    model: usize,
+    members: Vec<usize>,
+    ready: DurationNs,
+}
+
+/// One pool plus its admission state and lifetime accounting.
+struct PoolState {
+    id: usize,
+    pool: WarmPool,
+    queues: Vec<VecDeque<usize>>,
+    /// Per model, the sequence number of the `BatchClose` scheduled for
+    /// its open batch, if one is open.
+    open_window: Vec<Option<u64>>,
+    ready: VecDeque<PendingBatch>,
+    /// Admitted but not yet dispatched (model queues + ready members).
+    queued: usize,
+    spawned_at: DurationNs,
+    retired_at: Option<DurationNs>,
+    draining: bool,
+}
+
+impl PoolState {
+    fn routable(&self) -> bool {
+        !self.draining && self.retired_at.is_none()
+    }
+
+    /// A draining pool retires the instant it runs dry; from then on
+    /// it accrues no replica-seconds.
+    fn maybe_retire(&mut self, now: DurationNs) {
+        if self.draining && self.retired_at.is_none() && self.queued == 0 && !self.pool.busy() {
+            debug_assert!(self.ready.is_empty());
+            self.retired_at = Some(now);
+        }
+    }
+}
+
+/// The state of one event-loop run, with one handler per event kind.
+struct EventLoop<'a, 's> {
+    cfg: &'a FleetConfig,
+    zoo: &'a [ServedModel],
+    requests: Vec<Request>,
+    batcher: WindowBatcher,
+    agenda: Agenda,
+    pools: Vec<PoolState>,
+    router: Router,
+    autoscaler: Option<Autoscaler>,
+    /// Every pool's services share one memo: a service's work depends
+    /// only on its model and request count, never on pool or slot.
+    memo: Memo,
+    streaming: Option<&'a mut StreamingState<'s>>,
+    records: Records,
+}
+
+impl<'a, 's> EventLoop<'a, 's> {
+    /// Provisions the initial pools and enqueues every arrival and
+    /// ingest.
+    fn new(
+        cfg: &'a FleetConfig,
+        zoo: &'a [ServedModel],
+        streaming: Option<&'a mut StreamingState<'s>>,
+    ) -> Self {
+        let weights: Vec<f64> = zoo.iter().map(|m| m.weight).collect();
+        let requests = generate_shaped(
+            cfg.seed,
+            cfg.n_requests,
+            cfg.arrival_rate_rps,
+            &weights,
+            &cfg.shape,
+        );
+        let mut state = EventLoop {
+            cfg,
+            zoo,
+            batcher: WindowBatcher::new(cfg.batch_window.as_nanos(), cfg.max_batch),
+            agenda: Agenda::default(),
+            pools: Vec::new(),
+            router: Router::new(cfg.policy, cfg.seed),
+            autoscaler: cfg.autoscaler.map(Autoscaler::new),
+            memo: Memo::new(zoo.len()),
+            streaming,
+            records: Records {
+                offered: requests.len(),
+                peak_pools: cfg.initial_pools,
+                ..Records::default()
+            },
+            requests,
+        };
+        for _ in 0..cfg.initial_pools {
+            state.spawn(DurationNs::ZERO);
+        }
+        for r in &state.requests {
+            state.agenda.push(r.arrival, Ev::Arrival(r.id));
+        }
+        if let Some(stream) = state.streaming.as_deref() {
+            for (i, &at) in stream.ingest_arrivals().iter().enumerate() {
+                state.agenda.push(at, Ev::Ingest(i));
+            }
+        }
+        state
+    }
+
+    /// Handles every event in order, then collects the records.
+    fn run(mut self) -> Records {
+        while let Some(((t, _, seq), ev)) = self.agenda.events.pop_first() {
+            let now = DurationNs::from_nanos(t);
+            match ev {
+                Ev::Arrival(id) => self.arrival(now, id),
+                Ev::Ingest(i) => self
+                    .streaming
+                    .as_deref_mut()
+                    .expect("ingest events are only scheduled in streaming runs")
+                    .ingest(i, now),
+                Ev::BatchClose { pool, model } => {
+                    if self.pools[pool].open_window[model] == Some(seq) {
+                        self.close(now, pool, model);
+                    }
+                }
+                Ev::ReplicaFree { pool, slot } => self.replica_free(now, pool, slot),
+            }
+        }
+        self.finish()
+    }
+
+    /// Spawns a pool at `at`. Scale-out pricing: each replica pays
+    /// context + model init before its first service, exactly like the
+    /// t = 0 pools.
+    fn spawn(&mut self, at: DurationNs) {
+        let id = self.pools.len();
+        let (pool, completions) = WarmPool::provision(
+            self.cfg,
+            self.zoo,
+            &mut self.memo,
+            &mut self.records.provision,
+        );
+        for (slot, done) in completions.into_iter().enumerate() {
+            self.agenda
+                .push(at + done, Ev::ReplicaFree { pool: id, slot });
+        }
+        self.pools.push(PoolState {
             id,
             pool,
-            queues: vec![VecDeque::new(); zoo.len()],
-            open_token: vec![None; zoo.len()],
+            queues: vec![VecDeque::new(); self.zoo.len()],
+            open_window: vec![None; self.zoo.len()],
             ready: VecDeque::new(),
             queued: 0,
-            busy: cfg.replicas_per_pool,
             spawned_at: at,
             retired_at: None,
             draining: false,
         });
-    };
-    for _ in 0..cfg.initial_pools {
-        spawn(&mut pools, &mut events, &mut seq, DurationNs::ZERO);
-    }
-    for r in &requests {
-        push(&mut events, &mut seq, r.arrival, Ev::Arrival(r.id));
-    }
-    if let Some(state) = streaming.as_deref() {
-        for (i, &at) in state.ingest_arrivals().iter().enumerate() {
-            push(&mut events, &mut seq, at, Ev::Ingest(i));
-        }
     }
 
-    let mut served: Vec<ServedRequest> = Vec::new();
-    let mut shed: Vec<Request> = Vec::new();
-    let mut batches: Vec<FleetBatch> = Vec::new();
-    let mut dispatch_seq = 0u64;
-    let mut peak_pools = cfg.initial_pools;
-    let mut makespan = DurationNs::ZERO;
-    // Every pool's services share one memo: a service's work depends
-    // only on its model and request count, never on pool or slot.
-    let mut memo = Memo::new();
-
-    while let Some(((t, _, _), ev)) = events.pop_first() {
-        let now = DurationNs::from_nanos(t);
-        match ev {
-            Ev::Arrival(id) => {
-                let req = requests[id];
-                // The autoscaler reads the fleet before placement, so a
-                // spawned pool is routable for this very arrival.
-                if let Some(scaler) = autoscaler.as_mut() {
-                    let queued_total: usize = pools
-                        .iter()
+    /// Scales the fleet if the autoscaler says so, then places request
+    /// `id` and admits or sheds it.
+    fn arrival(&mut self, now: DurationNs, id: usize) {
+        let req = self.requests[id];
+        // The autoscaler reads the fleet before placement, so a spawned
+        // pool is routable for this very arrival.
+        if let Some(scaler) = self.autoscaler.as_mut() {
+            let routable = self.pools.iter().filter(|p| p.routable());
+            let queued_total: usize = routable.clone().map(|p| p.queued).sum();
+            let active = routable.count();
+            match scaler.decide(now, queued_total, active) {
+                Some(ScaleKind::Out) => {
+                    self.spawn(now);
+                    self.records.peak_pools = self.records.peak_pools.max(active + 1);
+                }
+                Some(ScaleKind::In) => {
+                    // Drain the least-loaded routable pool, newest on
+                    // ties.
+                    if let Some(p) = self
+                        .pools
+                        .iter_mut()
                         .filter(|p| p.routable())
-                        .map(|p| p.queued)
-                        .sum();
-                    let active = pools.iter().filter(|p| p.routable()).count();
-                    match scaler.decide(now, queued_total, active) {
-                        Some(ScaleKind::Out) => {
-                            spawn(&mut pools, &mut events, &mut seq, now);
-                            peak_pools = peak_pools.max(active + 1);
-                        }
-                        Some(ScaleKind::In) => {
-                            // Drain the least-loaded routable pool,
-                            // newest on ties.
-                            if let Some(pid) = pools
-                                .iter()
-                                .filter(|p| p.routable())
-                                .min_by_key(|p| (p.queued, std::cmp::Reverse(p.id)))
-                                .map(|p| p.id)
-                            {
-                                pools[pid].draining = true;
-                                pools[pid].maybe_retire(now);
-                            }
-                        }
-                        None => {}
+                        .min_by_key(|p| (p.queued, std::cmp::Reverse(p.id)))
+                    {
+                        p.draining = true;
+                        p.maybe_retire(now);
                     }
                 }
+                None => {}
+            }
+        }
 
-                let loads: Vec<PoolLoad> = pools
-                    .iter()
-                    .filter(|p| p.routable())
-                    .map(|p| PoolLoad {
-                        pool: p.id,
-                        queued: p.queued,
-                        resident: p.holds(req.model),
-                    })
-                    .collect();
-                let dest = router.place(&loads);
-                let p = &mut pools[dest];
-                if p.queued >= cfg.queue_bound {
-                    shed.push(req);
-                    continue;
-                }
-                p.queued += 1;
-                p.queues[req.model].push_back(id);
-                if batcher.is_full(p.queues[req.model].len()) {
-                    // Capacity close: dispatchable immediately.
-                    p.open_token[req.model] = None;
-                    close_batch(p, req.model, now, &batcher);
-                    try_dispatch(
-                        now,
-                        zoo,
-                        &mut pools[dest],
-                        &requests,
-                        &mut served,
-                        &mut batches,
-                        &mut dispatch_seq,
-                        &mut events,
-                        &mut seq,
-                        &mut memo,
-                        streaming.as_deref_mut(),
-                    );
-                } else if p.queues[req.model].len() == 1 {
-                    // New anchor: schedule the window close.
-                    seq += 1;
-                    let token = seq;
-                    p.open_token[req.model] = Some(token);
-                    let deadline = DurationNs::from_nanos(batcher.deadline(now.as_nanos()));
-                    let ev = Ev::BatchClose(token);
-                    events.insert((deadline.as_nanos(), ev.priority(), token), ev);
-                }
-            }
-            Ev::Ingest(i) => streaming
-                .as_deref_mut()
-                .expect("ingest events are only scheduled in streaming runs")
-                .ingest(i, now),
-            Ev::BatchClose(token) => {
-                let Some((pool, model)) = pools.iter().find_map(|p| {
-                    let model = p.open_token.iter().position(|&t| t == Some(token))?;
-                    Some((p.id, model))
-                }) else {
-                    continue; // stale: already closed by capacity
-                };
-                pools[pool].open_token[model] = None;
-                close_batch(&mut pools[pool], model, now, &batcher);
-                try_dispatch(
-                    now,
-                    zoo,
-                    &mut pools[pool],
-                    &requests,
-                    &mut served,
-                    &mut batches,
-                    &mut dispatch_seq,
-                    &mut events,
-                    &mut seq,
-                    &mut memo,
-                    streaming.as_deref_mut(),
-                );
-            }
-            Ev::ReplicaFree { pool, slot } => {
-                // Every service or provisioning completion passes
-                // through here, so the last one is the makespan (a
-                // stale window token can outlive it and must not
-                // stretch the clock).
-                makespan = makespan.max(now);
-                pools[pool].pool.mark_free(slot);
-                pools[pool].busy -= 1;
-                try_dispatch(
-                    now,
-                    zoo,
-                    &mut pools[pool],
-                    &requests,
-                    &mut served,
-                    &mut batches,
-                    &mut dispatch_seq,
-                    &mut events,
-                    &mut seq,
-                    &mut memo,
-                    streaming.as_deref_mut(),
-                );
-                pools[pool].maybe_retire(now);
-            }
+        let loads: Vec<PoolLoad> = self
+            .pools
+            .iter()
+            .filter(|p| p.routable())
+            .map(|p| PoolLoad {
+                pool: p.id,
+                queued: p.queued,
+                resident: p.pool.holds(req.model),
+            })
+            .collect();
+        let dest = self.router.place(&loads);
+        let p = &mut self.pools[dest];
+        if p.queued >= self.cfg.queue_bound {
+            self.records.shed.push(req);
+            return;
+        }
+        p.queued += 1;
+        p.queues[req.model].push_back(id);
+        let waiting = p.queues[req.model].len();
+        if self.batcher.is_full(waiting) {
+            // Capacity close: dispatchable immediately.
+            self.close(now, dest, req.model);
+        } else if waiting == 1 {
+            // New anchor: schedule the window close.
+            let deadline = DurationNs::from_nanos(self.batcher.deadline(now.as_nanos()));
+            let close = Ev::BatchClose {
+                pool: dest,
+                model: req.model,
+            };
+            self.pools[dest].open_window[req.model] = Some(self.agenda.push(deadline, close));
         }
     }
 
-    assert!(
-        pools.iter().all(|p| p.queued == 0
-            && p.ready.is_empty()
-            && p.queues.iter().all(VecDeque::is_empty)),
-        "serving loop terminated with work still queued"
-    );
-
-    served.sort_by_key(|r| r.id);
-    let mut records = Records {
-        offered: requests.len(),
-        served,
-        shed,
-        batches,
-        scale_events: autoscaler
-            .as_ref()
-            .map(|s| s.events().to_vec())
-            .unwrap_or_default(),
-        pool_spans: pools.iter().map(|p| (p.spawned_at, p.retired_at)).collect(),
-        peak_pools,
-        final_pools: pools.iter().filter(|p| p.routable()).count(),
-        makespan,
-        ..Records::default()
-    };
-    for p in pools {
-        records.provision.accumulate(&p.pool.provision_phases());
-        records.cold_services += p.pool.cold_starts();
-        accumulate_class_stats(&mut records.cache_by_class, &p.pool.cache_class_stats());
-        records.sessions.extend(p.pool.into_sessions());
-    }
-    records
-}
-
-/// Drains up to one batch from a pool's model queue into its ready
-/// FIFO.
-fn close_batch(p: &mut PoolState, model: usize, now: DurationNs, batcher: &WindowBatcher) {
-    let q = &mut p.queues[model];
-    debug_assert!(!q.is_empty(), "closing an empty batch");
-    let take = q.len().min(batcher.max_batch);
-    let members: Vec<usize> = q.drain(..take).collect();
-    p.ready.push_back(PendingBatch {
-        model,
-        members,
-        ready: now,
-    });
-}
-
-/// Starts ready batches on the pool's free replicas.
-#[allow(clippy::too_many_arguments)] // event-loop state is deliberately flat
-fn try_dispatch(
-    now: DurationNs,
-    zoo: &[ServedModel],
-    p: &mut PoolState,
-    requests: &[Request],
-    served: &mut Vec<ServedRequest>,
-    batches: &mut Vec<FleetBatch>,
-    dispatch_seq: &mut u64,
-    events: &mut BTreeMap<(u64, u8, u64), Ev>,
-    seq: &mut u64,
-    memo: &mut Memo,
-    mut streaming: Option<&mut StreamingState<'_>>,
-) {
-    // Earliest-ready batch that can start now. Affinity can block the
-    // head (its model's slot is busy) without blocking later batches
-    // whose slots are free; within one model, ready order is FIFO so
-    // requests never overtake each other.
-    while let Some((pos, slot)) = p
-        .ready
-        .iter()
-        .enumerate()
-        .find_map(|(i, b)| p.pool.pick(b.model).map(|(slot, _cold)| (i, slot)))
-    {
-        let batch = p.ready.remove(pos).expect("index from enumerate");
-        *dispatch_seq += 1;
-        // Streaming: the batch first pays host-side sampling on the
-        // shared ingest clock (contending with live appends), reading a
-        // snapshot capped at the events visible right now.
-        let (sampling, staleness) = match streaming.as_deref_mut() {
-            Some(state) => state.sample_batch(now, &batch.members, requests),
-            None => (DurationNs::ZERO, Vec::new()),
-        };
-        let record = p.pool.service(
-            slot,
-            batch.model,
-            zoo,
-            batch.members.len(),
-            *dispatch_seq,
-            memo,
-        );
-        let completed = now + sampling + record.duration;
-        p.queued -= batch.members.len();
-        p.busy += 1;
-
-        let batch_id = batches.len();
-        for (pos_in_batch, &id) in batch.members.iter().enumerate() {
-            served.push(ServedRequest {
-                id,
-                model: batch.model,
-                arrival: requests[id].arrival,
-                batch: batch_id,
-                assembled: batch.ready,
-                started: now,
-                completed,
-                cold: record.cold,
-                staleness: staleness
-                    .get(pos_in_batch)
-                    .copied()
-                    .unwrap_or(DurationNs::ZERO),
-            });
-        }
-        batches.push(FleetBatch {
-            pool: p.id,
-            batch: ServedBatch {
-                model: batch.model,
-                requests: batch.members,
-                ready: batch.ready,
-                started: now,
-                completed,
-                cold: record.cold,
-                replica: record.replica,
-                phases: record.phases,
-                summary: record.summary,
-            },
+    /// Moves up to one batch of `model`'s queue in `pool` into the
+    /// pool's ready FIFO, then dispatches.
+    fn close(&mut self, now: DurationNs, pool: usize, model: usize) {
+        let p = &mut self.pools[pool];
+        p.open_window[model] = None;
+        let q = &mut p.queues[model];
+        debug_assert!(!q.is_empty(), "closing an empty batch");
+        let take = q.len().min(self.batcher.max_batch);
+        p.ready.push_back(PendingBatch {
+            model,
+            members: q.drain(..take).collect(),
+            ready: now,
         });
-        let ev = Ev::ReplicaFree { pool: p.id, slot };
-        *seq += 1;
-        events.insert((completed.as_nanos(), ev.priority(), *seq), ev);
+        self.dispatch(now, pool);
     }
+
+    /// A replica finished: frees its slot, dispatches, and retires its
+    /// pool if that drained it.
+    fn replica_free(&mut self, now: DurationNs, pool: usize, slot: usize) {
+        // Every service or provisioning completion passes through here,
+        // so the last one is the makespan (a stale window event can
+        // outlive it and must not stretch the clock).
+        self.records.makespan = self.records.makespan.max(now);
+        self.pools[pool].pool.mark_free(slot);
+        self.dispatch(now, pool);
+        self.pools[pool].maybe_retire(now);
+    }
+
+    /// Starts ready batches on the pool's free replicas.
+    fn dispatch(&mut self, now: DurationNs, pool: usize) {
+        loop {
+            let p = &mut self.pools[pool];
+            // Earliest-ready batch that can start now. Affinity can
+            // block the head (its model's slot is busy) without blocking
+            // later batches whose slots are free; within one model, ready
+            // order is FIFO so requests never overtake each other.
+            let Some((pos, slot)) = p
+                .ready
+                .iter()
+                .enumerate()
+                .find_map(|(i, b)| p.pool.pick(b.model).map(|slot| (i, slot)))
+            else {
+                return;
+            };
+            let batch = p.ready.remove(pos).expect("index from enumerate");
+            // Streaming: the batch first pays host-side sampling on the
+            // shared ingest clock (contending with live appends), reading
+            // a snapshot capped at the events visible right now.
+            let (sampling, staleness) = match self.streaming.as_deref_mut() {
+                Some(state) => state.sample_batch(now, &batch.members, &self.requests),
+                None => (DurationNs::ZERO, Vec::new()),
+            };
+            let batch_id = self.records.batches.len();
+            let record = p.pool.service(
+                slot,
+                batch.model,
+                self.zoo,
+                batch.members.len(),
+                batch_id as u64 + 1,
+                &mut self.memo,
+            );
+            let completed = now + sampling + record.duration;
+            p.queued -= batch.members.len();
+
+            for (pos_in_batch, &id) in batch.members.iter().enumerate() {
+                self.records.served.push(ServedRequest {
+                    id,
+                    model: batch.model,
+                    arrival: self.requests[id].arrival,
+                    batch: batch_id,
+                    assembled: batch.ready,
+                    started: now,
+                    completed,
+                    cold: record.cold,
+                    staleness: staleness
+                        .get(pos_in_batch)
+                        .copied()
+                        .unwrap_or(DurationNs::ZERO),
+                });
+            }
+            self.records.batches.push(FleetBatch {
+                pool,
+                batch: ServedBatch {
+                    model: batch.model,
+                    requests: batch.members,
+                    ready: batch.ready,
+                    started: now,
+                    completed,
+                    cold: record.cold,
+                    replica: slot,
+                    phases: record.phases,
+                    summary: record.summary,
+                },
+            });
+            self.agenda.push(completed, Ev::ReplicaFree { pool, slot });
+        }
+    }
+
+    /// Checks that nothing is left queued and collects the records.
+    fn finish(self) -> Records {
+        assert!(
+            self.pools.iter().all(|p| p.queued == 0
+                && p.ready.is_empty()
+                && p.queues.iter().all(VecDeque::is_empty)),
+            "serving loop terminated with work still queued"
+        );
+        let mut records = self.records;
+        records.served.sort_by_key(|r| r.id);
+        records.scale_events = self
+            .autoscaler
+            .map(|s| s.events().to_vec())
+            .unwrap_or_default();
+        records.final_pools = self.pools.iter().filter(|p| p.routable()).count();
+        for p in self.pools {
+            records.pool_spans.push((p.spawned_at, p.retired_at));
+            accumulate_class_stats(&mut records.cache_by_class, &p.pool.cache_class_stats());
+            records.sessions.extend(p.pool.into_sessions());
+        }
+        records
+    }
+}
+
+/// The event loop behind every entry point.
+fn run(
+    cfg: &FleetConfig,
+    zoo: &[ServedModel],
+    streaming: Option<&mut StreamingState<'_>>,
+) -> Records {
+    assert!(!zoo.is_empty(), "model mix must not be empty");
+    if let Err(e) = cfg.validate() {
+        panic!("{e}");
+    }
+    EventLoop::new(cfg, zoo, streaming).run()
 }

@@ -14,7 +14,8 @@
 //!   batch closes when its window expires or it reaches capacity;
 //! * a warm pool of pre-initialized replica sessions per pool; warm
 //!   hits pay only per-run allocation, cold starts pay a model swap,
-//!   and a run computes each (model, request count) once and replays
+//!   and a run reads each model's parameter sizes once, from its first
+//!   build, and computes each (model, request count) once, replaying
 //!   what it priced for every later service of it;
 //! * [`serve`] — one warm pool behind the serving event loop, with
 //!   backpressure shedding at a queue bound;
@@ -37,10 +38,13 @@
 //!   stops accruing replica-seconds;
 //! * [`serve_fleet`] — N pools behind the serving event loop.
 //!
-//! All three entry points run one discrete-event loop: [`serve`] and
+//! All three entry points run one discrete-event loop, whose whole
+//! state is one struct with a handler per event kind: [`serve`] and
 //! [`serve_streaming`] are its one-pool, static, Poisson case, so a
 //! single-pool run is exactly a [`serve_fleet`] run with one pool and
-//! no autoscaler, record for record. Every run reports through one
+//! no autoscaler, record for record. Each configuration's `validate`
+//! returns a typed [`RateError`] for a bad rate or shape and for a
+//! zero count the loop cannot run with. Every run reports through one
 //! [`FleetReport`]: p50/p95/p99 decomposition of request latency into
 //! assembly, queue wait, service and staleness, warm-up share,
 //! feature-cache counters, SLO attainment, shed rate, replica-seconds
@@ -178,12 +182,15 @@ impl ServeConfig {
     /// schedule. A NaN, infinite, non-positive or sub-[`MIN_RATE`] rate
     /// would previously saturate the `gap_s * 1e9 → u64` conversion and
     /// produce a silently nonsensical arrival schedule; now it is a
-    /// typed error here and a panic in [`generate_shaped`].
+    /// typed error here and a panic in [`generate_shaped`]. A zero
+    /// `pool_size` or `max_batch` is rejected too.
     ///
     /// # Errors
     ///
     /// Returns a [`RateError`] naming the offending parameter.
     pub fn validate(&self) -> Result<(), RateError> {
-        workload::validate_rate("arrival rate", self.arrival_rate_rps)
+        workload::validate_rate("arrival rate", self.arrival_rate_rps)?;
+        workload::validate_count("pool size", self.pool_size)?;
+        workload::validate_count("max batch", self.max_batch)
     }
 }

@@ -24,75 +24,92 @@
 //! [`ReplicaHandle`]: a clone of a prototype that is never run, sharing
 //! only immutable data with it. What a service prices and computes
 //! therefore depends only on its model and its batch's request count,
-//! so one serving run computes each (model, request count) once: the
-//! first service of that key builds the model and tapes its `infer`
-//! ([`Executor::tape`]) into the run's [`Memo`], and every later service
-//! prices its warm-up for real, then replays the tape
-//! ([`Executor::replay`]) — no build, no tensor math, the same events,
-//! scopes, clock and checksum. Traced and feature-cached sessions
-//! cannot be taped, so they build and run every service.
+//! and every pool of a run shares one [`Memo`] of it. A mix entry's
+//! parameter sizes, which model init, eviction and provisioning price,
+//! are read once, from its first build. The first service of a (model,
+//! request count) builds the model and tapes its `infer`
+//! ([`Executor::tape`]), and every later service prices its warm-up for
+//! real, then replays the tape ([`Executor::replay`]) — no build, no
+//! tensor math, the same events, scopes, clock and checksum. Traced and
+//! feature-cached sessions cannot be taped, so they build and run every
+//! service.
 //!
 //! [`ReplicaHandle`]: dgnn_models::ReplicaHandle
 
 use std::collections::BTreeMap;
 
-use dgnn_device::{
-    accumulate_class_stats, ClassCacheStats, DurationNs, ExecMode, Executor, PlatformSpec, Tape,
-};
-use dgnn_models::RunSummary;
+use dgnn_device::{accumulate_class_stats, ClassCacheStats, DurationNs, Executor, Tape};
+use dgnn_models::{DgnnModel, RunSummary};
 use dgnn_profile::ServicePhases;
 
-use crate::ServedModel;
+use crate::{FleetConfig, ServedModel};
 
-/// The sizes a service's warm-up prices.
+/// A mix entry's parameter sizes: what its model init prices and its
+/// eviction frees.
 #[derive(Debug, Clone, Copy)]
-struct WarmupSizes {
-    param_bytes: u64,
-    param_tensors: u64,
-    activation_bytes: u64,
+struct Params {
+    bytes: u64,
+    tensors: u64,
+}
+
+impl Params {
+    fn of(model: &dyn DgnnModel) -> Self {
+        Params {
+            bytes: model.param_bytes(),
+            tensors: model.param_tensors(),
+        }
+    }
 }
 
 /// What the first service of one key left for every later one: its
-/// model's warm-up sizes, its summary and the tape of its `infer`.
+/// activation bytes, its summary and the tape of its `infer`.
 #[derive(Debug)]
-pub(crate) struct Taped {
-    sizes: WarmupSizes,
+struct Taped {
+    activation_bytes: u64,
     summary: RunSummary,
     tape: Tape,
 }
 
-/// One serving run's taped services, keyed by (mix index, requests in
-/// the batch), shared by every pool of the run.
-pub(crate) type Memo = BTreeMap<(usize, usize), Taped>;
+/// What one serving run knows about its mix, shared by every pool:
+/// each entry's parameter sizes, from the first build of that entry,
+/// and each (mix index, requests in the batch) key's taped service.
+#[derive(Debug)]
+pub(crate) struct Memo {
+    params: Vec<Option<Params>>,
+    taped: BTreeMap<(usize, usize), Taped>,
+}
+
+impl Memo {
+    /// An empty memo for a mix of `entries` models.
+    pub fn new(entries: usize) -> Self {
+        Memo {
+            params: vec![None; entries],
+            taped: BTreeMap::new(),
+        }
+    }
+
+    /// Sizes of an entry some build has already read.
+    fn params(&self, model_idx: usize) -> Params {
+        self.params[model_idx].expect("an entry's first build sizes it")
+    }
+}
 
 /// One replica slot: a long-lived executor session plus residence
 /// bookkeeping.
 #[derive(Debug)]
-pub(crate) struct Replica {
+struct Replica {
     /// Slot id (stable, 0-based).
-    pub id: usize,
+    id: usize,
     session: Executor,
-    /// Mix index of the model whose weights are resident, if any.
-    resident: Option<usize>,
-    resident_param_bytes: u64,
+    /// Mix index of the model whose weights are resident.
+    resident: usize,
     busy: bool,
     last_used: u64,
-    /// Cold starts served by this slot (model swaps after provisioning).
-    pub cold_starts: usize,
-}
-
-impl Replica {
-    /// Mix index of the resident model.
-    pub fn resident(&self) -> Option<usize> {
-        self.resident
-    }
 }
 
 /// Result of one service executed on a replica.
 #[derive(Debug, Clone)]
 pub(crate) struct ServiceRecord {
-    /// Slot that served the batch.
-    pub replica: usize,
     /// Whether the service paid a model swap (cold start).
     pub cold: bool,
     /// Simulated service duration (warm-up + inference makespan).
@@ -110,82 +127,57 @@ pub(crate) struct WarmPool {
 }
 
 impl WarmPool {
-    /// Creates `pool_size` empty slots (no sessions yet — call
-    /// [`WarmPool::provision`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `pool_size` is zero.
-    pub fn new(pool_size: usize, spec: PlatformSpec, mode: ExecMode, trace: bool) -> Self {
-        assert!(pool_size >= 1, "pool needs at least one replica");
-        let replicas = (0..pool_size)
-            .map(|id| {
-                let mut session = Executor::new(spec.clone(), mode);
-                if trace {
-                    session.enable_tracing();
-                }
-                Replica {
-                    id,
-                    session,
-                    resident: None,
-                    resident_param_bytes: 0,
-                    busy: false,
-                    last_used: 0,
-                    cold_starts: 0,
-                }
-            })
-            .collect();
-        WarmPool { replicas }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Slot accessor.
-    pub fn replica(&self, id: usize) -> &Replica {
-        &self.replicas[id]
-    }
-
-    /// Pre-initializes every slot before the server opens: slot `i`
-    /// gets model `i % zoo.len()` — context init plus model init, the
-    /// one-time warm-up of §4.4, paid up front instead of inside any
-    /// request's latency. Returns each slot's provisioning completion
-    /// time (slots provision concurrently from t = 0); the slots stay
+    /// Provisions `cfg.replicas_per_pool` fresh sessions before the pool
+    /// opens: slot `i` gets model `i % zoo.len()` — context init plus
+    /// model init, the one-time warm-up of §4.4, paid up front instead
+    /// of inside any request's latency. An entry no build has sized yet
+    /// is built once here to read its sizes. Adds the phases paid to
+    /// `phases` and returns each slot's provisioning completion time
+    /// (slots provision concurrently from their spawn); the slots stay
     /// marked busy until then, so the caller must schedule their
     /// release.
-    pub fn provision(&mut self, zoo: &[ServedModel]) -> Vec<DurationNs> {
+    pub fn provision(
+        cfg: &FleetConfig,
+        zoo: &[ServedModel],
+        memo: &mut Memo,
+        phases: &mut ServicePhases,
+    ) -> (Self, Vec<DurationNs>) {
         assert!(!zoo.is_empty(), "cannot provision an empty model mix");
-        let mut completions = Vec::with_capacity(self.replicas.len());
-        for r in &mut self.replicas {
-            let model_idx = r.id % zoo.len();
-            let model = zoo[model_idx].handle.build();
-            let done = r.session.scope("provision", |ex| {
-                ex.model_init(model.param_bytes(), model.param_tensors());
+        let mut replicas = Vec::with_capacity(cfg.replicas_per_pool);
+        let mut completions = Vec::with_capacity(cfg.replicas_per_pool);
+        for id in 0..cfg.replicas_per_pool {
+            let mut session = Executor::new(cfg.spec.clone(), cfg.mode);
+            if cfg.trace {
+                session.enable_tracing();
+            }
+            let resident = id % zoo.len();
+            let p = *memo.params[resident]
+                .get_or_insert_with(|| Params::of(zoo[resident].handle.build().as_ref()));
+            completions.push(session.scope("provision", |ex| {
+                ex.model_init(p.bytes, p.tensors);
                 ex.now()
+            }));
+            // Provisioning is the session's only work so far.
+            phases.accumulate(&ServicePhases::from_events(session.timeline().events()));
+            replicas.push(Replica {
+                id,
+                session,
+                resident,
+                busy: true,
+                last_used: 0,
             });
-            r.resident = Some(model_idx);
-            r.resident_param_bytes = model.param_bytes();
-            r.busy = true;
-            completions.push(done);
         }
-        completions
+        (WarmPool { replicas }, completions)
     }
 
-    /// Busy-time phases paid during provisioning, summed over slots.
-    pub fn provision_phases(&self) -> ServicePhases {
-        let mut total = ServicePhases::default();
-        for r in &self.replicas {
-            let events = r.session.timeline().events();
-            let provisioned: Vec<_> = events
-                .iter()
-                .filter(|e| e.scope.starts_with("provision"))
-                .cloned()
-                .collect();
-            total.accumulate(&ServicePhases::from_events(&provisioned));
-        }
-        total
+    /// Whether any slot holds `model`'s weights.
+    pub fn holds(&self, model: usize) -> bool {
+        self.replicas.iter().any(|r| r.resident == model)
+    }
+
+    /// Whether any slot is provisioning or serving.
+    pub fn busy(&self) -> bool {
+        self.replicas.iter().any(|r| r.busy)
     }
 
     /// Picks a slot for `model` with model affinity:
@@ -199,24 +191,24 @@ impl WarmPool {
     ///    slot, as a cold start (its resident model is evicted);
     /// 4. every slot busy → `None`.
     ///
-    /// Returns `(slot, cold)`. A `None` is always transient: some slot
-    /// is busy and its completion retries the dispatch.
-    pub fn pick(&self, model: usize) -> Option<(usize, bool)> {
+    /// A `None` is always transient: some slot is busy and its
+    /// completion retries the dispatch.
+    pub fn pick(&self, model: usize) -> Option<usize> {
         let warm = self
             .replicas
             .iter()
-            .find(|r| !r.busy && r.resident == Some(model));
+            .find(|r| !r.busy && r.resident == model);
         if let Some(r) = warm {
-            return Some((r.id, false));
+            return Some(r.id);
         }
-        if self.replicas.iter().any(|r| r.resident == Some(model)) {
+        if self.holds(model) {
             return None; // resident but busy: wait, don't evict a peer
         }
         self.replicas
             .iter()
             .filter(|r| !r.busy)
             .min_by_key(|r| (r.last_used, r.id))
-            .map(|r| (r.id, true))
+            .map(|r| r.id)
     }
 
     /// Executes one batched service of `units` request-units of
@@ -248,7 +240,7 @@ impl WarmPool {
         let m = &zoo[model_idx];
         let r = &mut self.replicas[slot];
         assert!(!r.busy, "slot {slot} is mid-service");
-        let cold = r.resident != Some(model_idx);
+        let cold = r.resident != model_idx;
 
         let run_cfg = m
             .cfg
@@ -256,15 +248,12 @@ impl WarmPool {
             .with_max_units(m.cfg.max_units.max(1) * units.max(1));
         let key = (model_idx, units);
         let mut built = None;
-        let sizes = match memo.get(&key) {
-            Some(taped) => taped.sizes,
+        let activation_bytes = match memo.taped.get(&key) {
+            Some(taped) => taped.activation_bytes,
             None => {
                 let model = built.insert(m.handle.build());
-                WarmupSizes {
-                    param_bytes: model.param_bytes(),
-                    param_tensors: model.param_tensors(),
-                    activation_bytes: model.activation_bytes(&run_cfg),
-                }
+                memo.params[model_idx].get_or_insert_with(|| Params::of(model.as_ref()));
+                model.activation_bytes(&run_cfg)
             }
         };
 
@@ -273,19 +262,20 @@ impl WarmPool {
         if cold {
             // Evict the resident model; the context stays warm — the
             // session (process) survives the swap.
-            r.session.release(r.resident_param_bytes);
-            r.cold_starts += 1;
+            r.session.release(memo.params(r.resident).bytes);
         }
         // The warm-up `DgnnModel::run` prices: the §4.4 model init on a
         // cold start, then the batch-dependent activation allocation
         // (Table 2).
         r.session.scope("warmup", |ex| {
             if cold {
-                ex.model_init(sizes.param_bytes, sizes.param_tensors);
+                let p = memo.params(model_idx);
+                ex.model_init(p.bytes, p.tensors);
             }
-            ex.alloc_warmup(sizes.activation_bytes);
+            ex.alloc_warmup(activation_bytes);
         });
         let replayed = memo
+            .taped
             .get(&key)
             .filter(|taped| r.session.replay(&taped.tape))
             .map(|taped| taped.summary.clone());
@@ -294,8 +284,8 @@ impl WarmPool {
             let (result, tape) = r.session.tape(|ex| model.infer(ex, &run_cfg));
             let summary = result.unwrap_or_else(|e| panic!("{} service failed: {e}", model.name()));
             if let Some(tape) = tape {
-                memo.entry(key).or_insert(Taped {
-                    sizes,
+                memo.taped.entry(key).or_insert(Taped {
+                    activation_bytes,
                     summary: summary.clone(),
                     tape,
                 });
@@ -306,15 +296,13 @@ impl WarmPool {
         let duration = r.session.now() - t0;
         let phases = ServicePhases::from_events(&r.session.timeline().events()[i0..]);
         // The activation pool is recycled between services.
-        r.session.release(sizes.activation_bytes);
+        r.session.release(activation_bytes);
 
-        r.resident = Some(model_idx);
-        r.resident_param_bytes = sizes.param_bytes;
+        r.resident = model_idx;
         r.busy = true;
         r.last_used = seq;
 
         ServiceRecord {
-            replica: slot,
             cold,
             duration,
             phases,
@@ -325,11 +313,6 @@ impl WarmPool {
     /// Marks a slot free (its scheduled completion time was reached).
     pub fn mark_free(&mut self, slot: usize) {
         self.replicas[slot].busy = false;
-    }
-
-    /// Total cold starts across slots (excludes provisioning).
-    pub fn cold_starts(&self) -> usize {
-        self.replicas.iter().map(|r| r.cold_starts).sum()
     }
 
     /// Per-[`dgnn_device::TensorClass`] feature-cache counters summed

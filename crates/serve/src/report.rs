@@ -228,6 +228,7 @@ impl FleetReport {
                     * cfg.replicas_per_pool as f64
             })
             .sum();
+        let cold_services = records.batches.iter().filter(|b| b.batch.cold).count();
         let scale_count = |kind: ScaleKind| {
             records
                 .scale_events
@@ -243,8 +244,8 @@ impl FleetReport {
             shed: records.shed.len(),
             queue_bound: cfg.queue_bound,
             batches: records.batches.len(),
-            cold_services: records.cold_services,
-            warm_services: records.batches.len() - records.cold_services,
+            cold_services,
+            warm_services: records.batches.len() - cold_services,
             pools_spawned: records.pool_spans.len(),
             peak_pools: records.peak_pools,
             final_pools: records.final_pools,

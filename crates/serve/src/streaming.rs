@@ -38,7 +38,7 @@ use dgnn_models::IngestMemory;
 use dgnn_tensor::TensorRng;
 
 use crate::fleet::{serve_one_pool, ServeOutcome};
-use crate::workload::{exp_gap_ns, validate_rate, RateError, Request};
+use crate::workload::{exp_gap_ns, validate_count, validate_rate, RateError, Request};
 use crate::{ServeConfig, ServedModel};
 
 /// Identity of the shared streaming store in provenance traces.
@@ -79,15 +79,17 @@ impl StreamingConfig {
         }
     }
 
-    /// Checks the ingest rate before it reaches the panicking
-    /// generators (frozen runs never generate arrivals, so any rate is
-    /// acceptable there).
+    /// Checks the compaction threshold, then the ingest rate, before
+    /// they reach the panicking store and generators (frozen runs never
+    /// generate arrivals, so any rate is acceptable there).
     ///
     /// # Errors
     ///
-    /// Returns the typed [`RateError`] for a zero, negative, non-finite
-    /// or degenerately small `ingest_rate_eps`.
+    /// Returns the typed [`RateError`] for a zero `compaction_threshold`,
+    /// or for a zero, negative, non-finite or degenerately small
+    /// `ingest_rate_eps`.
     pub fn validate(&self) -> Result<(), RateError> {
+        validate_count("compaction threshold", self.compaction_threshold)?;
         if self.frozen {
             return Ok(());
         }

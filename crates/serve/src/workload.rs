@@ -30,8 +30,9 @@ pub const MIN_RATE: f64 = 1e-9;
 /// [`validate_rate`], [`WorkloadShape::validate`],
 /// [`crate::ServeConfig::validate`], [`crate::FleetConfig::validate`]
 /// and [`crate::StreamingConfig::validate`]. Despite the name it also
-/// covers shape parameters (amplitude, multiplier, session length) —
-/// `what` names the offending knob.
+/// covers shape parameters (amplitude, multiplier, session length) and
+/// zero counts (pools, replicas, batch capacity, compaction threshold)
+/// — `what` names the offending knob.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RateError {
     /// Which parameter was rejected (e.g. `"arrival rate"`).
@@ -86,6 +87,23 @@ pub fn validate_rate(what: &'static str, rate: f64) -> Result<(), RateError> {
         value: rate,
         reason,
     })
+}
+
+/// Rejects a zero count: `what` is a setting a run needs at least one
+/// of (pools, replicas, batch capacity, compaction threshold).
+///
+/// # Errors
+///
+/// Returns a [`RateError`] naming the setting.
+pub(crate) fn validate_count(what: &'static str, count: usize) -> Result<(), RateError> {
+    if count == 0 {
+        return Err(RateError {
+            what,
+            value: 0.0,
+            reason: "not positive",
+        });
+    }
+    Ok(())
 }
 
 /// One inference request: a query for one unit of work (one mini-batch

@@ -336,7 +336,9 @@ fn untraced_runs_build_each_service_key_once_and_traced_runs_every_service() {
     let (untraced, untraced_builds) = run(false);
     let (traced, traced_builds) = run(true);
 
-    let slots = untraced.report.pools_spawned * cfg.replicas_per_pool;
+    // Provisioning builds each entry it places once, to size it (slot
+    // `i` holds entry `i % 2`), and a scale-out builds nothing.
+    let sized = cfg.replicas_per_pool.min(2);
     assert!(
         untraced.report.pools_spawned > cfg.initial_pools,
         "a pool spawned"
@@ -347,8 +349,8 @@ fn untraced_runs_build_each_service_key_once_and_traced_runs_every_service() {
         .map(|b| (b.batch.model, b.batch.requests.len()))
         .collect();
     assert!(keys.len() < untraced.batches.len(), "a key repeats");
-    assert_eq!(untraced_builds, slots + keys.len(), "untraced builds");
-    assert_eq!(traced_builds, slots + traced.batches.len(), "traced builds");
+    assert_eq!(untraced_builds, sized + keys.len(), "untraced builds");
+    assert_eq!(traced_builds, sized + traced.batches.len(), "traced builds");
 
     let served = |out: &FleetOutcome| -> Vec<_> {
         out.batches
@@ -377,6 +379,33 @@ fn fleet_config_validates_rate_and_shape() {
     };
     let err = cfg.validate().unwrap_err();
     assert_eq!(err.what, "diurnal amplitude");
+}
+
+#[test]
+fn fleet_config_rejects_every_count_a_run_needs() {
+    fn rejected(set: impl FnOnce(&mut FleetConfig)) -> &'static str {
+        let mut cfg = base_cfg();
+        set(&mut cfg);
+        cfg.validate().unwrap_err().what
+    }
+    let scaler = |min_pools| {
+        Some(AutoscalerConfig {
+            min_pools,
+            ..burst_scaler()
+        })
+    };
+    assert_eq!(rejected(|c| c.initial_pools = 0), "initial pools");
+    assert_eq!(rejected(|c| c.replicas_per_pool = 0), "replicas per pool");
+    assert_eq!(rejected(|c| c.max_batch = 0), "max batch");
+    assert_eq!(
+        rejected(|c| c.autoscaler = scaler(0)),
+        "autoscaler min pools"
+    );
+    // Above `burst_scaler`'s `max_pools` of 4.
+    assert_eq!(
+        rejected(|c| c.autoscaler = scaler(5)),
+        "autoscaler min pools"
+    );
 }
 
 #[test]

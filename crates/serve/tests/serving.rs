@@ -331,3 +331,15 @@ fn serve_config_validates_its_arrival_rate() {
     cfg.arrival_rate_rps = -1.0;
     assert_eq!(cfg.validate().unwrap_err().reason, "not positive");
 }
+
+#[test]
+fn serve_config_rejects_an_empty_pool_or_batch() {
+    let rejected = |set: fn(&mut ServeConfig)| {
+        let mut cfg = base_cfg();
+        set(&mut cfg);
+        let err = cfg.validate().unwrap_err();
+        (err.what, err.reason)
+    };
+    assert_eq!(rejected(|c| c.pool_size = 0), ("pool size", "not positive"));
+    assert_eq!(rejected(|c| c.max_batch = 0), ("max batch", "not positive"));
+}

@@ -166,6 +166,16 @@ fn streaming_config_validates_its_ingest_rate() {
 }
 
 #[test]
+fn streaming_config_rejects_a_zero_compaction_threshold() {
+    for frozen in [false, true] {
+        let mut scfg = stream_cfg(frozen);
+        scfg.compaction_threshold = 0;
+        let err = scfg.validate().unwrap_err();
+        assert_eq!(err.what, "compaction threshold", "frozen {frozen}: {err}");
+    }
+}
+
+#[test]
 fn staleness_is_reported_alongside_latency() {
     let out = run(false, false);
     let text = out.serve.report.render("streaming");
